@@ -8,9 +8,11 @@ against that single choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .basis import four_tensor_to_pair_matrix
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -21,6 +23,8 @@ from .tensors import (
     ThreeTwoTensor,
     TwoFormOneForm,
     check_symmetric,
+    check_trace_free,
+    cyclic_average,
     inner,
 )
 
@@ -28,17 +32,70 @@ __all__ = [
     "kulkarni_nomizu", "ricci_contraction", "bianchi_project", "decompose",
     "dot_product", "sharp_product", "tri", "circ_prime", "second_bianchi",
     "u_contraction", "quadratic_forms", "pure_cubics", "weyl_sectional_split",
-    "QuadraticForms", "PureCubics", "kn_four",
+    "QuadraticForms", "PureCubics", "kn_four", "sharp_four", "weyl_split",
+    "WeylSplit", "decomposition", "cubic_parts",
 ]
+
+# Raw kernels (kn_four, _ricci_trace, weyl_split, sharp_four, cubic_parts) act
+# on the trailing four (or two) axes of plain arrays and broadcast over any
+# leading batch axes; the typed functions below wrap them.
+
+
+def _alt_pairs(m: np.ndarray) -> np.ndarray:
+    """m_ijkl + m_jilk - m_ijlk - m_jikl: four times the part of m antisymmetric
+    in (i, j) and in (k, l)."""
+    return (m + np.einsum('...jilk->...ijkl', m)
+            - np.einsum('...ijlk->...ijkl', m) - np.einsum('...jikl->...ijkl', m))
 
 
 def kn_four(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Kulkarni-Nomizu product as a raw four-index array.
 
-    (h o k)_ijkl = h_ik k_jl + k_ik h_jl - h_il k_jk - k_il h_jk
+    (h o k)_ijkl = h_ik k_jl + k_ik h_jl - h_il k_jk - k_il h_jk; every term is
+    an index permutation of the first.
     """
-    return (np.einsum('ik,jl->ijkl', h, k) + np.einsum('ik,jl->ijkl', k, h)
-            - np.einsum('il,jk->ijkl', h, k) - np.einsum('il,jk->ijkl', k, h))
+    return _alt_pairs(np.einsum('...ik,...jl->...ijkl', h, k))
+
+
+def _ricci_trace(R4: np.ndarray, gi: np.ndarray | None = None) -> np.ndarray:
+    """rc_ij = R_ipjq g^pq; the identity metric when gi is None."""
+    if gi is None:
+        return np.einsum('...ipjp->...ij', R4)
+    return np.einsum('...ipjq,...pq->...ij', R4, gi)
+
+
+class WeylSplit(NamedTuple):
+    """R = W + e_part + s_part as raw arrays (with R's leading batch axes)."""
+
+    Rc: np.ndarray
+    S: np.ndarray
+    E: np.ndarray
+    s_part: np.ndarray
+    e_part: np.ndarray
+    W: np.ndarray
+
+
+def weyl_split(R4: np.ndarray, g: np.ndarray | None = None) -> WeylSplit:
+    """Weyl split W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) of (..., n, n, n, n) tensors.
+
+    ``g`` is the metric in the tensor's coordinates; None means an orthonormal
+    frame (the identity).  Rc is the Ricci trace, S the scalar, E = Rc - (S/n) g.
+    """
+    n = R4.shape[-1]
+    if g is None:
+        g = np.eye(n)
+        # contiguous rows keep the trace's summation order the same at every batch size
+        Rc = np.ascontiguousarray(_ricci_trace(R4))
+        S = np.trace(Rc, axis1=-2, axis2=-1)
+    else:
+        gi = np.linalg.inv(g)
+        Rc = _ricci_trace(R4, gi)
+        S = np.einsum('...ij,...ij->...', Rc, gi)
+    s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
+    E = Rc - (s2 / n) * g
+    s_part = s2[..., None, None] / (2 * n * (n - 1)) * kn_four(g, g)
+    e_part = kn_four(E, g) / (n - 2)
+    return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R4 - s_part - e_part)
 
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> CurvatureTensor:
@@ -57,7 +114,7 @@ def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> CurvatureTensor:
 
 def ricci_contraction(T: Operator2Form) -> np.ndarray:
     """rc(T)(X, Y) = trace of T(X, ., Y, .); symmetric for self-adjoint T."""
-    return np.einsum('ipjp->ij', T.four())
+    return _ricci_trace(T.four())
 
 
 def bianchi_project(T: Operator2Form) -> tuple[CurvatureTensor, Operator2Form]:
@@ -66,9 +123,8 @@ def bianchi_project(T: Operator2Form) -> tuple[CurvatureTensor, Operator2Form]:
     The image part is the cyclic average b(T); for self-adjoint T it is the
     totally antisymmetric component, orthogonal to the kernel part.
     """
-    four = T.four()
-    imb4 = (four + np.transpose(four, (1, 2, 0, 3)) + np.transpose(four, (2, 0, 1, 3))) / 3.0
-    imb = Operator2Form.from_four_tensor(imb4, require_self_adjoint=T.is_self_adjoint())
+    imb = Operator2Form.from_four_tensor(cyclic_average(T.four()),
+                                         require_self_adjoint=T.is_self_adjoint())
     kerb = CurvatureTensor(T.n, T.mat - imb.mat)
     return kerb, imb
 
@@ -79,19 +135,20 @@ def decompose(R: CurvatureTensor) -> CurvatureDecomposition:
     W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) with rc(W) = 0, and the three
     parts satisfy |R|^2 = |W|^2 + S^2/(2n(n-1)) + |E|^2/(n-2).
     """
-    n = R.n
-    if n < 4:
-        raise ValueError(f"Weyl decomposition requires dimension >= 4, got {n}")
-    g = np.eye(n)
-    Rc = ricci_contraction(R)
-    S = float(np.trace(Rc))
-    E = Rc - (S / n) * g
-    s_part = CurvatureTensor.from_operator(
-        Operator2Form.from_four_tensor(S / (2 * n * (n - 1)) * kn_four(g, g)))
-    e_part = CurvatureTensor.from_operator(
-        Operator2Form.from_four_tensor(kn_four(E, g) / (n - 2)))
-    weyl = CurvatureTensor(n, R.mat - s_part.mat - e_part.mat)
-    return CurvatureDecomposition(weyl=weyl, e_part=e_part, s_part=s_part, E=E, S=S)
+    if R.n < 4:
+        raise ValueError(f"Weyl decomposition requires dimension >= 4, got {R.n}")
+    return decomposition(weyl_split(R.four()))
+
+
+def decomposition(split: WeylSplit, tol: float = EPS_ALG) -> CurvatureDecomposition:
+    """Typed container of one frame split; ``tol`` bounds the Weyl part's Bianchi defect."""
+    n = split.E.shape[-1]
+
+    def op(four: np.ndarray, tol: float = EPS_ALG) -> CurvatureTensor:
+        return CurvatureTensor(n, four_tensor_to_pair_matrix(n, four), tol=tol)
+
+    return CurvatureDecomposition(weyl=op(split.W, tol), e_part=op(split.e_part),
+                                  s_part=op(split.s_part), E=split.E, S=float(split.S))
 
 
 def dot_product(R: Operator2Form, S: Operator2Form) -> Operator2Form:
@@ -101,18 +158,24 @@ def dot_product(R: Operator2Form, S: Operator2Form) -> Operator2Form:
     return Operator2Form(R.n, mat, require_self_adjoint=False)
 
 
+def _pair_slots(four: np.ndarray) -> np.ndarray:
+    """(..., n, n, n, n) -> (..., n^2, n^2) matrices a[(i,k),(j,l)] = T_ijkl."""
+    n = four.shape[-1]
+    return np.swapaxes(four, -3, -2).reshape(four.shape[:-4] + (n * n, n * n))
+
+
 def sharp_four(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Sharp product on raw four-index arrays.
 
     (R # S)_ijkl = (1/2) sum_pq [ R_ipkq S_jplq + S_ipkq R_jplq
                                  - R_iplq S_jpkq - S_iplq R_jpkq ]
 
-    All four terms are index permutations of the first contraction, so a
-    single einsum suffices.
+    All four terms are index permutations of m_ijkl = sum_pq A_ipkq B_jplq,
+    which is the matrix product m[(i,k),(j,l)] = A'[(i,k),:] . B'[(j,l),:].
     """
-    m = np.einsum('ipkq,jplq->ijkl', A, B)
-    return 0.5 * (m + np.transpose(m, (1, 0, 3, 2))
-                  - np.transpose(m, (0, 1, 3, 2)) - np.transpose(m, (1, 0, 2, 3)))
+    n = A.shape[-1]
+    m = _pair_slots(A) @ np.swapaxes(_pair_slots(B), -1, -2)
+    return 0.5 * _alt_pairs(np.swapaxes(m.reshape(m.shape[:-2] + (n, n, n, n)), -3, -2))
 
 
 def sharp_product(R: Operator2Form, S: Operator2Form) -> Operator2Form:
@@ -126,9 +189,21 @@ def tri(R1: Operator2Form, R2: Operator2Form, R3: Operator2Form) -> float:
     """Trilinear form <R1.R2 + R2.R1 + 2 R1 # R2, R3>, symmetric in all slots."""
     R1._check_same(R2)
     R1._check_same(R3)
-    combo = (dot_product(R1, R2).mat + dot_product(R2, R1).mat
-             + 2.0 * sharp_product(R1, R2).mat)
-    return float(np.sum(combo * R3.mat))
+    a, b = R1.mat, R2.mat
+    sharp = four_tensor_to_pair_matrix(R1.n, sharp_four(R1.four(), R2.four()))
+    return float(np.sum((a @ b.T + b @ a.T + 2.0 * sharp) * R3.mat))
+
+
+def cubic_parts(W4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(<W, W^2>, <W, W#>) of self-adjoint (..., n, n, n, n) curvature tensors.
+
+    <W, W^2> = tr(M^3) for the pair-basis matrix M, and <W, W#> =
+    (1/2) sum w o (w w) with w[(i,k),(j,l)] = W_ijkl, since
+    (w w)[(i,k),(j,l)] = sum_pq W_ipkq W_jplq.
+    """
+    M = four_tensor_to_pair_matrix(W4.shape[-1], W4)
+    w = _pair_slots(W4)
+    return (np.sum(M * (M @ M), axis=(-2, -1)), 0.5 * np.sum(w * (w @ w), axis=(-2, -1)))
 
 
 def circ_prime_full(a: np.ndarray) -> np.ndarray:
@@ -189,10 +264,8 @@ def u_contraction(W: CurvatureTensor, tol: float = EPS_ALG) -> tuple[float, floa
     contracted equals 8 <W, W^2 + W#>.  The cubic contraction is orientation-
     fixed: the raw sum sum W_ijkl u_ij u_kl carries the opposite sign.
     """
-    Rc = ricci_contraction(W)
-    scale = max(1.0, float(np.abs(W.mat).max()))
-    if np.abs(Rc).max() > tol * scale:
-        raise ValueError("u-contraction requires a trace-free (Weyl-type) input")
+    check_trace_free(ricci_contraction(W), W.mat, tol,
+                     "u-contraction requires a trace-free (Weyl-type) input")
     norm_sum, cubic_sum = u_tensor_contractions(W)
     return norm_sum, -cubic_sum / 8.0
 
@@ -257,10 +330,8 @@ def weyl_sectional_split(W: CurvatureTensor, subset: "set[int] | tuple[int, ...]
         raise ValueError("subset indices out of range")
     if not idx or len(idx) == n:
         raise ValueError("subset must be proper and nonempty")
-    Rc = ricci_contraction(W)
-    scale = max(1.0, float(np.abs(W.mat).max()))
-    if np.abs(Rc).max() > tol * scale:
-        raise ValueError("sectional split requires a trace-free (Weyl-type) input")
+    check_trace_free(ricci_contraction(W), W.mat, tol,
+                     "sectional split requires a trace-free (Weyl-type) input")
     comp = [i for i in range(n) if i not in idx]
     w1 = sum(W.component(i, j, i, j) for a, i in enumerate(idx) for j in idx[a + 1:])
     w2 = sum(W.component(i, j, i, j) for a, i in enumerate(comp) for j in comp[a + 1:])

@@ -40,6 +40,8 @@ class PairBasis:
     pairs: tuple[tuple[int, int], ...]
     pos: np.ndarray   # (n, n) pair -> basis position, -1 on the diagonal
     sign: np.ndarray  # (n, n) +1 for i < j, -1 for i > j, 0 on the diagonal
+    rows: np.ndarray  # (N,) first index i of each pair
+    cols: np.ndarray  # (N,) second index j of each pair
 
     @property
     def size(self) -> int:
@@ -77,9 +79,10 @@ def pair_basis(n: int) -> PairBasis:
         pos[i, j] = pos[j, i] = a
         sign[i, j] = 1.0
         sign[j, i] = -1.0
-    pos.flags.writeable = False
-    sign.flags.writeable = False
-    return PairBasis(n, pairs, pos, sign)
+    rows, cols = np.array(pairs).T
+    for arr in (pos, sign, rows, cols):
+        arr.flags.writeable = False
+    return PairBasis(n, pairs, pos, sign, rows, cols)
 
 
 @lru_cache(maxsize=None)
@@ -112,30 +115,26 @@ def disjoint_pair_mask(n: int) -> np.ndarray:
 
 
 def pair_matrix_to_four_tensor(n: int, mat: np.ndarray) -> np.ndarray:
-    """Expand an N x N pair-basis matrix into the full (n, n, n, n) tensor."""
+    """Expand (..., N, N) pair-basis matrices into full (..., n, n, n, n) tensors."""
     pb = pair_basis(n)
-    padded = np.zeros((pb.size + 1, pb.size + 1))
-    padded[:-1, :-1] = mat
+    padded = np.zeros(np.shape(mat)[:-2] + (pb.size + 1, pb.size + 1))
+    padded[..., :-1, :-1] = mat
     pos = np.where(pb.pos >= 0, pb.pos, pb.size)
-    four = padded[pos[:, :, None, None], pos[None, None, :, :]]
+    four = padded[..., pos[:, :, None, None], pos[None, None, :, :]]
     four = four * pb.sign[:, :, None, None] * pb.sign[None, None, :, :]
     return four
 
 
 def four_tensor_to_pair_matrix(n: int, four: np.ndarray) -> np.ndarray:
-    """Read the N x N pair-basis matrix off a full (n, n, n, n) tensor."""
+    """Read the (..., N, N) pair-basis matrices off full (..., n, n, n, n) tensors."""
     pb = pair_basis(n)
-    rows = np.array([p[0] for p in pb.pairs])
-    cols = np.array([p[1] for p in pb.pairs])
-    return four[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
+    return four[..., pb.rows[:, None], pb.cols[:, None], pb.rows[None, :], pb.cols[None, :]]
 
 
 def full3_to_pair_form(n: int, full: np.ndarray) -> np.ndarray:
     """(n, n, n) tensor antisymmetric in the first two slots -> (N, n) components."""
     pb = pair_basis(n)
-    rows = np.array([p[0] for p in pb.pairs])
-    cols = np.array([p[1] for p in pb.pairs])
-    return full[rows, cols, :]
+    return full[pb.rows, pb.cols, :]
 
 
 def pair_form_to_full3(n: int, comps: np.ndarray) -> np.ndarray:
@@ -154,6 +153,4 @@ def full5_to_triple_pair(n: int, full: np.ndarray) -> np.ndarray:
     t0 = np.array([t[0] for t in tb.triples])
     t1 = np.array([t[1] for t in tb.triples])
     t2 = np.array([t[2] for t in tb.triples])
-    r = np.array([p[0] for p in pb.pairs])
-    c = np.array([p[1] for p in pb.pairs])
-    return full[t0[:, None], t1[:, None], t2[:, None], r[None, :], c[None, :]]
+    return full[t0[:, None], t1[:, None], t2[:, None], pb.rows[None, :], pb.cols[None, :]]

@@ -13,8 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import dot_product, ricci_contraction, sharp_product
-from .tensors import EPS_ALG, CurvatureTensor, check_symmetric
+from .algebra import cubic_parts, ricci_contraction
+from .basis import disjoint_pair_mask
+from .tensors import (
+    EPS_ALG,
+    CurvatureTensor,
+    bianchi_residual,
+    check_symmetric,
+    check_trace_free,
+    running_max,
+)
 
 #: slack for tie-breaking verdict comparisons (relative)
 _TIE = 1e-12
@@ -24,8 +32,7 @@ def eigen_bound(T: np.ndarray, tol: float = EPS_ALG) -> tuple[float, float]:
     """(largest |eigenvalue|, sqrt((m-1)/m) |T|_F) for a traceless symmetric T."""
     T = check_symmetric(T, "trace-free operator")
     m = T.shape[0]
-    if abs(np.trace(T)) > tol * max(1.0, float(np.abs(T).max())):
-        raise ValueError("operator must be trace-free")
+    check_trace_free(np.trace(T), T, tol, "operator must be trace-free")
     eigs = np.linalg.eigvalsh(T)
     return float(np.abs(eigs).max()), float(np.sqrt((m - 1) / m) * np.linalg.norm(T))
 
@@ -40,11 +47,8 @@ class SpectralExtremes:
 def spectral_extremes(W: CurvatureTensor, E: np.ndarray,
                       tol: float = EPS_ALG) -> SpectralExtremes:
     E = check_symmetric(E, "traceless Ricci")
-    scale = max(1.0, float(np.abs(W.mat).max()))
-    if np.abs(ricci_contraction(W)).max() > tol * scale:
-        raise ValueError("W must be trace-free")
-    if abs(np.trace(E)) > tol * max(1.0, float(np.abs(E).max())):
-        raise ValueError("E must be traceless")
+    check_trace_free(ricci_contraction(W), W.mat, tol, "W must be trace-free")
+    check_trace_free(np.trace(E), E, tol, "E must be traceless")
     if E.shape[0] != W.n:
         raise ValueError("dimension mismatch")
     w_eigs = W.eigenvalues()
@@ -62,13 +66,10 @@ class ComponentBound:
 
 def berger_component_bound(W: CurvatureTensor, tol: float = EPS_ALG) -> ComponentBound:
     """Largest |W_ijkl| over pairwise-distinct indices against (4/3) max|eig|."""
-    scale = max(1.0, float(np.abs(W.mat).max()))
-    if np.abs(ricci_contraction(W)).max() > tol * scale:
-        raise ValueError("component bound applies to trace-free operators")
-    from .tensors import bianchi_residual
-    if bianchi_residual(W) > tol * scale:
+    check_trace_free(ricci_contraction(W), W.mat, tol,
+                     "component bound applies to trace-free operators")
+    if bianchi_residual(W) > tol * max(1.0, float(np.abs(W.mat).max())):
         raise ValueError("component bound applies to Bianchi-free operators")
-    from .basis import disjoint_pair_mask
     max_comp = float(np.abs(W.mat[disjoint_pair_mask(W.n)]).max())
     omega = float(np.abs(W.eigenvalues()).max())
     bound = 4.0 * omega / 3.0
@@ -83,15 +84,12 @@ def audit_cubic_bounds(n: int, samples: int, seed: int = 0,
     trace-free tensors; all values <= 0 mean zero violations."""
     if n < 5:
         raise ValueError("audit applies for n >= 5")
-    from .basis import disjoint_pair_mask
     from .sampling import random_weyl_batch
     rng = np.random.default_rng([seed, n])
     mask = disjoint_pair_mask(n)
     cn = table_c(n)
-    worst = {"component": -np.inf, "eig": -np.inf, "norm": -np.inf}
-    if n == 5:
-        worst["eig_signed"] = -np.inf
-        worst["dim5_identity"] = -np.inf
+    keys = ("component", "eig", "norm") + (("eig_signed", "dim5_identity") if n == 5 else ())
+    worst = dict.fromkeys(keys, -np.inf)
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
@@ -100,22 +98,18 @@ def audit_cubic_bounds(n: int, samples: int, seed: int = 0,
         omega = np.abs(eigs).max(axis=1)
         w2 = np.einsum('bij,bij->b', mats, mats)
         max_comp = np.abs(mats[:, mask]).max(axis=1)
-        lhs_dot = np.einsum('bij,bjk,bki->b', mats, mats, mats)
-        m1 = np.einsum('bipkq,bjplq->bikjl', four, four, optimize=True)
-        lhs_sharp = 0.5 * np.einsum('bijkl,bikjl->b', four, m1, optimize=True)
+        lhs_dot, lhs_sharp = cubic_parts(four)
         lhs = lhs_dot + lhs_sharp
         scale3 = np.maximum(w2, 1e-30) ** 1.5
-        worst["component"] = max(worst["component"],
-                                 float(((max_comp - 4.0 * omega / 3.0)
-                                        / np.maximum(omega, 1e-30)).max()))
-        worst["eig"] = max(worst["eig"],
-                           float(((lhs - 2.0 * (n - 1) / 3.0 * omega * w2) / scale3).max()))
-        worst["norm"] = max(worst["norm"], float(((lhs - cn * w2 ** 1.5) / scale3).max()))
+        excess = {"component": (max_comp - 4.0 * omega / 3.0) / np.maximum(omega, 1e-30),
+                  "eig": (lhs - 2.0 * (n - 1) / 3.0 * omega * w2) / scale3,
+                  "norm": (lhs - cn * w2 ** 1.5) / scale3}
         if n == 5:
             sig = 2.0 * (n - 1) / 3.0 * eigs.max(axis=1) * w2
-            worst["eig_signed"] = max(worst["eig_signed"], float(((lhs - sig) / scale3).max()))
-            worst["dim5_identity"] = max(worst["dim5_identity"],
-                                         float((np.abs(lhs - 3.0 * lhs_dot) / scale3).max()))
+            excess["eig_signed"] = (lhs - sig) / scale3
+            excess["dim5_identity"] = np.abs(lhs - 3.0 * lhs_dot) / scale3
+        for key, values in excess.items():
+            worst[key] = running_max(worst[key], values)
         done += b
     return worst
 
@@ -134,7 +128,7 @@ def audit_eigen_bound(samples: int, seed: int = 0,
         eigs = np.linalg.eigvalsh(t)
         lam = np.abs(eigs).max(axis=1)
         bound = np.sqrt((m - 1) / m) * np.sqrt(np.einsum('bij,bij->b', t, t))
-        worst = max(worst, float(((lam - bound) / np.maximum(bound, 1e-30)).max()))
+        worst = running_max(worst, (lam - bound) / np.maximum(bound, 1e-30))
     return worst
 
 
@@ -158,11 +152,10 @@ def cubic_bound_eval(W: CurvatureTensor, tol: float = EPS_ALG) -> CubicBounds:
     if n < 5:
         raise ValueError("cubic bounds apply for dimension >= 5 (dimension 4 uses the"
                          " self-dual determinant route)")
-    scale = max(1.0, float(np.abs(W.mat).max()))
-    if np.abs(ricci_contraction(W)).max() > tol * scale:
-        raise ValueError("cubic bounds apply to trace-free operators")
-    lhs_dot = float(np.sum(W.mat * dot_product(W, W).mat))
-    lhs = lhs_dot + float(np.sum(W.mat * sharp_product(W, W).mat))
+    check_trace_free(ricci_contraction(W), W.mat, tol,
+                     "cubic bounds apply to trace-free operators")
+    lhs_dot, lhs_sharp = (float(v) for v in cubic_parts(W.four()))
+    lhs = lhs_dot + lhs_sharp
     eigs = W.eigenvalues()
     omega = float(np.abs(eigs).max())
     w2 = float(np.sum(W.mat * W.mat))
@@ -408,6 +401,8 @@ def gap_verdict_integral(norm_w: float, norm_e: float, lam: float, n: int) -> Pi
     inequality is required: meeting the gap forces conformal flatness, and the
     borderline case forces nothing.
     """
+    if not all(np.isfinite(v) for v in (norm_w, norm_e, lam)):
+        raise ValueError("inputs must be finite")
     if lam <= 0:
         raise ValueError("the Yamabe invariant input must be positive")
     if norm_w < 0 or norm_e < 0:

@@ -22,11 +22,12 @@ import numpy as np
 
 from .algebra import (
     circ_prime,
+    cubic_parts,
+    decomposition,
     dot_product,
-    kn_four,
     kulkarni_nomizu,
     second_bianchi,
-    sharp_product,
+    weyl_split,
 )
 from .tensors import (
     CovDerivCurvature,
@@ -227,15 +228,9 @@ def curvature_tensor_at(metric: ChartMetric, x: np.ndarray, h: float,
 
 def _decomp_coords(metric: ChartMetric, x: np.ndarray, h: float, order: int):
     """R, Rc, S, E, W in coordinates at x."""
-    n = metric.n
     R = curvature_tensor_at(metric, x, h, order)
-    g = metric(x)
-    gi = np.linalg.inv(g)
-    Rc = np.einsum('ipjq,pq->ij', R, gi)
-    S = float(np.einsum('ij,ij->', Rc, gi))
-    E = Rc - (S / n) * g
-    W = R - S / (2 * n * (n - 1)) * kn_four(g, g) - kn_four(E, g) / (n - 2)
-    return R, Rc, S, E, W
+    split = weyl_split(R, metric(x))
+    return R, split.Rc, float(split.S), split.E, split.W
 
 
 def _w_norm_sq_at(metric: ChartMetric, x: np.ndarray, h: float, order: int) -> float:
@@ -287,7 +282,7 @@ def curvature_field(metric: ChartMetric, grid: GridSpec,
     F = np.linalg.inv(L).T  # columns: frame vectors; F^T g0 F = Id
     gam0 = christoffel(metric, x0, h, order)
 
-    R0, Rc0, S0, E0, W0 = _decomp_coords(metric, x0, h, order)
+    R0, Rc0, _, _, W0 = _decomp_coords(metric, x0, h, order)
 
     def cov_deriv4(tensor_at: Callable[[np.ndarray], np.ndarray], T0: np.ndarray) -> np.ndarray:
         dT = np.stack([_d1(tensor_at, x0, m, h, order) for m in range(n)])
@@ -314,21 +309,15 @@ def curvature_field(metric: ChartMetric, grid: GridSpec,
         return out
 
     Rf = to_frame(R0)
-    Rcf = F.T @ Rc0 @ F
-    Ef = F.T @ E0 @ F
     nRf = to_frame(nR)
     nWf = to_frame(nW)
     nRcf = to_frame(nRc)
     vS = F.T @ dS
 
     R_op = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(Rf), tol=wrap_tol)
+    frame_split = weyl_split(Rf)
+    dec = decomposition(frame_split, tol=wrap_tol)
     g_id = np.eye(n)
-    s_part = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(
-        S0 / (2 * n * (n - 1)) * kn_four(g_id, g_id)))
-    e_part = CurvatureTensor.from_operator(
-        Operator2Form.from_four_tensor(kn_four(Ef, g_id) / (n - 2)))
-    weyl = CurvatureTensor(n, R_op.mat - s_part.mat - e_part.mat, tol=wrap_tol)
-    dec = CurvatureDecomposition(weyl=weyl, e_part=e_part, s_part=s_part, E=Ef, S=S0)
 
     nabla_r = CovDerivCurvature.from_full(nRf)
     nabla_w = CovDerivCurvature.from_full(nWf)
@@ -365,7 +354,8 @@ def curvature_field(metric: ChartMetric, grid: GridSpec,
         ricci_res = _ricci_identity_residual(metric, x0, h, order, gam0, R0, Rc0)
 
     return ChartCurvatureField(
-        metric=metric, grid=grid, frame=F, R=R_op, Rc=Rcf, S=S0, decomposition=dec,
+        metric=metric, grid=grid, frame=F, R=R_op, Rc=frame_split.Rc, S=dec.S,
+        decomposition=dec,
         nabla_r=nabla_r, nabla_w=nabla_w, nabla_rc=nRcf, grad_s=vS,
         delta_w=delta_w, P=P, Q=Q, b_w=b_w, b_r=b_r,
         lap_w_norm_sq=lap_w2, grad_w_norm=grad_absw, nabla_w_norm_sq=nw_norm_sq,
@@ -432,7 +422,7 @@ def identity_residual_report(f: ChartCurvatureField,
         out["kato_improved_margin"] = f.nabla_w_norm_sq - (n + 1) / (n - 1) * grad2
     if include_bochner:
         W = f.decomposition.weyl
-        cubic = float(np.sum(W.mat * (dot_product(W, W).mat + sharp_product(W, W).mat)))
+        cubic = float(sum(cubic_parts(W.four())))
         rc_term = float(np.sum(kulkarni_nomizu(f.Rc, np.eye(n)).mat
                                * dot_product(W, W).mat))
         out["bochner"] = (f.lap_w_norm_sq - 2.0 * f.nabla_w_norm_sq

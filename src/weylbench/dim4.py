@@ -12,18 +12,16 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import dot_product, kulkarni_nomizu, ricci_contraction, sharp_product
-from .tensors import EPS_ALG, CurvatureTensor, check_symmetric
-
-#: pair order for n = 4: (01, 02, 03, 12, 13, 23)
-_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
+from .algebra import cubic_parts, dot_product, kulkarni_nomizu, ricci_contraction
+from .basis import pair_basis
+from .tensors import EPS_ALG, CurvatureTensor, bianchi_residual, check_symmetric, check_trace_free
 
 def hodge_pm_basis() -> np.ndarray:
     """Columns 0-2: orthonormal self-dual 2-forms; columns 3-5: anti-self-dual.
 
     (e01 + e23)/sqrt2, (e02 - e13)/sqrt2, (e03 + e12)/sqrt2 and the
-    sign-flipped companions, expressed on the lexicographic pair basis.
+    sign-flipped companions, expressed on the lexicographic pair basis
+    (01, 02, 03, 12, 13, 23).
     """
     P = np.zeros((6, 6))
     s = 1.0 / np.sqrt(2.0)
@@ -49,9 +47,8 @@ class SelfDualSplit:
 def _require_weyl(W: CurvatureTensor, tol: float) -> None:
     if W.n != 4:
         raise ValueError(f"dimension-4 operation on n={W.n}")
-    scale = max(1.0, float(np.abs(W.mat).max()))
-    if np.abs(ricci_contraction(W)).max() > tol * scale:
-        raise ValueError("input must be trace-free (vanishing Ricci contraction)")
+    check_trace_free(ricci_contraction(W), W.mat, tol,
+                     "input must be trace-free (vanishing Ricci contraction)")
 
 
 def split_self_dual(W: CurvatureTensor, tol: float = EPS_ALG) -> SelfDualSplit:
@@ -96,11 +93,8 @@ def det_identities(wplus: np.ndarray, tol: float = EPS_ALG) -> DetIdentities:
     wplus = check_symmetric(wplus, "self-dual block")
     if wplus.shape != (3, 3):
         raise ValueError("expected a 3x3 block")
-    if abs(np.trace(wplus)) > tol * max(1.0, float(np.abs(wplus).max())):
-        raise ValueError("block must be traceless")
-    W = embed_block(wplus)
-    cube_dot = float(np.sum(W.mat * dot_product(W, W).mat))
-    cube_sharp = float(np.sum(W.mat * sharp_product(W, W).mat))
+    check_trace_free(np.trace(wplus), wplus, tol, "block must be traceless")
+    cube_dot, cube_sharp = (float(v) for v in cubic_parts(embed_block(wplus).four()))
     return DetIdentities(cube_dot=cube_dot, cube_sharp=cube_sharp,
                          det=float(np.linalg.det(wplus)))
 
@@ -114,11 +108,9 @@ class BergerNormalForm:
 
 
 def _form_matrix(v: np.ndarray) -> np.ndarray:
-    out = np.zeros((4, 4))
-    for a, (i, j) in enumerate(_PAIRS4):
-        out[i, j] = v[a]
-        out[j, i] = -v[a]
-    return out
+    """Antisymmetric 4 x 4 matrix of a 2-form given on the pair basis."""
+    pb = pair_basis(4)
+    return np.append(v, 0.0)[pb.pos] * pb.sign
 
 
 def _fix_sign(vecs: np.ndarray) -> np.ndarray:
@@ -156,7 +148,6 @@ def berger_normal_form(W: CurvatureTensor, tol: float = EPS_ALG) -> BergerNormal
     """
     _require_weyl(W, tol)
     scale = max(1.0, float(np.abs(W.mat).max()))
-    from .tensors import bianchi_residual
     if bianchi_residual(W) > tol * scale:
         raise ValueError("normal form requires a Bianchi-free input")
     split = split_self_dual(W, tol=tol)
@@ -229,9 +220,8 @@ def e_circ_g_orthogonality(W: CurvatureTensor, E: np.ndarray,
     """
     _require_weyl(W, tol)
     E = check_symmetric(E, "traceless form")
+    check_trace_free(np.trace(E), E, tol, "E must be traceless")
     scale = max(1.0, float(np.abs(E).max()))
-    if abs(np.trace(E)) > tol * scale:
-        raise ValueError("E must be traceless")
     Wf = W.four()
     contraction = np.einsum('ikpq,jkpq->ij', Wf, Wf)
     w_norm_sq = float(np.sum(W.mat * W.mat))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    cubic_parts,
     decompose,
     dot_product,
     inner,
@@ -19,7 +20,6 @@ from .algebra import (
     kulkarni_nomizu,
     quadratic_forms,
     ricci_contraction,
-    sharp_product,
 )
 from .tensors import EPS_ALG, CurvatureTensor, Operator2Form
 
@@ -130,9 +130,7 @@ def _fubini_study_four(m: int) -> np.ndarray:
     for k in range(m):
         J[2 * k + 1, 2 * k] = 1.0
         J[2 * k, 2 * k + 1] = -1.0
-    return (np.einsum('ik,jl->ijkl', g, g) - np.einsum('il,jk->ijkl', g, g)
-            + np.einsum('ik,jl->ijkl', J, J) - np.einsum('il,jk->ijkl', J, J)
-            + 2.0 * np.einsum('ij,kl->ijkl', J, J))
+    return 0.5 * (kn_four(g, g) + kn_four(J, J)) + 2.0 * np.einsum('ij,kl->ijkl', J, J)
 
 
 def model_curvature(spec: ModelSpec) -> CurvaturePackage:
@@ -194,9 +192,8 @@ def symmetric_space_identity_report(pkg: CurvaturePackage) -> dict[str, float]:
         raise ValueError("identity report requires dimension >= 4")
     dec = decompose(pkg.R)
     W = dec.weyl
-    W2 = dot_product(W, W)
-    cubic = float(np.sum(W.mat * (W2.mat + sharp_product(W, W).mat)))
-    rc_term = float(np.sum(kulkarni_nomizu(pkg.Rc, np.eye(n)).mat * W2.mat))
+    cubic = float(sum(cubic_parts(W.four())))
+    rc_term = float(np.sum(kulkarni_nomizu(pkg.Rc, np.eye(n)).mat * dot_product(W, W).mat))
     r1 = 2.0 * cubic - rc_term
     qf = quadratic_forms(W, dec.E)
     e_norm_sq = float(np.sum(dec.E * dec.E))

@@ -11,14 +11,14 @@ from itertools import permutations
 
 import numpy as np
 
-from .algebra import bianchi_project, decompose
-from .basis import pair_basis
+from .algebra import bianchi_project, weyl_split
+from .basis import four_tensor_to_pair_matrix, pair_basis, pair_matrix_to_four_tensor
 from .tensors import (
-    CovDerivCurvature,
     CurvatureTensor,
     Operator2Form,
     PureCurvatureMatrix,
     TwoFormOneForm,
+    cyclic_average,
 )
 
 
@@ -46,7 +46,7 @@ def random_curvature(rng: np.random.Generator, n: int) -> CurvatureTensor:
 
 def random_weyl(rng: np.random.Generator, n: int) -> CurvatureTensor:
     """Weyl part of a random curvature tensor (trace-free and Bianchi-free)."""
-    return decompose(random_curvature(rng, n)).weyl
+    return CurvatureTensor(n, random_weyl_batch(rng, n, 1)[1][0])
 
 
 def random_two_form_one_form(rng: np.random.Generator, n: int,
@@ -83,42 +83,14 @@ def random_ricci_derivative(rng: np.random.Generator, n: int) -> np.ndarray:
     return (c + np.transpose(c, (0, 2, 1))) / 2.0
 
 
-def _batch_four(n: int, mats: np.ndarray) -> np.ndarray:
-    """(B, N, N) pair-basis matrices -> (B, n, n, n, n) tensors."""
-    pb = pair_basis(n)
-    B, N = mats.shape[0], pb.size
-    padded = np.zeros((B, N + 1, N + 1))
-    padded[:, :N, :N] = mats
-    pos = np.where(pb.pos >= 0, pb.pos, N)
-    four = padded[:, pos[:, :, None, None], pos[None, None, :, :]]
-    return four * (pb.sign[:, :, None, None] * pb.sign[None, None, :, :])[None]
-
-
-def _batch_pair(n: int, four: np.ndarray) -> np.ndarray:
-    pb = pair_basis(n)
-    rows = np.array([p[0] for p in pb.pairs])
-    cols = np.array([p[1] for p in pb.pairs])
-    return four[:, rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
-
-
 def random_weyl_batch(rng: np.random.Generator, n: int,
                       count: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch of Weyl-type tensors; returns (four-index array, pair matrices)."""
     N = pair_basis(n).size
     m = rng.uniform(-1.0, 1.0, size=(count, N, N))
-    four = _batch_four(n, (m + np.transpose(m, (0, 2, 1))) / 2.0)
-    four -= (four + np.transpose(four, (0, 2, 3, 1, 4))
-             + np.transpose(four, (0, 3, 1, 2, 4))) / 3.0
-    g = np.eye(n)
-    rc = np.einsum('bipjp->bij', four)
-    S = np.einsum('bii->b', rc)
-    E = rc - S[:, None, None] / n * g
-    from .algebra import kn_four
-    four -= S[:, None, None, None, None] / (2 * n * (n - 1)) * kn_four(g, g)[None]
-    eg = (np.einsum('bik,jl->bijkl', E, g) + np.einsum('ik,bjl->bijkl', g, E)
-          - np.einsum('bil,jk->bijkl', E, g) - np.einsum('il,bjk->bijkl', g, E))
-    four -= eg / (n - 2)
-    return four, _batch_pair(n, four)
+    four = pair_matrix_to_four_tensor(n, (m + np.transpose(m, (0, 2, 1))) / 2.0)
+    four = weyl_split(four - cyclic_average(four)).W
+    return four, four_tensor_to_pair_matrix(n, four)
 
 
 def random_curvature_derivative_full(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -145,8 +117,3 @@ def random_curvature_derivative_full(rng: np.random.Generator, n: int) -> np.nda
     t3 = np.transpose(s, (2, 3, 0, 1, 4))  # t3[i,j,k,m,n] = s[k,m,i,j,n]
     t4 = np.transpose(s, (2, 0, 3, 4, 1))  # t4[i,j,k,m,n] = s[j,n,i,k,m]
     return -0.5 * (t1 + t2 - t3 - t4)
-
-
-def random_curvature_derivative(rng: np.random.Generator, n: int) -> CovDerivCurvature:
-    """Typed variant of :func:`random_curvature_derivative_full`."""
-    return CovDerivCurvature.from_full(random_curvature_derivative_full(rng, n))

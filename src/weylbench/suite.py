@@ -8,12 +8,14 @@ deterministic for a fixed seed and reports a machine-readable residual map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
 from .algebra import (
     circ_prime,
     circ_prime_full,
+    cubic_parts,
     decompose,
     dot_product,
     kn_four,
@@ -23,8 +25,10 @@ from .algebra import (
     ricci_contraction,
     second_bianchi_full,
     sharp_product,
+    tri,
     u_contraction,
     weyl_sectional_split,
+    weyl_split,
 )
 from .sampling import (
     random_curvature,
@@ -35,7 +39,7 @@ from .sampling import (
     random_two_form_one_form,
     random_weyl,
 )
-from .tensors import EPS_ALG, Operator2Form, inner
+from .tensors import EPS_ALG, Operator2Form, bianchi_residual, inner, running_max
 
 
 @dataclass
@@ -48,16 +52,14 @@ class SuiteReport:
     stats: dict[str, float] = field(default_factory=dict)
 
     def record(self, name: str, value: float) -> None:
-        v = abs(float(value))
-        if name not in self.residuals or v > self.residuals[name]:
-            self.residuals[name] = v
+        self.residuals[name] = running_max(self.residuals.get(name, -np.inf), abs(float(value)))
 
     @property
     def passed(self) -> bool:
-        return all(v <= self.tolerance for v in self.residuals.values())
+        return not self.failures()
 
     def failures(self) -> dict[str, float]:
-        return {k: v for k, v in sorted(self.residuals.items()) if v > self.tolerance}
+        return {k: v for k, v in sorted(self.residuals.items()) if not v <= self.tolerance}
 
 
 def _rel(value: float, scale: float) -> float:
@@ -78,7 +80,6 @@ def _identities_one_trial(rng: np.random.Generator, n: int, rep: SuiteReport) ->
 
     # decomposition: trace-freeness, Bianchi, Pythagoras
     rep.record(f"weyl_ricci_free_n{n}", float(np.abs(ricci_contraction(W)).max()))
-    from .tensors import bianchi_residual
     rep.record(f"weyl_bianchi_free_n{n}", bianchi_residual(W))
     pyth = inner(R, R) - (inner(W, W) + dec.S ** 2 / (2 * n * (n - 1))
                           + float(np.sum(dec.E * dec.E)) / (n - 2))
@@ -97,18 +98,7 @@ def _identities_one_trial(rng: np.random.Generator, n: int, rep: SuiteReport) ->
                _rel(np.abs(ricci_contraction(quad_R) - rc_pred).max(), inner(R, R)))
 
     # trilinear symmetry over all six argument orders
-    T3 = kulkarni_nomizu(k, g)
-    sh = {}
-    for (na, a), (nb, b) in (((0, R), (1, W)), ((0, R), (2, T3)), ((1, W), (2, T3))):
-        s = sharp_product(a, b)
-        sh[(na, nb)] = sh[(nb, na)] = s
-    ops = {0: R, 1: W, 2: T3}
-    def tri_fast(ia, ib, ic):
-        a, b, c = ops[ia], ops[ib], ops[ic]
-        return float(np.sum((a.mat @ b.mat.T + b.mat @ a.mat.T
-                             + 2.0 * sh[(ia, ib)].mat) * c.mat))
-    vals = [tri_fast(*p) for p in
-            ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))]
+    vals = [tri(*p) for p in permutations((R, W, kulkarni_nomizu(k, g)))]
     rep.record(f"tri_symmetry_n{n}", _rel(max(vals) - min(vals), max(abs(v) for v in vals)))
 
     # metric-product pairing lemma, with the symmetric factor diagonalized
@@ -134,7 +124,7 @@ def _identities_one_trial(rng: np.random.Generator, n: int, rep: SuiteReport) ->
 
     # second-Bianchi images of the decomposition pieces (raw kernels, full norms)
     C = random_ricci_derivative(rng, n)
-    D_rc = np.stack([kn_four(C[m], g) for m in range(n)])
+    D_rc = kn_four(C, g)
     P = C - np.transpose(C, (1, 0, 2))
     resid = second_bianchi_full(D_rc) - circ_prime_full(P)
     rep.record(f"bianchi_rc_part_n{n}",
@@ -147,13 +137,7 @@ def _identities_one_trial(rng: np.random.Generator, n: int, rep: SuiteReport) ->
                _rel(np.abs(resid).max(), np.abs(Qf).max()))
 
     # second-Bianchi image of the trace-free part on an exact derivative field
-    Dfull = random_curvature_derivative_full(rng, n)
-    rc_sl = np.einsum('mipjp->mij', Dfull)
-    s_sl = np.einsum('mii->m', rc_sl)
-    e_sl = rc_sl - s_sl[:, None, None] / n * g
-    gg4 = kn_four(g, g)
-    w_sl = (Dfull - np.einsum('m,abcd->mabcd', s_sl / (2 * n * (n - 1)), gg4)
-            - np.stack([kn_four(e_sl[m], g) for m in range(n)]) / (n - 2))
+    w_sl = weyl_split(random_curvature_derivative_full(rng, n)).W
     delta_w = np.einsum('mabcm->abc', w_sl)
     bw = second_bianchi_full(w_sl)
     resid = bw - circ_prime_full(delta_w) / (n - 3)
@@ -168,8 +152,7 @@ def _identities_one_trial(rng: np.random.Generator, n: int, rep: SuiteReport) ->
 
     # Ricci-polynomial identities
     Rc = ricci_contraction(R)
-    S = float(np.trace(Rc))
-    E = Rc - S / n * g
+    S, E = dec.S, dec.E
     qf_rc = quadratic_forms(R, Rc)
     e3 = float(np.einsum('ij,jk,ki->', E, E, E))
     e2 = float(np.sum(E * E))
@@ -192,15 +175,14 @@ def _identities_one_trial(rng: np.random.Generator, n: int, rep: SuiteReport) ->
 
 
 def _sharp_cubic_trial(rng: np.random.Generator, n: int, rep: SuiteReport) -> None:
-    W = random_weyl(rng, n)
-    lhs = float(np.sum(W.mat * sharp_product(W, W).mat))
-    rhs = 2.0 * float(np.sum(W.mat * dot_product(W, W).mat))
+    square, lhs = cubic_parts(random_weyl(rng, n).four())
+    rhs = 2.0 * square
     dev = _rel(lhs - rhs, max(abs(lhs), abs(rhs)))
     if n <= 5:
         rep.record(f"sharp_cubic_n{n}", dev)
     else:
         key = f"sharp_cubic_deviation_n{n}"
-        rep.stats[key] = max(rep.stats.get(key, 0.0), dev)
+        rep.stats[key] = running_max(rep.stats.get(key, 0.0), dev)
 
 
 def _u_tensor_trial(rng: np.random.Generator, n: int, rep: SuiteReport) -> None:
@@ -208,7 +190,7 @@ def _u_tensor_trial(rng: np.random.Generator, n: int, rep: SuiteReport) -> None:
     norm_sum, contracted = u_contraction(W)
     rep.record(f"u_norm_n{n}",
                _rel(norm_sum - 32.0 * (n - 1) * inner(W, W), norm_sum))
-    cubic = float(np.sum(W.mat * (dot_product(W, W).mat + sharp_product(W, W).mat)))
+    cubic = sum(cubic_parts(W.four()))
     rep.record(f"u_cubic_n{n}", _rel(contracted - 8.0 * cubic, max(abs(contracted), 1.0)))
 
 
@@ -251,5 +233,5 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
         for k, v in residuals.items():
             rep.record(k, v)
         for k, v in stats.items():
-            rep.stats[k] = max(rep.stats.get(k, 0.0), v)
+            rep.stats[k] = running_max(rep.stats.get(k, 0.0), v)
     return rep

@@ -55,6 +55,22 @@ def check_symmetric(mat: np.ndarray, what: str = "matrix", tol: float = EPS_ALG)
     return (mat + mat.T) / 2.0
 
 
+def check_trace_free(trace: np.ndarray, entries: np.ndarray, tol: float, message: str) -> None:
+    """Raise ValueError unless max|trace| <= tol * max(1, max|entries|).
+
+    ``trace`` is the Ricci contraction of an operator or the trace of a
+    matrix.  Written as a negated <= so that a NaN anywhere fails the check.
+    """
+    scale = np.maximum(1.0, np.abs(entries).max())
+    if not np.abs(trace).max() <= tol * scale:
+        raise ValueError(message)
+
+
+def running_max(old: float, values) -> float:
+    """Running maximum of worst-case residuals; a NaN is kept (NaN means fail)."""
+    return float(np.maximum(old, np.max(values, initial=-np.inf)))
+
+
 class Operator2Form:
     """Operator on 2-forms stored as its pair-basis matrix.
 
@@ -114,9 +130,6 @@ class Operator2Form:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.mat)
 
-    def _wrap(self, mat: np.ndarray, sym: bool = True) -> "Operator2Form":
-        return Operator2Form(self.n, mat, require_self_adjoint=sym)
-
     def __add__(self, other: "Operator2Form") -> "Operator2Form":
         self._check_same(other)
         return Operator2Form(self.n, self.mat + other.mat, require_self_adjoint=False)
@@ -148,11 +161,15 @@ def norm(a: Operator2Form) -> float:
     return float(np.linalg.norm(a.mat))
 
 
+def cyclic_average(four: np.ndarray) -> np.ndarray:
+    """First-Bianchi cyclic average b(T)_ijkl = (T_ijkl + T_kijl + T_jkil)/3 (batch-aware)."""
+    return (four + np.einsum('...kijl->...ijkl', four)
+            + np.einsum('...jkil->...ijkl', four)) / 3.0
+
+
 def bianchi_residual(op: Operator2Form) -> float:
     """Max-norm of the first-Bianchi cyclic sum b(T)."""
-    T = op.four()
-    b = (T + np.transpose(T, (1, 2, 0, 3)) + np.transpose(T, (2, 0, 1, 3))) / 3.0
-    return float(np.abs(b).max())
+    return float(np.abs(cyclic_average(op.four())).max())
 
 
 class CurvatureTensor(Operator2Form):
@@ -292,12 +309,10 @@ class CovDerivCurvature:
         n = full.shape[0]
         if full.shape != (n, n, n, n, n):
             raise ValueError(f"expected (n,)*5 tensor, got {full.shape}")
-        comps = np.stack([four_tensor_to_pair_matrix(n, full[m]) for m in range(n)])
-        return cls(n, comps, tol=tol)
+        return cls(n, four_tensor_to_pair_matrix(n, full), tol=tol)
 
     def full(self) -> np.ndarray:
-        return np.stack([pair_matrix_to_four_tensor(self.n, self.comps[m])
-                         for m in range(self.n)])
+        return pair_matrix_to_four_tensor(self.n, self.comps)
 
     def slice(self, m: int, require_self_adjoint: bool = True) -> Operator2Form:
         return Operator2Form(self.n, self.comps[m], require_self_adjoint)

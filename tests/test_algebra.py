@@ -13,21 +13,27 @@ import pytest
 from weylbench.algebra import (
     bianchi_project,
     circ_prime,
+    cubic_parts,
     decompose,
     dot_product,
+    kn_four,
     kulkarni_nomizu,
     pure_cubics,
     pure_matrix_from_weyl,
     quadratic_forms,
     ricci_contraction,
     second_bianchi,
+    sharp_four,
     sharp_product,
     tri,
     u_contraction,
     weyl_sectional_split,
+    weyl_split,
 )
+from weylbench.basis import pair_basis, pair_matrix_to_four_tensor
 from weylbench.sampling import (
     random_curvature,
+    random_curvature_derivative_full,
     random_operator,
     random_pure_matrix,
     random_symmetric,
@@ -40,6 +46,7 @@ from weylbench.tensors import (
     Operator2Form,
     PureCurvatureMatrix,
     TwoFormOneForm,
+    cyclic_average,
     inner,
     norm,
 )
@@ -537,3 +544,107 @@ def test_sectional_split_rejects_improper_subsets():
         weyl_sectional_split(W, set())
     with pytest.raises(ValueError):
         weyl_sectional_split(W, {0, 1, 2, 3})
+
+
+# ------------------------------------------------- batch-aware raw kernels
+
+def sharp_einsum_reference(A, B):
+    """Single-einsum form of the sharp product (the earlier implementation)."""
+    m = np.einsum('ipkq,jplq->ijkl', A, B)
+    return 0.5 * (m + np.transpose(m, (1, 0, 3, 2))
+                  - np.transpose(m, (0, 1, 3, 2)) - np.transpose(m, (1, 0, 2, 3)))
+
+
+def _curvature_batch(n, count):
+    N = pair_basis(n).size
+    m = rng.uniform(-1.0, 1.0, size=(count, N, N))
+    four = pair_matrix_to_four_tensor(n, (m + np.swapaxes(m, -1, -2)) / 2.0)
+    return four - cyclic_average(four)
+
+
+def _assert_batch_equals_single(kernel, *batched):
+    out = kernel(*batched)
+    outs = out if isinstance(out, tuple) else (out,)
+    for b in range(batched[0].shape[0]):
+        single = kernel(*(a[b] for a in batched))
+        singles = single if isinstance(single, tuple) else (single,)
+        for x, y in zip(outs, singles):
+            assert np.array_equal(x[b], y)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("count", [1, 64])
+def test_raw_kernels_batch_equals_single(n, count):
+    R4 = _curvature_batch(n, count)
+    S4 = _curvature_batch(n, count)
+    h = rng.uniform(-1.0, 1.0, size=(count, n, n))
+    g = np.eye(n) + 0.1 * (h + np.swapaxes(h, -1, -2))
+    _assert_batch_equals_single(lambda a: kn_four(a, np.eye(n)), h)
+    _assert_batch_equals_single(kn_four, h, g)
+    _assert_batch_equals_single(weyl_split, R4)
+    _assert_batch_equals_single(sharp_four, R4, S4)
+    _assert_batch_equals_single(cubic_parts, weyl_split(R4).W)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_weyl_split_on_derivative_slices(n):
+    """A leading axis of size n (nabla_m R slices) splits slice by slice."""
+    D = random_curvature_derivative_full(rng, n)
+    _assert_batch_equals_single(weyl_split, D)
+    split = weyl_split(D)
+    assert np.abs(np.einsum('mipjp->mij', split.W)).max() < 1e-13
+    assert np.allclose(split.s_part + split.e_part + split.W, D, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_weyl_split_matches_decompose(n):
+    R = random_curvature(rng, n)
+    split = weyl_split(R.four())
+    dec = decompose(R)
+    assert np.array_equal(dec.E, split.E) and dec.S == float(split.S)
+    assert np.allclose(R.four(), split.W + split.e_part + split.s_part, atol=1e-14)
+    assert np.abs(split.Rc - ricci_contraction(R)).max() == 0.0
+
+
+def test_weyl_split_with_metric_is_frame_invariant():
+    """In coordinates with metric g the split agrees with the orthonormal-frame split."""
+    n = 5
+    R = random_curvature(rng, n).four()
+    A = np.eye(n) + 0.2 * rng.uniform(-1.0, 1.0, size=(n, n))
+    F = np.linalg.inv(A)  # frame e_i = F_ai d_a is orthonormal for g = A^T A
+    g = A.T @ A
+    R_coords = np.einsum('ia,jb,kc,ld,ijkl->abcd', A, A, A, A, R)
+    split = weyl_split(R_coords, g)
+    W_frame = np.einsum('ai,bj,ck,dl,abcd->ijkl', F, F, F, F, split.W)
+    assert np.allclose(W_frame, weyl_split(R).W, atol=1e-12)
+    assert float(split.S) == pytest.approx(float(weyl_split(R).S), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_sharp_four_matches_einsum_reference(n):
+    A, B = _curvature_batch(n, 2)
+    assert np.allclose(sharp_four(A, B), sharp_einsum_reference(A, B), atol=1e-13)
+    batch = sharp_four(_curvature_batch(n, 3), _curvature_batch(n, 3))
+    assert batch.shape == (3,) + (n,) * 4
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_cubic_parts_match_operator_products(n):
+    W = random_weyl(rng, n)
+    square, sharp = cubic_parts(W.four())
+    assert float(square) == pytest.approx(float(np.sum(W.mat * dot_product(W, W).mat)),
+                                          abs=1e-12)
+    assert float(sharp) == pytest.approx(float(np.sum(W.mat * sharp_product(W, W).mat)),
+                                         abs=1e-12)
+
+
+def test_cubic_parts_determinant_identities_n4():
+    from weylbench.dim4 import embed_block
+
+    for _ in range(5):
+        block = random_symmetric(rng, 3)
+        block -= np.trace(block) / 3.0 * np.eye(3)
+        square, sharp = cubic_parts(embed_block(block).four())
+        det = float(np.linalg.det(block))
+        assert float(square) == pytest.approx(3.0 * det, abs=1e-13)
+        assert float(sharp) == pytest.approx(6.0 * det, abs=1e-13)

@@ -325,3 +325,66 @@ def test_integral_rigidity_d_consistency():
     assert d == pytest.approx(expect, rel=1e-14)
     with pytest.raises(ValueError):
         integral_rigidity_d(0.1, 0.1, 0.0, 6)
+
+
+# ------------------------------------------------------ non-finite inputs
+
+def _weyl_with_nan(n):
+    """A Weyl tensor with one NaN in a disjoint-pair entry; the Ricci trace stays finite."""
+    from weylbench.basis import disjoint_pair_mask
+
+    mat = random_weyl(rng, n).mat.copy()
+    a, b = np.argwhere(disjoint_pair_mask(n))[0]
+    mat[a, b] = mat[b, a] = np.nan
+    return CurvatureTensor(n, mat)
+
+
+def _nan_batch(monkeypatch):
+    """Make the Weyl sampler return batches whose four-index arrays are NaN."""
+    from weylbench import sampling
+
+    original = sampling.random_weyl_batch
+
+    def nan_batch(rng, n, count):
+        four, mats = original(rng, n, count)
+        return np.full_like(four, np.nan), mats
+
+    monkeypatch.setattr(sampling, "random_weyl_batch", nan_batch)
+
+
+def test_audit_cubic_bounds_keeps_nan(monkeypatch):
+    _nan_batch(monkeypatch)
+    for n in (5, 6):
+        worst = audit_cubic_bounds(n, 70, seed=0)
+        assert math.isnan(worst["eig"]) and math.isnan(worst["norm"])
+        assert worst["component"] <= 1e-10
+
+
+def test_audit_eigen_bound_keeps_nan(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) * np.nan)
+    assert math.isnan(audit_eigen_bound(10, seed=0))
+
+
+def test_audits_with_no_samples():
+    assert audit_eigen_bound(0) == -math.inf
+    assert set(audit_cubic_bounds(5, 0).values()) == {-math.inf}
+
+
+def test_trace_free_guards_reject_nan():
+    with pytest.raises(ValueError):
+        cubic_bound_eval(_weyl_with_nan(5))
+    with pytest.raises(ValueError):
+        berger_component_bound(_weyl_with_nan(6))
+    with pytest.raises(ValueError):
+        spectral_extremes(_weyl_with_nan(5), np.zeros((5, 5)))
+    with pytest.raises(ValueError):
+        eigen_bound(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.1, 16.0), (0.1, math.inf, 16.0),
+                                 (0.1, 0.1, math.nan), (0.1, 0.1, math.inf)])
+def test_gap_verdict_rejects_non_finite(bad):
+    for n in (5, 6):
+        with pytest.raises(ValueError, match="finite"):
+            gap_verdict_integral(*bad, n)

@@ -182,3 +182,31 @@ def test_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "alpha" in proc.stdout
+
+
+def test_gap_non_finite_is_usage_error(capsys):
+    assert run_cli("gap", "0.1", "0.1", "nan", "5") == 2
+    assert "finite" in capsys.readouterr().err
+    assert run_cli("gap", "inf", "0.1", "16.0", "6") == 2
+
+
+def test_bounds_zero_trials_passes(capsys):
+    assert run_cli("bounds", "--trials", "0", "--budget", "500", "--format", "json") == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    for name in ("berger", "cubic_eig", "cubic_norm", "eigen"):
+        assert results[f"audit.{name}_excess"] == 0.0
+
+
+def test_bounds_nan_sample_fails(monkeypatch, capsys):
+    from weylbench import sampling
+
+    original = sampling.random_weyl_batch
+
+    def nan_batch(rng, n, count):
+        four, mats = original(rng, n, count)
+        return four * np.nan, mats
+
+    monkeypatch.setattr(sampling, "random_weyl_batch", nan_batch)
+    assert run_cli("bounds", "--trials", "1", "--budget", "500", "--format", "json") == 1
+    data = json.loads(capsys.readouterr().out)
+    assert "audit.cubic_eig_excess" in data["failures"]

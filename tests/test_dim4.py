@@ -186,3 +186,13 @@ def test_dim4_sharp_vs_det_for_full_weyl():
     dets = np.linalg.det(s.wplus) + np.linalg.det(s.wminus)
     assert lhs_sharp == pytest.approx(6 * dets, rel=1e-10)
     assert lhs_dot == pytest.approx(3 * dets, rel=1e-10)
+
+
+def test_split_rejects_nan_operator():
+    mat = random_weyl(rng, 4).mat.copy()
+    mat[0, 5] = mat[5, 0] = np.nan  # (01, 23): outside every Ricci trace
+    W = CurvatureTensor(4, mat)
+    with pytest.raises(ValueError, match="trace-free"):
+        split_self_dual(W)
+    with pytest.raises(ValueError):
+        det_identities(np.diag([1.0, np.nan, -1.0]))

@@ -1,0 +1,44 @@
+"""Worst-case bookkeeping of the identity suite report."""
+
+import math
+
+import numpy as np
+
+from weylbench.suite import SuiteReport, _run_dimension
+
+
+def report():
+    return SuiteReport(seed=0, trials=1, dimensions=(4,), tolerance=1e-10)
+
+
+def test_record_keeps_the_maximum():
+    rep = report()
+    for v in (1e-13, -3e-12, 2e-12):
+        rep.record("x", v)
+    assert rep.residuals["x"] == 3e-12
+    assert rep.passed and rep.failures() == {}
+
+
+def test_nan_after_a_value_fails():
+    rep = report()
+    rep.record("x", 1e-12)
+    rep.record("x", math.nan)
+    rep.record("x", 1e-13)
+    assert math.isnan(rep.residuals["x"])
+    assert not rep.passed
+    assert list(rep.failures()) == ["x"]
+
+
+def test_nan_first_fails():
+    rep = report()
+    rep.record("x", math.nan)
+    rep.record("x", 5e-11)
+    rep.record("y", 1e-12)
+    assert not rep.passed
+    assert list(rep.failures()) == ["x"]
+
+
+def test_run_dimension_takes_one_tuple():
+    residuals, stats = _run_dimension((4, 1, 0, 1e-10))
+    assert residuals and all(np.isfinite(v) for v in residuals.values())
+    assert "sharp_cubic_n4" in residuals and stats == {}

@@ -16,6 +16,9 @@ from weylbench.tensors import (
     Operator2Form,
     PureCurvatureMatrix,
     ThreeTwoTensor,
+    bianchi_residual,
+    check_trace_free,
+    cyclic_average,
     inner,
     norm,
 )
@@ -139,3 +142,58 @@ def test_pure_matrix_invariants_enforced():
         PureCurvatureMatrix(2, w)  # nonzero diagonal
     good = np.array([[0.0, 0.0], [0.0, 0.0]])
     PureCurvatureMatrix(2, good)
+
+
+# ------------------------------------------------ batch-aware basis kernels
+
+def _batch_curvature(n, count, gen):
+    """(count, n, n, n, n) first-Bianchi projections of random symmetric operators."""
+    N = pair_basis(n).size
+    m = gen.uniform(-1.0, 1.0, size=(count, N, N))
+    four = pair_matrix_to_four_tensor(n, (m + np.swapaxes(m, -1, -2)) / 2.0)
+    return four - cyclic_average(four)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("count", [1, 64])
+def test_expanders_and_cyclic_average_batch_equals_single(n, count):
+    N = pair_basis(n).size
+    mats = rng.standard_normal((count, N, N))
+    fours = pair_matrix_to_four_tensor(n, mats)
+    assert fours.shape == (count, n, n, n, n)
+    back = four_tensor_to_pair_matrix(n, fours)
+    cyc = cyclic_average(fours)
+    for b in range(count):
+        assert np.array_equal(fours[b], pair_matrix_to_four_tensor(n, mats[b]))
+        assert np.array_equal(back[b], four_tensor_to_pair_matrix(n, fours[b]))
+        assert np.array_equal(cyc[b], cyclic_average(fours[b]))
+    assert np.array_equal(back, mats)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_cyclic_average_kills_curvature_tensors(n):
+    R4 = _batch_curvature(n, 3, rng)
+    assert np.abs(cyclic_average(R4)).max() < 1e-14
+    for b in range(3):
+        assert bianchi_residual(CurvatureTensor(n, four_tensor_to_pair_matrix(n, R4[b]))) < 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_cov_deriv_slices_round_trip(n):
+    N = pair_basis(n).size
+    c = rng.standard_normal((n, N, N))
+    D = CovDerivCurvature(n, c + np.swapaxes(c, 1, 2))
+    full = D.full()
+    assert full.shape == (n,) * 5
+    for m in range(n):
+        assert np.array_equal(full[m], pair_matrix_to_four_tensor(n, D.comps[m]))
+    assert np.array_equal(CovDerivCurvature.from_full(full).comps, D.comps)
+
+
+def test_trace_free_guard_rejects_nan_and_large_traces():
+    check_trace_free(np.zeros((3, 3)), np.ones((3, 3)), 1e-10, "ok")
+    check_trace_free(1e-11, 5.0 * np.ones((2, 2)), 1e-11, "scaled by the entries")
+    for trace, entries in ((1e-3, np.eye(2)), (np.nan, np.eye(2)),
+                           (0.0, np.array([[0.0, np.nan], [np.nan, 0.0]]))):
+        with pytest.raises(ValueError, match="not trace-free"):
+            check_trace_free(trace, entries, 1e-10, "not trace-free")
