@@ -22,8 +22,8 @@ from .tensors import (
     PureCurvatureMatrix,
     ThreeTwoTensor,
     TwoFormOneForm,
+    check_small,
     check_symmetric,
-    check_trace_free,
     cyclic_average,
     inner,
 )
@@ -264,8 +264,8 @@ def u_contraction(W: CurvatureTensor, tol: float = EPS_ALG) -> tuple[float, floa
     contracted equals 8 <W, W^2 + W#>.  The cubic contraction is orientation-
     fixed: the raw sum sum W_ijkl u_ij u_kl carries the opposite sign.
     """
-    check_trace_free(ricci_contraction(W), W.mat, tol,
-                     "u-contraction requires a trace-free (Weyl-type) input")
+    check_small(ricci_contraction(W), W.mat, tol,
+                "u-contraction requires a trace-free (Weyl-type) input")
     norm_sum, cubic_sum = u_tensor_contractions(W)
     return norm_sum, -cubic_sum / 8.0
 
@@ -330,8 +330,8 @@ def weyl_sectional_split(W: CurvatureTensor, subset: "set[int] | tuple[int, ...]
         raise ValueError("subset indices out of range")
     if not idx or len(idx) == n:
         raise ValueError("subset must be proper and nonempty")
-    check_trace_free(ricci_contraction(W), W.mat, tol,
-                     "sectional split requires a trace-free (Weyl-type) input")
+    check_small(ricci_contraction(W), W.mat, tol,
+                "sectional split requires a trace-free (Weyl-type) input")
     comp = [i for i in range(n) if i not in idx]
     w1 = sum(W.component(i, j, i, j) for a, i in enumerate(idx) for j in idx[a + 1:])
     w2 = sum(W.component(i, j, i, j) for a, i in enumerate(comp) for j in comp[a + 1:])

@@ -19,8 +19,9 @@ from .tensors import (
     EPS_ALG,
     CurvatureTensor,
     bianchi_residual,
+    check_finite,
+    check_small,
     check_symmetric,
-    check_trace_free,
     running_max,
 )
 
@@ -32,7 +33,7 @@ def eigen_bound(T: np.ndarray, tol: float = EPS_ALG) -> tuple[float, float]:
     """(largest |eigenvalue|, sqrt((m-1)/m) |T|_F) for a traceless symmetric T."""
     T = check_symmetric(T, "trace-free operator")
     m = T.shape[0]
-    check_trace_free(np.trace(T), T, tol, "operator must be trace-free")
+    check_small(np.trace(T), T, tol, "operator must be trace-free")
     eigs = np.linalg.eigvalsh(T)
     return float(np.abs(eigs).max()), float(np.sqrt((m - 1) / m) * np.linalg.norm(T))
 
@@ -47,8 +48,8 @@ class SpectralExtremes:
 def spectral_extremes(W: CurvatureTensor, E: np.ndarray,
                       tol: float = EPS_ALG) -> SpectralExtremes:
     E = check_symmetric(E, "traceless Ricci")
-    check_trace_free(ricci_contraction(W), W.mat, tol, "W must be trace-free")
-    check_trace_free(np.trace(E), E, tol, "E must be traceless")
+    check_small(ricci_contraction(W), W.mat, tol, "W must be trace-free")
+    check_small(np.trace(E), E, tol, "E must be traceless")
     if E.shape[0] != W.n:
         raise ValueError("dimension mismatch")
     w_eigs = W.eigenvalues()
@@ -66,10 +67,10 @@ class ComponentBound:
 
 def berger_component_bound(W: CurvatureTensor, tol: float = EPS_ALG) -> ComponentBound:
     """Largest |W_ijkl| over pairwise-distinct indices against (4/3) max|eig|."""
-    check_trace_free(ricci_contraction(W), W.mat, tol,
-                     "component bound applies to trace-free operators")
-    if bianchi_residual(W) > tol * max(1.0, float(np.abs(W.mat).max())):
-        raise ValueError("component bound applies to Bianchi-free operators")
+    check_small(ricci_contraction(W), W.mat, tol,
+                "component bound applies to trace-free operators")
+    check_small(bianchi_residual(W), W.mat, tol,
+                "component bound applies to Bianchi-free operators")
     max_comp = float(np.abs(W.mat[disjoint_pair_mask(W.n)]).max())
     omega = float(np.abs(W.eigenvalues()).max())
     bound = 4.0 * omega / 3.0
@@ -152,8 +153,8 @@ def cubic_bound_eval(W: CurvatureTensor, tol: float = EPS_ALG) -> CubicBounds:
     if n < 5:
         raise ValueError("cubic bounds apply for dimension >= 5 (dimension 4 uses the"
                          " self-dual determinant route)")
-    check_trace_free(ricci_contraction(W), W.mat, tol,
-                     "cubic bounds apply to trace-free operators")
+    check_small(ricci_contraction(W), W.mat, tol,
+                "cubic bounds apply to trace-free operators")
     lhs_dot, lhs_sharp = (float(v) for v in cubic_parts(W.four()))
     lhs = lhs_dot + lhs_sharp
     eigs = W.eigenvalues()
@@ -354,6 +355,7 @@ def pinch_verdict_pointwise(W: CurvatureTensor, E: np.ndarray, S: float,
     n = W.n
     if n < 5:
         raise ValueError("pointwise pinch verdict requires n >= 5")
+    check_finite(S)
     ext = spectral_extremes(W, E)
     if use_signed_omega is None:
         use_signed_omega = (n == 5)
@@ -373,6 +375,7 @@ def pinch_verdict_norm(W: CurvatureTensor, E: np.ndarray, S: float) -> PinchVerd
     n = W.n
     if n < 5:
         raise ValueError("norm pinch verdict requires n >= 5")
+    check_finite(S)
     E = check_symmetric(E, "traceless Ricci")
     w_norm = float(np.linalg.norm(W.mat))
     e_norm = float(np.linalg.norm(E))
@@ -385,8 +388,7 @@ def pinch_verdict_norm(W: CurvatureTensor, E: np.ndarray, S: float) -> PinchVerd
 
 def pinch_verdict_dim4(omega: float, S: float) -> PinchVerdict:
     """Self-dual eigenvalue pinch 6 omega <= S in dimension four."""
-    if not (np.isfinite(omega) and np.isfinite(S)):
-        raise ValueError("inputs must be finite")
+    check_finite(omega, S)
     value = 6.0 * omega
     return PinchVerdict(condition_value=float(value), threshold=float(S),
                         satisfied=_leq(value, S), which="dim4_selfdual",
@@ -401,8 +403,7 @@ def gap_verdict_integral(norm_w: float, norm_e: float, lam: float, n: int) -> Pi
     inequality is required: meeting the gap forces conformal flatness, and the
     borderline case forces nothing.
     """
-    if not all(np.isfinite(v) for v in (norm_w, norm_e, lam)):
-        raise ValueError("inputs must be finite")
+    check_finite(norm_w, norm_e, lam)
     if lam <= 0:
         raise ValueError("the Yamabe invariant input must be positive")
     if norm_w < 0 or norm_e < 0:
@@ -432,6 +433,7 @@ def integral_rigidity_d(norm_w: float, norm_e: float, lam: float, n: int) -> flo
     the derived consistency value (c1 ||W|| + c2 ||E||) / lambda with
     c1 = 2 c(n) and c2 = 2 sqrt((n-1)/n).
     """
+    check_finite(norm_w, norm_e, lam)
     if lam <= 0:
         raise ValueError("the Yamabe invariant input must be positive")
     c1 = 2.0 * table_c(n)

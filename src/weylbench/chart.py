@@ -36,6 +36,7 @@ from .tensors import (
     Operator2Form,
     ThreeTwoTensor,
     TwoFormOneForm,
+    check_finite,
 )
 
 
@@ -70,6 +71,7 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        check_finite(self.h, self.center)
         if self.h <= 0:
             raise ValueError("step must be positive")
         if self.order not in (2, 4):

@@ -14,7 +14,8 @@ import numpy as np
 
 from .algebra import cubic_parts, dot_product, kulkarni_nomizu, ricci_contraction
 from .basis import pair_basis
-from .tensors import EPS_ALG, CurvatureTensor, bianchi_residual, check_symmetric, check_trace_free
+from .tensors import (EPS_ALG, CurvatureTensor, bianchi_residual, check_finite, check_small,
+                      check_symmetric)
 
 def hodge_pm_basis() -> np.ndarray:
     """Columns 0-2: orthonormal self-dual 2-forms; columns 3-5: anti-self-dual.
@@ -47,8 +48,8 @@ class SelfDualSplit:
 def _require_weyl(W: CurvatureTensor, tol: float) -> None:
     if W.n != 4:
         raise ValueError(f"dimension-4 operation on n={W.n}")
-    check_trace_free(ricci_contraction(W), W.mat, tol,
-                     "input must be trace-free (vanishing Ricci contraction)")
+    check_small(ricci_contraction(W), W.mat, tol,
+                "input must be trace-free (vanishing Ricci contraction)")
 
 
 def split_self_dual(W: CurvatureTensor, tol: float = EPS_ALG) -> SelfDualSplit:
@@ -93,7 +94,7 @@ def det_identities(wplus: np.ndarray, tol: float = EPS_ALG) -> DetIdentities:
     wplus = check_symmetric(wplus, "self-dual block")
     if wplus.shape != (3, 3):
         raise ValueError("expected a 3x3 block")
-    check_trace_free(np.trace(wplus), wplus, tol, "block must be traceless")
+    check_small(np.trace(wplus), wplus, tol, "block must be traceless")
     cube_dot, cube_sharp = (float(v) for v in cubic_parts(embed_block(wplus).four()))
     return DetIdentities(cube_dot=cube_dot, cube_sharp=cube_sharp,
                          det=float(np.linalg.det(wplus)))
@@ -147,9 +148,7 @@ def berger_normal_form(W: CurvatureTensor, tol: float = EPS_ALG) -> BergerNormal
     non-unique; the reconstruction residual is the correctness certificate.
     """
     _require_weyl(W, tol)
-    scale = max(1.0, float(np.abs(W.mat).max()))
-    if bianchi_residual(W) > tol * scale:
-        raise ValueError("normal form requires a Bianchi-free input")
+    check_small(bianchi_residual(W), W.mat, tol, "normal form requires a Bianchi-free input")
     split = split_self_dual(W, tol=tol)
     lp, up = np.linalg.eigh(split.wplus)
     lm, um = np.linalg.eigh(split.wminus)
@@ -196,6 +195,7 @@ def pinched_lemma_check(lambda1: float, lambda3: float, S: float,
     and in that case asserts S |W+|^2 >= 36 det(W+) on the reconstructed
     spectrum (lambda1, -lambda1 - lambda3, lambda3).
     """
+    check_finite(lambda1, lambda3, S)
     if not S > 0:
         raise ValueError("requires positive scalar input")
     if lambda1 < S / 6.0 - tol * max(1.0, abs(S)):
@@ -220,7 +220,7 @@ def e_circ_g_orthogonality(W: CurvatureTensor, E: np.ndarray,
     """
     _require_weyl(W, tol)
     E = check_symmetric(E, "traceless form")
-    check_trace_free(np.trace(E), E, tol, "E must be traceless")
+    check_small(np.trace(E), E, tol, "E must be traceless")
     scale = max(1.0, float(np.abs(E).max()))
     Wf = W.four()
     contraction = np.einsum('ikpq,jkpq->ij', Wf, Wf)

@@ -35,7 +35,7 @@ class Factor:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.dim < 2:
             raise ValueError("product factors need dimension >= 2")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
 
     @property
@@ -105,10 +105,6 @@ def parse_model_spec(text: str) -> ModelSpec:
     raise ValueError(f"unknown model kind {bits[0]!r}")
 
 
-def _space_form_four(n: int, kappa: float) -> np.ndarray:
-    return 0.5 * kappa * kn_four(np.eye(n), np.eye(n))
-
-
 def _product_four(factors: tuple[Factor, ...]) -> np.ndarray:
     n = sum(f.dim for f in factors)
     four = np.zeros((n, n, n, n))
@@ -138,13 +134,7 @@ def model_curvature(spec: ModelSpec) -> CurvaturePackage:
     if n < 3:
         raise ValueError(f"total model dimension must be >= 3, got {n}")
     if spec.kind in ("sphere", "hyperbolic", "euclidean"):
-        if spec.kind == "sphere":
-            kappa = 1.0 / spec.radius ** 2
-        elif spec.kind == "hyperbolic":
-            kappa = -1.0 / spec.radius ** 2
-        else:
-            kappa = 0.0
-        four = _space_form_four(n, kappa)
+        four = _product_four((Factor(spec.kind, n, spec.radius),))
     elif spec.kind == "product":
         four = _product_four(spec.factors)
     elif spec.kind == "fubini_study":

@@ -5,8 +5,9 @@ Two variants are accepted:
 * dense:  {"n": 4, "basis": "lex-pairs", "matrix": [[...], ...]}
 * sparse: {"n": 4, "components": {"i,j,k,l": value, ...}}  (0-based indices)
 
-Sparse components are validated on load: entries must be consistent with the
-pair symmetry T_ijkl = T_klij and the antisymmetries in (i, j) and (k, l).
+Sparse components are validated on load: entries must be finite and consistent
+with the pair symmetry T_ijkl = T_klij and the antisymmetries in (i, j) and
+(k, l).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .basis import pair_basis
-from .tensors import EPS_ALG, Operator2Form
+from .tensors import EPS_ALG, Operator2Form, check_symmetric, within_tol
 
 
 def operator_to_dict(op: Operator2Form) -> dict[str, Any]:
@@ -37,10 +38,7 @@ def _from_dense(data: dict, tol: float) -> Operator2Form:
     N = pair_basis(n).size
     if mat.shape != (N, N):
         raise ValueError(f"matrix shape {mat.shape} does not match n={n} (need {N}x{N})")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.T).max() > tol * scale:
-        raise ValueError("matrix violates the pair symmetry T_ijkl = T_klij")
-    return Operator2Form(n, (mat + mat.T) / 2.0)
+    return Operator2Form(n, check_symmetric(mat, "pair-basis matrix (T_ijkl = T_klij)", tol))
 
 
 def _from_sparse(data: dict, tol: float) -> Operator2Form:
@@ -49,7 +47,7 @@ def _from_sparse(data: dict, tol: float) -> Operator2Form:
 
     def put(i: int, j: int, k: int, l: int, v: float, where: str) -> None:
         cur = four[i, j, k, l]
-        if not np.isnan(cur) and abs(cur - v) > tol * max(1.0, abs(v)):
+        if not np.isnan(cur) and not within_tol(cur - v, v, tol):
             raise ValueError(f"symmetry violated at component ({i},{j},{k},{l}) via {where}")
         four[i, j, k, l] = v
 
@@ -58,11 +56,13 @@ def _from_sparse(data: dict, tol: float) -> Operator2Form:
         if len(idx) != 4 or any(t < 0 or t >= n for t in idx):
             raise ValueError(f"bad component key {key!r}")
         i, j, k, l = idx
+        v = float(value)
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite component {key!r}")
         if i == j or k == l:
-            if abs(value) > tol:
+            if abs(v) > tol:
                 raise ValueError(f"antisymmetry violated: nonzero component {key!r}")
             continue
-        v = float(value)
         put(i, j, k, l, v, "identity")
         put(j, i, k, l, -v, "antisymmetry in (i, j)")
         put(i, j, l, k, -v, "antisymmetry in (k, l)")

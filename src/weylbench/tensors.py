@@ -45,25 +45,32 @@ def check_dimension(n: int, minimum: int = 2) -> int:
     return int(n)
 
 
+def within_tol(resid, entries, tol: float) -> bool:
+    """max|resid| <= tol * max(1, max|entries|); a NaN or inf in either gives False."""
+    top = float(np.abs(entries).max())
+    scale = max(1.0, top)
+    return top < np.inf and float(np.abs(resid).max()) <= tol * scale  # False on NaN
+
+
+def check_small(resid, entries, tol: float, message: str) -> None:
+    """Raise ValueError(message) unless within_tol(resid, entries, tol)."""
+    if not within_tol(resid, entries, tol):
+        raise ValueError(message)
+
+
+def check_finite(*values) -> None:
+    """Raise ValueError unless every input (a scalar or an array) is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("inputs must be finite")
+
+
 def check_symmetric(mat: np.ndarray, what: str = "matrix", tol: float = EPS_ALG) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be square, got shape {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.T).max() > tol * scale:
-        raise ValueError(f"{what} is not symmetric within tolerance {tol}")
+    if not within_tol(mat - mat.T, mat, tol):
+        raise ValueError(f"{what} must be finite and symmetric within tolerance {tol}")
     return (mat + mat.T) / 2.0
-
-
-def check_trace_free(trace: np.ndarray, entries: np.ndarray, tol: float, message: str) -> None:
-    """Raise ValueError unless max|trace| <= tol * max(1, max|entries|).
-
-    ``trace`` is the Ricci contraction of an operator or the trace of a
-    matrix.  Written as a negated <= so that a NaN anywhere fails the check.
-    """
-    scale = np.maximum(1.0, np.abs(entries).max())
-    if not np.abs(trace).max() <= tol * scale:
-        raise ValueError(message)
 
 
 def running_max(old: float, values) -> float:
@@ -99,11 +106,10 @@ class Operator2Form:
         n = four.shape[0]
         if four.shape != (n, n, n, n):
             raise ValueError(f"expected (n,n,n,n) tensor, got {four.shape}")
-        scale = max(1.0, float(np.abs(four).max()))
-        if np.abs(four + np.swapaxes(four, 0, 1)).max() > tol * scale:
-            raise ValueError("tensor is not antisymmetric in the first index pair")
-        if np.abs(four + np.swapaxes(four, 2, 3)).max() > tol * scale:
-            raise ValueError("tensor is not antisymmetric in the second index pair")
+        check_small(four + np.swapaxes(four, 0, 1), four, tol,
+                    "tensor is not antisymmetric in the first index pair")
+        check_small(four + np.swapaxes(four, 2, 3), four, tol,
+                    "tensor is not antisymmetric in the second index pair")
         return cls(n, four_tensor_to_pair_matrix(n, four), require_self_adjoint)
 
     @property
@@ -124,8 +130,7 @@ class Operator2Form:
         return float(s * self.mat[pb.pos[i, j], pb.pos[k, l]])
 
     def is_self_adjoint(self, tol: float = EPS_ALG) -> bool:
-        scale = max(1.0, float(np.abs(self.mat).max()))
-        return bool(np.abs(self.mat - self.mat.T).max() <= tol * scale)
+        return within_tol(self.mat - self.mat.T, self.mat, tol)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.mat)
@@ -179,9 +184,8 @@ class CurvatureTensor(Operator2Form):
 
     def __init__(self, n: int, mat: np.ndarray, tol: float = EPS_ALG):
         super().__init__(n, mat, require_self_adjoint=True)
-        scale = max(1.0, float(np.abs(self.mat).max()))
-        if bianchi_residual(self) > tol * scale:
-            raise ValueError("first Bianchi identity violated beyond tolerance")
+        check_small(bianchi_residual(self), self.mat, tol,
+                    "first Bianchi identity violated beyond tolerance")
 
     @classmethod
     def from_operator(cls, op: Operator2Form, tol: float = EPS_ALG) -> "CurvatureTensor":
@@ -222,9 +226,8 @@ class TwoFormOneForm:
         n = full.shape[0]
         if full.shape != (n, n, n):
             raise ValueError(f"expected (n, n, n) tensor, got {full.shape}")
-        scale = max(1.0, float(np.abs(full).max()))
-        if np.abs(full + np.swapaxes(full, 0, 1)).max() > tol * scale:
-            raise ValueError("tensor is not antisymmetric in its first two slots")
+        check_small(full + np.swapaxes(full, 0, 1), full, tol,
+                    "tensor is not antisymmetric in its first two slots")
         return cls(n, full3_to_pair_form(n, full))
 
     def full(self) -> np.ndarray:
@@ -298,9 +301,8 @@ class CovDerivCurvature:
         comps = np.asarray(comps, dtype=float)
         if comps.shape != (self.n, pb.size, pb.size):
             raise ValueError(f"expected ({n}, {pb.size}, {pb.size}) components, got {comps.shape}")
-        scale = max(1.0, float(np.abs(comps).max()))
-        if np.abs(comps - np.swapaxes(comps, 1, 2)).max() > tol * scale:
-            raise ValueError("slices are not symmetric in the last four slots")
+        check_small(comps - np.swapaxes(comps, 1, 2), comps, tol,
+                    "slices are not symmetric in the last four slots")
         self.comps = _frozen(comps)
 
     @classmethod
@@ -334,11 +336,7 @@ class PureCurvatureMatrix:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"expected ({n}, {n}) matrix, got {w.shape}")
-        scale = max(1.0, float(np.abs(w).max()))
-        if np.abs(w - w.T).max() > tol * scale:
-            raise ValueError("pure-curvature matrix must be symmetric")
-        if np.abs(np.diag(w)).max() > tol * scale:
-            raise ValueError("pure-curvature matrix must have zero diagonal")
-        if np.abs(w.sum(axis=1)).max() > tol * scale:
-            raise ValueError("pure-curvature matrix rows must sum to zero")
+        check_small(w - w.T, w, tol, "pure-curvature matrix must be symmetric")
+        check_small(np.diag(w), w, tol, "pure-curvature matrix must have zero diagonal")
+        check_small(w.sum(axis=1), w, tol, "pure-curvature matrix rows must sum to zero")
         self.w = _frozen(w)

@@ -24,7 +24,7 @@ from weylbench.bounds import (
 from weylbench.algebra import decompose
 from weylbench.models import model_curvature, parse_model_spec
 from weylbench.sampling import random_curvature, random_traceless_symmetric, random_weyl
-from weylbench.tensors import CurvatureTensor
+from weylbench.tensors import CurvatureTensor, Operator2Form
 
 rng = np.random.default_rng(13)
 
@@ -388,3 +388,34 @@ def test_gap_verdict_rejects_non_finite(bad):
     for n in (5, 6):
         with pytest.raises(ValueError, match="finite"):
             gap_verdict_integral(*bad, n)
+
+
+def test_guards_reject_nan_operator_built_without_validation():
+    # containers refuse NaN now, so build the operator with the relaxed
+    # constructor to reach each function's own trace-free guard
+    from weylbench.basis import disjoint_pair_mask
+
+    for n, call in ((5, cubic_bound_eval), (6, berger_component_bound),
+                    (5, lambda W: spectral_extremes(W, np.zeros((5, 5))))):
+        mat = random_weyl(rng, n).mat.copy()
+        a, b = np.argwhere(disjoint_pair_mask(n))[0]
+        mat[a, b] = mat[b, a] = np.nan  # the Ricci contraction stays finite
+        with pytest.raises(ValueError, match="trace-free"):
+            call(Operator2Form(n, mat, require_self_adjoint=False))
+
+
+@pytest.mark.parametrize("S", [math.nan, math.inf, -math.inf])
+def test_pinch_verdicts_reject_non_finite_scalar(S):
+    W = random_weyl(rng, 5)
+    for verdict in (pinch_verdict_pointwise, pinch_verdict_norm):
+        with pytest.raises(ValueError, match="finite"):
+            verdict(W, np.zeros((5, 5)), S)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.1, 2.0), (0.1, math.inf, 2.0),
+                                 (0.1, 0.1, math.nan), (0.1, 0.1, math.inf)])
+def test_integral_rigidity_d_rejects_non_finite(bad):
+    from weylbench.bounds import integral_rigidity_d
+
+    with pytest.raises(ValueError, match="finite"):
+        integral_rigidity_d(*bad, 6)

@@ -225,3 +225,11 @@ def test_grid_spec_validation():
         GridSpec(center=np.zeros(4), h=1e-3, order=3)
     with pytest.raises(ValueError):
         preset_metric("moebius:4")
+
+
+@pytest.mark.parametrize("h, center", [(np.nan, np.zeros(4)), (np.inf, np.zeros(4)),
+                                       (1e-3, np.array([0.0, np.nan, 0.0, 0.0])),
+                                       (1e-3, np.array([0.0, 0.0, -np.inf, 0.0]))])
+def test_grid_spec_rejects_non_finite(h, center):
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(center=center, h=h)

@@ -210,3 +210,36 @@ def test_bounds_nan_sample_fails(monkeypatch, capsys):
     assert run_cli("bounds", "--trials", "1", "--budget", "500", "--format", "json") == 1
     data = json.loads(capsys.readouterr().out)
     assert "audit.cubic_eig_excess" in data["failures"]
+
+
+def _weyl_dict(n, nan_entry=False):
+    op = operator_to_dict(random_weyl(np.random.default_rng(11), n))
+    if nan_entry:
+        op["matrix"][0][-1] = op["matrix"][-1][0] = float("nan")
+    return op
+
+
+def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0):
+    E = np.zeros((n, n))
+    if nan_e:
+        E[0, 0] = np.nan
+    return {"W": _weyl_dict(n, nan_entry=nan_w), "E": E.tolist(), "S": S}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (("dim4", "{file}"), lambda: _weyl_dict(4, nan_entry=True)),
+    (("dim4", "{file}"), lambda: {"n": 4, "components": {"0,1,2,3": float("nan")}}),
+    (("pinch", "norm", "--input", "{file}"), lambda: _pinch_payload(nan_w=True)),
+    (("pinch", "norm", "--input", "{file}"), lambda: _pinch_payload(nan_e=True)),
+    (("pinch", "pointwise", "--input", "{file}"), lambda: _pinch_payload(S=float("nan"))),
+    (("model", "sphere:4:0"), None),
+    (("model", "sphere:4:-1"), None),
+    (("chart", "euclidean:4", "--h", "nan"), None),
+], ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
+        "pinch-pointwise-nan-S", "model-zero-radius", "model-negative-radius", "chart-nan-step"])
+def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload()))
+    assert run_cli(*(arg.format(file=path) for arg in argv)) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -191,8 +191,14 @@ def test_dim4_sharp_vs_det_for_full_weyl():
 def test_split_rejects_nan_operator():
     mat = random_weyl(rng, 4).mat.copy()
     mat[0, 5] = mat[5, 0] = np.nan  # (01, 23): outside every Ricci trace
-    W = CurvatureTensor(4, mat)
-    with pytest.raises(ValueError, match="trace-free"):
-        split_self_dual(W)
+    with pytest.raises(ValueError):
+        CurvatureTensor(4, mat)
     with pytest.raises(ValueError):
         det_identities(np.diag([1.0, np.nan, -1.0]))
+
+
+@pytest.mark.parametrize("args", [(np.nan, -1.0, 6.0), (2.0, np.nan, 12.0),
+                                  (np.inf, -1.0, 6.0), (2.0, -1.0, np.inf)])
+def test_pinched_lemma_rejects_non_finite(args):
+    with pytest.raises(ValueError, match="finite"):
+        pinched_lemma_check(*args)

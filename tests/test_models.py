@@ -140,3 +140,10 @@ def test_invalid_specs_rejected():
         model_curvature(ModelSpec(kind="sphere", dim=2))
     with pytest.raises(ValueError):
         model_curvature(ModelSpec(kind="fubini_study", complex_dim=1))
+
+
+@pytest.mark.parametrize("text", ["sphere:4:0", "sphere:4:-1", "hyperbolic:4:0",
+                                  "hyperbolic:5:-2.0", "sphere:4:nan"])
+def test_space_form_radius_must_be_positive(text):
+    with pytest.raises(ValueError, match="radius"):
+        model_curvature(parse_model_spec(text))

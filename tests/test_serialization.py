@@ -103,3 +103,19 @@ def test_json_text_round_trip():
 def test_missing_payload_rejected():
     with pytest.raises(ValueError):
         operator_from_dict({"n": 4})
+
+
+@pytest.mark.parametrize("key", ["0,1,2,3", "0,0,1,2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_sparse_rejects_non_finite_components(key, value):
+    # "0,0,1,2" takes the branch for components that must vanish by antisymmetry
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_from_dict({"n": 4, "components": {key: value}})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_dense_rejects_non_finite_matrix(value):
+    data = operator_to_dict(random_weyl(rng, 4))
+    data["matrix"][0][5] = data["matrix"][5][0] = value
+    with pytest.raises(ValueError):
+        operator_from_dict(json.loads(json.dumps(data)))

@@ -9,18 +9,21 @@ from weylbench.basis import (
     pair_matrix_to_four_tensor,
     triple_basis,
 )
-from weylbench.sampling import random_operator, random_two_form_one_form
+from weylbench.sampling import random_operator, random_two_form_one_form, random_weyl
 from weylbench.tensors import (
     CovDerivCurvature,
     CurvatureTensor,
     Operator2Form,
     PureCurvatureMatrix,
     ThreeTwoTensor,
+    TwoFormOneForm,
     bianchi_residual,
-    check_trace_free,
+    check_small,
+    check_symmetric,
     cyclic_average,
     inner,
     norm,
+    within_tol,
 )
 
 rng = np.random.default_rng(42)
@@ -191,9 +194,73 @@ def test_cov_deriv_slices_round_trip(n):
 
 
 def test_trace_free_guard_rejects_nan_and_large_traces():
-    check_trace_free(np.zeros((3, 3)), np.ones((3, 3)), 1e-10, "ok")
-    check_trace_free(1e-11, 5.0 * np.ones((2, 2)), 1e-11, "scaled by the entries")
+    check_small(np.zeros((3, 3)), np.ones((3, 3)), 1e-10, "ok")
+    check_small(1e-11, 5.0 * np.ones((2, 2)), 1e-11, "scaled by the entries")
     for trace, entries in ((1e-3, np.eye(2)), (np.nan, np.eye(2)),
                            (0.0, np.array([[0.0, np.nan], [np.nan, 0.0]]))):
         with pytest.raises(ValueError, match="not trace-free"):
-            check_trace_free(trace, entries, 1e-10, "not trace-free")
+            check_small(trace, entries, 1e-10, "not trace-free")
+
+
+def test_within_tol_is_the_scaled_bound_and_fails_on_non_finite():
+    assert within_tol(1e-10, np.eye(2), 1e-10)
+    assert within_tol(5e-10, 5.0 * np.eye(2), 1e-10)
+    assert not within_tol(6e-10, 5.0 * np.eye(2), 1e-10)
+    # an inf entry outside the residual would otherwise make every residual pass
+    assert not within_tol(0.0, np.array([0.0, np.inf]), 1e-10)
+    assert not within_tol(np.nan, np.eye(2), 1e-10)
+    assert not within_tol(0.0, np.array([0.0, np.nan]), 1e-10)
+
+
+def _weyl_pair_matrix(value):
+    mat = random_weyl(np.random.default_rng(9), 4).mat.copy()
+    mat[0, 5] = mat[5, 0] = value * mat[0, 5]  # (01, 23): outside every Ricci trace
+    return mat
+
+
+def _diagonal(value):
+    mat = np.eye(6)
+    mat[0, 0] = value
+    return mat
+
+
+def _antisymmetric_three(value):
+    full = random_two_form_one_form(np.random.default_rng(9), 4).full().copy()
+    full[0, 1, 2] *= value
+    full[1, 0, 2] *= value
+    return full
+
+
+def _cov_deriv_comps(value):
+    comps = np.zeros((4, 6, 6))
+    comps[0, 0, 0] = value
+    return comps
+
+
+def _pure_curvature(value):
+    w = np.array([[0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0],
+                  [-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]])
+    w[0, 1] = w[1, 0] = value
+    return w
+
+
+# each builder is valid at value 1.0 and puts the value into one entry (or one
+# symmetric or antisymmetric pair of entries)
+NON_FINITE_BUILDERS = {
+    "check_symmetric": lambda v: check_symmetric(_diagonal(v)),
+    "Operator2Form": lambda v: Operator2Form(4, _diagonal(v)),
+    "CurvatureTensor": lambda v: CurvatureTensor(4, _weyl_pair_matrix(v)),
+    "Operator2Form.from_four_tensor": lambda v: Operator2Form.from_four_tensor(
+        pair_matrix_to_four_tensor(4, _diagonal(v))),
+    "TwoFormOneForm.from_full": lambda v: TwoFormOneForm.from_full(_antisymmetric_three(v)),
+    "CovDerivCurvature": lambda v: CovDerivCurvature(4, _cov_deriv_comps(v)),
+    "PureCurvatureMatrix": lambda v: PureCurvatureMatrix(4, _pure_curvature(v)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_BUILDERS))
+def test_validators_reject_non_finite_input(name, value):
+    NON_FINITE_BUILDERS[name](1.0)
+    with pytest.raises(ValueError):
+        NON_FINITE_BUILDERS[name](value)
