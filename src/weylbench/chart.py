@@ -208,18 +208,51 @@ def christoffel(metric: ChartMetric, x: np.ndarray, h: float, order: int = 2) ->
     return 0.5 * np.einsum('kl,ijl->kij', gi, term)
 
 
-def curvature_tensor_at(metric: ChartMetric, x: np.ndarray, h: float,
+class _AssemblyMemo:
+    """The pure per-point stages of one field assembly, each evaluated once per point.
+
+    Calling the memo gives the validated metric, like the ChartMetric it wraps;
+    ``gamma``, ``decomp`` and ``w_norm_sq`` give ``christoffel``,
+    ``_decomp_coords`` and ``_w_norm_sq_at`` at the assembly's step and order.
+    The key is the exact coordinates (``x.tobytes()``), so a hit returns the
+    very value a recomputation would.  A memo lives for one assembly only.
+    """
+
+    def __init__(self, metric: ChartMetric, h: float, order: int):
+        self.metric, self.n, self.h, self.order = metric, metric.n, h, order
+        self._tables: dict[str, dict[bytes, object]] = {
+            "g": {}, "gamma": {}, "decomp": {}, "w2": {}}
+
+    def _lookup(self, stage: str, x: np.ndarray, compute: Callable[[], object]):
+        table, key = self._tables[stage], x.tobytes()
+        value = table.get(key)
+        if value is None:
+            value = table[key] = compute()
+        return value
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._lookup("g", x, lambda: self.metric(x))
+
+    def gamma(self, x: np.ndarray) -> np.ndarray:
+        return self._lookup("gamma", x, lambda: christoffel(self, x, self.h, self.order))
+
+    def decomp(self, x: np.ndarray) -> tuple:
+        return self._lookup("decomp", x, lambda: _decomp_coords(self, x, self.h, self.order))
+
+    def w_norm_sq(self, x: np.ndarray) -> float:
+        return self._lookup("w2", x, lambda: _w_norm_sq_at(self, x, self.h, self.order))
+
+
+def curvature_tensor_at(metric: _AssemblyMemo, x: np.ndarray, h: float,
                         order: int = 2) -> np.ndarray:
     """(0,4) curvature in coordinates, projected onto its exact symmetry class.
 
     The projection removes the O(h^2) antisymmetry/pair-symmetry defects of
     the raw stencil value without touching its first-Bianchi content.
     """
-    n = metric.n
     g = metric(x)
-    gam = christoffel(metric, x, h, order)
-    dgam = np.stack([_d1(lambda y: christoffel(metric, y, h, order), x, m, h, order)
-                     for m in range(n)])
+    gam = metric.gamma(x)
+    dgam = np.stack([_d1(metric.gamma, x, m, h, order) for m in range(metric.n)])
     rup = (np.transpose(dgam, (0, 2, 3, 1)) - np.transpose(dgam, (2, 0, 3, 1))
            + np.einsum('sip,pjk->ijks', gam, gam) - np.einsum('sjp,pik->ijks', gam, gam))
     R = -np.einsum('ijks,ls->ijkl', rup, g)
@@ -228,15 +261,15 @@ def curvature_tensor_at(metric: ChartMetric, x: np.ndarray, h: float,
     return 0.5 * (R + np.transpose(R, (2, 3, 0, 1)))
 
 
-def _decomp_coords(metric: ChartMetric, x: np.ndarray, h: float, order: int):
+def _decomp_coords(metric: _AssemblyMemo, x: np.ndarray, h: float, order: int):
     """R, Rc, S, E, W in coordinates at x."""
     R = curvature_tensor_at(metric, x, h, order)
     split = weyl_split(R, metric(x))
     return R, split.Rc, float(split.S), split.E, split.W
 
 
-def _w_norm_sq_at(metric: ChartMetric, x: np.ndarray, h: float, order: int) -> float:
-    _, _, _, _, W = _decomp_coords(metric, x, h, order)
+def _w_norm_sq_at(metric: _AssemblyMemo, x: np.ndarray, h: float, order: int) -> float:
+    _, _, _, _, W = metric.decomp(x)
     gi = np.linalg.inv(metric(x))
     return 0.25 * float(np.einsum('ijkl,mnpq,im,jn,kp,lq->', W, W, gi, gi, gi, gi))
 
@@ -278,13 +311,15 @@ def curvature_field(metric: ChartMetric, grid: GridSpec,
         raise ValueError(f"center must have shape ({n},)")
     # wrap tolerance for validated containers: discretization leaves O(h^2) defects
     wrap_tol = max(1e-8, 200.0 * h * h)
-    g0 = metric(x0)
+    # every stencil point is reached many times; each stage runs once per point
+    memo = _AssemblyMemo(metric, h, order)
+    g0 = memo(x0)
     gi0 = np.linalg.inv(g0)
     L = np.linalg.cholesky(g0)
     F = np.linalg.inv(L).T  # columns: frame vectors; F^T g0 F = Id
-    gam0 = christoffel(metric, x0, h, order)
+    gam0 = memo.gamma(x0)
 
-    R0, Rc0, _, _, W0 = _decomp_coords(metric, x0, h, order)
+    R0, Rc0, _, _, W0 = memo.decomp(x0)
 
     def cov_deriv4(tensor_at: Callable[[np.ndarray], np.ndarray], T0: np.ndarray) -> np.ndarray:
         dT = np.stack([_d1(tensor_at, x0, m, h, order) for m in range(n)])
@@ -293,10 +328,10 @@ def curvature_field(metric: ChartMetric, grid: GridSpec,
                      + np.einsum('smc,absd->mabcd', gam0, T0)
                      + np.einsum('smd,abcs->mabcd', gam0, T0))
 
-    def R_at(x): return _decomp_coords(metric, x, h, order)[0]
-    def W_at(x): return _decomp_coords(metric, x, h, order)[4]
-    def Rc_at(x): return _decomp_coords(metric, x, h, order)[1]
-    def S_at(x): return _decomp_coords(metric, x, h, order)[2]
+    def R_at(x): return memo.decomp(x)[0]
+    def W_at(x): return memo.decomp(x)[4]
+    def Rc_at(x): return memo.decomp(x)[1]
+    def S_at(x): return memo.decomp(x)[2]
 
     nR = cov_deriv4(R_at, R0)
     nW = cov_deriv4(W_at, W0)
@@ -330,7 +365,7 @@ def curvature_field(metric: ChartMetric, grid: GridSpec,
     b_w = second_bianchi(nabla_w)
     b_r = second_bianchi(nabla_r)
 
-    def w2_at(x): return _w_norm_sq_at(metric, x, h, order)
+    w2_at = memo.w_norm_sq
     d2f = np.zeros((n, n))
     f0 = w2_at(x0)
     for a in range(n):
@@ -345,7 +380,7 @@ def curvature_field(metric: ChartMetric, grid: GridSpec,
     lap_w2 = float(np.einsum('ab,ab->', gi0, d2f)
                    - np.einsum('ab,sab,s->', gi0, gam0, d1f))
 
-    def absw_at(x): return math.sqrt(max(_w_norm_sq_at(metric, x, h, order), 0.0))
+    def absw_at(x): return math.sqrt(max(w2_at(x), 0.0))
     dabs = np.array([_d1(absw_at, x0, m, h, order) for m in range(n)])
     grad_absw = F.T @ dabs
 
@@ -353,7 +388,7 @@ def curvature_field(metric: ChartMetric, grid: GridSpec,
 
     ricci_res = None
     if with_ricci_identity:
-        ricci_res = _ricci_identity_residual(metric, x0, h, order, gam0, R0, Rc0)
+        ricci_res = _ricci_identity_residual(memo, x0, h, order, gam0, R0, Rc0)
 
     return ChartCurvatureField(
         metric=metric, grid=grid, frame=F, R=R_op, Rc=frame_split.Rc, S=dec.S,
@@ -364,16 +399,15 @@ def curvature_field(metric: ChartMetric, grid: GridSpec,
         ricci_identity_residual=ricci_res)
 
 
-def _ricci_identity_residual(metric: ChartMetric, x0: np.ndarray, h: float, order: int,
+def _ricci_identity_residual(metric: _AssemblyMemo, x0: np.ndarray, h: float, order: int,
                              gam0: np.ndarray, R0: np.ndarray, Rc0: np.ndarray) -> float:
     """Commutator of second covariant derivatives of Ricci against the curvature terms."""
     n = metric.n
 
     def nabla_rc_at(x: np.ndarray) -> np.ndarray:
-        gam = christoffel(metric, x, h, order)
-        Rc = _decomp_coords(metric, x, h, order)[1]
-        dRc = np.stack([_d1(lambda y: _decomp_coords(metric, y, h, order)[1], x, m, h, order)
-                        for m in range(n)])
+        gam = metric.gamma(x)
+        Rc = metric.decomp(x)[1]
+        dRc = np.stack([_d1(lambda y: metric.decomp(y)[1], x, m, h, order) for m in range(n)])
         return dRc - (np.einsum('sma,sb->mab', gam, Rc) + np.einsum('smb,as->mab', gam, Rc))
 
     T0 = nabla_rc_at(x0)

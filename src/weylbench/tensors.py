@@ -46,10 +46,25 @@ def check_dimension(n: int, minimum: int = 2) -> int:
 
 
 def within_tol(resid, entries, tol: float) -> bool:
-    """max|resid| <= tol * max(1, max|entries|); a NaN or inf in either gives False."""
+    """max|resid| <= tol * max(1, max|entries|); a NaN or inf in either gives False.
+
+    ``entries`` may also be max|entries| itself, taken once for several checks.
+    """
     top = float(np.abs(entries).max())
     scale = max(1.0, top)
     return top < np.inf and float(np.abs(resid).max()) <= tol * scale  # False on NaN
+
+
+def finite_scale(entries, what: str) -> float:
+    """max|entries|, the scale for several ``within_tol`` checks of one input.
+
+    Raises ValueError unless it is finite, so a NaN or inf is refused before a
+    residual such as ``a - a.T`` can meet inf - inf.
+    """
+    scale = np.abs(entries).max()
+    if not scale < np.inf:
+        raise ValueError(f"{what} must be finite")
+    return scale
 
 
 def check_small(resid, entries, tol: float, message: str) -> None:
@@ -68,8 +83,9 @@ def check_symmetric(mat: np.ndarray, what: str = "matrix", tol: float = EPS_ALG)
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be square, got shape {mat.shape}")
-    if not within_tol(mat - mat.T, mat, tol):
-        raise ValueError(f"{what} must be finite and symmetric within tolerance {tol}")
+    scale = finite_scale(mat, what)
+    if not within_tol(mat - mat.T, scale, tol):
+        raise ValueError(f"{what} must be symmetric within tolerance {tol}")
     return (mat + mat.T) / 2.0
 
 
@@ -106,9 +122,10 @@ class Operator2Form:
         n = four.shape[0]
         if four.shape != (n, n, n, n):
             raise ValueError(f"expected (n,n,n,n) tensor, got {four.shape}")
-        check_small(four + np.swapaxes(four, 0, 1), four, tol,
+        scale = finite_scale(four, "tensor")
+        check_small(four + np.swapaxes(four, 0, 1), scale, tol,
                     "tensor is not antisymmetric in the first index pair")
-        check_small(four + np.swapaxes(four, 2, 3), four, tol,
+        check_small(four + np.swapaxes(four, 2, 3), scale, tol,
                     "tensor is not antisymmetric in the second index pair")
         return cls(n, four_tensor_to_pair_matrix(n, four), require_self_adjoint)
 
@@ -226,7 +243,8 @@ class TwoFormOneForm:
         n = full.shape[0]
         if full.shape != (n, n, n):
             raise ValueError(f"expected (n, n, n) tensor, got {full.shape}")
-        check_small(full + np.swapaxes(full, 0, 1), full, tol,
+        scale = finite_scale(full, "tensor")
+        check_small(full + np.swapaxes(full, 0, 1), scale, tol,
                     "tensor is not antisymmetric in its first two slots")
         return cls(n, full3_to_pair_form(n, full))
 
@@ -301,7 +319,8 @@ class CovDerivCurvature:
         comps = np.asarray(comps, dtype=float)
         if comps.shape != (self.n, pb.size, pb.size):
             raise ValueError(f"expected ({n}, {pb.size}, {pb.size}) components, got {comps.shape}")
-        check_small(comps - np.swapaxes(comps, 1, 2), comps, tol,
+        scale = finite_scale(comps, "components")
+        check_small(comps - np.swapaxes(comps, 1, 2), scale, tol,
                     "slices are not symmetric in the last four slots")
         self.comps = _frozen(comps)
 
@@ -336,7 +355,8 @@ class PureCurvatureMatrix:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"expected ({n}, {n}) matrix, got {w.shape}")
-        check_small(w - w.T, w, tol, "pure-curvature matrix must be symmetric")
-        check_small(np.diag(w), w, tol, "pure-curvature matrix must have zero diagonal")
-        check_small(w.sum(axis=1), w, tol, "pure-curvature matrix rows must sum to zero")
+        scale = finite_scale(w, "pure-curvature matrix")
+        check_small(w - w.T, scale, tol, "pure-curvature matrix must be symmetric")
+        check_small(np.diag(w), scale, tol, "pure-curvature matrix must have zero diagonal")
+        check_small(w.sum(axis=1), scale, tol, "pure-curvature matrix rows must sum to zero")
         self.w = _frozen(w)

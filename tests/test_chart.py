@@ -5,6 +5,7 @@ import pytest
 
 from weylbench.algebra import decompose
 from weylbench.chart import (
+    ChartMetric,
     GridSpec,
     curvature_field,
     dump_grid_file,
@@ -233,3 +234,90 @@ def test_grid_spec_validation():
 def test_grid_spec_rejects_non_finite(h, center):
     with pytest.raises(ValueError, match="finite"):
         GridSpec(center=center, h=h)
+
+
+def _counting(name):
+    """The preset with the exact bytes of every evaluated point recorded."""
+    m = preset_metric(name)
+    seen = []
+
+    def fn(x):
+        seen.append(x.tobytes())
+        return m.fn(x)
+
+    return ChartMetric(m.name, m.n, fn, m.harmonic_weyl), seen
+
+
+@pytest.mark.parametrize("name, order, ricci, center, points", [
+    ("sphere-stereo:4", 2, False, np.array([0.025, 0.05, 0.075, 0.1]), 313),
+    ("perturbed:5", 4, True, 0.1 * (1.0 + np.arange(5)) / 5, 5784),
+], ids=["sphere-stereo-4-order2", "perturbed-5-order4-ricci"])
+def test_field_evaluates_each_stencil_point_once(name, order, ricci, center, points):
+    m, seen = _counting(name)
+    f = curvature_field(m, GridSpec(center=center, h=1e-3, order=order),
+                        with_ricci_identity=ricci)
+    assert len(seen) == len(set(seen)) == points
+    assert f.metric is m
+
+
+def _field_bits(f):
+    report = identity_residual_report(f, include_bochner=False)
+    return (f.R.mat.tobytes(), f.decomposition.weyl.mat.tobytes(),
+            f.nabla_w.comps.tobytes(), f.nabla_r.comps.tobytes(), float(f.S).hex(),
+            {k: float(v).hex() for k, v in report.items()})
+
+
+def test_memo_lives_for_one_assembly():
+    m, seen = _counting("perturbed:4")
+    # h then h/2 on one metric object, as `chart --halving` does
+    fields = [curvature_field(m, GridSpec(center=CENTER4, h=h)) for h in (2e-3, 1e-3)]
+    fresh = [curvature_field(preset_metric("perturbed:4"), GridSpec(center=CENTER4, h=h))
+             for h in (2e-3, 1e-3)]
+    assert all(f.metric is m for f in fields)
+    assert [_field_bits(f) for f in fields] == [_field_bits(f) for f in fresh]
+    # a repeated assembly evaluates its points again: nothing is kept between calls
+    once = len(seen)
+    curvature_field(m, GridSpec(center=CENTER4, h=1e-3))
+    curvature_field(m, GridSpec(center=CENTER4, h=1e-3))
+    assert len(seen) - once == 2 * len(set(seen[once:]))
+
+
+# float.hex of the residuals and S at CENTER4, h = 1e-3, order 2, captured at
+# commit b36b3fe, where every stage was recomputed at each visit of a stencil
+# point; evaluating each point once must reproduce every bit
+GOLDEN_HEX = {
+    "perturbed:4": {
+        "S": "0x1.a8464b65bb727p-4",
+        "bianchi_grad_margin": "0x1.1cb2d8763d114p-9",
+        "bianchi_map_w": "0x1.6aaabcb5b14b8p-32",
+        "bianchi_norm_identity": "0x1.dc31400000000p-44",
+        "delta_w_pq": "0x1.366ab15400000p-31",
+        "grad_abs_w_sq": "0x1.e8fb4282354c6p-14",
+        "kato_classical_margin": "0x1.73decb086e807p-11",
+        "nabla_w_sq": "0x1.b0fe3358b52a0p-11",
+        "ricci_identity": "0x1.3ac016fb00000p-32",
+        "second_bianchi_r": "0x1.01e3d1943653dp-30",
+    },
+    "sphere-stereo:4": {
+        "S": "0x1.7fffaccf4417fp+3",
+        "bianchi_grad_margin": "0x1.a29f1f568ec44p-81",
+        "bianchi_map_w": "0x1.207abae26d3e8p-40",
+        "bianchi_norm_identity": "0x1.686613a96fbd0p-85",
+        "bochner": "0x1.0fecb0f2ded0ap-84",
+        "delta_w_pq": "0x1.7601c86c152d7p-22",
+        "grad_abs_w_sq": "0x1.724d6cae63311p-85",
+        "kato_classical_margin": "0x1.299d6cd53e326p-82",
+        "kato_improved_margin": "0x1.0ac1a3c6b5ee4p-82",
+        "nabla_w_sq": "0x1.57e71a6b0a988p-82",
+        "second_bianchi_r": "0x1.12cea6c3e57cap-18",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_HEX))
+def test_residuals_match_golden_bits(name):
+    f = curvature_field(preset_metric(name), GridSpec(center=CENTER4, h=1e-3),
+                        with_ricci_identity=name == "perturbed:4")
+    report = identity_residual_report(f)
+    report["S"] = f.S
+    assert {k: float(v).hex() for k, v in report.items()} == GOLDEN_HEX[name]

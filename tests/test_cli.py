@@ -243,3 +243,15 @@ def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payl
         path.write_text(json.dumps(payload()))
     assert run_cli(*(arg.format(file=path) for arg in argv)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_infinite_symmetric_pair_prints_only_the_error(tmp_path):
+    mat = np.eye(6)
+    mat[0, 5] = mat[5, 0] = np.inf
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({"n": 4, "basis": "lex-pairs", "matrix": mat.tolist()}))
+    proc = subprocess.run([sys.executable, "-m", "weylbench.cli", "dim4", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
