@@ -33,12 +33,12 @@ __all__ = [
     "dot_product", "sharp_product", "tri", "circ_prime", "second_bianchi",
     "u_contraction", "quadratic_forms", "pure_cubics", "weyl_sectional_split",
     "QuadraticForms", "PureCubics", "kn_four", "sharp_four", "weyl_split",
-    "WeylSplit", "decomposition", "cubic_parts",
+    "WeylSplit", "decomposition", "cubic_parts", "congruence_four",
 ]
 
-# Raw kernels (kn_four, _ricci_trace, weyl_split, sharp_four, cubic_parts) act
-# on the trailing four (or two) axes of plain arrays and broadcast over any
-# leading batch axes; the typed functions below wrap them.
+# Raw kernels (kn_four, _ricci_trace, weyl_split, sharp_four, cubic_parts,
+# congruence_four) act on the trailing four (or two) axes of plain arrays and
+# broadcast over any leading batch axes; the typed functions below wrap them.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -96,6 +96,19 @@ def weyl_split(R4: np.ndarray, g: np.ndarray | None = None) -> WeylSplit:
     s_part = s2[..., None, None] / (2 * n * (n - 1)) * kn_four(g, g)
     e_part = kn_four(E, g) / (n - 2)
     return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R4 - s_part - e_part)
+
+
+def congruence_four(T: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_mnpq A_ma A_nb A_pc A_qd T_mnpq: T's four indices moved by one (n, n) matrix.
+
+    With K = A (x) A, K[(m,n),(a,b)] = A_ma A_nb, this is the congruence
+    K^T T K of T's (n^2, n^2) matrix over the index pairs (ij, kl): two matrix
+    products instead of an n^8 sum.  T may carry leading batch axes; A may not.
+    """
+    n = T.shape[-1]
+    K = np.kron(A, A)
+    out = K.T @ T.reshape(T.shape[:-4] + (n * n, n * n)) @ K
+    return out.reshape(T.shape)
 
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> CurvatureTensor:

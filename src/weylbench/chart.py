@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import (
     circ_prime,
+    congruence_four,
     cubic_parts,
     decomposition,
     dot_product,
@@ -162,12 +163,14 @@ def grid_file_metric(path: str) -> ChartMetric:
                        default_grid=default_grid)
 
 
-def recording_metric(metric: ChartMetric) -> tuple[ChartMetric, list[np.ndarray]]:
-    """Wrap a metric so every evaluation point is recorded (for grid-file export)."""
-    log: list[np.ndarray] = []
+def recording_metric(
+        metric: ChartMetric) -> tuple[ChartMetric, list[tuple[np.ndarray, np.ndarray]]]:
+    """Wrap a metric so every evaluation is recorded as a (point, matrix) pair."""
+    log: list[tuple[np.ndarray, np.ndarray]] = []
     def fn(x: np.ndarray) -> np.ndarray:
-        log.append(np.array(x, dtype=float))
-        return metric.fn(x)
+        g = metric.fn(x)
+        log.append((np.array(x, dtype=float), g))
+        return g
     return ChartMetric(metric.name, metric.n, fn, metric.harmonic_weyl), log
 
 
@@ -177,10 +180,10 @@ def dump_grid_file(metric: ChartMetric, grid: GridSpec, path: str,
     rec, log = recording_metric(metric)
     curvature_field(rec, grid, with_ricci_identity=with_ricci_identity)
     seen: dict[tuple, list] = {}
-    for x in log:
+    for x, g in log:
         key = tuple(round(float(c), 12) for c in x)
         if key not in seen:
-            seen[key] = np.asarray(metric.fn(x)).tolist()
+            seen[key] = np.asarray(g).tolist()
     points = sorted(seen)
     data = {"n": metric.n, "harmonic_weyl": metric.harmonic_weyl,
             "grid": {"center": grid.center.tolist(), "h": grid.h, "order": grid.order},
@@ -271,7 +274,7 @@ def _decomp_coords(metric: _AssemblyMemo, x: np.ndarray, h: float, order: int):
 def _w_norm_sq_at(metric: _AssemblyMemo, x: np.ndarray, h: float, order: int) -> float:
     _, _, _, _, W = metric.decomp(x)
     gi = np.linalg.inv(metric(x))
-    return 0.25 * float(np.einsum('ijkl,mnpq,im,jn,kp,lq->', W, W, gi, gi, gi, gi))
+    return 0.25 * float(np.vdot(congruence_four(W, gi), W))
 
 
 @dataclass(frozen=True)

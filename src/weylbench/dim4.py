@@ -12,7 +12,8 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import cubic_parts, dot_product, kulkarni_nomizu, ricci_contraction
+from .algebra import (congruence_four, cubic_parts, dot_product, kulkarni_nomizu,
+                      ricci_contraction)
 from .basis import pair_basis
 from .tensors import (EPS_ALG, CurvatureTensor, bianchi_residual, check_finite, check_small,
                       check_symmetric)
@@ -126,7 +127,7 @@ def _fix_sign(vecs: np.ndarray) -> np.ndarray:
 
 def _berger_frame_matrix(W: CurvatureTensor, frame: np.ndarray) -> np.ndarray:
     """Operator matrix in the frame-induced basis (f12, f13, f14, f34, f42, f23)."""
-    Wf = np.einsum('ma,nb,pc,qd,mnpq->abcd', frame, frame, frame, frame, W.four())
+    Wf = congruence_four(W.four(), frame)
     order = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
     M6 = np.zeros((6, 6))
     for a, (i, j) in enumerate(order):

@@ -13,6 +13,7 @@ import pytest
 from weylbench.algebra import (
     bianchi_project,
     circ_prime,
+    congruence_four,
     cubic_parts,
     decompose,
     dot_product,
@@ -555,6 +556,21 @@ def sharp_einsum_reference(A, B):
                   - np.transpose(m, (0, 1, 3, 2)) - np.transpose(m, (1, 0, 2, 3)))
 
 
+def frame_rotation_einsum_reference(frame, T):
+    """Five-operand form of the dim-4 frame rotation (the earlier implementation)."""
+    return np.einsum('ma,nb,pc,qd,mnpq->abcd', frame, frame, frame, frame, T)
+
+
+def w_norm_sq_einsum_reference(W, gi):
+    """Six-operand form of the chart's |W|^2_g (the earlier implementation)."""
+    return 0.25 * float(np.einsum('ijkl,mnpq,im,jn,kp,lq->', W, W, gi, gi, gi, gi))
+
+
+def _inverse_metric(n):
+    A = np.eye(n) + 0.2 * rng.uniform(-1.0, 1.0, size=(n, n))
+    return np.linalg.inv(A.T @ A)
+
+
 def _curvature_batch(n, count):
     N = pair_basis(n).size
     m = rng.uniform(-1.0, 1.0, size=(count, N, N))
@@ -584,6 +600,7 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(weyl_split, R4)
     _assert_batch_equals_single(sharp_four, R4, S4)
     _assert_batch_equals_single(cubic_parts, weyl_split(R4).W)
+    _assert_batch_equals_single(lambda a: congruence_four(a, h[0]), R4)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -648,3 +665,33 @@ def test_cubic_parts_determinant_identities_n4():
         det = float(np.linalg.det(block))
         assert float(square) == pytest.approx(3.0 * det, abs=1e-13)
         assert float(sharp) == pytest.approx(6.0 * det, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_congruence_four_matches_einsum_reference(n):
+    T = rng.uniform(-1.0, 1.0, size=(n,) * 4)  # no index symmetry
+    A = rng.uniform(-1.0, 1.0, size=(n, n))    # neither symmetric nor orthogonal
+    expect = frame_rotation_einsum_reference(A, T)
+    assert np.abs(congruence_four(T, A) - expect).max() <= 1e-13 * np.abs(expect).max()
+    assert congruence_four(np.stack([T, 2.0 * T]), A).shape == (2,) + (n,) * 4
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_weyl_norm_with_metric_matches_einsum_reference(n):
+    W = weyl_split(_curvature_batch(n, 1)[0]).W
+    gi = _inverse_metric(n)
+    value = 0.25 * float(np.vdot(congruence_four(W, gi), W))
+    assert value == pytest.approx(w_norm_sq_einsum_reference(W, gi), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_weyl_norm_with_metric_is_coordinate_invariant(n):
+    """|W|^2_g is unchanged when W and g^-1 move to new coordinates x = P y."""
+    W = weyl_split(_curvature_batch(n, 1)[0]).W
+    gi = _inverse_metric(n)
+    P = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, size=(n, n))
+    Pi = np.linalg.inv(P)
+    W_new, gi_new = congruence_four(W, P), Pi @ gi @ Pi.T
+    before = float(np.vdot(congruence_four(W, gi), W))
+    after = float(np.vdot(congruence_four(W_new, gi_new), W_new))
+    assert after == pytest.approx(before, rel=1e-12)
