@@ -85,6 +85,8 @@ def audit_cubic_bounds(n: int, samples: int, seed: int = 0,
     trace-free tensors; all values <= 0 mean zero violations."""
     if n < 5:
         raise ValueError("audit applies for n >= 5")
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     from .sampling import random_weyl_batch
     rng = np.random.default_rng([seed, n])
     mask = disjoint_pair_mask(n)
@@ -119,6 +121,8 @@ def audit_eigen_bound(samples: int, seed: int = 0,
                       sizes: tuple[int, ...] = tuple(range(2, 11))) -> float:
     """Worst relative excess of max |eigenvalue| over sqrt((m-1)/m)|T| on random
     traceless symmetric matrices."""
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for m in sizes:
@@ -190,7 +194,8 @@ def table_c(n: int) -> float:
 
 def wcubic_closed_form(s: float, n: int) -> float:
     """Maximum of sum x_i^3 / sum x_i^2 over sum x_i = 0, x_i <= s: s(n-2)/(n-1)."""
-    if s <= 0:
+    check_finite(s)
+    if not s > 0:
         raise ValueError("cap must be positive")
     if n < 2:
         raise ValueError("need at least two variables")
@@ -198,23 +203,22 @@ def wcubic_closed_form(s: float, n: int) -> float:
 
 
 def _project_feasible(x: np.ndarray, s: float) -> np.ndarray:
-    """Row-wise Euclidean projection onto {sum x = 0, x_i <= s} (bisection on the shift)."""
+    """Exact row-wise Euclidean projection onto {sum x = 0, x_i <= s}: y = s - x maps it onto
+    the simplex {y >= 0, sum y = n s}, projected by one sort and cumsum (Duchi et al. 2008)."""
     x = np.atleast_2d(x)
-    lo = x.min(axis=1) - s - 1.0
-    hi = x.max(axis=1)
-    for _ in range(100):
-        mu = 0.5 * (lo + hi)
-        total = np.minimum(x - mu[:, None], s).sum(axis=1)
-        above = total > 0
-        lo = np.where(above, mu, lo)
-        hi = np.where(above, hi, mu)
-    return np.minimum(x - (0.5 * (lo + hi))[:, None], s)
+    n = x.shape[1]
+    u = s - np.sort(x, axis=1)                  # s - x, descending
+    k = np.arange(1, n + 1)
+    excess = np.cumsum(u, axis=1) - n * s       # sum of the k largest, minus n s
+    rho = np.count_nonzero(u * k > excess, axis=1, keepdims=True)  # entries below the cap
+    return np.minimum(x + np.take_along_axis(excess, rho - 1, axis=1) / rho, s)
 
 
-def _ratio(x: np.ndarray) -> np.ndarray:
+def _ratio(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sum x^3 / sum x^2, sum x^2, sum x^3) per row."""
     q = np.sum(x * x, axis=1)
     p = np.sum(x ** 3, axis=1)
-    return np.where(q > 1e-18, p / np.maximum(q, 1e-18), -np.inf)
+    return np.where(q > 1e-18, p / np.maximum(q, 1e-18), -np.inf), q, p
 
 
 @dataclass(frozen=True)
@@ -231,40 +235,36 @@ def wcubic_oracle(s: float, n: int, budget: int = 100_000, starts: int = 64,
 
     Multi-start projected gradient ascent with step halving (the candidate
     rows march in lockstep), seeded with the structured stationary points
-    (q entries at the cap, the rest equal).
+    (k entries at the cap, the rest equal).
     """
-    if s <= 0:
+    check_finite(s)
+    if not s > 0:
         raise ValueError("cap must be positive")
     if not 2 <= n <= 12:
         raise ValueError("oracle supports 2 <= n <= 12")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     rng = np.random.default_rng(seed)
-    structured = []
-    for q in range(1, n):
-        x0 = np.full(n, -q * s / (n - q))
-        x0[:q] = s
-        structured.append(x0)
-    x = np.vstack([np.array(structured),
+    k = np.arange(1, n)[:, None]
+    x = np.vstack([np.where(np.arange(n) < k, s, -k * s / (n - k)),
                    _project_feasible(rng.uniform(-1.0, 1.0, size=(starts, n)) * s, s)])
-    fx = _ratio(x)
+    fx, q, p = _ratio(x)
     step = np.full(x.shape[0], 0.5 * s)
     evals = x.shape[0]
     converged = True
     while evals < budget:
-        active = step > 1e-12 * s
-        if not active.any():
+        if not (step > 1e-12 * s).any():
             break
-        q = np.sum(x * x, axis=1)
-        p = np.sum(x ** 3, axis=1)
         qs = np.maximum(q, 1e-18)
         grad = (3.0 * x * x * qs[:, None] - 2.0 * x * p[:, None]) / (qs * qs)[:, None]
         grad -= grad.mean(axis=1, keepdims=True)
         gn = np.maximum(np.linalg.norm(grad, axis=1), 1e-30)
         trial = _project_feasible(x + (step / gn)[:, None] * grad, s)
-        ft = _ratio(trial)
+        ft, qt, pt = _ratio(trial)
         evals += x.shape[0]
         accept = ft > fx
         x = np.where(accept[:, None], trial, x)
-        fx = np.where(accept, ft, fx)
+        fx, q, p = np.where(accept, (ft, qt, pt), (fx, q, p))
         step = np.where(accept, step, step * 0.5)
     else:
         converged = bool((step <= 1e-10 * s).all())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weylbench.bounds import (
+    _project_feasible,
     audit_cubic_bounds,
     audit_eigen_bound,
     berger_component_bound,
@@ -174,6 +175,167 @@ def test_wcubic_structured_candidate_attains():
         x[0] = s
         ratio = float(np.sum(x ** 3) / np.sum(x ** 2))
         assert abs(ratio - wcubic_closed_form(s, n)) < 1e-12
+
+
+# ------------------------------------------------ exact feasible projection
+
+EPS = np.finfo(float).eps
+
+
+def bisection_projection_reference(x, s):
+    """Row-wise projection onto {sum x = 0, x_i <= s} by 100 bisection steps on
+    the shift (the earlier implementation of ``_project_feasible``)."""
+    x = np.atleast_2d(x)
+    lo = x.min(axis=1) - s - 1.0
+    hi = x.max(axis=1)
+    for _ in range(100):
+        mu = 0.5 * (lo + hi)
+        total = np.minimum(x - mu[:, None], s).sum(axis=1)
+        above = total > 0
+        lo = np.where(above, mu, lo)
+        hi = np.where(above, hi, mu)
+    return np.minimum(x - (0.5 * (lo + hi))[:, None], s)
+
+
+def _projection_rows(n, s, gen):
+    """Random rows over five scales plus adversarial ones: ties, feasible rows
+    (the structured stationary points among them), rows far above the cap."""
+    rows = [gen.normal(size=(40, n)) * scale * s for scale in (1e-3, 0.1, 1.0, 10.0, 1e4)]
+    feasible = bisection_projection_reference(gen.normal(size=(10, n)) * s, s)
+    structured = [np.where(np.arange(n) < q, s, -q * s / (n - q)) for q in range(1, n)]
+    ties = [np.full(n, c * s) for c in (-3.0, 0.0, 0.5, 1.0, 7.0)]
+    ties += [np.repeat([4.0 * s, -s], [q, n - q]) for q in range(1, n)]
+    ties.append(np.repeat([s + 1e-15, s - 1e-15], [1, n - 1]))
+    above = [np.abs(gen.normal(size=(10, n))) * 1e6 * s + s,
+             np.full((1, n), 1e8 * s)]
+    return np.vstack(rows + [feasible, np.array(structured), np.array(ties)] + above)
+
+
+def _row_scale(x, s):
+    return np.maximum(1.0, np.maximum(np.abs(x).max(axis=1), s))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_projection_matches_bisection_reference(n):
+    gen = np.random.default_rng([21, n])
+    for s in (0.5, 1.0, 1.3, 2.0):
+        x = _projection_rows(n, s, gen)
+        diff = np.abs(_project_feasible(x, s) - bisection_projection_reference(x, s)).max(axis=1)
+        assert (diff <= 1e-14 * _row_scale(x, s)).all(), diff.max()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_projection_is_feasible_and_idempotent(n):
+    gen = np.random.default_rng([22, n])
+    for s in (0.5, 1.0, 1.3, 2.0):
+        x = _projection_rows(n, s, gen)
+        y = _project_feasible(x, s)
+        # each of the n entries x_i + theta rounds once at the row scale, and
+        # theta carries the cumulative-sum rounding of up to n terms
+        ulps = 2 * n * EPS * _row_scale(x, s)
+        assert y.max() <= s
+        assert (np.abs(y.sum(axis=1)) <= ulps).all()
+        assert (np.abs(_project_feasible(y, s) - y).max(axis=1) <= ulps).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+def test_projection_is_one_shift_per_row_then_the_cap(n):
+    gen = np.random.default_rng([23, n])
+    s = 1.3
+    x = _projection_rows(n, s, gen)
+    y = _project_feasible(x, s)
+    free = y < s
+    # the shift mu with y = min(x - mu, s), read off any entry below the cap
+    mu = np.where(free, x - y, np.nan)
+    mu_row = np.nanmedian(mu, axis=1)
+    scale = _row_scale(x, s)
+    spread = np.nanmax(mu, axis=1) - np.nanmin(mu, axis=1)
+    assert (spread <= 4 * EPS * scale).all()
+    assert (np.abs(np.minimum(x - mu_row[:, None], s) - y).max(axis=1) <= 4 * EPS * scale).all()
+
+
+def test_projection_of_a_stack_equals_rowwise():
+    gen = np.random.default_rng(24)
+    for n in (2, 4, 7, 12):
+        x = _projection_rows(n, 1.0, gen)
+        stacked = _project_feasible(x, 1.0)
+        for row, out in zip(x, stacked):
+            assert np.array_equal(_project_feasible(row, 1.0)[0], out)
+
+
+# ------------------------------------- enumerative second oracle (test side)
+
+def wcubic_enumerated(s, n):
+    """Budget-free maximum of sum x^3 / sum x^2 on {sum x = 0, x <= s}.
+
+    At a KKT point every free coordinate solves 3x^2 q - 2x p = lambda q^2, so
+    the free coordinates take at most two values.  Enumerate the patterns: k
+    entries at the cap, a at u, the other m = n - k - a at
+    v = -(k s + a u) / m, and maximise the ratio in the one unknown u over
+    its stationary points and the ends of u <= s, v <= s.
+    """
+    from numpy.polynomial import Polynomial as P
+
+    best = -math.inf
+    for k in range(n):
+        for a in range(n - k):
+            m = n - k - a
+            u = P([0.0, 1.0])
+            v = -(k * s + a * u) / m
+            cubic = k * s ** 3 + a * u ** 3 + m * v ** 3
+            square = k * s ** 2 + a * u ** 2 + m * v ** 2
+            if a == 0:
+                candidates = [0.0]  # no unknown: v = -k s / m
+            else:
+                numerator = cubic.deriv() * square - cubic * square.deriv()
+                lo, hi = -(k + m) * s / a, s
+                candidates = [lo, hi] + [r.real for r in np.roots(numerator.coef[::-1])
+                                         if abs(r.imag) <= 1e-9 and lo <= r.real <= hi]
+            for c in candidates:
+                q = square(c)
+                if q > 1e-12 * s * s:
+                    best = max(best, cubic(c) / q)
+    return best
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_enumerated_maximum_equals_closed_form(n):
+    for s in (0.5, 1.0, 1.3, 2.0):
+        closed = wcubic_closed_form(s, n)
+        assert wcubic_enumerated(s, n) == pytest.approx(closed, rel=1e-12, abs=1e-12 * s)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_wcubic_oracle_within_enumerated_maximum(n):
+    for s in (0.5, 1.0, 2.0):
+        enum = wcubic_enumerated(s, n)
+        value = wcubic_oracle(s, n, seed=5).value
+        assert enum - 1e-4 <= value <= enum + 1e-9, (n, s, value, enum)
+
+
+# ------------------------------------------------ oracle and audit boundaries
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_wcubic_rejects_bad_cap(cap):
+    for call in (wcubic_closed_form, wcubic_oracle):
+        with pytest.raises(ValueError, match="finite|positive"):
+            call(cap, 5)
+
+
+def test_wcubic_oracle_budget_guard():
+    with pytest.raises(ValueError, match="budget"):
+        wcubic_oracle(1.0, 5, budget=-1)
+    # no budget leaves the seeded rows, among them the maximiser (s, -s/(n-1), ...)
+    res = wcubic_oracle(1.0, 5, budget=0)
+    assert res.evaluations == 4 + 64 and not res.converged
+    assert res.value == pytest.approx(wcubic_closed_form(1.0, 5), rel=1e-14)
+
+
+def test_audits_reject_negative_samples():
+    with pytest.raises(ValueError, match="samples"):
+        audit_cubic_bounds(5, -1)
+    with pytest.raises(ValueError, match="samples"):
+        audit_eigen_bound(-1)
 
 
 # ---------------------------------------------------------------- constants

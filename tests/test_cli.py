@@ -197,6 +197,15 @@ def test_bounds_zero_trials_passes(capsys):
         assert results[f"audit.{name}_excess"] == 0.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--trials", "1", "--budget", "-1"), "budget must be >= 0"),
+    (("--trials", "-1"), "samples must be >= 0"),
+], ids=["negative-budget", "negative-trials"])
+def test_bounds_negative_count_is_usage_error(capsys, argv, message):
+    assert run_cli("bounds", *argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bounds_nan_sample_fails(monkeypatch, capsys):
     from weylbench import sampling
 
