@@ -6,6 +6,9 @@ quantities from differences of the pointwise fields with Christoffel
 correction.  Everything is expressed at the center point in the
 Gram-orthonormalized coordinate frame (lower-triangular Cholesky convention).
 
+Every stencil point of an assembly is an integer offset k from the center,
+with coordinates ``GridSpec.point(k) = center + h * k``.
+
 Sign convention: R_ijkl = -g_ls R^s_ijk with
 R^s_ijk = d_i Gamma^s_jk - d_j Gamma^s_ik + Gamma-quadratic terms, which makes
 the round unit sphere have sectional curvature +1.
@@ -38,6 +41,7 @@ from .tensors import (
     ThreeTwoTensor,
     TwoFormOneForm,
     check_finite,
+    check_symmetric,
 )
 
 
@@ -59,7 +63,7 @@ class ChartMetric:
         g = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
         if g.shape != (self.n, self.n):
             raise ValueError(f"metric evaluator returned shape {g.shape}")
-        if np.linalg.eigvalsh(g).min() <= 0:
+        if not np.linalg.eigvalsh(g).min() > 0:  # a NaN fails too
             raise ValueError(f"metric not positive definite at {np.asarray(x).tolist()}")
         return g
 
@@ -77,6 +81,10 @@ class GridSpec:
             raise ValueError("step must be positive")
         if self.order not in (2, 4):
             raise ValueError("stencil order must be 2 or 4")
+
+    def point(self, k) -> np.ndarray:
+        """Coordinates of the stencil point at integer offset k."""
+        return self.center + self.h * np.asarray(k, dtype=float)
 
 
 def _sphere_stereo(n: int, radius: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -114,148 +122,155 @@ def _perturbed(n: int, amp: float) -> Callable[[np.ndarray], np.ndarray]:
 def preset_metric(name: str) -> ChartMetric:
     """Named chart presets.
 
-    "euclidean:n", "sphere-stereo:n[:r]", "product-spheres:p:q:r1:r2",
+    "euclidean:n", "sphere-stereo:n[:r]", "product-spheres:p:q[:r1[:r2]]",
     "perturbed:n[:amp]".  The first three carry the harmonic-Weyl tag (flat,
     conformally flat, locally symmetric); the perturbed family is generic.
+    Radii default to 1 and must be positive and finite.
     """
     bits = name.strip().split(":")
     kind = bits[0]
-    if kind == "euclidean":
+
+    def radius(i: int) -> float:
+        r = float(bits[i]) if len(bits) > i else 1.0
+        if not 0 < r < math.inf:
+            raise ValueError("radius must be positive and finite")
+        return r
+
+    if kind == "euclidean" and len(bits) == 2:
         n = int(bits[1])
         return ChartMetric(name, n, lambda x: np.eye(n), harmonic_weyl=True)
-    if kind == "sphere-stereo":
+    if kind == "sphere-stereo" and len(bits) in (2, 3):
         n = int(bits[1])
-        r = float(bits[2]) if len(bits) > 2 else 1.0
-        return ChartMetric(name, n, _sphere_stereo(n, r), harmonic_weyl=True)
-    if kind == "product-spheres":
+        return ChartMetric(name, n, _sphere_stereo(n, radius(2)), harmonic_weyl=True)
+    if kind == "product-spheres" and len(bits) in (3, 4, 5):
         p, q = int(bits[1]), int(bits[2])
-        r1 = float(bits[3]) if len(bits) > 3 else 1.0
-        r2 = float(bits[4]) if len(bits) > 4 else 1.0
-        return ChartMetric(name, p + q, _product_spheres(p, q, r1, r2), harmonic_weyl=True)
-    if kind == "perturbed":
+        return ChartMetric(name, p + q, _product_spheres(p, q, radius(3), radius(4)),
+                           harmonic_weyl=True)
+    if kind == "perturbed" and len(bits) in (2, 3):
         n = int(bits[1])
         amp = float(bits[2]) if len(bits) > 2 else 0.05
         return ChartMetric(name, n, _perturbed(n, amp), harmonic_weyl=False)
-    raise ValueError(f"unknown chart preset {name!r}")
+    raise ValueError(f"bad chart preset {name!r}")
 
 
 def grid_file_metric(path: str) -> ChartMetric:
-    """Metric tabulated at explicit points; evaluation only at supplied nodes."""
+    """Metric tabulated at the lattice offsets of one assembly (see ``dump_grid_file``).
+
+    A point x is served only if it is the file grid's point c + h*k of a listed
+    offset k, bit for bit.  At load every matrix must be finite and symmetric
+    and every offset a distinct length-n integer vector.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if "points" in data:
+        raise ValueError(f"{path} is an old-format grid file (explicit points); "
+                         "write it again with dump_grid_file")
     n = int(data["n"])
+    spec = data["grid"]
+    grid = GridSpec(center=spec["center"], h=float(spec["h"]), order=int(spec["order"]))
     table: dict[tuple, np.ndarray] = {}
-    for point, mat in zip(data["points"], data["matrices"]):
-        key = tuple(round(float(c), 12) for c in point)
-        table[key] = np.asarray(mat, dtype=float)
+    for k, mat in zip(data["offsets"], data["matrices"], strict=True):
+        if (not (isinstance(k, list) and len(k) == n and all(type(c) is int for c in k))
+                or tuple(k) in table):
+            raise ValueError(f"grid file offset {k!r} is not a new length-{n} integer vector")
+        table[tuple(k)] = check_symmetric(mat, "grid file matrix")
+
     def fn(x: np.ndarray) -> np.ndarray:
-        key = tuple(round(float(c), 12) for c in x)
-        if key not in table:
-            raise KeyError(f"grid file has no metric sample at {list(key)}")
-        return table[key]
-    default_grid = None
-    if "grid" in data:
-        g = data["grid"]
-        default_grid = GridSpec(center=np.asarray(g["center"], dtype=float),
-                                h=float(g["h"]), order=int(g["order"]))
+        k = np.rint((x - grid.center) / grid.h)
+        g = table.get(tuple(int(c) for c in k)) if np.array_equal(grid.point(k), x) else None
+        if g is None:
+            raise KeyError(f"grid file has no metric sample at {x.tolist()}")
+        return g
+
     return ChartMetric(name=f"grid-file:{path}", n=n, fn=fn,
                        harmonic_weyl=bool(data.get("harmonic_weyl", False)),
-                       default_grid=default_grid)
-
-
-def recording_metric(
-        metric: ChartMetric) -> tuple[ChartMetric, list[tuple[np.ndarray, np.ndarray]]]:
-    """Wrap a metric so every evaluation is recorded as a (point, matrix) pair."""
-    log: list[tuple[np.ndarray, np.ndarray]] = []
-    def fn(x: np.ndarray) -> np.ndarray:
-        g = metric.fn(x)
-        log.append((np.array(x, dtype=float), g))
-        return g
-    return ChartMetric(metric.name, metric.n, fn, metric.harmonic_weyl), log
+                       default_grid=grid)
 
 
 def dump_grid_file(metric: ChartMetric, grid: GridSpec, path: str,
                    with_ricci_identity: bool = False) -> int:
-    """Tabulate exactly the points a field assembly touches and write them as JSON."""
-    rec, log = recording_metric(metric)
-    curvature_field(rec, grid, with_ricci_identity=with_ricci_identity)
-    seen: dict[tuple, list] = {}
-    for x, g in log:
-        key = tuple(round(float(c), 12) for c in x)
-        if key not in seen:
-            seen[key] = np.asarray(g).tolist()
-    points = sorted(seen)
+    """Run one field assembly and write its metric table, addressed by offset, as JSON."""
+    lattice = _Lattice(metric, grid)
+    _assemble(lattice, with_ricci_identity)
+    offsets = sorted(lattice.tables["g"])
     data = {"n": metric.n, "harmonic_weyl": metric.harmonic_weyl,
             "grid": {"center": grid.center.tolist(), "h": grid.h, "order": grid.order},
-            "points": [list(p) for p in points],
-            "matrices": [seen[p] for p in points]}
+            "offsets": [list(k) for k in offsets],
+            "matrices": [lattice.tables["g"][k].tolist() for k in offsets]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
-    return len(points)
+    return len(offsets)
 
 
-def _d1(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, m: int,
-        h: float, order: int):
-    e = np.zeros_like(x)
-    e[m] = h
-    if order == 2:
-        return (f(x + e) - f(x - e)) / (2.0 * h)
-    return (-f(x + 2 * e) + 8.0 * f(x + e) - 8.0 * f(x - e) + f(x - 2 * e)) / (12.0 * h)
+def _shift(k: tuple, m: int, s: int) -> tuple:
+    """Offset k moved s steps along axis m."""
+    return k[:m] + (k[m] + s,) + k[m + 1:]
 
 
-def christoffel(metric: ChartMetric, x: np.ndarray, h: float, order: int = 2) -> np.ndarray:
-    """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), indexed [k, i, j]."""
-    gi = np.linalg.inv(metric(x))
-    dg = np.stack([_d1(metric, x, m, h, order) for m in range(metric.n)])
+class _Lattice:
+    """The stencil points of one field assembly, addressed by integer offsets.
+
+    ``g``, ``gamma``, ``decomp`` and ``w2`` give the validated metric,
+    ``christoffel``, ``_decomp_coords`` and ``_w_norm_sq_at`` at an offset k (a
+    tuple of ints), each computed once per offset and kept in ``tables``.  A
+    point reached along two stencil paths is one key, and its coordinates come
+    from the one formula ``grid.point(k)``.  A lattice lives for one assembly.
+    """
+
+    def __init__(self, metric: ChartMetric, grid: GridSpec):
+        if metric.n < 4:
+            raise ValueError("chart fields require dimension >= 4 (Weyl decomposition)")
+        if grid.center.shape != (metric.n,):
+            raise ValueError(f"center must have shape ({metric.n},)")
+        self.metric, self.grid, self.n = metric, grid, metric.n
+        self.origin = (0,) * metric.n
+        self.tables: dict[str, dict] = {s: {} for s in ("g", "gamma", "decomp", "w2")}
+
+    def _lookup(self, stage: str, k: tuple, compute: Callable[[], object]):
+        table = self.tables[stage]
+        if k not in table:
+            table[k] = compute()
+        return table[k]
+
+    def g(self, k): return self._lookup("g", k, lambda: self.metric(self.grid.point(k)))
+    def gamma(self, k): return self._lookup("gamma", k, lambda: christoffel(self, k))
+    def decomp(self, k): return self._lookup("decomp", k, lambda: _decomp_coords(self, k))
+    def w2(self, k): return self._lookup("w2", k, lambda: _w_norm_sq_at(self, k))
+
+    def grad(self, f: Callable[[tuple], np.ndarray], k: tuple) -> np.ndarray:
+        """d_m f at offset k, stacked over the axis m, by a central difference."""
+        def along(s):
+            return np.stack([f(_shift(k, m, s)) for m in range(self.n)])
+        h = self.grid.h
+        if self.grid.order == 2:
+            return (along(1) - along(-1)) / (2.0 * h)
+        return (-along(2) + 8.0 * along(1) - 8.0 * along(-1) + along(-2)) / (12.0 * h)
+
+    def nabla(self, f: Callable[[tuple], np.ndarray], k: tuple) -> np.ndarray:
+        """nabla_m T = d_m T - sum over slots a of Gamma^s_ma T_..s.. for T = f(k) of any rank."""
+        T, gam = f(k), self.gamma(k)
+        idx = "abcdefgh"[:T.ndim]
+        return self.grad(f, k) - sum(np.einsum(f"sm{a},{idx.replace(a, 's')}->m{idx}", gam, T)
+                                     for a in idx)
+
+
+def christoffel(lattice: _Lattice, k: tuple) -> np.ndarray:
+    """Gamma^c_ij = (1/2) g^{cl} (d_i g_jl + d_j g_il - d_l g_ij), indexed [c, i, j]."""
+    gi = np.linalg.inv(lattice.g(k))
+    dg = lattice.grad(lattice.g, k)
     term = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
     return 0.5 * np.einsum('kl,ijl->kij', gi, term)
 
 
-class _AssemblyMemo:
-    """The pure per-point stages of one field assembly, each evaluated once per point.
-
-    Calling the memo gives the validated metric, like the ChartMetric it wraps;
-    ``gamma``, ``decomp`` and ``w_norm_sq`` give ``christoffel``,
-    ``_decomp_coords`` and ``_w_norm_sq_at`` at the assembly's step and order.
-    The key is the exact coordinates (``x.tobytes()``), so a hit returns the
-    very value a recomputation would.  A memo lives for one assembly only.
-    """
-
-    def __init__(self, metric: ChartMetric, h: float, order: int):
-        self.metric, self.n, self.h, self.order = metric, metric.n, h, order
-        self._tables: dict[str, dict[bytes, object]] = {
-            "g": {}, "gamma": {}, "decomp": {}, "w2": {}}
-
-    def _lookup(self, stage: str, x: np.ndarray, compute: Callable[[], object]):
-        table, key = self._tables[stage], x.tobytes()
-        value = table.get(key)
-        if value is None:
-            value = table[key] = compute()
-        return value
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._lookup("g", x, lambda: self.metric(x))
-
-    def gamma(self, x: np.ndarray) -> np.ndarray:
-        return self._lookup("gamma", x, lambda: christoffel(self, x, self.h, self.order))
-
-    def decomp(self, x: np.ndarray) -> tuple:
-        return self._lookup("decomp", x, lambda: _decomp_coords(self, x, self.h, self.order))
-
-    def w_norm_sq(self, x: np.ndarray) -> float:
-        return self._lookup("w2", x, lambda: _w_norm_sq_at(self, x, self.h, self.order))
-
-
-def curvature_tensor_at(metric: _AssemblyMemo, x: np.ndarray, h: float,
-                        order: int = 2) -> np.ndarray:
+def curvature_tensor_at(lattice: _Lattice, k: tuple) -> np.ndarray:
     """(0,4) curvature in coordinates, projected onto its exact symmetry class.
 
     The projection removes the O(h^2) antisymmetry/pair-symmetry defects of
     the raw stencil value without touching its first-Bianchi content.
     """
-    g = metric(x)
-    gam = metric.gamma(x)
-    dgam = np.stack([_d1(metric.gamma, x, m, h, order) for m in range(metric.n)])
+    g = lattice.g(k)
+    gam = lattice.gamma(k)
+    dgam = lattice.grad(lattice.gamma, k)
     rup = (np.transpose(dgam, (0, 2, 3, 1)) - np.transpose(dgam, (2, 0, 3, 1))
            + np.einsum('sip,pjk->ijks', gam, gam) - np.einsum('sjp,pik->ijks', gam, gam))
     R = -np.einsum('ijks,ls->ijkl', rup, g)
@@ -264,16 +279,16 @@ def curvature_tensor_at(metric: _AssemblyMemo, x: np.ndarray, h: float,
     return 0.5 * (R + np.transpose(R, (2, 3, 0, 1)))
 
 
-def _decomp_coords(metric: _AssemblyMemo, x: np.ndarray, h: float, order: int):
-    """R, Rc, S, E, W in coordinates at x."""
-    R = curvature_tensor_at(metric, x, h, order)
-    split = weyl_split(R, metric(x))
+def _decomp_coords(lattice: _Lattice, k: tuple):
+    """R, Rc, S, E, W in coordinates at offset k."""
+    R = curvature_tensor_at(lattice, k)
+    split = weyl_split(R, lattice.g(k))
     return R, split.Rc, float(split.S), split.E, split.W
 
 
-def _w_norm_sq_at(metric: _AssemblyMemo, x: np.ndarray, h: float, order: int) -> float:
-    _, _, _, _, W = metric.decomp(x)
-    gi = np.linalg.inv(metric(x))
+def _w_norm_sq_at(lattice: _Lattice, k: tuple) -> float:
+    W = lattice.decomp(k)[4]
+    gi = np.linalg.inv(lattice.g(k))
     return 0.25 * float(np.vdot(congruence_four(W, gi), W))
 
 
@@ -306,53 +321,31 @@ class ChartCurvatureField:
 def curvature_field(metric: ChartMetric, grid: GridSpec,
                     with_ricci_identity: bool = False) -> ChartCurvatureField:
     """Assemble the full curvature field of a chart metric at the grid center."""
-    n = metric.n
-    if n < 4:
-        raise ValueError("chart fields require dimension >= 4 (Weyl decomposition)")
-    x0, h, order = grid.center, grid.h, grid.order
-    if x0.shape != (n,):
-        raise ValueError(f"center must have shape ({n},)")
+    return _assemble(_Lattice(metric, grid), with_ricci_identity)
+
+
+def _assemble(lattice: _Lattice, with_ricci_identity: bool) -> ChartCurvatureField:
+    n, h, o = lattice.n, lattice.grid.h, lattice.origin
     # wrap tolerance for validated containers: discretization leaves O(h^2) defects
     wrap_tol = max(1e-8, 200.0 * h * h)
-    # every stencil point is reached many times; each stage runs once per point
-    memo = _AssemblyMemo(metric, h, order)
-    g0 = memo(x0)
+    g0 = lattice.g(o)
     gi0 = np.linalg.inv(g0)
     L = np.linalg.cholesky(g0)
     F = np.linalg.inv(L).T  # columns: frame vectors; F^T g0 F = Id
-    gam0 = memo.gamma(x0)
+    gam0 = lattice.gamma(o)
 
-    R0, Rc0, _, _, W0 = memo.decomp(x0)
-
-    def cov_deriv4(tensor_at: Callable[[np.ndarray], np.ndarray], T0: np.ndarray) -> np.ndarray:
-        dT = np.stack([_d1(tensor_at, x0, m, h, order) for m in range(n)])
-        return dT - (np.einsum('sma,sbcd->mabcd', gam0, T0)
-                     + np.einsum('smb,ascd->mabcd', gam0, T0)
-                     + np.einsum('smc,absd->mabcd', gam0, T0)
-                     + np.einsum('smd,abcs->mabcd', gam0, T0))
-
-    def R_at(x): return memo.decomp(x)[0]
-    def W_at(x): return memo.decomp(x)[4]
-    def Rc_at(x): return memo.decomp(x)[1]
-    def S_at(x): return memo.decomp(x)[2]
-
-    nR = cov_deriv4(R_at, R0)
-    nW = cov_deriv4(W_at, W0)
-    dRc = np.stack([_d1(Rc_at, x0, m, h, order) for m in range(n)])
-    nRc = dRc - (np.einsum('sma,sb->mab', gam0, Rc0) + np.einsum('smb,as->mab', gam0, Rc0))
-    dS = np.array([_d1(S_at, x0, m, h, order) for m in range(n)])
+    # decomp(k) is (R, Rc, S, E, W) in coordinates
+    nR = lattice.nabla(lambda k: lattice.decomp(k)[0], o)
+    nW = lattice.nabla(lambda k: lattice.decomp(k)[4], o)
+    nRc = lattice.nabla(lambda k: lattice.decomp(k)[1], o)
+    vS = F.T @ lattice.grad(lambda k: lattice.decomp(k)[2], o)
 
     def to_frame(T: np.ndarray) -> np.ndarray:
-        out = T
         for _ in range(T.ndim):
-            out = np.tensordot(out, F, axes=([0], [0]))
-        return out
+            T = np.tensordot(T, F, axes=([0], [0]))
+        return T
 
-    Rf = to_frame(R0)
-    nRf = to_frame(nR)
-    nWf = to_frame(nW)
-    nRcf = to_frame(nRc)
-    vS = F.T @ dS
+    Rf, nRf, nWf, nRcf = map(to_frame, (lattice.decomp(o)[0], nR, nW, nRc))
 
     R_op = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(Rf), tol=wrap_tol)
     frame_split = weyl_split(Rf)
@@ -368,60 +361,41 @@ def curvature_field(metric: ChartMetric, grid: GridSpec,
     b_w = second_bianchi(nabla_w)
     b_r = second_bianchi(nabla_r)
 
-    w2_at = memo.w_norm_sq
+    w2 = lattice.w2
     d2f = np.zeros((n, n))
-    f0 = w2_at(x0)
+    f0 = w2(o)
     for a in range(n):
-        ea = np.zeros(n); ea[a] = h
-        d2f[a, a] = (w2_at(x0 + ea) - 2.0 * f0 + w2_at(x0 - ea)) / (h * h)
+        d2f[a, a] = (w2(_shift(o, a, 1)) - 2.0 * f0 + w2(_shift(o, a, -1))) / (h * h)
         for b in range(a + 1, n):
-            eb = np.zeros(n); eb[b] = h
-            v = (w2_at(x0 + ea + eb) - w2_at(x0 + ea - eb)
-                 - w2_at(x0 - ea + eb) + w2_at(x0 - ea - eb)) / (4.0 * h * h)
+            def w2_ab(sa, sb): return w2(_shift(_shift(o, a, sa), b, sb))
+            v = (w2_ab(1, 1) - w2_ab(1, -1) - w2_ab(-1, 1) + w2_ab(-1, -1)) / (4.0 * h * h)
             d2f[a, b] = d2f[b, a] = v
-    d1f = np.array([_d1(w2_at, x0, m, h, order) for m in range(n)])
+    d1f = lattice.grad(w2, o)
     lap_w2 = float(np.einsum('ab,ab->', gi0, d2f)
                    - np.einsum('ab,sab,s->', gi0, gam0, d1f))
 
-    def absw_at(x): return math.sqrt(max(w2_at(x), 0.0))
-    dabs = np.array([_d1(absw_at, x0, m, h, order) for m in range(n)])
-    grad_absw = F.T @ dabs
-
+    grad_absw = F.T @ lattice.grad(lambda k: math.sqrt(max(w2(k), 0.0)), o)
     nw_norm_sq = float(np.sum(nabla_w.comps ** 2))
-
-    ricci_res = None
-    if with_ricci_identity:
-        ricci_res = _ricci_identity_residual(memo, x0, h, order, gam0, R0, Rc0)
+    ricci_res = _ricci_identity_residual(lattice, o) if with_ricci_identity else None
 
     return ChartCurvatureField(
-        metric=metric, grid=grid, frame=F, R=R_op, Rc=frame_split.Rc, S=dec.S,
-        decomposition=dec,
+        metric=lattice.metric, grid=lattice.grid, frame=F, R=R_op, Rc=frame_split.Rc,
+        S=dec.S, decomposition=dec,
         nabla_r=nabla_r, nabla_w=nabla_w, nabla_rc=nRcf, grad_s=vS,
         delta_w=delta_w, P=P, Q=Q, b_w=b_w, b_r=b_r,
         lap_w_norm_sq=lap_w2, grad_w_norm=grad_absw, nabla_w_norm_sq=nw_norm_sq,
         ricci_identity_residual=ricci_res)
 
 
-def _ricci_identity_residual(metric: _AssemblyMemo, x0: np.ndarray, h: float, order: int,
-                             gam0: np.ndarray, R0: np.ndarray, Rc0: np.ndarray) -> float:
+def _ricci_identity_residual(lattice: _Lattice, k: tuple) -> float:
     """Commutator of second covariant derivatives of Ricci against the curvature terms."""
-    n = metric.n
-
-    def nabla_rc_at(x: np.ndarray) -> np.ndarray:
-        gam = metric.gamma(x)
-        Rc = metric.decomp(x)[1]
-        dRc = np.stack([_d1(lambda y: metric.decomp(y)[1], x, m, h, order) for m in range(n)])
-        return dRc - (np.einsum('sma,sb->mab', gam, Rc) + np.einsum('smb,as->mab', gam, Rc))
-
-    T0 = nabla_rc_at(x0)
-    dT = np.stack([_d1(nabla_rc_at, x0, m, h, order) for m in range(n)])
-    n2 = dT - (np.einsum('sab,scd->abcd', gam0, T0)
-               + np.einsum('sac,bsd->abcd', gam0, T0)
-               + np.einsum('sad,bcs->abcd', gam0, T0))
+    def nabla_rc(j): return lattice.nabla(lambda i: lattice.decomp(i)[1], j)
+    n2 = lattice.nabla(nabla_rc, k)
     comm = n2 - np.transpose(n2, (1, 0, 2, 3))
-    gi0 = np.linalg.inv(metric(x0))
-    rhs = (np.einsum('abcs,st,td->abcd', R0, gi0, Rc0)
-           + np.einsum('abds,st,tc->abcd', R0, gi0, Rc0))
+    R, Rc = lattice.decomp(k)[:2]
+    gi = np.linalg.inv(lattice.g(k))
+    rhs = (np.einsum('abcs,st,td->abcd', R, gi, Rc)
+           + np.einsum('abds,st,tc->abcd', R, gi, Rc))
     return float(np.abs(comm - rhs).max())
 
 

@@ -217,6 +217,8 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
     independent of the worker count and the per-dimension blocks may run in
     parallel processes.
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     for n in dimensions:
         if n < 4:
             raise ValueError("identity suite runs for dimensions >= 4")

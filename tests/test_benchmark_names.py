@@ -39,3 +39,24 @@ def test_dimension_worker_resolves():
 def test_patched_class_resolves():
     tensors = importlib.import_module("weylbench.tensors")
     assert "__init__" in vars(tensors.Operator2Form)
+
+
+def test_traced_assembly_records_every_chart_layer():
+    """A traced perturbed:5 order-4 assembly with the Ricci identity enters every
+    traced chart function and evaluates each distinct stencil point once."""
+    import numpy as np
+
+    tracing = load_tracing()
+    chart = importlib.import_module("weylbench.chart")
+    with tracing.installed(tracing.Tracer()) as tracer:
+        tracer.begin_op(0)
+        grid = chart.GridSpec(center=0.1 * (1.0 + np.arange(5)) / 5, h=1e-3, order=4)
+        field = chart.curvature_field(chart.preset_metric("perturbed:5"), grid,
+                                      with_ricci_identity=True)
+        chart.identity_residual_report(field)
+        tracer.end_op()
+    calls, _ = tracer.self_times()
+    silent = [f"chart.{name}" for module, name in tracing.TRACED_FUNCTIONS
+              if module == "chart" and not calls.get(f"chart.{name}")]
+    assert not silent, silent
+    assert tracer.metric_calls == tracer.metric_distinct == 4881

@@ -7,7 +7,7 @@ from weylbench.algebra import decompose
 from weylbench.chart import (
     ChartMetric,
     GridSpec,
-    _AssemblyMemo,
+    _Lattice,
     _w_norm_sq_at,
     curvature_field,
     dump_grid_file,
@@ -207,10 +207,27 @@ def test_grid_file_round_trip(tmp_path):
     assert gm.default_grid is not None
     assert np.allclose(gm.default_grid.center, CENTER4)
     assert gm.default_grid.h == 2e-3
+    # the file holds the assembly's own metric table: every output keeps its bits
     f_direct = curvature_field(m, grid)
     f_file = curvature_field(gm, grid)
-    assert f_file.S == pytest.approx(f_direct.S, abs=1e-12)
-    assert np.allclose(f_file.nabla_w.comps, f_direct.nabla_w.comps, atol=1e-12)
+    assert _field_bits(f_file) == _field_bits(f_direct)
+    assert ({k: float(v).hex() for k, v in identity_residual_report(f_file).items()}
+            == {k: float(v).hex() for k, v in identity_residual_report(f_direct).items()})
+
+
+def test_grid_file_round_trip_with_ricci_identity(tmp_path):
+    m = preset_metric("perturbed:4")
+    grid = GridSpec(center=CENTER4, h=1e-3, order=4)
+    path = str(tmp_path / "perturbed_grid.json")
+    count = dump_grid_file(m, grid, path, with_ricci_identity=True)
+    f_file = curvature_field(grid_file_metric(path), grid, with_ricci_identity=True)
+    f_direct = curvature_field(m, grid, with_ricci_identity=True)
+    assert _field_bits(f_file) == _field_bits(f_direct)
+    assert f_file.ricci_identity_residual == f_direct.ricci_identity_residual
+    # the file lists exactly the points the assembly evaluates
+    counted, seen = _counting("perturbed:4")
+    curvature_field(counted, grid, with_ricci_identity=True)
+    assert count == len(seen)
 
 
 def test_grid_file_missing_point(tmp_path):
@@ -220,6 +237,24 @@ def test_grid_file_missing_point(tmp_path):
     gm = grid_file_metric(path)
     with pytest.raises(KeyError):
         curvature_field(gm, GridSpec(center=np.full(4, 0.5), h=1e-3))
+
+
+def test_nan_metric_is_not_positive_definite():
+    bad = np.eye(4)
+    bad[1, 2] = bad[2, 1] = np.nan  # eigvalsh gives NaN eigenvalues here
+    m = ChartMetric("nan", 4, lambda x: bad)
+    with pytest.raises(ValueError, match="positive definite"):
+        m(np.zeros(4))
+
+
+@pytest.mark.parametrize("name", ["euclidean:4:7", "sphere-stereo:4:-1", "sphere-stereo:4:0",
+                                  "sphere-stereo:4:nan", "sphere-stereo:4:inf",
+                                  "sphere-stereo:4:1:2", "product-spheres:2:2:1.0:-1.0",
+                                  "product-spheres:2:2:1:1:1", "perturbed:4:0.05:1",
+                                  "euclidean", "perturbed"])
+def test_preset_parsing_is_strict(name):
+    with pytest.raises(ValueError):
+        preset_metric(name)
 
 
 def test_grid_spec_validation():
@@ -253,7 +288,7 @@ def _counting(name):
 
 @pytest.mark.parametrize("name, order, ricci, center, points", [
     ("sphere-stereo:4", 2, False, np.array([0.025, 0.05, 0.075, 0.1]), 313),
-    ("perturbed:5", 4, True, 0.1 * (1.0 + np.arange(5)) / 5, 5784),
+    ("perturbed:5", 4, True, 0.1 * (1.0 + np.arange(5)) / 5, 4881),
 ], ids=["sphere-stereo-4-order2", "perturbed-5-order4-ricci"])
 def test_field_evaluates_each_stencil_point_once(name, order, ricci, center, points):
     m, seen = _counting(name)
@@ -276,8 +311,8 @@ def test_coordinate_weyl_norm_matches_frame_norm(name):
     m = preset_metric(name)
     grid = GridSpec(center=0.1 * (1.0 + np.arange(m.n)) / m.n, h=1e-3)
     f = curvature_field(m, grid)
-    coords = _w_norm_sq_at(_AssemblyMemo(m, grid.h, grid.order), grid.center,
-                           grid.h, grid.order)
+    lattice = _Lattice(m, grid)
+    coords = _w_norm_sq_at(lattice, lattice.origin)
     frame = inner(f.decomposition.weyl, f.decomposition.weyl)
     assert frame > 1e-6
     assert coords == pytest.approx(frame, rel=1e-12)

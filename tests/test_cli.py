@@ -264,3 +264,69 @@ def test_infinite_symmetric_pair_prints_only_the_error(tmp_path):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def _grid_file(tmp_path, edit):
+    """A product-spheres grid file, edited before it is written back."""
+    from weylbench.chart import GridSpec, dump_grid_file, preset_metric
+    path = tmp_path / "grid.json"
+    dump_grid_file(preset_metric("product-spheres:2:2:1.0:1.0"),
+                   GridSpec(center=np.array([0.07, -0.12, 0.1, 0.06]), h=1e-3), str(path))
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _nan_outer_point(data):
+    # the last offset in sorted order is on the outer edge of the stencil
+    data["matrices"][-1][1][2] = data["matrices"][-1][2][1] = float("nan")
+
+
+def _asymmetric(data):
+    data["matrices"][-1][0][1] += 0.5
+
+
+def _repeated_offset(data):
+    data["offsets"][1] = data["offsets"][0]
+
+
+def _float_offset(data):
+    data["offsets"][0] = [float(c) for c in data["offsets"][0]]
+
+
+def _short_offset(data):
+    data["offsets"][0] = data["offsets"][0][:3]
+
+
+def _missing_matrix(data):
+    data["matrices"].pop()
+
+
+@pytest.mark.parametrize("edit", [_nan_outer_point, _asymmetric, _repeated_offset,
+                                  _float_offset, _short_offset, _missing_matrix],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_bad_grid_file_is_usage_error(tmp_path, capsys, edit):
+    assert run_cli("chart", str(_grid_file(tmp_path, edit)), "--format", "json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_old_format_grid_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"n": 4, "points": [[0.0] * 4], "matrices": [np.eye(4).tolist()],
+                                "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}}))
+    assert run_cli("chart", str(path)) == 2
+    assert "write it again with dump_grid_file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["sphere-stereo:4:-1", "sphere-stereo:4:inf",
+                                    "euclidean:4:7", "product-spheres:2:2:1:0"])
+def test_bad_chart_preset_is_usage_error(capsys, preset):
+    assert run_cli("chart", preset) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_identities_negative_trials_is_usage_error(capsys):
+    assert run_cli("identities", "--n", "4", "--trials", "-3") == 2
+    assert capsys.readouterr().err == "error: trials must be >= 0\n"

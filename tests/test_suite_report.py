@@ -3,8 +3,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from weylbench.suite import SuiteReport, _run_dimension
+from weylbench.suite import SuiteReport, _run_dimension, run_identity_suite
 
 
 def report():
@@ -42,3 +43,9 @@ def test_run_dimension_takes_one_tuple():
     residuals, stats = _run_dimension((4, 1, 0, 1e-10))
     assert residuals and all(np.isfinite(v) for v in residuals.values())
     assert "sharp_cubic_n4" in residuals and stats == {}
+
+
+def test_negative_trials_are_refused():
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        run_identity_suite(dimensions=(4,), trials=-1)
+    assert run_identity_suite(dimensions=(4,), trials=0).residuals == {}
