@@ -8,6 +8,8 @@ against that single choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +39,10 @@ __all__ = [
 ]
 
 # Raw kernels (kn_four, _ricci_trace, weyl_split, sharp_four, cubic_parts,
-# congruence_four) act on the trailing four (or two) axes of plain arrays and
-# broadcast over any leading batch axes; the typed functions below wrap them.
+# congruence_four, circ_prime_full, second_bianchi_full, u_tensor_contractions,
+# pure_cubic_parts) act on the trailing axes of plain arrays (two to five of
+# them) and broadcast over any leading batch axes; the typed functions below
+# wrap them.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -75,6 +79,14 @@ class WeylSplit(NamedTuple):
     W: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _kn_identity(n: int) -> np.ndarray:
+    """g o g of the identity metric, read-only."""
+    gg = kn_four(np.eye(n), np.eye(n))
+    gg.flags.writeable = False
+    return gg
+
+
 def weyl_split(R4: np.ndarray, g: np.ndarray | None = None) -> WeylSplit:
     """Weyl split W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) of (..., n, n, n, n) tensors.
 
@@ -83,17 +95,18 @@ def weyl_split(R4: np.ndarray, g: np.ndarray | None = None) -> WeylSplit:
     """
     n = R4.shape[-1]
     if g is None:
-        g = np.eye(n)
+        g, gg = np.eye(n), _kn_identity(n)
         # contiguous rows keep the trace's summation order the same at every batch size
         Rc = np.ascontiguousarray(_ricci_trace(R4))
         S = np.trace(Rc, axis1=-2, axis2=-1)
     else:
         gi = np.linalg.inv(g)
+        gg = kn_four(g, g)
         Rc = _ricci_trace(R4, gi)
         S = np.einsum('...ij,...ij->...', Rc, gi)
     s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
     E = Rc - (s2 / n) * g
-    s_part = s2[..., None, None] / (2 * n * (n - 1)) * kn_four(g, g)
+    s_part = s2[..., None, None] / (2 * n * (n - 1)) * gg
     e_part = kn_four(E, g) / (n - 2)
     return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R4 - s_part - e_part)
 
@@ -220,12 +233,18 @@ def cubic_parts(W4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def circ_prime_full(a: np.ndarray) -> np.ndarray:
-    """Raw-array circ-prime kernel on a full (n, n, n) antisymmetric-pair tensor."""
-    n = a.shape[0]
-    g = np.eye(n)
-    return (np.einsum('kn,ijm->ijkmn', g, a) + np.einsum('in,jkm->ijkmn', g, a)
-            + np.einsum('jn,kim->ijkmn', g, a) + np.einsum('km,jin->ijkmn', g, a)
-            + np.einsum('im,kjn->ijkmn', g, a) + np.einsum('jm,ikn->ijkmn', g, a))
+    """Raw-array circ-prime kernel on (..., n, n, n) antisymmetric-pair tensors.
+
+    Each of the six terms of ``circ_prime`` is a with one metric factor g_xy,
+    so it is added onto the diagonal x = y of two output slots: a writable
+    einsum view of that diagonal, in the order of the formula.
+    """
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-3] + (n,) * 5)
+    for diagonal in ('...ijkmk->...ijmk', '...ijkmi->...jkmi', '...ijkmj->...kimj',
+                     '...ijkkn->...jink', '...ijkin->...kjni', '...ijkjn->...iknj'):
+        np.einsum(diagonal, out)[...] += a[..., None]
+    return out
 
 
 def circ_prime(A: TwoFormOneForm) -> ThreeTwoTensor:
@@ -243,8 +262,9 @@ def circ_prime(A: TwoFormOneForm) -> ThreeTwoTensor:
 
 
 def second_bianchi_full(full: np.ndarray) -> np.ndarray:
-    """Raw-array second-Bianchi kernel on a full (n,)*5 derivative tensor."""
-    return full + np.transpose(full, (1, 2, 0, 3, 4)) + np.transpose(full, (2, 0, 1, 3, 4))
+    """Raw-array second-Bianchi kernel on (..., n, n, n, n, n) derivative tensors."""
+    return (full + np.einsum('...kijmn->...ijkmn', full)
+            + np.einsum('...jkimn->...ijkmn', full))
 
 
 def second_bianchi(D: CovDerivCurvature) -> ThreeTwoTensor:
@@ -256,18 +276,23 @@ def second_bianchi(D: CovDerivCurvature) -> ThreeTwoTensor:
     return ThreeTwoTensor.from_full(second_bianchi_full(D.full()))
 
 
-def u_tensor_contractions(W: CurvatureTensor) -> tuple[float, float]:
-    """Raw skew-auxiliary-tensor sums (norm-square sum, cubic contraction sum)."""
-    n = W.n
-    g = np.eye(n)
-    Wf = W.four()
-    v = (np.einsum('inpq,jm->mnpqij', Wf, g) + np.einsum('mipq,jn->mnpqij', Wf, g)
-         + np.einsum('mniq,jp->mnpqij', Wf, g) + np.einsum('mnpi,jq->mnpqij', Wf, g))
-    u = v - np.transpose(v, (0, 1, 2, 3, 5, 4))
-    norm_sum = float(np.sum(u * u))
-    U = u.reshape(n ** 4, n ** 2)
-    cubic_sum = float(np.sum((U @ Wf.reshape(n ** 2, n ** 2)) * U))
-    return norm_sum, cubic_sum
+def u_tensor_contractions(W4: np.ndarray) -> tuple[float, float]:
+    """Raw skew-auxiliary-tensor sums (norm-square sum, cubic contraction sum) of one W.
+
+    v_mnpqij = W_inpq g_jm + W_mipq g_jn + W_mniq g_jp + W_mnpi g_jq, each term
+    added onto a diagonal of v as in ``circ_prime_full``, and u = v - v^T in
+    (i, j).  Once u is taken, v's buffer is reused for the two products.
+    """
+    n = W4.shape[-1]
+    v = np.zeros((n,) * 6)
+    for diagonal in ('mnpqim->inpqm', 'mnpqin->mipqn', 'mnpqip->mniqp', 'mnpqiq->mnpiq'):
+        np.einsum(diagonal, v)[...] += W4[..., None]
+    U = (v - np.swapaxes(v, -1, -2)).reshape(n ** 4, n ** 2)
+    spent = v.reshape(n ** 4, n ** 2)  # v's buffer holds u*u, then (u W) * u
+    norm_sum = float(np.sum(np.multiply(U, U, out=spent)))
+    UWU = np.matmul(U, W4.reshape(n ** 2, n ** 2), out=spent)
+    UWU *= U
+    return norm_sum, float(np.sum(UWU))
 
 
 def u_contraction(W: CurvatureTensor, tol: float = EPS_ALG) -> tuple[float, float]:
@@ -279,7 +304,7 @@ def u_contraction(W: CurvatureTensor, tol: float = EPS_ALG) -> tuple[float, floa
     """
     check_small(ricci_contraction(W), W.mat, tol,
                 "u-contraction requires a trace-free (Weyl-type) input")
-    norm_sum, cubic_sum = u_tensor_contractions(W)
+    norm_sum, cubic_sum = u_tensor_contractions(W.four())
     return norm_sum, -cubic_sum / 8.0
 
 
@@ -306,6 +331,22 @@ class PureCubics:
     three_plane_sum: float
 
 
+def pure_cubic_parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sharp_cubic, square_cubic, three_plane_sum) of raw (..., n, n) matrices; see pure_cubics."""
+    n = w.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    a, b, c = np.array(list(combinations(range(n), 3)), dtype=int).reshape(-1, 3).T
+
+    def pick(p, q):  # contiguous, so each sum runs over one matrix's entries alone
+        return np.ascontiguousarray(w[..., p, q])
+
+    # ordered sums over all (i, j, k) vanish on non-distinct indices (zero diagonal)
+    sharp_ordered = np.einsum('...ij,...ik,...kj->...', w, w, w)
+    square_cubic = 2.0 * np.sum(pick(i, j) ** 3, axis=-1)
+    three = np.sum((pick(a, b) + pick(b, c) + pick(a, c)) ** 3, axis=-1)
+    return sharp_ordered, square_cubic, three
+
+
 def pure_cubics(w: PureCurvatureMatrix) -> PureCubics:
     """Cubic sums of a pure-curvature matrix.
 
@@ -317,18 +358,7 @@ def pure_cubics(w: PureCurvatureMatrix) -> PureCubics:
     relate to the operator products of the diagonal curvature by
     <W, W#> = sharp_cubic / 2 and <W, W^2> = square_cubic / 2.
     """
-    n, mat = w.n, w.w
-    # ordered sums over all (i, j, k) vanish on non-distinct indices (zero diagonal)
-    sharp_ordered = float(np.einsum('ij,ik,kj->', mat, mat, mat))
-    iu = np.triu_indices(n, 1)
-    square_cubic = 2.0 * float(np.sum(mat[iu] ** 3))
-    three = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                three += (mat[a, b] + mat[b, c] + mat[a, c]) ** 3
-    return PureCubics(sharp_cubic=sharp_ordered, square_cubic=square_cubic,
-                      three_plane_sum=float(three))
+    return PureCubics(*(float(x) for x in pure_cubic_parts(w.w)))
 
 
 def weyl_sectional_split(W: CurvatureTensor, subset: "set[int] | tuple[int, ...]",

@@ -132,9 +132,9 @@ def four_tensor_to_pair_matrix(n: int, four: np.ndarray) -> np.ndarray:
 
 
 def full3_to_pair_form(n: int, full: np.ndarray) -> np.ndarray:
-    """(n, n, n) tensor antisymmetric in the first two slots -> (N, n) components."""
+    """(..., n, n, n) tensors antisymmetric in their first two slots -> (..., N, n) components."""
     pb = pair_basis(n)
-    return full[pb.rows, pb.cols, :]
+    return full[..., pb.rows, pb.cols, :]
 
 
 def pair_form_to_full3(n: int, comps: np.ndarray) -> np.ndarray:
@@ -147,10 +147,10 @@ def pair_form_to_full3(n: int, comps: np.ndarray) -> np.ndarray:
 
 
 def full5_to_triple_pair(n: int, full: np.ndarray) -> np.ndarray:
-    """(n,n,n,n,n) tensor, 3-form in slots 0-2 and 2-form in slots 3-4 -> (T, N)."""
+    """(..., n,n,n,n,n) tensors, 3-form in slots 0-2 and 2-form in 3-4 -> (..., T, N)."""
     tb = triple_basis(n)
     pb = pair_basis(n)
     t0 = np.array([t[0] for t in tb.triples])
     t1 = np.array([t[1] for t in tb.triples])
     t2 = np.array([t[2] for t in tb.triples])
-    return full[t0[:, None], t1[:, None], t2[:, None], pb.rows[None, :], pb.cols[None, :]]
+    return full[..., t0[:, None], t1[:, None], t2[:, None], pb.rows[None, :], pb.cols[None, :]]

@@ -40,6 +40,7 @@ from .tensors import (
     Operator2Form,
     ThreeTwoTensor,
     TwoFormOneForm,
+    check_dimension,
     check_finite,
     check_symmetric,
 )
@@ -162,18 +163,26 @@ def grid_file_metric(path: str) -> ChartMetric:
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get("grid"), dict):
+        raise ValueError(f"{path} is not a grid file (a JSON object with a grid object)")
     if "points" in data:
         raise ValueError(f"{path} is an old-format grid file (explicit points); "
                          "write it again with dump_grid_file")
-    n = int(data["n"])
     spec = data["grid"]
-    grid = GridSpec(center=spec["center"], h=float(spec["h"]), order=int(spec["order"]))
+    n = check_dimension(_json_number(data["n"], int, "n"))
+    center = [_json_number(c, float, "grid.center entry")
+              for c in _json_list(spec["center"], "grid.center")]
+    if len(center) != n:
+        raise ValueError(f"grid file grid.center has {len(center)} entries, expected n = {n}")
+    grid = GridSpec(center=center, h=_json_number(spec["h"], float, "grid.h"),
+                    order=_json_number(spec["order"], int, "grid.order"))
     table: dict[tuple, np.ndarray] = {}
-    for k, mat in zip(data["offsets"], data["matrices"], strict=True):
+    for k, mat in zip(_json_list(data["offsets"], "offsets"),
+                      _json_list(data["matrices"], "matrices"), strict=True):
         if (not (isinstance(k, list) and len(k) == n and all(type(c) is int for c in k))
                 or tuple(k) in table):
             raise ValueError(f"grid file offset {k!r} is not a new length-{n} integer vector")
-        table[tuple(k)] = check_symmetric(mat, "grid file matrix")
+        table[tuple(k)] = check_symmetric(_json_matrix(mat), "grid file matrix")
 
     def fn(x: np.ndarray) -> np.ndarray:
         k = np.rint((x - grid.center) / grid.h)
@@ -185,6 +194,29 @@ def grid_file_metric(path: str) -> ChartMetric:
     return ChartMetric(name=f"grid-file:{path}", n=n, fn=fn,
                        harmonic_weyl=bool(data.get("harmonic_weyl", False)),
                        default_grid=grid)
+
+
+def _json_number(value, kind: type, what: str):
+    """A JSON number as ``kind``; null, booleans, strings and containers are refused,
+    and so is a non-integer where an integer is expected."""
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"grid file {what} must be {expected}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"grid file {what} must be a list, got {json.dumps(value)}")
+    return value
+
+
+def _json_matrix(value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"grid file matrix is not numeric ({exc})") from None
 
 
 def dump_grid_file(metric: ChartMetric, grid: GridSpec, path: str,

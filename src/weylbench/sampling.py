@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .algebra import bianchi_project, weyl_split
+from .algebra import weyl_split
 from .basis import four_tensor_to_pair_matrix, pair_basis, pair_matrix_to_four_tensor
 from .tensors import (
     CurvatureTensor,
@@ -22,9 +22,82 @@ from .tensors import (
 )
 
 
+def uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """The one draw every sampler makes: entries uniform in [-1, 1]."""
+    return rng.uniform(-1.0, 1.0, size=shape)
+
+
+# The *_from_uniform maps (and ``symmetrized``) turn draws into samples.  They
+# act on the trailing axes and broadcast over leading ones, so a stack of draws
+# taken one trial at a time gives, entry by entry, the samples the per-trial
+# samplers return.
+
+def symmetrized(m: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2 over the last two axes."""
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
+
+
+def curvature_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
+    """Pair matrices of the first-Bianchi projections of (..., N, N) draws' symmetric parts.
+
+    The image part is symmetrized as an Operator2Form would; the result is
+    exactly symmetric.
+    """
+    sym = symmetrized(m)
+    image = four_tensor_to_pair_matrix(n, cyclic_average(pair_matrix_to_four_tensor(n, sym)))
+    return sym - symmetrized(image)
+
+
+def weyl_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
+    """Weyl parts (four-index) of the curvature tensors built from (..., N, N) draws."""
+    four = pair_matrix_to_four_tensor(n, symmetrized(m))
+    return weyl_split(four - cyclic_average(four)).W
+
+
+def two_form_one_form_from_uniform(a: np.ndarray, trace_free: bool = True) -> np.ndarray:
+    """(..., n, n, n) draws made antisymmetric in the first two slots (and 1-3 trace-free)."""
+    n = a.shape[-1]
+    a = a - np.swapaxes(a, -3, -2)
+    if trace_free:
+        c = np.einsum('...iji->...j', a)
+        t = np.einsum('im,...j->...ijm', np.eye(n), c) - np.einsum('jm,...i->...ijm', np.eye(n), c)
+        a = a - t / (n - 1)
+    return a
+
+
+def pure_from_uniform(m: np.ndarray) -> np.ndarray:
+    """Symmetric hollow matrices with zero row sums (closed-form projection) of draws."""
+    n = m.shape[-1]
+    diag = np.arange(n)
+    w = symmetrized(m)
+    w[..., diag, diag] = 0.0
+    r = w.sum(axis=-1)
+    lam_sum = r.sum(axis=-1)[..., None] / (2 * n - 2)
+    lam = (r - lam_sum) / (n - 2)
+    w = w - lam[..., :, None] - lam[..., None, :]
+    w[..., diag, diag] = 0.0
+    return w
+
+
+def curvature_derivative_from_uniform(s: np.ndarray) -> np.ndarray:
+    """Formal nabla R from (..., n, n, n, n, n) draws; see random_curvature_derivative_full."""
+    lead = tuple(range(s.ndim - 5))
+
+    def t(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+        return np.transpose(x, lead + tuple(len(lead) + a for a in axes))
+
+    s = (s + t(s, (1, 0, 2, 3, 4))) / 2.0
+    acc = np.zeros_like(s)
+    for perm in permutations((2, 3, 4)):
+        acc += t(s, (0, 1) + perm)
+    s = acc / 6.0
+    # D[i,j,k,m,n] = -(1/2)(s[k,n,i,j,m] + s[j,m,i,k,n] - s[k,m,i,j,n] - s[j,n,i,k,m])
+    return -0.5 * (t(s, (2, 3, 0, 4, 1)) + t(s, (2, 0, 3, 1, 4))
+                   - t(s, (2, 3, 0, 1, 4)) - t(s, (2, 0, 3, 4, 1)))
+
+
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = rng.uniform(-1.0, 1.0, size=(n, n))
-    return (m + m.T) / 2.0
+    return symmetrized(uniform(rng, n, n))
 
 
 def random_traceless_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -34,14 +107,13 @@ def random_traceless_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_operator(rng: np.random.Generator, n: int) -> Operator2Form:
     N = pair_basis(n).size
-    m = rng.uniform(-1.0, 1.0, size=(N, N))
-    return Operator2Form(n, (m + m.T) / 2.0)
+    return Operator2Form(n, symmetrized(uniform(rng, N, N)))
 
 
 def random_curvature(rng: np.random.Generator, n: int) -> CurvatureTensor:
     """First-Bianchi projection of a random self-adjoint operator."""
-    kerb, _ = bianchi_project(random_operator(rng, n))
-    return kerb
+    N = pair_basis(n).size
+    return CurvatureTensor(n, curvature_from_uniform(n, uniform(rng, N, N)))
 
 
 def random_weyl(rng: np.random.Generator, n: int) -> CurvatureTensor:
@@ -56,40 +128,25 @@ def random_two_form_one_form(rng: np.random.Generator, n: int,
     Divergence-type tensors (the class the norm identity |A o' g|^2 =
     (n-3)|A|^2 applies to) always live in that subspace.
     """
-    a = rng.uniform(-1.0, 1.0, size=(n, n, n))
-    a = a - np.transpose(a, (1, 0, 2))
-    if trace_free:
-        c = np.einsum('iji->j', a)
-        t = np.einsum('im,j->ijm', np.eye(n), c) - np.einsum('jm,i->ijm', np.eye(n), c)
-        a = a - t / (n - 1)
-    return TwoFormOneForm.from_full(a)
+    return TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, n, n, n),
+                                                                   trace_free))
 
 
 def random_pure_matrix(rng: np.random.Generator, n: int) -> PureCurvatureMatrix:
     """Random symmetric hollow matrix with zero row sums (closed-form projection)."""
-    w = random_symmetric(rng, n)
-    np.fill_diagonal(w, 0.0)
-    r = w.sum(axis=1)
-    lam_sum = r.sum() / (2 * n - 2)
-    lam = (r - lam_sum) / (n - 2)
-    w = w - lam[:, None] - lam[None, :]
-    np.fill_diagonal(w, 0.0)
-    return PureCurvatureMatrix(n, w)
+    return PureCurvatureMatrix(n, pure_from_uniform(uniform(rng, n, n)))
 
 
 def random_ricci_derivative(rng: np.random.Generator, n: int) -> np.ndarray:
     """Formal nabla Rc: (m, i, j) array symmetric in the last two slots."""
-    c = rng.uniform(-1.0, 1.0, size=(n, n, n))
-    return (c + np.transpose(c, (0, 2, 1))) / 2.0
+    return symmetrized(uniform(rng, n, n, n))
 
 
 def random_weyl_batch(rng: np.random.Generator, n: int,
                       count: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch of Weyl-type tensors; returns (four-index array, pair matrices)."""
     N = pair_basis(n).size
-    m = rng.uniform(-1.0, 1.0, size=(count, N, N))
-    four = pair_matrix_to_four_tensor(n, (m + np.transpose(m, (0, 2, 1))) / 2.0)
-    four = weyl_split(four - cyclic_average(four)).W
+    four = weyl_from_uniform(n, uniform(rng, count, N, N))
     return four, four_tensor_to_pair_matrix(n, four)
 
 
@@ -105,15 +162,4 @@ def random_curvature_derivative_full(rng: np.random.Generator, n: int) -> np.nda
     which satisfies all curvature symmetries and the second Bianchi cyclic
     identity identically.
     """
-    s = rng.uniform(-1.0, 1.0, size=(n, n, n, n, n))
-    s = (s + np.transpose(s, (1, 0, 2, 3, 4))) / 2.0
-    acc = np.zeros_like(s)
-    for perm in permutations((2, 3, 4)):
-        acc += np.transpose(s, (0, 1) + perm)
-    s = acc / 6.0
-    # D[i,j,k,m,n] = -(1/2)(s[k,n,i,j,m] + s[j,m,i,k,n] - s[k,m,i,j,n] - s[j,n,i,k,m])
-    t1 = np.transpose(s, (2, 3, 0, 4, 1))  # t1[i,j,k,m,n] = s[k,n,i,j,m]
-    t2 = np.transpose(s, (2, 0, 3, 1, 4))  # t2[i,j,k,m,n] = s[j,m,i,k,n]
-    t3 = np.transpose(s, (2, 3, 0, 1, 4))  # t3[i,j,k,m,n] = s[k,m,i,j,n]
-    t4 = np.transpose(s, (2, 0, 3, 4, 1))  # t4[i,j,k,m,n] = s[j,n,i,k,m]
-    return -0.5 * (t1 + t2 - t3 - t4)
+    return curvature_derivative_from_uniform(uniform(rng, n, n, n, n, n))

@@ -1,45 +1,67 @@
 """Randomized identity suite over the curvature algebra.
 
-Each trial draws one batch of random objects per dimension and evaluates all
-identities on them, accumulating worst-case relative residuals.  The suite is
-deterministic for a fixed seed and reports a machine-readable residual map.
+Each dimension n draws from its own stream ``default_rng([seed, n])``, trial
+after trial: first every identity trial, then the sharp-cubic trials, then the
+u-tensor trials.  A trial's draws are the samplers' own (``sampling.uniform``
+in the order the per-trial samplers call it), so the sample stream is the one
+those samplers give, bit for bit.
+
+Trials run in chunks of ``CHUNK`` (2; its comment says why).  A chunk's
+draws are stacked and mapped to samples by the ``*_from_uniform`` maps; each
+identity family is then evaluated once on the (B, ...) stacks with the raw
+kernels of ``algebra`` and folded into the report by one running max.  The
+typed containers' input checks (symmetry and first Bianchi of R, W, the e/s
+parts and the metric products; trace-free W before the sectional split and the
+u-tensor) run as one guard per chunk with the containers' per-object scale
+rule and messages.  The residuals do not depend on CHUNK, and the report keeps
+the (n, trial index) of every worst residual, so ``trials = index + 1`` with
+the same seed replays it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
 from .algebra import (
-    circ_prime,
+    _ricci_trace,
     circ_prime_full,
     cubic_parts,
-    decompose,
-    dot_product,
     kn_four,
-    kulkarni_nomizu,
-    pure_cubics,
-    quadratic_forms,
-    ricci_contraction,
+    pure_cubic_parts,
     second_bianchi_full,
-    sharp_product,
-    tri,
-    u_contraction,
-    weyl_sectional_split,
+    sharp_four,
+    u_tensor_contractions,
     weyl_split,
 )
-from .sampling import (
-    random_curvature,
-    random_curvature_derivative_full,
-    random_pure_matrix,
-    random_ricci_derivative,
-    random_symmetric,
-    random_two_form_one_form,
-    random_weyl,
+from .basis import (
+    four_tensor_to_pair_matrix,
+    full3_to_pair_form,
+    full5_to_triple_pair,
+    pair_basis,
+    pair_matrix_to_four_tensor,
 )
-from .tensors import EPS_ALG, Operator2Form, bianchi_residual, inner, running_max
+from .sampling import (
+    curvature_derivative_from_uniform,
+    curvature_from_uniform,
+    pure_from_uniform,
+    symmetrized,
+    two_form_one_form_from_uniform,
+    uniform,
+    weyl_from_uniform,
+)
+from .tensors import EPS_ALG, cyclic_average, running_max
+
+#: trials per chunk: the largest chunk whose transient arrays keep
+#: `weylbench identities --n 4 --n 6 --trials 10` at or under the peak RSS of
+#: the unbatched suite (40.3 MB; 39.4 MB with chunks of 2, 40.7 with 3, 41.3
+#: with 4, 44.5 with 16).  Batching pays most for the small dimensions (n = 4:
+#: 3.8 ms a trial alone, 1.5 ms in chunks of 2, 0.85 ms in chunks of 4) and
+#: little at n = 8, where the n^5 and n^6 arrays dominate (7.4-8.5 ms a trial
+#: at every chunk size; one n = 8 chunk of 16 holds 36 MB of transients).
+#: Measured on 2 vCPUs with numpy 2.4.6.
+CHUNK = 2
 
 
 @dataclass
@@ -50,9 +72,23 @@ class SuiteReport:
     tolerance: float
     residuals: dict[str, float] = field(default_factory=dict)
     stats: dict[str, float] = field(default_factory=dict)
+    #: residual key -> (n, trial index) of its worst value within its family's trials
+    worst: dict[str, tuple[int, int]] = field(default_factory=dict)
 
-    def record(self, name: str, value: float) -> None:
-        self.residuals[name] = running_max(self.residuals.get(name, -np.inf), abs(float(value)))
+    def record(self, name: str, values, where: tuple[int, int] | None = None) -> None:
+        """Fold |values| into the worst case of ``name``; a NaN is kept (NaN means fail).
+
+        With ``where = (n, k)``, values[i] came from trial k + i of dimension n.
+        When the values raise the worst case, the first NaN (else the first
+        maximum) among them becomes the key's provenance.
+        """
+        values = np.abs(values).ravel()
+        i = int(values.argmax())  # the first NaN, else the first maximum
+        old = self.residuals.get(name, -np.inf)
+        new = running_max(old, values[i])
+        if where is not None and old == old and new != old:  # raised, and not past a NaN
+            self.worst[name] = (where[0], where[1] + i)
+        self.residuals[name] = new
 
     @property
     def passed(self) -> bool:
@@ -62,150 +98,261 @@ class SuiteReport:
         return {k: v for k, v in sorted(self.residuals.items()) if not v <= self.tolerance}
 
 
-def _rel(value: float, scale: float) -> float:
-    return abs(value) / max(1.0, abs(scale))
+def _rel(value, scale):
+    return np.abs(value) / np.maximum(1.0, np.abs(scale))
 
 
-def _identities_one_trial(rng: np.random.Generator, n: int, rep: SuiteReport) -> None:
+def _flat(x: np.ndarray, axes: int) -> np.ndarray:
+    """x with its trailing ``axes`` axes merged into one contiguous run per trial.
+
+    A stack's layout can put the trial axis innermost (fancy-indexed pair
+    matrices do), and numpy then sums across trials in the inner loop, in an
+    order that depends on the chunk size; a C-order copy sums each run alone.
+    """
+    return np.ascontiguousarray(x).reshape(x.shape[:x.ndim - axes] + (-1,))
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius inner products of stacks of matrices, one sum per matrix."""
+    return _flat(a * b, 2).sum(axis=-1)
+
+
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """max |x| per trial (leading axis)."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+
+def _guard(resid: np.ndarray, entries: np.ndarray, message: str) -> None:
+    """``check_small(resid[b], entries[b], EPS_ALG, message)`` for every trial b at once."""
+    top = _max_abs(entries)
+    ok = (top < np.inf) & (_max_abs(resid) <= EPS_ALG * np.maximum(1.0, top))
+    if not ok.all():
+        raise ValueError(message)
+
+
+def _pairs(n: int, four: np.ndarray) -> np.ndarray:
+    """Pair matrices of a stack of four tensors, trial axis outermost (C order)."""
+    return np.ascontiguousarray(four_tensor_to_pair_matrix(n, four))
+
+
+def _four(n: int, mat: np.ndarray) -> np.ndarray:
+    """Four tensors of a stack of pair matrices, trial axis outermost (C order)."""
+    return np.ascontiguousarray(pair_matrix_to_four_tensor(n, mat))
+
+
+def _curvature(n: int, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pair matrices, four tensors) of a stack as ``CurvatureTensor`` holds them.
+
+    The container's checks (symmetric, then first Bianchi) run as chunk guards,
+    and the matrices are symmetrized as the container stores them.
+    """
+    _guard(mat - np.swapaxes(mat, -1, -2), mat,
+           f"pair-basis matrix must be symmetric within tolerance {EPS_ALG}")
+    mat = np.ascontiguousarray(symmetrized(mat))
+    four = _four(n, mat)
+    _guard(cyclic_average(four), mat, "first Bianchi identity violated beyond tolerance")
+    return mat, four
+
+
+def _chunks(total: int):
+    """(first trial, trial count) of each chunk of ``total`` trials."""
+    for first in range(0, total, CHUNK):
+        yield first, min(CHUNK, total - first)
+
+
+def _identity_draws(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
+    """The draws of ``count`` identity trials, taken trial by trial, stacked per input.
+
+    Per trial, in stream order: R, k, diag(A), A', nabla Rc, v, nabla R, the
+    sectional subset (its size, then a permutation) and the pure matrix.
+    """
+    N = pair_basis(n).size
+    trials = []
+    for _ in range(count):
+        draws = [uniform(rng, N, N), uniform(rng, n, n), uniform(rng, n),
+                 uniform(rng, n, n, n), uniform(rng, n, n, n), uniform(rng, n),
+                 uniform(rng, n, n, n, n, n)]
+        size = rng.integers(1, n)
+        subset = np.zeros(n, dtype=bool)
+        subset[rng.permutation(n)[:size]] = True
+        trials.append(draws + [subset, uniform(rng, n, n)])
+    return [np.stack(x) for x in zip(*trials)]
+
+
+def _identity_chunk(rng: np.random.Generator, n: int, count: int,
+                    rep: SuiteReport, first: int) -> None:
+    mR, mk, a, mA, mC, v, mD, subset, mw = _identity_draws(rng, n, count)
     g = np.eye(n)
-    R = random_curvature(rng, n)
-    dec = decompose(R)
-    W = dec.weyl
-    k = random_symmetric(rng, n)
+
+    def record(family: str, values) -> None:
+        rep.record(f"{family}_n{n}", values, (n, first))
+
+    Rm, R4 = _curvature(n, curvature_from_uniform(n, mR))
+    split = weyl_split(R4)
+    Wm, W4 = _curvature(n, _pairs(n, split.W))
+    _curvature(n, _pairs(n, split.e_part))
+    _curvature(n, _pairs(n, split.s_part))
+    k = symmetrized(mk)
+    A = a[..., None] * g
+    gk, _ = _curvature(n, _pairs(n, kn_four(g, k)))
+    Km, K4 = _curvature(n, _pairs(n, kn_four(k, g)))
+    Bm, B4 = _curvature(n, _pairs(n, kn_four(A, g)))
+    Rc, S, E = split.Rc, split.S, split.E
+    RR, WW = _inner(Rm, Rm), _inner(Wm, Wm)
 
     # adjointness of the metric product against the Ricci contraction
-    lhs = float(np.sum(kulkarni_nomizu(g, k).mat * R.mat))
-    rhs = float(np.sum(k * ricci_contraction(R)))
-    rep.record(f"selfadjoint_n{n}", _rel(lhs - rhs, lhs))
+    lhs = _inner(gk, Rm)
+    record("selfadjoint", _rel(lhs - _inner(k, Rc), lhs))
 
     # decomposition: trace-freeness, Bianchi, Pythagoras
-    rep.record(f"weyl_ricci_free_n{n}", float(np.abs(ricci_contraction(W)).max()))
-    rep.record(f"weyl_bianchi_free_n{n}", bianchi_residual(W))
-    pyth = inner(R, R) - (inner(W, W) + dec.S ** 2 / (2 * n * (n - 1))
-                          + float(np.sum(dec.E * dec.E)) / (n - 2))
-    rep.record(f"pythagoras_n{n}", _rel(pyth, inner(R, R)))
+    rc_W = _ricci_trace(W4)
+    record("weyl_ricci_free", _max_abs(rc_W))
+    record("weyl_bianchi_free", _max_abs(cyclic_average(W4)))
+    pyth = RR - (WW + S ** 2 / (2 * n * (n - 1)) + _inner(E, E) / (n - 2))
+    record("pythagoras", _rel(pyth, RR))
+
+    # every sharp product of the trial in one stacked call: W#W, R#R, B#W, then
+    # R1#R2 of the six argument orders (R1, R2, R3) of (R, W, K) in tri
+    firsts = [W4, R4, B4, R4, R4, W4, W4, K4, K4]
+    seconds = [W4, R4, W4, W4, K4, R4, K4, R4, W4]
+    sharp = _pairs(n, sharp_four(np.stack(firsts), np.stack(seconds)))
 
     # quadratic products: rc(W^2 + W#) = 0 and the contraction formula for R
-    W2 = dot_product(W, W)
-    Ws = sharp_product(W, W)
-    quad_W = Operator2Form(n, W2.mat + Ws.mat, require_self_adjoint=False)
-    rep.record(f"rc_quadratic_weyl_n{n}",
-               _rel(np.abs(ricci_contraction(quad_W)).max(), inner(W, W)))
-    quad_R = Operator2Form(n, dot_product(R, R).mat + sharp_product(R, R).mat,
-                           require_self_adjoint=False)
-    rc_pred = np.einsum('ipjq,pq->ij', R.four(), ricci_contraction(R))
-    rep.record(f"rc_quadratic_contraction_n{n}",
-               _rel(np.abs(ricci_contraction(quad_R) - rc_pred).max(), inner(R, R)))
+    W2 = Wm @ np.swapaxes(Wm, -1, -2)
+    quad_W = W2 + sharp[0]
+    record("rc_quadratic_weyl",
+           _rel(_max_abs(_ricci_trace(_four(n, quad_W))), WW))
+    quad_R = Rm @ np.swapaxes(Rm, -1, -2) + sharp[1]
+    rc_pred = np.einsum('...ipjq,...pq->...ij', R4, Rc)
+    rc_R = _ricci_trace(_four(n, quad_R))
+    record("rc_quadratic_contraction", _rel(_max_abs(rc_R - rc_pred), RR))
 
-    # trilinear symmetry over all six argument orders
-    vals = [tri(*p) for p in permutations((R, W, kulkarni_nomizu(k, g)))]
-    rep.record(f"tri_symmetry_n{n}", _rel(max(vals) - min(vals), max(abs(v) for v in vals)))
+    # trilinear symmetry <R1.R2 + R2.R1 + 2 R1 # R2, R3> over all six argument orders
+    p, q, r = (np.stack(x) for x in ([Rm, Rm, Wm, Wm, Km, Km], [Wm, Km, Rm, Km, Rm, Wm],
+                                      [Km, Wm, Km, Rm, Wm, Rm]))
+    vals = _inner(p @ np.swapaxes(q, -1, -2) + q @ np.swapaxes(p, -1, -2) + 2.0 * sharp[3:], r)
+    record("tri_symmetry", _rel(vals.max(axis=0) - vals.min(axis=0), np.abs(vals).max(axis=0)))
 
     # metric-product pairing lemma, with the symmetric factor diagonalized
-    A = np.diag(rng.uniform(-1.0, 1.0, size=n))
-    B = kulkarni_nomizu(A, g)
-    scaleW = max(1.0, inner(W, W))
-    rep.record(f"productw_orth_n{n}",
-               _rel(float(np.sum(B.mat * quad_W.mat)), scaleW))
-    lhs_b = float(np.sum(W2.mat * B.mat))
-    rhs_b = 0.5 * float(np.einsum('ii,ijpq,ijpq->', A, W.four(), W.four()))
-    rep.record(f"productw_diag_n{n}", _rel(lhs_b - rhs_b, scaleW))
-    rhs_b2 = -float(np.sum(W.mat * sharp_product(B, W).mat))
-    rep.record(f"productw_sharp_n{n}", _rel(lhs_b - rhs_b2, scaleW))
-    lhs_c = float(np.sum(W.mat * sharp_product(R, W).mat))
-    rhs_c = 0.5 * float(np.einsum('ijkl,jplq,ipkq->', W.four(), W.four(), R.four()))
-    rep.record(f"productw_reindex_n{n}", _rel(lhs_c - rhs_c, scaleW))
+    scaleW = np.maximum(1.0, WW)
+    record("productw_orth", _rel(_inner(Bm, quad_W), scaleW))
+    lhs_b = _inner(W2, Bm)
+    rhs_b = 0.5 * np.einsum('...ii,...ijpq,...ijpq->...', A, W4, W4)
+    record("productw_diag", _rel(lhs_b - rhs_b, scaleW))
+    record("productw_sharp", _rel(lhs_b + _inner(Wm, sharp[2]), scaleW))
+    rhs_c = 0.5 * np.einsum('...ijkl,...jplq,...ipkq->...', W4, W4, R4)
+    record("productw_reindex", _rel(_inner(Wm, sharp[3]) - rhs_c, scaleW))
 
     # circ-prime norm identity on divergence-type tensors
-    Af = random_two_form_one_form(rng, n)
-    rep.record(f"circ_prime_norm_n{n}",
-               _rel(circ_prime(Af).norm() ** 2 - (n - 3) * Af.norm() ** 2,
-                    Af.norm() ** 2))
+    Af = two_form_one_form_from_uniform(mA)
+    a2 = _flat(full3_to_pair_form(n, Af) ** 2, 2).sum(axis=-1)
+    cp2 = _flat(full5_to_triple_pair(n, circ_prime_full(Af)) ** 2, 2).sum(axis=-1)
+    record("circ_prime_norm", _rel(cp2 - (n - 3) * a2, a2))
 
-    # second-Bianchi images of the decomposition pieces (raw kernels, full norms)
-    C = random_ricci_derivative(rng, n)
-    D_rc = kn_four(C, g)
-    P = C - np.transpose(C, (1, 0, 2))
-    resid = second_bianchi_full(D_rc) - circ_prime_full(P)
-    rep.record(f"bianchi_rc_part_n{n}",
-               _rel(np.abs(resid).max(), np.abs(P).max()))
-    v = rng.uniform(-1.0, 1.0, size=n)
-    D_s = np.einsum('m,abcd->mabcd', v, kn_four(g, g))
-    Qf = np.einsum('ki,j->ijk', g, v) - np.einsum('kj,i->ijk', g, v)
-    resid = second_bianchi_full(D_s) + circ_prime_full(Qf)
-    rep.record(f"bianchi_s_part_n{n}",
-               _rel(np.abs(resid).max(), np.abs(Qf).max()))
+    for family, values in zip(("bianchi_rc_part", "bianchi_s_part", "bianchi_weyl_part"),
+                              _second_bianchi_residuals(n, mC, v, mD)):
+        record(family, values)
 
-    # second-Bianchi image of the trace-free part on an exact derivative field
-    w_sl = weyl_split(random_curvature_derivative_full(rng, n)).W
-    delta_w = np.einsum('mabcm->abc', w_sl)
-    bw = second_bianchi_full(w_sl)
-    resid = bw - circ_prime_full(delta_w) / (n - 3)
-    rep.record(f"bianchi_weyl_part_n{n}",
-               _rel(np.abs(resid).max(), np.abs(bw).max()))
+    # sectional split of the trace-free operator: W_ijij is the pair diagonal of W
+    _guard(rc_W, Wm, "sectional split requires a trace-free (Weyl-type) input")
+    pb = pair_basis(n)
+    diag = np.diagonal(Wm, axis1=-2, axis2=-1)
+    inside = subset[:, pb.rows] & subset[:, pb.cols]
+    outside = ~subset[:, pb.rows] & ~subset[:, pb.cols]
+    w1, w2 = np.where(inside, diag, 0.0).sum(-1), np.where(outside, diag, 0.0).sum(-1)
+    record("sectional_split", _rel(w1 - w2, np.maximum(np.abs(w1), 1.0)))
 
-    # sectional split of the trace-free operator
-    size = rng.integers(1, n)
-    subset = tuple(rng.permutation(n)[:size])
-    w1, w2v = weyl_sectional_split(W, subset)
-    rep.record(f"sectional_split_n{n}", _rel(w1 - w2v, max(abs(w1), 1.0)))
+    # Ricci-polynomial identities; quadratic_forms takes the symmetrized Ricci form
+    Ac = symmetrized(Rc)
 
-    # Ricci-polynomial identities
-    Rc = ricci_contraction(R)
-    S, E = dec.S, dec.E
-    qf_rc = quadratic_forms(R, Rc)
-    e3 = float(np.einsum('ij,jk,ki->', E, E, E))
-    e2 = float(np.sum(E * E))
-    rep.record(f"ricci_cubed_n{n}",
-               _rel(qf_rc.A_cubed - (e3 + 3.0 / n * S * e2 + S ** 3 / n ** 2),
-                    max(abs(qf_rc.A_cubed), 1.0)))
-    w_rcrc = quadratic_forms(W, Rc).W_AA
-    pred = (w_rcrc - 2.0 * e3 / (n - 2) + S ** 3 / n ** 2
+    def cube(X):
+        return np.einsum('...ij,...jk,...ki->...', X, X, X)
+
+    def form(T):
+        return np.einsum('...ijkl,...ik,...jl->...', T, Ac, Ac)
+
+    A3, R_AA, e3, e2 = cube(Ac), form(R4), cube(E), _inner(E, E)
+    record("ricci_cubed", _rel(A3 - (e3 + 3.0 / n * S * e2 + S ** 3 / n ** 2),
+                               np.maximum(np.abs(A3), 1.0)))
+    pred = (form(W4) - 2.0 * e3 / (n - 2) + S ** 3 / n ** 2
             + (2.0 * n - 3.0) / (n * (n - 1)) * S * e2)
-    rep.record(f"ricci_curvature_form_n{n}",
-               _rel(qf_rc.W_AA - pred, max(abs(qf_rc.W_AA), 1.0)))
+    record("ricci_curvature_form", _rel(R_AA - pred, np.maximum(np.abs(R_AA), 1.0)))
 
     # pure-curvature cubic identity
-    pm = random_pure_matrix(rng, n)
-    pc = pure_cubics(pm)
-    rep.record(f"pure_cubic_identity_n{n}",
-               _rel(pc.sharp_cubic - ((8.0 - n) / 2.0 * pc.square_cubic
-                                      + pc.three_plane_sum),
-                    max(abs(pc.sharp_cubic), 1.0)))
+    sharp_cubic, square_cubic, three_plane = pure_cubic_parts(pure_from_uniform(mw))
+    record("pure_cubic_identity",
+           _rel(sharp_cubic - ((8.0 - n) / 2.0 * square_cubic + three_plane),
+                np.maximum(np.abs(sharp_cubic), 1.0)))
 
 
-def _sharp_cubic_trial(rng: np.random.Generator, n: int, rep: SuiteReport) -> None:
-    square, lhs = cubic_parts(random_weyl(rng, n).four())
+def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
+                              mD: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The bianchi_{rc,s,weyl}_part residuals of a chunk.
+
+    A function of its own so that its (B, n, n, n, n, n) arrays, the largest of
+    a trial, are freed before the next family runs.
+    """
+    g = np.eye(n)
+    # second-Bianchi images of the decomposition pieces (raw kernels, full norms)
+    C = symmetrized(mC)
+    P = C - np.swapaxes(C, -3, -2)
+    resid = second_bianchi_full(kn_four(C, g)) - circ_prime_full(P)
+    rc_part = _rel(_max_abs(resid), _max_abs(P))
+    D_s = np.einsum('...m,abcd->...mabcd', v, kn_four(g, g))
+    Qf = np.einsum('ki,...j->...ijk', g, v) - np.einsum('kj,...i->...ijk', g, v)
+    resid = second_bianchi_full(D_s) + circ_prime_full(Qf)
+    s_part = _rel(_max_abs(resid), _max_abs(Qf))
+    # second-Bianchi image of the trace-free part on an exact derivative field
+    w_sl = weyl_split(curvature_derivative_from_uniform(mD)).W
+    bw = second_bianchi_full(w_sl)
+    resid = bw - circ_prime_full(np.einsum('...mabcm->...abc', w_sl)) / (n - 3)
+    return rc_part, s_part, _rel(_max_abs(resid), _max_abs(bw))
+
+
+def _weyl_samples(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` draws of ``random_weyl``, as (pair matrices, four tensors)."""
+    N = pair_basis(n).size
+    m = np.stack([uniform(rng, N, N) for _ in range(count)])
+    return _curvature(n, _pairs(n, weyl_from_uniform(n, m)))
+
+
+def _sharp_cubic_trial(W4: np.ndarray) -> np.ndarray:
+    """Relative deviation of <W, W#> from 2 <W, W^2>, one per sample of a chunk."""
+    square, lhs = cubic_parts(W4)
     rhs = 2.0 * square
-    dev = _rel(lhs - rhs, max(abs(lhs), abs(rhs)))
-    if n <= 5:
-        rep.record(f"sharp_cubic_n{n}", dev)
-    else:
-        key = f"sharp_cubic_deviation_n{n}"
-        rep.stats[key] = running_max(rep.stats.get(key, 0.0), dev)
+    return _rel(lhs - rhs, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _u_tensor_trial(rng: np.random.Generator, n: int, rep: SuiteReport) -> None:
-    W = random_weyl(rng, n)
-    norm_sum, contracted = u_contraction(W)
-    rep.record(f"u_norm_n{n}",
-               _rel(norm_sum - 32.0 * (n - 1) * inner(W, W), norm_sum))
-    cubic = sum(cubic_parts(W.four()))
-    rep.record(f"u_cubic_n{n}", _rel(contracted - 8.0 * cubic, max(abs(contracted), 1.0)))
+def _u_tensor_trial(Wm: np.ndarray, W4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u_norm, u_cubic) residuals of a chunk; the n^6 u-tensor is built per sample."""
+    n = W4.shape[-1]
+    _guard(_ricci_trace(W4), Wm, "u-contraction requires a trace-free (Weyl-type) input")
+    norm_sum, cubic_sum = np.array([u_tensor_contractions(W) for W in W4]).T
+    contracted = -cubic_sum / 8.0
+    cubic = sum(cubic_parts(W4))
+    return (_rel(norm_sum - 32.0 * (n - 1) * _inner(Wm, Wm), norm_sum),
+            _rel(contracted - 8.0 * cubic, np.maximum(np.abs(contracted), 1.0)))
 
 
-def _run_dimension(args: tuple[int, int, int, float]) -> tuple[dict, dict]:
+def _run_dimension(args: tuple[int, int, int, float]) -> tuple[dict, dict, dict]:
     n, trials, seed, tolerance = args
     rep = SuiteReport(seed=seed, trials=trials, dimensions=(n,), tolerance=tolerance)
     rng = np.random.default_rng([seed, n])
-    for _ in range(trials):
-        _identities_one_trial(rng, n, rep)
+    for first, count in _chunks(trials):
+        _identity_chunk(rng, n, count, rep, first)
     reduced = max(1, trials // 10) if trials > 0 else 0
-    for _ in range(trials if n <= 5 else reduced):
-        _sharp_cubic_trial(rng, n, rep)
-    for _ in range(reduced):
-        _u_tensor_trial(rng, n, rep)
-    return rep.residuals, rep.stats
+    for first, count in _chunks(trials if n <= 5 else reduced):
+        dev = _sharp_cubic_trial(_weyl_samples(rng, n, count)[1])
+        if n <= 5:
+            rep.record(f"sharp_cubic_n{n}", dev, (n, first))
+        else:
+            key = f"sharp_cubic_deviation_n{n}"
+            rep.stats[key] = running_max(rep.stats.get(key, 0.0), dev)
+    for first, count in _chunks(reduced):
+        u_norm, u_cubic = _u_tensor_trial(*_weyl_samples(rng, n, count))
+        rep.record(f"u_norm_n{n}", u_norm, (n, first))
+        rep.record(f"u_cubic_n{n}", u_cubic, (n, first))
+    return rep.residuals, rep.stats, rep.worst
 
 
 def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
@@ -231,9 +378,9 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
             results = pool.map(_run_dimension, jobs)
     else:
         results = [_run_dimension(job) for job in jobs]
-    for residuals, stats in results:
+    for residuals, stats, worst in results:
         for k, v in residuals.items():
-            rep.record(k, v)
+            rep.record(k, v, worst.get(k))
         for k, v in stats.items():
             rep.stats[k] = running_max(rep.stats.get(k, 0.0), v)
     return rep

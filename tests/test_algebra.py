@@ -13,21 +13,25 @@ import pytest
 from weylbench.algebra import (
     bianchi_project,
     circ_prime,
+    circ_prime_full,
     congruence_four,
     cubic_parts,
     decompose,
     dot_product,
     kn_four,
     kulkarni_nomizu,
+    pure_cubic_parts,
     pure_cubics,
     pure_matrix_from_weyl,
     quadratic_forms,
     ricci_contraction,
     second_bianchi,
+    second_bianchi_full,
     sharp_four,
     sharp_product,
     tri,
     u_contraction,
+    u_tensor_contractions,
     weyl_sectional_split,
     weyl_split,
 )
@@ -566,6 +570,29 @@ def w_norm_sq_einsum_reference(W, gi):
     return 0.25 * float(np.einsum('ijkl,mnpq,im,jn,kp,lq->', W, W, gi, gi, gi, gi))
 
 
+def circ_prime_einsum_reference(a):
+    """Six einsum outer products with g (the earlier circ_prime_full)."""
+    n = a.shape[0]
+    g = np.eye(n)
+    return (np.einsum('kn,ijm->ijkmn', g, a) + np.einsum('in,jkm->ijkmn', g, a)
+            + np.einsum('jn,kim->ijkmn', g, a) + np.einsum('km,jin->ijkmn', g, a)
+            + np.einsum('im,kjn->ijkmn', g, a) + np.einsum('jm,ikn->ijkmn', g, a))
+
+
+def u_tensor_einsum_reference(W):
+    """Four einsum outer products with g (the earlier u_tensor_contractions)."""
+    n = W.n
+    g = np.eye(n)
+    Wf = W.four()
+    v = (np.einsum('inpq,jm->mnpqij', Wf, g) + np.einsum('mipq,jn->mnpqij', Wf, g)
+         + np.einsum('mniq,jp->mnpqij', Wf, g) + np.einsum('mnpi,jq->mnpqij', Wf, g))
+    u = v - np.transpose(v, (0, 1, 2, 3, 5, 4))
+    norm_sum = float(np.sum(u * u))
+    U = u.reshape(n ** 4, n ** 2)
+    cubic_sum = float(np.sum((U @ Wf.reshape(n ** 2, n ** 2)) * U))
+    return norm_sum, cubic_sum
+
+
 def _inverse_metric(n):
     A = np.eye(n) + 0.2 * rng.uniform(-1.0, 1.0, size=(n, n))
     return np.linalg.inv(A.T @ A)
@@ -601,6 +628,10 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(sharp_four, R4, S4)
     _assert_batch_equals_single(cubic_parts, weyl_split(R4).W)
     _assert_batch_equals_single(lambda a: congruence_four(a, h[0]), R4)
+    _assert_batch_equals_single(circ_prime_full, rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 3))
+    _assert_batch_equals_single(second_bianchi_full,
+                                rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 5))
+    _assert_batch_equals_single(pure_cubic_parts, h + np.swapaxes(h, -1, -2))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -643,6 +674,28 @@ def test_sharp_four_matches_einsum_reference(n):
     assert np.allclose(sharp_four(A, B), sharp_einsum_reference(A, B), atol=1e-13)
     batch = sharp_four(_curvature_batch(n, 3), _curvature_batch(n, 3))
     assert batch.shape == (3,) + (n,) * 4
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_circ_prime_placement_matches_einsum_reference_bitwise(n):
+    a = random_two_form_one_form(rng, n, trace_free=False).full()
+    assert np.array_equal(circ_prime_full(a), circ_prime_einsum_reference(a))
+    general = rng.uniform(-1.0, 1.0, size=(n, n, n))  # no antisymmetry either
+    assert np.array_equal(circ_prime_full(general), circ_prime_einsum_reference(general))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_u_tensor_placement_matches_einsum_reference(n):
+    """The cubic sum keeps its bits.  The norm-square sum runs over u*u in C
+    order; the earlier form summed it in the memory order einsum chose for v,
+    which varies with n and the input's layout, so the two differ by the
+    round-off of a sum of n^6 squares."""
+    for _ in range(3):
+        W = random_weyl(rng, n)
+        norm_sum, cubic_sum = u_tensor_contractions(W.four())
+        ref_norm, ref_cubic = u_tensor_einsum_reference(W)
+        assert cubic_sum == ref_cubic
+        assert norm_sum == pytest.approx(ref_norm, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

@@ -312,6 +312,44 @@ def test_bad_grid_file_is_usage_error(tmp_path, capsys, edit):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def _set(*path_and_value):
+    """An edit putting value at data[k1][k2]..., e.g. _set("grid", "h", None)."""
+    *keys, value = path_and_value
+
+    def edit(data):
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    kind = {type(None): "null", bool: "bool", str: "string", float: "float",
+            dict: "object", list: "list"}[type(value)]
+    edit.__name__ = ".".join(map(str, keys)) + "-" + kind
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set("n", None), _set("n", "4"), _set("n", True),
+    _set("grid", "h", None), _set("grid", "h", "1e-3"),
+    _set("grid", "order", None), _set("grid", "order", 2.5),
+    _set("grid", "center", 0, None), _set("grid", "center", 0, {"x": 0.07}),
+    _set("grid", "center", [0.07, -0.12, 0.1]),
+    _set("offsets", None), _set("matrices", 0, {"g": 1.0}),
+], ids=lambda f: f.__name__)
+def test_non_number_grid_field_is_usage_error(tmp_path, capsys, edit):
+    """A null or other non-number where the grid file needs a number exits 2 with one
+    error line, not a traceback."""
+    assert run_cli("chart", str(_grid_file(tmp_path, edit)), "--format", "json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: grid file ")
+
+
+def test_grid_file_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]")
+    assert run_cli("chart", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_old_format_grid_file_is_refused(tmp_path, capsys):
     path = tmp_path / "old.json"
     path.write_text(json.dumps({"n": 4, "points": [[0.0] * 4], "matrices": [np.eye(4).tolist()],

@@ -40,9 +40,10 @@ def test_nan_first_fails():
 
 
 def test_run_dimension_takes_one_tuple():
-    residuals, stats = _run_dimension((4, 1, 0, 1e-10))
+    residuals, stats, worst = _run_dimension((4, 1, 0, 1e-10))
     assert residuals and all(np.isfinite(v) for v in residuals.values())
     assert "sharp_cubic_n4" in residuals and stats == {}
+    assert worst == {key: (4, 0) for key in residuals}
 
 
 def test_negative_trials_are_refused():
