@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import four_tensor_to_pair_matrix
+from .basis import four_tensor_to_pair_matrix, pair_basis, pair_matrix_to_four_tensor
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -27,7 +27,6 @@ from .tensors import (
     check_small,
     check_symmetric,
     cyclic_average,
-    inner,
 )
 
 __all__ = [
@@ -38,11 +37,12 @@ __all__ = [
     "WeylSplit", "decomposition", "cubic_parts", "congruence_four",
 ]
 
-# Raw kernels (kn_four, _ricci_trace, weyl_split, sharp_four, cubic_parts,
-# congruence_four, circ_prime_full, second_bianchi_full, u_tensor_contractions,
-# pure_cubic_parts) act on the trailing axes of plain arrays (two to five of
-# them) and broadcast over any leading batch axes; the typed functions below
-# wrap them.
+# Raw kernels (kn_four, _ricci_trace, weyl_split, bianchi_image, sharp_four,
+# cubic_parts, congruence_four, circ_prime_full, second_bianchi_full,
+# quadratic_form, cube_trace, pure_cubic_parts, sectional_sums and the
+# check_trace_free guard) act on the trailing axes of plain arrays (one to five
+# of them) and broadcast over any leading batch axes; u_tensor_contractions
+# takes one tensor.  The typed functions below wrap them.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -143,14 +143,31 @@ def ricci_contraction(T: Operator2Form) -> np.ndarray:
     return _ricci_trace(T.four())
 
 
+def bianchi_image(n: int, mat: np.ndarray) -> np.ndarray:
+    """Pair matrices of the cyclic averages b(T) of (..., N, N) pair matrices.
+
+    For symmetric T the first-Bianchi projection is T - symmetrized(b(T)).
+    """
+    return four_tensor_to_pair_matrix(n, cyclic_average(pair_matrix_to_four_tensor(n, mat)))
+
+
+def check_trace_free(W4: np.ndarray, mat: np.ndarray, what: str, tol: float = EPS_ALG) -> None:
+    """Raise ValueError unless rc(W) = 0 within tol for every (..., n, n, n, n) W.
+
+    Each W is scaled by its own pair matrix ``mat``.
+    """
+    check_small(_ricci_trace(W4), mat, tol,
+                f"{what} requires a trace-free (Weyl-type) input", lead=W4.ndim - 4)
+
+
 def bianchi_project(T: Operator2Form) -> tuple[CurvatureTensor, Operator2Form]:
     """Split T into its first-Bianchi kernel part and the complementary part.
 
     The image part is the cyclic average b(T); for self-adjoint T it is the
     totally antisymmetric component, orthogonal to the kernel part.
     """
-    imb = Operator2Form.from_four_tensor(cyclic_average(T.four()),
-                                         require_self_adjoint=T.is_self_adjoint())
+    imb = Operator2Form(T.n, bianchi_image(T.n, T.mat),
+                        require_self_adjoint=T.is_self_adjoint())
     kerb = CurvatureTensor(T.n, T.mat - imb.mat)
     return kerb, imb
 
@@ -277,11 +294,13 @@ def second_bianchi(D: CovDerivCurvature) -> ThreeTwoTensor:
 
 
 def u_tensor_contractions(W4: np.ndarray) -> tuple[float, float]:
-    """Raw skew-auxiliary-tensor sums (norm-square sum, cubic contraction sum) of one W.
+    """Skew-auxiliary-tensor sums (u_norm_sq, contracted) of one raw (n, n, n, n) W.
 
     v_mnpqij = W_inpq g_jm + W_mipq g_jn + W_mniq g_jp + W_mnpi g_jq, each term
     added onto a diagonal of v as in ``circ_prime_full``, and u = v - v^T in
-    (i, j).  Once u is taken, v's buffer is reused for the two products.
+    (i, j).  Once u is taken, v's buffer is reused for the two products.  The
+    cubic contraction is orientation-fixed: the raw sum sum W_ijkl u_ij u_kl
+    carries the opposite sign, and contracted = -(raw sum) / 8.
     """
     n = W4.shape[-1]
     v = np.zeros((n,) * 6)
@@ -292,20 +311,17 @@ def u_tensor_contractions(W4: np.ndarray) -> tuple[float, float]:
     norm_sum = float(np.sum(np.multiply(U, U, out=spent)))
     UWU = np.matmul(U, W4.reshape(n ** 2, n ** 2), out=spent)
     UWU *= U
-    return norm_sum, float(np.sum(UWU))
+    return norm_sum, -float(np.sum(UWU)) / 8.0
 
 
 def u_contraction(W: CurvatureTensor, tol: float = EPS_ALG) -> tuple[float, float]:
     """Auxiliary skew-tensor sums for a trace-free curvature operator.
 
     Returns (u_norm_sq, contracted) where u_norm_sq equals 32(n-1)|W|^2 and
-    contracted equals 8 <W, W^2 + W#>.  The cubic contraction is orientation-
-    fixed: the raw sum sum W_ijkl u_ij u_kl carries the opposite sign.
+    contracted equals 8 <W, W^2 + W#>; see ``u_tensor_contractions``.
     """
-    check_small(ricci_contraction(W), W.mat, tol,
-                "u-contraction requires a trace-free (Weyl-type) input")
-    norm_sum, cubic_sum = u_tensor_contractions(W.four())
-    return norm_sum, -cubic_sum / 8.0
+    check_trace_free(W.four(), W.mat, "u-contraction", tol)
+    return u_tensor_contractions(W.four())
 
 
 @dataclass(frozen=True)
@@ -314,14 +330,23 @@ class QuadraticForms:
     A_cubed: float
 
 
+def quadratic_form(T4: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """T(A, A) = sum T_ijkl A_ik A_jl of raw (..., n, n, n, n) T and (..., n, n) A."""
+    return np.einsum('...ijkl,...ik,...jl->...', T4, A, A)
+
+
+def cube_trace(A: np.ndarray) -> np.ndarray:
+    """tr(A^3) = sum A_ij A_jk A_ki of raw (..., n, n) matrices."""
+    return np.einsum('...ij,...jk,...ki->...', A, A, A)
+
+
 def quadratic_forms(W: Operator2Form, A: np.ndarray) -> QuadraticForms:
     """W(A, A) = sum W_ijkl A_ik A_jl and the matrix cube trace sum A_ij A_jk A_ki."""
     A = check_symmetric(A, "quadratic-form argument")
     if A.shape[0] != W.n:
         raise ValueError(f"dimension mismatch: {W.n} vs {A.shape[0]}")
-    w_aa = float(np.einsum('ijkl,ik,jl->', W.four(), A, A))
-    a3 = float(np.einsum('ij,jk,ki->', A, A, A))
-    return QuadraticForms(W_AA=w_aa, A_cubed=a3)
+    return QuadraticForms(W_AA=float(quadratic_form(W.four(), A)),
+                          A_cubed=float(cube_trace(A)))
 
 
 @dataclass(frozen=True)
@@ -361,6 +386,18 @@ def pure_cubics(w: PureCurvatureMatrix) -> PureCubics:
     return PureCubics(*(float(x) for x in pure_cubic_parts(w.w)))
 
 
+def sectional_sums(diag: np.ndarray, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of W_ijij over the pairs inside a subset and inside its complement.
+
+    ``diag`` holds (..., N) pair diagonals W_ijij (i < j, in pair-basis order)
+    and ``subset`` (..., n) boolean membership masks; the sums add in pair order.
+    """
+    pb = pair_basis(subset.shape[-1])
+    first, second = subset[..., pb.rows], subset[..., pb.cols]
+    return (np.where(first & second, diag, 0.0).sum(axis=-1),
+            np.where(~first & ~second, diag, 0.0).sum(axis=-1))
+
+
 def weyl_sectional_split(W: CurvatureTensor, subset: "set[int] | tuple[int, ...]",
                          tol: float = EPS_ALG) -> tuple[float, float]:
     """Sum of diagonal components W_ijij over pairs inside the subset and its complement.
@@ -373,11 +410,10 @@ def weyl_sectional_split(W: CurvatureTensor, subset: "set[int] | tuple[int, ...]
         raise ValueError("subset indices out of range")
     if not idx or len(idx) == n:
         raise ValueError("subset must be proper and nonempty")
-    check_small(ricci_contraction(W), W.mat, tol,
-                "sectional split requires a trace-free (Weyl-type) input")
-    comp = [i for i in range(n) if i not in idx]
-    w1 = sum(W.component(i, j, i, j) for a, i in enumerate(idx) for j in idx[a + 1:])
-    w2 = sum(W.component(i, j, i, j) for a, i in enumerate(comp) for j in comp[a + 1:])
+    check_trace_free(W.four(), W.mat, "sectional split", tol)
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    w1, w2 = sectional_sums(np.diagonal(W.mat), mask)
     return float(w1), float(w2)
 
 

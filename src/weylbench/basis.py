@@ -114,27 +114,75 @@ def disjoint_pair_mask(n: int) -> np.ndarray:
     return mask
 
 
+# The batched expanders return C-order stacks.  Fancy indexing behind a leading
+# ``...`` would lay the batch axis out innermost, and a sum over the trailing
+# axes of such a stack (or of an elementwise product of it) then adds across
+# the batch in numpy's inner loop, so its bits would depend on the batch size.
+# The expanders therefore gather flat C-order positions with ``np.take``, which
+# writes its output in C order with no second copy.
+
+
+def _take_trailing(x: np.ndarray, k: int, flat: np.ndarray) -> np.ndarray:
+    """Entries of x's trailing k axes at the C-order positions ``flat``, per leading index."""
+    return np.take(x.reshape(x.shape[:x.ndim - k] + (-1,)), flat, axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _padded_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, n, n, n) flat positions of T_ijkl in an (N + 1, N + 1) pair matrix whose
+    last row and column are the zero pad (for i = j or k = l), and the signs
+    sign[i, j] sign[k, l]."""
+    pb = pair_basis(n)
+    pos = np.where(pb.pos >= 0, pb.pos, pb.size)
+    flat = pos[:, :, None, None] * (pb.size + 1) + pos[None, None, :, :]
+    sign = pb.sign[:, :, None, None] * pb.sign[None, None, :, :]
+    flat.flags.writeable = False
+    sign.flags.writeable = False
+    return flat, sign
+
+
+@lru_cache(maxsize=None)
+def _pair_positions(n: int) -> np.ndarray:
+    """(N, N) flat positions of T[i, j, k, l] in an (n, n, n, n) block, (ij, kl) pairs."""
+    pb = pair_basis(n)
+    pair = pb.rows * n + pb.cols
+    flat = pair[:, None] * (n * n) + pair[None, :]
+    flat.flags.writeable = False
+    return flat
+
+
+@lru_cache(maxsize=None)
+def _triple_pair_positions(n: int) -> np.ndarray:
+    """(T, N) flat positions of T[i, j, k, a, b] in an (n,)*5 block, triples by pairs."""
+    tb = triple_basis(n)
+    pb = pair_basis(n)
+    i, j, k = np.array(tb.triples).T
+    flat = ((i * n + j) * n + k)[:, None] * (n * n) + (pb.rows * n + pb.cols)[None, :]
+    flat.flags.writeable = False
+    return flat
+
+
 def pair_matrix_to_four_tensor(n: int, mat: np.ndarray) -> np.ndarray:
     """Expand (..., N, N) pair-basis matrices into full (..., n, n, n, n) tensors."""
     pb = pair_basis(n)
     padded = np.zeros(np.shape(mat)[:-2] + (pb.size + 1, pb.size + 1))
     padded[..., :-1, :-1] = mat
-    pos = np.where(pb.pos >= 0, pb.pos, pb.size)
-    four = padded[..., pos[:, :, None, None], pos[None, None, :, :]]
-    four = four * pb.sign[:, :, None, None] * pb.sign[None, None, :, :]
+    flat, sign = _padded_positions(n)
+    four = _take_trailing(padded, 2, flat)
+    four *= sign  # one factor in {-1, 0, 1}: the bits, signed zeros too, of the two in turn
     return four
 
 
 def four_tensor_to_pair_matrix(n: int, four: np.ndarray) -> np.ndarray:
     """Read the (..., N, N) pair-basis matrices off full (..., n, n, n, n) tensors."""
-    pb = pair_basis(n)
-    return four[..., pb.rows[:, None], pb.cols[:, None], pb.rows[None, :], pb.cols[None, :]]
+    return _take_trailing(four, 4, _pair_positions(n))
 
 
 def full3_to_pair_form(n: int, full: np.ndarray) -> np.ndarray:
     """(..., n, n, n) tensors antisymmetric in their first two slots -> (..., N, n) components."""
     pb = pair_basis(n)
-    return full[..., pb.rows, pb.cols, :]
+    flat = (pb.rows * n + pb.cols)[:, None] * n + np.arange(n)[None, :]
+    return _take_trailing(full, 3, flat)
 
 
 def pair_form_to_full3(n: int, comps: np.ndarray) -> np.ndarray:
@@ -148,9 +196,4 @@ def pair_form_to_full3(n: int, comps: np.ndarray) -> np.ndarray:
 
 def full5_to_triple_pair(n: int, full: np.ndarray) -> np.ndarray:
     """(..., n,n,n,n,n) tensors, 3-form in slots 0-2 and 2-form in 3-4 -> (..., T, N)."""
-    tb = triple_basis(n)
-    pb = pair_basis(n)
-    t0 = np.array([t[0] for t in tb.triples])
-    t1 = np.array([t[1] for t in tb.triples])
-    t2 = np.array([t[2] for t in tb.triples])
-    return full[..., t0[:, None], t1[:, None], t2[:, None], pb.rows[None, :], pb.cols[None, :]]
+    return _take_trailing(full, 5, _triple_pair_positions(n))

@@ -15,13 +15,12 @@ from .algebra import (
     cubic_parts,
     decompose,
     dot_product,
-    inner,
     kn_four,
     kulkarni_nomizu,
     quadratic_forms,
     ricci_contraction,
 )
-from .tensors import EPS_ALG, CurvatureTensor, Operator2Form
+from .tensors import EPS_ALG, CurvatureTensor, Operator2Form, inner
 
 
 @dataclass(frozen=True)

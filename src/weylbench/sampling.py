@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .algebra import weyl_split
+from .algebra import bianchi_image, weyl_split
 from .basis import four_tensor_to_pair_matrix, pair_basis, pair_matrix_to_four_tensor
 from .tensors import (
     CurvatureTensor,
@@ -19,6 +19,7 @@ from .tensors import (
     PureCurvatureMatrix,
     TwoFormOneForm,
     cyclic_average,
+    symmetrized,
 )
 
 
@@ -27,31 +28,26 @@ def uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
-# The *_from_uniform maps (and ``symmetrized``) turn draws into samples.  They
-# act on the trailing axes and broadcast over leading ones, so a stack of draws
-# taken one trial at a time gives, entry by entry, the samples the per-trial
-# samplers return.
-
-def symmetrized(m: np.ndarray) -> np.ndarray:
-    """(m + m^T) / 2 over the last two axes."""
-    return (m + np.swapaxes(m, -1, -2)) / 2.0
-
+# The *_from_uniform maps (and ``tensors.symmetrized``) turn draws into
+# samples.  They act on the trailing axes and broadcast over leading ones, so a
+# stack of draws taken one trial at a time gives, entry by entry, the samples
+# the per-trial samplers return.
 
 def curvature_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
     """Pair matrices of the first-Bianchi projections of (..., N, N) draws' symmetric parts.
 
-    The image part is symmetrized as an Operator2Form would; the result is
-    exactly symmetric.
+    The image part is symmetrized as ``bianchi_project`` stores it; the result
+    is exactly symmetric.
     """
     sym = symmetrized(m)
-    image = four_tensor_to_pair_matrix(n, cyclic_average(pair_matrix_to_four_tensor(n, sym)))
-    return sym - symmetrized(image)
+    return sym - symmetrized(bianchi_image(n, sym))
 
 
 def weyl_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
     """Weyl parts (four-index) of the curvature tensors built from (..., N, N) draws."""
     four = pair_matrix_to_four_tensor(n, symmetrized(m))
-    return weyl_split(four - cyclic_average(four)).W
+    four -= cyclic_average(four)
+    return weyl_split(four).W
 
 
 def two_form_one_form_from_uniform(a: np.ndarray, trace_free: bool = True) -> np.ndarray:

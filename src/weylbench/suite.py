@@ -9,13 +9,15 @@ those samplers give, bit for bit.
 Trials run in chunks of ``CHUNK`` (2; its comment says why).  A chunk's
 draws are stacked and mapped to samples by the ``*_from_uniform`` maps; each
 identity family is then evaluated once on the (B, ...) stacks with the raw
-kernels of ``algebra`` and folded into the report by one running max.  The
-typed containers' input checks (symmetry and first Bianchi of R, W, the e/s
-parts and the metric products; trace-free W before the sectional split and the
-u-tensor) run as one guard per chunk with the containers' per-object scale
-rule and messages.  The residuals do not depend on CHUNK, and the report keeps
-the (n, trial index) of every worst residual, so ``trials = index + 1`` with
-the same seed replays it.
+kernels of ``algebra`` (the ones its typed functions wrap) and folded into the
+report by one running max.  The typed containers' input checks (symmetry and
+first Bianchi of R, W, the e/s parts and the metric products; trace-free W
+before the sectional split and the u-tensor) run as one ``check_small`` per
+chunk, with one leading batch axis, so each trial keeps its own scale and the
+containers' messages.  The residuals do not depend on CHUNK (the batched basis
+expansions return C-order stacks, so every per-trial sum runs in one order),
+and the report keeps the (n, trial index) of every worst residual, so
+``trials = index + 1`` with the same seed replays it.
 """
 
 from __future__ import annotations
@@ -26,11 +28,15 @@ import numpy as np
 
 from .algebra import (
     _ricci_trace,
+    check_trace_free,
     circ_prime_full,
+    cube_trace,
     cubic_parts,
     kn_four,
     pure_cubic_parts,
+    quadratic_form,
     second_bianchi_full,
+    sectional_sums,
     sharp_four,
     u_tensor_contractions,
     weyl_split,
@@ -46,12 +52,19 @@ from .sampling import (
     curvature_derivative_from_uniform,
     curvature_from_uniform,
     pure_from_uniform,
-    symmetrized,
     two_form_one_form_from_uniform,
     uniform,
     weyl_from_uniform,
 )
-from .tensors import EPS_ALG, cyclic_average, running_max
+from .tensors import (
+    EPS_ALG,
+    check_small,
+    cyclic_average,
+    frobenius,
+    max_abs,
+    running_max,
+    symmetrized,
+)
 
 #: trials per chunk: the largest chunk whose transient arrays keep
 #: `weylbench identities --n 4 --n 6 --trials 10` at or under the peak RSS of
@@ -102,55 +115,19 @@ def _rel(value, scale):
     return np.abs(value) / np.maximum(1.0, np.abs(scale))
 
 
-def _flat(x: np.ndarray, axes: int) -> np.ndarray:
-    """x with its trailing ``axes`` axes merged into one contiguous run per trial.
-
-    A stack's layout can put the trial axis innermost (fancy-indexed pair
-    matrices do), and numpy then sums across trials in the inner loop, in an
-    order that depends on the chunk size; a C-order copy sums each run alone.
-    """
-    return np.ascontiguousarray(x).reshape(x.shape[:x.ndim - axes] + (-1,))
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius inner products of stacks of matrices, one sum per matrix."""
-    return _flat(a * b, 2).sum(axis=-1)
-
-
-def _max_abs(x: np.ndarray) -> np.ndarray:
-    """max |x| per trial (leading axis)."""
-    return np.abs(x).reshape(len(x), -1).max(axis=1)
-
-
-def _guard(resid: np.ndarray, entries: np.ndarray, message: str) -> None:
-    """``check_small(resid[b], entries[b], EPS_ALG, message)`` for every trial b at once."""
-    top = _max_abs(entries)
-    ok = (top < np.inf) & (_max_abs(resid) <= EPS_ALG * np.maximum(1.0, top))
-    if not ok.all():
-        raise ValueError(message)
-
-
-def _pairs(n: int, four: np.ndarray) -> np.ndarray:
-    """Pair matrices of a stack of four tensors, trial axis outermost (C order)."""
-    return np.ascontiguousarray(four_tensor_to_pair_matrix(n, four))
-
-
-def _four(n: int, mat: np.ndarray) -> np.ndarray:
-    """Four tensors of a stack of pair matrices, trial axis outermost (C order)."""
-    return np.ascontiguousarray(pair_matrix_to_four_tensor(n, mat))
-
-
 def _curvature(n: int, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pair matrices, four tensors) of a stack as ``CurvatureTensor`` holds them.
 
-    The container's checks (symmetric, then first Bianchi) run as chunk guards,
-    and the matrices are symmetrized as the container stores them.
+    The container's checks (symmetric, then first Bianchi) run trial by trial
+    through one ``check_small`` per chunk, and the matrices are symmetrized as
+    the container stores them.
     """
-    _guard(mat - np.swapaxes(mat, -1, -2), mat,
-           f"pair-basis matrix must be symmetric within tolerance {EPS_ALG}")
-    mat = np.ascontiguousarray(symmetrized(mat))
-    four = _four(n, mat)
-    _guard(cyclic_average(four), mat, "first Bianchi identity violated beyond tolerance")
+    check_small(mat - np.swapaxes(mat, -1, -2), mat, EPS_ALG,
+                f"pair-basis matrix must be symmetric within tolerance {EPS_ALG}", lead=1)
+    mat = symmetrized(mat)
+    four = pair_matrix_to_four_tensor(n, mat)
+    check_small(cyclic_average(four), mat, EPS_ALG,
+                "first Bianchi identity violated beyond tolerance", lead=1)
     return mat, four
 
 
@@ -189,64 +166,64 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
 
     Rm, R4 = _curvature(n, curvature_from_uniform(n, mR))
     split = weyl_split(R4)
-    Wm, W4 = _curvature(n, _pairs(n, split.W))
-    _curvature(n, _pairs(n, split.e_part))
-    _curvature(n, _pairs(n, split.s_part))
+    Wm, W4 = _curvature(n, four_tensor_to_pair_matrix(n, split.W))
+    _curvature(n, four_tensor_to_pair_matrix(n, split.e_part))
+    _curvature(n, four_tensor_to_pair_matrix(n, split.s_part))
     k = symmetrized(mk)
     A = a[..., None] * g
-    gk, _ = _curvature(n, _pairs(n, kn_four(g, k)))
-    Km, K4 = _curvature(n, _pairs(n, kn_four(k, g)))
-    Bm, B4 = _curvature(n, _pairs(n, kn_four(A, g)))
+    gk, _ = _curvature(n, four_tensor_to_pair_matrix(n, kn_four(g, k)))
+    Km, K4 = _curvature(n, four_tensor_to_pair_matrix(n, kn_four(k, g)))
+    Bm, B4 = _curvature(n, four_tensor_to_pair_matrix(n, kn_four(A, g)))
     Rc, S, E = split.Rc, split.S, split.E
-    RR, WW = _inner(Rm, Rm), _inner(Wm, Wm)
+    RR, WW = frobenius(Rm, Rm), frobenius(Wm, Wm)
 
     # adjointness of the metric product against the Ricci contraction
-    lhs = _inner(gk, Rm)
-    record("selfadjoint", _rel(lhs - _inner(k, Rc), lhs))
+    lhs = frobenius(gk, Rm)
+    record("selfadjoint", _rel(lhs - frobenius(k, Rc), lhs))
 
     # decomposition: trace-freeness, Bianchi, Pythagoras
-    rc_W = _ricci_trace(W4)
-    record("weyl_ricci_free", _max_abs(rc_W))
-    record("weyl_bianchi_free", _max_abs(cyclic_average(W4)))
-    pyth = RR - (WW + S ** 2 / (2 * n * (n - 1)) + _inner(E, E) / (n - 2))
+    record("weyl_ricci_free", max_abs(_ricci_trace(W4), 1))
+    record("weyl_bianchi_free", max_abs(cyclic_average(W4), 1))
+    pyth = RR - (WW + S ** 2 / (2 * n * (n - 1)) + frobenius(E, E) / (n - 2))
     record("pythagoras", _rel(pyth, RR))
 
     # every sharp product of the trial in one stacked call: W#W, R#R, B#W, then
     # R1#R2 of the six argument orders (R1, R2, R3) of (R, W, K) in tri
     firsts = [W4, R4, B4, R4, R4, W4, W4, K4, K4]
     seconds = [W4, R4, W4, W4, K4, R4, K4, R4, W4]
-    sharp = _pairs(n, sharp_four(np.stack(firsts), np.stack(seconds)))
+    sharp = four_tensor_to_pair_matrix(n, sharp_four(np.stack(firsts), np.stack(seconds)))
 
     # quadratic products: rc(W^2 + W#) = 0 and the contraction formula for R
     W2 = Wm @ np.swapaxes(Wm, -1, -2)
     quad_W = W2 + sharp[0]
     record("rc_quadratic_weyl",
-           _rel(_max_abs(_ricci_trace(_four(n, quad_W))), WW))
+           _rel(max_abs(_ricci_trace(pair_matrix_to_four_tensor(n, quad_W)), 1), WW))
     quad_R = Rm @ np.swapaxes(Rm, -1, -2) + sharp[1]
     rc_pred = np.einsum('...ipjq,...pq->...ij', R4, Rc)
-    rc_R = _ricci_trace(_four(n, quad_R))
-    record("rc_quadratic_contraction", _rel(_max_abs(rc_R - rc_pred), RR))
+    rc_R = _ricci_trace(pair_matrix_to_four_tensor(n, quad_R))
+    record("rc_quadratic_contraction", _rel(max_abs(rc_R - rc_pred, 1), RR))
 
     # trilinear symmetry <R1.R2 + R2.R1 + 2 R1 # R2, R3> over all six argument orders
     p, q, r = (np.stack(x) for x in ([Rm, Rm, Wm, Wm, Km, Km], [Wm, Km, Rm, Km, Rm, Wm],
                                       [Km, Wm, Km, Rm, Wm, Rm]))
-    vals = _inner(p @ np.swapaxes(q, -1, -2) + q @ np.swapaxes(p, -1, -2) + 2.0 * sharp[3:], r)
+    vals = frobenius(p @ np.swapaxes(q, -1, -2) + q @ np.swapaxes(p, -1, -2) + 2.0 * sharp[3:], r)
     record("tri_symmetry", _rel(vals.max(axis=0) - vals.min(axis=0), np.abs(vals).max(axis=0)))
 
     # metric-product pairing lemma, with the symmetric factor diagonalized
     scaleW = np.maximum(1.0, WW)
-    record("productw_orth", _rel(_inner(Bm, quad_W), scaleW))
-    lhs_b = _inner(W2, Bm)
+    record("productw_orth", _rel(frobenius(Bm, quad_W), scaleW))
+    lhs_b = frobenius(W2, Bm)
     rhs_b = 0.5 * np.einsum('...ii,...ijpq,...ijpq->...', A, W4, W4)
     record("productw_diag", _rel(lhs_b - rhs_b, scaleW))
-    record("productw_sharp", _rel(lhs_b + _inner(Wm, sharp[2]), scaleW))
+    record("productw_sharp", _rel(lhs_b + frobenius(Wm, sharp[2]), scaleW))
     rhs_c = 0.5 * np.einsum('...ijkl,...jplq,...ipkq->...', W4, W4, R4)
-    record("productw_reindex", _rel(_inner(Wm, sharp[3]) - rhs_c, scaleW))
+    record("productw_reindex", _rel(frobenius(Wm, sharp[3]) - rhs_c, scaleW))
 
     # circ-prime norm identity on divergence-type tensors
     Af = two_form_one_form_from_uniform(mA)
-    a2 = _flat(full3_to_pair_form(n, Af) ** 2, 2).sum(axis=-1)
-    cp2 = _flat(full5_to_triple_pair(n, circ_prime_full(Af)) ** 2, 2).sum(axis=-1)
+    Ap = full3_to_pair_form(n, Af)
+    cp = full5_to_triple_pair(n, circ_prime_full(Af))
+    a2, cp2 = frobenius(Ap, Ap), frobenius(cp, cp)
     record("circ_prime_norm", _rel(cp2 - (n - 3) * a2, a2))
 
     for family, values in zip(("bianchi_rc_part", "bianchi_s_part", "bianchi_weyl_part"),
@@ -254,27 +231,16 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
         record(family, values)
 
     # sectional split of the trace-free operator: W_ijij is the pair diagonal of W
-    _guard(rc_W, Wm, "sectional split requires a trace-free (Weyl-type) input")
-    pb = pair_basis(n)
-    diag = np.diagonal(Wm, axis1=-2, axis2=-1)
-    inside = subset[:, pb.rows] & subset[:, pb.cols]
-    outside = ~subset[:, pb.rows] & ~subset[:, pb.cols]
-    w1, w2 = np.where(inside, diag, 0.0).sum(-1), np.where(outside, diag, 0.0).sum(-1)
+    check_trace_free(W4, Wm, "sectional split")
+    w1, w2 = sectional_sums(np.diagonal(Wm, axis1=-2, axis2=-1), subset)
     record("sectional_split", _rel(w1 - w2, np.maximum(np.abs(w1), 1.0)))
 
     # Ricci-polynomial identities; quadratic_forms takes the symmetrized Ricci form
     Ac = symmetrized(Rc)
-
-    def cube(X):
-        return np.einsum('...ij,...jk,...ki->...', X, X, X)
-
-    def form(T):
-        return np.einsum('...ijkl,...ik,...jl->...', T, Ac, Ac)
-
-    A3, R_AA, e3, e2 = cube(Ac), form(R4), cube(E), _inner(E, E)
+    A3, R_AA, e3, e2 = cube_trace(Ac), quadratic_form(R4, Ac), cube_trace(E), frobenius(E, E)
     record("ricci_cubed", _rel(A3 - (e3 + 3.0 / n * S * e2 + S ** 3 / n ** 2),
                                np.maximum(np.abs(A3), 1.0)))
-    pred = (form(W4) - 2.0 * e3 / (n - 2) + S ** 3 / n ** 2
+    pred = (quadratic_form(W4, Ac) - 2.0 * e3 / (n - 2) + S ** 3 / n ** 2
             + (2.0 * n - 3.0) / (n * (n - 1)) * S * e2)
     record("ricci_curvature_form", _rel(R_AA - pred, np.maximum(np.abs(R_AA), 1.0)))
 
@@ -297,23 +263,23 @@ def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
     C = symmetrized(mC)
     P = C - np.swapaxes(C, -3, -2)
     resid = second_bianchi_full(kn_four(C, g)) - circ_prime_full(P)
-    rc_part = _rel(_max_abs(resid), _max_abs(P))
+    rc_part = _rel(max_abs(resid, 1), max_abs(P, 1))
     D_s = np.einsum('...m,abcd->...mabcd', v, kn_four(g, g))
     Qf = np.einsum('ki,...j->...ijk', g, v) - np.einsum('kj,...i->...ijk', g, v)
     resid = second_bianchi_full(D_s) + circ_prime_full(Qf)
-    s_part = _rel(_max_abs(resid), _max_abs(Qf))
+    s_part = _rel(max_abs(resid, 1), max_abs(Qf, 1))
     # second-Bianchi image of the trace-free part on an exact derivative field
     w_sl = weyl_split(curvature_derivative_from_uniform(mD)).W
     bw = second_bianchi_full(w_sl)
     resid = bw - circ_prime_full(np.einsum('...mabcm->...abc', w_sl)) / (n - 3)
-    return rc_part, s_part, _rel(_max_abs(resid), _max_abs(bw))
+    return rc_part, s_part, _rel(max_abs(resid, 1), max_abs(bw, 1))
 
 
 def _weyl_samples(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` draws of ``random_weyl``, as (pair matrices, four tensors)."""
     N = pair_basis(n).size
     m = np.stack([uniform(rng, N, N) for _ in range(count)])
-    return _curvature(n, _pairs(n, weyl_from_uniform(n, m)))
+    return _curvature(n, four_tensor_to_pair_matrix(n, weyl_from_uniform(n, m)))
 
 
 def _sharp_cubic_trial(W4: np.ndarray) -> np.ndarray:
@@ -326,11 +292,10 @@ def _sharp_cubic_trial(W4: np.ndarray) -> np.ndarray:
 def _u_tensor_trial(Wm: np.ndarray, W4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u_norm, u_cubic) residuals of a chunk; the n^6 u-tensor is built per sample."""
     n = W4.shape[-1]
-    _guard(_ricci_trace(W4), Wm, "u-contraction requires a trace-free (Weyl-type) input")
-    norm_sum, cubic_sum = np.array([u_tensor_contractions(W) for W in W4]).T
-    contracted = -cubic_sum / 8.0
+    check_trace_free(W4, Wm, "u-contraction")
+    norm_sum, contracted = np.array([u_tensor_contractions(W) for W in W4]).T
     cubic = sum(cubic_parts(W4))
-    return (_rel(norm_sum - 32.0 * (n - 1) * _inner(Wm, Wm), norm_sum),
+    return (_rel(norm_sum - 32.0 * (n - 1) * frobenius(Wm, Wm), norm_sum),
             _rel(contracted - 8.0 * cubic, np.maximum(np.abs(contracted), 1.0)))
 
 

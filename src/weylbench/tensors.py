@@ -45,14 +45,25 @@ def check_dimension(n: int, minimum: int = 2) -> int:
     return int(n)
 
 
-def within_tol(resid, entries, tol: float) -> bool:
+def max_abs(x, lead: int = 0) -> np.ndarray:
+    """max|x| over every axis after the first ``lead``: one value per leading index.
+
+    A NaN anywhere in an object makes its value NaN.
+    """
+    x = np.abs(x)
+    return x.max() if lead == 0 else x.reshape(x.shape[:lead] + (-1,)).max(axis=-1)
+
+
+def within_tol(resid, entries, tol: float, lead: int = 0):
     """max|resid| <= tol * max(1, max|entries|); a NaN or inf in either gives False.
 
     ``entries`` may also be max|entries| itself, taken once for several checks.
+    The result is a numpy bool; with ``lead`` leading batch axes the rule holds
+    object by object (each scaled by its own entries) and the result is a bool
+    array of that shape.
     """
-    top = float(np.abs(entries).max())
-    scale = max(1.0, top)
-    return top < np.inf and float(np.abs(resid).max()) <= tol * scale  # False on NaN
+    top = max_abs(entries, lead)
+    return (top < np.inf) & (max_abs(resid, lead) <= tol * np.maximum(1.0, top))  # False on NaN
 
 
 def finite_scale(entries, what: str) -> float:
@@ -61,15 +72,17 @@ def finite_scale(entries, what: str) -> float:
     Raises ValueError unless it is finite, so a NaN or inf is refused before a
     residual such as ``a - a.T`` can meet inf - inf.
     """
-    scale = np.abs(entries).max()
+    scale = max_abs(entries)
     if not scale < np.inf:
         raise ValueError(f"{what} must be finite")
     return scale
 
 
-def check_small(resid, entries, tol: float, message: str) -> None:
-    """Raise ValueError(message) unless within_tol(resid, entries, tol)."""
-    if not within_tol(resid, entries, tol):
+def check_small(resid, entries, tol: float, message: str, lead: int = 0) -> None:
+    """Raise ValueError(message) unless within_tol(resid, entries, tol, lead) holds
+    for every object."""
+    ok = within_tol(resid, entries, tol, lead)
+    if not (ok.all() if lead else ok):
         raise ValueError(message)
 
 
@@ -86,7 +99,12 @@ def check_symmetric(mat: np.ndarray, what: str = "matrix", tol: float = EPS_ALG)
     scale = finite_scale(mat, what)
     if not within_tol(mat - mat.T, scale, tol):
         raise ValueError(f"{what} must be symmetric within tolerance {tol}")
-    return (mat + mat.T) / 2.0
+    return symmetrized(mat)
+
+
+def symmetrized(m: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2 over the last two axes."""
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
 
 
 def running_max(old: float, values) -> float:
@@ -147,7 +165,7 @@ class Operator2Form:
         return float(s * self.mat[pb.pos[i, j], pb.pos[k, l]])
 
     def is_self_adjoint(self, tol: float = EPS_ALG) -> bool:
-        return within_tol(self.mat - self.mat.T, self.mat, tol)
+        return bool(within_tol(self.mat - self.mat.T, self.mat, tol))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.mat)
@@ -173,10 +191,16 @@ class Operator2Form:
         return f"{type(self).__name__}(n={self.n})"
 
 
+def frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius inner products of (..., N, N) stacks, one sum per matrix (batch-aware)."""
+    prod = a * b
+    return prod.reshape(prod.shape[:-2] + (-1,)).sum(axis=-1)
+
+
 def inner(a: Operator2Form, b: Operator2Form) -> float:
     """<a, b> = (1/4) of the full four-index contraction."""
     a._check_same(b)
-    return float(np.sum(a.mat * b.mat))
+    return float(frobenius(a.mat, b.mat))
 
 
 def norm(a: Operator2Form) -> float:

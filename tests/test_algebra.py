@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from weylbench.algebra import (
+    bianchi_image,
     bianchi_project,
+    check_trace_free,
     circ_prime,
     circ_prime_full,
     congruence_four,
+    cube_trace,
     cubic_parts,
     decompose,
     dot_product,
@@ -23,10 +26,12 @@ from weylbench.algebra import (
     pure_cubic_parts,
     pure_cubics,
     pure_matrix_from_weyl,
+    quadratic_form,
     quadratic_forms,
     ricci_contraction,
     second_bianchi,
     second_bianchi_full,
+    sectional_sums,
     sharp_four,
     sharp_product,
     tri,
@@ -44,6 +49,7 @@ from weylbench.sampling import (
     random_symmetric,
     random_two_form_one_form,
     random_weyl,
+    random_weyl_batch,
 )
 from weylbench.tensors import (
     CovDerivCurvature,
@@ -632,6 +638,60 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(second_bianchi_full,
                                 rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 5))
     _assert_batch_equals_single(pure_cubic_parts, h + np.swapaxes(h, -1, -2))
+    N = pair_basis(n).size
+    _assert_batch_equals_single(lambda m: bianchi_image(n, m),
+                                rng.uniform(-1.0, 1.0, size=(count, N, N)))
+    _assert_batch_equals_single(quadratic_form, R4, g)
+    _assert_batch_equals_single(cube_trace, g)
+    subsets = rng.uniform(size=(count, n)) < 0.5
+    _assert_batch_equals_single(sectional_sums, rng.uniform(-1.0, 1.0, size=(count, N)), subsets)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_typed_wrappers_are_their_kernels(n):
+    """The typed functions return, bit for bit, what their raw kernels give."""
+    W, R = random_weyl(rng, n), random_curvature(rng, n)
+    A = random_symmetric(rng, n)
+    qf = quadratic_forms(R, A)
+    assert (qf.W_AA, qf.A_cubed) == (float(quadratic_form(R.four(), A)), float(cube_trace(A)))
+    subset = {0, n - 1}
+    mask = np.zeros(n, dtype=bool)
+    mask[[0, n - 1]] = True
+    assert weyl_sectional_split(W, subset) == tuple(
+        float(x) for x in sectional_sums(np.diagonal(W.mat), mask))
+    assert u_contraction(W) == u_tensor_contractions(W.four())
+    T = random_operator(rng, n)
+    kerb, imb = bianchi_project(T)
+    image = bianchi_image(n, T.mat)
+    assert np.array_equal(imb.mat, (image + image.T) / 2.0)
+    assert np.array_equal(kerb.mat, T.mat - imb.mat)
+
+
+def test_sectional_sums_match_the_component_sums():
+    W = random_weyl(rng, 6)
+    subset = [0, 2, 3]
+    comp = [1, 4, 5]
+    mask = np.isin(np.arange(6), subset)
+    w1, w2 = sectional_sums(np.diagonal(W.mat), mask)
+    assert w1 == pytest.approx(sum(W.component(i, j, i, j) for i in subset for j in subset
+                                   if i < j), abs=1e-15)
+    assert w2 == pytest.approx(sum(W.component(i, j, i, j) for i in comp for j in comp
+                                   if i < j), abs=1e-15)
+
+
+def test_check_trace_free_is_per_tensor():
+    """A stack passes when every tensor is trace-free at its own scale, and one
+    traced tensor fails the whole stack."""
+    n = 5
+    fours, mats = random_weyl_batch(rng, n, 3)
+    fours[0] *= 1e6
+    mats[0] *= 1e6
+    check_trace_free(fours, mats, "stack")
+    R = random_curvature(rng, n)
+    fours[2], mats[2] = R.four(), R.mat
+    with pytest.raises(ValueError, match="stack requires a trace-free"):
+        check_trace_free(fours, mats, "stack")
+    check_trace_free(fours[:2], mats[:2], "stack")
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -692,9 +752,9 @@ def test_u_tensor_placement_matches_einsum_reference(n):
     round-off of a sum of n^6 squares."""
     for _ in range(3):
         W = random_weyl(rng, n)
-        norm_sum, cubic_sum = u_tensor_contractions(W.four())
+        norm_sum, contracted = u_tensor_contractions(W.four())
         ref_norm, ref_cubic = u_tensor_einsum_reference(W)
-        assert cubic_sum == ref_cubic
+        assert contracted == -ref_cubic / 8.0
         assert norm_sum == pytest.approx(ref_norm, rel=1e-14)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from weylbench.basis import (
     four_tensor_to_pair_matrix,
+    full3_to_pair_form,
+    full5_to_triple_pair,
     pair_basis,
     pair_matrix_to_four_tensor,
     triple_basis,
@@ -54,6 +56,46 @@ def test_triple_basis_signs():
     assert tb.pos[1, 0, 2] == a and tb.sign[1, 0, 2] == -1
     assert tb.pos[2, 0, 1] == a and tb.sign[2, 0, 1] == 1
     assert tb.sign[0, 0, 1] == 0
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_batched_expansions_are_c_order_and_batch_independent(n):
+    """Each expansion of a stack is C-contiguous and equals the expansion of each
+    object alone, and a per-object sum of squares keeps its bits at any batch size."""
+    N = pair_basis(n).size
+    stacks = [
+        (pair_matrix_to_four_tensor, rng.uniform(-1.0, 1.0, size=(5, N, N))),
+        (four_tensor_to_pair_matrix, rng.uniform(-1.0, 1.0, size=(5,) + (n,) * 4)),
+        (full3_to_pair_form, rng.uniform(-1.0, 1.0, size=(5,) + (n,) * 3)),
+        (full5_to_triple_pair, rng.uniform(-1.0, 1.0, size=(5,) + (n,) * 5)),
+    ]
+    for expand, stack in stacks:
+        out = expand(n, stack)
+        assert out.flags.c_contiguous
+        squares = (out ** 2).reshape(5, -1).sum(axis=1)
+        for b in range(5):
+            single = expand(n, stack[b])
+            assert np.array_equal(out[b], single)
+            assert squares[b] == (single ** 2).sum()
+            assert (expand(n, stack[b:b + 1]) ** 2).sum() == squares[b]
+
+
+def test_pair_expansion_keeps_the_bits_of_two_sign_factors():
+    """One sign[i, j] sign[k, l] factor gives the bits, signed zeros included, of
+    multiplying the gathered entries by sign[i, j] and then by sign[k, l]."""
+    n = 5
+    pb = pair_basis(n)
+    mat = rng.uniform(-1.0, 1.0, size=(3, pb.size, pb.size))
+    mat[0, 0, :] = -0.0
+    mat[1, :, 2] = 0.0
+    padded = np.zeros((3, pb.size + 1, pb.size + 1))
+    padded[:, :-1, :-1] = mat
+    pos = np.where(pb.pos >= 0, pb.pos, pb.size)
+    ref = (padded[:, pos[:, :, None, None], pos[None, None, :, :]]
+           * pb.sign[:, :, None, None] * pb.sign[None, None, :, :])
+    four = pair_matrix_to_four_tensor(n, mat)
+    assert np.array_equal(four, ref)
+    assert np.array_equal(np.signbit(four), np.signbit(ref))
 
 
 def test_four_tensor_roundtrip():
@@ -212,6 +254,29 @@ def test_within_tol_is_the_scaled_bound_and_fails_on_non_finite():
     assert not within_tol(0.0, np.array([0.0, np.inf]), 1e-10)
     assert not within_tol(np.nan, np.eye(2), 1e-10)
     assert not within_tol(0.0, np.array([0.0, np.nan]), 1e-10)
+
+
+def test_batched_tolerance_scales_each_object_by_its_own_entries():
+    """With lead = 1, one object's large entries do not widen another's tolerance."""
+    entries = np.ones((3, 3, 3))
+    entries[0] *= 1e6
+    resid = np.zeros((3, 3, 3))
+    resid[0, 0, 0] = 1e-6  # 1e-6 <= 1e-10 * 1e6: passes for object 0
+    resid[1, 0, 0] = 1e-8  # 1e-8 > 1e-10 * max(1, 1): fails for object 1 alone
+    assert within_tol(resid, entries, 1e-10, lead=1).tolist() == [True, False, True]
+    with pytest.raises(ValueError, match="bad"):
+        check_small(resid, entries, 1e-10, "bad", lead=1)
+    check_small(resid[::2], entries[::2], 1e-10, "bad", lead=1)
+    # the unbatched rule takes one scale for all: the 1e-6 entry widens every residual
+    check_small(resid, entries, 1e-10, "bad")
+    entries[2, 0, 0] = np.nan
+    resid[1, 0, 0] = 0.0
+    assert within_tol(resid, entries, 1e-10, lead=1).tolist() == [True, True, False]
+    resid[1, 1, 1] = np.nan
+    assert within_tol(resid, entries, 1e-10, lead=1).tolist() == [True, False, False]
+    for b in range(3):
+        assert within_tol(resid, entries, 1e-10, lead=1)[b] == within_tol(resid[b], entries[b],
+                                                                         1e-10)
 
 
 def _weyl_pair_matrix(value):
