@@ -116,11 +116,12 @@ def congruence_four(T: np.ndarray, A: np.ndarray) -> np.ndarray:
 
     With K = A (x) A, K[(m,n),(a,b)] = A_ma A_nb, this is the congruence
     K^T T K of T's (n^2, n^2) matrix over the index pairs (ij, kl): two matrix
-    products instead of an n^8 sum.  T may carry leading batch axes; A may not.
+    products instead of an n^8 sum.  T may carry leading batch axes, and A may
+    carry T's (one matrix per object); K's entries are the products np.kron forms.
     """
     n = T.shape[-1]
-    K = np.kron(A, A)
-    out = K.T @ T.reshape(T.shape[:-4] + (n * n, n * n)) @ K
+    K = (A[..., :, None, :, None] * A[..., None, :, None, :]).reshape(A.shape[:-2] + (n * n,) * 2)
+    out = np.swapaxes(K, -1, -2) @ T.reshape(T.shape[:-4] + (n * n, n * n)) @ K
     return out.reshape(T.shape)
 
 

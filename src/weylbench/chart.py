@@ -7,7 +7,8 @@ correction.  Everything is expressed at the center point in the
 Gram-orthonormalized coordinate frame (lower-triangular Cholesky convention).
 
 Every stencil point of an assembly is an integer offset k from the center,
-with coordinates ``GridSpec.point(k) = center + h * k``.
+with coordinates ``GridSpec.point(k) = center + h * k``, and each stage is
+tabulated once over its whole offset set in one batched pass (``_Lattice``).
 
 Sign convention: R_ijkl = -g_ls R^s_ijk with
 R^s_ijk = d_i Gamma^s_jk - d_j Gamma^s_ik + Gamma-quadratic terms, which makes
@@ -50,8 +51,8 @@ from .tensors import (
 class ChartMetric:
     """Metric evaluator on a coordinate chart with an analytic tag.
 
-    Positive definiteness is checked at every evaluated point.  Grid-file
-    metrics carry the grid they were tabulated for in ``default_grid``.
+    Shape and positive definiteness are checked at every evaluated point (``table``).
+    Grid-file metrics carry the grid they were tabulated for in ``default_grid``.
     """
 
     name: str
@@ -61,12 +62,20 @@ class ChartMetric:
     default_grid: "GridSpec | None" = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        if g.shape != (self.n, self.n):
-            raise ValueError(f"metric evaluator returned shape {g.shape}")
-        if not np.linalg.eigvalsh(g).min() > 0:  # a NaN fails too
-            raise ValueError(f"metric not positive definite at {np.asarray(x).tolist()}")
-        return g
+        return self.table(np.asarray(x, dtype=float)[None])[0]
+
+    def table(self, xs: np.ndarray) -> np.ndarray:
+        """The metric at each row x of xs, one ``fn(x)`` call per row, stacked and checked."""
+        gs = np.empty((len(xs), self.n, self.n))
+        for r, x in enumerate(xs):
+            g = np.asarray(self.fn(x), dtype=float)
+            if g.shape != (self.n, self.n):
+                raise ValueError(f"metric evaluator returned shape {g.shape}")
+            gs[r] = g
+        bad = ~(np.linalg.eigvalsh(gs).min(axis=-1) > 0)  # a NaN fails too
+        if bad.any():
+            raise ValueError(f"metric not positive definite at {xs[bad.argmax()].tolist()}")
+        return gs
 
 
 @dataclass(frozen=True)
@@ -106,17 +115,13 @@ def _product_spheres(p: int, q: int, r1: float, r2: float) -> Callable[[np.ndarr
 
 
 def _perturbed(n: int, amp: float) -> Callable[[np.ndarray], np.ndarray]:
+    entries = [(i, j, i + 1, (i + j) % n, float(i == j)) for i in range(n) for j in range(i, n)]
     def fn(x: np.ndarray) -> np.ndarray:
-        out = np.eye(n)
-        for i in range(n):
-            for j in range(i, n):
-                v = amp * (0.3 * math.sin((i + 1) * x[j % n] + j)
-                           + 0.2 * x[i] * x[j]
-                           + 0.1 * x[(i + j) % n] ** 3)
-                out[i, j] += v
-                if i != j:
-                    out[j, i] += v
-        return out
+        x, out = x.tolist(), [[0.0] * n for _ in range(n)]
+        for i, j, f, c, e in entries:
+            out[i][j] = out[j][i] = e + amp * (0.3 * math.sin(f * x[j] + j) + 0.2 * x[i] * x[j]
+                                               + 0.1 * x[c] ** 3)
+        return np.array(out)
     return fn
 
 
@@ -221,107 +226,119 @@ def _json_matrix(value) -> np.ndarray:
 
 def dump_grid_file(metric: ChartMetric, grid: GridSpec, path: str,
                    with_ricci_identity: bool = False) -> int:
-    """Run one field assembly and write its metric table, addressed by offset, as JSON."""
-    lattice = _Lattice(metric, grid)
-    _assemble(lattice, with_ricci_identity)
-    offsets = sorted(lattice.tables["g"])
+    """Tabulate one field assembly and write its metric table, addressed by offset, as JSON."""
+    lattice = _Lattice(metric, grid, with_ricci_identity)
+    rows = np.lexsort(lattice.keys.T[::-1])  # offsets in sorted order
     data = {"n": metric.n, "harmonic_weyl": metric.harmonic_weyl,
             "grid": {"center": grid.center.tolist(), "h": grid.h, "order": grid.order},
-            "offsets": [list(k) for k in offsets],
-            "matrices": [lattice.tables["g"][k].tolist() for k in offsets]}
+            "offsets": lattice.keys[rows].tolist(), "matrices": lattice.g[rows].tolist()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
-    return len(offsets)
-
-
-def _shift(k: tuple, m: int, s: int) -> tuple:
-    """Offset k moved s steps along axis m."""
-    return k[:m] + (k[m] + s,) + k[m + 1:]
+    return len(rows)
 
 
 class _Lattice:
-    """The stencil points of one field assembly, addressed by integer offsets.
+    """The stencil points of one field assembly, each stage tabulated once over its offsets.
 
-    ``g``, ``gamma``, ``decomp`` and ``w2`` give the validated metric,
-    ``christoffel``, ``_decomp_coords`` and ``_w_norm_sq_at`` at an offset k (a
-    tuple of ints), each computed once per offset and kept in ``tables``.  A
-    point reached along two stencil paths is one key, and its coordinates come
-    from the one formula ``grid.point(k)``.  A lattice lives for one assembly.
+    The offsets nest, w2 ⊂ decomp ⊂ gamma ⊂ g (|W|^2_g is differenced at the center,
+    R there and, with the Ricci identity, at its neighbours; Gamma where R is, g where
+    Gamma is), each set a prefix of the rows: row r is offset ``keys[r]``, and ``near[r,
+    j, m]`` the row of ``keys[r]`` moved ``steps[j]`` along axis m.  Tables: ``g``,
+    ``gamma``, ``decomp`` = (R, Rc, S, E, W) in coordinates (R kept on the center's
+    stencil, W on the w2 rows: all that is read) and ``w2``.  It lives for one assembly.
     """
 
-    def __init__(self, metric: ChartMetric, grid: GridSpec):
+    def __init__(self, metric: ChartMetric, grid: GridSpec, with_ricci_identity: bool):
         if metric.n < 4:
             raise ValueError("chart fields require dimension >= 4 (Weyl decomposition)")
         if grid.center.shape != (metric.n,):
             raise ValueError(f"center must have shape ({metric.n},)")
-        self.metric, self.grid, self.n = metric, grid, metric.n
-        self.origin = (0,) * metric.n
-        self.tables: dict[str, dict] = {s: {} for s in ("g", "gamma", "decomp", "w2")}
+        self.metric, self.grid, self.with_ricci_identity = metric, grid, with_ricci_identity
+        self.n = n = metric.n
+        self.steps = (1, -1) if grid.order == 2 else (2, 1, -1, -2)
+        unit, (a, b) = np.eye(n, dtype=int), np.triu_indices(n, 1)
+        moves = np.concatenate([s * unit for s in self.steps])
+        order: dict[tuple, None] = {}  # every offset so far, in row order
+        def star(K): return np.concatenate([K, (K[:, None] + moves).reshape(-1, n)])
+        def number(K):  # number the offsets of K not numbered yet; return all offsets so far
+            order.update(dict.fromkeys(zip(*K.T.tolist())))
+            return np.array(list(order))
+        around = star(np.zeros((1, n), dtype=int))  # the center (row 0) and its neighbours
+        w2 = number(np.concatenate([around] + [sa * unit[a] + sb * unit[b]
+                                               for sa in (1, -1) for sb in (1, -1)]))
+        decomp = number(star(around)) if with_ricci_identity else w2
+        gamma = number(star(decomp))
+        self.keys = number(star(gamma))
+        row = {k: r for r, k in enumerate(order)}
+        near = zip(*(gamma[:, None] + moves).reshape(-1, n).T.tolist())
+        self.near = np.array(list(map(row.__getitem__, near))).reshape(len(gamma), -1, n)
+        self.g = metric.table(grid.point(self.keys))
+        self.gamma = self._tabulate(christoffel, 3, len(gamma))[0]
+        self.decomp = self._tabulate(_decomp_coords, 4, len(around), *[len(decomp)] * 3, len(w2))
+        self.w2 = self._tabulate(_w_norm_sq_at, 4, len(w2))[0]
 
-    def _lookup(self, stage: str, k: tuple, compute: Callable[[], object]):
-        table = self.tables[stage]
-        if k not in table:
-            table[k] = compute()
-        return table[k]
+    def _tabulate(self, stage, rank: int, *keep: int) -> tuple:
+        """stage(self, rows) over the first max(keep) rows, output i kept on its first keep[i]
+        rows; a pass takes about 2,500 entries of the per-row rank-``rank`` tensors (4 rows of
+        an n = 5 curvature), so its temporaries stay small beside the tables."""
+        step, count, tables = max(1, 2500 // self.n ** rank), max(keep), None
+        for start in range(0, count, step):
+            parts = stage(self, slice(start, min(start + step, count)))
+            parts = parts if isinstance(parts, tuple) else (parts,)
+            tables = tables or tuple(np.empty((k,) + p.shape[1:]) for k, p in zip(keep, parts))
+            for table, part in zip(tables, parts):
+                table[start:start + len(part)] = part[:max(0, len(table) - start)]
+        return tables
 
-    def g(self, k): return self._lookup("g", k, lambda: self.metric(self.grid.point(k)))
-    def gamma(self, k): return self._lookup("gamma", k, lambda: christoffel(self, k))
-    def decomp(self, k): return self._lookup("decomp", k, lambda: _decomp_coords(self, k))
-    def w2(self, k): return self._lookup("w2", k, lambda: _w_norm_sq_at(self, k))
-
-    def grad(self, f: Callable[[tuple], np.ndarray], k: tuple) -> np.ndarray:
-        """d_m f at offset k, stacked over the axis m, by a central difference."""
-        def along(s):
-            return np.stack([f(_shift(k, m, s)) for m in range(self.n)])
-        h = self.grid.h
+    def grad(self, T: np.ndarray, rows) -> np.ndarray:
+        """d_m T at the given rows of table T, axis m after the row axis, by a central difference."""
+        def along(s): return T[self.near[rows, self.steps.index(s)]]
         if self.grid.order == 2:
-            return (along(1) - along(-1)) / (2.0 * h)
-        return (-along(2) + 8.0 * along(1) - 8.0 * along(-1) + along(-2)) / (12.0 * h)
+            return (along(1) - along(-1)) / (2.0 * self.grid.h)
+        return (-along(2) + 8.0 * along(1) - 8.0 * along(-1) + along(-2)) / (12.0 * self.grid.h)
 
-    def nabla(self, f: Callable[[tuple], np.ndarray], k: tuple) -> np.ndarray:
-        """nabla_m T = d_m T - sum over slots a of Gamma^s_ma T_..s.. for T = f(k) of any rank."""
-        T, gam = f(k), self.gamma(k)
-        idx = "abcdefgh"[:T.ndim]
-        return self.grad(f, k) - sum(np.einsum(f"sm{a},{idx.replace(a, 's')}->m{idx}", gam, T)
-                                     for a in idx)
-
-
-def christoffel(lattice: _Lattice, k: tuple) -> np.ndarray:
-    """Gamma^c_ij = (1/2) g^{cl} (d_i g_jl + d_j g_il - d_l g_ij), indexed [c, i, j]."""
-    gi = np.linalg.inv(lattice.g(k))
-    dg = lattice.grad(lattice.g, k)
-    term = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    return 0.5 * np.einsum('kl,ijl->kij', gi, term)
+    def nabla(self, T: np.ndarray, rows) -> np.ndarray:
+        """nabla_m T = d_m T - sum over slots a of Gamma^s_ma T_..s.. at rows of a table of any rank."""
+        Tr, gam = T[rows], self.gamma[rows]
+        idx = "abcdefgh"[:Tr.ndim - 1]
+        return self.grad(T, rows) - sum(np.einsum(f"zsm{a},z{idx.replace(a, 's')}->zm{idx}",
+                                                  gam, Tr) for a in idx)
 
 
-def curvature_tensor_at(lattice: _Lattice, k: tuple) -> np.ndarray:
+def christoffel(lattice: _Lattice, rows) -> np.ndarray:
+    """Gamma^c_ij = (1/2) g^{cl} (d_i g_jl + d_j g_il - d_l g_ij), indexed [row, c, i, j]."""
+    gi = np.linalg.inv(lattice.g[rows])
+    dg = lattice.grad(lattice.g, rows)
+    term = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
+    return 0.5 * np.einsum('zkl,zijl->zkij', gi, term)
+
+
+def curvature_tensor_at(lattice: _Lattice, rows) -> np.ndarray:
     """(0,4) curvature in coordinates, projected onto its exact symmetry class.
 
     The projection removes the O(h^2) antisymmetry/pair-symmetry defects of
     the raw stencil value without touching its first-Bianchi content.
     """
-    g = lattice.g(k)
-    gam = lattice.gamma(k)
-    dgam = lattice.grad(lattice.gamma, k)
-    rup = (np.transpose(dgam, (0, 2, 3, 1)) - np.transpose(dgam, (2, 0, 3, 1))
-           + np.einsum('sip,pjk->ijks', gam, gam) - np.einsum('sjp,pik->ijks', gam, gam))
-    R = -np.einsum('ijks,ls->ijkl', rup, g)
-    R = 0.25 * (R - np.transpose(R, (1, 0, 2, 3)) - np.transpose(R, (0, 1, 3, 2))
-                + np.transpose(R, (1, 0, 3, 2)))
-    return 0.5 * (R + np.transpose(R, (2, 3, 0, 1)))
+    g, gam = lattice.g[rows], lattice.gamma[rows]
+    dgam = lattice.grad(lattice.gamma, rows)
+    rup = (np.transpose(dgam, (0, 1, 3, 4, 2)) - np.transpose(dgam, (0, 3, 1, 4, 2))
+           + np.einsum('zsip,zpjk->zijks', gam, gam) - np.einsum('zsjp,zpik->zijks', gam, gam))
+    R = -np.einsum('zijks,zls->zijkl', rup, g)
+    R = 0.25 * (R - np.transpose(R, (0, 2, 1, 3, 4)) - np.transpose(R, (0, 1, 2, 4, 3))
+                + np.transpose(R, (0, 2, 1, 4, 3)))
+    return 0.5 * (R + np.transpose(R, (0, 3, 4, 1, 2)))
 
 
-def _decomp_coords(lattice: _Lattice, k: tuple):
-    """R, Rc, S, E, W in coordinates at offset k."""
-    R = curvature_tensor_at(lattice, k)
-    split = weyl_split(R, lattice.g(k))
-    return R, split.Rc, float(split.S), split.E, split.W
+def _decomp_coords(lattice: _Lattice, rows):
+    """R, Rc, S, E, W in coordinates at the given rows."""
+    R = curvature_tensor_at(lattice, rows)
+    split = weyl_split(R, lattice.g[rows])
+    return R, split.Rc, split.S, split.E, split.W
 
 
-def _w_norm_sq_at(lattice: _Lattice, k: tuple) -> float:
-    W = lattice.decomp(k)[4]
-    gi = np.linalg.inv(lattice.g(k))
-    return 0.25 * float(np.vdot(congruence_four(W, gi), W))
+def _w_norm_sq_at(lattice: _Lattice, rows) -> np.ndarray:
+    W, gi = lattice.decomp[4][rows], np.linalg.inv(lattice.g[rows])
+    return np.array([0.25 * float(np.vdot(c, w)) for c, w in zip(congruence_four(W, gi), W)])
 
 
 @dataclass(frozen=True)
@@ -353,82 +370,65 @@ class ChartCurvatureField:
 def curvature_field(metric: ChartMetric, grid: GridSpec,
                     with_ricci_identity: bool = False) -> ChartCurvatureField:
     """Assemble the full curvature field of a chart metric at the grid center."""
-    return _assemble(_Lattice(metric, grid), with_ricci_identity)
+    return _assemble(_Lattice(metric, grid, with_ricci_identity))
 
 
-def _assemble(lattice: _Lattice, with_ricci_identity: bool) -> ChartCurvatureField:
-    n, h, o = lattice.n, lattice.grid.h, lattice.origin
+def _assemble(lattice: _Lattice) -> ChartCurvatureField:
+    n, h, c = lattice.n, lattice.grid.h, [0]  # row 0 is the center
     # wrap tolerance for validated containers: discretization leaves O(h^2) defects
     wrap_tol = max(1e-8, 200.0 * h * h)
-    g0 = lattice.g(o)
-    gi0 = np.linalg.inv(g0)
-    L = np.linalg.cholesky(g0)
-    F = np.linalg.inv(L).T  # columns: frame vectors; F^T g0 F = Id
-    gam0 = lattice.gamma(o)
+    gi0 = np.linalg.inv(lattice.g[0])
+    F = np.linalg.inv(np.linalg.cholesky(lattice.g[0])).T  # columns: frame vectors; F^T g0 F = Id
 
-    # decomp(k) is (R, Rc, S, E, W) in coordinates
-    nR = lattice.nabla(lambda k: lattice.decomp(k)[0], o)
-    nW = lattice.nabla(lambda k: lattice.decomp(k)[4], o)
-    nRc = lattice.nabla(lambda k: lattice.decomp(k)[1], o)
-    vS = F.T @ lattice.grad(lambda k: lattice.decomp(k)[2], o)
-
+    R, Rc, S, _, W = lattice.decomp  # in coordinates
+    nR, nW, nRc = (lattice.nabla(T, c)[0] for T in (R, W, Rc))
+    vS = F.T @ lattice.grad(S, c)[0]
     def to_frame(T: np.ndarray) -> np.ndarray:
         for _ in range(T.ndim):
             T = np.tensordot(T, F, axes=([0], [0]))
         return T
-
-    Rf, nRf, nWf, nRcf = map(to_frame, (lattice.decomp(o)[0], nR, nW, nRc))
-
+    Rf, nRf, nWf, nRcf = map(to_frame, (R[0], nR, nW, nRc))
     R_op = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(Rf), tol=wrap_tol)
     frame_split = weyl_split(Rf)
     dec = decomposition(frame_split, tol=wrap_tol)
-    g_id = np.eye(n)
 
-    nabla_r = CovDerivCurvature.from_full(nRf)
-    nabla_w = CovDerivCurvature.from_full(nWf)
+    nabla_r, nabla_w = CovDerivCurvature.from_full(nRf), CovDerivCurvature.from_full(nWf)
     delta_w = TwoFormOneForm.from_full(np.einsum('mabcm->abc', nWf))
     P = TwoFormOneForm.from_full(nRcf - np.transpose(nRcf, (1, 0, 2)))
-    Q = TwoFormOneForm.from_full(np.einsum('ki,j->ijk', g_id, vS)
-                                 - np.einsum('kj,i->ijk', g_id, vS))
-    b_w = second_bianchi(nabla_w)
-    b_r = second_bianchi(nabla_r)
+    Q = TwoFormOneForm.from_full(np.einsum('ki,j->ijk', np.eye(n), vS)
+                                 - np.einsum('kj,i->ijk', np.eye(n), vS))
+    b_w, b_r = second_bianchi(nabla_w), second_bianchi(nabla_r)
 
-    w2 = lattice.w2
-    d2f = np.zeros((n, n))
-    f0 = w2(o)
-    for a in range(n):
-        d2f[a, a] = (w2(_shift(o, a, 1)) - 2.0 * f0 + w2(_shift(o, a, -1))) / (h * h)
-        for b in range(a + 1, n):
-            def w2_ab(sa, sb): return w2(_shift(_shift(o, a, sa), b, sb))
-            v = (w2_ab(1, 1) - w2_ab(1, -1) - w2_ab(-1, 1) + w2_ab(-1, -1)) / (4.0 * h * h)
-            d2f[a, b] = d2f[b, a] = v
-    d1f = lattice.grad(w2, o)
+    w2, near, j = lattice.w2, lattice.near, lattice.steps.index
+    d2f = np.diag((w2[near[0, j(1)]] - 2.0 * w2[0] + w2[near[0, j(-1)]]) / (h * h))
+    a, b = np.triu_indices(n, 1)
+    def w2_ab(sa, sb): return w2[near[near[0, j(sa), a], j(sb), b]]  # at sa e_a + sb e_b
+    d2f[a, b] = d2f[b, a] = (w2_ab(1, 1) - w2_ab(1, -1) - w2_ab(-1, 1)
+                             + w2_ab(-1, -1)) / (4.0 * h * h)
     lap_w2 = float(np.einsum('ab,ab->', gi0, d2f)
-                   - np.einsum('ab,sab,s->', gi0, gam0, d1f))
+                   - np.einsum('ab,sab,s->', gi0, lattice.gamma[0], lattice.grad(w2, c)[0]))
 
-    grad_absw = F.T @ lattice.grad(lambda k: math.sqrt(max(w2(k), 0.0)), o)
-    nw_norm_sq = float(np.sum(nabla_w.comps ** 2))
-    ricci_res = _ricci_identity_residual(lattice, o) if with_ricci_identity else None
+    grad_absw = F.T @ lattice.grad(np.sqrt(np.maximum(w2, 0.0)), c)[0]
+    ricci_res = (float(_ricci_identity_residual(lattice, c)[0])
+                 if lattice.with_ricci_identity else None)
 
     return ChartCurvatureField(
         metric=lattice.metric, grid=lattice.grid, frame=F, R=R_op, Rc=frame_split.Rc,
-        S=dec.S, decomposition=dec,
-        nabla_r=nabla_r, nabla_w=nabla_w, nabla_rc=nRcf, grad_s=vS,
+        S=dec.S, decomposition=dec, nabla_r=nabla_r, nabla_w=nabla_w, nabla_rc=nRcf, grad_s=vS,
         delta_w=delta_w, P=P, Q=Q, b_w=b_w, b_r=b_r,
-        lap_w_norm_sq=lap_w2, grad_w_norm=grad_absw, nabla_w_norm_sq=nw_norm_sq,
-        ricci_identity_residual=ricci_res)
+        lap_w_norm_sq=lap_w2, grad_w_norm=grad_absw,
+        nabla_w_norm_sq=float(np.sum(nabla_w.comps ** 2)), ricci_identity_residual=ricci_res)
 
 
-def _ricci_identity_residual(lattice: _Lattice, k: tuple) -> float:
-    """Commutator of second covariant derivatives of Ricci against the curvature terms."""
-    def nabla_rc(j): return lattice.nabla(lambda i: lattice.decomp(i)[1], j)
-    n2 = lattice.nabla(nabla_rc, k)
-    comm = n2 - np.transpose(n2, (1, 0, 2, 3))
-    R, Rc = lattice.decomp(k)[:2]
-    gi = np.linalg.inv(lattice.g(k))
-    rhs = (np.einsum('abcs,st,td->abcd', R, gi, Rc)
-           + np.einsum('abds,st,tc->abcd', R, gi, Rc))
-    return float(np.abs(comm - rhs).max())
+def _ricci_identity_residual(lattice: _Lattice, rows) -> np.ndarray:
+    """max |commutator of second covariant derivatives of Ricci - curvature terms| per row;
+    nabla Rc is taken on the rows up to the last neighbour of the given ones (a prefix)."""
+    R, Rc = lattice.decomp[:2]
+    n2 = lattice.nabla(lattice.nabla(Rc, slice(lattice.near[rows].max() + 1)), rows)
+    R, Rc, gi = R[rows], Rc[rows], np.linalg.inv(lattice.g[rows])
+    rhs = (np.einsum('zabcs,zst,ztd->zabcd', R, gi, Rc)
+           + np.einsum('zabds,zst,ztc->zabcd', R, gi, Rc))
+    return np.abs(n2 - np.transpose(n2, (0, 2, 1, 3, 4)) - rhs).reshape(len(R), -1).max(axis=1)
 
 
 def weyl_derivative_pack(f: ChartCurvatureField) -> dict:

@@ -789,6 +789,19 @@ def test_congruence_four_matches_einsum_reference(n):
     assert congruence_four(np.stack([T, 2.0 * T]), A).shape == (2,) + (n,) * 4
 
 
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_congruence_four_takes_one_matrix_per_object(n):
+    """A may carry T's batch axis; every object keeps the bits of the np.kron congruence."""
+    T = rng.uniform(-1.0, 1.0, size=(6,) + (n,) * 4)
+    A = rng.uniform(-1.0, 1.0, size=(6, n, n))
+    batched = congruence_four(T, A)
+    for b in range(6):
+        K = np.kron(A[b], A[b])
+        kron = (K.T @ T[b].reshape(n * n, n * n) @ K).reshape((n,) * 4)
+        assert congruence_four(T[b], A[b]).tobytes() == kron.tobytes()
+        assert batched[b].tobytes() == kron.tobytes()
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_weyl_norm_with_metric_matches_einsum_reference(n):
     W = weyl_split(_curvature_batch(n, 1)[0]).W

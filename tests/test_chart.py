@@ -1,5 +1,8 @@
 """Finite-difference chart calculus: convergence and differential identities."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ from weylbench.algebra import decompose
 from weylbench.chart import (
     ChartMetric,
     GridSpec,
+    _decomp_coords,
     _Lattice,
     _w_norm_sq_at,
+    christoffel,
     curvature_field,
     dump_grid_file,
     grid_file_metric,
@@ -195,6 +200,111 @@ def test_positive_definiteness_enforced():
         curvature_field(bad, GridSpec(center=2.0 * np.ones(4), h=1e-3))
 
 
+def _indefinite_beyond(x0):
+    """The identity metric, with its last eigenvalue -1 where x[0] > x0."""
+    def fn(x):
+        g = np.eye(4)
+        g[3, 3] = -1.0 if x[0] > x0 else 1.0
+        return g
+    return fn
+
+
+def test_one_indefinite_point_among_many_is_named():
+    points = CENTER4 + 1e-3 * np.arange(-3, 4)[:, None] * np.eye(4)[0]
+    m = ChartMetric("one-bad", 4, _indefinite_beyond(CENTER4[0] + 2.5e-3))
+    with pytest.raises(ValueError, match=re.escape(f"positive definite at {points[-1].tolist()}")):
+        m.table(points)
+    with pytest.raises(ValueError, match=re.escape(f"positive definite at {points[-1].tolist()}")):
+        m(points[-1])
+    assert np.array_equal(m.table(points[:-1]), np.stack([m(x) for x in points[:-1]]))
+
+
+def test_assembly_names_its_one_indefinite_stencil_point():
+    # at order 2 without the Ricci identity, offset (3, 0, 0, 0) is the only stencil
+    # point more than 2.5 steps from the center along the first axis
+    grid = GridSpec(center=CENTER4, h=1e-3)
+    m = ChartMetric("one-bad", 4, _indefinite_beyond(CENTER4[0] + 2.5e-3))
+    bad = grid.point((3, 0, 0, 0)).tolist()
+    with pytest.raises(ValueError, match=re.escape(f"positive definite at {bad}")):
+        curvature_field(m, grid)
+
+
+@pytest.mark.parametrize("value", [np.eye(3), np.ones(4), 1.0], ids=["3x3", "vector", "scalar"])
+def test_wrong_shape_metric_is_refused(value):
+    m = ChartMetric("bad-shape", 4, lambda x: value)
+    with pytest.raises(ValueError, match="metric evaluator returned shape"):
+        m(np.zeros(4))
+    with pytest.raises(ValueError, match="metric evaluator returned shape"):
+        curvature_field(m, GridSpec(center=CENTER4, h=1e-3))
+
+
+def _perturbed_loop(n, amp):
+    """The perturbed preset's evaluator as first written: one += per matrix entry."""
+    def fn(x):
+        out = np.eye(n)
+        for i in range(n):
+            for j in range(i, n):
+                v = amp * (0.3 * math.sin((i + 1) * x[j % n] + j)
+                           + 0.2 * x[i] * x[j]
+                           + 0.1 * x[(i + j) % n] ** 3)
+                out[i, j] += v
+                if i != j:
+                    out[j, i] += v
+        return out
+    return fn
+
+
+@pytest.mark.parametrize("name, n, amp", [("perturbed:4", 4, 0.05), ("perturbed:5:0.3", 5, 0.3),
+                                          ("perturbed:7", 7, 0.05)])
+def test_perturbed_evaluator_matches_the_entrywise_loop(name, n, amp):
+    fast, loop = preset_metric(name).fn, _perturbed_loop(n, amp)
+    points = np.random.default_rng(n).uniform(-1.0, 1.0, size=(500, n))
+    points[0], points[1], points[2] = 0.0, -0.0, 0.1 * (1.0 + np.arange(n)) / n
+    for x in points:
+        assert fast(x).tobytes() == loop(x).tobytes()
+
+
+# (g, Gamma, decomposition, |W|^2_g) rows of one assembly, equal to the calls of
+# ChartMetric.fn, christoffel, _decomp_coords and _w_norm_sq_at when each was
+# evaluated once per stencil point
+@pytest.mark.parametrize("name, order, ricci, sizes", [
+    ("perturbed:4", 2, False, (313, 121, 33, 33)),
+    ("perturbed:5", 2, False, (671, 221, 51, 51)),
+    ("perturbed:4", 4, False, (1225, 305, 41, 41)),
+    ("perturbed:5", 2, True, (681, 231, 61, 51)),
+    ("perturbed:5", 4, True, (4881, 1181, 201, 61)),
+])
+def test_stage_sizes(name, order, ricci, sizes):
+    n = int(name.split(":")[1])
+    grid = GridSpec(center=0.1 * (1.0 + np.arange(n)) / n, h=1e-3, order=order)
+    lattice = _Lattice(preset_metric(name), grid, ricci)
+    assert (len(lattice.g), len(lattice.gamma), len(lattice.decomp[1]), len(lattice.w2)) == sizes
+    assert len(lattice.keys) == len({tuple(k) for k in lattice.keys.tolist()}) == sizes[0]
+
+
+@pytest.mark.parametrize("name, order", [("perturbed:4", 2), ("perturbed:5", 4)])
+def test_stage_rows_do_not_depend_on_the_batch(name, order):
+    """Each stage over all its rows in one pass, in the lattice's blocks and one row at a
+    time gives the same bits."""
+    n = int(name.split(":")[1])
+    grid = GridSpec(center=0.1 * (1.0 + np.arange(n)) / n, h=1e-3, order=order)
+    lattice = _Lattice(preset_metric(name), grid, with_ricci_identity=True)
+    assert np.array_equal(lattice.g, np.stack([lattice.metric(x) for x in grid.point(lattice.keys)]))
+    stages = [(christoffel, len(lattice.gamma), (lattice.gamma,)),
+              (_decomp_coords, len(lattice.decomp[1]), lattice.decomp),
+              (_w_norm_sq_at, len(lattice.w2), (lattice.w2,))]
+    for stage, count, tables in stages:
+        whole = stage(lattice, slice(count))
+        whole = whole if isinstance(whole, tuple) else (whole,)
+        for table, part in zip(tables, whole):
+            assert table.tobytes() == part[:len(table)].tobytes(), stage.__name__
+        for r in range(count):
+            one = stage(lattice, [r])
+            one = one if isinstance(one, tuple) else (one,)
+            for part, row in zip(whole, one):
+                assert part[r].tobytes() == row[0].tobytes(), (stage.__name__, r)
+
+
 def test_grid_file_round_trip(tmp_path):
     m = preset_metric("sphere-stereo:4")
     grid = GridSpec(center=CENTER4, h=2e-3)
@@ -311,8 +421,8 @@ def test_coordinate_weyl_norm_matches_frame_norm(name):
     m = preset_metric(name)
     grid = GridSpec(center=0.1 * (1.0 + np.arange(m.n)) / m.n, h=1e-3)
     f = curvature_field(m, grid)
-    lattice = _Lattice(m, grid)
-    coords = _w_norm_sq_at(lattice, lattice.origin)
+    lattice = _Lattice(m, grid, with_ricci_identity=False)
+    coords = _w_norm_sq_at(lattice, [0])[0]  # row 0 is the center
     frame = inner(f.decomposition.weyl, f.decomposition.weyl)
     assert frame > 1e-6
     assert coords == pytest.approx(frame, rel=1e-12)

@@ -343,6 +343,17 @@ def test_non_number_grid_field_is_usage_error(tmp_path, capsys, edit):
     assert captured.out == "" and captured.err.startswith("error: grid file ")
 
 
+@pytest.mark.parametrize("flags", [("--h", "2e-3"), ("--halving",)], ids=["other-step", "halving"])
+def test_grid_file_read_on_a_grid_it_does_not_hold_is_usage_error(tmp_path, capsys, flags):
+    """A step other than the file's needs points the file does not hold: exit 2, one error
+    line, nothing on stdout."""
+    assert run_cli("chart", str(_grid_file(tmp_path, lambda data: None)), *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "no metric sample" in captured.err
+
+
 def test_grid_file_that_is_not_an_object_is_usage_error(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]")
