@@ -27,6 +27,8 @@ from .tensors import (
     check_small,
     check_symmetric,
     cyclic_average,
+    frobenius,
+    symmetrized,
 )
 
 __all__ = [
@@ -34,15 +36,15 @@ __all__ = [
     "dot_product", "sharp_product", "tri", "circ_prime", "second_bianchi",
     "u_contraction", "quadratic_forms", "pure_cubics", "weyl_sectional_split",
     "QuadraticForms", "PureCubics", "kn_four", "sharp_four", "weyl_split",
-    "WeylSplit", "decomposition", "cubic_parts", "congruence_four",
+    "WeylSplit", "decomposition", "cubic_parts", "congruence_four", "kn_g_pairing",
 ]
 
 # Raw kernels (kn_four, _ricci_trace, weyl_split, bianchi_image, sharp_four,
-# cubic_parts, congruence_four, circ_prime_full, second_bianchi_full,
-# quadratic_form, cube_trace, pure_cubic_parts, sectional_sums and the
-# check_trace_free guard) act on the trailing axes of plain arrays (one to five
-# of them) and broadcast over any leading batch axes; u_tensor_contractions
-# takes one tensor.  The typed functions below wrap them.
+# cubic_parts, kn_g_pairing, congruence_four, circ_prime_full,
+# second_bianchi_full, quadratic_form, cube_trace, pure_cubic_parts,
+# sectional_sums and the check_trace_free guard) act on the trailing axes of
+# plain arrays (one to five of them) and broadcast over any leading batch axes;
+# u_tensor_contractions takes one tensor.  The typed functions below wrap them.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -250,6 +252,18 @@ def cubic_parts(W4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.sum(M * (M @ M), axis=(-2, -1)), 0.5 * np.sum(w * (w @ w), axis=(-2, -1)))
 
 
+def kn_g_pairing(X: np.ndarray, Wm: np.ndarray) -> np.ndarray:
+    """<X o g, W^2> of raw (..., n, n) forms X against (..., N, N) pair matrices Wm.
+
+    X and X o g are symmetrized as ``kulkarni_nomizu`` stores them, and
+    W^2 = Wm Wm^T as ``dot_product`` forms it, so the value keeps the bits of
+    sum(kulkarni_nomizu(X, g).mat * dot_product(W, W).mat) with g the identity.
+    """
+    n = X.shape[-1]
+    Xg = symmetrized(four_tensor_to_pair_matrix(n, kn_four(symmetrized(X), np.eye(n))))
+    return frobenius(Xg, Wm @ np.swapaxes(Wm, -1, -2))
+
+
 def circ_prime_full(a: np.ndarray) -> np.ndarray:
     """Raw-array circ-prime kernel on (..., n, n, n) antisymmetric-pair tensors.
 
@@ -315,13 +329,13 @@ def u_tensor_contractions(W4: np.ndarray) -> tuple[float, float]:
     return norm_sum, -float(np.sum(UWU)) / 8.0
 
 
-def u_contraction(W: CurvatureTensor, tol: float = EPS_ALG) -> tuple[float, float]:
+def u_contraction(W: CurvatureTensor) -> tuple[float, float]:
     """Auxiliary skew-tensor sums for a trace-free curvature operator.
 
     Returns (u_norm_sq, contracted) where u_norm_sq equals 32(n-1)|W|^2 and
     contracted equals 8 <W, W^2 + W#>; see ``u_tensor_contractions``.
     """
-    check_trace_free(W.four(), W.mat, "u-contraction", tol)
+    check_trace_free(W.four(), W.mat, "u-contraction")
     return u_tensor_contractions(W.four())
 
 
@@ -399,8 +413,8 @@ def sectional_sums(diag: np.ndarray, subset: np.ndarray) -> tuple[np.ndarray, np
             np.where(~first & ~second, diag, 0.0).sum(axis=-1))
 
 
-def weyl_sectional_split(W: CurvatureTensor, subset: "set[int] | tuple[int, ...]",
-                         tol: float = EPS_ALG) -> tuple[float, float]:
+def weyl_sectional_split(W: CurvatureTensor,
+                         subset: "set[int] | tuple[int, ...]") -> tuple[float, float]:
     """Sum of diagonal components W_ijij over pairs inside the subset and its complement.
 
     For a trace-free operator the two sums are equal; indices are 0-based.
@@ -411,14 +425,14 @@ def weyl_sectional_split(W: CurvatureTensor, subset: "set[int] | tuple[int, ...]
         raise ValueError("subset indices out of range")
     if not idx or len(idx) == n:
         raise ValueError("subset must be proper and nonempty")
-    check_trace_free(W.four(), W.mat, "sectional split", tol)
+    check_trace_free(W.four(), W.mat, "sectional split")
     mask = np.zeros(n, dtype=bool)
     mask[idx] = True
     w1, w2 = sectional_sums(np.diagonal(W.mat), mask)
     return float(w1), float(w2)
 
 
-def pure_matrix_from_weyl(W: CurvatureTensor, tol: float = EPS_ALG) -> PureCurvatureMatrix:
+def pure_matrix_from_weyl(W: CurvatureTensor) -> PureCurvatureMatrix:
     """Extract w_ij = W_ijij; valid when the operator is diagonal on coordinate 2-forms."""
     n = W.n
     w = np.zeros((n, n))
@@ -426,4 +440,4 @@ def pure_matrix_from_weyl(W: CurvatureTensor, tol: float = EPS_ALG) -> PureCurva
         for j in range(n):
             if i != j:
                 w[i, j] = W.component(i, j, i, j)
-    return PureCurvatureMatrix(n, w, tol=tol)
+    return PureCurvatureMatrix(n, w)

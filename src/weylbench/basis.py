@@ -47,12 +47,6 @@ class PairBasis:
     def size(self) -> int:
         return len(self.pairs)
 
-    def position(self, i: int, j: int) -> int:
-        p = int(self.pos[i, j])
-        if p < 0:
-            raise ValueError(f"({i}, {j}) is not a valid index pair")
-        return p
-
 
 @dataclass(frozen=True)
 class TripleBasis:

@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import cubic_parts, ricci_contraction
+from .algebra import check_trace_free, cubic_parts
 from .basis import disjoint_pair_mask
 from .tensors import (
     EPS_ALG,
     CurvatureTensor,
-    bianchi_residual,
+    check_bianchi,
     check_finite,
-    check_small,
-    check_symmetric,
+    check_traceless,
     running_max,
 )
 
@@ -29,11 +28,10 @@ from .tensors import (
 _TIE = 1e-12
 
 
-def eigen_bound(T: np.ndarray, tol: float = EPS_ALG) -> tuple[float, float]:
+def eigen_bound(T: np.ndarray) -> tuple[float, float]:
     """(largest |eigenvalue|, sqrt((m-1)/m) |T|_F) for a traceless symmetric T."""
-    T = check_symmetric(T, "trace-free operator")
+    T = check_traceless(T, "operator")
     m = T.shape[0]
-    check_small(np.trace(T), T, tol, "operator must be trace-free")
     eigs = np.linalg.eigvalsh(T)
     return float(np.abs(eigs).max()), float(np.sqrt((m - 1) / m) * np.linalg.norm(T))
 
@@ -45,11 +43,9 @@ class SpectralExtremes:
     ell: float         # minus the smallest eigenvalue of the traceless Ricci
 
 
-def spectral_extremes(W: CurvatureTensor, E: np.ndarray,
-                      tol: float = EPS_ALG) -> SpectralExtremes:
-    E = check_symmetric(E, "traceless Ricci")
-    check_small(ricci_contraction(W), W.mat, tol, "W must be trace-free")
-    check_small(np.trace(E), E, tol, "E must be traceless")
+def spectral_extremes(W: CurvatureTensor, E: np.ndarray) -> SpectralExtremes:
+    E = check_traceless(E, "E")
+    check_trace_free(W.four(), W.mat, "spectral_extremes")
     if E.shape[0] != W.n:
         raise ValueError("dimension mismatch")
     w_eigs = W.eigenvalues()
@@ -65,22 +61,19 @@ class ComponentBound:
     bound: float
 
 
-def berger_component_bound(W: CurvatureTensor, tol: float = EPS_ALG) -> ComponentBound:
+def berger_component_bound(W: CurvatureTensor) -> ComponentBound:
     """Largest |W_ijkl| over pairwise-distinct indices against (4/3) max|eig|."""
-    check_small(ricci_contraction(W), W.mat, tol,
-                "component bound applies to trace-free operators")
-    check_small(bianchi_residual(W), W.mat, tol,
-                "component bound applies to Bianchi-free operators")
+    check_trace_free(W.four(), W.mat, "the component bound")
+    check_bianchi(W.four(), W.mat, EPS_ALG)
     max_comp = float(np.abs(W.mat[disjoint_pair_mask(W.n)]).max())
     omega = float(np.abs(W.eigenvalues()).max())
     bound = 4.0 * omega / 3.0
-    if max_comp > bound + 100 * tol * max(1.0, omega):
+    if max_comp > bound + 100 * EPS_ALG * max(1.0, omega):
         raise AssertionError("component bound violated")
     return ComponentBound(max_component=max_comp, bound=bound)
 
 
-def audit_cubic_bounds(n: int, samples: int, seed: int = 0,
-                       chunk: int = 64) -> dict[str, float]:
+def audit_cubic_bounds(n: int, samples: int, seed: int = 0) -> dict[str, float]:
     """Worst relative excesses of the component/eigenvalue/norm bounds on random
     trace-free tensors; all values <= 0 mean zero violations."""
     if n < 5:
@@ -95,7 +88,7 @@ def audit_cubic_bounds(n: int, samples: int, seed: int = 0,
     worst = dict.fromkeys(keys, -np.inf)
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(64, samples - done)  # samples per batched pass
         four, mats = random_weyl_batch(rng, n, b)
         eigs = np.linalg.eigvalsh(mats)
         omega = np.abs(eigs).max(axis=1)
@@ -117,15 +110,14 @@ def audit_cubic_bounds(n: int, samples: int, seed: int = 0,
     return worst
 
 
-def audit_eigen_bound(samples: int, seed: int = 0,
-                      sizes: tuple[int, ...] = tuple(range(2, 11))) -> float:
+def audit_eigen_bound(samples: int, seed: int = 0) -> float:
     """Worst relative excess of max |eigenvalue| over sqrt((m-1)/m)|T| on random
-    traceless symmetric matrices."""
+    traceless symmetric m x m matrices, m = 2..10."""
     if samples < 0:
         raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for m in sizes:
+    for m in range(2, 11):
         t = rng.uniform(-1.0, 1.0, size=(samples, m, m))
         t = (t + np.transpose(t, (0, 2, 1))) / 2.0
         tr = np.einsum('bii->b', t)
@@ -146,7 +138,7 @@ class CubicBounds:
     eig_bound_signed: float | None = None   # n = 5 largest-eigenvalue variant
 
 
-def cubic_bound_eval(W: CurvatureTensor, tol: float = EPS_ALG) -> CubicBounds:
+def cubic_bound_eval(W: CurvatureTensor) -> CubicBounds:
     """Evaluate <W, W^2 + W#> against its eigenvalue and norm bounds (n >= 5).
 
     eig_bound = (2(n-1)/3) omega |W|^2 with omega the largest eigenvalue
@@ -157,8 +149,7 @@ def cubic_bound_eval(W: CurvatureTensor, tol: float = EPS_ALG) -> CubicBounds:
     if n < 5:
         raise ValueError("cubic bounds apply for dimension >= 5 (dimension 4 uses the"
                          " self-dual determinant route)")
-    check_small(ricci_contraction(W), W.mat, tol,
-                "cubic bounds apply to trace-free operators")
+    check_trace_free(W.four(), W.mat, "the cubic bound")
     lhs_dot, lhs_sharp = (float(v) for v in cubic_parts(W.four()))
     lhs = lhs_dot + lhs_sharp
     eigs = W.eigenvalues()
@@ -229,13 +220,12 @@ class OracleResult:
     converged: bool
 
 
-def wcubic_oracle(s: float, n: int, budget: int = 100_000, starts: int = 64,
-                  seed: int = 0) -> OracleResult:
+def wcubic_oracle(s: float, n: int, budget: int = 100_000, seed: int = 0) -> OracleResult:
     """Independent maximization of sum x^3 / sum x^2 on {sum x = 0, x <= s}.
 
     Multi-start projected gradient ascent with step halving (the candidate
     rows march in lockstep), seeded with the structured stationary points
-    (k entries at the cap, the rest equal).
+    (k entries at the cap, the rest equal) and 64 random feasible starts.
     """
     check_finite(s)
     if not s > 0:
@@ -247,7 +237,7 @@ def wcubic_oracle(s: float, n: int, budget: int = 100_000, starts: int = 64,
     rng = np.random.default_rng(seed)
     k = np.arange(1, n)[:, None]
     x = np.vstack([np.where(np.arange(n) < k, s, -k * s / (n - k)),
-                   _project_feasible(rng.uniform(-1.0, 1.0, size=(starts, n)) * s, s)])
+                   _project_feasible(rng.uniform(-1.0, 1.0, size=(64, n)) * s, s)])
     fx, q, p = _ratio(x)
     step = np.full(x.shape[0], 0.5 * s)
     evals = x.shape[0]
@@ -313,7 +303,7 @@ def constants(n: int) -> ConstantsTable:
     if n == 4:
         return ConstantsTable(n=n, s_n=s_n)
     if n == 5:
-        c5 = 8.0 / math.sqrt(10.0)
+        c5 = table_c(5)
         return ConstantsTable(n=n, s_n=s_n, alpha=0.5, c_n=c5,
                               case5=(c5, 2.0 / math.sqrt(5.0), 3.0 / 16.0))
     A, B, C = quadratic_coefficients(n)
@@ -376,7 +366,7 @@ def pinch_verdict_norm(W: CurvatureTensor, E: np.ndarray, S: float) -> PinchVerd
     if n < 5:
         raise ValueError("norm pinch verdict requires n >= 5")
     check_finite(S)
-    E = check_symmetric(E, "traceless Ricci")
+    E = check_traceless(E, "E")
     w_norm = float(np.linalg.norm(W.mat))
     e_norm = float(np.linalg.norm(E))
     value = table_c(n) * w_norm + math.sqrt((n - 1) / n) * e_norm

@@ -29,8 +29,7 @@ from .algebra import (
     congruence_four,
     cubic_parts,
     decomposition,
-    dot_product,
-    kulkarni_nomizu,
+    kn_g_pairing,
     second_bianchi,
     weyl_split,
 )
@@ -193,7 +192,10 @@ def grid_file_metric(path: str) -> ChartMetric:
         k = np.rint((x - grid.center) / grid.h)
         g = table.get(tuple(int(c) for c in k)) if np.array_equal(grid.point(k), x) else None
         if g is None:
-            raise KeyError(f"grid file has no metric sample at {x.tolist()}")
+            raise KeyError(f"grid file has no metric sample at {x.tolist()}; the file holds the"
+                           f" stencil of one assembly at step {grid.h} and order {grid.order}"
+                           " and serves only the assembly it was written for (same step,"
+                           " order and center; the Ricci identity only if dumped with it)")
         return g
 
     return ChartMetric(name=f"grid-file:{path}", n=n, fn=fn,
@@ -468,8 +470,7 @@ def identity_residual_report(f: ChartCurvatureField,
     if include_bochner:
         W = f.decomposition.weyl
         cubic = float(sum(cubic_parts(W.four())))
-        rc_term = float(np.sum(kulkarni_nomizu(f.Rc, np.eye(n)).mat
-                               * dot_product(W, W).mat))
+        rc_term = float(kn_g_pairing(f.Rc, W.mat))
         out["bochner"] = (f.lap_w_norm_sq - 2.0 * f.nabla_w_norm_sq
                           + 4.0 * cubic - 2.0 * rc_term)
     if f.ricci_identity_residual is not None:

@@ -131,14 +131,18 @@ def cmd_dim4(args, tols) -> int:
     _check(report, "bianchi_residual", bianchi_residual(W), tol * scale * 100)
     if report["failures"]:
         return _finish(report, args)
-    split = split_self_dual(W)
+    try:  # the guards' bound is tol itself, tighter than the rows' 100 tol
+        split, nf = split_self_dual(W, tol), berger_normal_form(W, tol)
+        det = det_identities(split.wplus, tol)
+    except ValueError as exc:
+        report["results"]["guard_refusal"] = str(exc)
+        report["failures"].append("guard_refusal")
+        return _finish(report, args)
     report["results"]["wplus_eigenvalues"] = sorted(np.linalg.eigvalsh(split.wplus).tolist())
     report["results"]["wminus_eigenvalues"] = sorted(np.linalg.eigvalsh(split.wminus).tolist())
-    nf = berger_normal_form(W)
     report["results"]["normal_form"] = {"a": nf.a.tolist(), "b": nf.b.tolist(),
                                         "residual": nf.residual}
     _check(report, "normal_form_residual", nf.residual, tols["eps_nf"] * scale)
-    det = det_identities(split.wplus)
     _check(report, "cube_dot_vs_3det", det.cube_dot - 3 * det.det, 100 * tol * scale ** 3)
     _check(report, "cube_sharp_vs_6det", det.cube_sharp - 6 * det.det, 100 * tol * scale ** 3)
     wp_norm = float(np.linalg.norm(split.wplus))

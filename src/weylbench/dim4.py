@@ -12,11 +12,10 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import (congruence_four, cubic_parts, dot_product, kulkarni_nomizu,
-                      ricci_contraction)
-from .basis import pair_basis
-from .tensors import (EPS_ALG, CurvatureTensor, bianchi_residual, check_finite, check_small,
-                      check_symmetric)
+from .algebra import check_trace_free, congruence_four, cubic_parts, kn_g_pairing
+from .basis import pair_basis, pair_matrix_to_four_tensor
+from .tensors import (EPS_ALG, CurvatureTensor, check_bianchi, check_finite, check_symmetric,
+                      check_traceless, symmetrized)
 
 def hodge_pm_basis() -> np.ndarray:
     """Columns 0-2: orthonormal self-dual 2-forms; columns 3-5: anti-self-dual.
@@ -49,8 +48,7 @@ class SelfDualSplit:
 def _require_weyl(W: CurvatureTensor, tol: float) -> None:
     if W.n != 4:
         raise ValueError(f"dimension-4 operation on n={W.n}")
-    check_small(ricci_contraction(W), W.mat, tol,
-                "input must be trace-free (vanishing Ricci contraction)")
+    check_trace_free(W.four(), W.mat, "a dimension-4 operation", tol)
 
 
 def split_self_dual(W: CurvatureTensor, tol: float = EPS_ALG) -> SelfDualSplit:
@@ -60,23 +58,22 @@ def split_self_dual(W: CurvatureTensor, tol: float = EPS_ALG) -> SelfDualSplit:
     return SelfDualSplit(wplus=M[:3, :3].copy(), wminus=M[3:, 3:].copy(), basis=_PM.copy())
 
 
-def reassemble_split(split: SelfDualSplit) -> np.ndarray:
-    """Pair-basis matrix of the operator with the given +/- blocks and no cross part."""
+def _from_blocks(wplus: np.ndarray, wminus: np.ndarray | float) -> np.ndarray:
+    """Pair-basis matrix with self-dual block wplus, anti-self-dual block wminus."""
     M = np.zeros((6, 6))
-    M[:3, :3] = split.wplus
-    M[3:, 3:] = split.wminus
+    M[:3, :3] = wplus
+    M[3:, 3:] = wminus
     return _PM @ M @ _PM.T
 
 
-def embed_block(block: np.ndarray, dual: bool = False) -> CurvatureTensor:
+def reassemble_split(split: SelfDualSplit) -> np.ndarray:
+    """Pair-basis matrix of the operator with the given +/- blocks and no cross part."""
+    return _from_blocks(split.wplus, split.wminus)
+
+
+def embed_block(block: np.ndarray) -> CurvatureTensor:
     """Embed a symmetric traceless 3x3 block as a full n=4 operator (other block zero)."""
-    block = check_symmetric(block, "block")
-    M = np.zeros((6, 6))
-    if dual:
-        M[3:, 3:] = block
-    else:
-        M[:3, :3] = block
-    return CurvatureTensor(4, _PM @ M @ _PM.T)
+    return CurvatureTensor(4, _from_blocks(check_symmetric(block, "block"), 0.0))
 
 
 @dataclass(frozen=True)
@@ -89,14 +86,15 @@ class DetIdentities:
 def det_identities(wplus: np.ndarray, tol: float = EPS_ALG) -> DetIdentities:
     """Cubic operator products of a traceless 3x3 block against its determinant.
 
-    Evaluated through the full four-index embedding; for traceless blocks
-    cube_dot = 3 det and cube_sharp = 6 det.
+    Evaluated on the four-index expansion of ``embed_block``'s matrix, symmetrized
+    as ``CurvatureTensor`` stores it; for traceless blocks cube_dot = 3 det and
+    cube_sharp = 6 det.
     """
-    wplus = check_symmetric(wplus, "self-dual block")
-    if wplus.shape != (3, 3):
+    if np.shape(wplus) != (3, 3):
         raise ValueError("expected a 3x3 block")
-    check_small(np.trace(wplus), wplus, tol, "block must be traceless")
-    cube_dot, cube_sharp = (float(v) for v in cubic_parts(embed_block(wplus).four()))
+    wplus = check_traceless(wplus, "block", tol)
+    four = pair_matrix_to_four_tensor(4, symmetrized(_from_blocks(wplus, 0.0)))
+    cube_dot, cube_sharp = (float(v) for v in cubic_parts(four))
     return DetIdentities(cube_dot=cube_dot, cube_sharp=cube_sharp,
                          det=float(np.linalg.det(wplus)))
 
@@ -148,9 +146,8 @@ def berger_normal_form(W: CurvatureTensor, tol: float = EPS_ALG) -> BergerNormal
     the compatible discrete set).  Repeated eigenvalues just make the choice
     non-unique; the reconstruction residual is the correctness certificate.
     """
-    _require_weyl(W, tol)
-    check_small(bianchi_residual(W), W.mat, tol, "normal form requires a Bianchi-free input")
-    split = split_self_dual(W, tol=tol)
+    split = split_self_dual(W, tol)
+    check_bianchi(W.four(), W.mat, tol)
     lp, up = np.linalg.eigh(split.wplus)
     lm, um = np.linalg.eigh(split.wminus)
     lp, up = lp[::-1], _fix_sign(up[:, ::-1])
@@ -185,8 +182,7 @@ def berger_normal_form(W: CurvatureTensor, tol: float = EPS_ALG) -> BergerNormal
     return BergerNormalForm(frame=frame, a=a, b=b, residual=residual)
 
 
-def pinched_lemma_check(lambda1: float, lambda3: float, S: float,
-                        tol: float = EPS_ALG) -> bool:
+def pinched_lemma_check(lambda1: float, lambda3: float, S: float) -> bool:
     """Check the far-apart eigenvalue condition for a self-dual spectrum.
 
     Requires lambda1 >= S/6 > 0.  Returns True when
@@ -199,11 +195,11 @@ def pinched_lemma_check(lambda1: float, lambda3: float, S: float,
     check_finite(lambda1, lambda3, S)
     if not S > 0:
         raise ValueError("requires positive scalar input")
-    if lambda1 < S / 6.0 - tol * max(1.0, abs(S)):
+    if lambda1 < S / 6.0 - EPS_ALG * max(1.0, abs(S)):
         raise ValueError("condition not applicable: largest eigenvalue below S/6")
     lam1 = max(lambda1, S / 6.0)
     thresh = -lam1 / 2.0 - lam1 * np.sqrt(3.0 * (lam1 - S / 6.0) / (4.0 * (3.0 * lam1 + S / 6.0)))
-    satisfied = bool(lambda3 <= thresh + tol * max(1.0, abs(thresh)))
+    satisfied = bool(lambda3 <= thresh + EPS_ALG * max(1.0, abs(thresh)))
     if satisfied:
         spec = np.array([lambda1, -lambda1 - lambda3, lambda3])
         conclusion = S * float(np.sum(spec ** 2)) - 36.0 * float(np.prod(spec))
@@ -212,25 +208,22 @@ def pinched_lemma_check(lambda1: float, lambda3: float, S: float,
     return satisfied
 
 
-def e_circ_g_orthogonality(W: CurvatureTensor, E: np.ndarray,
-                           tol: float = EPS_ALG, check: bool = True) -> float:
+def e_circ_g_orthogonality(W: CurvatureTensor, E: np.ndarray) -> float:
     """<E o g, W^2> in dimension 4; vanishes for traceless E against a Weyl-type W.
 
     Also verifies the contraction identity sum_kpq W_ikpq W_jkpq = |W|^2 g_ij
     (operator-norm convention) that forces the orthogonality.
     """
-    _require_weyl(W, tol)
-    E = check_symmetric(E, "traceless form")
-    check_small(np.trace(E), E, tol, "E must be traceless")
+    _require_weyl(W, EPS_ALG)
+    E = check_traceless(E, "E")
     scale = max(1.0, float(np.abs(E).max()))
     Wf = W.four()
     contraction = np.einsum('ikpq,jkpq->ij', Wf, Wf)
     w_norm_sq = float(np.sum(W.mat * W.mat))
-    if check:
-        dev = np.abs(contraction - w_norm_sq * np.eye(4)).max()
-        if dev > 100 * tol * max(1.0, w_norm_sq):
-            raise AssertionError("quadratic contraction of W is not pure trace")
-    value = float(np.sum(kulkarni_nomizu(E, np.eye(4)).mat * dot_product(W, W).mat))
-    if check and abs(value) > 100 * tol * max(1.0, w_norm_sq * scale):
+    dev = np.abs(contraction - w_norm_sq * np.eye(4)).max()
+    if dev > 100 * EPS_ALG * max(1.0, w_norm_sq):
+        raise AssertionError("quadratic contraction of W is not pure trace")
+    value = float(kn_g_pairing(E, W.mat))
+    if abs(value) > 100 * EPS_ALG * max(1.0, w_norm_sq * scale):
         raise AssertionError("<E o g, W^2> does not vanish within tolerance")
     return value

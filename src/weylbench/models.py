@@ -14,13 +14,12 @@ import numpy as np
 from .algebra import (
     cubic_parts,
     decompose,
-    dot_product,
     kn_four,
-    kulkarni_nomizu,
+    kn_g_pairing,
     quadratic_forms,
     ricci_contraction,
 )
-from .tensors import EPS_ALG, CurvatureTensor, Operator2Form, inner
+from .tensors import CurvatureTensor, Operator2Form, inner
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def model_curvature(spec: ModelSpec) -> CurvaturePackage:
                             is_locally_symmetric=True)
 
 
-def package_consistency(pkg: CurvaturePackage, tol: float = EPS_ALG) -> dict[str, float]:
+def package_consistency(pkg: CurvaturePackage) -> dict[str, float]:
     """Residuals of the internal-consistency checks every catalog entry must pass."""
     R, n = pkg.R, pkg.R.n
     out: dict[str, float] = {}
@@ -182,7 +181,7 @@ def symmetric_space_identity_report(pkg: CurvaturePackage) -> dict[str, float]:
     dec = decompose(pkg.R)
     W = dec.weyl
     cubic = float(sum(cubic_parts(W.four())))
-    rc_term = float(np.sum(kulkarni_nomizu(pkg.Rc, np.eye(n)).mat * dot_product(W, W).mat))
+    rc_term = float(kn_g_pairing(pkg.Rc, W.mat))
     r1 = 2.0 * cubic - rc_term
     qf = quadratic_forms(W, dec.E)
     e_norm_sq = float(np.sum(dec.E * dec.E))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 
 def flatten(data: dict, prefix: str = "") -> list[tuple[str, Any]]:
     rows: list[tuple[str, Any]] = []
@@ -21,9 +23,10 @@ def flatten(data: dict, prefix: str = "") -> list[tuple[str, Any]]:
 
 
 def render(data: dict, fmt: str = "text") -> str:
+    data = _plain(data)
     if fmt == "json":
-        return json.dumps(data, indent=2, sort_keys=True, default=_jsonable) + "\n"
-    rows = flatten(_plain(data))
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    rows = flatten(data)
     if fmt == "csv":
         lines = ["name,value"]
         for name, value in rows:
@@ -44,27 +47,14 @@ def _fmt_value(v: Any) -> str:
     return str(v)
 
 
-def _jsonable(v: Any):
-    try:
-        import numpy as np
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-    except ImportError:
-        pass
-    return str(v)
-
-
 def _plain(data: dict) -> dict:
-    import numpy as np
     out: dict = {}
     for k, v in data.items():
         if isinstance(v, dict):
             out[k] = _plain(v)
         elif isinstance(v, np.ndarray):
             out[k] = v.tolist()
-        elif isinstance(v, (np.floating, np.integer)):
+        elif isinstance(v, np.generic):
             out[k] = v.item()
         else:
             out[k] = v

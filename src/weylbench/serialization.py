@@ -83,13 +83,13 @@ def operator_from_dict(data: dict, tol: float = EPS_ALG) -> Operator2Form:
     raise ValueError("operator JSON needs either 'matrix' or 'components'")
 
 
-def operator_from_json(text: str, tol: float = EPS_ALG) -> Operator2Form:
-    return operator_from_dict(json.loads(text), tol=tol)
+def operator_from_json(text: str) -> Operator2Form:
+    return operator_from_dict(json.loads(text))
 
 
-def load_operator(path: str, tol: float = EPS_ALG) -> Operator2Form:
+def load_operator(path: str) -> Operator2Form:
     with open(path, "r", encoding="utf-8") as fh:
-        return operator_from_dict(json.load(fh), tol=tol)
+        return operator_from_dict(json.load(fh))
 
 
 def save_operator(path: str, op: Operator2Form) -> None:

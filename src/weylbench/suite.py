@@ -12,8 +12,9 @@ identity family is then evaluated once on the (B, ...) stacks with the raw
 kernels of ``algebra`` (the ones its typed functions wrap) and folded into the
 report by one running max.  The typed containers' input checks (symmetry and
 first Bianchi of R, W, the e/s parts and the metric products; trace-free W
-before the sectional split and the u-tensor) run as one ``check_small`` per
-chunk, with one leading batch axis, so each trial keeps its own scale and the
+before the sectional split and the u-tensor) run once per chunk, with one
+leading batch axis (``check_small`` and the ``check_bianchi`` and
+``check_trace_free`` guards), so each trial keeps its own scale and the
 containers' messages.  The residuals do not depend on CHUNK (the batched basis
 expansions return C-order stacks, so every per-trial sum runs in one order),
 and the report keeps the (n, trial index) of every worst residual, so
@@ -58,6 +59,7 @@ from .sampling import (
 )
 from .tensors import (
     EPS_ALG,
+    check_bianchi,
     check_small,
     cyclic_average,
     frobenius,
@@ -119,15 +121,14 @@ def _curvature(n: int, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pair matrices, four tensors) of a stack as ``CurvatureTensor`` holds them.
 
     The container's checks (symmetric, then first Bianchi) run trial by trial
-    through one ``check_small`` per chunk, and the matrices are symmetrized as
-    the container stores them.
+    through one batched check each per chunk, and the matrices are symmetrized
+    as the container stores them.
     """
     check_small(mat - np.swapaxes(mat, -1, -2), mat, EPS_ALG,
                 f"pair-basis matrix must be symmetric within tolerance {EPS_ALG}", lead=1)
     mat = symmetrized(mat)
     four = pair_matrix_to_four_tensor(n, mat)
-    check_small(cyclic_average(four), mat, EPS_ALG,
-                "first Bianchi identity violated beyond tolerance", lead=1)
+    check_bianchi(four, mat, EPS_ALG)
     return mat, four
 
 

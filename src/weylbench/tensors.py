@@ -102,6 +102,13 @@ def check_symmetric(mat: np.ndarray, what: str = "matrix", tol: float = EPS_ALG)
     return symmetrized(mat)
 
 
+def check_traceless(mat: np.ndarray, what: str, tol: float = EPS_ALG) -> np.ndarray:
+    """``check_symmetric``, then trace(mat) = 0 within tol; returns the symmetrized matrix."""
+    mat = check_symmetric(mat, what, tol)
+    check_small(np.trace(mat), mat, tol, f"{what} must be traceless")
+    return mat
+
+
 def symmetrized(m: np.ndarray) -> np.ndarray:
     """(m + m^T) / 2 over the last two axes."""
     return (m + np.swapaxes(m, -1, -2)) / 2.0
@@ -164,8 +171,8 @@ class Operator2Form:
         s = pb.sign[i, j] * pb.sign[k, l]
         return float(s * self.mat[pb.pos[i, j], pb.pos[k, l]])
 
-    def is_self_adjoint(self, tol: float = EPS_ALG) -> bool:
-        return bool(within_tol(self.mat - self.mat.T, self.mat, tol))
+    def is_self_adjoint(self) -> bool:
+        return bool(within_tol(self.mat - self.mat.T, self.mat, EPS_ALG))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.mat)
@@ -218,6 +225,15 @@ def bianchi_residual(op: Operator2Form) -> float:
     return float(np.abs(cyclic_average(op.four())).max())
 
 
+def check_bianchi(four: np.ndarray, mat: np.ndarray, tol: float) -> None:
+    """Raise ValueError unless b(T) = 0 within tol for every (..., n, n, n, n) T.
+
+    Each T is scaled by its own pair matrix ``mat``.
+    """
+    check_small(cyclic_average(four), mat, tol,
+                "first Bianchi identity violated beyond tolerance", lead=four.ndim - 4)
+
+
 class CurvatureTensor(Operator2Form):
     """Self-adjoint operator on 2-forms satisfying the first Bianchi identity."""
 
@@ -225,8 +241,7 @@ class CurvatureTensor(Operator2Form):
 
     def __init__(self, n: int, mat: np.ndarray, tol: float = EPS_ALG):
         super().__init__(n, mat, require_self_adjoint=True)
-        check_small(bianchi_residual(self), self.mat, tol,
-                    "first Bianchi identity violated beyond tolerance")
+        check_bianchi(self.four(), self.mat, tol)
 
     @classmethod
     def from_operator(cls, op: Operator2Form, tol: float = EPS_ALG) -> "CurvatureTensor":
@@ -262,13 +277,13 @@ class TwoFormOneForm:
         self.comps = _frozen(comps)
 
     @classmethod
-    def from_full(cls, full: np.ndarray, tol: float = EPS_ALG) -> "TwoFormOneForm":
+    def from_full(cls, full: np.ndarray) -> "TwoFormOneForm":
         full = np.asarray(full, dtype=float)
         n = full.shape[0]
         if full.shape != (n, n, n):
             raise ValueError(f"expected (n, n, n) tensor, got {full.shape}")
         scale = finite_scale(full, "tensor")
-        check_small(full + np.swapaxes(full, 0, 1), scale, tol,
+        check_small(full + np.swapaxes(full, 0, 1), scale, EPS_ALG,
                     "tensor is not antisymmetric in its first two slots")
         return cls(n, full3_to_pair_form(n, full))
 
@@ -277,16 +292,6 @@ class TwoFormOneForm:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.comps))
-
-    def __sub__(self, other: "TwoFormOneForm") -> "TwoFormOneForm":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return TwoFormOneForm(self.n, self.comps - other.comps)
-
-    def __mul__(self, scalar: float) -> "TwoFormOneForm":
-        return TwoFormOneForm(self.n, self.comps * float(scalar))
-
-    __rmul__ = __mul__
 
 
 class ThreeTwoTensor:
@@ -337,30 +342,27 @@ class CovDerivCurvature:
 
     __slots__ = ("n", "comps")
 
-    def __init__(self, n: int, comps: np.ndarray, tol: float = EPS_ALG):
+    def __init__(self, n: int, comps: np.ndarray):
         self.n = check_dimension(n)
         pb = pair_basis(self.n)
         comps = np.asarray(comps, dtype=float)
         if comps.shape != (self.n, pb.size, pb.size):
             raise ValueError(f"expected ({n}, {pb.size}, {pb.size}) components, got {comps.shape}")
         scale = finite_scale(comps, "components")
-        check_small(comps - np.swapaxes(comps, 1, 2), scale, tol,
+        check_small(comps - np.swapaxes(comps, 1, 2), scale, EPS_ALG,
                     "slices are not symmetric in the last four slots")
         self.comps = _frozen(comps)
 
     @classmethod
-    def from_full(cls, full: np.ndarray, tol: float = EPS_ALG) -> "CovDerivCurvature":
+    def from_full(cls, full: np.ndarray) -> "CovDerivCurvature":
         full = np.asarray(full, dtype=float)
         n = full.shape[0]
         if full.shape != (n, n, n, n, n):
             raise ValueError(f"expected (n,)*5 tensor, got {full.shape}")
-        return cls(n, four_tensor_to_pair_matrix(n, full), tol=tol)
+        return cls(n, four_tensor_to_pair_matrix(n, full))
 
     def full(self) -> np.ndarray:
         return pair_matrix_to_four_tensor(self.n, self.comps)
-
-    def slice(self, m: int, require_self_adjoint: bool = True) -> Operator2Form:
-        return Operator2Form(self.n, self.comps[m], require_self_adjoint)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.comps))
@@ -374,13 +376,13 @@ class PureCurvatureMatrix:
 
     __slots__ = ("n", "w")
 
-    def __init__(self, n: int, w: np.ndarray, tol: float = EPS_ALG):
+    def __init__(self, n: int, w: np.ndarray):
         self.n = check_dimension(n)
         w = np.asarray(w, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"expected ({n}, {n}) matrix, got {w.shape}")
         scale = finite_scale(w, "pure-curvature matrix")
-        check_small(w - w.T, scale, tol, "pure-curvature matrix must be symmetric")
-        check_small(np.diag(w), scale, tol, "pure-curvature matrix must have zero diagonal")
-        check_small(w.sum(axis=1), scale, tol, "pure-curvature matrix rows must sum to zero")
+        check_small(w - w.T, scale, EPS_ALG, "pure-curvature matrix must be symmetric")
+        check_small(np.diag(w), scale, EPS_ALG, "pure-curvature matrix must have zero diagonal")
+        check_small(w.sum(axis=1), scale, EPS_ALG, "pure-curvature matrix rows must sum to zero")
         self.w = _frozen(w)

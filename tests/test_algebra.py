@@ -22,6 +22,7 @@ from weylbench.algebra import (
     decompose,
     dot_product,
     kn_four,
+    kn_g_pairing,
     kulkarni_nomizu,
     pure_cubic_parts,
     pure_cubics,
@@ -40,7 +41,7 @@ from weylbench.algebra import (
     weyl_sectional_split,
     weyl_split,
 )
-from weylbench.basis import pair_basis, pair_matrix_to_four_tensor
+from weylbench.basis import four_tensor_to_pair_matrix, pair_basis, pair_matrix_to_four_tensor
 from weylbench.sampling import (
     random_curvature,
     random_curvature_derivative_full,
@@ -643,6 +644,7 @@ def test_raw_kernels_batch_equals_single(n, count):
                                 rng.uniform(-1.0, 1.0, size=(count, N, N)))
     _assert_batch_equals_single(quadratic_form, R4, g)
     _assert_batch_equals_single(cube_trace, g)
+    _assert_batch_equals_single(kn_g_pairing, h, four_tensor_to_pair_matrix(n, R4))
     subsets = rng.uniform(size=(count, n)) < 0.5
     _assert_batch_equals_single(sectional_sums, rng.uniform(-1.0, 1.0, size=(count, N)), subsets)
 
@@ -677,6 +679,24 @@ def test_sectional_sums_match_the_component_sums():
                                    if i < j), abs=1e-15)
     assert w2 == pytest.approx(sum(W.component(i, j, i, j) for i in comp for j in comp
                                    if i < j), abs=1e-15)
+
+
+def _typed_pairing(X, W):
+    """<X o g, W^2> as the chart, models and dim4 computed it through typed containers."""
+    n = W.n
+    return float(np.sum(kulkarni_nomizu(X, np.eye(n)).mat * dot_product(W, W).mat))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_kn_g_pairing_keeps_the_bits_of_the_typed_expression(n):
+    for _ in range(10):
+        R = random_curvature(rng, n)
+        X = ricci_contraction(R)  # symmetric only to round-off, as a Ricci form is
+        X[0, -1] += 1e-12 * max(1.0, np.abs(X).max())
+        for W in (random_weyl(rng, n), R, decompose(R).weyl):
+            assert float(kn_g_pairing(X, W.mat)).hex() == _typed_pairing(X, W).hex()
+        X = random_symmetric(rng, n)
+        assert float(kn_g_pairing(X, R.mat)).hex() == _typed_pairing(X, R).hex()
 
 
 def test_check_trace_free_is_per_tensor():

@@ -441,6 +441,16 @@ def test_norm_verdict_borderline_and_violation():
     assert not v6.satisfied
 
 
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_pinch_verdicts_refuse_a_traced_e(n):
+    """Both verdicts take E through the one traceless guard."""
+    W = random_weyl(rng, n)
+    for verdict in (pinch_verdict_pointwise, pinch_verdict_norm):
+        with pytest.raises(ValueError, match="E must be traceless"):
+            verdict(W, 0.1 * np.eye(n), 50.0)
+        verdict(W, 0.1 * random_traceless_symmetric(rng, n), 50.0)
+
+
 def test_dim4_verdict_borderline_product():
     v = pinch_verdict_dim4(2 / 3, 4.0)
     assert v.which == "dim4_selfdual"

@@ -228,8 +228,8 @@ def _weyl_dict(n, nan_entry=False):
     return op
 
 
-def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0):
-    E = np.zeros((n, n))
+def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0, e_trace=0.0):
+    E = np.eye(n) * e_trace / n
     if nan_e:
         E[0, 0] = np.nan
     return {"W": _weyl_dict(n, nan_entry=nan_w), "E": E.tolist(), "S": S}
@@ -241,11 +241,14 @@ def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0):
     (("pinch", "norm", "--input", "{file}"), lambda: _pinch_payload(nan_w=True)),
     (("pinch", "norm", "--input", "{file}"), lambda: _pinch_payload(nan_e=True)),
     (("pinch", "pointwise", "--input", "{file}"), lambda: _pinch_payload(S=float("nan"))),
+    (("pinch", "norm", "--input", "{file}"), lambda: _pinch_payload(e_trace=0.5)),
+    (("pinch", "pointwise", "--input", "{file}"), lambda: _pinch_payload(e_trace=0.5)),
     (("model", "sphere:4:0"), None),
     (("model", "sphere:4:-1"), None),
     (("chart", "euclidean:4", "--h", "nan"), None),
 ], ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
-        "pinch-pointwise-nan-S", "model-zero-radius", "model-negative-radius", "chart-nan-step"])
+        "pinch-pointwise-nan-S", "pinch-norm-traced-E", "pinch-pointwise-traced-E",
+        "model-zero-radius", "model-negative-radius", "chart-nan-step"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
     if payload is not None:
@@ -343,15 +346,20 @@ def test_non_number_grid_field_is_usage_error(tmp_path, capsys, edit):
     assert captured.out == "" and captured.err.startswith("error: grid file ")
 
 
-@pytest.mark.parametrize("flags", [("--h", "2e-3"), ("--halving",)], ids=["other-step", "halving"])
+@pytest.mark.parametrize("flags", [("--h", "2e-3"), ("--halving",), ("--order", "4"),
+                                   ("--center", "0.07,-0.12,0.1,0.05"), ("--ricci-identity",)],
+                         ids=["other-step", "halving", "other-order", "other-center",
+                              "ricci-identity"])
 def test_grid_file_read_on_a_grid_it_does_not_hold_is_usage_error(tmp_path, capsys, flags):
-    """A step other than the file's needs points the file does not hold: exit 2, one error
-    line, nothing on stdout."""
+    """An assembly other than the file's needs points the file does not hold: exit 2, one
+    error line that names the file's step and order, nothing on stdout."""
     assert run_cli("chart", str(_grid_file(tmp_path, lambda data: None)), *flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "no metric sample" in captured.err
+    assert "step 0.001 and order 2" in captured.err
+    assert "serves only the assembly it was written for" in captured.err
 
 
 def test_grid_file_that_is_not_an_object_is_usage_error(tmp_path, capsys):
@@ -379,3 +387,42 @@ def test_bad_chart_preset_is_usage_error(capsys, preset):
 def test_identities_negative_trials_is_usage_error(capsys):
     assert run_cli("identities", "--n", "4", "--trials", "-3") == 2
     assert capsys.readouterr().err == "error: trials must be >= 0\n"
+
+
+def _dim4_sweep_inputs():
+    """Weyl operators with a trace defect eps (g o g) or a Bianchi defect eps vol, at
+    eps from 1e-12 to 1e-6: (name, pair matrix)."""
+    vol = np.zeros((6, 6))
+    vol[0, 5] = vol[5, 0] = vol[2, 3] = vol[3, 2] = 1.0
+    vol[1, 4] = vol[4, 1] = -1.0
+    for s in range(8):
+        W = random_weyl(np.random.default_rng(s), 4)
+        for name, defect in (("trace", 2.0 * np.eye(6)), ("bianchi", vol)):
+            for k, eps in enumerate(np.geomspace(1e-12, 1e-6, 13)):
+                yield f"s{s}-{name}-{k}", W.mat + eps * defect
+
+
+@pytest.mark.parametrize("tol", [None, "eps_alg=1e-6"])
+def test_dim4_guard_refusal_is_a_named_failure(tmp_path, capsys, tol):
+    """An operator that parses never exits 2: where a guard of the split, the normal
+    form or the determinant identities refuses what the rows passed (the guards' bound
+    is eps_alg, the rows' 100 eps_alg), the report names the refusal and exits 1."""
+    codes, refused = {}, []
+    for name, mat in _dim4_sweep_inputs():
+        path, out = tmp_path / "op.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"n": 4, "basis": "lex-pairs", "matrix": mat.tolist()}))
+        argv = ["dim4", str(path), "--format", "json", "--out", str(out)]
+        codes[name] = run_cli(*argv + (["--tol", tol] if tol else []))
+        report = json.loads(out.read_text())
+        assert report["passed"] == (codes[name] == 0)
+        if "guard_refusal" in report["failures"]:
+            assert report["failures"] == ["guard_refusal"]
+            refused.append(report["results"]["guard_refusal"])
+    assert capsys.readouterr().err == ""
+    assert set(codes.values()) <= {0, 1}
+    if tol is None:
+        assert any("trace-free" in r for r in refused) and "block must be traceless" in refused
+        assert any("first Bianchi" in r for r in refused)
+        assert codes["s0-trace-0"] == 0 and codes["s0-trace-12"] == 1
+    else:  # the guards take the looser tolerance too
+        assert codes["s0-trace-6"] == 0 and codes["s0-bianchi-6"] == 0

@@ -8,6 +8,13 @@ through reshape + matmul kernels instead, e.g. ``algebra.congruence_four``.
 The identity suite runs on raw arrays: the typed containers and their typed
 wrappers validate and copy per object, so ``suite.py`` neither imports nor
 calls them.
+
+Each invariant is decided in one place: the typed products (``kulkarni_nomizu``,
+``dot_product``, ``sharp_product``, ``tri``) are called only inside ``algebra.py``
+(elsewhere the raw kernels such as ``kn_g_pairing`` serve), and the trace-free,
+traceless and first-Bianchi checks go through the guards ``check_trace_free``,
+``check_traceless`` and ``check_bianchi``, so no other module hands such a
+residual to ``check_small`` itself.
 """
 
 import ast
@@ -67,3 +74,60 @@ def test_guard_sees_typed_names(tmp_path):
 
 def test_suite_stays_on_raw_arrays():
     assert typed_uses(SRC / "suite.py") == []
+
+
+TYPED_PRODUCTS = {"kulkarni_nomizu", "dot_product", "sharp_product", "tri"}
+GUARDED_RESIDUALS = {"ricci_contraction", "_ricci_trace", "trace", "bianchi_residual",
+                     "cyclic_average"}
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """The function name of a call to ``f(...)`` or ``x.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _calls(path: Path) -> list[ast.Call]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def typed_product_calls(path: Path) -> list[str]:
+    return [f"{path.name}:{c.lineno} {_called_name(c)}" for c in _calls(path)
+            if _called_name(c) in TYPED_PRODUCTS]
+
+
+def hand_made_guards(path: Path) -> list[str]:
+    """``check_small`` calls whose residual is a trace, Ricci contraction or Bianchi sum."""
+    out = []
+    for c in _calls(path):
+        resid = c.args[0] if c.args else next(
+            (k.value for k in c.keywords if k.arg == "resid"), None)
+        if (_called_name(c) == "check_small" and isinstance(resid, ast.Call)
+                and _called_name(resid) in GUARDED_RESIDUALS):
+            out.append(f"{path.name}:{c.lineno} {_called_name(resid)}")
+    return out
+
+
+def test_invariant_guards_see_their_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("x = kulkarni_nomizu(E, g).mat * algebra.dot_product(W, W).mat\n"
+                     "check_small(np.trace(E), E, tol, 'E')\n"
+                     "check_small(resid=cyclic_average(T), entries=m, tol=t, message='b')\n"
+                     "check_small(T - T.T, T, tol, 'symmetric')\n")
+    assert len(typed_product_calls(probe)) == 2
+    assert hand_made_guards(probe) == ["probe.py:2 trace", "probe.py:3 cyclic_average"]
+
+
+def test_typed_products_are_called_only_in_algebra():
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "algebra.py"]
+    assert files
+    offenders = [hit for path in files for hit in typed_product_calls(path)]
+    assert not offenders, offenders
+
+
+def test_trace_and_bianchi_decisions_go_through_the_guards():
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name not in ("tensors.py", "algebra.py")]
+    assert files
+    offenders = [hit for path in files for hit in hand_made_guards(path)]
+    assert not offenders, offenders

@@ -22,8 +22,10 @@ from weylbench.tensors import (
     ThreeTwoTensor,
     TwoFormOneForm,
     bianchi_residual,
+    check_bianchi,
     check_small,
     check_symmetric,
+    check_traceless,
     cyclic_average,
     inner,
     norm,
@@ -322,6 +324,7 @@ NON_FINITE_BUILDERS = {
     "TwoFormOneForm.from_full": lambda v: TwoFormOneForm.from_full(_antisymmetric_three(v)),
     "CovDerivCurvature": lambda v: CovDerivCurvature(4, _cov_deriv_comps(v)),
     "PureCurvatureMatrix": lambda v: PureCurvatureMatrix(4, _pure_curvature(v)),
+    "check_traceless": lambda v: check_traceless(np.diag([v, -1.0, 0.0, 0.0]), "E"),
 }
 
 
@@ -334,3 +337,46 @@ def test_validators_reject_non_finite_input(name, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be finite"):
             NON_FINITE_BUILDERS[name](value)
+
+
+def test_traceless_guard_symmetrizes_and_rejects_traces():
+    E = np.array([[1.0, 2.0 + 1e-13, 0.0], [2.0, -3.0, 0.5], [0.0, 0.5, 2.0]])
+    assert np.array_equal(check_traceless(E, "E"), check_symmetric(E, "E"))
+    with pytest.raises(ValueError, match="E must be traceless"):
+        check_traceless(E + 1e-6 * np.eye(3), "E")
+    # the trace is scaled by the largest entry: 1e-9 passes against entries of 1e2
+    check_traceless(100.0 * E + 1e-9 * np.diag([1.0, 0.0, 0.0]), "E")
+    with pytest.raises(ValueError, match="E must be symmetric"):
+        check_traceless(E + np.triu(np.ones((3, 3)), 1), "E")
+    with pytest.raises(ValueError, match="block must be traceless"):
+        check_traceless(np.eye(3), "block", tol=0.1)
+    check_traceless(np.diag([1.0, -1.0 + 5e-4, 0.0]), "block", tol=1e-3)
+
+
+def test_bianchi_guard_is_per_tensor_and_rejects_non_finite():
+    """The guard scales each tensor of a stack by its own pair matrix, refuses a
+    Bianchi defect in any one of them, and never passes a NaN or inf."""
+    W = random_weyl(rng, 4)
+    four, mat = np.stack([W.four(), 1e6 * W.four()]), np.stack([W.mat, 1e6 * W.mat])
+    check_bianchi(four, mat, 1e-10)
+    vol = np.zeros((6, 6))
+    vol[0, 5] = vol[5, 0] = vol[2, 3] = vol[3, 2] = 1.0
+    vol[1, 4] = vol[4, 1] = -1.0  # the volume form: b(vol) = vol
+    bad = W.mat + 1e-6 * vol
+    with pytest.raises(ValueError, match="first Bianchi identity violated"):
+        check_bianchi(pair_matrix_to_four_tensor(4, bad), bad, 1e-10)
+    check_bianchi(pair_matrix_to_four_tensor(4, bad), bad, 1e-5)
+    # 1e-6 beside entries of 1e6 passes for that tensor, not beside W's own entries
+    big = np.stack([1e6 * W.mat + 1e-6 * vol, bad])
+    check_bianchi(pair_matrix_to_four_tensor(4, big[:1]), big[:1], 1e-10)
+    with pytest.raises(ValueError, match="first Bianchi identity violated"):
+        check_bianchi(pair_matrix_to_four_tensor(4, big), big, 1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for value in (np.nan, np.inf):
+            odd = W.mat.copy()
+            odd[0, 5] = odd[5, 0] = value
+            with pytest.raises(ValueError, match="first Bianchi identity violated"):
+                check_bianchi(pair_matrix_to_four_tensor(4, odd), odd, 1e-10)
+            with pytest.raises(ValueError, match="first Bianchi identity violated"):
+                check_bianchi(pair_matrix_to_four_tensor(4, W.mat), odd, 1e-10)
