@@ -28,12 +28,41 @@ from .tensors import (
 _TIE = 1e-12
 
 
+def weyl_bound_terms(W4: np.ndarray, Wm: np.ndarray) -> dict[str, np.ndarray]:
+    """Terms of the Weyl bounds of (..., n, n, n, n) trace-free W4 with pair matrices Wm,
+    one value per object: ``w2`` |W|^2, ``omega``/``omega_max`` the largest eigenvalue
+    magnitude/signed eigenvalue, ``max_component`` the largest |W_ijkl| over distinct
+    indices, ``component_bound`` (4/3) omega, ``lhs`` <W, W^2 + W#>, ``lhs_dot`` <W, W^2>;
+    for n >= 5 ``eig_bound`` (2(n-1)/3) omega |W|^2 and ``norm_bound`` c(n) |W|^3, and for
+    n = 5 ``signed_bound`` (2(n-1)/3) omega_max |W|^2."""
+    n = W4.shape[-1]
+    eigs = np.linalg.eigvalsh(Wm)
+    omega, omega_max = np.abs(eigs).max(axis=-1), eigs.max(axis=-1)
+    w2 = np.einsum('...ij,...ij->...', Wm, Wm)
+    lhs_dot, lhs_sharp = cubic_parts(W4)
+    t = {"w2": w2, "omega": omega, "omega_max": omega_max,
+         "max_component": np.abs(Wm[..., disjoint_pair_mask(n)]).max(axis=-1, initial=0.0),
+         "component_bound": 4.0 * omega / 3.0, "lhs": lhs_dot + lhs_sharp, "lhs_dot": lhs_dot}
+    c = 2.0 * (n - 1) / 3.0
+    if n >= 5:
+        # np.power, as on a batch: ** on one object's numpy scalar calls libm pow instead
+        t.update(eig_bound=c * omega * w2, norm_bound=table_c(n) * np.power(w2, 1.5))
+    if n == 5:
+        t["signed_bound"] = c * omega_max * w2
+    return t
+
+
+def eigen_bound_terms(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(largest |eigenvalue|, sqrt((m-1)/m) |T|_F) of (..., m, m) symmetric T."""
+    m = T.shape[-1]
+    lam = np.abs(np.linalg.eigvalsh(T)).max(axis=-1)
+    return lam, np.sqrt((m - 1) / m) * np.sqrt(np.einsum('...ij,...ij->...', T, T))
+
+
 def eigen_bound(T: np.ndarray) -> tuple[float, float]:
     """(largest |eigenvalue|, sqrt((m-1)/m) |T|_F) for a traceless symmetric T."""
-    T = check_traceless(T, "operator")
-    m = T.shape[0]
-    eigs = np.linalg.eigvalsh(T)
-    return float(np.abs(eigs).max()), float(np.sqrt((m - 1) / m) * np.linalg.norm(T))
+    lam, bound = eigen_bound_terms(check_traceless(T, "operator"))
+    return float(lam), float(bound)
 
 
 @dataclass(frozen=True)
@@ -43,16 +72,20 @@ class SpectralExtremes:
     ell: float         # minus the smallest eigenvalue of the traceless Ricci
 
 
-def spectral_extremes(W: CurvatureTensor, E: np.ndarray) -> SpectralExtremes:
+def _pinch_inputs(W: CurvatureTensor, E: np.ndarray, what: str) -> np.ndarray:
+    """The guard of (W, E): E traceless symmetric, W trace-free, sizes matching."""
     E = check_traceless(E, "E")
-    check_trace_free(W.four(), W.mat, "spectral_extremes")
+    check_trace_free(W.four(), W.mat, what)
     if E.shape[0] != W.n:
         raise ValueError("dimension mismatch")
-    w_eigs = W.eigenvalues()
-    e_eigs = np.linalg.eigvalsh(E) if W.n else np.zeros(0)
-    return SpectralExtremes(omega_mag=float(np.abs(w_eigs).max()) if w_eigs.size else 0.0,
-                            omega_max=float(w_eigs.max()) if w_eigs.size else 0.0,
-                            ell=float(-e_eigs.min()) if e_eigs.size else 0.0)
+    return E
+
+
+def spectral_extremes(W: CurvatureTensor, E: np.ndarray) -> SpectralExtremes:
+    E = _pinch_inputs(W, E, "spectral_extremes")
+    t = weyl_bound_terms(W.four(), W.mat)
+    return SpectralExtremes(omega_mag=float(t["omega"]), omega_max=float(t["omega_max"]),
+                            ell=float(-np.linalg.eigvalsh(E).min()))
 
 
 @dataclass(frozen=True)
@@ -65,10 +98,9 @@ def berger_component_bound(W: CurvatureTensor) -> ComponentBound:
     """Largest |W_ijkl| over pairwise-distinct indices against (4/3) max|eig|."""
     check_trace_free(W.four(), W.mat, "the component bound")
     check_bianchi(W.four(), W.mat, EPS_ALG)
-    max_comp = float(np.abs(W.mat[disjoint_pair_mask(W.n)]).max())
-    omega = float(np.abs(W.eigenvalues()).max())
-    bound = 4.0 * omega / 3.0
-    if max_comp > bound + 100 * EPS_ALG * max(1.0, omega):
+    t = weyl_bound_terms(W.four(), W.mat)
+    max_comp, bound = float(t["max_component"]), float(t["component_bound"])
+    if max_comp > bound + 100 * EPS_ALG * max(1.0, float(t["omega"])):
         raise AssertionError("component bound violated")
     return ComponentBound(max_component=max_comp, bound=bound)
 
@@ -82,31 +114,20 @@ def audit_cubic_bounds(n: int, samples: int, seed: int = 0) -> dict[str, float]:
         raise ValueError("samples must be >= 0")
     from .sampling import random_weyl_batch
     rng = np.random.default_rng([seed, n])
-    mask = disjoint_pair_mask(n)
-    cn = table_c(n)
-    keys = ("component", "eig", "norm") + (("eig_signed", "dim5_identity") if n == 5 else ())
-    worst = dict.fromkeys(keys, -np.inf)
-    done = 0
-    while done < samples:
-        b = min(64, samples - done)  # samples per batched pass
-        four, mats = random_weyl_batch(rng, n, b)
-        eigs = np.linalg.eigvalsh(mats)
-        omega = np.abs(eigs).max(axis=1)
-        w2 = np.einsum('bij,bij->b', mats, mats)
-        max_comp = np.abs(mats[:, mask]).max(axis=1)
-        lhs_dot, lhs_sharp = cubic_parts(four)
-        lhs = lhs_dot + lhs_sharp
-        scale3 = np.maximum(w2, 1e-30) ** 1.5
-        excess = {"component": (max_comp - 4.0 * omega / 3.0) / np.maximum(omega, 1e-30),
-                  "eig": (lhs - 2.0 * (n - 1) / 3.0 * omega * w2) / scale3,
-                  "norm": (lhs - cn * w2 ** 1.5) / scale3}
+    worst = dict.fromkeys(("component", "eig", "norm")
+                          + (("eig_signed", "dim5_identity") if n == 5 else ()), -np.inf)
+    for done in range(0, samples, 64):  # 64 samples per batched pass
+        t = weyl_bound_terms(*random_weyl_batch(rng, n, min(64, samples - done)))
+        lhs, scale3 = t["lhs"], np.maximum(t["w2"], 1e-30) ** 1.5
+        excess = {"component": ((t["max_component"] - t["component_bound"])
+                                / np.maximum(t["omega"], 1e-30)),
+                  "eig": (lhs - t["eig_bound"]) / scale3,
+                  "norm": (lhs - t["norm_bound"]) / scale3}
         if n == 5:
-            sig = 2.0 * (n - 1) / 3.0 * eigs.max(axis=1) * w2
-            excess["eig_signed"] = (lhs - sig) / scale3
-            excess["dim5_identity"] = np.abs(lhs - 3.0 * lhs_dot) / scale3
+            excess["eig_signed"] = (lhs - t["signed_bound"]) / scale3
+            excess["dim5_identity"] = np.abs(lhs - 3.0 * t["lhs_dot"]) / scale3
         for key, values in excess.items():
             worst[key] = running_max(worst[key], values)
-        done += b
     return worst
 
 
@@ -120,11 +141,8 @@ def audit_eigen_bound(samples: int, seed: int = 0) -> float:
     for m in range(2, 11):
         t = rng.uniform(-1.0, 1.0, size=(samples, m, m))
         t = (t + np.transpose(t, (0, 2, 1))) / 2.0
-        tr = np.einsum('bii->b', t)
-        t -= tr[:, None, None] / m * np.eye(m)
-        eigs = np.linalg.eigvalsh(t)
-        lam = np.abs(eigs).max(axis=1)
-        bound = np.sqrt((m - 1) / m) * np.sqrt(np.einsum('bij,bij->b', t, t))
+        t -= np.einsum('bii->b', t)[:, None, None] / m * np.eye(m)
+        lam, bound = eigen_bound_terms(t)
         worst = running_max(worst, (lam - bound) / np.maximum(bound, 1e-30))
     return worst
 
@@ -150,28 +168,19 @@ def cubic_bound_eval(W: CurvatureTensor) -> CubicBounds:
         raise ValueError("cubic bounds apply for dimension >= 5 (dimension 4 uses the"
                          " self-dual determinant route)")
     check_trace_free(W.four(), W.mat, "the cubic bound")
-    lhs_dot, lhs_sharp = (float(v) for v in cubic_parts(W.four()))
-    lhs = lhs_dot + lhs_sharp
-    eigs = W.eigenvalues()
-    omega = float(np.abs(eigs).max())
-    w2 = float(np.sum(W.mat * W.mat))
-    eig_bound = 2.0 * (n - 1) / 3.0 * omega * w2
-    cn = table_c(n)
-    norm_bound = cn * w2 ** 1.5
-    slack = 1e-9 * max(1.0, abs(lhs), eig_bound, norm_bound)
-    if lhs > eig_bound + slack:
+    t = {k: float(v) for k, v in weyl_bound_terms(W.four(), W.mat).items()}
+    lhs, signed = t["lhs"], t.get("signed_bound")
+    slack = 1e-9 * max(1.0, abs(lhs), t["eig_bound"], t["norm_bound"])
+    if lhs > t["eig_bound"] + slack:
         raise AssertionError("eigenvalue cubic bound violated")
-    if lhs > norm_bound + slack:
+    if lhs > t["norm_bound"] + slack:
         raise AssertionError("norm cubic bound violated")
-    signed = None
-    if n == 5:
-        if abs(lhs - 3.0 * lhs_dot) > 1e-9 * max(1.0, abs(lhs)):
-            raise AssertionError("dimension-5 cubic identity <W,W^2+W#> = 3<W,W^2> violated")
-        signed = 2.0 * (n - 1) / 3.0 * float(eigs.max()) * w2
-        if lhs > signed + slack:
-            raise AssertionError("dimension-5 signed eigenvalue bound violated")
-    return CubicBounds(lhs=lhs, eig_bound=eig_bound, norm_bound=norm_bound,
-                       lhs_dot_only=lhs_dot, eig_bound_signed=signed)
+    if n == 5 and abs(lhs - 3.0 * t["lhs_dot"]) > 1e-9 * max(1.0, abs(lhs)):
+        raise AssertionError("dimension-5 cubic identity <W,W^2+W#> = 3<W,W^2> violated")
+    if signed is not None and lhs > signed + slack:
+        raise AssertionError("dimension-5 signed eigenvalue bound violated")
+    return CubicBounds(lhs=lhs, eig_bound=t["eig_bound"], norm_bound=t["norm_bound"],
+                       lhs_dot_only=t["lhs_dot"], eig_bound_signed=signed)
 
 
 def table_c(n: int) -> float:
@@ -307,9 +316,7 @@ def constants(n: int) -> ConstantsTable:
         return ConstantsTable(n=n, s_n=s_n, alpha=0.5, c_n=c5,
                               case5=(c5, 2.0 / math.sqrt(5.0), 3.0 / 16.0))
     A, B, C = quadratic_coefficients(n)
-    disc = B * B - 4.0 * A * C
-    if disc < 0:
-        raise ValueError(f"quadratic has no real roots for n={n}")
+    disc = B * B - 4.0 * A * C  # 4n(n-1)^2(n-2)(n-4)(n-6), >= 0 for n >= 6
     alpha = (-B + math.sqrt(max(disc, 0.0))) / (2.0 * A)
     denom = 2.0 * (n - 1) * alpha - n + 3.0
     a1 = 10.0 * (n - 1) * alpha ** 2 / denom
@@ -335,29 +342,21 @@ def _leq(value: float, threshold: float) -> bool:
     return bool(value <= threshold + _TIE * max(1.0, abs(threshold)))
 
 
-def pinch_verdict_pointwise(W: CurvatureTensor, E: np.ndarray, S: float,
-                            use_signed_omega: bool | None = None) -> PinchVerdict:
-    """Eigenvalue pinch (2(n-1)/3) omega + ell <= S/n for n >= 5.
-
-    omega is the largest eigenvalue magnitude; in dimension five the largest
-    signed eigenvalue is admissible and is the default there.
-    """
+def pinch_verdict_pointwise(W: CurvatureTensor, E: np.ndarray, S: float) -> PinchVerdict:
+    """Eigenvalue pinch (2(n-1)/3) omega + ell <= S/n for n >= 5; omega is the largest
+    eigenvalue magnitude, or in dimension five the admissible largest signed eigenvalue."""
     n = W.n
     if n < 5:
         raise ValueError("pointwise pinch verdict requires n >= 5")
     check_finite(S)
     ext = spectral_extremes(W, E)
-    if use_signed_omega is None:
-        use_signed_omega = (n == 5)
-    if use_signed_omega and n != 5:
-        raise ValueError("the signed-eigenvalue variant is admissible only in dimension 5")
-    omega = ext.omega_max if use_signed_omega else ext.omega_mag
+    omega = ext.omega_max if n == 5 else ext.omega_mag
     value = 2.0 * (n - 1) / 3.0 * omega + ext.ell
     threshold = S / n
     return PinchVerdict(condition_value=float(value), threshold=float(threshold),
                         satisfied=_leq(value, threshold), which="pointwise",
                         details={"omega_mag": ext.omega_mag, "omega_max": ext.omega_max,
-                                 "ell": ext.ell, "signed_variant": bool(use_signed_omega)})
+                                 "ell": ext.ell, "signed_variant": n == 5})
 
 
 def pinch_verdict_norm(W: CurvatureTensor, E: np.ndarray, S: float) -> PinchVerdict:
@@ -366,7 +365,7 @@ def pinch_verdict_norm(W: CurvatureTensor, E: np.ndarray, S: float) -> PinchVerd
     if n < 5:
         raise ValueError("norm pinch verdict requires n >= 5")
     check_finite(S)
-    E = check_traceless(E, "E")
+    E = _pinch_inputs(W, E, "pinch_verdict_norm")
     w_norm = float(np.linalg.norm(W.mat))
     e_norm = float(np.linalg.norm(E))
     value = table_c(n) * w_norm + math.sqrt((n - 1) / n) * e_norm

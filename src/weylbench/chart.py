@@ -438,19 +438,11 @@ def weyl_derivative_pack(f: ChartCurvatureField) -> dict:
     return {"delta_w": f.delta_w, "P": f.P, "Q": f.Q, "B_W": f.b_w, "B_R": f.b_r}
 
 
-def identity_residual_report(f: ChartCurvatureField,
-                             include_bochner: bool | None = None) -> dict[str, float]:
-    """Named residuals of the differential identities at the chart center.
-
-    The Bochner balance is asserted only for harmonic-Weyl presets (it is an
-    identity only when the divergence of the Weyl part vanishes); requesting
-    it on an untagged metric raises.
-    """
+def identity_residual_report(f: ChartCurvatureField) -> dict[str, float]:
+    """Named residuals of the differential identities at the chart center; the improved
+    Kato margin and the Bochner balance, identities only where the Weyl part is
+    divergence-free, are reported exactly for harmonic-Weyl presets."""
     n = f.metric.n
-    if include_bochner is None:
-        include_bochner = f.metric.harmonic_weyl
-    if include_bochner and not f.metric.harmonic_weyl:
-        raise ValueError("Bochner residual requires a harmonic-Weyl preset")
     out: dict[str, float] = {}
     out["second_bianchi_r"] = f.b_r.norm()
     bw_pred = circ_prime(f.delta_w) * (1.0 / (n - 3))
@@ -467,7 +459,6 @@ def identity_residual_report(f: ChartCurvatureField,
     out["nabla_w_sq"] = f.nabla_w_norm_sq
     if f.metric.harmonic_weyl:
         out["kato_improved_margin"] = f.nabla_w_norm_sq - (n + 1) / (n - 1) * grad2
-    if include_bochner:
         W = f.decomposition.weyl
         cubic = float(sum(cubic_parts(W.four())))
         rc_term = float(kn_g_pairing(f.Rc, W.mat))

@@ -231,18 +231,10 @@ def cmd_chart(args, tols) -> int:
         metric = grid_file_metric(args.target)
     else:
         metric = preset_metric(args.target)
-    file_grid = metric.default_grid
-    if args.center:
-        center = np.array([float(c) for c in args.center.split(",")])
-    elif file_grid is not None:
-        center = file_grid.center
-    else:
-        center = 0.1 * (1.0 + np.arange(metric.n)) / metric.n
-    step = args.step if args.step is not None else (
-        file_grid.h if file_grid is not None else 1e-3)
-    order = args.order if args.order is not None else (
-        file_grid.order if file_grid is not None else 2)
-    grid = GridSpec(center=center, h=step, order=order)
+    base = metric.default_grid or GridSpec(center=0.1 * (1.0 + np.arange(metric.n)) / metric.n)
+    center = np.array([float(c) for c in args.center.split(",")]) if args.center else base.center
+    grid = GridSpec(center=center, h=base.h if args.step is None else args.step,
+                    order=base.order if args.order is None else args.order)
     field = curvature_field(metric, grid, with_ricci_identity=args.ricci_identity)
     residuals = identity_residual_report(field)
     report["results"]["n"] = metric.n

@@ -58,22 +58,16 @@ def split_self_dual(W: CurvatureTensor, tol: float = EPS_ALG) -> SelfDualSplit:
     return SelfDualSplit(wplus=M[:3, :3].copy(), wminus=M[3:, 3:].copy(), basis=_PM.copy())
 
 
-def _from_blocks(wplus: np.ndarray, wminus: np.ndarray | float) -> np.ndarray:
-    """Pair-basis matrix with self-dual block wplus, anti-self-dual block wminus."""
+def _from_block(wplus: np.ndarray) -> np.ndarray:
+    """Pair-basis matrix with self-dual block wplus and a zero anti-self-dual block."""
     M = np.zeros((6, 6))
     M[:3, :3] = wplus
-    M[3:, 3:] = wminus
     return _PM @ M @ _PM.T
-
-
-def reassemble_split(split: SelfDualSplit) -> np.ndarray:
-    """Pair-basis matrix of the operator with the given +/- blocks and no cross part."""
-    return _from_blocks(split.wplus, split.wminus)
 
 
 def embed_block(block: np.ndarray) -> CurvatureTensor:
     """Embed a symmetric traceless 3x3 block as a full n=4 operator (other block zero)."""
-    return CurvatureTensor(4, _from_blocks(check_symmetric(block, "block"), 0.0))
+    return CurvatureTensor(4, _from_block(check_symmetric(block, "block")))
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ def det_identities(wplus: np.ndarray, tol: float = EPS_ALG) -> DetIdentities:
     if np.shape(wplus) != (3, 3):
         raise ValueError("expected a 3x3 block")
     wplus = check_traceless(wplus, "block", tol)
-    four = pair_matrix_to_four_tensor(4, symmetrized(_from_blocks(wplus, 0.0)))
+    four = pair_matrix_to_four_tensor(4, symmetrized(_from_block(wplus)))
     cube_dot, cube_sharp = (float(v) for v in cubic_parts(four))
     return DetIdentities(cube_dot=cube_dot, cube_sharp=cube_sharp,
                          det=float(np.linalg.det(wplus)))

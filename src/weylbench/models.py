@@ -68,7 +68,6 @@ class CurvaturePackage:
     R: CurvatureTensor
     Rc: np.ndarray
     S: float
-    is_locally_symmetric: bool
 
 
 def parse_model_spec(text: str) -> ModelSpec:
@@ -143,8 +142,7 @@ def model_curvature(spec: ModelSpec) -> CurvaturePackage:
         raise ValueError(f"unknown model kind {spec.kind!r}")
     R = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(four))
     Rc = ricci_contraction(R)
-    return CurvaturePackage(spec=spec, R=R, Rc=Rc, S=float(np.trace(Rc)),
-                            is_locally_symmetric=True)
+    return CurvaturePackage(spec=spec, R=R, Rc=Rc, S=float(np.trace(Rc)))
 
 
 def package_consistency(pkg: CurvaturePackage) -> dict[str, float]:
@@ -170,11 +168,9 @@ def symmetric_space_identity_report(pkg: CurvaturePackage) -> dict[str, float]:
     r1 = 2 <W, W^2 + W#> - <Rc o g, W^2>
     r2 = W(E, E) - (n/(n-2)) E^3 - S |E|^2 / (n-1)
 
-    Both vanish when the curvature is parallel; refused otherwise since the
-    derivative terms they discard need not be zero.
+    Both vanish when the curvature is parallel, as on every catalog model (each
+    is a locally symmetric space); elsewhere the discarded derivative terms need not.
     """
-    if not pkg.is_locally_symmetric:
-        raise ValueError("identity report requires a locally symmetric package")
     n = pkg.R.n
     if n < 4:
         raise ValueError("identity report requires dimension >= 4")

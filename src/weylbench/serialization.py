@@ -12,7 +12,6 @@ with the pair symmetry T_ijkl = T_klij and the antisymmetries in (i, j) and
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 import numpy as np
@@ -23,10 +22,6 @@ from .tensors import EPS_ALG, Operator2Form, check_symmetric, within_tol
 
 def operator_to_dict(op: Operator2Form) -> dict[str, Any]:
     return {"n": op.n, "basis": "lex-pairs", "matrix": op.mat.tolist()}
-
-
-def operator_to_json(op: Operator2Form) -> str:
-    return json.dumps(operator_to_dict(op), indent=2, sort_keys=True)
 
 
 def _from_dense(data: dict, tol: float) -> Operator2Form:
@@ -81,17 +76,3 @@ def operator_from_dict(data: dict, tol: float = EPS_ALG) -> Operator2Form:
     if "components" in data:
         return _from_sparse(data, tol)
     raise ValueError("operator JSON needs either 'matrix' or 'components'")
-
-
-def operator_from_json(text: str) -> Operator2Form:
-    return operator_from_dict(json.loads(text))
-
-
-def load_operator(path: str) -> Operator2Form:
-    with open(path, "r", encoding="utf-8") as fh:
-        return operator_from_dict(json.load(fh))
-
-
-def save_operator(path: str, op: Operator2Form) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(operator_to_json(op))

@@ -214,7 +214,7 @@ def test_criterion_08_chart_convergence():
         pres = {}
         for h in (2e-3, 1e-3):
             fld = curvature_field(prod, GridSpec(center=prod_center, h=h))
-            pres[h] = identity_residual_report(fld, include_bochner=False)
+            pres[h] = identity_residual_report(fld)
         for key in ("bianchi_map_w", "delta_w_pq"):
             assert 3.5 <= pres[2e-3][key] / pres[1e-3][key] <= 4.5
         # chart spectrum matches the closed-form model to O(h^2)
@@ -239,7 +239,7 @@ def test_criterion_09_kato_inequalities():
                              ("perturbed:5",
                               np.array([0.1, -0.05, 0.08, 0.12, -0.03]))):
             fld = curvature_field(preset_metric(name), GridSpec(center=center, h=1e-3))
-            rep = identity_residual_report(fld, include_bochner=False)
+            rep = identity_residual_report(fld)
             assert rep["kato_classical_margin"] >= -1e-10
             if preset_metric(name).harmonic_weyl:
                 # parallel Weyl: both sides vanish as exact zeros at this order

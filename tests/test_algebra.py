@@ -42,12 +42,14 @@ from weylbench.algebra import (
     weyl_split,
 )
 from weylbench.basis import four_tensor_to_pair_matrix, pair_basis, pair_matrix_to_four_tensor
+from weylbench.bounds import cubic_bound_eval, eigen_bound, eigen_bound_terms, weyl_bound_terms
 from weylbench.sampling import (
     random_curvature,
     random_curvature_derivative_full,
     random_operator,
     random_pure_matrix,
     random_symmetric,
+    random_traceless_symmetric,
     random_two_form_one_form,
     random_weyl,
     random_weyl_batch,
@@ -58,6 +60,7 @@ from weylbench.tensors import (
     Operator2Form,
     PureCurvatureMatrix,
     TwoFormOneForm,
+    check_traceless,
     cyclic_average,
     inner,
     norm,
@@ -647,6 +650,10 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(kn_g_pairing, h, four_tensor_to_pair_matrix(n, R4))
     subsets = rng.uniform(size=(count, n)) < 0.5
     _assert_batch_equals_single(sectional_sums, rng.uniform(-1.0, 1.0, size=(count, N)), subsets)
+    W4 = weyl_split(R4).W
+    _assert_batch_equals_single(lambda a, m: tuple(weyl_bound_terms(a, m).values()),
+                                W4, four_tensor_to_pair_matrix(n, W4))
+    _assert_batch_equals_single(eigen_bound_terms, h + np.swapaxes(h, -1, -2))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -667,6 +674,13 @@ def test_typed_wrappers_are_their_kernels(n):
     image = bianchi_image(n, T.mat)
     assert np.array_equal(imb.mat, (image + image.T) / 2.0)
     assert np.array_equal(kerb.mat, T.mat - imb.mat)
+    E = random_traceless_symmetric(rng, n)
+    assert eigen_bound(E) == tuple(float(v) for v in eigen_bound_terms(check_traceless(E, "E")))
+    if n >= 5:
+        cb, t = cubic_bound_eval(W), weyl_bound_terms(W.four(), W.mat)
+        assert (cb.lhs, cb.eig_bound, cb.norm_bound, cb.lhs_dot_only, cb.eig_bound_signed) == (
+            float(t["lhs"]), float(t["eig_bound"]), float(t["norm_bound"]), float(t["lhs_dot"]),
+            float(t["signed_bound"]) if n == 5 else None)
 
 
 def test_sectional_sums_match_the_component_sums():

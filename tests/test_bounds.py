@@ -421,9 +421,14 @@ def test_pointwise_verdict_space_form():
 def test_pointwise_verdict_guards():
     with pytest.raises(ValueError):
         pinch_verdict_pointwise(random_weyl(rng, 4), np.zeros((4, 4)), 1.0)
-    with pytest.raises(ValueError):
-        pinch_verdict_pointwise(random_weyl(rng, 6), np.zeros((6, 6)), 1.0,
-                                use_signed_omega=True)
+
+
+@pytest.mark.parametrize("verdict", [pinch_verdict_pointwise, pinch_verdict_norm])
+def test_pinch_verdicts_share_the_input_guard(verdict):
+    with pytest.raises(ValueError, match="trace-free"):
+        verdict(random_curvature(rng, 5), np.zeros((5, 5)), 100.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        verdict(random_weyl(rng, 5), np.zeros((3, 3)), 100.0)
 
 
 def test_norm_verdict_borderline_and_violation():

@@ -98,7 +98,7 @@ def test_halving_ratios_on_derivative_residuals():
         r = {}
         for h in (2e-3, 1e-3):
             f = curvature_field(m, GridSpec(center=center, h=h))
-            r[h] = identity_residual_report(f, include_bochner=False)
+            r[h] = identity_residual_report(f)
         for key in keys:
             ratio = r[2e-3][key] / r[1e-3][key]
             assert 3.5 <= ratio <= 4.5, (name, key, ratio)
@@ -156,8 +156,6 @@ def test_bochner_residual_on_harmonic_presets():
 def test_bochner_refused_without_tag():
     m = preset_metric("perturbed:4")
     f = curvature_field(m, GridSpec(center=CENTER4, h=1e-3))
-    with pytest.raises(ValueError):
-        identity_residual_report(f, include_bochner=True)
     assert "bochner" not in identity_residual_report(f)
 
 
@@ -429,7 +427,7 @@ def test_coordinate_weyl_norm_matches_frame_norm(name):
 
 
 def _field_bits(f):
-    report = identity_residual_report(f, include_bochner=False)
+    report = identity_residual_report(f)
     return (f.R.mat.tobytes(), f.decomposition.weyl.mat.tobytes(),
             f.nabla_w.comps.tobytes(), f.nabla_r.comps.tobytes(), float(f.S).hex(),
             {k: float(v).hex() for k, v in report.items()})

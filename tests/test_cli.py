@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from weylbench.cli import main
-from weylbench.sampling import random_weyl
+from weylbench.sampling import random_curvature, random_weyl
 from weylbench.serialization import operator_to_dict
 
 
@@ -142,6 +142,14 @@ def test_chart_halving(capsys):
     assert data["passed"] is True
 
 
+def test_chart_defaults_are_the_grid_spec_defaults(tmp_path):
+    outs = [tmp_path / "default.txt", tmp_path / "explicit.txt"]
+    assert run_cli("chart", "sphere-stereo:4", "--out", str(outs[0])) == 0
+    assert run_cli("chart", "sphere-stereo:4", "--h", "0.001", "--order", "2",
+                   "--out", str(outs[1])) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_chart_grid_file_defaults(tmp_path, capsys):
     from weylbench.chart import GridSpec, dump_grid_file, preset_metric
     center = np.array([0.07, -0.12, 0.1, 0.06])
@@ -228,11 +236,14 @@ def _weyl_dict(n, nan_entry=False):
     return op
 
 
-def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0, e_trace=0.0):
-    E = np.eye(n) * e_trace / n
+def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0, e_trace=0.0, traced_w=False,
+                   e_size=None):
+    E = np.eye(e_size or n) * e_trace / n
     if nan_e:
         E[0, 0] = np.nan
-    return {"W": _weyl_dict(n, nan_entry=nan_w), "E": E.tolist(), "S": S}
+    W = (operator_to_dict(random_curvature(np.random.default_rng(1), n)) if traced_w
+         else _weyl_dict(n, nan_entry=nan_w))
+    return {"W": W, "E": E.tolist(), "S": S}
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -243,11 +254,14 @@ def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0, e_trace=0.0):
     (("pinch", "pointwise", "--input", "{file}"), lambda: _pinch_payload(S=float("nan"))),
     (("pinch", "norm", "--input", "{file}"), lambda: _pinch_payload(e_trace=0.5)),
     (("pinch", "pointwise", "--input", "{file}"), lambda: _pinch_payload(e_trace=0.5)),
+    (("pinch", "norm", "--input", "{file}"), lambda: _pinch_payload(traced_w=True)),
+    (("pinch", "norm", "--input", "{file}"), lambda: _pinch_payload(e_size=3)),
     (("model", "sphere:4:0"), None),
     (("model", "sphere:4:-1"), None),
     (("chart", "euclidean:4", "--h", "nan"), None),
 ], ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
         "pinch-pointwise-nan-S", "pinch-norm-traced-E", "pinch-pointwise-traced-E",
+        "pinch-norm-traced-W", "pinch-norm-mis-sized-E",
         "model-zero-radius", "model-negative-radius", "chart-nan-step"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"

@@ -5,7 +5,6 @@ import pytest
 
 from weylbench.algebra import decompose, pure_matrix_from_weyl
 from weylbench.models import (
-    CurvaturePackage,
     Factor,
     ModelSpec,
     model_curvature,
@@ -101,14 +100,6 @@ def test_catalog_identity_residuals(spec):
     scale = max(1.0, abs(pkg.S)) ** 3
     assert abs(rep["r1"]) <= 1e-10 * scale, spec
     assert abs(rep["r2"]) <= 1e-10 * scale, spec
-
-
-def test_identity_report_refuses_non_symmetric():
-    pkg = model_curvature(parse_model_spec("sphere:4:1.0"))
-    broken = CurvaturePackage(spec=pkg.spec, R=pkg.R, Rc=pkg.Rc, S=pkg.S,
-                              is_locally_symmetric=False)
-    with pytest.raises(ValueError):
-        symmetric_space_identity_report(broken)
 
 
 def test_s3_x_s2_values():

@@ -15,6 +15,9 @@ Each invariant is decided in one place: the typed products (``kulkarni_nomizu``,
 traceless and first-Bianchi checks go through the guards ``check_trace_free``,
 ``check_traceless`` and ``check_bianchi``, so no other module hands such a
 residual to ``check_small`` itself.
+
+Optional parameters are counted, so a knob that only tests set cannot come
+back unnoticed.
 """
 
 import ast
@@ -131,3 +134,28 @@ def test_trace_and_bianchi_decisions_go_through_the_guards():
     assert files
     offenders = [hit for path in files for hit in hand_made_guards(path)]
     assert not offenders, offenders
+
+
+#: optional parameters (defaults) over the package's functions
+MAX_OPTIONAL_PARAMETERS = 38
+
+
+def optional_parameters(path: Path) -> list[str]:
+    """``file:line`` of each function, once per parameter with a default."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count = len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            out += [f"{path.name}:{node.lineno}"] * count
+    return out
+
+
+def test_guard_counts_optional_parameters(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(a, b=1, *, c, d=None):\n    return lambda x=0: x\n")
+    assert optional_parameters(probe) == ["probe.py:1", "probe.py:1", "probe.py:2"]
+
+
+def test_optional_parameters_do_not_grow():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in optional_parameters(path)]
+    assert len(found) <= MAX_OPTIONAL_PARAMETERS, found
