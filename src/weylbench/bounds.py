@@ -131,20 +131,38 @@ def audit_cubic_bounds(n: int, samples: int, seed: int = 0) -> dict[str, float]:
     return worst
 
 
-def audit_eigen_bound(samples: int, seed: int = 0) -> float:
-    """Worst relative excess of max |eigenvalue| over sqrt((m-1)/m)|T| on random
-    traceless symmetric m x m matrices, m = 2..10."""
+def _eigen_deviations(samples: int, seed: int):
+    """Yield (m, (max |eigenvalue| - sqrt((m-1)/m)|T|) / that bound) for random
+    traceless symmetric m x m matrices T, drawn from default_rng(seed) for
+    m = 2..10 in turn."""
     if samples < 0:
         raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(seed)
-    worst = -np.inf
     for m in range(2, 11):
         t = rng.uniform(-1.0, 1.0, size=(samples, m, m))
         t = (t + np.transpose(t, (0, 2, 1))) / 2.0
         t -= np.einsum('bii->b', t)[:, None, None] / m * np.eye(m)
         lam, bound = eigen_bound_terms(t)
-        worst = running_max(worst, (lam - bound) / np.maximum(bound, 1e-30))
+        yield m, (lam - bound) / np.maximum(bound, 1e-30)
+
+
+def audit_eigen_bound(samples: int, seed: int = 0) -> float:
+    """Worst relative excess of max |eigenvalue| over sqrt((m-1)/m)|T| on random
+    traceless symmetric m x m matrices, m = 3..10.  The m = 2 draws come first
+    in the stream; there the bound is an equality (``audit_eigen_equality``)."""
+    worst = -np.inf
+    for m, excess in _eigen_deviations(samples, seed):
+        if m > 2:
+            worst = running_max(worst, excess)
     return worst
+
+
+def audit_eigen_equality(samples: int, seed: int) -> float:
+    """Worst two-sided |max |eigenvalue| - |T|/sqrt(2)| / (|T|/sqrt(2)) on the
+    2 x 2 matrices ``audit_eigen_bound(samples, seed)`` draws first, where the
+    bound holds with equality; 0.0 with no samples."""
+    _, deviation = next(_eigen_deviations(samples, seed))
+    return running_max(0.0, np.abs(deviation))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ reports (seeded randomness, no timestamps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,6 +19,7 @@ from .algebra import ricci_contraction
 from .bounds import (
     audit_cubic_bounds,
     audit_eigen_bound,
+    audit_eigen_equality,
     constants,
     gap_verdict_integral,
     pinch_verdict_dim4,
@@ -163,6 +165,8 @@ def cmd_bounds(args, tols) -> int:
     worst["eigen"] = audit_eigen_bound(args.trials, seed=args.seed)
     for name, value in worst.items():
         _check(report, f"audit.{name}_excess", max(value, 0.0), tols["eps_alg"] * 100)
+    _check(report, "audit.eigen_equality_deviation",  # m = 2, where the bound is attained
+           audit_eigen_equality(args.trials, args.seed), tols["eps_alg"] * 100)
     oracle_results = {}
     for n in range(2, 9):
         for s in (0.5, 1.0, 2.0):
@@ -265,7 +269,14 @@ def cmd_chart(args, tols) -> int:
     return _finish(report, args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The weylbench parser, built on the first call and shared by every later one.
+
+    Parsing reads the parser and never changes it (each call gets a fresh
+    namespace, and ``append`` options copy their default), so repeated
+    ``main`` calls in one process behave as separate runs.
+    """
     parser = argparse.ArgumentParser(
         prog="weylbench",
         description="Verification workbench for curvature-operator algebra and "

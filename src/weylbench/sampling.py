@@ -50,15 +50,13 @@ def weyl_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
     return weyl_split(four).W
 
 
-def two_form_one_form_from_uniform(a: np.ndarray, trace_free: bool = True) -> np.ndarray:
-    """(..., n, n, n) draws made antisymmetric in the first two slots (and 1-3 trace-free)."""
+def two_form_one_form_from_uniform(a: np.ndarray) -> np.ndarray:
+    """(..., n, n, n) draws made antisymmetric in the first two slots and 1-3 trace-free."""
     n = a.shape[-1]
     a = a - np.swapaxes(a, -3, -2)
-    if trace_free:
-        c = np.einsum('...iji->...j', a)
-        t = np.einsum('im,...j->...ijm', np.eye(n), c) - np.einsum('jm,...i->...ijm', np.eye(n), c)
-        a = a - t / (n - 1)
-    return a
+    c = np.einsum('...iji->...j', a)
+    t = np.einsum('im,...j->...ijm', np.eye(n), c) - np.einsum('jm,...i->...ijm', np.eye(n), c)
+    return a - t / (n - 1)
 
 
 def pure_from_uniform(m: np.ndarray) -> np.ndarray:
@@ -117,15 +115,13 @@ def random_weyl(rng: np.random.Generator, n: int) -> CurvatureTensor:
     return CurvatureTensor(n, random_weyl_batch(rng, n, 1)[1][0])
 
 
-def random_two_form_one_form(rng: np.random.Generator, n: int,
-                             trace_free: bool = True) -> TwoFormOneForm:
-    """Random A in Lambda^2 x T*; by default with vanishing 1-3 contraction.
+def random_two_form_one_form(rng: np.random.Generator, n: int) -> TwoFormOneForm:
+    """Random A in Lambda^2 x T* with vanishing 1-3 contraction.
 
     Divergence-type tensors (the class the norm identity |A o' g|^2 =
     (n-3)|A|^2 applies to) always live in that subspace.
     """
-    return TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, n, n, n),
-                                                                   trace_free))
+    return TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, n, n, n)))
 
 
 def random_pure_matrix(rng: np.random.Generator, n: int) -> PureCurvatureMatrix:

@@ -69,6 +69,12 @@ from weylbench.tensors import (
 rng = np.random.default_rng(7)
 
 
+def generic_two_form_one_form(n):
+    """A in Lambda^2 x T* with its 1-3 contraction left in (the sampler removes it)."""
+    a = rng.uniform(-1.0, 1.0, size=(n, n, n))
+    return TwoFormOneForm.from_full(a - np.swapaxes(a, 0, 1))
+
+
 # ---------------------------------------------------------------- oracles
 
 def kn_oracle(h, k):
@@ -373,7 +379,7 @@ def test_circ_prime_norm_identity(n):
 def test_circ_prime_norm_needs_trace_free():
     # with a nonvanishing 1-3 contraction the norm identity fails
     n = 5
-    A = random_two_form_one_form(rng, n, trace_free=False)
+    A = generic_two_form_one_form(n)
     trace = np.einsum('iji->j', A.full())
     assert np.abs(trace).max() > 1e-3
     ratio = circ_prime(A).norm() ** 2 / ((n - 3) * A.norm() ** 2)
@@ -772,7 +778,7 @@ def test_sharp_four_matches_einsum_reference(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_circ_prime_placement_matches_einsum_reference_bitwise(n):
-    a = random_two_form_one_form(rng, n, trace_free=False).full()
+    a = generic_two_form_one_form(n).full()
     assert np.array_equal(circ_prime_full(a), circ_prime_einsum_reference(a))
     general = rng.uniform(-1.0, 1.0, size=(n, n, n))  # no antisymmetry either
     assert np.array_equal(circ_prime_full(general), circ_prime_einsum_reference(general))

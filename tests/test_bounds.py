@@ -9,6 +9,7 @@ from weylbench.bounds import (
     _project_feasible,
     audit_cubic_bounds,
     audit_eigen_bound,
+    audit_eigen_equality,
     berger_component_bound,
     constants,
     cubic_bound_eval,
@@ -66,6 +67,17 @@ def test_eigen_bound_family():
 
 def test_eigen_bound_audit():
     assert audit_eigen_bound(2000, seed=3) <= 1e-12
+
+
+def test_eigen_audit_reports_the_equality_case_apart():
+    """m = 2 attains the bound, so its excess is round-off of either sign; it is
+    audited two-sided on its own and the excess covers m = 3..10, strictly below."""
+    for seed in range(30):
+        assert audit_eigen_bound(2, seed=seed) < -1e-4, seed
+        assert audit_eigen_equality(2, seed) <= 1e-15, seed
+    assert audit_eigen_equality(0, 0) == 0.0
+    with pytest.raises(ValueError, match="samples"):
+        audit_eigen_equality(-1, 0)
 
 
 # ------------------------------------------------------------ Berger bound

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, determinism, report formats."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from weylbench import cli
 from weylbench.cli import main
 from weylbench.sampling import random_curvature, random_weyl
 from weylbench.serialization import operator_to_dict
@@ -203,6 +205,19 @@ def test_bounds_zero_trials_passes(capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     for name in ("berger", "cubic_eig", "cubic_norm", "eigen"):
         assert results[f"audit.{name}_excess"] == 0.0
+    assert results["audit.eigen_equality_deviation"] == 0.0
+
+
+def test_bounds_reports_the_eigen_equality_case_apart(capsys):
+    """At m = 2 max|eig| = |T|/sqrt(2) exactly, so round-off alone decides the sign of
+    its excess; that case has its own two-sided row and eigen_excess reads m = 3..10."""
+    for seed in range(30):
+        argv = ["bounds", "--trials", "2", "--budget", "0", "--seed", str(seed)]
+        run_cli(*argv, "--format", "json")
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["audit.eigen_excess"] == 0.0, seed
+        assert report["results"]["audit.eigen_equality_deviation"] <= 1e-15, seed
+        assert not [f for f in report["failures"] if f.startswith("audit.")], seed
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -440,3 +455,67 @@ def test_dim4_guard_refusal_is_a_named_failure(tmp_path, capsys, tol):
         assert codes["s0-trace-0"] == 0 and codes["s0-trace-12"] == 1
     else:  # the guards take the looser tolerance too
         assert codes["s0-trace-6"] == 0 and codes["s0-bianchi-6"] == 0
+
+
+# ------------------------------------------------------ one parser per process
+
+SUBCOMMANDS = ("identities", "model", "dim4", "bounds", "constants", "pinch", "gap", "chart")
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli("constants", "6") == 0
+            assert run_cli("gap", "0.1", "0.1", "16.0", "5") == 0
+            assert run_cli("frobnicate") == 2
+            assert run_cli("--version") == 0
+    finally:
+        cli.build_parser.cache_clear()  # later tests build an ordinary parser
+    assert built == ["weylbench"] + [f"weylbench {name}" for name in SUBCOMMANDS]
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+def test_shared_parser_help_matches_a_fresh_parser(capsys, command):
+    assert run_cli("frobnicate") == 2
+    assert run_cli("constants") == 2
+    shared_errors = capsys.readouterr().err
+    argv = ([command] if command else []) + ["--help"]
+    assert run_cli(*argv) == 0
+    shared = capsys.readouterr()
+    fresh_parser = cli.build_parser.__wrapped__()
+    with pytest.raises(SystemExit) as exc:
+        fresh_parser.parse_args(argv)
+    assert exc.value.code == 0
+    fresh = capsys.readouterr()
+    assert shared.out == fresh.out and shared.out.startswith("usage: weylbench")
+    assert shared.err == fresh.err == ""
+    for bad in (["frobnicate"], ["constants"]):
+        with pytest.raises(SystemExit):
+            fresh_parser.parse_args(bad)
+    assert capsys.readouterr().err == shared_errors
+
+
+def test_options_do_not_leak_between_calls(capsys):
+    def residual_dims(*argv):
+        assert run_cli("identities", "--trials", "1", "--format", "json", *argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        dims = {key.rsplit("_n", 1)[1] for key in report["results"]["residuals"]}
+        return report["config"]["tolerances"]["eps_alg"], sorted(dims)
+
+    assert residual_dims("--n", "4", "--tol", "eps_alg=1e-9") == (1e-9, ["4"])
+    assert residual_dims() == (cli.DEFAULT_TOLERANCES["eps_alg"], ["4", "5", "6", "7", "8"])
+    assert residual_dims("--n", "6") == (cli.DEFAULT_TOLERANCES["eps_alg"], ["6"])
+
+
+def test_version_exits_zero_on_the_shared_parser(capsys):
+    for _ in range(2):
+        assert run_cli("--version") == 0
+        assert capsys.readouterr().out == f"weylbench {cli.__version__}\n"

@@ -137,7 +137,7 @@ def test_trace_and_bianchi_decisions_go_through_the_guards():
 
 
 #: optional parameters (defaults) over the package's functions
-MAX_OPTIONAL_PARAMETERS = 38
+MAX_OPTIONAL_PARAMETERS = 36
 
 
 def optional_parameters(path: Path) -> list[str]:

@@ -152,7 +152,8 @@ def test_curvature_tensor_rejects_bianchi_violation():
 
 
 def test_two_form_one_form_norm_convention():
-    A = random_two_form_one_form(rng, 5, trace_free=False)
+    a = rng.uniform(-1.0, 1.0, size=(5, 5, 5))  # 1-3 trace left in
+    A = TwoFormOneForm.from_full(a - np.swapaxes(a, 0, 1))
     full = A.full()
     assert np.allclose(full, -np.swapaxes(full, 0, 1))
     assert 0.5 * np.einsum('ijk,ijk->', full, full) == pytest.approx(A.norm() ** 2)
