@@ -7,6 +7,7 @@ import pytest
 
 from weylbench.bounds import (
     _project_feasible,
+    _ratio,
     audit_cubic_bounds,
     audit_eigen_bound,
     audit_eigen_equality,
@@ -275,6 +276,51 @@ def test_projection_of_a_stack_equals_rowwise():
             assert np.array_equal(_project_feasible(row, 1.0)[0], out)
 
 
+def take_along_projection_reference(x, s):
+    """The sort-and-cumsum projection as first written, with ``take_along_axis`` and
+    ``keepdims``: the loop's indexed form must reproduce it bit for bit."""
+    x = np.atleast_2d(x)
+    n = x.shape[1]
+    u = s - np.sort(x, axis=1)
+    k = np.arange(1, n + 1)
+    excess = np.cumsum(u, axis=1) - n * s
+    rho = np.count_nonzero(u * k > excess, axis=1, keepdims=True)
+    return np.minimum(x + np.take_along_axis(excess, rho - 1, axis=1) / rho, s)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_projection_is_bitwise_the_take_along_reference(n):
+    gen = np.random.default_rng([25, n])
+    for s in (0.5, 1.0, 1.3, 2.0):
+        # _projection_rows carries rows at the cap, tied entries and rows far above it
+        x = _projection_rows(n, s, gen)
+        assert np.array_equal(_project_feasible(x, s), take_along_projection_reference(x, s))
+        row = gen.normal(size=n) * s
+        out = _project_feasible(row, s)
+        assert out.shape == (1, n)
+        assert np.array_equal(out, take_along_projection_reference(row, s))
+
+
+# ----------------------------------------------------- the ratio's cubes
+
+def test_ratio_cubes_against_exact_sums():
+    from fractions import Fraction
+
+    gen = np.random.default_rng(26)
+    for n in (2, 3, 5, 8, 12):
+        s = 1.3
+        x = _project_feasible(gen.uniform(-1.0, 1.0, size=(60, n)) * s, s)
+        _, q, p = _ratio(x)
+        # the cubes are products, not np.power: a return to x ** 3 moves these bits
+        assert np.array_equal(p, np.add.reduce(x * x * x, axis=1))
+        assert np.array_equal(q, np.add.reduce(x * x, axis=1))
+        for row, got in zip(x, p):
+            exact = sum(Fraction(float(v)) ** 3 for v in row)
+            # two roundings per cube and n - 1 in the sum: (n + 1) half-ulps of sum |x|^3
+            bound = (n + 1) * (EPS / 2) * float(sum(abs(Fraction(float(v))) ** 3 for v in row))
+            assert abs(Fraction(float(got)) - exact) <= Fraction(bound) * (1 + 1e-12)
+
+
 # ------------------------------------- enumerative second oracle (test side)
 
 def wcubic_enumerated(s, n):
@@ -323,6 +369,17 @@ def test_wcubic_oracle_within_enumerated_maximum(n):
         enum = wcubic_enumerated(s, n)
         value = wcubic_oracle(s, n, seed=5).value
         assert enum - 1e-4 <= value <= enum + 1e-9, (n, s, value, enum)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_wcubic_oracle_is_exactly_homogeneous_in_the_cap(n):
+    # every operation of the ascent commutes with scaling by a power of two
+    for seed in range(3):
+        unit = wcubic_oracle(1.0, n, seed=seed)
+        for s in (0.25, 0.5, 2.0, 4.0):
+            res = wcubic_oracle(s, n, seed=seed)
+            assert res.value == s * unit.value, (n, seed, s)
+            assert np.array_equal(res.best_x, s * unit.best_x), (n, seed, s)
 
 
 # ------------------------------------------------ oracle and audit boundaries
