@@ -17,6 +17,7 @@ the round unit sphere have sectional curvature +1.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -71,7 +72,10 @@ class ChartMetric:
             if g.shape != (self.n, self.n):
                 raise ValueError(f"metric evaluator returned shape {g.shape}")
             gs[r] = g
-        bad = ~(np.linalg.eigvalsh(gs).min(axis=-1) > 0)  # a NaN fails too
+        # non-finite entries fail first: on most, eigvalsh raises an error naming no point
+        bad = ~np.isfinite(gs).all(axis=(1, 2))
+        if not bad.any():
+            bad = ~(np.linalg.eigvalsh(gs).min(axis=-1) > 0)  # a NaN eigenvalue fails too
         if bad.any():
             raise ValueError(f"metric not positive definite at {xs[bad.argmax()].tolist()}")
         return gs
@@ -97,30 +101,30 @@ class GridSpec:
 
 
 def _sphere_stereo(n: int, radius: float) -> Callable[[np.ndarray], np.ndarray]:
+    eye, scale = np.eye(n), 4.0 * radius * radius
     def fn(x: np.ndarray) -> np.ndarray:
-        conf = 4.0 * radius * radius / (1.0 + float(x @ x)) ** 2
-        return conf * np.eye(n)
+        return scale / (1.0 + float(x @ x)) ** 2 * eye
     return fn
 
 
 def _product_spheres(p: int, q: int, r1: float, r2: float) -> Callable[[np.ndarray], np.ndarray]:
-    gp, gq = _sphere_stereo(p, r1), _sphere_stereo(q, r2)
+    eye, s1, s2 = np.eye(p + q), 4.0 * r1 * r1, 4.0 * r2 * r2
     def fn(x: np.ndarray) -> np.ndarray:
-        out = np.zeros((p + q, p + q))
-        out[:p, :p] = gp(x[:p])
-        out[p:, p:] = gq(x[p:])
-        return out
+        u, v = x[:p], x[p:]
+        conf = np.array([s1 / (1.0 + float(u @ u)) ** 2] * p + [s2 / (1.0 + float(v @ v)) ** 2] * q)
+        return conf[:, None] * eye
     return fn
 
 
 def _perturbed(n: int, amp: float) -> Callable[[np.ndarray], np.ndarray]:
     entries = [(i, j, i + 1, (i + j) % n, float(i == j)) for i in range(n) for j in range(i, n)]
+    where = np.empty((n, n), dtype=int)  # matrix entry -> its upper-triangle value
+    for r, (i, j, *_) in enumerate(entries):
+        where[i, j] = where[j, i] = r
     def fn(x: np.ndarray) -> np.ndarray:
-        x, out = x.tolist(), [[0.0] * n for _ in range(n)]
-        for i, j, f, c, e in entries:
-            out[i][j] = out[j][i] = e + amp * (0.3 * math.sin(f * x[j] + j) + 0.2 * x[i] * x[j]
-                                               + 0.1 * x[c] ** 3)
-        return np.array(out)
+        x = x.tolist()
+        return np.array([e + amp * (0.3 * math.sin(f * x[j] + j) + 0.2 * x[i] * x[j]
+                                    + 0.1 * x[c] ** 3) for i, j, f, c, e in entries])[where]
     return fn
 
 
@@ -239,6 +243,33 @@ def dump_grid_file(metric: ChartMetric, grid: GridSpec, path: str,
     return len(rows)
 
 
+@functools.cache
+def _offsets(n: int, order: int, with_ricci_identity: bool) -> tuple:
+    """(steps, keys, near, row counts of the center's stencil, w2, decomp and gamma) of
+    every assembly of one shape (see ``_Lattice``), numbered once per process; keys and
+    near are shared, so they are read-only."""
+    steps = (1, -1) if order == 2 else (2, 1, -1, -2)
+    unit, (a, b) = np.eye(n, dtype=int), np.triu_indices(n, 1)
+    moves = np.concatenate([s * unit for s in steps])
+    numbered: dict[tuple, None] = {}  # every offset so far, in row order
+    def star(K): return np.concatenate([K, (K[:, None] + moves).reshape(-1, n)])
+    def number(K):  # number the offsets of K not numbered yet; return all offsets so far
+        numbered.update(dict.fromkeys(zip(*K.T.tolist())))
+        return np.array(list(numbered))
+    around = star(np.zeros((1, n), dtype=int))  # the center (row 0) and its neighbours
+    w2 = number(np.concatenate([around] + [sa * unit[a] + sb * unit[b]
+                                           for sa in (1, -1) for sb in (1, -1)]))
+    decomp = number(star(around)) if with_ricci_identity else w2
+    gamma = number(star(decomp))
+    keys = number(star(gamma))
+    row = {k: r for r, k in enumerate(numbered)}
+    near = zip(*(gamma[:, None] + moves).reshape(-1, n).T.tolist())
+    near = np.array(list(map(row.__getitem__, near))).reshape(len(gamma), -1, n)
+    keys.setflags(write=False)
+    near.setflags(write=False)
+    return steps, keys, near, (len(around), len(w2), len(decomp), len(gamma))
+
+
 class _Lattice:
     """The stencil points of one field assembly, each stage tabulated once over its offsets.
 
@@ -247,7 +278,9 @@ class _Lattice:
     Gamma is), each set a prefix of the rows: row r is offset ``keys[r]``, and ``near[r,
     j, m]`` the row of ``keys[r]`` moved ``steps[j]`` along axis m.  Tables: ``g``,
     ``gamma``, ``decomp`` = (R, Rc, S, E, W) in coordinates (R kept on the center's
-    stencil, W on the w2 rows: all that is read) and ``w2``.  It lives for one assembly.
+    stencil, W on the w2 rows: all that is read) and ``w2``.  The tables live for one
+    assembly; the offsets depend only on (n, order, with_ricci_identity) and are numbered
+    once per shape (``_offsets``), so every assembly of a shape shares them.
     """
 
     def __init__(self, metric: ChartMetric, grid: GridSpec, with_ricci_identity: bool):
@@ -256,28 +289,13 @@ class _Lattice:
         if grid.center.shape != (metric.n,):
             raise ValueError(f"center must have shape ({metric.n},)")
         self.metric, self.grid, self.with_ricci_identity = metric, grid, with_ricci_identity
-        self.n = n = metric.n
-        self.steps = (1, -1) if grid.order == 2 else (2, 1, -1, -2)
-        unit, (a, b) = np.eye(n, dtype=int), np.triu_indices(n, 1)
-        moves = np.concatenate([s * unit for s in self.steps])
-        order: dict[tuple, None] = {}  # every offset so far, in row order
-        def star(K): return np.concatenate([K, (K[:, None] + moves).reshape(-1, n)])
-        def number(K):  # number the offsets of K not numbered yet; return all offsets so far
-            order.update(dict.fromkeys(zip(*K.T.tolist())))
-            return np.array(list(order))
-        around = star(np.zeros((1, n), dtype=int))  # the center (row 0) and its neighbours
-        w2 = number(np.concatenate([around] + [sa * unit[a] + sb * unit[b]
-                                               for sa in (1, -1) for sb in (1, -1)]))
-        decomp = number(star(around)) if with_ricci_identity else w2
-        gamma = number(star(decomp))
-        self.keys = number(star(gamma))
-        row = {k: r for r, k in enumerate(order)}
-        near = zip(*(gamma[:, None] + moves).reshape(-1, n).T.tolist())
-        self.near = np.array(list(map(row.__getitem__, near))).reshape(len(gamma), -1, n)
+        self.n = metric.n
+        self.steps, self.keys, self.near, (around, w2, decomp, gamma) = _offsets(
+            metric.n, grid.order, with_ricci_identity)
         self.g = metric.table(grid.point(self.keys))
-        self.gamma = self._tabulate(christoffel, 3, len(gamma))[0]
-        self.decomp = self._tabulate(_decomp_coords, 4, len(around), *[len(decomp)] * 3, len(w2))
-        self.w2 = self._tabulate(_w_norm_sq_at, 4, len(w2))[0]
+        self.gamma = self._tabulate(christoffel, 3, gamma)[0]
+        self.decomp = self._tabulate(_decomp_coords, 4, around, *[decomp] * 3, w2)
+        self.w2 = self._tabulate(_w_norm_sq_at, 4, w2)[0]
 
     def _tabulate(self, stage, rank: int, *keep: int) -> tuple:
         """stage(self, rows) over the first max(keep) rows, output i kept on its first keep[i]

@@ -12,6 +12,7 @@ from weylbench.chart import (
     GridSpec,
     _decomp_coords,
     _Lattice,
+    _offsets,
     _w_norm_sq_at,
     christoffel,
     curvature_field,
@@ -252,14 +253,77 @@ def _perturbed_loop(n, amp):
     return fn
 
 
+def _sphere_loop(n, radius):
+    """The sphere-stereo evaluator with its set-up in every call, as it was first written."""
+    def fn(x: np.ndarray) -> np.ndarray:
+        conf = 4.0 * radius * radius / (1.0 + float(x @ x)) ** 2
+        return conf * np.eye(n)
+    return fn
+
+
+def _product_loop(p, q, r1, r2):
+    """The product-spheres evaluator as first written: two sphere blocks written into zeros."""
+    gp, gq = _sphere_loop(p, r1), _sphere_loop(q, r2)
+    def fn(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((p + q, p + q))
+        out[:p, :p] = gp(x[:p])
+        out[p:, p:] = gq(x[p:])
+        return out
+    return fn
+
+
+def _evaluator_points(n):
+    """500 chart points: zero, negative zero, signed zeros mixed with other coordinates,
+    random points of every size up to |x| = 1e3, and points t e_0 and t e_(n-1) where
+    Python's (1 + t*t) ** 2 (libm pow) and a multiply round apart."""
+    rng = np.random.default_rng(n)
+    points = rng.uniform(-1.0, 1.0, size=(500, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(500, 1))
+    points[0], points[1], points[2] = 0.0, -0.0, 0.1 * (1.0 + np.arange(n)) / n
+    points[3, ::2], points[4, 1::2] = -0.0, 0.0
+    points[5] = 1e3 * np.sign(points[5])
+    apart = [t for t in rng.uniform(-1.0, 1.0, size=50_000).tolist()
+             if (1.0 + t * t) ** 2 != (1.0 + t * t) * (1.0 + t * t)][:10]
+    assert len(apart) == 10
+    points[-20:] = 0.0
+    points[-20:-10, 0], points[-10:, -1] = apart, apart
+    return points
+
+
 @pytest.mark.parametrize("name, n, amp", [("perturbed:4", 4, 0.05), ("perturbed:5:0.3", 5, 0.3),
                                           ("perturbed:7", 7, 0.05)])
 def test_perturbed_evaluator_matches_the_entrywise_loop(name, n, amp):
     fast, loop = preset_metric(name).fn, _perturbed_loop(n, amp)
-    points = np.random.default_rng(n).uniform(-1.0, 1.0, size=(500, n))
-    points[0], points[1], points[2] = 0.0, -0.0, 0.1 * (1.0 + np.arange(n)) / n
-    for x in points:
+    for x in _evaluator_points(n):
         assert fast(x).tobytes() == loop(x).tobytes()
+
+
+CONFORMAL_LOOPS = {
+    "sphere-stereo:4": _sphere_loop(4, 1.0),
+    "sphere-stereo:6:2.5": _sphere_loop(6, 2.5),
+    "product-spheres:2:2:1.0:1.0": _product_loop(2, 2, 1.0, 1.0),
+    "product-spheres:2:3:0.7:1.3": _product_loop(2, 3, 0.7, 1.3),
+    "product-spheres:3:2": _product_loop(3, 2, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFORMAL_LOOPS))
+def test_conformal_evaluators_match_their_reference_loops(name):
+    m, loop = preset_metric(name), CONFORMAL_LOOPS[name]
+    for x in _evaluator_points(m.n):
+        assert m.fn(x).tobytes() == loop(x).tobytes()
+
+
+@pytest.mark.parametrize("name", ["sphere-stereo:4", "product-spheres:2:2:1.0:1.0",
+                                  "product-spheres:2:3", "perturbed:4", "perturbed:5"])
+@pytest.mark.parametrize("axis", [0, -1])
+def test_nan_point_is_refused_by_every_preset(name, axis):
+    m = preset_metric(name)
+    x = np.zeros(m.n)
+    x[axis] = np.nan
+    with pytest.raises(ValueError, match=re.escape(f"not positive definite at {x.tolist()}")):
+        m.table(np.stack([np.zeros(m.n), x]))
+    with pytest.raises(ValueError, match="not positive definite"):
+        m(x)
 
 
 # (g, Gamma, decomposition, |W|^2_g) rows of one assembly, equal to the calls of
@@ -278,6 +342,27 @@ def test_stage_sizes(name, order, ricci, sizes):
     lattice = _Lattice(preset_metric(name), grid, ricci)
     assert (len(lattice.g), len(lattice.gamma), len(lattice.decomp[1]), len(lattice.w2)) == sizes
     assert len(lattice.keys) == len({tuple(k) for k in lattice.keys.tolist()}) == sizes[0]
+    # the numbering kept for the shape is the one a fresh walk gives
+    cached, fresh = _offsets(n, order, ricci), _offsets.__wrapped__(n, order, ricci)
+    assert lattice.keys is cached[1] and lattice.near is cached[2]
+    assert cached[0] == fresh[0] and cached[3] == fresh[3]
+    for kept, walked in zip(cached[1:3], fresh[1:3]):
+        assert kept.dtype == walked.dtype and kept.tobytes() == walked.tobytes()
+
+
+def test_assemblies_of_one_shape_share_read_only_offsets():
+    one = _Lattice(preset_metric("perturbed:4"), GridSpec(center=CENTER4, h=1e-3), False)
+    two = _Lattice(preset_metric("sphere-stereo:4"), GridSpec(center=-CENTER4, h=2e-3), False)
+    assert one.keys is two.keys and one.near is two.near
+    assert not np.array_equal(one.g, two.g)
+    for shape in ((5, 2, False), (4, 4, False), (4, 2, True)):
+        other = _offsets(*shape)
+        assert other[1] is not one.keys and other[2] is not one.near
+    for table in (one.keys, one.near):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            table += 0
 
 
 @pytest.mark.parametrize("name, order", [("perturbed:4", 2), ("perturbed:5", 4)])
@@ -441,11 +526,13 @@ def test_memo_lives_for_one_assembly():
              for h in (2e-3, 1e-3)]
     assert all(f.metric is m for f in fields)
     assert [_field_bits(f) for f in fields] == [_field_bits(f) for f in fresh]
-    # a repeated assembly evaluates its points again: nothing is kept between calls
-    once = len(seen)
+    # a repeated assembly evaluates its points again: metric values are not kept
+    # between calls; only the offset numbering, which depends on the shape alone, is
+    once, hits = len(seen), _offsets.cache_info().hits
     curvature_field(m, GridSpec(center=CENTER4, h=1e-3))
     curvature_field(m, GridSpec(center=CENTER4, h=1e-3))
     assert len(seen) - once == 2 * len(set(seen[once:]))
+    assert _offsets.cache_info().hits == hits + 2
 
 
 # float.hex of the residuals and S at CENTER4, h = 1e-3, order 2, captured at
@@ -455,7 +542,9 @@ def test_memo_lives_for_one_assembly():
 # perturbed:4 and bochner of sphere-stereo:4) were re-captured when
 # _w_norm_sq_at moved from a six-operand einsum to congruence_four: the
 # contraction is summed in another order, which moves them by 1 to 2,905 ulps
-# (at most 3.4e-13 relative); every other entry keeps its b36b3fe bits
+# (at most 3.4e-13 relative); every other entry keeps its b36b3fe bits.
+# product-spheres:2:2:1.0:1.0 was captured at commit d040230, before its
+# evaluator stopped building its blocks from per-call sphere evaluations
 GOLDEN_HEX = {
     "perturbed:4": {
         "S": "0x1.a8464b65bb727p-4",
@@ -468,6 +557,19 @@ GOLDEN_HEX = {
         "nabla_w_sq": "0x1.b0fe3358b52a0p-11",
         "ricci_identity": "0x1.3ac016fb00000p-32",
         "second_bianchi_r": "0x1.01e3d1943653dp-30",
+    },
+    "product-spheres:2:2:1.0:1.0": {
+        "S": "0x1.ffff8ca6995f8p+1",
+        "bianchi_grad_margin": "0x1.13c89a3bb25c6p-35",
+        "bianchi_map_w": "0x1.8c1ee4e61744cp-20",
+        "bianchi_norm_identity": "0x1.31db03feb2da9p-38",
+        "bochner": "0x1.d79f305f40000p-15",
+        "delta_w_pq": "0x1.9476871fe2edcp-21",
+        "grad_abs_w_sq": "0x1.01bdb1174a0c1p-37",
+        "kato_classical_margin": "0x1.31dabdc3e94a2p-38",
+        "kato_improved_margin": "-0x1.2e66c82e76300p-41",
+        "nabla_w_sq": "0x1.9aab0ff93eb12p-37",
+        "second_bianchi_r": "0x0.0p+0",
     },
     "sphere-stereo:4": {
         "S": "0x1.7fffaccf4417fp+3",

@@ -18,6 +18,10 @@ residual to ``check_small`` itself.
 
 Optional parameters are counted, so a knob that only tests set cannot come
 back unnoticed.
+
+A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
+so every metric evaluation of the package goes through one call site and its
+shape and positive-definiteness checks.
 """
 
 import ast
@@ -159,3 +163,34 @@ def test_guard_counts_optional_parameters(tmp_path):
 def test_optional_parameters_do_not_grow():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in optional_parameters(path)]
     assert len(found) <= MAX_OPTIONAL_PARAMETERS, found
+
+
+def fn_call_sites(path: Path) -> list[str]:
+    """``file:line scope`` of every ``x.fn(...)`` call in a file, scope the enclosing
+    class and function names."""
+    out = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "fn"):
+                out.append(f"{path.name}:{child.lineno} {'.'.join(scope) or '<module>'}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), ())
+    return out
+
+
+def test_guard_sees_fn_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class M:\n    def table(self, x):\n        return [self.fn(r) for r in x]\n"
+                     "def use(m):\n    return m.fn(0) + fn(1)\n"
+                     "y = metric.fn(2)\n")
+    assert fn_call_sites(probe) == ["probe.py:3 M.table", "probe.py:5 use", "probe.py:6 <module>"]
+
+
+def test_metric_evaluator_is_called_only_in_the_table():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in fn_call_sites(path)]
+    assert [(hit.split(":")[0], hit.split(" ", 1)[1]) for hit in found] == [
+        ("chart.py", "ChartMetric.table")], found
