@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import four_tensor_to_pair_matrix, pair_basis, pair_matrix_to_four_tensor
+from .basis import (_take_trailing, four_tensor_to_pair_matrix, pair_basis,
+                    pair_matrix_to_four_tensor)
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -35,12 +36,12 @@ __all__ = [
     "kulkarni_nomizu", "ricci_contraction", "bianchi_project", "decompose",
     "dot_product", "sharp_product", "tri", "circ_prime", "second_bianchi",
     "u_contraction", "quadratic_forms", "pure_cubics", "weyl_sectional_split",
-    "QuadraticForms", "PureCubics", "kn_four", "sharp_four", "weyl_split",
+    "QuadraticForms", "PureCubics", "kn_four", "sharp_four", "sharp_matrix", "weyl_split",
     "WeylSplit", "decomposition", "cubic_parts", "congruence_four", "kn_g_pairing",
 ]
 
 # Raw kernels (kn_four, _ricci_trace, weyl_split, bianchi_image, sharp_four,
-# cubic_parts, kn_g_pairing, congruence_four, circ_prime_full,
+# sharp_matrix, cubic_parts, kn_g_pairing, congruence_four, circ_prime_full,
 # second_bianchi_full, quadratic_form, cube_trace, pure_cubic_parts,
 # sectional_sums and the check_trace_free guard) act on the trailing axes of
 # plain arrays (one to five of them) and broadcast over any leading batch axes;
@@ -210,25 +211,48 @@ def _pair_slots(four: np.ndarray) -> np.ndarray:
     return np.swapaxes(four, -3, -2).reshape(four.shape[:-4] + (n * n, n * n))
 
 
+def _sharp_slots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """m[(i,k),(j,l)] = m_ijkl = sum_pq A_ipkq B_jplq, as one matrix product."""
+    return _pair_slots(A) @ np.swapaxes(_pair_slots(B), -1, -2)
+
+
 def sharp_four(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Sharp product on raw four-index arrays.
 
     (R # S)_ijkl = (1/2) sum_pq [ R_ipkq S_jplq + S_ipkq R_jplq
                                  - R_iplq S_jpkq - S_iplq R_jpkq ]
 
-    All four terms are index permutations of m_ijkl = sum_pq A_ipkq B_jplq,
-    which is the matrix product m[(i,k),(j,l)] = A'[(i,k),:] . B'[(j,l),:].
+    All four terms are index permutations of m_ijkl (``_sharp_slots``).
     """
     n = A.shape[-1]
-    m = _pair_slots(A) @ np.swapaxes(_pair_slots(B), -1, -2)
+    m = _sharp_slots(A, B)
     return 0.5 * _alt_pairs(np.swapaxes(m.reshape(m.shape[:-2] + (n, n, n, n)), -3, -2))
+
+
+@lru_cache(maxsize=None)
+def _sharp_positions(n: int) -> np.ndarray:
+    """(4, N, N) flat positions of m[(i,k),(j,l)], m[(j,l),(i,k)], m[(i,l),(j,k)] and
+    m[(j,k),(i,l)] in an (n^2, n^2) matrix: the terms of ``_alt_pairs`` at i < j, k < l."""
+    i, j = pair_basis(n).rows[:, None], pair_basis(n).cols[:, None]
+    k, l = i.T, j.T
+    flat = np.stack([((a * n + b) * n + c) * n + d
+                     for a, b, c, d in ((i, k, j, l), (j, l, i, k), (i, l, j, k), (j, k, i, l))])
+    flat.flags.writeable = False
+    return flat
+
+
+def sharp_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pair matrices (..., N, N) of A # B: only the pair entries of ``sharp_four``'s four
+    terms are gathered and added in its order, so the bits are those of
+    four_tensor_to_pair_matrix(n, sharp_four(A, B)) without the n^4 tensors."""
+    t = _take_trailing(_sharp_slots(A, B), 2, _sharp_positions(A.shape[-1]))
+    return 0.5 * (t[..., 0, :, :] + t[..., 1, :, :] - t[..., 2, :, :] - t[..., 3, :, :])
 
 
 def sharp_product(R: Operator2Form, S: Operator2Form) -> Operator2Form:
     """Commutative sharp product of two operators on 2-forms."""
     R._check_same(S)
-    return Operator2Form.from_four_tensor(sharp_four(R.four(), S.four()),
-                                          require_self_adjoint=False)
+    return Operator2Form(R.n, sharp_matrix(R.four(), S.four()), require_self_adjoint=False)
 
 
 def tri(R1: Operator2Form, R2: Operator2Form, R3: Operator2Form) -> float:
@@ -236,7 +260,7 @@ def tri(R1: Operator2Form, R2: Operator2Form, R3: Operator2Form) -> float:
     R1._check_same(R2)
     R1._check_same(R3)
     a, b = R1.mat, R2.mat
-    sharp = four_tensor_to_pair_matrix(R1.n, sharp_four(R1.four(), R2.four()))
+    sharp = sharp_matrix(R1.four(), R2.four())
     return float(np.sum((a @ b.T + b @ a.T + 2.0 * sharp) * R3.mat))
 
 
@@ -311,22 +335,26 @@ def second_bianchi(D: CovDerivCurvature) -> ThreeTwoTensor:
 def u_tensor_contractions(W4: np.ndarray) -> tuple[float, float]:
     """Skew-auxiliary-tensor sums (u_norm_sq, contracted) of one raw (n, n, n, n) W.
 
-    v_mnpqij = W_inpq g_jm + W_mipq g_jn + W_mniq g_jp + W_mnpi g_jq, each term
-    added onto a diagonal of v as in ``circ_prime_full``, and u = v - v^T in
-    (i, j).  Once u is taken, v's buffer is reused for the two products.  The
-    cubic contraction is orientation-fixed: the raw sum sum W_ijkl u_ij u_kl
-    carries the opposite sign, and contracted = -(raw sum) / 8.
+    v_mnpqij = W_inpq g_jm + W_mipq g_jn + W_mniq g_jp + W_mnpi g_jq and u = v - v^T
+    in (i, j), built as n (n^3, n^2) slabs over m in reused buffers (each term added onto
+    a diagonal as in ``circ_prime_full``); the slab sums are numpy reductions, since the
+    bits of BLAS dots depend on the thread count.  The cubic contraction is orientation-
+    fixed: the raw sum sum W_ijkl u_ij u_kl has the opposite sign; contracted = -(raw sum) / 8.
     """
     n = W4.shape[-1]
-    v = np.zeros((n,) * 6)
-    for diagonal in ('mnpqim->inpqm', 'mnpqin->mipqn', 'mnpqip->mniqp', 'mnpqiq->mnpiq'):
-        np.einsum(diagonal, v)[...] += W4[..., None]
-    U = (v - np.swapaxes(v, -1, -2)).reshape(n ** 4, n ** 2)
-    spent = v.reshape(n ** 4, n ** 2)  # v's buffer holds u*u, then (u W) * u
-    norm_sum = float(np.sum(np.multiply(U, U, out=spent)))
-    UWU = np.matmul(U, W4.reshape(n ** 2, n ** 2), out=spent)
-    UWU *= U
-    return norm_sum, -float(np.sum(UWU)) / 8.0
+    v, u, prod = np.empty((3, n ** 3, n ** 2))
+    v5, Wp = v.reshape((n,) * 5), W4.reshape(n ** 2, n ** 2)
+    norm_sum = cubic_sum = 0.0
+    for m in range(n):
+        v.fill(0.0)
+        np.einsum('npqi->inpq', v5[..., m])[...] += W4
+        for diagonal in ('npqin->ipqn', 'npqip->niqp', 'npqiq->npiq'):
+            np.einsum(diagonal, v5)[...] += W4[m, ..., None]
+        np.subtract(v5, np.swapaxes(v5, -1, -2), out=u.reshape((n,) * 5))
+        norm_sum += float(np.sum(np.multiply(u, u, out=prod)))
+        np.matmul(u, Wp, out=prod)
+        cubic_sum += float(np.sum(np.multiply(prod, u, out=prod)))
+    return norm_sum, -cubic_sum / 8.0
 
 
 def u_contraction(W: CurvatureTensor) -> tuple[float, float]:

@@ -9,16 +9,16 @@ those samplers give, bit for bit.
 Trials run in chunks of ``CHUNK`` (2; its comment says why).  A chunk's
 draws are stacked and mapped to samples by the ``*_from_uniform`` maps; each
 identity family is then evaluated once on the (B, ...) stacks with the raw
-kernels of ``algebra`` (the ones its typed functions wrap) and folded into the
-report by one running max.  The typed containers' input checks (symmetry and
-first Bianchi of R, W, the e/s parts and the metric products; trace-free W
-before the sectional split and the u-tensor) run once per chunk, with one
-leading batch axis (``check_small`` and the ``check_bianchi`` and
-``check_trace_free`` guards), so each trial keeps its own scale and the
-containers' messages.  The residuals do not depend on CHUNK (the batched basis
-expansions return C-order stacks, so every per-trial sum runs in one order),
-and the report keeps the (n, trial index) of every worst residual, so
-``trials = index + 1`` with the same seed replays it.
+kernels of ``algebra`` (sharps straight into pair matrices, the u-tensor in
+slabs) and its worst value folded into the report as a float.  The typed
+containers' input checks run once per chunk: symmetry and first Bianchi of R,
+then of W, the e/s parts and the metric products as one (6, B, ...) stack, and
+trace-free W before the sectional split and the u-tensor (``check_small`` and
+the ``check_bianchi`` and ``check_trace_free`` guards), so each object keeps
+its own scale and the containers' messages.  The residuals do not depend on
+CHUNK (the batched basis expansions return C-order stacks, so every per-trial
+sum runs in one order), and the report keeps the (n, trial index) of every
+worst residual, so ``trials = index + 1`` with the same seed replays it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    _pair_slots,
     _ricci_trace,
     check_trace_free,
     circ_prime_full,
@@ -38,7 +39,7 @@ from .algebra import (
     quadratic_form,
     second_bianchi_full,
     sectional_sums,
-    sharp_four,
+    sharp_matrix,
     u_tensor_contractions,
     weyl_split,
 )
@@ -68,13 +69,12 @@ from .tensors import (
     symmetrized,
 )
 
-#: trials per chunk: the largest chunk whose transient arrays keep
-#: `weylbench identities --n 4 --n 6 --trials 10` at or under the peak RSS of
-#: the unbatched suite (40.3 MB; 39.4 MB with chunks of 2, 40.7 with 3, 41.3
-#: with 4, 44.5 with 16).  Batching pays most for the small dimensions (n = 4:
-#: 3.8 ms a trial alone, 1.5 ms in chunks of 2, 0.85 ms in chunks of 4) and
-#: little at n = 8, where the n^5 and n^6 arrays dominate (7.4-8.5 ms a trial
-#: at every chunk size; one n = 8 chunk of 16 holds 36 MB of transients).
+#: trials per chunk; a chunk's transient arrays grow with it.  Peak RSS of
+#: `weylbench identities --n 4 --n 6 --trials 10` is 37.4 MB with chunks of 1,
+#: 38.1 with 2, 38.9 with 3, 39.5 with 4 and 43.8 with 16 (40.3 MB before the
+#: suite was batched).  Batching pays most for the small dimensions (suite time
+#: per trial at n = 4: 1.3 ms alone, 0.74 ms in chunks of 2, 0.49 ms in chunks
+#: of 4) and little at n = 8 (4.4-4.8 ms at chunks of 1 to 4).
 #: Measured on 2 vCPUs with numpy 2.4.6.
 CHUNK = 2
 
@@ -99,8 +99,8 @@ class SuiteReport:
         """
         values = np.abs(values).ravel()
         i = int(values.argmax())  # the first NaN, else the first maximum
-        old = self.residuals.get(name, -np.inf)
-        new = running_max(old, values[i])
+        old, value = self.residuals.get(name, -np.inf), float(values[i])
+        new = value if old == old and not value <= old else old  # a NaN on either side stays
         if where is not None and old == old and new != old:  # raised, and not past a NaN
             self.worst[name] = (where[0], where[1] + i)
         self.residuals[name] = new
@@ -120,12 +120,13 @@ def _rel(value, scale):
 def _curvature(n: int, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pair matrices, four tensors) of a stack as ``CurvatureTensor`` holds them.
 
-    The container's checks (symmetric, then first Bianchi) run trial by trial
-    through one batched check each per chunk, and the matrices are symmetrized
-    as the container stores them.
+    The container's checks (symmetric, then first Bianchi) run object by object
+    over every leading axis, one batched check each, and the matrices are
+    symmetrized as the container stores them.
     """
     check_small(mat - np.swapaxes(mat, -1, -2), mat, EPS_ALG,
-                f"pair-basis matrix must be symmetric within tolerance {EPS_ALG}", lead=1)
+                f"pair-basis matrix must be symmetric within tolerance {EPS_ALG}",
+                lead=mat.ndim - 2)
     mat = symmetrized(mat)
     four = pair_matrix_to_four_tensor(n, mat)
     check_bianchi(four, mat, EPS_ALG)
@@ -167,14 +168,12 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
 
     Rm, R4 = _curvature(n, curvature_from_uniform(n, mR))
     split = weyl_split(R4)
-    Wm, W4 = _curvature(n, four_tensor_to_pair_matrix(n, split.W))
-    _curvature(n, four_tensor_to_pair_matrix(n, split.e_part))
-    _curvature(n, four_tensor_to_pair_matrix(n, split.s_part))
     k = symmetrized(mk)
     A = a[..., None] * g
-    gk, _ = _curvature(n, four_tensor_to_pair_matrix(n, kn_four(g, k)))
-    Km, K4 = _curvature(n, four_tensor_to_pair_matrix(n, kn_four(k, g)))
-    Bm, B4 = _curvature(n, four_tensor_to_pair_matrix(n, kn_four(A, g)))
+    # W, the e- and s-parts, g o k, k o g and A o g: one (6, B, ...) container check
+    mats, fours = _curvature(n, four_tensor_to_pair_matrix(n, np.stack(
+        [split.W, split.e_part, split.s_part, kn_four(g, k), kn_four(k, g), kn_four(A, g)])))
+    (Wm, _, _, gk, Km, Bm), (W4, _, _, _, K4, B4) = mats, fours
     Rc, S, E = split.Rc, split.S, split.E
     RR, WW = frobenius(Rm, Rm), frobenius(Wm, Wm)
 
@@ -190,9 +189,8 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
 
     # every sharp product of the trial in one stacked call: W#W, R#R, B#W, then
     # R1#R2 of the six argument orders (R1, R2, R3) of (R, W, K) in tri
-    firsts = [W4, R4, B4, R4, R4, W4, W4, K4, K4]
-    seconds = [W4, R4, W4, W4, K4, R4, K4, R4, W4]
-    sharp = four_tensor_to_pair_matrix(n, sharp_four(np.stack(firsts), np.stack(seconds)))
+    sharp = sharp_matrix(np.stack([W4, R4, B4, R4, R4, W4, W4, K4, K4]),
+                         np.stack([W4, R4, W4, W4, K4, R4, K4, R4, W4]))
 
     # quadratic products: rc(W^2 + W#) = 0 and the contraction formula for R
     W2 = Wm @ np.swapaxes(Wm, -1, -2)
@@ -217,7 +215,8 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     rhs_b = 0.5 * np.einsum('...ii,...ijpq,...ijpq->...', A, W4, W4)
     record("productw_diag", _rel(lhs_b - rhs_b, scaleW))
     record("productw_sharp", _rel(lhs_b + frobenius(Wm, sharp[2]), scaleW))
-    rhs_c = 0.5 * np.einsum('...ijkl,...jplq,...ipkq->...', W4, W4, R4)
+    X = _pair_slots(W4)  # sum_jl W_ijkl W_jplq = (X X)[(i,k),(p,q)]: W with W first
+    rhs_c = 0.5 * frobenius(X @ X, _pair_slots(R4))
     record("productw_reindex", _rel(frobenius(Wm, sharp[3]) - rhs_c, scaleW))
 
     # circ-prime norm identity on divergence-type tensors
@@ -291,7 +290,7 @@ def _sharp_cubic_trial(W4: np.ndarray) -> np.ndarray:
 
 
 def _u_tensor_trial(Wm: np.ndarray, W4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u_norm, u_cubic) residuals of a chunk; the n^6 u-tensor is built per sample."""
+    """(u_norm, u_cubic) residuals of a chunk; the u-tensor sums are taken per sample."""
     n = W4.shape[-1]
     check_trace_free(W4, Wm, "u-contraction")
     norm_sum, contracted = np.array([u_tensor_contractions(W) for W in W4]).T
@@ -332,6 +331,8 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     for n in dimensions:
         if n < 4:
             raise ValueError("identity suite runs for dimensions >= 4")

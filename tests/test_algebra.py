@@ -10,7 +10,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from weylbench import suite
 from weylbench.algebra import (
+    _pair_slots,
     bianchi_image,
     bianchi_project,
     check_trace_free,
@@ -34,6 +36,7 @@ from weylbench.algebra import (
     second_bianchi_full,
     sectional_sums,
     sharp_four,
+    sharp_matrix,
     sharp_product,
     tri,
     u_contraction,
@@ -62,6 +65,7 @@ from weylbench.tensors import (
     TwoFormOneForm,
     check_traceless,
     cyclic_average,
+    frobenius,
     inner,
     norm,
 )
@@ -595,18 +599,21 @@ def circ_prime_einsum_reference(a):
             + np.einsum('im,kjn->ijkmn', g, a) + np.einsum('jm,ikn->ijkmn', g, a))
 
 
-def u_tensor_einsum_reference(W):
-    """Four einsum outer products with g (the earlier u_tensor_contractions)."""
-    n = W.n
-    g = np.eye(n)
-    Wf = W.four()
+def u_tensor_einsum_reference(Wf):
+    """Four einsum outer products with g on the full n^6 u-tensor (the earlier
+    u_tensor_contractions): (sum u*u, sum W_ijkl u_ij u_kl) in Wf's dtype."""
+    n = Wf.shape[-1]
+    g = np.eye(n, dtype=Wf.dtype)
     v = (np.einsum('inpq,jm->mnpqij', Wf, g) + np.einsum('mipq,jn->mnpqij', Wf, g)
          + np.einsum('mniq,jp->mnpqij', Wf, g) + np.einsum('mnpi,jq->mnpqij', Wf, g))
     u = v - np.transpose(v, (0, 1, 2, 3, 5, 4))
-    norm_sum = float(np.sum(u * u))
     U = u.reshape(n ** 4, n ** 2)
-    cubic_sum = float(np.sum((U @ Wf.reshape(n ** 2, n ** 2)) * U))
-    return norm_sum, cubic_sum
+    return np.sum(u * u), np.sum((U @ Wf.reshape(n ** 2, n ** 2)) * U)
+
+
+def reindex_einsum_reference(W4, R4):
+    """Three-operand form of the suite's productw_reindex right side (the earlier one)."""
+    return 0.5 * np.einsum('ijkl,jplq,ipkq->', W4, W4, R4)
 
 
 def _inverse_metric(n):
@@ -642,6 +649,7 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(kn_four, h, g)
     _assert_batch_equals_single(weyl_split, R4)
     _assert_batch_equals_single(sharp_four, R4, S4)
+    _assert_batch_equals_single(sharp_matrix, R4, S4)
     _assert_batch_equals_single(cubic_parts, weyl_split(R4).W)
     _assert_batch_equals_single(lambda a: congruence_four(a, h[0]), R4)
     _assert_batch_equals_single(circ_prime_full, rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 3))
@@ -786,16 +794,82 @@ def test_circ_prime_placement_matches_einsum_reference_bitwise(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_u_tensor_placement_matches_einsum_reference(n):
-    """The cubic sum keeps its bits.  The norm-square sum runs over u*u in C
-    order; the earlier form summed it in the memory order einsum chose for v,
-    which varies with n and the input's layout, so the two differ by the
-    round-off of a sum of n^6 squares."""
+    """Both sums agree with the full n^6 u-tensor to round-off.  The slab sums
+    add in another order than one sum over the whole array, so the bits are
+    pinned by the exact integer check below, not here."""
     for _ in range(3):
         W = random_weyl(rng, n)
         norm_sum, contracted = u_tensor_contractions(W.four())
-        ref_norm, ref_cubic = u_tensor_einsum_reference(W)
-        assert contracted == -ref_cubic / 8.0
+        ref_norm, ref_cubic = u_tensor_einsum_reference(W.four())
+        assert contracted == pytest.approx(-ref_cubic / 8.0, rel=1e-14)
         assert norm_sum == pytest.approx(ref_norm, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_u_tensor_sums_are_exact_on_integer_tensors(n):
+    """On integer entries in [-8, 8] every partial sum is an exact integer, so
+    both sums equal the int64 evaluation of the reference bit for bit, whatever
+    order they are added in."""
+    ints = np.random.default_rng(n).integers(-8, 9, size=(3,) + (n,) * 4)
+    for W in ints:
+        norm_sum, contracted = u_tensor_contractions(W.astype(float))
+        ref_norm, ref_cubic = u_tensor_einsum_reference(W)
+        assert ref_norm.dtype == np.int64 and ref_cubic.dtype == np.int64
+        assert norm_sum.hex() == float(ref_norm).hex()
+        assert contracted.hex() == (-float(ref_cubic) / 8.0).hex()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_sharp_matrix_is_the_pair_matrix_of_sharp_four(n):
+    """Bit for bit, signed zeros included, on single tensors and stacks with no
+    index symmetry and on curvature tensors."""
+    local = np.random.default_rng(100 + n)
+    for shape in [(), (1,), (3,), (2, 4)]:
+        A = local.uniform(-1.0, 1.0, size=shape + (n,) * 4)
+        B = local.uniform(-1.0, 1.0, size=shape + (n,) * 4)
+        for a, b in ((A, B), (B, A), (A, A)):
+            got, expect = sharp_matrix(a, b), four_tensor_to_pair_matrix(n, sharp_four(a, b))
+            assert got.shape == expect.shape
+            assert np.array_equal(got, expect) and np.array_equal(np.signbit(got),
+                                                                  np.signbit(expect))
+    R4, S4 = _curvature_batch(n, 2)
+    got, expect = sharp_matrix(R4, S4), four_tensor_to_pair_matrix(n, sharp_four(R4, S4))
+    assert np.array_equal(got, expect) and np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_reindex_product_matches_the_three_operand_einsum(n):
+    """sum_ijklpq W_ijkl W_jplq R_ipkq / 2 = <X X, R'> / 2 with X[(i,k),(j,l)] = W_ijkl
+    and R'[(i,k),(p,q)] = R_ipkq, on tensors with no index symmetry."""
+    local = np.random.default_rng(200 + n)
+    for _ in range(3):
+        W4, R4 = local.uniform(-1.0, 1.0, size=(2,) + (n,) * 4)
+        X = _pair_slots(W4)
+        product = 0.5 * float(frobenius(X @ X, _pair_slots(R4)))
+        assert product == pytest.approx(float(reindex_einsum_reference(W4, R4)), rel=1e-13)
+
+
+def test_stacked_curvature_check_names_one_bad_object():
+    """In the suite's (6, B, N, N) container check every object keeps its own
+    scale, and one asymmetric or Bianchi-violating object raises the
+    container's message."""
+    n = 5
+    mats = four_tensor_to_pair_matrix(n, _curvature_batch(n, 12)).reshape(6, 2, 10, 10)
+    mats[3, 0] *= 1e6
+    got, fours = suite._curvature(n, mats.copy())
+    assert got.shape == (6, 2, 10, 10) and fours.shape == (6, 2) + (n,) * 4
+    for a in range(6):  # the stack gives each object's bits of a check per object
+        one, one_four = suite._curvature(n, mats[a])
+        assert np.array_equal(got[a], one) and np.array_equal(fours[a], one_four)
+    bad = mats.copy()
+    bad[3, 1, 0, 4] += 1e-6  # within tolerance at its 1e6-scaled neighbour's scale, not its own
+    with pytest.raises(ValueError, match="pair-basis matrix must be symmetric"):
+        suite._curvature(n, bad)
+    bad = mats.copy()
+    bad[4, 0, 0, 7] += 1.0  # R_0123 = R_2301 += 1 puts 1/3 into the cyclic sum b_0123
+    bad[4, 0, 7, 0] += 1.0
+    with pytest.raises(ValueError, match="first Bianchi identity violated"):
+        suite._curvature(n, bad)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

@@ -418,6 +418,12 @@ def test_identities_negative_trials_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: trials must be >= 0\n"
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_identities_nonpositive_workers_is_usage_error(capsys, workers):
+    assert run_cli("identities", "--n", "4", "--trials", "2", "--workers", workers) == 2
+    assert capsys.readouterr().err == "error: workers must be >= 1\n"
+
+
 def _dim4_sweep_inputs():
     """Weyl operators with a trace defect eps (g o g) or a Bianchi defect eps vol, at
     eps from 1e-12 to 1e-6: (name, pair matrix)."""

@@ -1,5 +1,8 @@
 """The batched identity suite: samples, chunk independence, guards and provenance."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,22 @@ def test_worst_residual_replays_from_its_trial_index():
             == rep.residuals[key]
         assert run_identity_suite(dimensions=(n,), trials=k, seed=seed).residuals[key] \
             < rep.residuals[key]
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "identity_suite_seed3_trials2.json")
+                    .read_text(encoding="utf-8"))
+MOVED_FAMILIES = ("productw_reindex", "u_norm", "u_cubic")
+
+
+def test_residuals_keep_their_golden_bits():
+    """Every residual and stat of trials=2, seed=3 against its committed float.hex.
+    Only the three families whose formulation changed differ from the earlier
+    values (kept under moved_from)."""
+    rep = run_identity_suite(trials=2, seed=3)
+    assert {k: v.hex() for k, v in rep.residuals.items()} == GOLDEN["residuals"]
+    assert {k: v.hex() for k, v in rep.stats.items()} == GOLDEN["stats"]
+    assert sorted(GOLDEN["moved_from"]) == sorted(
+        f"{family}_n{n}" for family in MOVED_FAMILIES for n in DIMENSIONS)
 
 
 def test_worker_count_keeps_the_provenance():

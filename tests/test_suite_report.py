@@ -17,6 +17,7 @@ def test_record_keeps_the_maximum():
     for v in (1e-13, -3e-12, 2e-12):
         rep.record("x", v)
     assert rep.residuals["x"] == 3e-12
+    assert type(rep.residuals["x"]) is float
     assert rep.passed and rep.failures() == {}
 
 
@@ -50,3 +51,9 @@ def test_negative_trials_are_refused():
     with pytest.raises(ValueError, match="trials must be >= 0"):
         run_identity_suite(dimensions=(4,), trials=-1)
     assert run_identity_suite(dimensions=(4,), trials=0).residuals == {}
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_nonpositive_workers_are_refused(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_identity_suite(dimensions=(4, 5), trials=1, workers=workers)
