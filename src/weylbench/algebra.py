@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (_take_trailing, four_tensor_to_pair_matrix, pair_basis,
-                    pair_matrix_to_four_tensor)
+from .basis import (_cyclic_pair_positions, _cyclic_ricci_positions, _kn_g_positions, _padded,
+                    _signed_take, _take_trailing, four_tensor_to_pair_matrix, pair_basis)
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -27,7 +27,6 @@ from .tensors import (
     TwoFormOneForm,
     check_small,
     check_symmetric,
-    cyclic_average,
     frobenius,
     symmetrized,
 )
@@ -37,10 +36,11 @@ __all__ = [
     "dot_product", "sharp_product", "tri", "circ_prime", "second_bianchi",
     "u_contraction", "quadratic_forms", "pure_cubics", "weyl_sectional_split",
     "QuadraticForms", "PureCubics", "kn_four", "sharp_four", "sharp_matrix", "weyl_split",
-    "WeylSplit", "decomposition", "cubic_parts", "congruence_four", "kn_g_pairing",
+    "WeylSplit", "weyl_matrix", "decomposition", "cubic_parts", "congruence_four",
+    "kn_g_pairing",
 ]
 
-# Raw kernels (kn_four, _ricci_trace, weyl_split, bianchi_image, sharp_four,
+# Raw kernels (kn_four, _ricci_trace, weyl_split, bianchi_image, weyl_matrix, sharp_four,
 # sharp_matrix, cubic_parts, kn_g_pairing, congruence_four, circ_prime_full,
 # second_bianchi_full, quadratic_form, cube_trace, pure_cubic_parts,
 # sectional_sums and the check_trace_free guard) act on the trailing axes of
@@ -150,9 +150,54 @@ def ricci_contraction(T: Operator2Form) -> np.ndarray:
 def bianchi_image(n: int, mat: np.ndarray) -> np.ndarray:
     """Pair matrices of the cyclic averages b(T) of (..., N, N) pair matrices.
 
-    For symmetric T the first-Bianchi projection is T - symmetrized(b(T)).
+    For symmetric T the first-Bianchi projection is T - symmetrized(b(T)).  Only
+    the two cyclic partners of each pair entry are gathered and added in
+    ``cyclic_average``'s order, so the bits are those of the four-index route
+    four_tensor_to_pair_matrix(n, cyclic_average(pair_matrix_to_four_tensor(n, mat))).
     """
-    return four_tensor_to_pair_matrix(n, cyclic_average(pair_matrix_to_four_tensor(n, mat)))
+    t = _signed_take(_padded(mat), *_cyclic_pair_positions(n))
+    return (mat + t[..., 0, :, :] + t[..., 1, :, :]) / 3.0
+
+
+def _kn_g_pairs(E: np.ndarray) -> np.ndarray:
+    """Pair matrices of kn_four(E, g) for (..., n, n) E and g = I, by kn_four's
+    operations: einsum adds each product E_ik g_jl onto a zero output, and
+    ``_alt_pairs`` adds the four terms in turn."""
+    n = E.shape[-1]
+    terms = np.stack([E * 0.0, E], axis=-3)  # E_ik g_jl is E_ik times 0 or 1
+    terms += 0.0
+    t = _take_trailing(terms, 3, _kn_g_positions(n))
+    return t[..., 0, :, :] + t[..., 1, :, :] - t[..., 2, :, :] - t[..., 3, :, :]
+
+
+@lru_cache(maxsize=None)
+def _kn_identity_pairs(n: int) -> np.ndarray:
+    """Pair matrix of g o g for the identity metric, read-only."""
+    gg = _kn_g_pairs(np.eye(n))
+    gg.flags.writeable = False
+    return gg
+
+
+def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
+    """Pair matrices (..., N, N) of the Weyl part, in an orthonormal frame, of the
+    first-Bianchi projection R = T - b(T) of (..., N, N) pair matrices T.
+
+    This is the four-index route (pair_matrix_to_four_tensor(n, T) minus its
+    cyclic_average, then weyl_split(...).W read back with four_tensor_to_pair_matrix)
+    at the pair entries and the Ricci-trace entries R_ipjp alone, by the same
+    operations in the same order (the trace summed over p as einsum sums it), so
+    the bits are that route's without the n^4 tensors.
+    """
+    R = mat - bianchi_image(n, mat)
+    t = np.moveaxis(_signed_take(_padded(mat), *_cyclic_ricci_positions(n)), -4, 0)
+    r = t[0] - (t[0] + t[1] + t[2]) / 3.0  # R_ipjp over (..., p, i, j)
+    Rc = np.zeros(R.shape[:-2] + (n, n))
+    for p in range(n):
+        Rc += r[..., p, :, :]
+    S = np.trace(Rc, axis1=-2, axis2=-1)
+    s2 = np.asarray(S)[..., None, None]
+    E = Rc - (s2 / n) * np.eye(n)
+    return R - s2 / (2 * n * (n - 1)) * _kn_identity_pairs(n) - _kn_g_pairs(E) / (n - 2)
 
 
 def check_trace_free(W4: np.ndarray, mat: np.ndarray, what: str, tol: float = EPS_ALG) -> None:

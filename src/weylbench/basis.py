@@ -156,15 +156,67 @@ def _triple_pair_positions(n: int) -> np.ndarray:
     return flat
 
 
+def _padded(mat: np.ndarray) -> np.ndarray:
+    """(..., N + 1, N + 1) copies of (..., N, N) pair matrices, the last row and column zero."""
+    N = np.shape(mat)[-1]
+    padded = np.zeros(np.shape(mat)[:-2] + (N + 1, N + 1))
+    padded[..., :-1, :-1] = mat
+    return padded
+
+
+def _signed_take(padded: np.ndarray, flat: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Entries T_ijkl of the four-index expansion at ``flat``, ``sign`` (a subset of
+    ``_padded_positions``): the bits pair_matrix_to_four_tensor gives them."""
+    out = _take_trailing(padded, 2, flat)
+    out *= sign  # one factor in {-1, 0, 1}: the bits, signed zeros too, of the two in turn
+    return out
+
+
 def pair_matrix_to_four_tensor(n: int, mat: np.ndarray) -> np.ndarray:
     """Expand (..., N, N) pair-basis matrices into full (..., n, n, n, n) tensors."""
-    pb = pair_basis(n)
-    padded = np.zeros(np.shape(mat)[:-2] + (pb.size + 1, pb.size + 1))
-    padded[..., :-1, :-1] = mat
+    return _signed_take(_padded(mat), *_padded_positions(n))
+
+
+def _expansion_positions(n: int, *terms) -> tuple[np.ndarray, np.ndarray]:
+    """(len(terms), ...) ``_padded_positions`` entries at broadcast index quadruples
+    (i, j, k, l), for ``_signed_take``; read-only."""
     flat, sign = _padded_positions(n)
-    four = _take_trailing(padded, 2, flat)
-    four *= sign  # one factor in {-1, 0, 1}: the bits, signed zeros too, of the two in turn
-    return four
+    out = np.stack([flat[t] for t in terms]), np.stack([sign[t] for t in terms])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cyclic_pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """T_kijl and T_jkil, the cyclic partners of T_ijkl in ``cyclic_average``, at the
+    pair entries (ij, kl), i < j and k < l: (2, N, N)."""
+    pb = pair_basis(n)
+    i, j = pb.rows[:, None], pb.cols[:, None]
+    k, l = i.T, j.T
+    return _expansion_positions(n, (k, i, j, l), (j, k, i, l))
+
+
+@lru_cache(maxsize=None)
+def _cyclic_ricci_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Ricci-trace entries T_ipjp and their cyclic partners T_jipp and T_pjip:
+    (3, n, n, n) over (p, i, j)."""
+    p, i, j = np.ix_(*(np.arange(n),) * 3)
+    return _expansion_positions(n, (i, p, j, p), (j, i, p, p), (p, j, i, p))
+
+
+@lru_cache(maxsize=None)
+def _kn_g_positions(n: int) -> np.ndarray:
+    """(4, N, N) flat positions, in a (2, n, n) stack of E times 0 and E times 1, of the
+    four terms E_ik g_jl, E_jl g_ik, E_il g_jk and E_jk g_il of (E o g)_ijkl for g = I,
+    in the order ``algebra._alt_pairs`` adds them, at the pair entries (ij, kl); read-only."""
+    pb = pair_basis(n)
+    i, j = pb.rows[:, None], pb.cols[:, None]
+    k, l = i.T, j.T
+    flat = np.stack([(c == d) * n * n + a * n + b
+                     for a, b, c, d in ((i, k, j, l), (j, l, i, k), (i, l, j, k), (j, k, i, l))])
+    flat.flags.writeable = False
+    return flat
 
 
 def four_tensor_to_pair_matrix(n: int, four: np.ndarray) -> np.ndarray:

@@ -11,16 +11,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .algebra import bianchi_image, weyl_split
-from .basis import four_tensor_to_pair_matrix, pair_basis, pair_matrix_to_four_tensor
-from .tensors import (
-    CurvatureTensor,
-    Operator2Form,
-    PureCurvatureMatrix,
-    TwoFormOneForm,
-    cyclic_average,
-    symmetrized,
-)
+from .algebra import bianchi_image, weyl_matrix
+from .basis import pair_basis, pair_matrix_to_four_tensor
+from .tensors import CurvatureTensor, Operator2Form, symmetrized
 
 
 def uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -44,14 +37,13 @@ def curvature_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
 
 
 def weyl_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
-    """Weyl parts (four-index) of the curvature tensors built from (..., N, N) draws."""
-    four = pair_matrix_to_four_tensor(n, symmetrized(m))
-    four -= cyclic_average(four)
-    return weyl_split(four).W
+    """Pair matrices of the Weyl parts of the curvature tensors built from (..., N, N) draws."""
+    return weyl_matrix(n, symmetrized(m))
 
 
 def two_form_one_form_from_uniform(a: np.ndarray) -> np.ndarray:
-    """(..., n, n, n) draws made antisymmetric in the first two slots and 1-3 trace-free."""
+    """(..., n, n, n) draws made antisymmetric in the first two slots and 1-3 trace-free,
+    the subspace of divergence-type tensors (where |A o' g|^2 = (n-3)|A|^2 holds)."""
     n = a.shape[-1]
     a = a - np.swapaxes(a, -3, -2)
     c = np.einsum('...iji->...j', a)
@@ -115,31 +107,12 @@ def random_weyl(rng: np.random.Generator, n: int) -> CurvatureTensor:
     return CurvatureTensor(n, random_weyl_batch(rng, n, 1)[1][0])
 
 
-def random_two_form_one_form(rng: np.random.Generator, n: int) -> TwoFormOneForm:
-    """Random A in Lambda^2 x T* with vanishing 1-3 contraction.
-
-    Divergence-type tensors (the class the norm identity |A o' g|^2 =
-    (n-3)|A|^2 applies to) always live in that subspace.
-    """
-    return TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, n, n, n)))
-
-
-def random_pure_matrix(rng: np.random.Generator, n: int) -> PureCurvatureMatrix:
-    """Random symmetric hollow matrix with zero row sums (closed-form projection)."""
-    return PureCurvatureMatrix(n, pure_from_uniform(uniform(rng, n, n)))
-
-
-def random_ricci_derivative(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Formal nabla Rc: (m, i, j) array symmetric in the last two slots."""
-    return symmetrized(uniform(rng, n, n, n))
-
-
 def random_weyl_batch(rng: np.random.Generator, n: int,
                       count: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch of Weyl-type tensors; returns (four-index array, pair matrices)."""
     N = pair_basis(n).size
-    four = weyl_from_uniform(n, uniform(rng, count, N, N))
-    return four, four_tensor_to_pair_matrix(n, four)
+    mats = weyl_from_uniform(n, uniform(rng, count, N, N))
+    return pair_matrix_to_four_tensor(n, mats), mats
 
 
 def random_curvature_derivative_full(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -279,7 +279,7 @@ def _weyl_samples(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndar
     """``count`` draws of ``random_weyl``, as (pair matrices, four tensors)."""
     N = pair_basis(n).size
     m = np.stack([uniform(rng, N, N) for _ in range(count)])
-    return _curvature(n, four_tensor_to_pair_matrix(n, weyl_from_uniform(n, m)))
+    return _curvature(n, weyl_from_uniform(n, m))
 
 
 def _sharp_cubic_trial(W4: np.ndarray) -> np.ndarray:

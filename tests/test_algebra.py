@@ -41,21 +41,23 @@ from weylbench.algebra import (
     tri,
     u_contraction,
     u_tensor_contractions,
+    weyl_matrix,
     weyl_sectional_split,
     weyl_split,
 )
 from weylbench.basis import four_tensor_to_pair_matrix, pair_basis, pair_matrix_to_four_tensor
 from weylbench.bounds import cubic_bound_eval, eigen_bound, eigen_bound_terms, weyl_bound_terms
 from weylbench.sampling import (
+    pure_from_uniform,
     random_curvature,
     random_curvature_derivative_full,
     random_operator,
-    random_pure_matrix,
     random_symmetric,
     random_traceless_symmetric,
-    random_two_form_one_form,
     random_weyl,
     random_weyl_batch,
+    two_form_one_form_from_uniform,
+    uniform,
 )
 from weylbench.tensors import (
     CovDerivCurvature,
@@ -68,6 +70,7 @@ from weylbench.tensors import (
     frobenius,
     inner,
     norm,
+    symmetrized,
 )
 
 rng = np.random.default_rng(7)
@@ -359,7 +362,7 @@ def test_tri_permutation_symmetry():
 # ----------------------------------------------------------- circ prime
 
 def test_circ_prime_matches_oracle():
-    A = random_two_form_one_form(rng, 4)
+    A = TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, 4, 4, 4)))
     full5 = circ_prime_oracle(A.full())
     out = circ_prime(A)
     from weylbench.tensors import ThreeTwoTensor
@@ -376,7 +379,7 @@ def test_circ_prime_zero_and_dimension_guard():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_circ_prime_norm_identity(n):
-    A = random_two_form_one_form(rng, n)
+    A = TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, n, n, n)))
     assert circ_prime(A).norm() ** 2 == pytest.approx((n - 3) * A.norm() ** 2, rel=1e-11)
 
 
@@ -527,13 +530,13 @@ def test_pure_cubics_product_of_spheres():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_pure_cubics_combination_identity(n):
-    pc = pure_cubics(random_pure_matrix(rng, n))
+    pc = pure_cubics(PureCurvatureMatrix(n, pure_from_uniform(uniform(rng, n, n))))
     expect = (8.0 - n) / 2.0 * pc.square_cubic + pc.three_plane_sum
     assert pc.sharp_cubic == pytest.approx(expect, rel=1e-11, abs=1e-12)
 
 
 def test_pure_cubics_n5_sharp_is_twice_square():
-    pc = pure_cubics(random_pure_matrix(rng, 5))
+    pc = pure_cubics(PureCurvatureMatrix(5, pure_from_uniform(uniform(rng, 5, 5))))
     assert pc.sharp_cubic == pytest.approx(2.0 * pc.square_cubic, rel=1e-11)
 
 
@@ -659,6 +662,8 @@ def test_raw_kernels_batch_equals_single(n, count):
     N = pair_basis(n).size
     _assert_batch_equals_single(lambda m: bianchi_image(n, m),
                                 rng.uniform(-1.0, 1.0, size=(count, N, N)))
+    _assert_batch_equals_single(lambda m: weyl_matrix(n, m),
+                                symmetrized(rng.uniform(-1.0, 1.0, size=(count, N, N))))
     _assert_batch_equals_single(quadratic_form, R4, g)
     _assert_batch_equals_single(cube_trace, g)
     _assert_batch_equals_single(kn_g_pairing, h, four_tensor_to_pair_matrix(n, R4))
@@ -760,6 +765,72 @@ def test_weyl_split_matches_decompose(n):
     assert np.array_equal(dec.E, split.E) and dec.S == float(split.S)
     assert np.allclose(R.four(), split.W + split.e_part + split.s_part, atol=1e-14)
     assert np.abs(split.Rc - ricci_contraction(R)).max() == 0.0
+
+
+def bianchi_image_four_tensor_reference(n, mat):
+    """b(T) on the four-index expansion, read back at the pair entries."""
+    return four_tensor_to_pair_matrix(n, cyclic_average(pair_matrix_to_four_tensor(n, mat)))
+
+
+def weyl_matrix_four_tensor_reference(n, mat):
+    """The Weyl part of T - b(T) as the samplers formed it on four-index tensors."""
+    four = pair_matrix_to_four_tensor(n, mat)
+    four -= cyclic_average(four)
+    return four_tensor_to_pair_matrix(n, weyl_split(four).W)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("count", [1, 7, 64])
+def test_pair_native_kernels_keep_the_four_tensor_bits(n, count):
+    """bianchi_image and weyl_matrix against their four-index routes, bit for bit
+    (signed zeros and NaN payloads included), on symmetric, non-symmetric, sparse
+    and non-finite pair matrices."""
+    N = pair_basis(n).size
+    raw = rng.uniform(-1.0, 1.0, size=(count, N, N))
+    sparse = -symmetrized(raw) * (rng.uniform(size=(count, N, N)) < 0.1)
+    bad = symmetrized(raw)
+    bad[0, 0, 1] = np.nan
+    bad[-1, 2, 2] = np.inf
+    with np.errstate(invalid="ignore"):
+        for mat in (raw, symmetrized(raw), sparse, np.zeros_like(raw), bad):
+            assert _same_bits(bianchi_image(n, mat), bianchi_image_four_tensor_reference(n, mat))
+            assert _same_bits(weyl_matrix(n, mat), weyl_matrix_four_tensor_reference(n, mat))
+        image, W = bianchi_image(n, bad), weyl_matrix(n, bad)
+    assert np.isnan(image[0]).any() and np.isnan(W[0]).any() and not np.isfinite(W[-1]).all()
+    if count > 2:  # each sample keeps its own entries
+        assert np.isfinite(image[1]).all() and np.isfinite(W[1]).all()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_weyl_matrix_is_orthogonally_equivariant(n):
+    """W(A.T) = A.W(T) for orthogonal A moving all four indices (congruence_four)."""
+    N = pair_basis(n).size
+    T = symmetrized(rng.uniform(-1.0, 1.0, size=(3, N, N)))
+    A, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    moved = four_tensor_to_pair_matrix(n, congruence_four(pair_matrix_to_four_tensor(n, T), A))
+    W = weyl_matrix(n, T)
+    expect = four_tensor_to_pair_matrix(n, congruence_four(pair_matrix_to_four_tensor(n, W), A))
+    assert np.abs(weyl_matrix(n, moved) - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_audit_samples_are_the_typed_tensors(n):
+    """The audit reads the tensor the typed path holds: random_weyl_batch's four-index
+    array is each sample's CurvatureTensor.four(), and its bound terms are
+    cubic_bound_eval's, bit for bit."""
+    fours, mats = random_weyl_batch(rng, n, 16)
+    t = weyl_bound_terms(fours, mats)
+    for i in range(16):
+        W = CurvatureTensor(n, mats[i])
+        assert _same_bits(W.mat, mats[i]) and _same_bits(W.four(), fours[i])
+        cb = cubic_bound_eval(W)
+        assert (cb.lhs, cb.eig_bound, cb.norm_bound, cb.lhs_dot_only, cb.eig_bound_signed) == (
+            float(t["lhs"][i]), float(t["eig_bound"][i]), float(t["norm_bound"][i]),
+            float(t["lhs_dot"][i]), float(t["signed_bound"][i]) if n == 5 else None)
 
 
 def test_weyl_split_with_metric_is_frame_invariant():

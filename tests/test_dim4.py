@@ -1,5 +1,7 @@
 """Dimension-4 subsystem: Hodge split, Berger normal form, determinant identities."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,21 @@ def test_split_blocks_traceless_and_orthogonal():
     assert np.abs(M[:3, 3:]).max() < 1e-12
     assert np.sum(W.mat ** 2) == pytest.approx(
         np.sum(s.wplus ** 2) + np.sum(s.wminus ** 2), rel=1e-12)
+
+
+def test_pontryagin_contraction_orients_the_hodge_basis():
+    """eps^abcd R_fabe R_ecdf = -2 (|W+|^2 - |W-|^2) with the Frobenius norms of
+    split_self_dual's blocks (-8 in full-contraction norms): the first three columns
+    of hodge_pm_basis are the self-dual forms of the orientation e0 e1 e2 e3."""
+    eps = np.zeros((4,) * 4)
+    for perm in permutations(range(4)):
+        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    for _ in range(5):
+        R = random_curvature(rng, 4)
+        s = split_self_dual(decompose(R).weyl)
+        density = np.einsum('abcd,fabe,ecdf->', eps, R.four(), R.four())
+        expect = -2.0 * (np.sum(s.wplus ** 2) - np.sum(s.wminus ** 2))
+        assert density == pytest.approx(expect, rel=1e-12, abs=1e-14 * np.sum(R.mat ** 2))
 
 
 def test_split_requires_dimension_four_traceless():

@@ -19,6 +19,11 @@ residual to ``check_small`` itself.
 Optional parameters are counted, so a knob that only tests set cannot come
 back unnoticed.
 
+The samplers and the first-Bianchi and Weyl projections on pair matrices run
+without the n^4 round trip: ``sampling.py`` calls neither ``cyclic_average`` nor
+``weyl_split``, and ``algebra.bianchi_image`` and ``algebra.weyl_matrix`` call no
+``pair_matrix_to_four_tensor``.
+
 A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
 so every metric evaluation of the package goes through one call site and its
 shape and positive-definiteness checks.
@@ -138,6 +143,30 @@ def test_trace_and_bianchi_decisions_go_through_the_guards():
     assert files
     offenders = [hit for path in files for hit in hand_made_guards(path)]
     assert not offenders, offenders
+
+
+def called_names(path: Path, function: str | None = None) -> set[str]:
+    """Names called in a file, or only inside its top-level function ``function``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    if function is not None:
+        tree = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {_called_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+def test_guard_sees_calls_by_function(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(x):\n    return weyl_split(x).W\n"
+                     "def g(x):\n    return t.cyclic_average(x)\n")
+    assert {"weyl_split", "cyclic_average"} <= called_names(probe)
+    assert called_names(probe, "f") == {"weyl_split"}
+    assert called_names(probe, "g") == {"cyclic_average"}
+
+
+def test_pair_native_projections_skip_the_four_tensor_round_trip():
+    assert not called_names(SRC / "sampling.py") & {"cyclic_average", "weyl_split"}
+    for function in ("bianchi_image", "weyl_matrix"):
+        assert "pair_matrix_to_four_tensor" not in called_names(SRC / "algebra.py", function)
 
 
 #: optional parameters (defaults) over the package's functions

@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 
 from weylbench import suite
-from weylbench.basis import pair_matrix_to_four_tensor
+from weylbench.basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor
 from weylbench.sampling import (
     curvature_derivative_from_uniform,
     curvature_from_uniform,
     pure_from_uniform,
     random_curvature,
     random_curvature_derivative_full,
-    random_pure_matrix,
-    random_ricci_derivative,
     random_symmetric,
-    random_two_form_one_form,
     random_weyl,
     symmetrized,
     two_form_one_form_from_uniform,
+    uniform,
 )
 from weylbench.suite import run_identity_suite
 from weylbench.tensors import cyclic_average
@@ -61,14 +59,14 @@ def test_stacked_draws_are_the_per_trial_samplers_samples(n):
         assert np.array_equal(symmetrized(mk)[b], random_symmetric(ref, n))
         assert np.array_equal(a[b], ref.uniform(-1.0, 1.0, size=n))
         assert np.array_equal(two_form_one_form_from_uniform(mA)[b],
-                              random_two_form_one_form(ref, n).full())
-        assert np.array_equal(symmetrized(mC)[b], random_ricci_derivative(ref, n))
+                              two_form_one_form_from_uniform(uniform(ref, n, n, n)))
+        assert np.array_equal(symmetrized(mC)[b], symmetrized(uniform(ref, n, n, n)))
         assert np.array_equal(v[b], ref.uniform(-1.0, 1.0, size=n))
         assert np.array_equal(curvature_derivative_from_uniform(mD)[b],
                               random_curvature_derivative_full(ref, n))
         size = ref.integers(1, n)
         assert np.array_equal(np.flatnonzero(subset[b]), np.sort(ref.permutation(n)[:size]))
-        assert np.array_equal(pure_from_uniform(mw)[b], random_pure_matrix(ref, n).w)
+        assert np.array_equal(pure_from_uniform(mw)[b], pure_from_uniform(uniform(ref, n, n)))
     for b in range(2):
         W = random_weyl(ref, n)
         assert np.array_equal(weyl_mats[b], W.mat) and np.array_equal(weyl_fours[b], W.four())
@@ -141,10 +139,10 @@ def test_guard_raises_on_a_weyl_part_that_is_not_trace_free(monkeypatch):
 
 
 def test_guard_raises_on_a_u_tensor_sample_that_is_not_trace_free(monkeypatch):
-    def curvature_four(n, m):
+    def curvature_pairs(n, m):
         four = pair_matrix_to_four_tensor(n, symmetrized(m))
-        return four - cyclic_average(four)
+        return four_tensor_to_pair_matrix(n, four - cyclic_average(four))
 
-    monkeypatch.setattr(suite, "weyl_from_uniform", curvature_four)
+    monkeypatch.setattr(suite, "weyl_from_uniform", curvature_pairs)
     with pytest.raises(ValueError, match="u-contraction requires a trace-free"):
         run_identity_suite(dimensions=(6,), trials=2)

@@ -13,7 +13,8 @@ from weylbench.basis import (
     pair_matrix_to_four_tensor,
     triple_basis,
 )
-from weylbench.sampling import random_operator, random_two_form_one_form, random_weyl
+from weylbench.sampling import (random_operator, random_weyl, two_form_one_form_from_uniform,
+                                uniform)
 from weylbench.tensors import (
     CovDerivCurvature,
     CurvatureTensor,
@@ -295,7 +296,7 @@ def _diagonal(value):
 
 
 def _antisymmetric_three(value):
-    full = random_two_form_one_form(np.random.default_rng(9), 4).full().copy()
+    full = two_form_one_form_from_uniform(uniform(np.random.default_rng(9), 4, 4, 4))
     full[0, 1, 2] *= value
     full[1, 0, 2] *= value
     return full
