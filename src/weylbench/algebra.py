@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (_cyclic_pair_positions, _cyclic_ricci_positions, _kn_g_positions, _padded,
-                    _signed_take, _take_trailing, four_tensor_to_pair_matrix, pair_basis)
+from .basis import (_cyclic_ricci_positions, _kn_g_positions, _padded, _signed_take,
+                    _take_trailing, bianchi_image, four_tensor_to_pair_matrix, pair_basis,
+                    pair_ricci, pair_slots)
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -40,12 +41,12 @@ __all__ = [
     "kn_g_pairing",
 ]
 
-# Raw kernels (kn_four, _ricci_trace, weyl_split, bianchi_image, weyl_matrix, sharp_four,
-# sharp_matrix, cubic_parts, kn_g_pairing, congruence_four, circ_prime_full,
-# second_bianchi_full, quadratic_form, cube_trace, pure_cubic_parts,
-# sectional_sums and the check_trace_free guard) act on the trailing axes of
-# plain arrays (one to five of them) and broadcast over any leading batch axes;
-# u_tensor_contractions takes one tensor.  The typed functions below wrap them.
+# Raw kernels act on the trailing axes of plain arrays and broadcast over leading batch
+# axes (u_tensor_contractions takes one tensor); the typed functions below wrap them.
+# Weyl-type operators enter as (..., N, N) pair matrices (weyl_matrix, sharp_matrix,
+# cubic_parts, kn_g_pairing, the check_trace_free guard); kn_four, _ricci_trace,
+# weyl_split, sharp_four, congruence_four, quadratic_form, circ_prime_full and
+# second_bianchi_full do the four- and five-index work.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -144,19 +145,7 @@ def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> CurvatureTensor:
 
 def ricci_contraction(T: Operator2Form) -> np.ndarray:
     """rc(T)(X, Y) = trace of T(X, ., Y, .); symmetric for self-adjoint T."""
-    return _ricci_trace(T.four())
-
-
-def bianchi_image(n: int, mat: np.ndarray) -> np.ndarray:
-    """Pair matrices of the cyclic averages b(T) of (..., N, N) pair matrices.
-
-    For symmetric T the first-Bianchi projection is T - symmetrized(b(T)).  Only
-    the two cyclic partners of each pair entry are gathered and added in
-    ``cyclic_average``'s order, so the bits are those of the four-index route
-    four_tensor_to_pair_matrix(n, cyclic_average(pair_matrix_to_four_tensor(n, mat))).
-    """
-    t = _signed_take(_padded(mat), *_cyclic_pair_positions(n))
-    return (mat + t[..., 0, :, :] + t[..., 1, :, :]) / 3.0
+    return pair_ricci(T.n, T.mat)
 
 
 def _kn_g_pairs(E: np.ndarray) -> np.ndarray:
@@ -185,28 +174,23 @@ def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
     This is the four-index route (pair_matrix_to_four_tensor(n, T) minus its
     cyclic_average, then weyl_split(...).W read back with four_tensor_to_pair_matrix)
     at the pair entries and the Ricci-trace entries R_ipjp alone, by the same
-    operations in the same order (the trace summed over p as einsum sums it), so
-    the bits are that route's without the n^4 tensors.
+    operations in the same order (the trace summed over p as ``pair_ricci`` sums it),
+    so the bits are that route's without the n^4 tensors.
     """
     R = mat - bianchi_image(n, mat)
     t = np.moveaxis(_signed_take(_padded(mat), *_cyclic_ricci_positions(n)), -4, 0)
-    r = t[0] - (t[0] + t[1] + t[2]) / 3.0  # R_ipjp over (..., p, i, j)
-    Rc = np.zeros(R.shape[:-2] + (n, n))
-    for p in range(n):
-        Rc += r[..., p, :, :]
+    Rc = np.einsum('...pij->...ij', t[0] - (t[0] + t[1] + t[2]) / 3.0)  # sum_p R_ipjp
     S = np.trace(Rc, axis1=-2, axis2=-1)
     s2 = np.asarray(S)[..., None, None]
     E = Rc - (s2 / n) * np.eye(n)
     return R - s2 / (2 * n * (n - 1)) * _kn_identity_pairs(n) - _kn_g_pairs(E) / (n - 2)
 
 
-def check_trace_free(W4: np.ndarray, mat: np.ndarray, what: str, tol: float = EPS_ALG) -> None:
-    """Raise ValueError unless rc(W) = 0 within tol for every (..., n, n, n, n) W.
-
-    Each W is scaled by its own pair matrix ``mat``.
-    """
-    check_small(_ricci_trace(W4), mat, tol,
-                f"{what} requires a trace-free (Weyl-type) input", lead=W4.ndim - 4)
+def check_trace_free(n: int, mat: np.ndarray, what: str, tol: float = EPS_ALG) -> None:
+    """Raise ValueError unless rc(W) = 0 within tol for every (..., N, N) pair matrix W,
+    each scaled by its own entries; a NaN or inf fails."""
+    check_small(pair_ricci(n, mat), mat, tol,
+                f"{what} requires a trace-free (Weyl-type) input", lead=mat.ndim - 2)
 
 
 def bianchi_project(T: Operator2Form) -> tuple[CurvatureTensor, Operator2Form]:
@@ -256,21 +240,17 @@ def _pair_slots(four: np.ndarray) -> np.ndarray:
     return np.swapaxes(four, -3, -2).reshape(four.shape[:-4] + (n * n, n * n))
 
 
-def _sharp_slots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """m[(i,k),(j,l)] = m_ijkl = sum_pq A_ipkq B_jplq, as one matrix product."""
-    return _pair_slots(A) @ np.swapaxes(_pair_slots(B), -1, -2)
-
-
 def sharp_four(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Sharp product on raw four-index arrays.
 
     (R # S)_ijkl = (1/2) sum_pq [ R_ipkq S_jplq + S_ipkq R_jplq
                                  - R_iplq S_jpkq - S_iplq R_jpkq ]
 
-    All four terms are index permutations of m_ijkl (``_sharp_slots``).
+    All four terms are index permutations of m_ijkl = sum_pq A_ipkq B_jplq, which is
+    m[(i,k),(j,l)] of one product of slot matrices.
     """
     n = A.shape[-1]
-    m = _sharp_slots(A, B)
+    m = _pair_slots(A) @ np.swapaxes(_pair_slots(B), -1, -2)
     return 0.5 * _alt_pairs(np.swapaxes(m.reshape(m.shape[:-2] + (n, n, n, n)), -3, -2))
 
 
@@ -286,18 +266,19 @@ def _sharp_positions(n: int) -> np.ndarray:
     return flat
 
 
-def sharp_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pair matrices (..., N, N) of A # B: only the pair entries of ``sharp_four``'s four
-    terms are gathered and added in its order, so the bits are those of
-    four_tensor_to_pair_matrix(n, sharp_four(A, B)) without the n^4 tensors."""
-    t = _take_trailing(_sharp_slots(A, B), 2, _sharp_positions(A.shape[-1]))
+def sharp_matrix(n: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pair matrices (..., N, N) of A # B for (..., N, N) pair matrices A and B: only the
+    pair entries of ``sharp_four``'s four terms are gathered and added in its order, so
+    the bits are those of sharp_four on the four-index expansions, without n^4 tensors."""
+    m = pair_slots(n, A) @ np.swapaxes(pair_slots(n, B), -1, -2)
+    t = _take_trailing(m, 2, _sharp_positions(n))
     return 0.5 * (t[..., 0, :, :] + t[..., 1, :, :] - t[..., 2, :, :] - t[..., 3, :, :])
 
 
 def sharp_product(R: Operator2Form, S: Operator2Form) -> Operator2Form:
     """Commutative sharp product of two operators on 2-forms."""
     R._check_same(S)
-    return Operator2Form(R.n, sharp_matrix(R.four(), S.four()), require_self_adjoint=False)
+    return Operator2Form(R.n, sharp_matrix(R.n, R.mat, S.mat), require_self_adjoint=False)
 
 
 def tri(R1: Operator2Form, R2: Operator2Form, R3: Operator2Form) -> float:
@@ -305,19 +286,17 @@ def tri(R1: Operator2Form, R2: Operator2Form, R3: Operator2Form) -> float:
     R1._check_same(R2)
     R1._check_same(R3)
     a, b = R1.mat, R2.mat
-    sharp = sharp_matrix(R1.four(), R2.four())
+    sharp = sharp_matrix(R1.n, a, b)
     return float(np.sum((a @ b.T + b @ a.T + 2.0 * sharp) * R3.mat))
 
 
-def cubic_parts(W4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(<W, W^2>, <W, W#>) of self-adjoint (..., n, n, n, n) curvature tensors.
+def cubic_parts(n: int, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(<W, W^2>, <W, W#>) of self-adjoint curvature operators with (..., N, N) pair matrices M.
 
-    <W, W^2> = tr(M^3) for the pair-basis matrix M, and <W, W#> =
-    (1/2) sum w o (w w) with w[(i,k),(j,l)] = W_ijkl, since
-    (w w)[(i,k),(j,l)] = sum_pq W_ipkq W_jplq.
+    <W, W^2> = tr(M^3), and <W, W#> = (1/2) sum w o (w w) with the slot matrix
+    w[(i,k),(j,l)] = W_ijkl (``pair_slots``), since (w w)[(i,k),(j,l)] = sum_pq W_ipkq W_jplq.
     """
-    M = four_tensor_to_pair_matrix(W4.shape[-1], W4)
-    w = _pair_slots(W4)
+    w = pair_slots(n, M)
     return (np.sum(M * (M @ M), axis=(-2, -1)), 0.5 * np.sum(w * (w @ w), axis=(-2, -1)))
 
 
@@ -326,10 +305,10 @@ def kn_g_pairing(X: np.ndarray, Wm: np.ndarray) -> np.ndarray:
 
     X and X o g are symmetrized as ``kulkarni_nomizu`` stores them, and
     W^2 = Wm Wm^T as ``dot_product`` forms it, so the value keeps the bits of
-    sum(kulkarni_nomizu(X, g).mat * dot_product(W, W).mat) with g the identity.
+    sum(kulkarni_nomizu(X, g).mat * dot_product(W, W).mat) with g the identity
+    (X o g straight into pair matrices by ``_kn_g_pairs``).
     """
-    n = X.shape[-1]
-    Xg = symmetrized(four_tensor_to_pair_matrix(n, kn_four(symmetrized(X), np.eye(n))))
+    Xg = symmetrized(_kn_g_pairs(symmetrized(X)))
     return frobenius(Xg, Wm @ np.swapaxes(Wm, -1, -2))
 
 
@@ -408,7 +387,7 @@ def u_contraction(W: CurvatureTensor) -> tuple[float, float]:
     Returns (u_norm_sq, contracted) where u_norm_sq equals 32(n-1)|W|^2 and
     contracted equals 8 <W, W^2 + W#>; see ``u_tensor_contractions``.
     """
-    check_trace_free(W.four(), W.mat, "u-contraction")
+    check_trace_free(W.n, W.mat, "u-contraction")
     return u_tensor_contractions(W.four())
 
 
@@ -498,7 +477,7 @@ def weyl_sectional_split(W: CurvatureTensor,
         raise ValueError("subset indices out of range")
     if not idx or len(idx) == n:
         raise ValueError("subset must be proper and nonempty")
-    check_trace_free(W.four(), W.mat, "sectional split")
+    check_trace_free(n, W.mat, "sectional split")
     mask = np.zeros(n, dtype=bool)
     mask[idx] = True
     w1, w2 = sectional_sums(np.diagonal(W.mat), mask)
@@ -507,10 +486,7 @@ def weyl_sectional_split(W: CurvatureTensor,
 
 def pure_matrix_from_weyl(W: CurvatureTensor) -> PureCurvatureMatrix:
     """Extract w_ij = W_ijij; valid when the operator is diagonal on coordinate 2-forms."""
-    n = W.n
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                w[i, j] = W.component(i, j, i, j)
-    return PureCurvatureMatrix(n, w)
+    pb = pair_basis(W.n)
+    w = np.zeros((W.n, W.n))
+    w[pb.rows, pb.cols] = w[pb.cols, pb.rows] = np.diagonal(W.mat)
+    return PureCurvatureMatrix(W.n, w)

@@ -205,6 +205,40 @@ def _cyclic_ricci_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _expansion_positions(n, (i, p, j, p), (j, i, p, p), (p, j, i, p))
 
 
+def bianchi_image(n: int, mat: np.ndarray) -> np.ndarray:
+    """Pair matrices of the cyclic averages b(T) of (..., N, N) pair matrices.
+
+    For symmetric T the first-Bianchi projection is T - symmetrized(b(T)).  Only
+    the two cyclic partners of each pair entry are gathered and added in
+    ``tensors.cyclic_average``'s order, so the bits are those of the four-index
+    route four_tensor_to_pair_matrix(n, cyclic_average(pair_matrix_to_four_tensor(n, mat))).
+    """
+    t = _signed_take(_padded(mat), *_cyclic_pair_positions(n))
+    return (mat + t[..., 0, :, :] + t[..., 1, :, :]) / 3.0
+
+
+@lru_cache(maxsize=None)
+def _pair_slot_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_padded_positions`` in slot order: (n^2, n^2) at [(i,k),(j,l)] for T_ijkl; read-only."""
+    out = tuple(np.swapaxes(a, 1, 2).reshape(n * n, n * n) for a in _padded_positions(n))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def pair_slots(n: int, mat: np.ndarray) -> np.ndarray:
+    """(..., n^2, n^2) slot matrices s[(i,k),(j,l)] = T_ijkl of (..., N, N) pair matrices,
+    with the bits of the four-index expansion's entries."""
+    return _signed_take(_padded(mat), *_pair_slot_positions(n))
+
+
+def pair_ricci(n: int, mat: np.ndarray) -> np.ndarray:
+    """(..., n, n) Ricci traces rc_ij = sum_p T_ipjp of (..., N, N) pair matrices; the entries
+    are summed over p as einsum sums the four-index expansion, so the bits are its trace's."""
+    flat, sign = _cyclic_ricci_positions(n)
+    return np.einsum('...pij->...ij', _signed_take(_padded(mat), flat[0], sign[0]))
+
+
 @lru_cache(maxsize=None)
 def _kn_g_positions(n: int) -> np.ndarray:
     """(4, N, N) flat positions, in a (2, n, n) stack of E times 0 and E times 1, of the

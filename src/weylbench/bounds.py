@@ -28,18 +28,20 @@ from .tensors import (
 _TIE = 1e-12
 
 
-def weyl_bound_terms(W4: np.ndarray, Wm: np.ndarray) -> dict[str, np.ndarray]:
-    """Terms of the Weyl bounds of (..., n, n, n, n) trace-free W4 with pair matrices Wm,
+def weyl_bound_terms(n: int, Wm: np.ndarray) -> dict[str, np.ndarray]:
+    """Terms of the Weyl bounds of trace-free operators with (..., N, N) pair matrices Wm,
     one value per object: ``w2`` |W|^2, ``omega``/``omega_max`` the largest eigenvalue
     magnitude/signed eigenvalue, ``max_component`` the largest |W_ijkl| over distinct
     indices, ``component_bound`` (4/3) omega, ``lhs`` <W, W^2 + W#>, ``lhs_dot`` <W, W^2>;
     for n >= 5 ``eig_bound`` (2(n-1)/3) omega |W|^2 and ``norm_bound`` c(n) |W|^3, and for
-    n = 5 ``signed_bound`` (2(n-1)/3) omega_max |W|^2."""
-    n = W4.shape[-1]
-    eigs = np.linalg.eigvalsh(Wm)
+    n = 5 ``signed_bound`` (2(n-1)/3) omega_max |W|^2.  A non-finite matrix gets NaN
+    eigenvalues (eigvalsh runs on the finite ones only)."""
+    finite = np.isfinite(Wm).all(axis=(-2, -1))
+    eigs = np.full(Wm.shape[:-1], np.nan)
+    eigs[finite] = np.linalg.eigvalsh(Wm[finite])
     omega, omega_max = np.abs(eigs).max(axis=-1), eigs.max(axis=-1)
     w2 = np.einsum('...ij,...ij->...', Wm, Wm)
-    lhs_dot, lhs_sharp = cubic_parts(W4)
+    lhs_dot, lhs_sharp = cubic_parts(n, Wm)
     t = {"w2": w2, "omega": omega, "omega_max": omega_max,
          "max_component": np.abs(Wm[..., disjoint_pair_mask(n)]).max(axis=-1, initial=0.0),
          "component_bound": 4.0 * omega / 3.0, "lhs": lhs_dot + lhs_sharp, "lhs_dot": lhs_dot}
@@ -75,7 +77,7 @@ class SpectralExtremes:
 def _pinch_inputs(W: CurvatureTensor, E: np.ndarray, what: str) -> np.ndarray:
     """The guard of (W, E): E traceless symmetric, W trace-free, sizes matching."""
     E = check_traceless(E, "E")
-    check_trace_free(W.four(), W.mat, what)
+    check_trace_free(W.n, W.mat, what)
     if E.shape[0] != W.n:
         raise ValueError("dimension mismatch")
     return E
@@ -83,7 +85,7 @@ def _pinch_inputs(W: CurvatureTensor, E: np.ndarray, what: str) -> np.ndarray:
 
 def spectral_extremes(W: CurvatureTensor, E: np.ndarray) -> SpectralExtremes:
     E = _pinch_inputs(W, E, "spectral_extremes")
-    t = weyl_bound_terms(W.four(), W.mat)
+    t = weyl_bound_terms(W.n, W.mat)
     return SpectralExtremes(omega_mag=float(t["omega"]), omega_max=float(t["omega_max"]),
                             ell=float(-np.linalg.eigvalsh(E).min()))
 
@@ -96,9 +98,9 @@ class ComponentBound:
 
 def berger_component_bound(W: CurvatureTensor) -> ComponentBound:
     """Largest |W_ijkl| over pairwise-distinct indices against (4/3) max|eig|."""
-    check_trace_free(W.four(), W.mat, "the component bound")
-    check_bianchi(W.four(), W.mat, EPS_ALG)
-    t = weyl_bound_terms(W.four(), W.mat)
+    check_trace_free(W.n, W.mat, "the component bound")
+    check_bianchi(W.n, W.mat, EPS_ALG)
+    t = weyl_bound_terms(W.n, W.mat)
     max_comp, bound = float(t["max_component"]), float(t["component_bound"])
     if max_comp > bound + 100 * EPS_ALG * max(1.0, float(t["omega"])):
         raise AssertionError("component bound violated")
@@ -117,7 +119,7 @@ def audit_cubic_bounds(n: int, samples: int, seed: int = 0) -> dict[str, float]:
     worst = dict.fromkeys(("component", "eig", "norm")
                           + (("eig_signed", "dim5_identity") if n == 5 else ()), -np.inf)
     for done in range(0, samples, 64):  # 64 samples per batched pass
-        t = weyl_bound_terms(*random_weyl_batch(rng, n, min(64, samples - done)))
+        t = weyl_bound_terms(n, random_weyl_batch(rng, n, min(64, samples - done)))
         lhs, scale3 = t["lhs"], np.maximum(t["w2"], 1e-30) ** 1.5
         excess = {"component": ((t["max_component"] - t["component_bound"])
                                 / np.maximum(t["omega"], 1e-30)),
@@ -185,8 +187,8 @@ def cubic_bound_eval(W: CurvatureTensor) -> CubicBounds:
     if n < 5:
         raise ValueError("cubic bounds apply for dimension >= 5 (dimension 4 uses the"
                          " self-dual determinant route)")
-    check_trace_free(W.four(), W.mat, "the cubic bound")
-    t = {k: float(v) for k, v in weyl_bound_terms(W.four(), W.mat).items()}
+    check_trace_free(n, W.mat, "the cubic bound")
+    t = {k: float(v) for k, v in weyl_bound_terms(n, W.mat).items()}
     lhs, signed = t["lhs"], t.get("signed_bound")
     slack = 1e-9 * max(1.0, abs(lhs), t["eig_bound"], t["norm_bound"])
     if lhs > t["eig_bound"] + slack:

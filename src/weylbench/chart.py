@@ -478,7 +478,7 @@ def identity_residual_report(f: ChartCurvatureField) -> dict[str, float]:
     if f.metric.harmonic_weyl:
         out["kato_improved_margin"] = f.nabla_w_norm_sq - (n + 1) / (n - 1) * grad2
         W = f.decomposition.weyl
-        cubic = float(sum(cubic_parts(W.four())))
+        cubic = float(sum(cubic_parts(n, W.mat)))
         rc_term = float(kn_g_pairing(f.Rc, W.mat))
         out["bochner"] = (f.lap_w_norm_sq - 2.0 * f.nabla_w_norm_sq
                           + 4.0 * cubic - 2.0 * rc_term)

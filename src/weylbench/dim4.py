@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import check_trace_free, congruence_four, cubic_parts, kn_g_pairing
-from .basis import pair_basis, pair_matrix_to_four_tensor
+from .basis import pair_basis
 from .tensors import (EPS_ALG, CurvatureTensor, check_bianchi, check_finite, check_symmetric,
                       check_traceless, symmetrized)
 
@@ -48,7 +48,7 @@ class SelfDualSplit:
 def _require_weyl(W: CurvatureTensor, tol: float) -> None:
     if W.n != 4:
         raise ValueError(f"dimension-4 operation on n={W.n}")
-    check_trace_free(W.four(), W.mat, "a dimension-4 operation", tol)
+    check_trace_free(4, W.mat, "a dimension-4 operation", tol)
 
 
 def split_self_dual(W: CurvatureTensor, tol: float = EPS_ALG) -> SelfDualSplit:
@@ -80,15 +80,13 @@ class DetIdentities:
 def det_identities(wplus: np.ndarray, tol: float = EPS_ALG) -> DetIdentities:
     """Cubic operator products of a traceless 3x3 block against its determinant.
 
-    Evaluated on the four-index expansion of ``embed_block``'s matrix, symmetrized
-    as ``CurvatureTensor`` stores it; for traceless blocks cube_dot = 3 det and
-    cube_sharp = 6 det.
+    Evaluated on ``embed_block``'s matrix, symmetrized as ``CurvatureTensor`` stores
+    it; for traceless blocks cube_dot = 3 det and cube_sharp = 6 det.
     """
     if np.shape(wplus) != (3, 3):
         raise ValueError("expected a 3x3 block")
     wplus = check_traceless(wplus, "block", tol)
-    four = pair_matrix_to_four_tensor(4, symmetrized(_from_block(wplus)))
-    cube_dot, cube_sharp = (float(v) for v in cubic_parts(four))
+    cube_dot, cube_sharp = (float(v) for v in cubic_parts(4, symmetrized(_from_block(wplus))))
     return DetIdentities(cube_dot=cube_dot, cube_sharp=cube_sharp,
                          det=float(np.linalg.det(wplus)))
 
@@ -119,13 +117,8 @@ def _fix_sign(vecs: np.ndarray) -> np.ndarray:
 
 def _berger_frame_matrix(W: CurvatureTensor, frame: np.ndarray) -> np.ndarray:
     """Operator matrix in the frame-induced basis (f12, f13, f14, f34, f42, f23)."""
-    Wf = congruence_four(W.four(), frame)
-    order = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
-    M6 = np.zeros((6, 6))
-    for a, (i, j) in enumerate(order):
-        for b, (k, l) in enumerate(order):
-            M6[a, b] = Wf[i, j, k, l]
-    return M6
+    i, j = np.array([(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)]).T
+    return congruence_four(W.four(), frame)[i[:, None], j[:, None], i, j]
 
 
 def berger_normal_form(W: CurvatureTensor, tol: float = EPS_ALG) -> BergerNormalForm:
@@ -141,7 +134,7 @@ def berger_normal_form(W: CurvatureTensor, tol: float = EPS_ALG) -> BergerNormal
     non-unique; the reconstruction residual is the correctness certificate.
     """
     split = split_self_dual(W, tol)
-    check_bianchi(W.four(), W.mat, tol)
+    check_bianchi(4, W.mat, tol)
     lp, up = np.linalg.eigh(split.wplus)
     lm, um = np.linalg.eigh(split.wminus)
     lp, up = lp[::-1], _fix_sign(up[:, ::-1])
@@ -165,13 +158,8 @@ def berger_normal_form(W: CurvatureTensor, tol: float = EPS_ALG) -> BergerNormal
     f1 = best[1]
     frame = np.stack([f1, -I[0] @ f1, -I[1] @ f1, -I[2] @ f1], axis=1)
     M6 = _berger_frame_matrix(W, frame)
-    a = (lp + lm) / 2.0
-    b = (lp - lm) / 2.0
-    target = np.zeros((6, 6))
-    target[:3, :3] = np.diag(a)
-    target[3:, 3:] = np.diag(a)
-    target[:3, 3:] = np.diag(b)
-    target[3:, :3] = np.diag(b)
+    a, b = (lp + lm) / 2.0, (lp - lm) / 2.0
+    target = np.block([[np.diag(a), np.diag(b)], [np.diag(b), np.diag(a)]])
     residual = float(np.abs(M6 - target).max())
     return BergerNormalForm(frame=frame, a=a, b=b, residual=residual)
 

@@ -176,7 +176,7 @@ def symmetric_space_identity_report(pkg: CurvaturePackage) -> dict[str, float]:
         raise ValueError("identity report requires dimension >= 4")
     dec = decompose(pkg.R)
     W = dec.weyl
-    cubic = float(sum(cubic_parts(W.four())))
+    cubic = float(sum(cubic_parts(n, W.mat)))
     rc_term = float(kn_g_pairing(pkg.Rc, W.mat))
     r1 = 2.0 * cubic - rc_term
     qf = quadratic_forms(W, dec.E)

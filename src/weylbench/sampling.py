@@ -11,8 +11,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .algebra import bianchi_image, weyl_matrix
-from .basis import pair_basis, pair_matrix_to_four_tensor
+from .algebra import weyl_matrix
+from .basis import bianchi_image, pair_basis
 from .tensors import CurvatureTensor, Operator2Form, symmetrized
 
 
@@ -104,15 +104,13 @@ def random_curvature(rng: np.random.Generator, n: int) -> CurvatureTensor:
 
 def random_weyl(rng: np.random.Generator, n: int) -> CurvatureTensor:
     """Weyl part of a random curvature tensor (trace-free and Bianchi-free)."""
-    return CurvatureTensor(n, random_weyl_batch(rng, n, 1)[1][0])
+    return CurvatureTensor(n, random_weyl_batch(rng, n, 1)[0])
 
 
-def random_weyl_batch(rng: np.random.Generator, n: int,
-                      count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of Weyl-type tensors; returns (four-index array, pair matrices)."""
+def random_weyl_batch(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Pair matrices (count, N, N) of a batch of Weyl-type tensors."""
     N = pair_basis(n).size
-    mats = weyl_from_uniform(n, uniform(rng, count, N, N))
-    return pair_matrix_to_four_tensor(n, mats), mats
+    return weyl_from_uniform(n, uniform(rng, count, N, N))
 
 
 def random_curvature_derivative_full(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    _pair_slots,
-    _ricci_trace,
     check_trace_free,
     circ_prime_full,
     cube_trace,
@@ -49,6 +47,8 @@ from .basis import (
     full5_to_triple_pair,
     pair_basis,
     pair_matrix_to_four_tensor,
+    pair_ricci,
+    pair_slots,
 )
 from .sampling import (
     curvature_derivative_from_uniform,
@@ -117,8 +117,8 @@ def _rel(value, scale):
     return np.abs(value) / np.maximum(1.0, np.abs(scale))
 
 
-def _curvature(n: int, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pair matrices, four tensors) of a stack as ``CurvatureTensor`` holds them.
+def _curvature(n: int, mat: np.ndarray) -> np.ndarray:
+    """Pair matrices of a stack as ``CurvatureTensor`` holds them.
 
     The container's checks (symmetric, then first Bianchi) run object by object
     over every leading axis, one batched check each, and the matrices are
@@ -128,9 +128,8 @@ def _curvature(n: int, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 f"pair-basis matrix must be symmetric within tolerance {EPS_ALG}",
                 lead=mat.ndim - 2)
     mat = symmetrized(mat)
-    four = pair_matrix_to_four_tensor(n, mat)
-    check_bianchi(four, mat, EPS_ALG)
-    return mat, four
+    check_bianchi(n, mat, EPS_ALG)
+    return mat
 
 
 def _chunks(total: int):
@@ -166,14 +165,15 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     def record(family: str, values) -> None:
         rep.record(f"{family}_n{n}", values, (n, first))
 
-    Rm, R4 = _curvature(n, curvature_from_uniform(n, mR))
+    Rm = _curvature(n, curvature_from_uniform(n, mR))
+    R4 = pair_matrix_to_four_tensor(n, Rm)
     split = weyl_split(R4)
     k = symmetrized(mk)
     A = a[..., None] * g
     # W, the e- and s-parts, g o k, k o g and A o g: one (6, B, ...) container check
-    mats, fours = _curvature(n, four_tensor_to_pair_matrix(n, np.stack(
+    Wm, _, _, gk, Km, Bm = _curvature(n, four_tensor_to_pair_matrix(n, np.stack(
         [split.W, split.e_part, split.s_part, kn_four(g, k), kn_four(k, g), kn_four(A, g)])))
-    (Wm, _, _, gk, Km, Bm), (W4, _, _, _, K4, B4) = mats, fours
+    W4 = pair_matrix_to_four_tensor(n, Wm)
     Rc, S, E = split.Rc, split.S, split.E
     RR, WW = frobenius(Rm, Rm), frobenius(Wm, Wm)
 
@@ -182,25 +182,23 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     record("selfadjoint", _rel(lhs - frobenius(k, Rc), lhs))
 
     # decomposition: trace-freeness, Bianchi, Pythagoras
-    record("weyl_ricci_free", max_abs(_ricci_trace(W4), 1))
+    record("weyl_ricci_free", max_abs(pair_ricci(n, Wm), 1))
     record("weyl_bianchi_free", max_abs(cyclic_average(W4), 1))
     pyth = RR - (WW + S ** 2 / (2 * n * (n - 1)) + frobenius(E, E) / (n - 2))
     record("pythagoras", _rel(pyth, RR))
 
     # every sharp product of the trial in one stacked call: W#W, R#R, B#W, then
     # R1#R2 of the six argument orders (R1, R2, R3) of (R, W, K) in tri
-    sharp = sharp_matrix(np.stack([W4, R4, B4, R4, R4, W4, W4, K4, K4]),
-                         np.stack([W4, R4, W4, W4, K4, R4, K4, R4, W4]))
+    sharp = sharp_matrix(n, np.stack([Wm, Rm, Bm, Rm, Rm, Wm, Wm, Km, Km]),
+                         np.stack([Wm, Rm, Wm, Wm, Km, Rm, Km, Rm, Wm]))
 
     # quadratic products: rc(W^2 + W#) = 0 and the contraction formula for R
     W2 = Wm @ np.swapaxes(Wm, -1, -2)
     quad_W = W2 + sharp[0]
-    record("rc_quadratic_weyl",
-           _rel(max_abs(_ricci_trace(pair_matrix_to_four_tensor(n, quad_W)), 1), WW))
+    record("rc_quadratic_weyl", _rel(max_abs(pair_ricci(n, quad_W), 1), WW))
     quad_R = Rm @ np.swapaxes(Rm, -1, -2) + sharp[1]
     rc_pred = np.einsum('...ipjq,...pq->...ij', R4, Rc)
-    rc_R = _ricci_trace(pair_matrix_to_four_tensor(n, quad_R))
-    record("rc_quadratic_contraction", _rel(max_abs(rc_R - rc_pred, 1), RR))
+    record("rc_quadratic_contraction", _rel(max_abs(pair_ricci(n, quad_R) - rc_pred, 1), RR))
 
     # trilinear symmetry <R1.R2 + R2.R1 + 2 R1 # R2, R3> over all six argument orders
     p, q, r = (np.stack(x) for x in ([Rm, Rm, Wm, Wm, Km, Km], [Wm, Km, Rm, Km, Rm, Wm],
@@ -215,8 +213,8 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     rhs_b = 0.5 * np.einsum('...ii,...ijpq,...ijpq->...', A, W4, W4)
     record("productw_diag", _rel(lhs_b - rhs_b, scaleW))
     record("productw_sharp", _rel(lhs_b + frobenius(Wm, sharp[2]), scaleW))
-    X = _pair_slots(W4)  # sum_jl W_ijkl W_jplq = (X X)[(i,k),(p,q)]: W with W first
-    rhs_c = 0.5 * frobenius(X @ X, _pair_slots(R4))
+    X = pair_slots(n, Wm)  # sum_jl W_ijkl W_jplq = (X X)[(i,k),(p,q)]: W with W first
+    rhs_c = 0.5 * frobenius(X @ X, pair_slots(n, Rm))
     record("productw_reindex", _rel(frobenius(Wm, sharp[3]) - rhs_c, scaleW))
 
     # circ-prime norm identity on divergence-type tensors
@@ -231,7 +229,7 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
         record(family, values)
 
     # sectional split of the trace-free operator: W_ijij is the pair diagonal of W
-    check_trace_free(W4, Wm, "sectional split")
+    check_trace_free(n, Wm, "sectional split")
     w1, w2 = sectional_sums(np.diagonal(Wm, axis1=-2, axis2=-1), subset)
     record("sectional_split", _rel(w1 - w2, np.maximum(np.abs(w1), 1.0)))
 
@@ -275,26 +273,26 @@ def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
     return rc_part, s_part, _rel(max_abs(resid, 1), max_abs(bw, 1))
 
 
-def _weyl_samples(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` draws of ``random_weyl``, as (pair matrices, four tensors)."""
+def _weyl_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Pair matrices of ``count`` draws of ``random_weyl``."""
     N = pair_basis(n).size
     m = np.stack([uniform(rng, N, N) for _ in range(count)])
     return _curvature(n, weyl_from_uniform(n, m))
 
 
-def _sharp_cubic_trial(W4: np.ndarray) -> np.ndarray:
+def _sharp_cubic_trial(n: int, Wm: np.ndarray) -> np.ndarray:
     """Relative deviation of <W, W#> from 2 <W, W^2>, one per sample of a chunk."""
-    square, lhs = cubic_parts(W4)
+    square, lhs = cubic_parts(n, Wm)
     rhs = 2.0 * square
     return _rel(lhs - rhs, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _u_tensor_trial(Wm: np.ndarray, W4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _u_tensor_trial(n: int, Wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u_norm, u_cubic) residuals of a chunk; the u-tensor sums are taken per sample."""
-    n = W4.shape[-1]
-    check_trace_free(W4, Wm, "u-contraction")
+    check_trace_free(n, Wm, "u-contraction")
+    W4 = pair_matrix_to_four_tensor(n, Wm)
     norm_sum, contracted = np.array([u_tensor_contractions(W) for W in W4]).T
-    cubic = sum(cubic_parts(W4))
+    cubic = sum(cubic_parts(n, Wm))
     return (_rel(norm_sum - 32.0 * (n - 1) * frobenius(Wm, Wm), norm_sum),
             _rel(contracted - 8.0 * cubic, np.maximum(np.abs(contracted), 1.0)))
 
@@ -307,14 +305,14 @@ def _run_dimension(args: tuple[int, int, int, float]) -> tuple[dict, dict, dict]
         _identity_chunk(rng, n, count, rep, first)
     reduced = max(1, trials // 10) if trials > 0 else 0
     for first, count in _chunks(trials if n <= 5 else reduced):
-        dev = _sharp_cubic_trial(_weyl_samples(rng, n, count)[1])
+        dev = _sharp_cubic_trial(n, _weyl_samples(rng, n, count))
         if n <= 5:
             rep.record(f"sharp_cubic_n{n}", dev, (n, first))
         else:
             key = f"sharp_cubic_deviation_n{n}"
             rep.stats[key] = running_max(rep.stats.get(key, 0.0), dev)
     for first, count in _chunks(reduced):
-        u_norm, u_cubic = _u_tensor_trial(*_weyl_samples(rng, n, count))
+        u_norm, u_cubic = _u_tensor_trial(n, _weyl_samples(rng, n, count))
         rep.record(f"u_norm_n{n}", u_norm, (n, first))
         rep.record(f"u_cubic_n{n}", u_cubic, (n, first))
     return rep.residuals, rep.stats, rep.worst

@@ -13,7 +13,7 @@ import pytest
 from weylbench import suite
 from weylbench.algebra import (
     _pair_slots,
-    bianchi_image,
+    _ricci_trace,
     bianchi_project,
     check_trace_free,
     circ_prime,
@@ -45,7 +45,8 @@ from weylbench.algebra import (
     weyl_sectional_split,
     weyl_split,
 )
-from weylbench.basis import four_tensor_to_pair_matrix, pair_basis, pair_matrix_to_four_tensor
+from weylbench.basis import (bianchi_image, four_tensor_to_pair_matrix, pair_basis,
+                             pair_matrix_to_four_tensor, pair_ricci, pair_slots)
 from weylbench.bounds import cubic_bound_eval, eigen_bound, eigen_bound_terms, weyl_bound_terms
 from weylbench.sampling import (
     pure_from_uniform,
@@ -652,8 +653,12 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(kn_four, h, g)
     _assert_batch_equals_single(weyl_split, R4)
     _assert_batch_equals_single(sharp_four, R4, S4)
-    _assert_batch_equals_single(sharp_matrix, R4, S4)
-    _assert_batch_equals_single(cubic_parts, weyl_split(R4).W)
+    Rm, Sm = four_tensor_to_pair_matrix(n, R4), four_tensor_to_pair_matrix(n, S4)
+    Wm = four_tensor_to_pair_matrix(n, weyl_split(R4).W)
+    _assert_batch_equals_single(lambda a, b: sharp_matrix(n, a, b), Rm, Sm)
+    _assert_batch_equals_single(lambda m: cubic_parts(n, m), Wm)
+    _assert_batch_equals_single(lambda m: pair_slots(n, m), Rm)
+    _assert_batch_equals_single(lambda m: pair_ricci(n, m), Rm)
     _assert_batch_equals_single(lambda a: congruence_four(a, h[0]), R4)
     _assert_batch_equals_single(circ_prime_full, rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 3))
     _assert_batch_equals_single(second_bianchi_full,
@@ -666,12 +671,10 @@ def test_raw_kernels_batch_equals_single(n, count):
                                 symmetrized(rng.uniform(-1.0, 1.0, size=(count, N, N))))
     _assert_batch_equals_single(quadratic_form, R4, g)
     _assert_batch_equals_single(cube_trace, g)
-    _assert_batch_equals_single(kn_g_pairing, h, four_tensor_to_pair_matrix(n, R4))
+    _assert_batch_equals_single(kn_g_pairing, h, Rm)
     subsets = rng.uniform(size=(count, n)) < 0.5
     _assert_batch_equals_single(sectional_sums, rng.uniform(-1.0, 1.0, size=(count, N)), subsets)
-    W4 = weyl_split(R4).W
-    _assert_batch_equals_single(lambda a, m: tuple(weyl_bound_terms(a, m).values()),
-                                W4, four_tensor_to_pair_matrix(n, W4))
+    _assert_batch_equals_single(lambda m: tuple(weyl_bound_terms(n, m).values()), Wm)
     _assert_batch_equals_single(eigen_bound_terms, h + np.swapaxes(h, -1, -2))
 
 
@@ -696,7 +699,7 @@ def test_typed_wrappers_are_their_kernels(n):
     E = random_traceless_symmetric(rng, n)
     assert eigen_bound(E) == tuple(float(v) for v in eigen_bound_terms(check_traceless(E, "E")))
     if n >= 5:
-        cb, t = cubic_bound_eval(W), weyl_bound_terms(W.four(), W.mat)
+        cb, t = cubic_bound_eval(W), weyl_bound_terms(n, W.mat)
         assert (cb.lhs, cb.eig_bound, cb.norm_bound, cb.lhs_dot_only, cb.eig_bound_signed) == (
             float(t["lhs"]), float(t["eig_bound"]), float(t["norm_bound"]), float(t["lhs_dot"]),
             float(t["signed_bound"]) if n == 5 else None)
@@ -736,15 +739,18 @@ def test_check_trace_free_is_per_tensor():
     """A stack passes when every tensor is trace-free at its own scale, and one
     traced tensor fails the whole stack."""
     n = 5
-    fours, mats = random_weyl_batch(rng, n, 3)
-    fours[0] *= 1e6
+    mats = random_weyl_batch(rng, n, 3)
     mats[0] *= 1e6
-    check_trace_free(fours, mats, "stack")
-    R = random_curvature(rng, n)
-    fours[2], mats[2] = R.four(), R.mat
+    check_trace_free(n, mats, "stack")
+    mats[2] = random_curvature(rng, n).mat
     with pytest.raises(ValueError, match="stack requires a trace-free"):
-        check_trace_free(fours, mats, "stack")
-    check_trace_free(fours[:2], mats[:2], "stack")
+        check_trace_free(n, mats, "stack")
+    check_trace_free(n, mats[:2], "stack")
+    for value in (np.nan, np.inf):
+        odd = mats[:2].copy()
+        odd[1, 0, -1] = odd[1, -1, 0] = value
+        with pytest.raises(ValueError, match="stack requires a trace-free"):
+            check_trace_free(n, odd, "stack")
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -779,6 +785,13 @@ def weyl_matrix_four_tensor_reference(n, mat):
     return four_tensor_to_pair_matrix(n, weyl_split(four).W)
 
 
+def cubic_parts_four_tensor_reference(n, mat):
+    """(<W, W^2>, <W, W#>) as cubic_parts formed them on the four-index expansion."""
+    four = pair_matrix_to_four_tensor(n, mat)
+    M, w = four_tensor_to_pair_matrix(n, four), _pair_slots(four)
+    return np.sum(M * (M @ M), axis=(-2, -1)), 0.5 * np.sum(w * (w @ w), axis=(-2, -1))
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -786,19 +799,30 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("n", range(4, 13))
 @pytest.mark.parametrize("count", [1, 7, 64])
 def test_pair_native_kernels_keep_the_four_tensor_bits(n, count):
-    """bianchi_image and weyl_matrix against their four-index routes, bit for bit
-    (signed zeros and NaN payloads included), on symmetric, non-symmetric, sparse
-    and non-finite pair matrices."""
+    """bianchi_image, weyl_matrix, pair_slots, pair_ricci, cubic_parts and sharp_matrix
+    against their four-index routes, bit for bit (signed zeros and NaN payloads
+    included), on symmetric, non-symmetric, sparse, zero, -0.0 and non-finite pair
+    matrices."""
     N = pair_basis(n).size
     raw = rng.uniform(-1.0, 1.0, size=(count, N, N))
     sparse = -symmetrized(raw) * (rng.uniform(size=(count, N, N)) < 0.1)
     bad = symmetrized(raw)
     bad[0, 0, 1] = np.nan
     bad[-1, 2, 2] = np.inf
-    with np.errstate(invalid="ignore"):
-        for mat in (raw, symmetrized(raw), sparse, np.zeros_like(raw), bad):
+    other = rng.uniform(-1.0, 1.0, size=(count, N, N))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for mat in (raw, symmetrized(raw), sparse, np.zeros_like(raw), -np.zeros_like(raw), bad):
+            four = pair_matrix_to_four_tensor(n, mat)
             assert _same_bits(bianchi_image(n, mat), bianchi_image_four_tensor_reference(n, mat))
             assert _same_bits(weyl_matrix(n, mat), weyl_matrix_four_tensor_reference(n, mat))
+            assert _same_bits(pair_slots(n, mat), _pair_slots(four))
+            assert _same_bits(pair_ricci(n, mat), _ricci_trace(four))
+            for got, expect in zip(cubic_parts(n, mat), cubic_parts_four_tensor_reference(n, mat)):
+                assert _same_bits(got, expect)
+            for a, b in ((mat, other), (other, mat), (mat, mat)):
+                expect = four_tensor_to_pair_matrix(n, sharp_four(
+                    pair_matrix_to_four_tensor(n, a), pair_matrix_to_four_tensor(n, b)))
+                assert _same_bits(sharp_matrix(n, a, b), expect)
         image, W = bianchi_image(n, bad), weyl_matrix(n, bad)
     assert np.isnan(image[0]).any() and np.isnan(W[0]).any() and not np.isfinite(W[-1]).all()
     if count > 2:  # each sample keeps its own entries
@@ -819,14 +843,14 @@ def test_weyl_matrix_is_orthogonally_equivariant(n):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
 def test_audit_samples_are_the_typed_tensors(n):
-    """The audit reads the tensor the typed path holds: random_weyl_batch's four-index
-    array is each sample's CurvatureTensor.four(), and its bound terms are
+    """The audit reads the operator the typed path holds: random_weyl_batch's pair
+    matrices are each sample's CurvatureTensor.mat, and its bound terms are
     cubic_bound_eval's, bit for bit."""
-    fours, mats = random_weyl_batch(rng, n, 16)
-    t = weyl_bound_terms(fours, mats)
+    mats = random_weyl_batch(rng, n, 16)
+    t = weyl_bound_terms(n, mats)
     for i in range(16):
         W = CurvatureTensor(n, mats[i])
-        assert _same_bits(W.mat, mats[i]) and _same_bits(W.four(), fours[i])
+        assert _same_bits(W.mat, mats[i])
         cb = cubic_bound_eval(W)
         assert (cb.lhs, cb.eig_bound, cb.norm_bound, cb.lhs_dot_only, cb.eig_bound_signed) == (
             float(t["lhs"][i]), float(t["eig_bound"][i]), float(t["norm_bound"][i]),
@@ -892,20 +916,48 @@ def test_u_tensor_sums_are_exact_on_integer_tensors(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_sharp_matrix_is_the_pair_matrix_of_sharp_four(n):
-    """Bit for bit, signed zeros included, on single tensors and stacks with no
-    index symmetry and on curvature tensors."""
+    """Bit for bit, signed zeros included, on single pair matrices and stacks of any
+    leading shape with no pair symmetry, and on curvature tensors."""
     local = np.random.default_rng(100 + n)
+    N = pair_basis(n).size
     for shape in [(), (1,), (3,), (2, 4)]:
-        A = local.uniform(-1.0, 1.0, size=shape + (n,) * 4)
-        B = local.uniform(-1.0, 1.0, size=shape + (n,) * 4)
+        A = local.uniform(-1.0, 1.0, size=shape + (N, N))
+        B = local.uniform(-1.0, 1.0, size=shape + (N, N))
         for a, b in ((A, B), (B, A), (A, A)):
-            got, expect = sharp_matrix(a, b), four_tensor_to_pair_matrix(n, sharp_four(a, b))
-            assert got.shape == expect.shape
-            assert np.array_equal(got, expect) and np.array_equal(np.signbit(got),
-                                                                  np.signbit(expect))
-    R4, S4 = _curvature_batch(n, 2)
-    got, expect = sharp_matrix(R4, S4), four_tensor_to_pair_matrix(n, sharp_four(R4, S4))
-    assert np.array_equal(got, expect) and np.array_equal(np.signbit(got), np.signbit(expect))
+            expect = four_tensor_to_pair_matrix(n, sharp_four(
+                pair_matrix_to_four_tensor(n, a), pair_matrix_to_four_tensor(n, b)))
+            assert _same_bits(sharp_matrix(n, a, b), expect)
+    R, S = four_tensor_to_pair_matrix(n, _curvature_batch(n, 2))
+    expect = four_tensor_to_pair_matrix(n, sharp_four(pair_matrix_to_four_tensor(n, R),
+                                                      pair_matrix_to_four_tensor(n, S)))
+    assert _same_bits(sharp_matrix(n, R, S), expect)
+
+
+def so_structure_constants(n):
+    """C[(a, b), c] = <[e_a, e_b], e_c> on so(n), e_a = E_ij - E_ji for the pair a = (i, j),
+    orthonormal for <X, Y> = -tr(XY)/2: the pair basis of the operator convention."""
+    pb = pair_basis(n)
+    E = np.zeros((pb.size, n, n))
+    for a, (i, j) in enumerate(pb.pairs):
+        E[a, i, j], E[a, j, i] = 1.0, -1.0
+    bracket = E[:, None] @ E[None] - E[None] @ E[:, None]
+    return 0.5 * np.einsum('abij,cij->abc', bracket, E).reshape(pb.size ** 2, pb.size)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_sharp_matrix_matches_the_structure_constant_oracle(n):
+    """R # S = (1/2) C^T (R (x) S) C from the so(n) structure constants (Hamilton 1986),
+    with no four-index tensor, on curvature operators, self-adjoint operators and pair
+    matrices with no symmetry."""
+    C = so_structure_constants(n)
+    N = pair_basis(n).size
+    pairs = [(random_curvature(rng, n).mat, random_curvature(rng, n).mat),
+             (random_operator(rng, n).mat, random_weyl(rng, n).mat),
+             tuple(rng.uniform(-1.0, 1.0, size=(2, N, N)))]
+    for R, S in pairs:
+        oracle = 0.5 * C.T @ np.kron(R, S) @ C
+        got = sharp_matrix(n, R, S)
+        assert np.abs(got - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -927,11 +979,10 @@ def test_stacked_curvature_check_names_one_bad_object():
     n = 5
     mats = four_tensor_to_pair_matrix(n, _curvature_batch(n, 12)).reshape(6, 2, 10, 10)
     mats[3, 0] *= 1e6
-    got, fours = suite._curvature(n, mats.copy())
-    assert got.shape == (6, 2, 10, 10) and fours.shape == (6, 2) + (n,) * 4
+    got = suite._curvature(n, mats.copy())
+    assert got.shape == (6, 2, 10, 10)
     for a in range(6):  # the stack gives each object's bits of a check per object
-        one, one_four = suite._curvature(n, mats[a])
-        assert np.array_equal(got[a], one) and np.array_equal(fours[a], one_four)
+        assert np.array_equal(got[a], suite._curvature(n, mats[a]))
     bad = mats.copy()
     bad[3, 1, 0, 4] += 1e-6  # within tolerance at its 1e6-scaled neighbour's scale, not its own
     with pytest.raises(ValueError, match="pair-basis matrix must be symmetric"):
@@ -946,7 +997,7 @@ def test_stacked_curvature_check_names_one_bad_object():
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_cubic_parts_match_operator_products(n):
     W = random_weyl(rng, n)
-    square, sharp = cubic_parts(W.four())
+    square, sharp = cubic_parts(n, W.mat)
     assert float(square) == pytest.approx(float(np.sum(W.mat * dot_product(W, W).mat)),
                                           abs=1e-12)
     assert float(sharp) == pytest.approx(float(np.sum(W.mat * sharp_product(W, W).mat)),
@@ -959,7 +1010,7 @@ def test_cubic_parts_determinant_identities_n4():
     for _ in range(5):
         block = random_symmetric(rng, 3)
         block -= np.trace(block) / 3.0 * np.eye(3)
-        square, sharp = cubic_parts(embed_block(block).four())
+        square, sharp = cubic_parts(4, embed_block(block).mat)
         det = float(np.linalg.det(block))
         assert float(square) == pytest.approx(3.0 * det, abs=1e-13)
         assert float(sharp) == pytest.approx(6.0 * det, abs=1e-13)

@@ -23,10 +23,12 @@ from weylbench.bounds import (
     spectral_extremes,
     wcubic_closed_form,
     wcubic_oracle,
+    weyl_bound_terms,
 )
 from weylbench.algebra import decompose
 from weylbench.models import model_curvature, parse_model_spec
-from weylbench.sampling import random_curvature, random_traceless_symmetric, random_weyl
+from weylbench.sampling import (random_curvature, random_traceless_symmetric, random_weyl,
+                                random_weyl_batch)
 from weylbench.tensors import CurvatureTensor, Operator2Form
 
 rng = np.random.default_rng(13)
@@ -586,14 +588,15 @@ def _weyl_with_nan(n):
 
 
 def _nan_batch(monkeypatch):
-    """Make the Weyl sampler return batches whose four-index arrays are NaN."""
+    """Make the Weyl sampler put a NaN into the first pair matrix of every batch."""
     from weylbench import sampling
 
     original = sampling.random_weyl_batch
 
     def nan_batch(rng, n, count):
-        four, mats = original(rng, n, count)
-        return np.full_like(four, np.nan), mats
+        mats = original(rng, n, count)
+        mats[0, 0, 1] = mats[0, 1, 0] = np.nan
+        return mats
 
     monkeypatch.setattr(sampling, "random_weyl_batch", nan_batch)
 
@@ -603,7 +606,22 @@ def test_audit_cubic_bounds_keeps_nan(monkeypatch):
     for n in (5, 6):
         worst = audit_cubic_bounds(n, 70, seed=0)
         assert math.isnan(worst["eig"]) and math.isnan(worst["norm"])
-        assert worst["component"] <= 1e-10
+        assert math.isnan(worst["component"])
+
+
+def test_weyl_bound_terms_keep_each_sample_beside_a_nan_one():
+    """A non-finite pair matrix gets NaN terms; the other samples keep their bits."""
+    mats = random_weyl_batch(np.random.default_rng(4), 6, 5)
+    clean = weyl_bound_terms(6, mats)
+    for value in (np.nan, np.inf):
+        odd = mats.copy()
+        odd[2, 0, 1] = odd[2, 1, 0] = value
+        with np.errstate(invalid="ignore"):
+            terms = weyl_bound_terms(6, odd)
+        for key in ("omega", "omega_max", "eig_bound", "lhs"):
+            assert np.isnan(terms[key][2])
+            keep = [0, 1, 3, 4]
+            assert terms[key][keep].tobytes() == clean[key][keep].tobytes()
 
 
 def test_audit_eigen_bound_keeps_nan(monkeypatch):

@@ -235,8 +235,9 @@ def test_bounds_nan_sample_fails(monkeypatch, capsys):
     original = sampling.random_weyl_batch
 
     def nan_batch(rng, n, count):
-        four, mats = original(rng, n, count)
-        return four * np.nan, mats
+        mats = original(rng, n, count)
+        mats[0, 0, 1] = mats[0, 1, 0] = np.nan
+        return mats
 
     monkeypatch.setattr(sampling, "random_weyl_batch", nan_batch)
     assert run_cli("bounds", "--trials", "1", "--budget", "500", "--format", "json") == 1

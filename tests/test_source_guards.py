@@ -19,9 +19,14 @@ residual to ``check_small`` itself.
 Optional parameters are counted, so a knob that only tests set cannot come
 back unnoticed.
 
-The samplers and the first-Bianchi and Weyl projections on pair matrices run
-without the n^4 round trip: ``sampling.py`` calls neither ``cyclic_average`` nor
-``weyl_split``, and ``algebra.bianchi_image`` and ``algebra.weyl_matrix`` call no
+Weyl-type operators cross module boundaries as pair matrices: the samplers, the
+bounds, the first-Bianchi and Weyl projections, the cubic and sharp kernels and
+the trace-free and Bianchi guards run without the n^4 round trip.
+``sampling.py`` calls neither ``cyclic_average`` nor ``weyl_split``, neither
+``bounds.py`` nor ``sampling.py`` calls ``.four()`` or
+``pair_matrix_to_four_tensor``, and no kernel that reads pair matrices
+(``basis.bianchi_image``, ``pair_ricci``, ``algebra.weyl_matrix``, ``cubic_parts``,
+``sharp_matrix``, ``check_trace_free``, ``tensors.check_bianchi``) calls
 ``pair_matrix_to_four_tensor``.
 
 A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
@@ -89,8 +94,8 @@ def test_suite_stays_on_raw_arrays():
 
 
 TYPED_PRODUCTS = {"kulkarni_nomizu", "dot_product", "sharp_product", "tri"}
-GUARDED_RESIDUALS = {"ricci_contraction", "_ricci_trace", "trace", "bianchi_residual",
-                     "cyclic_average"}
+GUARDED_RESIDUALS = {"ricci_contraction", "_ricci_trace", "pair_ricci", "trace",
+                     "bianchi_residual", "cyclic_average", "bianchi_image"}
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -126,9 +131,12 @@ def test_invariant_guards_see_their_calls(tmp_path):
     probe.write_text("x = kulkarni_nomizu(E, g).mat * algebra.dot_product(W, W).mat\n"
                      "check_small(np.trace(E), E, tol, 'E')\n"
                      "check_small(resid=cyclic_average(T), entries=m, tol=t, message='b')\n"
-                     "check_small(T - T.T, T, tol, 'symmetric')\n")
+                     "check_small(T - T.T, T, tol, 'symmetric')\n"
+                     "check_small(basis.pair_ricci(n, m), m, tol, 'rc')\n"
+                     "check_small(bianchi_image(n, m), m, tol, 'b', lead=1)\n")
     assert len(typed_product_calls(probe)) == 2
-    assert hand_made_guards(probe) == ["probe.py:2 trace", "probe.py:3 cyclic_average"]
+    assert hand_made_guards(probe) == ["probe.py:2 trace", "probe.py:3 cyclic_average",
+                                       "probe.py:5 pair_ricci", "probe.py:6 bianchi_image"]
 
 
 def test_typed_products_are_called_only_in_algebra():
@@ -163,10 +171,19 @@ def test_guard_sees_calls_by_function(tmp_path):
     assert called_names(probe, "g") == {"cyclic_average"}
 
 
+PAIR_NATIVE_KERNELS = {"basis.py": ("bianchi_image", "pair_ricci"),
+                       "algebra.py": ("weyl_matrix", "cubic_parts", "sharp_matrix",
+                                      "check_trace_free"),
+                       "tensors.py": ("check_bianchi",)}
+
+
 def test_pair_native_projections_skip_the_four_tensor_round_trip():
     assert not called_names(SRC / "sampling.py") & {"cyclic_average", "weyl_split"}
-    for function in ("bianchi_image", "weyl_matrix"):
-        assert "pair_matrix_to_four_tensor" not in called_names(SRC / "algebra.py", function)
+    for name in ("bounds.py", "sampling.py"):
+        assert not called_names(SRC / name) & {"four", "pair_matrix_to_four_tensor"}, name
+    for name, functions in PAIR_NATIVE_KERNELS.items():
+        for function in functions:
+            assert "pair_matrix_to_four_tensor" not in called_names(SRC / name, function)
 
 
 #: optional parameters (defaults) over the package's functions

@@ -52,7 +52,7 @@ def test_stacked_draws_are_the_per_trial_samplers_samples(n):
     count = 3
     rng = np.random.default_rng([5, n])
     mR, mk, a, mA, mC, v, mD, subset, mw = suite._identity_draws(rng, n, count)
-    weyl_mats, weyl_fours = suite._weyl_samples(rng, n, 2)
+    weyl_mats = suite._weyl_samples(rng, n, 2)
     ref = np.random.default_rng([5, n])
     for b in range(count):
         assert np.array_equal(curvature_from_uniform(n, mR)[b], random_curvature(ref, n).mat)
@@ -69,7 +69,7 @@ def test_stacked_draws_are_the_per_trial_samplers_samples(n):
         assert np.array_equal(pure_from_uniform(mw)[b], pure_from_uniform(uniform(ref, n, n)))
     for b in range(2):
         W = random_weyl(ref, n)
-        assert np.array_equal(weyl_mats[b], W.mat) and np.array_equal(weyl_fours[b], W.four())
+        assert np.array_equal(weyl_mats[b], W.mat)
     assert rng.uniform() == ref.uniform()
 
 

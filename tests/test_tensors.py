@@ -356,29 +356,28 @@ def test_traceless_guard_symmetrizes_and_rejects_traces():
 
 
 def test_bianchi_guard_is_per_tensor_and_rejects_non_finite():
-    """The guard scales each tensor of a stack by its own pair matrix, refuses a
+    """The guard scales each operator of a stack by its own pair matrix, refuses a
     Bianchi defect in any one of them, and never passes a NaN or inf."""
     W = random_weyl(rng, 4)
-    four, mat = np.stack([W.four(), 1e6 * W.four()]), np.stack([W.mat, 1e6 * W.mat])
-    check_bianchi(four, mat, 1e-10)
+    check_bianchi(4, np.stack([W.mat, 1e6 * W.mat]), 1e-10)
     vol = np.zeros((6, 6))
     vol[0, 5] = vol[5, 0] = vol[2, 3] = vol[3, 2] = 1.0
     vol[1, 4] = vol[4, 1] = -1.0  # the volume form: b(vol) = vol
     bad = W.mat + 1e-6 * vol
     with pytest.raises(ValueError, match="first Bianchi identity violated"):
-        check_bianchi(pair_matrix_to_four_tensor(4, bad), bad, 1e-10)
-    check_bianchi(pair_matrix_to_four_tensor(4, bad), bad, 1e-5)
-    # 1e-6 beside entries of 1e6 passes for that tensor, not beside W's own entries
+        check_bianchi(4, bad, 1e-10)
+    check_bianchi(4, bad, 1e-5)
+    # 1e-6 beside entries of 1e6 passes for that operator, not beside W's own entries
     big = np.stack([1e6 * W.mat + 1e-6 * vol, bad])
-    check_bianchi(pair_matrix_to_four_tensor(4, big[:1]), big[:1], 1e-10)
+    check_bianchi(4, big[:1], 1e-10)
     with pytest.raises(ValueError, match="first Bianchi identity violated"):
-        check_bianchi(pair_matrix_to_four_tensor(4, big), big, 1e-10)
+        check_bianchi(4, big, 1e-10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for value in (np.nan, np.inf):
             odd = W.mat.copy()
             odd[0, 5] = odd[5, 0] = value
             with pytest.raises(ValueError, match="first Bianchi identity violated"):
-                check_bianchi(pair_matrix_to_four_tensor(4, odd), odd, 1e-10)
+                check_bianchi(4, odd, 1e-10)
             with pytest.raises(ValueError, match="first Bianchi identity violated"):
-                check_bianchi(pair_matrix_to_four_tensor(4, W.mat), odd, 1e-10)
+                check_bianchi(4, np.stack([W.mat, odd]), 1e-10)
