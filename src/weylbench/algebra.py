@@ -220,11 +220,11 @@ def decomposition(split: WeylSplit, tol: float = EPS_ALG) -> CurvatureDecomposit
     """Typed container of one frame split; ``tol`` bounds the Weyl part's Bianchi defect."""
     n = split.E.shape[-1]
 
-    def op(four: np.ndarray, tol: float = EPS_ALG) -> CurvatureTensor:
+    def op(four: np.ndarray, tol: float) -> CurvatureTensor:
         return CurvatureTensor(n, four_tensor_to_pair_matrix(n, four), tol=tol)
 
-    return CurvatureDecomposition(weyl=op(split.W, tol), e_part=op(split.e_part),
-                                  s_part=op(split.s_part), E=split.E, S=float(split.S))
+    return CurvatureDecomposition(weyl=op(split.W, tol), e_part=op(split.e_part, EPS_ALG),
+                                  s_part=op(split.s_part, EPS_ALG), E=split.E, S=float(split.S))
 
 
 def dot_product(R: Operator2Form, S: Operator2Form) -> Operator2Form:

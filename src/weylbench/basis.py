@@ -1,35 +1,18 @@
 """Index bookkeeping for the 2-form and 3-form bases on R^n.
 
 Two-forms are enumerated as lexicographic index pairs (i, j) with i < j,
-three-forms as lexicographic triples (i, j, k) with i < j < k.  Each basis
-carries position and sign lookup tables so that fully antisymmetric index
-access reconstructs the component for any index order.
+three-forms as lexicographic triples (i, j, k) with i < j < k.  The pair basis
+carries position and sign lookup tables so that antisymmetric index access
+reconstructs a component for either index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass(frozen=True)
@@ -54,8 +37,6 @@ class TripleBasis:
 
     n: int
     triples: tuple[tuple[int, int, int], ...]
-    pos: np.ndarray   # (n, n, n) triple -> basis position, -1 if degenerate
-    sign: np.ndarray  # (n, n, n) permutation sign, 0 if degenerate
 
     @property
     def size(self) -> int:
@@ -83,17 +64,7 @@ def pair_basis(n: int) -> PairBasis:
 def triple_basis(n: int) -> TripleBasis:
     if n < 3:
         raise ValueError(f"need dimension >= 3, got {n}")
-    triples = tuple((i, j, k) for i, j, k in combinations(range(n), 3))
-    pos = np.full((n, n, n), -1, dtype=np.int64)
-    sign = np.zeros((n, n, n))
-    for a, t in enumerate(triples):
-        for perm in permutations(range(3)):
-            idx = tuple(t[p] for p in perm)
-            pos[idx] = a
-            sign[idx] = _perm_sign(perm)
-    pos.flags.writeable = False
-    sign.flags.writeable = False
-    return TripleBasis(n, triples, pos, sign)
+    return TripleBasis(n, tuple(combinations(range(n), 3)))
 
 
 @lru_cache(maxsize=None)

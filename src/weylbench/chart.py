@@ -34,6 +34,7 @@ from .algebra import (
     second_bianchi,
     weyl_split,
 )
+from .serialization import json_list, json_matrix, json_number
 from .tensors import (
     CovDerivCurvature,
     CurvatureDecomposition,
@@ -60,9 +61,6 @@ class ChartMetric:
     fn: Callable[[np.ndarray], np.ndarray]
     harmonic_weyl: bool = False
     default_grid: "GridSpec | None" = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.table(np.asarray(x, dtype=float)[None])[0]
 
     def table(self, xs: np.ndarray) -> np.ndarray:
         """The metric at each row x of xs, one ``fn(x)`` call per row, stacked and checked."""
@@ -100,19 +98,19 @@ class GridSpec:
         return self.center + self.h * np.asarray(k, dtype=float)
 
 
-def _sphere_stereo(n: int, radius: float) -> Callable[[np.ndarray], np.ndarray]:
-    eye, scale = np.eye(n), 4.0 * radius * radius
+def _stereo_spheres(*factors: tuple[int, float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Product of round spheres, one (dimension, radius) factor each, in stereographic
+    coordinates: factor f contributes 4 r^2 / (1 + |u|^2)^2 times its diagonal block."""
+    dims = [d for d, _ in factors]
+    masks = np.repeat(np.eye(len(dims)), dims, axis=1)  # row f: 1 on factor f's coordinates
+    blocks = [(slice(end - d, end), 4.0 * r * r, np.diag(mask))
+              for (d, r), end, mask in zip(factors, np.cumsum(dims), masks)]
     def fn(x: np.ndarray) -> np.ndarray:
-        return scale / (1.0 + float(x @ x)) ** 2 * eye
-    return fn
-
-
-def _product_spheres(p: int, q: int, r1: float, r2: float) -> Callable[[np.ndarray], np.ndarray]:
-    eye, s1, s2 = np.eye(p + q), 4.0 * r1 * r1, 4.0 * r2 * r2
-    def fn(x: np.ndarray) -> np.ndarray:
-        u, v = x[:p], x[p:]
-        conf = np.array([s1 / (1.0 + float(u @ u)) ** 2] * p + [s2 / (1.0 + float(v @ v)) ** 2] * q)
-        return conf[:, None] * eye
+        g = 0.0  # g + c * block leaves the bits of c in that block and zeros elsewhere
+        for cut, scale, block in blocks:
+            u = x[cut]
+            g = g + scale / (1.0 + float(u @ u)) ** 2 * block
+        return g
     return fn
 
 
@@ -150,10 +148,10 @@ def preset_metric(name: str) -> ChartMetric:
         return ChartMetric(name, n, lambda x: np.eye(n), harmonic_weyl=True)
     if kind == "sphere-stereo" and len(bits) in (2, 3):
         n = int(bits[1])
-        return ChartMetric(name, n, _sphere_stereo(n, radius(2)), harmonic_weyl=True)
+        return ChartMetric(name, n, _stereo_spheres((n, radius(2))), harmonic_weyl=True)
     if kind == "product-spheres" and len(bits) in (3, 4, 5):
         p, q = int(bits[1]), int(bits[2])
-        return ChartMetric(name, p + q, _product_spheres(p, q, radius(3), radius(4)),
+        return ChartMetric(name, p + q, _stereo_spheres((p, radius(3)), (q, radius(4))),
                            harmonic_weyl=True)
     if kind == "perturbed" and len(bits) in (2, 3):
         n = int(bits[1])
@@ -177,20 +175,20 @@ def grid_file_metric(path: str) -> ChartMetric:
         raise ValueError(f"{path} is an old-format grid file (explicit points); "
                          "write it again with dump_grid_file")
     spec = data["grid"]
-    n = check_dimension(_json_number(data["n"], int, "n"))
-    center = [_json_number(c, float, "grid.center entry")
-              for c in _json_list(spec["center"], "grid.center")]
+    n = check_dimension(json_number(data["n"], int, "grid file n"))
+    center = [json_number(c, float, "grid file grid.center entry")
+              for c in json_list(spec["center"], "grid file grid.center")]
     if len(center) != n:
         raise ValueError(f"grid file grid.center has {len(center)} entries, expected n = {n}")
-    grid = GridSpec(center=center, h=_json_number(spec["h"], float, "grid.h"),
-                    order=_json_number(spec["order"], int, "grid.order"))
+    grid = GridSpec(center=center, h=json_number(spec["h"], float, "grid file grid.h"),
+                    order=json_number(spec["order"], int, "grid file grid.order"))
     table: dict[tuple, np.ndarray] = {}
-    for k, mat in zip(_json_list(data["offsets"], "offsets"),
-                      _json_list(data["matrices"], "matrices"), strict=True):
+    for k, mat in zip(json_list(data["offsets"], "grid file offsets"),
+                      json_list(data["matrices"], "grid file matrices"), strict=True):
         if (not (isinstance(k, list) and len(k) == n and all(type(c) is int for c in k))
                 or tuple(k) in table):
             raise ValueError(f"grid file offset {k!r} is not a new length-{n} integer vector")
-        table[tuple(k)] = check_symmetric(_json_matrix(mat), "grid file matrix")
+        table[tuple(k)] = check_symmetric(json_matrix(mat, "grid file matrix"), "grid file matrix")
 
     def fn(x: np.ndarray) -> np.ndarray:
         k = np.rint((x - grid.center) / grid.h)
@@ -205,29 +203,6 @@ def grid_file_metric(path: str) -> ChartMetric:
     return ChartMetric(name=f"grid-file:{path}", n=n, fn=fn,
                        harmonic_weyl=bool(data.get("harmonic_weyl", False)),
                        default_grid=grid)
-
-
-def _json_number(value, kind: type, what: str):
-    """A JSON number as ``kind``; null, booleans, strings and containers are refused,
-    and so is a non-integer where an integer is expected."""
-    allowed = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        expected = "an integer" if kind is int else "a number"
-        raise ValueError(f"grid file {what} must be {expected}, got {json.dumps(value)}")
-    return kind(value)
-
-
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"grid file {what} must be a list, got {json.dumps(value)}")
-    return value
-
-
-def _json_matrix(value) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"grid file matrix is not numeric ({exc})") from None
 
 
 def dump_grid_file(metric: ChartMetric, grid: GridSpec, path: str,
@@ -277,7 +252,7 @@ class _Lattice:
     R there and, with the Ricci identity, at its neighbours; Gamma where R is, g where
     Gamma is), each set a prefix of the rows: row r is offset ``keys[r]``, and ``near[r,
     j, m]`` the row of ``keys[r]`` moved ``steps[j]`` along axis m.  Tables: ``g``,
-    ``gamma``, ``decomp`` = (R, Rc, S, E, W) in coordinates (R kept on the center's
+    ``gamma``, ``decomp`` = (R, Rc, S, W) in coordinates (R kept on the center's
     stencil, W on the w2 rows: all that is read) and ``w2``.  The tables live for one
     assembly; the offsets depend only on (n, order, with_ricci_identity) and are numbered
     once per shape (``_offsets``), so every assembly of a shape shares them.
@@ -294,7 +269,7 @@ class _Lattice:
             metric.n, grid.order, with_ricci_identity)
         self.g = metric.table(grid.point(self.keys))
         self.gamma = self._tabulate(christoffel, 3, gamma)[0]
-        self.decomp = self._tabulate(_decomp_coords, 4, around, *[decomp] * 3, w2)
+        self.decomp = self._tabulate(_decomp_coords, 4, around, decomp, decomp, w2)
         self.w2 = self._tabulate(_w_norm_sq_at, 4, w2)[0]
 
     def _tabulate(self, stage, rank: int, *keep: int) -> tuple:
@@ -350,14 +325,14 @@ def curvature_tensor_at(lattice: _Lattice, rows) -> np.ndarray:
 
 
 def _decomp_coords(lattice: _Lattice, rows):
-    """R, Rc, S, E, W in coordinates at the given rows."""
+    """R, Rc, S, W in coordinates at the given rows."""
     R = curvature_tensor_at(lattice, rows)
     split = weyl_split(R, lattice.g[rows])
-    return R, split.Rc, split.S, split.E, split.W
+    return R, split.Rc, split.S, split.W
 
 
 def _w_norm_sq_at(lattice: _Lattice, rows) -> np.ndarray:
-    W, gi = lattice.decomp[4][rows], np.linalg.inv(lattice.g[rows])
+    W, gi = lattice.decomp[3][rows], np.linalg.inv(lattice.g[rows])
     return np.array([0.25 * float(np.vdot(c, w)) for c, w in zip(congruence_four(W, gi), W)])
 
 
@@ -400,7 +375,7 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
     gi0 = np.linalg.inv(lattice.g[0])
     F = np.linalg.inv(np.linalg.cholesky(lattice.g[0])).T  # columns: frame vectors; F^T g0 F = Id
 
-    R, Rc, S, _, W = lattice.decomp  # in coordinates
+    R, Rc, S, W = lattice.decomp  # in coordinates
     nR, nW, nRc = (lattice.nabla(T, c)[0] for T in (R, W, Rc))
     vS = F.T @ lattice.grad(S, c)[0]
     def to_frame(T: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from .chart import GridSpec, curvature_field, grid_file_metric, identity_residua
 from .dim4 import berger_normal_form, det_identities, split_self_dual
 from .models import model_curvature, package_consistency, parse_model_spec, symmetric_space_identity_report
 from .report import render
-from .serialization import operator_from_dict
+from .serialization import json_matrix, json_number, operator_from_dict
 from .suite import run_identity_suite
 from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, bianchi_residual
 
@@ -200,8 +200,7 @@ def _load_pinch_inputs(args) -> tuple[CurvatureTensor, np.ndarray, float]:
         data = json.load(fh)
     op = operator_from_dict(data["W"])
     W = CurvatureTensor(op.n, op.mat)
-    E = np.asarray(data["E"], dtype=float)
-    return W, E, float(data["S"])
+    return W, json_matrix(data["E"], "pinch E"), json_number(data["S"], float, "pinch S")
 
 
 def cmd_pinch(args, tols) -> int:

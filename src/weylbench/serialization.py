@@ -1,4 +1,4 @@
-"""JSON interchange format for operators on 2-forms.
+"""JSON interchange format for operators on 2-forms, and the readers of JSON numbers.
 
 Two variants are accepted:
 
@@ -7,11 +7,13 @@ Two variants are accepted:
 
 Sparse components are validated on load: entries must be finite and consistent
 with the pair symmetry T_ijkl = T_klij and the antisymmetries in (i, j) and
-(k, l).
+(k, l).  Numbers must be JSON numbers: strings, booleans and null are refused,
+and so is a fractional dimension.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 import numpy as np
@@ -20,16 +22,42 @@ from .basis import pair_basis
 from .tensors import EPS_ALG, Operator2Form, check_symmetric, within_tol
 
 
+def json_number(value, kind: type, what: str):
+    """A JSON number as ``kind``; null, booleans, strings and containers are refused,
+    and so is a non-integer where an integer is expected."""
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} must be {expected}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {json.dumps(value)}")
+    return value
+
+
+def json_matrix(value, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; every leaf is checked in one pass."""
+    leaves = np.array(value, dtype=object)
+    wrong = {t for t in set(map(type, leaves.flat)) if t is bool or not issubclass(t, (int, float))}
+    if wrong:
+        bad = next(x for x in leaves.flat if type(x) in wrong)
+        raise ValueError(f"{what} entries must be numbers, got {json.dumps(bad)}")
+    return leaves.astype(float)
+
+
 def operator_to_dict(op: Operator2Form) -> dict[str, Any]:
     return {"n": op.n, "basis": "lex-pairs", "matrix": op.mat.tolist()}
 
 
 def _from_dense(data: dict, tol: float) -> Operator2Form:
-    n = int(data["n"])
+    n = json_number(data["n"], int, "operator n")
     basis = data.get("basis", "lex-pairs")
     if basis != "lex-pairs":
         raise ValueError(f"unsupported basis {basis!r}, expected 'lex-pairs'")
-    mat = np.asarray(data["matrix"], dtype=float)
+    mat = json_matrix(data["matrix"], "operator matrix")
     N = pair_basis(n).size
     if mat.shape != (N, N):
         raise ValueError(f"matrix shape {mat.shape} does not match n={n} (need {N}x{N})")
@@ -37,37 +65,30 @@ def _from_dense(data: dict, tol: float) -> Operator2Form:
 
 
 def _from_sparse(data: dict, tol: float) -> Operator2Form:
-    n = int(data["n"])
-    four = np.full((n, n, n, n), np.nan)
-
-    def put(i: int, j: int, k: int, l: int, v: float, where: str) -> None:
-        cur = four[i, j, k, l]
-        if not np.isnan(cur) and not within_tol(cur - v, v, tol):
-            raise ValueError(f"symmetry violated at component ({i},{j},{k},{l}) via {where}")
-        four[i, j, k, l] = v
-
+    """Each component's signed value goes to its pair entry and the transposed one.  The
+    eight images of a key under the symmetries are those two entries, so a key agrees
+    with earlier ones exactly when its value agrees with the entry they left."""
+    n = json_number(data["n"], int, "operator n")
+    pb = pair_basis(n)
+    mat = np.full((pb.size, pb.size), np.nan)
     for key, value in data["components"].items():
         idx = tuple(int(t) for t in key.split(","))
         if len(idx) != 4 or any(t < 0 or t >= n for t in idx):
             raise ValueError(f"bad component key {key!r}")
         i, j, k, l = idx
-        v = float(value)
+        v = json_number(value, float, f"component {key!r}")
         if not np.isfinite(v):
             raise ValueError(f"non-finite component {key!r}")
         if i == j or k == l:
             if abs(v) > tol:
                 raise ValueError(f"antisymmetry violated: nonzero component {key!r}")
             continue
-        put(i, j, k, l, v, "identity")
-        put(j, i, k, l, -v, "antisymmetry in (i, j)")
-        put(i, j, l, k, -v, "antisymmetry in (k, l)")
-        put(j, i, l, k, v, "double antisymmetry")
-        put(k, l, i, j, v, "pair symmetry")
-        put(l, k, i, j, -v, "pair symmetry + antisymmetry")
-        put(k, l, j, i, -v, "pair symmetry + antisymmetry")
-        put(l, k, j, i, v, "pair symmetry + double antisymmetry")
-    four = np.nan_to_num(four, nan=0.0)
-    return Operator2Form.from_four_tensor(four, tol=tol)
+        a, b, v = pb.pos[i, j], pb.pos[k, l], pb.sign[i, j] * pb.sign[k, l] * v
+        cur = mat[a, b]
+        if not np.isnan(cur) and not within_tol(cur - v, v, tol):
+            raise ValueError(f"symmetry violated at component ({i},{j},{k},{l})")
+        mat[a, b] = mat[b, a] = v
+    return Operator2Form(n, np.nan_to_num(mat, nan=0.0))
 
 
 def operator_from_dict(data: dict, tol: float = EPS_ALG) -> Operator2Form:

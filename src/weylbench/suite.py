@@ -6,11 +6,12 @@ u-tensor trials.  A trial's draws are the samplers' own (``sampling.uniform``
 in the order the per-trial samplers call it), so the sample stream is the one
 those samplers give, bit for bit.
 
-Trials run in chunks of ``CHUNK`` (2; its comment says why).  A chunk's
-draws are stacked and mapped to samples by the ``*_from_uniform`` maps; each
-identity family is then evaluated once on the (B, ...) stacks with the raw
-kernels of ``algebra`` (sharps straight into pair matrices, the u-tensor in
-slabs) and its worst value folded into the report as a float.  The typed
+Trials run in chunks of ``CHUNK`` (2; its comment says why).  A chunk's draws
+are stacked and mapped to samples by the ``*_from_uniform`` maps (its Weyl
+samples are one ``random_weyl_batch`` draw, the numbers of per-trial draws);
+each identity family is then evaluated once on the (B, ...) stacks with the
+raw kernels of ``algebra`` (sharps straight into pair matrices, the u-tensor
+in slabs) and its worst value folded into the report as a float.  The typed
 containers' input checks run once per chunk: symmetry and first Bianchi of R,
 then of W, the e/s parts and the metric products as one (6, B, ...) stack, and
 trace-free W before the sectional split and the u-tensor (``check_small`` and
@@ -54,9 +55,9 @@ from .sampling import (
     curvature_derivative_from_uniform,
     curvature_from_uniform,
     pure_from_uniform,
+    random_weyl_batch,
     two_form_one_form_from_uniform,
     uniform,
-    weyl_from_uniform,
 )
 from .tensors import (
     EPS_ALG,
@@ -90,10 +91,10 @@ class SuiteReport:
     #: residual key -> (n, trial index) of its worst value within its family's trials
     worst: dict[str, tuple[int, int]] = field(default_factory=dict)
 
-    def record(self, name: str, values, where: tuple[int, int] | None = None) -> None:
+    def record(self, name: str, values, where: tuple[int, int]) -> None:
         """Fold |values| into the worst case of ``name``; a NaN is kept (NaN means fail).
 
-        With ``where = (n, k)``, values[i] came from trial k + i of dimension n.
+        values[i] came from trial k + i of dimension n, where ``where = (n, k)``.
         When the values raise the worst case, the first NaN (else the first
         maximum) among them becomes the key's provenance.
         """
@@ -101,7 +102,7 @@ class SuiteReport:
         i = int(values.argmax())  # the first NaN, else the first maximum
         old, value = self.residuals.get(name, -np.inf), float(values[i])
         new = value if old == old and not value <= old else old  # a NaN on either side stays
-        if where is not None and old == old and new != old:  # raised, and not past a NaN
+        if old == old and new != old:  # raised, and not past a NaN
             self.worst[name] = (where[0], where[1] + i)
         self.residuals[name] = new
 
@@ -273,13 +274,6 @@ def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
     return rc_part, s_part, _rel(max_abs(resid, 1), max_abs(bw, 1))
 
 
-def _weyl_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Pair matrices of ``count`` draws of ``random_weyl``."""
-    N = pair_basis(n).size
-    m = np.stack([uniform(rng, N, N) for _ in range(count)])
-    return _curvature(n, weyl_from_uniform(n, m))
-
-
 def _sharp_cubic_trial(n: int, Wm: np.ndarray) -> np.ndarray:
     """Relative deviation of <W, W#> from 2 <W, W^2>, one per sample of a chunk."""
     square, lhs = cubic_parts(n, Wm)
@@ -305,14 +299,14 @@ def _run_dimension(args: tuple[int, int, int, float]) -> tuple[dict, dict, dict]
         _identity_chunk(rng, n, count, rep, first)
     reduced = max(1, trials // 10) if trials > 0 else 0
     for first, count in _chunks(trials if n <= 5 else reduced):
-        dev = _sharp_cubic_trial(n, _weyl_samples(rng, n, count))
+        dev = _sharp_cubic_trial(n, _curvature(n, random_weyl_batch(rng, n, count)))
         if n <= 5:
             rep.record(f"sharp_cubic_n{n}", dev, (n, first))
         else:
             key = f"sharp_cubic_deviation_n{n}"
             rep.stats[key] = running_max(rep.stats.get(key, 0.0), dev)
     for first, count in _chunks(reduced):
-        u_norm, u_cubic = _u_tensor_trial(n, _weyl_samples(rng, n, count))
+        u_norm, u_cubic = _u_tensor_trial(n, _curvature(n, random_weyl_batch(rng, n, count)))
         rep.record(f"u_norm_n{n}", u_norm, (n, first))
         rep.record(f"u_cubic_n{n}", u_cubic, (n, first))
     return rep.residuals, rep.stats, rep.worst
@@ -343,9 +337,8 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
             results = pool.map(_run_dimension, jobs)
     else:
         results = [_run_dimension(job) for job in jobs]
-    for residuals, stats, worst in results:
-        for k, v in residuals.items():
-            rep.record(k, v, worst.get(k))
-        for k, v in stats.items():
-            rep.stats[k] = running_max(rep.stats.get(k, 0.0), v)
+    for residuals, stats, worst in results:  # keys end in _n{n}: a repeated n repeats them
+        rep.residuals.update(residuals)
+        rep.stats.update(stats)
+        rep.worst.update(worst)
     return rep

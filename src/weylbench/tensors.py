@@ -128,7 +128,7 @@ class Operator2Form:
     relaxed form since R.S is self-adjoint only when the factors commute.
     """
 
-    __slots__ = ("n", "mat", "_four")
+    __slots__ = ("n", "mat")
 
     def __init__(self, n: int, mat: np.ndarray, require_self_adjoint: bool = True):
         self.n = check_dimension(n)
@@ -139,7 +139,6 @@ class Operator2Form:
         if require_self_adjoint:
             mat = check_symmetric(mat, "pair-basis matrix")
         self.mat = _frozen(mat)
-        self._four = None
 
     @classmethod
     def from_four_tensor(cls, four: np.ndarray, require_self_adjoint: bool = True,
@@ -160,10 +159,8 @@ class Operator2Form:
         return self.mat.shape[0]
 
     def four(self) -> np.ndarray:
-        """Full (n, n, n, n) tensor; cached after the first call."""
-        if self._four is None:
-            self._four = _frozen(pair_matrix_to_four_tensor(self.n, self.mat))
-        return self._four
+        """Full (n, n, n, n) tensor, expanded afresh on each call."""
+        return pair_matrix_to_four_tensor(self.n, self.mat)
 
     def component(self, i: int, j: int, k: int, l: int) -> float:
         pb = pair_basis(self.n)
@@ -174,9 +171,6 @@ class Operator2Form:
 
     def is_self_adjoint(self) -> bool:
         return bool(within_tol(self.mat - self.mat.T, self.mat, EPS_ALG))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
 
     def __add__(self, other: "Operator2Form") -> "Operator2Form":
         self._check_same(other)

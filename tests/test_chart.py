@@ -214,8 +214,9 @@ def test_one_indefinite_point_among_many_is_named():
     with pytest.raises(ValueError, match=re.escape(f"positive definite at {points[-1].tolist()}")):
         m.table(points)
     with pytest.raises(ValueError, match=re.escape(f"positive definite at {points[-1].tolist()}")):
-        m(points[-1])
-    assert np.array_equal(m.table(points[:-1]), np.stack([m(x) for x in points[:-1]]))
+        m.table(points[-1:])
+    assert np.array_equal(m.table(points[:-1]), np.stack([m.table(x[None])[0]
+                                                          for x in points[:-1]]))
 
 
 def test_assembly_names_its_one_indefinite_stencil_point():
@@ -232,7 +233,7 @@ def test_assembly_names_its_one_indefinite_stencil_point():
 def test_wrong_shape_metric_is_refused(value):
     m = ChartMetric("bad-shape", 4, lambda x: value)
     with pytest.raises(ValueError, match="metric evaluator returned shape"):
-        m(np.zeros(4))
+        m.table(np.zeros((1, 4)))
     with pytest.raises(ValueError, match="metric evaluator returned shape"):
         curvature_field(m, GridSpec(center=CENTER4, h=1e-3))
 
@@ -323,7 +324,7 @@ def test_nan_point_is_refused_by_every_preset(name, axis):
     with pytest.raises(ValueError, match=re.escape(f"not positive definite at {x.tolist()}")):
         m.table(np.stack([np.zeros(m.n), x]))
     with pytest.raises(ValueError, match="not positive definite"):
-        m(x)
+        m.table(x[None])
 
 
 # (g, Gamma, decomposition, |W|^2_g) rows of one assembly, equal to the calls of
@@ -372,7 +373,8 @@ def test_stage_rows_do_not_depend_on_the_batch(name, order):
     n = int(name.split(":")[1])
     grid = GridSpec(center=0.1 * (1.0 + np.arange(n)) / n, h=1e-3, order=order)
     lattice = _Lattice(preset_metric(name), grid, with_ricci_identity=True)
-    assert np.array_equal(lattice.g, np.stack([lattice.metric(x) for x in grid.point(lattice.keys)]))
+    assert np.array_equal(lattice.g, np.stack([lattice.metric.table(x[None])[0]
+                                               for x in grid.point(lattice.keys)]))
     stages = [(christoffel, len(lattice.gamma), (lattice.gamma,)),
               (_decomp_coords, len(lattice.decomp[1]), lattice.decomp),
               (_w_norm_sq_at, len(lattice.w2), (lattice.w2,))]
@@ -437,7 +439,7 @@ def test_nan_metric_is_not_positive_definite():
     bad[1, 2] = bad[2, 1] = np.nan  # eigvalsh gives NaN eigenvalues here
     m = ChartMetric("nan", 4, lambda x: bad)
     with pytest.raises(ValueError, match="positive definite"):
-        m(np.zeros(4))
+        m.table(np.zeros((1, 4)))
 
 
 @pytest.mark.parametrize("name", ["euclidean:4:7", "sphere-stereo:4:-1", "sphere-stereo:4:0",

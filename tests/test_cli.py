@@ -376,6 +376,52 @@ def test_non_number_grid_field_is_usage_error(tmp_path, capsys, edit):
     assert captured.out == "" and captured.err.startswith("error: grid file ")
 
 
+def _as_sparse(data):
+    """The dense operator as sparse components, the first value given as a string."""
+    pairs = [f"{i},{j}" for i in range(data["n"]) for j in range(i + 1, data["n"])]
+    comps = {f"{p},{q}": v for p, row in zip(pairs, data.pop("matrix")) for q, v in zip(pairs, row)}
+    first = next(iter(comps))
+    comps[first] = str(comps[first])
+    data["components"] = comps
+
+
+def _e_as_strings(data):
+    data["E"] = [[str(v) for v in row] for row in data["E"]]
+
+
+def _first_entry_as_string(data):
+    data["matrices"][0][0][0] = str(data["matrices"][0][0][0])
+
+
+def _zero_entry_as_false(data):
+    assert data["matrices"][0][0][1] == 0.0
+    data["matrices"][0][0][1] = False
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("dim4", _set("n", 4.5)), ("dim4", _set("n", "4")), ("dim4", _as_sparse),
+    ("pinch", _set("S", True)), ("pinch", _set("S", "20")), ("pinch", _e_as_strings),
+    ("pinch", _set("W", "n", 5.0)), ("pinch", _set("W", "n", 5.9)),
+    ("chart", _first_entry_as_string), ("chart", _zero_entry_as_false),
+], ids=["dim4-n-4.5", "dim4-n-string", "dim4-sparse-value-string", "pinch-S-true",
+        "pinch-S-string", "pinch-E-strings", "pinch-W.n-5.0", "pinch-W.n-5.9",
+        "grid-matrix-string", "grid-matrix-false"])
+def test_json_number_of_another_type_is_usage_error(tmp_path, capsys, kind, edit):
+    """Strings, booleans and fractional dimensions are refused where the JSON inputs
+    need numbers, though each edit keeps the value a conversion would give."""
+    if kind == "chart":
+        argv = ["chart", str(_grid_file(tmp_path, edit))]
+    else:
+        data = _weyl_dict(4) if kind == "dim4" else _pinch_payload()
+        edit(data)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = ["dim4", str(path)] if kind == "dim4" else ["pinch", "norm", "--input", str(path)]
+    assert run_cli(*argv, "--format", "json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("flags", [("--h", "2e-3"), ("--halving",), ("--order", "4"),
                                    ("--center", "0.07,-0.12,0.1,0.05"), ("--ricci-identity",)],
                          ids=["other-step", "halving", "other-order", "other-center",

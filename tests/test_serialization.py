@@ -112,3 +112,37 @@ def test_dense_rejects_non_finite_matrix(value):
     data["matrix"][0][5] = data["matrix"][5][0] = value
     with pytest.raises(ValueError):
         operator_from_dict(json.loads(json.dumps(data)))
+
+
+def _every_image(W, seed):
+    """Sparse keys of every nonzero entry of W's four-index expansion, in shuffled order."""
+    four = W.four()
+    keys = [",".join(map(str, idx)) for idx in zip(*np.nonzero(four))]
+    np.random.default_rng(seed).shuffle(keys)
+    return {key: float(four[tuple(map(int, key.split(",")))]) for key in keys}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sparse_images_load_to_the_dense_matrix_exactly(n):
+    W = random_weyl(np.random.default_rng(n), n)
+    comps = _every_image(W, n)
+    assert len(comps) == n ** 2 * (n - 1) ** 2
+    assert np.array_equal(operator_from_dict({"n": n, "components": comps}).mat, W.mat)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sparse_refuses_any_one_image_changed_beyond_tol(n):
+    comps = _every_image(random_weyl(np.random.default_rng(10 + n), n), n)
+    for key in comps:
+        changed = dict(comps)
+        changed[key] += 2e-10 * max(1.0, abs(comps[key]))
+        with pytest.raises(ValueError, match="symmetry violated"):
+            operator_from_dict({"n": n, "components": changed})
+
+
+def test_sparse_degenerate_key_within_tol_loads_as_zero():
+    assert not operator_from_dict({"n": 4, "components": {"0,0,1,2": 1e-12,
+                                                          "1,2,3,3": -5e-11}}).mat.any()
+    one = operator_from_dict({"n": 4, "components": {"0,1,2,3": 0.5}})
+    both = operator_from_dict({"n": 4, "components": {"2,2,0,1": 1e-11, "0,1,2,3": 0.5}})
+    assert np.array_equal(both.mat, one.mat)

@@ -27,7 +27,10 @@ the trace-free and Bianchi guards run without the n^4 round trip.
 ``pair_matrix_to_four_tensor``, and no kernel that reads pair matrices
 (``basis.bianchi_image``, ``pair_ricci``, ``algebra.weyl_matrix``, ``cubic_parts``,
 ``sharp_matrix``, ``check_trace_free``, ``tensors.check_bianchi``) calls
-``pair_matrix_to_four_tensor``.
+``pair_matrix_to_four_tensor``.  The sparse operator loader writes pair entries
+directly: ``serialization.py`` calls neither ``from_four_tensor`` nor
+``pair_matrix_to_four_tensor``.  The suite takes its Weyl samples from
+``sampling.random_weyl_batch``, so it calls no ``weyl_from_uniform`` of its own.
 
 A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
 so every metric evaluation of the package goes through one call site and its
@@ -184,10 +187,16 @@ def test_pair_native_projections_skip_the_four_tensor_round_trip():
     for name, functions in PAIR_NATIVE_KERNELS.items():
         for function in functions:
             assert "pair_matrix_to_four_tensor" not in called_names(SRC / name, function)
+    assert not called_names(SRC / "serialization.py") & {"from_four_tensor",
+                                                         "pair_matrix_to_four_tensor"}
+
+
+def test_suite_draws_weyl_samples_only_through_the_sampler():
+    assert "weyl_from_uniform" not in called_names(SRC / "suite.py")
 
 
 #: optional parameters (defaults) over the package's functions
-MAX_OPTIONAL_PARAMETERS = 36
+MAX_OPTIONAL_PARAMETERS = 34
 
 
 def optional_parameters(path: Path) -> list[str]:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylbench import suite
+from weylbench import sampling, suite
 from weylbench.basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor
 from weylbench.sampling import (
     curvature_derivative_from_uniform,
@@ -16,6 +16,7 @@ from weylbench.sampling import (
     random_curvature_derivative_full,
     random_symmetric,
     random_weyl,
+    random_weyl_batch,
     symmetrized,
     two_form_one_form_from_uniform,
     uniform,
@@ -52,7 +53,7 @@ def test_stacked_draws_are_the_per_trial_samplers_samples(n):
     count = 3
     rng = np.random.default_rng([5, n])
     mR, mk, a, mA, mC, v, mD, subset, mw = suite._identity_draws(rng, n, count)
-    weyl_mats = suite._weyl_samples(rng, n, 2)
+    weyl_mats = random_weyl_batch(rng, n, 2)
     ref = np.random.default_rng([5, n])
     for b in range(count):
         assert np.array_equal(curvature_from_uniform(n, mR)[b], random_curvature(ref, n).mat)
@@ -117,6 +118,12 @@ def test_residuals_keep_their_golden_bits():
         f"{family}_n{n}" for family in MOVED_FAMILIES for n in DIMENSIONS)
 
 
+def test_a_repeated_dimension_merges_to_the_single_report():
+    once = run_identity_suite(dimensions=(4,), trials=3)
+    twice = run_identity_suite(dimensions=(4, 4), trials=3)
+    assert (twice.residuals, twice.stats, twice.worst) == (once.residuals, once.stats, once.worst)
+
+
 def test_worker_count_keeps_the_provenance():
     serial = run_identity_suite(dimensions=(4, 6), trials=3, seed=1)
     parallel = run_identity_suite(dimensions=(4, 6), trials=3, seed=1, workers=2)
@@ -143,6 +150,6 @@ def test_guard_raises_on_a_u_tensor_sample_that_is_not_trace_free(monkeypatch):
         four = pair_matrix_to_four_tensor(n, symmetrized(m))
         return four_tensor_to_pair_matrix(n, four - cyclic_average(four))
 
-    monkeypatch.setattr(suite, "weyl_from_uniform", curvature_pairs)
+    monkeypatch.setattr(sampling, "weyl_from_uniform", curvature_pairs)
     with pytest.raises(ValueError, match="u-contraction requires a trace-free"):
         run_identity_suite(dimensions=(6,), trials=2)

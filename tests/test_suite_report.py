@@ -14,28 +14,28 @@ def report():
 
 def test_record_keeps_the_maximum():
     rep = report()
-    for v in (1e-13, -3e-12, 2e-12):
-        rep.record("x", v)
+    for k, v in enumerate((1e-13, -3e-12, 2e-12)):
+        rep.record("x", v, (4, k))
     assert rep.residuals["x"] == 3e-12
-    assert type(rep.residuals["x"]) is float
+    assert type(rep.residuals["x"]) is float and rep.worst["x"] == (4, 1)
     assert rep.passed and rep.failures() == {}
 
 
 def test_nan_after_a_value_fails():
     rep = report()
-    rep.record("x", 1e-12)
-    rep.record("x", math.nan)
-    rep.record("x", 1e-13)
-    assert math.isnan(rep.residuals["x"])
+    rep.record("x", 1e-12, (4, 0))
+    rep.record("x", math.nan, (4, 1))
+    rep.record("x", 1e-13, (4, 2))
+    assert math.isnan(rep.residuals["x"]) and rep.worst["x"] == (4, 1)
     assert not rep.passed
     assert list(rep.failures()) == ["x"]
 
 
 def test_nan_first_fails():
     rep = report()
-    rep.record("x", math.nan)
-    rep.record("x", 5e-11)
-    rep.record("y", 1e-12)
+    rep.record("x", math.nan, (4, 0))
+    rep.record("x", 5e-11, (4, 1))
+    rep.record("y", 1e-12, (4, 0))
     assert not rep.passed
     assert list(rep.failures()) == ["x"]
 
