@@ -15,8 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import (_cyclic_ricci_positions, _kn_g_positions, _padded, _signed_take,
-                    _take_trailing, bianchi_image, four_tensor_to_pair_matrix, pair_basis,
-                    pair_ricci, pair_slots)
+                    _take_trailing, bianchi_image, pair_basis, pair_ricci, pair_slots)
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -37,14 +36,14 @@ __all__ = [
     "dot_product", "sharp_product", "tri", "circ_prime", "second_bianchi",
     "u_contraction", "quadratic_forms", "pure_cubics", "weyl_sectional_split",
     "QuadraticForms", "PureCubics", "kn_four", "sharp_four", "sharp_matrix", "weyl_split",
-    "WeylSplit", "weyl_matrix", "decomposition", "cubic_parts", "congruence_four",
-    "kn_g_pairing",
+    "WeylSplit", "weyl_parts", "weyl_matrix", "decomposition", "cubic_parts",
+    "congruence_four", "kn_g_matrix", "kn_g_pairing",
 ]
 
 # Raw kernels act on the trailing axes of plain arrays and broadcast over leading batch
 # axes (u_tensor_contractions takes one tensor); the typed functions below wrap them.
-# Weyl-type operators enter as (..., N, N) pair matrices (weyl_matrix, sharp_matrix,
-# cubic_parts, kn_g_pairing, the check_trace_free guard); kn_four, _ricci_trace,
+# Weyl-type operators enter as (..., N, N) pair matrices (weyl_parts, weyl_matrix,
+# sharp_matrix, cubic_parts, kn_g_pairing, the check_trace_free guard); kn_four, _ricci_trace,
 # weyl_split, sharp_four, congruence_four, quadratic_form, circ_prime_full and
 # second_bianchi_full do the four- and five-index work.
 
@@ -139,8 +138,7 @@ def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> CurvatureTensor:
     k = check_symmetric(k, "second factor")
     if h.shape != k.shape:
         raise ValueError(f"dimension mismatch: {h.shape[0]} vs {k.shape[0]}")
-    return CurvatureTensor.from_operator(
-        Operator2Form.from_four_tensor(kn_four(h, k)))
+    return CurvatureTensor.from_four_tensor(kn_four(h, k))
 
 
 def ricci_contraction(T: Operator2Form) -> np.ndarray:
@@ -148,7 +146,7 @@ def ricci_contraction(T: Operator2Form) -> np.ndarray:
     return pair_ricci(T.n, T.mat)
 
 
-def _kn_g_pairs(E: np.ndarray) -> np.ndarray:
+def kn_g_matrix(E: np.ndarray) -> np.ndarray:
     """Pair matrices of kn_four(E, g) for (..., n, n) E and g = I, by kn_four's
     operations: einsum adds each product E_ik g_jl onto a zero output, and
     ``_alt_pairs`` adds the four terms in turn."""
@@ -159,12 +157,15 @@ def _kn_g_pairs(E: np.ndarray) -> np.ndarray:
     return t[..., 0, :, :] + t[..., 1, :, :] - t[..., 2, :, :] - t[..., 3, :, :]
 
 
-@lru_cache(maxsize=None)
-def _kn_identity_pairs(n: int) -> np.ndarray:
-    """Pair matrix of g o g for the identity metric, read-only."""
-    gg = _kn_g_pairs(np.eye(n))
-    gg.flags.writeable = False
-    return gg
+def weyl_parts(n: int, R: np.ndarray, Rc: np.ndarray) -> WeylSplit:
+    """``weyl_split`` of (..., N, N) pair matrices R with Ricci traces Rc in an orthonormal
+    frame, by its operations in its order: W, e_part and s_part are its parts' pair matrices."""
+    S = np.trace(Rc, axis1=-2, axis2=-1)
+    s2 = np.asarray(S)[..., None, None]
+    E = Rc - (s2 / n) * np.eye(n)
+    s_part = s2 / (2 * n * (n - 1)) * (2.0 * np.eye(R.shape[-1]))  # g o g: 2 on the diagonal
+    e_part = kn_g_matrix(E) / (n - 2)
+    return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R - s_part - e_part)
 
 
 def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
@@ -172,18 +173,15 @@ def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
     first-Bianchi projection R = T - b(T) of (..., N, N) pair matrices T.
 
     This is the four-index route (pair_matrix_to_four_tensor(n, T) minus its
-    cyclic_average, then weyl_split(...).W read back with four_tensor_to_pair_matrix)
-    at the pair entries and the Ricci-trace entries R_ipjp alone, by the same
-    operations in the same order (the trace summed over p as ``pair_ricci`` sums it),
-    so the bits are that route's without the n^4 tensors.
+    cyclic_average, then weyl_split(...).W read back with four_tensor_to_pair_matrix):
+    the Ricci trace R_ipjp is summed from the cyclic terms as that route sums it (over p
+    as ``pair_ricci`` sums), and ``weyl_parts`` splits, so the bits are that route's
+    without the n^4 tensors.
     """
     R = mat - bianchi_image(n, mat)
     t = np.moveaxis(_signed_take(_padded(mat), *_cyclic_ricci_positions(n)), -4, 0)
     Rc = np.einsum('...pij->...ij', t[0] - (t[0] + t[1] + t[2]) / 3.0)  # sum_p R_ipjp
-    S = np.trace(Rc, axis1=-2, axis2=-1)
-    s2 = np.asarray(S)[..., None, None]
-    E = Rc - (s2 / n) * np.eye(n)
-    return R - s2 / (2 * n * (n - 1)) * _kn_identity_pairs(n) - _kn_g_pairs(E) / (n - 2)
+    return weyl_parts(n, R, Rc).W
 
 
 def check_trace_free(n: int, mat: np.ndarray, what: str, tol: float = EPS_ALG) -> None:
@@ -213,18 +211,15 @@ def decompose(R: CurvatureTensor) -> CurvatureDecomposition:
     """
     if R.n < 4:
         raise ValueError(f"Weyl decomposition requires dimension >= 4, got {R.n}")
-    return decomposition(weyl_split(R.four()))
+    return decomposition(weyl_parts(R.n, R.mat, pair_ricci(R.n, R.mat)))
 
 
 def decomposition(split: WeylSplit, tol: float = EPS_ALG) -> CurvatureDecomposition:
-    """Typed container of one frame split; ``tol`` bounds the Weyl part's Bianchi defect."""
+    """Typed container of one frame split of pair matrices; ``tol`` bounds W's Bianchi defect."""
     n = split.E.shape[-1]
-
-    def op(four: np.ndarray, tol: float) -> CurvatureTensor:
-        return CurvatureTensor(n, four_tensor_to_pair_matrix(n, four), tol=tol)
-
-    return CurvatureDecomposition(weyl=op(split.W, tol), e_part=op(split.e_part, EPS_ALG),
-                                  s_part=op(split.s_part, EPS_ALG), E=split.E, S=float(split.S))
+    return CurvatureDecomposition(
+        weyl=CurvatureTensor(n, split.W, tol=tol), e_part=CurvatureTensor(n, split.e_part),
+        s_part=CurvatureTensor(n, split.s_part), E=split.E, S=float(split.S))
 
 
 def dot_product(R: Operator2Form, S: Operator2Form) -> Operator2Form:
@@ -306,9 +301,9 @@ def kn_g_pairing(X: np.ndarray, Wm: np.ndarray) -> np.ndarray:
     X and X o g are symmetrized as ``kulkarni_nomizu`` stores them, and
     W^2 = Wm Wm^T as ``dot_product`` forms it, so the value keeps the bits of
     sum(kulkarni_nomizu(X, g).mat * dot_product(W, W).mat) with g the identity
-    (X o g straight into pair matrices by ``_kn_g_pairs``).
+    (X o g straight into pair matrices by ``kn_g_matrix``).
     """
-    Xg = symmetrized(_kn_g_pairs(symmetrized(X)))
+    Xg = symmetrized(kn_g_matrix(symmetrized(X)))
     return frobenius(Xg, Wm @ np.swapaxes(Wm, -1, -2))
 
 

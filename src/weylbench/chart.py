@@ -34,6 +34,7 @@ from .algebra import (
     second_bianchi,
     weyl_split,
 )
+from .basis import four_tensor_to_pair_matrix
 from .serialization import json_list, json_matrix, json_number
 from .tensors import (
     CovDerivCurvature,
@@ -385,7 +386,9 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
     Rf, nRf, nWf, nRcf = map(to_frame, (R[0], nR, nW, nRc))
     R_op = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(Rf), tol=wrap_tol)
     frame_split = weyl_split(Rf)
-    dec = decomposition(frame_split, tol=wrap_tol)
+    W, e_part, s_part = four_tensor_to_pair_matrix(
+        n, np.stack([frame_split.W, frame_split.e_part, frame_split.s_part]))
+    dec = decomposition(frame_split._replace(W=W, e_part=e_part, s_part=s_part), tol=wrap_tol)
 
     nabla_r, nabla_w = CovDerivCurvature.from_full(nRf), CovDerivCurvature.from_full(nWf)
     delta_w = TwoFormOneForm.from_full(np.einsum('mabcm->abc', nWf))

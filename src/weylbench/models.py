@@ -19,7 +19,8 @@ from .algebra import (
     quadratic_forms,
     ricci_contraction,
 )
-from .tensors import CurvatureTensor, Operator2Form, inner
+from .basis import pair_basis
+from .tensors import CurvatureTensor, inner
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,12 @@ class Factor:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.dim < 2:
             raise ValueError("product factors need dimension >= 2")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        try:
+            curvature = 1.0 / self.radius ** 2
+        except (OverflowError, ZeroDivisionError):  # radius^2 overflows or underflows to 0
+            curvature = 0.0
+        if not (self.radius > 0 and 0.0 < curvature < np.inf):
+            raise ValueError(f"radius {self.radius} must be positive with 0 < 1/radius^2 < inf")
 
     @property
     def sectional(self) -> float:
@@ -102,19 +107,6 @@ def parse_model_spec(text: str) -> ModelSpec:
     raise ValueError(f"unknown model kind {bits[0]!r}")
 
 
-def _product_four(factors: tuple[Factor, ...]) -> np.ndarray:
-    n = sum(f.dim for f in factors)
-    four = np.zeros((n, n, n, n))
-    start = 0
-    for f in factors:
-        sl = slice(start, start + f.dim)
-        g = np.zeros((n, n))
-        g[sl, sl] = np.eye(f.dim)
-        four += 0.5 * f.sectional * kn_four(g, g)
-        start += f.dim
-    return four
-
-
 def _fubini_study_four(m: int) -> np.ndarray:
     """Unit Fubini-Study curvature (holomorphic sectional curvature 4)."""
     n = 2 * m
@@ -130,17 +122,19 @@ def model_curvature(spec: ModelSpec) -> CurvaturePackage:
     n = spec.n
     if n < 3:
         raise ValueError(f"total model dimension must be >= 3, got {n}")
-    if spec.kind in ("sphere", "hyperbolic", "euclidean"):
-        four = _product_four((Factor(spec.kind, n, spec.radius),))
-    elif spec.kind == "product":
-        four = _product_four(spec.factors)
-    elif spec.kind == "fubini_study":
+    if spec.kind == "fubini_study":
         if spec.complex_dim < 2:
             raise ValueError("fubini_study needs complex dimension >= 2")
-        four = _fubini_study_four(spec.complex_dim)
+        R = CurvatureTensor.from_four_tensor(_fubini_study_four(spec.complex_dim))
+    elif spec.kind in ("sphere", "hyperbolic", "euclidean", "product"):
+        # sum_f (sec_f / 2) g_f o g_f holds sec_f at each pair inside factor f, else zero
+        factors = spec.factors if spec.kind == "product" else (Factor(spec.kind, n, spec.radius),)
+        block = np.repeat(np.arange(len(factors)), [f.dim for f in factors])  # factor of an index
+        i, j = block[pair_basis(n).rows], block[pair_basis(n).cols]
+        sec = [f.sectional for f in factors]
+        R = CurvatureTensor(n, np.diag(np.where(i == j, np.take(sec, i), 0.0)))
     else:
         raise ValueError(f"unknown model kind {spec.kind!r}")
-    R = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(four))
     Rc = ricci_contraction(R)
     return CurvaturePackage(spec=spec, R=R, Rc=Rc, S=float(np.trace(Rc)))
 

@@ -29,7 +29,10 @@ def json_number(value, kind: type, what: str):
     if isinstance(value, bool) or not isinstance(value, allowed):
         expected = "an integer" if kind is int else "a number"
         raise ValueError(f"{what} must be {expected}, got {json.dumps(value)}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the float range") from None
 
 
 def json_list(value, what: str) -> list:
@@ -45,7 +48,10 @@ def json_matrix(value, what: str) -> np.ndarray:
     if wrong:
         bad = next(x for x in leaves.flat if type(x) in wrong)
         raise ValueError(f"{what} entries must be numbers, got {json.dumps(bad)}")
-    return leaves.astype(float)
+    try:
+        return leaves.astype(float)
+    except OverflowError:
+        raise ValueError(f"{what} entries must lie within the float range") from None
 
 
 def operator_to_dict(op: Operator2Form) -> dict[str, Any]:
@@ -58,7 +64,7 @@ def _from_dense(data: dict, tol: float) -> Operator2Form:
     if basis != "lex-pairs":
         raise ValueError(f"unsupported basis {basis!r}, expected 'lex-pairs'")
     mat = json_matrix(data["matrix"], "operator matrix")
-    N = pair_basis(n).size
+    N = n * (n - 1) // 2  # checked before the pair basis of n is built
     if mat.shape != (N, N):
         raise ValueError(f"matrix shape {mat.shape} does not match n={n} (need {N}x{N})")
     return Operator2Form(n, check_symmetric(mat, "pair-basis matrix (T_ijkl = T_klij)", tol))

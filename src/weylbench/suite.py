@@ -10,11 +10,11 @@ Trials run in chunks of ``CHUNK`` (2; its comment says why).  A chunk's draws
 are stacked and mapped to samples by the ``*_from_uniform`` maps (its Weyl
 samples are one ``random_weyl_batch`` draw, the numbers of per-trial draws);
 each identity family is then evaluated once on the (B, ...) stacks with the
-raw kernels of ``algebra`` (sharps straight into pair matrices, the u-tensor
-in slabs) and its worst value folded into the report as a float.  The typed
-containers' input checks run once per chunk: symmetry and first Bianchi of R,
-then of W, the e/s parts and the metric products as one (6, B, ...) stack, and
-trace-free W before the sectional split and the u-tensor (``check_small`` and
+raw kernels of ``algebra`` (the Weyl split and sharps straight into pair
+matrices, the u-tensor in slabs) and its worst value folded into the report as
+a float.  The typed containers' input checks run once per chunk: symmetry and
+first Bianchi of R, then of W, the e/s parts, k o g and A o g as one (5, B, ...)
+stack, and trace-free W before the sectional split and the u-tensor (``check_small`` and
 the ``check_bianchi`` and ``check_trace_free`` guards), so each object keeps
 its own scale and the containers' messages.  The residuals do not depend on
 CHUNK (the batched basis expansions return C-order stacks, so every per-trial
@@ -34,16 +34,17 @@ from .algebra import (
     cube_trace,
     cubic_parts,
     kn_four,
+    kn_g_matrix,
     pure_cubic_parts,
     quadratic_form,
     second_bianchi_full,
     sectional_sums,
     sharp_matrix,
     u_tensor_contractions,
+    weyl_parts,
     weyl_split,
 )
 from .basis import (
-    four_tensor_to_pair_matrix,
     full3_to_pair_form,
     full5_to_triple_pair,
     pair_basis,
@@ -168,18 +169,18 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
 
     Rm = _curvature(n, curvature_from_uniform(n, mR))
     R4 = pair_matrix_to_four_tensor(n, Rm)
-    split = weyl_split(R4)
+    split = weyl_parts(n, Rm, pair_ricci(n, Rm))
     k = symmetrized(mk)
     A = a[..., None] * g
-    # W, the e- and s-parts, g o k, k o g and A o g: one (6, B, ...) container check
-    Wm, _, _, gk, Km, Bm = _curvature(n, four_tensor_to_pair_matrix(n, np.stack(
-        [split.W, split.e_part, split.s_part, kn_four(g, k), kn_four(k, g), kn_four(A, g)])))
+    # W, the e- and s-parts, k o g and A o g: one (5, B, ...) container check
+    Wm, _, _, Km, Bm = _curvature(n, np.stack(
+        [split.W, split.e_part, split.s_part, kn_g_matrix(k), kn_g_matrix(A)]))
     W4 = pair_matrix_to_four_tensor(n, Wm)
     Rc, S, E = split.Rc, split.S, split.E
     RR, WW = frobenius(Rm, Rm), frobenius(Wm, Wm)
 
-    # adjointness of the metric product against the Ricci contraction
-    lhs = frobenius(gk, Rm)
+    # adjointness of the metric product against the Ricci contraction (g o k = (k o g)^T)
+    lhs = frobenius(Km, Rm)
     record("selfadjoint", _rel(lhs - frobenius(k, Rc), lhs))
 
     # decomposition: trace-freeness, Bianchi, Pythagoras

@@ -141,8 +141,7 @@ class Operator2Form:
         self.mat = _frozen(mat)
 
     @classmethod
-    def from_four_tensor(cls, four: np.ndarray, require_self_adjoint: bool = True,
-                         tol: float = EPS_ALG) -> "Operator2Form":
+    def from_four_tensor(cls, four: np.ndarray, tol: float = EPS_ALG) -> "Operator2Form":
         four = np.asarray(four, dtype=float)
         n = four.shape[0]
         if four.shape != (n, n, n, n):
@@ -152,7 +151,7 @@ class Operator2Form:
                     "tensor is not antisymmetric in the first index pair")
         check_small(four + np.swapaxes(four, 2, 3), scale, tol,
                     "tensor is not antisymmetric in the second index pair")
-        return cls(n, four_tensor_to_pair_matrix(n, four), require_self_adjoint)
+        return cls(n, four_tensor_to_pair_matrix(n, four))
 
     @property
     def size(self) -> int:

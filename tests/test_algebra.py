@@ -24,6 +24,7 @@ from weylbench.algebra import (
     decompose,
     dot_product,
     kn_four,
+    kn_g_matrix,
     kn_g_pairing,
     kulkarni_nomizu,
     pure_cubic_parts,
@@ -42,6 +43,7 @@ from weylbench.algebra import (
     u_contraction,
     u_tensor_contractions,
     weyl_matrix,
+    weyl_parts,
     weyl_sectional_split,
     weyl_split,
 )
@@ -771,6 +773,48 @@ def test_weyl_split_matches_decompose(n):
     assert np.array_equal(dec.E, split.E) and dec.S == float(split.S)
     assert np.allclose(R.four(), split.W + split.e_part + split.s_part, atol=1e-14)
     assert np.abs(split.Rc - ricci_contraction(R)).max() == 0.0
+
+
+def _same_bits_and_signs(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (2, 3)])
+def test_weyl_parts_keeps_the_bits_of_the_four_index_split(n, shape):
+    """Each field of weyl_parts on pair matrices is the four-index split's, read back."""
+    R4 = _curvature_batch(n, int(np.prod(shape))).reshape(shape + (n,) * 4)
+    R = four_tensor_to_pair_matrix(n, R4)
+    parts = weyl_parts(n, R, pair_ricci(n, R))
+    four = weyl_split(pair_matrix_to_four_tensor(n, R))
+    for name in ("W", "e_part", "s_part"):
+        assert _same_bits_and_signs(getattr(parts, name),
+                                    four_tensor_to_pair_matrix(n, getattr(four, name))), name
+    for name in ("Rc", "S", "E"):
+        assert _same_bits_and_signs(getattr(parts, name), getattr(four, name)), name
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_g_circ_k_is_the_transpose_of_k_circ_g(n):
+    """For symmetric k the pair matrix of g o k is that of k o g transposed, entry for entry."""
+    k = random_symmetric(rng, n)
+    g = np.eye(n)
+    assert _same_bits_and_signs(four_tensor_to_pair_matrix(n, kn_four(g, k)), kn_g_matrix(k).T)
+    assert _same_bits_and_signs(four_tensor_to_pair_matrix(n, kn_four(k, g)), kn_g_matrix(k))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_decompose_and_kulkarni_nomizu_keep_the_four_index_bits(n):
+    """decompose and kulkarni_nomizu hold the matrices the four-index route stored."""
+    R = random_curvature(rng, n)
+    dec, split = decompose(R), weyl_split(R.four())
+    for part, four in ((dec.weyl, split.W), (dec.e_part, split.e_part),
+                       (dec.s_part, split.s_part)):
+        assert _same_bits_and_signs(part.mat, symmetrized(four_tensor_to_pair_matrix(n, four)))
+    assert _same_bits_and_signs(dec.E, split.E) and dec.S == float(split.S)
+    h, k = random_symmetric(rng, n), random_symmetric(rng, n)
+    four_route = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(kn_four(h, k)))
+    assert _same_bits_and_signs(kulkarni_nomizu(h, k).mat, four_route.mat)
 
 
 def bianchi_image_four_tensor_reference(n, mat):

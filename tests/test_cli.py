@@ -422,6 +422,64 @@ def test_json_number_of_another_type_is_usage_error(tmp_path, capsys, kind, edit
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+#: an integer JSON number beyond the float range
+HUGE = 10 ** 400
+
+
+def _huge_entry(data):
+    data["matrix"][0][0] = HUGE
+
+
+def _huge_component(data):
+    data.pop("matrix")
+    data["components"] = {"0,1,0,1": HUGE}
+
+
+def _huge_s(data):
+    data["S"] = HUGE
+
+
+def _huge_e_entry(data):
+    data["E"][0][0] = HUGE
+
+
+def _huge_step(data):
+    data["grid"]["h"] = HUGE
+
+
+@pytest.mark.parametrize("kind, edit, field", [
+    ("dim4", _huge_entry, "operator matrix"), ("dim4", _huge_component, "component '0,1,0,1'"),
+    ("pinch", _huge_s, "pinch S"), ("pinch", _huge_e_entry, "pinch E"),
+    ("chart", _huge_step, "grid file grid.h"),
+], ids=lambda x: x.__name__.strip("_") if callable(x) else None)
+def test_json_integer_beyond_the_float_range_is_usage_error(tmp_path, capsys, kind, edit, field):
+    """An integer too large for a float is refused with one error line naming its field,
+    not an OverflowError traceback."""
+    if kind == "chart":
+        argv = ["chart", str(_grid_file(tmp_path, edit))]
+    else:
+        data = _weyl_dict(4) if kind == "dim4" else _pinch_payload()
+        edit(data)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = (["dim4", str(path)] if kind == "dim4"
+                else ["pinch", "pointwise", "--input", str(path)])
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {field} ") and "float range" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["sphere:4:1e-200", "hyperbolic:4:1e200", "sphere:4:inf",
+                                  "hyperbolic:4:nan", "product:sphere:2:1.0,hyperbolic:2:1e200"])
+def test_radius_without_a_finite_curvature_is_usage_error(capsys, spec):
+    """A radius whose 1/radius^2 is zero, infinite or not a number exits 2 with one error line."""
+    assert run_cli("model", spec) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: radius ")
+
+
 @pytest.mark.parametrize("flags", [("--h", "2e-3"), ("--halving",), ("--order", "4"),
                                    ("--center", "0.07,-0.12,0.1,0.05"), ("--ricci-identity",)],
                          ids=["other-step", "halving", "other-order", "other-center",

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from weylbench.algebra import decompose, pure_matrix_from_weyl
+from weylbench.algebra import decompose, kn_four, pure_matrix_from_weyl
 from weylbench.models import (
     Factor,
     ModelSpec,
+    _fubini_study_four,
     model_curvature,
     package_consistency,
     parse_model_spec,
     symmetric_space_identity_report,
 )
+from weylbench.tensors import CurvatureTensor, Operator2Form
 
 CATALOG = [
     "sphere:4:1.0",
@@ -138,3 +140,29 @@ def test_invalid_specs_rejected():
 def test_space_form_radius_must_be_positive(text):
     with pytest.raises(ValueError, match="radius"):
         model_curvature(parse_model_spec(text))
+
+
+def _four_index_curvature(spec):
+    """The catalogue's pair matrix as it was formed on four-index tensors: the sum of
+    (sec_f / 2) g_f o g_f over the factors, or the Fubini-Study tensor, read back."""
+    if spec.kind == "fubini_study":
+        four = _fubini_study_four(spec.complex_dim)
+    else:
+        n = spec.n
+        four, start = np.zeros((n, n, n, n)), 0
+        for f in spec.factors or (Factor(spec.kind, n, spec.radius),):
+            g = np.zeros((n, n))
+            g[start:start + f.dim, start:start + f.dim] = np.eye(f.dim)
+            four += 0.5 * f.sectional * kn_four(g, g)
+            start += f.dim
+    return CurvatureTensor.from_operator(Operator2Form.from_four_tensor(four)).mat
+
+
+@pytest.mark.parametrize("text", [
+    "sphere:4:1.0", "sphere:5:0.7", "hyperbolic:6:0.3", "euclidean:5",
+    "product:sphere:2:0.5,hyperbolic:3:3.0,euclidean:2", "fubini-study:3"])
+def test_model_curvature_keeps_the_four_index_bits(text):
+    spec = parse_model_spec(text)
+    mat, reference = model_curvature(spec).R.mat, _four_index_curvature(spec)
+    assert np.array_equal(mat, reference)
+    assert np.array_equal(np.signbit(mat), np.signbit(reference))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from weylbench import serialization
 from weylbench.sampling import random_operator, random_weyl
 from weylbench.serialization import operator_from_dict, operator_to_dict
 
@@ -146,3 +147,13 @@ def test_sparse_degenerate_key_within_tol_loads_as_zero():
     one = operator_from_dict({"n": 4, "components": {"0,1,2,3": 0.5}})
     both = operator_from_dict({"n": 4, "components": {"2,2,0,1": 1e-11, "0,1,2,3": 0.5}})
     assert np.array_equal(both.mat, one.mat)
+
+
+def test_dense_shape_is_checked_before_the_pair_basis_is_built(monkeypatch):
+    """A mis-shaped matrix is refused without building the pair basis of its n."""
+    def no_basis(n):
+        raise AssertionError("pair_basis called")
+
+    monkeypatch.setattr(serialization, "pair_basis", no_basis)
+    with pytest.raises(ValueError, match=r"does not match n=1400 \(need 979300x979300\)"):
+        operator_from_dict({"n": 1400, "matrix": [[0.0]]})

@@ -31,6 +31,11 @@ the trace-free and Bianchi guards run without the n^4 round trip.
 directly: ``serialization.py`` calls neither ``from_four_tensor`` nor
 ``pair_matrix_to_four_tensor``.  The suite takes its Weyl samples from
 ``sampling.random_weyl_batch``, so it calls no ``weyl_from_uniform`` of its own.
+The orthonormal-frame Weyl split runs on pair matrices (``algebra.weyl_parts``):
+the suite's identity chunk calls none of ``weyl_split``, ``kn_four`` and
+``four_tensor_to_pair_matrix``, ``algebra.decompose`` calls neither ``.four()``
+nor ``weyl_split``, and the model catalogue builds its curvature in one checked
+step, with no ``from_operator``.
 
 A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
 so every metric evaluation of the package goes through one call site and its
@@ -195,8 +200,15 @@ def test_suite_draws_weyl_samples_only_through_the_sampler():
     assert "weyl_from_uniform" not in called_names(SRC / "suite.py")
 
 
+def test_frame_weyl_split_runs_on_pair_matrices():
+    assert not called_names(SRC / "suite.py", "_identity_chunk") & {
+        "weyl_split", "kn_four", "four_tensor_to_pair_matrix"}
+    assert not called_names(SRC / "algebra.py", "decompose") & {"four", "weyl_split"}
+    assert "from_operator" not in called_names(SRC / "models.py")
+
+
 #: optional parameters (defaults) over the package's functions
-MAX_OPTIONAL_PARAMETERS = 34
+MAX_OPTIONAL_PARAMETERS = 33
 
 
 def optional_parameters(path: Path) -> list[str]:

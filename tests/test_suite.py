@@ -137,10 +137,9 @@ def test_guard_raises_on_a_bianchi_violating_curvature(monkeypatch):
 
 
 def test_guard_raises_on_a_weyl_part_that_is_not_trace_free(monkeypatch):
-    real = suite.weyl_split
-    # the curvature's own split keeps W = R; derivative fields split as usual
-    monkeypatch.setattr(suite, "weyl_split",
-                        lambda R4: real(R4)._replace(W=R4) if R4.ndim == 5 else real(R4))
+    real = suite.weyl_parts
+    # the curvature's own split keeps W = R
+    monkeypatch.setattr(suite, "weyl_parts", lambda n, R, Rc: real(n, R, Rc)._replace(W=R))
     with pytest.raises(ValueError, match="sectional split requires a trace-free"):
         run_identity_suite(dimensions=(5,), trials=3)
 

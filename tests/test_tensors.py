@@ -377,3 +377,14 @@ def test_bianchi_guard_is_per_tensor_and_rejects_non_finite():
                 check_bianchi(4, odd, 1e-10)
             with pytest.raises(ValueError, match="first Bianchi identity violated"):
                 check_bianchi(4, np.stack([W.mat, odd]), 1e-10)
+
+
+def test_curvature_from_four_tensor_checks_first_bianchi_at_the_default_tolerance():
+    """A symmetric tensor with both antisymmetries but no first Bianchi identity is
+    refused by CurvatureTensor.from_four_tensor as by the constructor."""
+    m = np.random.default_rng(0).uniform(-1.0, 1.0, size=(6, 6))
+    m = (m + m.T) / 2.0
+    with pytest.raises(ValueError, match="first Bianchi identity violated"):
+        CurvatureTensor(4, m)
+    with pytest.raises(ValueError, match="first Bianchi identity violated"):
+        CurvatureTensor.from_four_tensor(pair_matrix_to_four_tensor(4, m))
