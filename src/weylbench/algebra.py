@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (_cyclic_ricci_positions, _kn_g_positions, _padded, _signed_take,
-                    _take_trailing, bianchi_image, pair_basis, pair_ricci, pair_slots)
+from .basis import (_circ_prime_positions, _cyclic_ricci_positions, _kn_g_positions, _padded,
+                    _second_bianchi_positions, _signed_take, _take_trailing, bianchi_image,
+                    pair_basis, pair_ricci, pair_slots)
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -33,7 +34,8 @@ from .tensors import (
 
 __all__ = [
     "kulkarni_nomizu", "ricci_contraction", "bianchi_project", "decompose",
-    "dot_product", "sharp_product", "tri", "circ_prime", "second_bianchi",
+    "dot_product", "sharp_product", "tri", "circ_prime", "circ_prime_pairs", "second_bianchi",
+    "second_bianchi_pairs",
     "u_contraction", "quadratic_forms", "pure_cubics", "weyl_sectional_split",
     "QuadraticForms", "PureCubics", "kn_four", "sharp_four", "sharp_matrix", "weyl_split",
     "WeylSplit", "weyl_parts", "weyl_matrix", "decomposition", "cubic_parts",
@@ -43,9 +45,10 @@ __all__ = [
 # Raw kernels act on the trailing axes of plain arrays and broadcast over leading batch
 # axes (u_tensor_contractions takes one tensor); the typed functions below wrap them.
 # Weyl-type operators enter as (..., N, N) pair matrices (weyl_parts, weyl_matrix,
-# sharp_matrix, cubic_parts, kn_g_pairing, the check_trace_free guard); kn_four, _ricci_trace,
-# weyl_split, sharp_four, congruence_four, quadratic_form, circ_prime_full and
-# second_bianchi_full do the four- and five-index work.
+# sharp_matrix, cubic_parts, kn_g_pairing, the check_trace_free guard), and the second-Bianchi
+# and circ-prime images leave as (..., T, N) (triple, pair) components (second_bianchi_pairs,
+# circ_prime_pairs); kn_four, _ricci_trace, weyl_split, sharp_four, congruence_four,
+# quadratic_form, circ_prime_full and second_bianchi_full do the four- and five-index work.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -322,6 +325,19 @@ def circ_prime_full(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def circ_prime_pairs(n: int, a: np.ndarray) -> np.ndarray:
+    """(..., T, N) components (i < j < k, m < l) of ``circ_prime_full`` of (..., n, n, n) tensors.
+
+    The six terms are gathered at cached positions, zero from a pad where the metric factor
+    vanishes, and added onto zero in the formula's order, so the bits are those of the
+    full kernel at those entries (a zero added there leaves a sum unchanged).
+    """
+    flat = a.reshape(a.shape[:-3] + (-1,))
+    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
+    t = np.take(padded, _circ_prime_positions(n), axis=-1)
+    return sum(t[..., r, :, :] for r in range(6))
+
+
 def circ_prime(A: TwoFormOneForm) -> ThreeTwoTensor:
     """Six-term product of a 2-form-valued 1-form with the metric.
 
@@ -333,7 +349,7 @@ def circ_prime(A: TwoFormOneForm) -> ThreeTwoTensor:
     """
     if A.n < 4:
         raise ValueError(f"circ-prime product requires dimension >= 4, got {A.n}")
-    return ThreeTwoTensor.from_full(circ_prime_full(A.full()))
+    return ThreeTwoTensor(A.n, circ_prime_pairs(A.n, A.full()))
 
 
 def second_bianchi_full(full: np.ndarray) -> np.ndarray:
@@ -342,13 +358,26 @@ def second_bianchi_full(full: np.ndarray) -> np.ndarray:
             + np.einsum('...jkimn->...ijkmn', full))
 
 
+def second_bianchi_pairs(n: int, D: np.ndarray) -> np.ndarray:
+    """(..., T, N) components (i < j < k, m < l) of ``second_bianchi_full`` of the expansions
+    of (..., n, N, N) derivative pair matrices (the ``CovDerivCurvature.comps`` layout).
+
+    D_i,jk, D_k,ij and D_j,ki are gathered with their pair signs and added in the full
+    kernel's order, so the bits are its at those entries, without n^5 tensors.
+    """
+    flat, sign = _second_bianchi_positions(n)
+    t = _take_trailing(D, 3, flat)
+    t *= sign
+    return t[..., 0, :, :] + t[..., 1, :, :] + t[..., 2, :, :]
+
+
 def second_bianchi(D: CovDerivCurvature) -> ThreeTwoTensor:
     """Cyclic sum over the derivative slot and the leading 2-form pair.
 
     B(D)_ijkmn = D_i,jkmn + D_j,kimn + D_k,ijmn; alternating in (i, j, k),
     vanishing exactly on derivative fields of genuine metrics.
     """
-    return ThreeTwoTensor.from_full(second_bianchi_full(D.full()))
+    return ThreeTwoTensor(D.n, second_bianchi_pairs(D.n, D.comps))
 
 
 def u_tensor_contractions(W4: np.ndarray) -> tuple[float, float]:

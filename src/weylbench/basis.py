@@ -116,13 +116,18 @@ def _pair_positions(n: int) -> np.ndarray:
     return flat
 
 
+def _triple_pair_grid(n: int) -> tuple[np.ndarray, ...]:
+    """(T, 1) columns i, j, k of the triples i < j < k and (1, N) rows m, l of the pairs m < l."""
+    pb = pair_basis(n)
+    i, j, k = np.array(triple_basis(n).triples).T[:, :, None]
+    return i, j, k, pb.rows[None, :], pb.cols[None, :]
+
+
 @lru_cache(maxsize=None)
 def _triple_pair_positions(n: int) -> np.ndarray:
-    """(T, N) flat positions of T[i, j, k, a, b] in an (n,)*5 block, triples by pairs."""
-    tb = triple_basis(n)
-    pb = pair_basis(n)
-    i, j, k = np.array(tb.triples).T
-    flat = ((i * n + j) * n + k)[:, None] * (n * n) + (pb.rows * n + pb.cols)[None, :]
+    """(T, N) flat positions of T[i, j, k, m, l] in an (n,)*5 block, triples by pairs."""
+    i, j, k, m, l = _triple_pair_grid(n)
+    flat = ((i * n + j) * n + k) * (n * n) + (m * n + l)
     flat.flags.writeable = False
     return flat
 
@@ -222,6 +227,57 @@ def _kn_g_positions(n: int) -> np.ndarray:
                      for a, b, c, d in ((i, k, j, l), (j, l, i, k), (i, l, j, k), (j, k, i, l))])
     flat.flags.writeable = False
     return flat
+
+
+@lru_cache(maxsize=None)
+def _second_bianchi_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(3, T, N) flat positions of D_i,jkml, D_k,ijml and D_j,kiml in an (n, N, N) stack of
+    derivative pair matrices at i < j < k, m < l (the terms of ``second_bianchi_full`` in
+    its order), and the (3, T, 1) signs the pair expansion gives them (those of their
+    first pairs; m < l has sign +1); read-only."""
+    pb = pair_basis(n)
+    i, j, k, m, l = _triple_pair_grid(n)
+    flat = np.stack([(d * pb.size + pb.pos[a, b]) * pb.size + pb.pos[m, l]
+                     for d, a, b in ((i, j, k), (k, i, j), (j, k, i))])
+    sign = np.stack([pb.sign[a, b] for a, b in ((j, k), (i, j), (k, i))])
+    flat.flags.writeable = False
+    sign.flags.writeable = False
+    return flat, sign
+
+
+@lru_cache(maxsize=None)
+def _circ_prime_positions(n: int) -> np.ndarray:
+    """(6, T, N) flat positions, in an (n^3 + 1,) tensor whose last entry is the zero pad, of
+    the six terms g_kl A_ijm, g_il A_jkm, g_jl A_kim, g_km A_jil, g_im A_kjl and g_jm A_ikl of
+    (A o' g)_ijkml at i < j < k, m < l; the pad where the metric factor vanishes; read-only."""
+    i, j, k, m, l = _triple_pair_grid(n)
+    flat = np.stack([np.where(x == y, (a * n + b) * n + c, n ** 3)
+                     for x, y, a, b, c in ((l, k, i, j, m), (l, i, j, k, m), (l, j, k, i, m),
+                                           (m, k, j, i, l), (m, i, k, j, l), (m, j, i, k, l))])
+    flat.flags.writeable = False
+    return flat
+
+
+@lru_cache(maxsize=None)
+def _divergence_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, n, n, n) flat positions of T_m,abcm over (m, a, b, c) in an (n, N + 1, N + 1) stack
+    of padded pair matrices (``_padded``), and the signs ``_padded_positions`` gives; read-only."""
+    flat, sign = (np.moveaxis(x, -1, 0) for x in _padded_positions(n))
+    flat = flat + (np.arange(n) * (pair_basis(n).size + 1) ** 2)[:, None, None, None]
+    sign = np.ascontiguousarray(sign)
+    flat.flags.writeable = False
+    sign.flags.writeable = False
+    return flat, sign
+
+
+def pair_divergence(n: int, mat: np.ndarray) -> np.ndarray:
+    """(..., n, n, n) divergences sum_m T_m,abcm of (..., n, N, N) derivative pair matrices,
+    with the bits of einsum('...mabcm->...abc') on their five-index expansions (the
+    entries are summed over m as that einsum sums them)."""
+    flat, sign = _divergence_positions(n)
+    t = _take_trailing(_padded(mat), 3, flat)
+    t *= sign
+    return np.einsum('...mabc->...abc', t)
 
 
 def four_tensor_to_pair_matrix(n: int, four: np.ndarray) -> np.ndarray:

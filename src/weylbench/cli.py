@@ -107,8 +107,9 @@ def cmd_model(args, tols) -> int:
     report["results"]["n"] = pkg.R.n
     report["results"]["scalar"] = pkg.S
     tol = tols["eps_alg"]
-    for name, value in package_consistency(pkg).items():
-        _check(report, f"consistency.{name}", value, tol * max(1.0, abs(pkg.S)))
+    for name, value in package_consistency(pkg).items():  # pythagoras is quadratic in R
+        _check(report, f"consistency.{name}", value,
+               tol * max(1.0, abs(pkg.S)) ** (2 if name == "pythagoras" else 1))
     if pkg.R.n >= 4:
         for name, value in symmetric_space_identity_report(pkg).items():
             if name in ("r1", "r2"):

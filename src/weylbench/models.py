@@ -23,6 +23,13 @@ from .basis import pair_basis
 from .tensors import CurvatureTensor, inner
 
 
+#: largest n^2 max|R_ijkl| a model may have.  Its scalar curvature obeys |S| <= n^2 max|R_ijkl|,
+#: and the cubic identities of ``symmetric_space_identity_report`` (and the CLI bounds
+#: tol * max(1, |S|)^3) sum up to n^6 products of three curvature entries; 1e100 keeps
+#: each such cube below 1e300, finite with room for the sums.
+MAX_CURVATURE_SCALE = 1e100
+
+
 @dataclass(frozen=True)
 class Factor:
     kind: str       # "sphere" | "hyperbolic" | "euclidean"
@@ -135,6 +142,10 @@ def model_curvature(spec: ModelSpec) -> CurvaturePackage:
         R = CurvatureTensor(n, np.diag(np.where(i == j, np.take(sec, i), 0.0)))
     else:
         raise ValueError(f"unknown model kind {spec.kind!r}")
+    scale = n * n * float(np.abs(R.mat).max())
+    if not scale <= MAX_CURVATURE_SCALE:
+        raise ValueError(f"curvature scale n^2 max|R| = {scale:.3g} exceeds "
+                         f"{MAX_CURVATURE_SCALE:g}, where the cubic identities overflow")
     Rc = ricci_contraction(R)
     return CurvaturePackage(spec=spec, R=R, Rc=Rc, S=float(np.trace(Rc)))
 

@@ -11,12 +11,14 @@ are stacked and mapped to samples by the ``*_from_uniform`` maps (its Weyl
 samples are one ``random_weyl_batch`` draw, the numbers of per-trial draws);
 each identity family is then evaluated once on the (B, ...) stacks with the
 raw kernels of ``algebra`` (the Weyl split and sharps straight into pair
-matrices, the u-tensor in slabs) and its worst value folded into the report as
-a float.  The typed containers' input checks run once per chunk: symmetry and
-first Bianchi of R, then of W, the e/s parts, k o g and A o g as one (5, B, ...)
-stack, and trace-free W before the sectional split and the u-tensor (``check_small`` and
-the ``check_bianchi`` and ``check_trace_free`` guards), so each object keeps
-its own scale and the containers' messages.  The residuals do not depend on
+matrices, the second-Bianchi and circ-prime images straight into their
+(triple, pair) components, the u-tensor in slabs) and its worst value folded
+into the report as a float.  The typed containers' input checks run once per
+chunk: symmetry and first Bianchi of R, then of W, the e/s parts, k o g and
+A o g as one (5, B, ...) stack, and trace-free W before the sectional split
+and the u-tensor (``check_small`` and the ``check_bianchi`` and
+``check_trace_free`` guards), so each object keeps its own scale and the
+containers' messages.  The residuals do not depend on
 CHUNK (the batched basis expansions return C-order stacks, so every per-trial
 sum runs in one order), and the report keeps the (n, trial index) of every
 worst residual, so ``trials = index + 1`` with the same seed replays it.
@@ -30,24 +32,23 @@ import numpy as np
 
 from .algebra import (
     check_trace_free,
-    circ_prime_full,
+    circ_prime_pairs,
     cube_trace,
     cubic_parts,
-    kn_four,
     kn_g_matrix,
     pure_cubic_parts,
     quadratic_form,
-    second_bianchi_full,
+    second_bianchi_pairs,
     sectional_sums,
     sharp_matrix,
     u_tensor_contractions,
     weyl_parts,
-    weyl_split,
 )
 from .basis import (
+    four_tensor_to_pair_matrix,
     full3_to_pair_form,
-    full5_to_triple_pair,
     pair_basis,
+    pair_divergence,
     pair_matrix_to_four_tensor,
     pair_ricci,
     pair_slots,
@@ -222,7 +223,7 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     # circ-prime norm identity on divergence-type tensors
     Af = two_form_one_form_from_uniform(mA)
     Ap = full3_to_pair_form(n, Af)
-    cp = full5_to_triple_pair(n, circ_prime_full(Af))
+    cp = circ_prime_pairs(n, Af)
     a2, cp2 = frobenius(Ap, Ap), frobenius(cp, cp)
     record("circ_prime_norm", _rel(cp2 - (n - 3) * a2, a2))
 
@@ -255,23 +256,27 @@ def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
                               mD: np.ndarray) -> tuple[np.ndarray, ...]:
     """The bianchi_{rc,s,weyl}_part residuals of a chunk.
 
-    A function of its own so that its (B, n, n, n, n, n) arrays, the largest of
-    a trial, are freed before the next family runs.
+    Each family is evaluated at the (B, T, N) independent components, i < j < k and
+    m < l, of its second-Bianchi and circ-prime images, formed from (B, n, N, N)
+    derivative pair matrices.  The only five-index array is the derivative draw map's,
+    read once into pair matrices; a function of its own so that it is freed before the
+    next family runs.
     """
-    g = np.eye(n)
-    # second-Bianchi images of the decomposition pieces (raw kernels, full norms)
+    # second-Bianchi images of the decomposition pieces (raw kernels, component norms)
     C = symmetrized(mC)
     P = C - np.swapaxes(C, -3, -2)
-    resid = second_bianchi_full(kn_four(C, g)) - circ_prime_full(P)
+    resid = second_bianchi_pairs(n, kn_g_matrix(C)) - circ_prime_pairs(n, P)
     rc_part = _rel(max_abs(resid, 1), max_abs(P, 1))
-    D_s = np.einsum('...m,abcd->...mabcd', v, kn_four(g, g))
+    D_s = v[..., :, None, None] * (2.0 * np.eye(pair_basis(n).size))  # v_m (g o g)
+    g = np.eye(n)
     Qf = np.einsum('ki,...j->...ijk', g, v) - np.einsum('kj,...i->...ijk', g, v)
-    resid = second_bianchi_full(D_s) + circ_prime_full(Qf)
+    resid = second_bianchi_pairs(n, D_s) + circ_prime_pairs(n, Qf)
     s_part = _rel(max_abs(resid, 1), max_abs(Qf, 1))
     # second-Bianchi image of the trace-free part on an exact derivative field
-    w_sl = weyl_split(curvature_derivative_from_uniform(mD)).W
-    bw = second_bianchi_full(w_sl)
-    resid = bw - circ_prime_full(np.einsum('...mabcm->...abc', w_sl)) / (n - 3)
+    D = four_tensor_to_pair_matrix(n, curvature_derivative_from_uniform(mD))
+    W = weyl_parts(n, D, pair_ricci(n, D)).W
+    bw = second_bianchi_pairs(n, W)
+    resid = bw - circ_prime_pairs(n, pair_divergence(n, W)) / (n - 3)
     return rc_part, s_part, _rel(max_abs(resid, 1), max_abs(bw, 1))
 
 

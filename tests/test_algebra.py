@@ -18,6 +18,7 @@ from weylbench.algebra import (
     check_trace_free,
     circ_prime,
     circ_prime_full,
+    circ_prime_pairs,
     congruence_four,
     cube_trace,
     cubic_parts,
@@ -35,6 +36,7 @@ from weylbench.algebra import (
     ricci_contraction,
     second_bianchi,
     second_bianchi_full,
+    second_bianchi_pairs,
     sectional_sums,
     sharp_four,
     sharp_matrix,
@@ -47,8 +49,9 @@ from weylbench.algebra import (
     weyl_sectional_split,
     weyl_split,
 )
-from weylbench.basis import (bianchi_image, four_tensor_to_pair_matrix, pair_basis,
-                             pair_matrix_to_four_tensor, pair_ricci, pair_slots)
+from weylbench.basis import (bianchi_image, four_tensor_to_pair_matrix, full5_to_triple_pair,
+                             pair_basis, pair_divergence, pair_matrix_to_four_tensor, pair_ricci,
+                             pair_slots)
 from weylbench.bounds import cubic_bound_eval, eigen_bound, eigen_bound_terms, weyl_bound_terms
 from weylbench.sampling import (
     pure_from_uniform,
@@ -665,6 +668,11 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(circ_prime_full, rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 3))
     _assert_batch_equals_single(second_bianchi_full,
                                 rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 5))
+    _assert_batch_equals_single(lambda a: circ_prime_pairs(n, a),
+                                rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 3))
+    D = rng.uniform(-1.0, 1.0, size=(count, n) + (pair_basis(n).size,) * 2)
+    _assert_batch_equals_single(lambda d: second_bianchi_pairs(n, d), D)
+    _assert_batch_equals_single(lambda d: pair_divergence(n, d), D)
     _assert_batch_equals_single(pure_cubic_parts, h + np.swapaxes(h, -1, -2))
     N = pair_basis(n).size
     _assert_batch_equals_single(lambda m: bianchi_image(n, m),
@@ -698,6 +706,10 @@ def test_typed_wrappers_are_their_kernels(n):
     image = bianchi_image(n, T.mat)
     assert np.array_equal(imb.mat, (image + image.T) / 2.0)
     assert np.array_equal(kerb.mat, T.mat - imb.mat)
+    D = CovDerivCurvature(n, np.stack([random_operator(rng, n).mat for _ in range(n)]))
+    assert np.array_equal(second_bianchi(D).comps, second_bianchi_pairs(n, D.comps))
+    A = TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, n, n, n)))
+    assert np.array_equal(circ_prime(A).comps, circ_prime_pairs(n, A.full()))
     E = random_traceless_symmetric(rng, n)
     assert eigen_bound(E) == tuple(float(v) for v in eigen_bound_terms(check_traceless(E, "E")))
     if n >= 5:
@@ -871,6 +883,37 @@ def test_pair_native_kernels_keep_the_four_tensor_bits(n, count):
     assert np.isnan(image[0]).any() and np.isnan(W[0]).any() and not np.isfinite(W[-1]).all()
     if count > 2:  # each sample keeps its own entries
         assert np.isfinite(image[1]).all() and np.isfinite(W[1]).all()
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("count", [1, 7, 64])
+def test_triple_pair_kernels_keep_the_five_index_bits(n, count):
+    """second_bianchi_pairs, circ_prime_pairs and pair_divergence against the (triple, pair)
+    components of their five-index routes, bit for bit (signed zeros and NaN payloads
+    included), on random, sparse, zero, -0.0 and non-finite inputs."""
+    N = pair_basis(n).size
+    D = rng.uniform(-1.0, 1.0, size=(count, n, N, N))
+    a = rng.uniform(-1.0, 1.0, size=(count, n, n, n))
+    bad_D, bad_a = D.copy(), a.copy()
+    bad_D[0, 0, N - 1, 2] = np.nan  # D_0,(n-2)(n-1) enters B_0(n-2)(n-1)
+    bad_D[-1, n - 1, 0, 1] = np.inf
+    bad_D[-1, n - 1, 0, 0] = -np.inf
+    bad_a[0, 0, 1, 2] = np.nan
+    bad_a[-1, 1, 0, 2] = np.inf
+    bad_a[-1, 1, 2, 0] = -np.inf
+    with np.errstate(invalid="ignore"):
+        for d, x in ((D, a), (-D * (D < -0.8), a * (a > 0.8)), (bad_D, bad_a),
+                     (np.zeros_like(D), -np.zeros_like(a)), (-np.zeros_like(D), np.zeros_like(a))):
+            full = pair_matrix_to_four_tensor(n, d)
+            assert _same_bits(second_bianchi_pairs(n, d),
+                              full5_to_triple_pair(n, second_bianchi_full(full)))
+            assert _same_bits(pair_divergence(n, d), np.einsum('...mabcm->...abc', full))
+            assert _same_bits(circ_prime_pairs(n, x), full5_to_triple_pair(n, circ_prime_full(x)))
+        sb, cp = second_bianchi_pairs(n, bad_D), circ_prime_pairs(n, bad_a)
+    assert np.isnan(sb[0]).any() and np.isnan(cp[0]).any()
+    assert not np.isfinite(sb[-1]).all() and not np.isfinite(cp[-1]).all()
+    if count > 2:  # each sample keeps its own entries
+        assert np.isfinite(sb[1]).all() and np.isfinite(cp[1]).all()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -478,6 +479,28 @@ def test_radius_without_a_finite_curvature_is_usage_error(capsys, spec):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: radius ")
+
+
+@pytest.mark.parametrize("spec", ["sphere:4:1e-60", "sphere:4:1e-77", "sphere:4:1e-100",
+                                  "sphere:4:1.1e-154"])
+def test_curvature_too_large_to_cube_is_usage_error(capsys, spec):
+    """A finite curvature whose cubic identities would overflow exits 2 with one error
+    line, with no traceback and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("model", spec) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: curvature scale ")
+
+
+@pytest.mark.parametrize("radius", ["1e-20", "1e-49"])
+def test_small_round_sphere_passes_its_consistency_checks(capsys, radius):
+    """The pythagoras residual is quadratic in the curvature and its bound scales so."""
+    assert run_cli("model", f"sphere:4:{radius}", "--format", "json") == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] and data["failures"] == []
+    assert data["results"]["consistency.pythagoras"] > 1e-10 * abs(data["results"]["scalar"])
 
 
 @pytest.mark.parametrize("flags", [("--h", "2e-3"), ("--halving",), ("--order", "4"),

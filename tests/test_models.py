@@ -5,6 +5,7 @@ import pytest
 
 from weylbench.algebra import decompose, kn_four, pure_matrix_from_weyl
 from weylbench.models import (
+    MAX_CURVATURE_SCALE,
     Factor,
     ModelSpec,
     _fubini_study_four,
@@ -140,6 +141,19 @@ def test_invalid_specs_rejected():
 def test_space_form_radius_must_be_positive(text):
     with pytest.raises(ValueError, match="radius"):
         model_curvature(parse_model_spec(text))
+
+
+@pytest.mark.parametrize("text", ["sphere:4:3.9e-50", "hyperbolic:6:1e-60",
+                                  "product:sphere:2:1e-55,hyperbolic:2:1e-55"])
+def test_curvature_scale_is_bounded(text):
+    """n^2 max|R| above MAX_CURVATURE_SCALE is refused, also where S cancels to 0."""
+    with pytest.raises(ValueError, match="curvature scale"):
+        model_curvature(parse_model_spec(text))
+
+
+def test_curvature_scale_at_the_bound_is_accepted():
+    pkg = model_curvature(parse_model_spec("sphere:4:4e-50"))
+    assert 16 * np.abs(pkg.R.mat).max() == pytest.approx(MAX_CURVATURE_SCALE)
 
 
 def _four_index_curvature(spec):

@@ -35,7 +35,10 @@ The orthonormal-frame Weyl split runs on pair matrices (``algebra.weyl_parts``):
 the suite's identity chunk calls none of ``weyl_split``, ``kn_four`` and
 ``four_tensor_to_pair_matrix``, ``algebra.decompose`` calls neither ``.four()``
 nor ``weyl_split``, and the model catalogue builds its curvature in one checked
-step, with no ``from_operator``.
+step, with no ``from_operator``.  The suite's second-Bianchi and circ-prime
+families run at their (triple, pair) components: ``suite.py`` imports none of
+``second_bianchi_full``, ``circ_prime_full``, ``full5_to_triple_pair`` and
+``kn_four``.
 
 A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
 so every metric evaluation of the package goes through one call site and its
@@ -205,6 +208,25 @@ def test_frame_weyl_split_runs_on_pair_matrices():
         "weyl_split", "kn_four", "four_tensor_to_pair_matrix"}
     assert not called_names(SRC / "algebra.py", "decompose") & {"four", "weyl_split"}
     assert "from_operator" not in called_names(SRC / "models.py")
+
+
+def imported_names(path: Path) -> set[str]:
+    """Names a file imports, by ``import x.y`` or ``from x import y``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return {a.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+
+
+def test_guard_sees_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy.linalg\nfrom .algebra import (kn_four,\n    tri)\n"
+                     "def f():\n    from .basis import full5_to_triple_pair\n")
+    assert imported_names(probe) == {"linalg", "kn_four", "tri", "full5_to_triple_pair"}
+
+
+def test_suite_runs_the_second_bianchi_families_without_five_index_kernels():
+    assert not imported_names(SRC / "suite.py") & {
+        "second_bianchi_full", "circ_prime_full", "full5_to_triple_pair", "kn_four"}
 
 
 #: optional parameters (defaults) over the package's functions

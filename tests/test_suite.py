@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from weylbench import sampling, suite
-from weylbench.basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor
+from weylbench.algebra import circ_prime_full, kn_four, second_bianchi_full, weyl_parts
+from weylbench.basis import (four_tensor_to_pair_matrix, full5_to_triple_pair,
+                             pair_matrix_to_four_tensor, pair_ricci)
 from weylbench.sampling import (
     curvature_derivative_from_uniform,
     curvature_from_uniform,
@@ -22,7 +24,7 @@ from weylbench.sampling import (
     uniform,
 )
 from weylbench.suite import run_identity_suite
-from weylbench.tensors import cyclic_average
+from weylbench.tensors import cyclic_average, max_abs
 
 DIMENSIONS = (4, 5, 6, 7, 8)
 
@@ -74,6 +76,35 @@ def test_stacked_draws_are_the_per_trial_samplers_samples(n):
     assert rng.uniform() == ref.uniform()
 
 
+@pytest.mark.parametrize("n", DIMENSIONS)
+def test_bianchi_families_are_the_full_kernels_at_the_components(n):
+    """Each second-Bianchi family is, bit for bit, the relative max over the (triple,
+    pair) components of its five-index residual, formed by the full kernels: on
+    kn_four and the n^5 scalar image for the rc and s parts, and on the expansion of
+    the Weyl parts' pair matrices for the Weyl part."""
+    mC, v, mD = suite._identity_draws(np.random.default_rng([11, n]), n, 3)[4:7]
+    g = np.eye(n)
+
+    def family(bianchi, circ, scale):
+        return suite._rel(max_abs(full5_to_triple_pair(n, bianchi - circ), 1), scale)
+
+    C = symmetrized(mC)
+    P = C - np.swapaxes(C, -3, -2)
+    rc = family(second_bianchi_full(kn_four(C, g)), circ_prime_full(P), max_abs(P, 1))
+    Qf = np.einsum('ki,...j->...ijk', g, v) - np.einsum('kj,...i->...ijk', g, v)
+    D_s = np.einsum('...m,abcd->...mabcd', v, kn_four(g, g))
+    s = family(second_bianchi_full(D_s), -circ_prime_full(Qf), max_abs(Qf, 1))
+    D = four_tensor_to_pair_matrix(n, curvature_derivative_from_uniform(mD))
+    W = pair_matrix_to_four_tensor(n, weyl_parts(n, D, pair_ricci(n, D)).W)
+    bw = second_bianchi_full(W)
+    weyl = family(bw, circ_prime_full(np.einsum('...mabcm->...abc', W)) / (n - 3),
+                  max_abs(full5_to_triple_pair(n, bw), 1))
+    got = suite._second_bianchi_residuals(n, mC, v, mD)
+    for value, expect in zip(got, (rc, s, weyl)):
+        assert value.tobytes() == expect.tobytes()
+    assert not s.any()
+
+
 def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
     reports = []
     for chunk in (1, 64):
@@ -104,12 +135,12 @@ def test_worst_residual_replays_from_its_trial_index():
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "identity_suite_seed3_trials2.json")
                     .read_text(encoding="utf-8"))
-MOVED_FAMILIES = ("productw_reindex", "u_norm", "u_cubic")
+MOVED_FAMILIES = ("productw_reindex", "u_norm", "u_cubic", "bianchi_weyl_part")
 
 
 def test_residuals_keep_their_golden_bits():
     """Every residual and stat of trials=2, seed=3 against its committed float.hex.
-    Only the three families whose formulation changed differ from the earlier
+    Only the four families whose formulation changed differ from the earlier
     values (kept under moved_from)."""
     rep = run_identity_suite(trials=2, seed=3)
     assert {k: v.hex() for k, v in rep.residuals.items()} == GOLDEN["residuals"]
