@@ -264,9 +264,7 @@ def _divergence_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     of padded pair matrices (``_padded``), and the signs ``_padded_positions`` gives; read-only."""
     flat, sign = (np.moveaxis(x, -1, 0) for x in _padded_positions(n))
     flat = flat + (np.arange(n) * (pair_basis(n).size + 1) ** 2)[:, None, None, None]
-    sign = np.ascontiguousarray(sign)
     flat.flags.writeable = False
-    sign.flags.writeable = False
     return flat, sign
 
 
