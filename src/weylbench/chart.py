@@ -53,8 +53,12 @@ from .tensors import (
 class ChartMetric:
     """Metric evaluator on a coordinate chart with an analytic tag.
 
-    Shape and positive definiteness are checked at every evaluated point (``table``).
-    Grid-file metrics carry the grid they were tabulated for in ``default_grid``.
+    ``fn`` maps one point x of shape (n,) to its (n, n) metric.  The presets and grid
+    files (``preset_metric``, ``grid_file_metric``) are a private subclass whose ``fn``
+    also maps an (N, n) point stack to (N, n, n); ``table`` evaluates those in one call
+    and any other metric one point at a time.  Shape and positive definiteness are
+    checked at every evaluated point (``table``).  Grid-file metrics carry the grid they
+    were tabulated for in ``default_grid``.
     """
 
     name: str
@@ -64,11 +68,12 @@ class ChartMetric:
     default_grid: "GridSpec | None" = None
 
     def table(self, xs: np.ndarray) -> np.ndarray:
-        """The metric at each row x of xs, one ``fn(x)`` call per row, stacked and checked."""
+        """The metric at each row x of xs, stacked and checked: one ``fn(xs)`` call for a
+        package metric, one ``fn(x)`` call per row otherwise."""
         gs = np.empty((len(xs), self.n, self.n))
-        for r, x in enumerate(xs):
+        for r, x in [(slice(None), xs)] if isinstance(self, _StackedMetric) else enumerate(xs):
             g = np.asarray(self.fn(x), dtype=float)
-            if g.shape != (self.n, self.n):
+            if g.shape != gs[r].shape:
                 raise ValueError(f"metric evaluator returned shape {g.shape}")
             gs[r] = g
         # non-finite entries fail first: on most, eigvalsh raises an error naming no point
@@ -78,6 +83,13 @@ class ChartMetric:
         if bad.any():
             raise ValueError(f"metric not positive definite at {xs[bad.argmax()].tolist()}")
         return gs
+
+
+@dataclass(frozen=True)
+class _StackedMetric(ChartMetric):
+    """A preset or grid-file metric: ``fn`` broadcasts over the leading axes of its points,
+    so ``table`` tabulates a whole stack in one call (``dataclasses.replace`` keeps the
+    class).  Float overflow in ``fn`` is left to ``table``'s finite check."""
 
 
 @dataclass(frozen=True)
@@ -106,24 +118,28 @@ def _stereo_spheres(*factors: tuple[int, float]) -> Callable[[np.ndarray], np.nd
     masks = np.repeat(np.eye(len(dims)), dims, axis=1)  # row f: 1 on factor f's coordinates
     blocks = [(slice(end - d, end), 4.0 * r * r, np.diag(mask))
               for (d, r), end, mask in zip(factors, np.cumsum(dims), masks)]
+    @np.errstate(over="ignore", invalid="ignore")
     def fn(x: np.ndarray) -> np.ndarray:
         g = 0.0  # g + c * block leaves the bits of c in that block and zeros elsewhere
         for cut, scale, block in blocks:
-            u = x[cut]
-            g = g + scale / (1.0 + float(u @ u)) ** 2 * block
+            u = np.ascontiguousarray(x[..., cut])
+            sq = np.matmul(u[..., None, :], u[..., :, None])  # a BLAS dot per row, as u @ u
+            g = g + scale / np.float_power(1.0 + sq, 2) * block
         return g
     return fn
 
 
 def _perturbed(n: int, amp: float) -> Callable[[np.ndarray], np.ndarray]:
-    entries = [(i, j, i + 1, (i + j) % n, float(i == j)) for i in range(n) for j in range(i, n)]
+    i, j = np.triu_indices(n)  # the upper-triangle entries, row by row
+    f, c, e = i + 1, (i + j) % n, (i == j).astype(float)
     where = np.empty((n, n), dtype=int)  # matrix entry -> its upper-triangle value
-    for r, (i, j, *_) in enumerate(entries):
-        where[i, j] = where[j, i] = r
+    where[i, j] = where[j, i] = np.arange(len(i))
+    @np.errstate(over="ignore", invalid="ignore")
     def fn(x: np.ndarray) -> np.ndarray:
-        x = x.tolist()
-        return np.array([e + amp * (0.3 * math.sin(f * x[j] + j) + 0.2 * x[i] * x[j]
-                                    + 0.1 * x[c] ** 3) for i, j, f, c, e in entries])[where]
+        # np.float_power is libm pow, as Python's x ** 3 is; an array ** 3 rounds apart
+        v = e + amp * (0.3 * np.sin(f * x[..., j] + j) + 0.2 * x[..., i] * x[..., j]
+                       + 0.1 * np.float_power(x[..., c], 3))
+        return v[..., where]
     return fn
 
 
@@ -146,18 +162,19 @@ def preset_metric(name: str) -> ChartMetric:
 
     if kind == "euclidean" and len(bits) == 2:
         n = int(bits[1])
-        return ChartMetric(name, n, lambda x: np.eye(n), harmonic_weyl=True)
+        return _StackedMetric(name, n, lambda x: np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)),
+                              harmonic_weyl=True)
     if kind == "sphere-stereo" and len(bits) in (2, 3):
         n = int(bits[1])
-        return ChartMetric(name, n, _stereo_spheres((n, radius(2))), harmonic_weyl=True)
+        return _StackedMetric(name, n, _stereo_spheres((n, radius(2))), harmonic_weyl=True)
     if kind == "product-spheres" and len(bits) in (3, 4, 5):
         p, q = int(bits[1]), int(bits[2])
-        return ChartMetric(name, p + q, _stereo_spheres((p, radius(3)), (q, radius(4))),
-                           harmonic_weyl=True)
+        return _StackedMetric(name, p + q, _stereo_spheres((p, radius(3)), (q, radius(4))),
+                              harmonic_weyl=True)
     if kind == "perturbed" and len(bits) in (2, 3):
         n = int(bits[1])
         amp = float(bits[2]) if len(bits) > 2 else 0.05
-        return ChartMetric(name, n, _perturbed(n, amp), harmonic_weyl=False)
+        return _StackedMetric(name, n, _perturbed(n, amp), harmonic_weyl=False)
     raise ValueError(f"bad chart preset {name!r}")
 
 
@@ -183,27 +200,37 @@ def grid_file_metric(path: str) -> ChartMetric:
         raise ValueError(f"grid file grid.center has {len(center)} entries, expected n = {n}")
     grid = GridSpec(center=center, h=json_number(spec["h"], float, "grid file grid.h"),
                     order=json_number(spec["order"], int, "grid file grid.order"))
-    table: dict[tuple, np.ndarray] = {}
+    rows: dict[tuple, int] = {}  # offset -> its row of mats
+    mats = []
     for k, mat in zip(json_list(data["offsets"], "grid file offsets"),
                       json_list(data["matrices"], "grid file matrices"), strict=True):
         if (not (isinstance(k, list) and len(k) == n and all(type(c) is int for c in k))
-                or tuple(k) in table):
+                or tuple(k) in rows):
             raise ValueError(f"grid file offset {k!r} is not a new length-{n} integer vector")
-        table[tuple(k)] = check_symmetric(json_matrix(mat, "grid file matrix"), "grid file matrix")
+        mat = check_symmetric(json_matrix(mat, "grid file matrix"), "grid file matrix")
+        if mat.shape != (n, n):
+            raise ValueError(f"grid file matrix has shape {mat.shape}, expected ({n}, {n})")
+        rows[tuple(k)] = len(mats)
+        mats.append(mat)
+    mats = np.array(mats).reshape(-1, n, n)
 
     def fn(x: np.ndarray) -> np.ndarray:
-        k = np.rint((x - grid.center) / grid.h)
-        g = table.get(tuple(int(c) for c in k)) if np.array_equal(grid.point(k), x) else None
-        if g is None:
-            raise KeyError(f"grid file has no metric sample at {x.tolist()}; the file holds the"
-                           f" stencil of one assembly at step {grid.h} and order {grid.order}"
-                           " and serves only the assembly it was written for (same step,"
-                           " order and center; the Ricci identity only if dumped with it)")
-        return g
+        xs = x.reshape(-1, n)
+        k = np.rint((xs - grid.center) / grid.h)
+        k[(grid.point(k) != xs).any(axis=1)] = np.nan  # not the lattice point bit for bit
+        # a float offset finds its integer key: (1.0, -2.0) == (1, -2), with the same hash
+        found = [rows.get(key) for key in map(tuple, k.tolist())]
+        if None in found:
+            raise KeyError(f"grid file has no metric sample at {xs[found.index(None)].tolist()};"
+                           f" the file holds the stencil of one assembly at step {grid.h} and"
+                           f" order {grid.order} and serves only the assembly it was written"
+                           " for (same step, order and center; the Ricci identity only if"
+                           " dumped with it)")
+        return mats[found].reshape(x.shape + (n,))
 
-    return ChartMetric(name=f"grid-file:{path}", n=n, fn=fn,
-                       harmonic_weyl=bool(data.get("harmonic_weyl", False)),
-                       default_grid=grid)
+    return _StackedMetric(name=f"grid-file:{path}", n=n, fn=fn,
+                          harmonic_weyl=bool(data.get("harmonic_weyl", False)),
+                          default_grid=grid)
 
 
 def dump_grid_file(metric: ChartMetric, grid: GridSpec, path: str,
@@ -334,7 +361,8 @@ def _decomp_coords(lattice: _Lattice, rows):
 
 def _w_norm_sq_at(lattice: _Lattice, rows) -> np.ndarray:
     W, gi = lattice.decomp[3][rows], np.linalg.inv(lattice.g[rows])
-    return np.array([0.25 * float(np.vdot(c, w)) for c, w in zip(congruence_four(W, gi), W)])
+    C, W = congruence_four(W, gi).reshape(len(W), 1, -1), W.reshape(len(W), -1, 1)
+    return 0.25 * np.matmul(C, W)[:, 0, 0]  # a BLAS dot per row, as np.vdot
 
 
 @dataclass(frozen=True)

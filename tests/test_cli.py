@@ -337,8 +337,13 @@ def _missing_matrix(data):
     data["matrices"].pop()
 
 
+def _wrong_size_matrix(data):
+    data["matrices"][0] = np.eye(3).tolist()
+
+
 @pytest.mark.parametrize("edit", [_nan_outer_point, _asymmetric, _repeated_offset,
-                                  _float_offset, _short_offset, _missing_matrix],
+                                  _float_offset, _short_offset, _missing_matrix,
+                                  _wrong_size_matrix],
                          ids=lambda f: f.__name__.strip("_"))
 def test_bad_grid_file_is_usage_error(tmp_path, capsys, edit):
     assert run_cli("chart", str(_grid_file(tmp_path, edit)), "--format", "json") == 2
@@ -539,6 +544,21 @@ def test_old_format_grid_file_is_refused(tmp_path, capsys):
 def test_bad_chart_preset_is_usage_error(capsys, preset):
     assert run_cli("chart", preset) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("preset, center", [
+    ("perturbed:4", "1e110,0,0,0"), ("perturbed:5", "0,0,0,0,1.7e308"),
+    ("sphere-stereo:4", "1e200,0,0,0"), ("product-spheres:2:2", "0,0,0,1e200")])
+def test_huge_chart_center_is_usage_error(capsys, preset, center):
+    """A center where the preset's metric overflows exits 2 with one error line naming
+    it, with no traceback and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("chart", preset, "--center", center) == 2
+    captured = capsys.readouterr()
+    point = [float(c) for c in center.split(",")]
+    assert captured.out == ""
+    assert captured.err == f"error: metric not positive definite at {point}\n"
 
 
 def test_identities_negative_trials_is_usage_error(capsys):
