@@ -44,11 +44,12 @@ __all__ = [
 
 # Raw kernels act on the trailing axes of plain arrays and broadcast over leading batch
 # axes (u_tensor_contractions takes one tensor); the typed functions below wrap them.
-# Weyl-type operators enter as (..., N, N) pair matrices (weyl_parts, weyl_matrix,
-# sharp_matrix, cubic_parts, kn_g_pairing, the check_trace_free guard), and the second-Bianchi
-# and circ-prime images leave as (..., T, N) (triple, pair) components (second_bianchi_pairs,
-# circ_prime_pairs); kn_four, _ricci_trace, weyl_split, sharp_four, congruence_four,
-# quadratic_form, circ_prime_full and second_bianchi_full do the four- and five-index work.
+# Weyl-type operators enter as (..., N, N) pair matrices (weyl_parts, the one orthonormal-
+# frame Weyl split, weyl_matrix, sharp_matrix, cubic_parts, kn_g_pairing, the check_trace_free
+# guard), and the second-Bianchi and circ-prime images leave as (..., T, N) (triple, pair)
+# components (second_bianchi_pairs, circ_prime_pairs); kn_four, _ricci_trace, weyl_split (the
+# split in coordinates under a metric), sharp_four, congruence_four, quadratic_form,
+# circ_prime_full and second_bianchi_full do the four- and five-index work.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -85,34 +86,17 @@ class WeylSplit(NamedTuple):
     W: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _kn_identity(n: int) -> np.ndarray:
-    """g o g of the identity metric, read-only."""
-    gg = kn_four(np.eye(n), np.eye(n))
-    gg.flags.writeable = False
-    return gg
-
-
-def weyl_split(R4: np.ndarray, g: np.ndarray | None = None) -> WeylSplit:
-    """Weyl split W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) of (..., n, n, n, n) tensors.
-
-    ``g`` is the metric in the tensor's coordinates; None means an orthonormal
-    frame (the identity).  Rc is the Ricci trace, S the scalar, E = Rc - (S/n) g.
-    """
+def weyl_split(R4: np.ndarray, g: np.ndarray) -> WeylSplit:
+    """Weyl split W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) of (..., n, n, n, n) tensors
+    in coordinates with metric ``g``: Rc is the Ricci trace, S the scalar, E = Rc - (S/n) g.
+    In an orthonormal frame ``weyl_parts`` splits pair matrices."""
     n = R4.shape[-1]
-    if g is None:
-        g, gg = np.eye(n), _kn_identity(n)
-        # contiguous rows keep the trace's summation order the same at every batch size
-        Rc = np.ascontiguousarray(_ricci_trace(R4))
-        S = np.trace(Rc, axis1=-2, axis2=-1)
-    else:
-        gi = np.linalg.inv(g)
-        gg = kn_four(g, g)
-        Rc = _ricci_trace(R4, gi)
-        S = np.einsum('...ij,...ij->...', Rc, gi)
+    gi = np.linalg.inv(g)
+    Rc = _ricci_trace(R4, gi)
+    S = np.einsum('...ij,...ij->...', Rc, gi)
     s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
     E = Rc - (s2 / n) * g
-    s_part = s2[..., None, None] / (2 * n * (n - 1)) * gg
+    s_part = s2[..., None, None] / (2 * n * (n - 1)) * kn_four(g, g)
     e_part = kn_four(E, g) / (n - 2)
     return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R4 - s_part - e_part)
 
@@ -161,8 +145,10 @@ def kn_g_matrix(E: np.ndarray) -> np.ndarray:
 
 
 def weyl_parts(n: int, R: np.ndarray, Rc: np.ndarray) -> WeylSplit:
-    """``weyl_split`` of (..., N, N) pair matrices R with Ricci traces Rc in an orthonormal
-    frame, by its operations in its order: W, e_part and s_part are its parts' pair matrices."""
+    """Weyl split of (..., N, N) pair matrices R with Ricci traces Rc in an orthonormal frame:
+    ``weyl_split``'s formula at g = I, with W, e_part and s_part as pair matrices.  Each entry
+    takes the four-index split's operations in their order (``kn_g_matrix`` for E o g, 2 on the
+    diagonal for g o g), so the bits are those of the n^4 route."""
     S = np.trace(Rc, axis1=-2, axis2=-1)
     s2 = np.asarray(S)[..., None, None]
     E = Rc - (s2 / n) * np.eye(n)
@@ -175,11 +161,10 @@ def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
     """Pair matrices (..., N, N) of the Weyl part, in an orthonormal frame, of the
     first-Bianchi projection R = T - b(T) of (..., N, N) pair matrices T.
 
-    This is the four-index route (pair_matrix_to_four_tensor(n, T) minus its
-    cyclic_average, then weyl_split(...).W read back with four_tensor_to_pair_matrix):
-    the Ricci trace R_ipjp is summed from the cyclic terms as that route sums it (over p
-    as ``pair_ricci`` sums), and ``weyl_parts`` splits, so the bits are that route's
-    without the n^4 tensors.
+    The Ricci trace R_ipjp is summed from the cyclic terms as a four-index trace of
+    pair_matrix_to_four_tensor(n, T) minus its cyclic_average sums it (over p, as
+    ``pair_ricci`` sums), and ``weyl_parts`` splits, so the bits are those of the
+    four-index route without the n^4 tensors.
     """
     R = mat - bianchi_image(n, mat)
     t = np.moveaxis(_signed_take(_padded(mat), *_cyclic_ricci_positions(n)), -4, 0)
@@ -507,10 +492,3 @@ def weyl_sectional_split(W: CurvatureTensor,
     w1, w2 = sectional_sums(np.diagonal(W.mat), mask)
     return float(w1), float(w2)
 
-
-def pure_matrix_from_weyl(W: CurvatureTensor) -> PureCurvatureMatrix:
-    """Extract w_ij = W_ijij; valid when the operator is diagonal on coordinate 2-forms."""
-    pb = pair_basis(W.n)
-    w = np.zeros((W.n, W.n))
-    w[pb.rows, pb.cols] = w[pb.cols, pb.rows] = np.diagonal(W.mat)
-    return PureCurvatureMatrix(W.n, w)

@@ -123,15 +123,6 @@ def _triple_pair_grid(n: int) -> tuple[np.ndarray, ...]:
     return i, j, k, pb.rows[None, :], pb.cols[None, :]
 
 
-@lru_cache(maxsize=None)
-def _triple_pair_positions(n: int) -> np.ndarray:
-    """(T, N) flat positions of T[i, j, k, m, l] in an (n,)*5 block, triples by pairs."""
-    i, j, k, m, l = _triple_pair_grid(n)
-    flat = ((i * n + j) * n + k) * (n * n) + (m * n + l)
-    flat.flags.writeable = False
-    return flat
-
-
 def _padded(mat: np.ndarray) -> np.ndarray:
     """(..., N + 1, N + 1) copies of (..., N, N) pair matrices, the last row and column zero."""
     N = np.shape(mat)[-1]
@@ -297,8 +288,3 @@ def pair_form_to_full3(n: int, comps: np.ndarray) -> np.ndarray:
     padded[:-1] = comps
     pos = np.where(pb.pos >= 0, pb.pos, pb.size)
     return padded[pos] * pb.sign[:, :, None]
-
-
-def full5_to_triple_pair(n: int, full: np.ndarray) -> np.ndarray:
-    """(..., n,n,n,n,n) tensors, 3-form in slots 0-2 and 2-form in 3-4 -> (..., T, N)."""
-    return _take_trailing(full, 5, _triple_pair_positions(n))

@@ -26,12 +26,14 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
+    _ricci_trace,
     circ_prime,
     congruence_four,
     cubic_parts,
     decomposition,
     kn_g_pairing,
     second_bianchi,
+    weyl_parts,
     weyl_split,
 )
 from .basis import four_tensor_to_pair_matrix
@@ -296,6 +298,9 @@ class _Lattice:
         self.steps, self.keys, self.near, (around, w2, decomp, gamma) = _offsets(
             metric.n, grid.order, with_ricci_identity)
         self.g = metric.table(grid.point(self.keys))
+        k = np.arange(self.keys.min(), self.keys.max() + 1)  # after the table: its errors come first
+        if not (np.diff(grid.center[:, None] + grid.h * k, axis=1) > 0).all():
+            raise ValueError(f"step {grid.h} does not separate the stencil points at the center")
         self.gamma = self._tabulate(christoffel, 3, gamma)[0]
         self.decomp = self._tabulate(_decomp_coords, 4, around, decomp, decomp, w2)
         self.w2 = self._tabulate(_w_norm_sq_at, 4, w2)[0]
@@ -413,10 +418,9 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
         return T
     Rf, nRf, nWf, nRcf = map(to_frame, (R[0], nR, nW, nRc))
     R_op = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(Rf), tol=wrap_tol)
-    frame_split = weyl_split(Rf)
-    W, e_part, s_part = four_tensor_to_pair_matrix(
-        n, np.stack([frame_split.W, frame_split.e_part, frame_split.s_part]))
-    dec = decomposition(frame_split._replace(W=W, e_part=e_part, s_part=s_part), tol=wrap_tol)
+    # a contiguous Ricci trace, as the four-index frame split of tests/reference.py forms it
+    split = weyl_parts(n, four_tensor_to_pair_matrix(n, Rf), np.ascontiguousarray(_ricci_trace(Rf)))
+    dec = decomposition(split, tol=wrap_tol)
 
     nabla_r, nabla_w = CovDerivCurvature.from_full(nRf), CovDerivCurvature.from_full(nWf)
     delta_w = TwoFormOneForm.from_full(np.einsum('mabcm->abc', nWf))
@@ -439,7 +443,7 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
                  if lattice.with_ricci_identity else None)
 
     return ChartCurvatureField(
-        metric=lattice.metric, grid=lattice.grid, frame=F, R=R_op, Rc=frame_split.Rc,
+        metric=lattice.metric, grid=lattice.grid, frame=F, R=R_op, Rc=split.Rc,
         S=dec.S, decomposition=dec, nabla_r=nabla_r, nabla_w=nabla_w, nabla_rc=nRcf, grad_s=vS,
         delta_w=delta_w, P=P, Q=Q, b_w=b_w, b_r=b_r,
         lap_w_norm_sq=lap_w2, grad_w_norm=grad_absw,

@@ -80,6 +80,8 @@ def _parse_tols(pairs: list[str]) -> dict:
         if name not in tols:
             raise ValueError(f"unknown tolerance {name!r}")
         tols[name] = float(value)
+        if not 0.0 <= tols[name] < np.inf:  # NaN fails too
+            raise ValueError(f"tolerance {name} must be finite and >= 0, got {value}")
     return tols
 
 

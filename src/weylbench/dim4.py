@@ -14,8 +14,8 @@ import numpy as np
 
 from .algebra import check_trace_free, congruence_four, cubic_parts, kn_g_pairing
 from .basis import pair_basis
-from .tensors import (EPS_ALG, CurvatureTensor, check_bianchi, check_finite, check_symmetric,
-                      check_traceless, symmetrized)
+from .tensors import (EPS_ALG, CurvatureTensor, check_bianchi, check_finite, check_traceless,
+                      symmetrized)
 
 def hodge_pm_basis() -> np.ndarray:
     """Columns 0-2: orthonormal self-dual 2-forms; columns 3-5: anti-self-dual.
@@ -65,11 +65,6 @@ def _from_block(wplus: np.ndarray) -> np.ndarray:
     return _PM @ M @ _PM.T
 
 
-def embed_block(block: np.ndarray) -> CurvatureTensor:
-    """Embed a symmetric traceless 3x3 block as a full n=4 operator (other block zero)."""
-    return CurvatureTensor(4, _from_block(check_symmetric(block, "block")))
-
-
 @dataclass(frozen=True)
 class DetIdentities:
     cube_dot: float
@@ -80,7 +75,7 @@ class DetIdentities:
 def det_identities(wplus: np.ndarray, tol: float = EPS_ALG) -> DetIdentities:
     """Cubic operator products of a traceless 3x3 block against its determinant.
 
-    Evaluated on ``embed_block``'s matrix, symmetrized as ``CurvatureTensor`` stores
+    Evaluated on ``_from_block``'s matrix, symmetrized as ``CurvatureTensor`` stores
     it; for traceless blocks cube_dot = 3 det and cube_sharp = 6 det.
     """
     if np.shape(wplus) != (3, 3):

@@ -20,7 +20,6 @@ from .basis import (
     bianchi_image,
     four_tensor_to_pair_matrix,
     full3_to_pair_form,
-    full5_to_triple_pair,
     pair_basis,
     pair_form_to_full3,
     pair_matrix_to_four_tensor,
@@ -141,15 +140,15 @@ class Operator2Form:
         self.mat = _frozen(mat)
 
     @classmethod
-    def from_four_tensor(cls, four: np.ndarray, tol: float = EPS_ALG) -> "Operator2Form":
+    def from_four_tensor(cls, four: np.ndarray) -> "Operator2Form":
         four = np.asarray(four, dtype=float)
         n = four.shape[0]
         if four.shape != (n, n, n, n):
             raise ValueError(f"expected (n,n,n,n) tensor, got {four.shape}")
         scale = finite_scale(four, "tensor")
-        check_small(four + np.swapaxes(four, 0, 1), scale, tol,
+        check_small(four + np.swapaxes(four, 0, 1), scale, EPS_ALG,
                     "tensor is not antisymmetric in the first index pair")
-        check_small(four + np.swapaxes(four, 2, 3), scale, tol,
+        check_small(four + np.swapaxes(four, 2, 3), scale, EPS_ALG,
                     "tensor is not antisymmetric in the second index pair")
         return cls(n, four_tensor_to_pair_matrix(n, four))
 
@@ -304,11 +303,6 @@ class ThreeTwoTensor:
         if comps.shape != (tb.size, pb.size):
             raise ValueError(f"expected ({tb.size}, {pb.size}) components, got {comps.shape}")
         self.comps = _frozen(comps)
-
-    @classmethod
-    def from_full(cls, full: np.ndarray) -> "ThreeTwoTensor":
-        n = full.shape[0]
-        return cls(n, full5_to_triple_pair(n, np.asarray(full, dtype=float)))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.comps))

@@ -1,0 +1,75 @@
+"""Reference routes that only the tests call.
+
+The package keeps one implementation of each concept; the slower or wider routes
+below stay here as oracles.  ``frame_weyl_split`` is the orthonormal-frame Weyl
+split on (n, n, n, n) tensors whose bits ``algebra.weyl_parts``, ``decompose``
+and ``weyl_matrix`` reproduce from pair matrices; ``full5_to_triple_pair`` reads
+the (triple, pair) components of five-index tensors, the bits
+``second_bianchi_pairs`` and ``circ_prime_pairs`` reproduce.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+
+from weylbench.algebra import WeylSplit, _ricci_trace, kn_four
+from weylbench.basis import _take_trailing, _triple_pair_grid, pair_basis
+from weylbench.dim4 import _from_block
+from weylbench.tensors import CurvatureTensor, PureCurvatureMatrix, ThreeTwoTensor, check_symmetric
+
+
+@lru_cache(maxsize=None)
+def _kn_identity(n: int) -> np.ndarray:
+    """g o g of the identity metric, read-only."""
+    gg = kn_four(np.eye(n), np.eye(n))
+    gg.flags.writeable = False
+    return gg
+
+
+def frame_weyl_split(R4: np.ndarray) -> WeylSplit:
+    """Weyl split W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) of (..., n, n, n, n) tensors
+    in an orthonormal frame (g the identity).  Rc is the Ricci trace, S the scalar,
+    E = Rc - (S/n) g."""
+    n = R4.shape[-1]
+    g, gg = np.eye(n), _kn_identity(n)
+    # contiguous rows keep the trace's summation order the same at every batch size
+    Rc = np.ascontiguousarray(_ricci_trace(R4))
+    S = np.trace(Rc, axis1=-2, axis2=-1)
+    s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
+    E = Rc - (s2 / n) * g
+    s_part = s2[..., None, None] / (2 * n * (n - 1)) * gg
+    e_part = kn_four(E, g) / (n - 2)
+    return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R4 - s_part - e_part)
+
+
+def pure_matrix_from_weyl(W: CurvatureTensor) -> PureCurvatureMatrix:
+    """Extract w_ij = W_ijij; valid when the operator is diagonal on coordinate 2-forms."""
+    pb = pair_basis(W.n)
+    w = np.zeros((W.n, W.n))
+    w[pb.rows, pb.cols] = w[pb.cols, pb.rows] = np.diagonal(W.mat)
+    return PureCurvatureMatrix(W.n, w)
+
+
+def embed_block(block: np.ndarray) -> CurvatureTensor:
+    """Embed a symmetric traceless 3x3 block as a full n=4 operator (other block zero)."""
+    return CurvatureTensor(4, _from_block(check_symmetric(block, "block")))
+
+
+@lru_cache(maxsize=None)
+def _triple_pair_positions(n: int) -> np.ndarray:
+    """(T, N) flat positions of T[i, j, k, m, l] in an (n,)*5 block, triples by pairs."""
+    i, j, k, m, l = _triple_pair_grid(n)
+    flat = ((i * n + j) * n + k) * (n * n) + (m * n + l)
+    flat.flags.writeable = False
+    return flat
+
+
+def full5_to_triple_pair(n: int, full: np.ndarray) -> np.ndarray:
+    """(..., n,n,n,n,n) tensors, 3-form in slots 0-2 and 2-form in 3-4 -> (..., T, N)."""
+    return _take_trailing(full, 5, _triple_pair_positions(n))
+
+
+def three_two_from_full(full: np.ndarray) -> ThreeTwoTensor:
+    """The ThreeTwoTensor of a full (n,)*5 tensor."""
+    n = full.shape[0]
+    return ThreeTwoTensor(n, full5_to_triple_pair(n, np.asarray(full, dtype=float)))

@@ -30,7 +30,6 @@ from weylbench.algebra import (
     kulkarni_nomizu,
     pure_cubic_parts,
     pure_cubics,
-    pure_matrix_from_weyl,
     quadratic_form,
     quadratic_forms,
     ricci_contraction,
@@ -49,9 +48,8 @@ from weylbench.algebra import (
     weyl_sectional_split,
     weyl_split,
 )
-from weylbench.basis import (bianchi_image, four_tensor_to_pair_matrix, full5_to_triple_pair,
-                             pair_basis, pair_divergence, pair_matrix_to_four_tensor, pair_ricci,
-                             pair_slots)
+from weylbench.basis import (bianchi_image, four_tensor_to_pair_matrix, pair_basis, pair_divergence,
+                             pair_matrix_to_four_tensor, pair_ricci, pair_slots)
 from weylbench.bounds import cubic_bound_eval, eigen_bound, eigen_bound_terms, weyl_bound_terms
 from weylbench.sampling import (
     pure_from_uniform,
@@ -78,6 +76,9 @@ from weylbench.tensors import (
     norm,
     symmetrized,
 )
+
+from reference import (embed_block, frame_weyl_split, full5_to_triple_pair,
+                       pure_matrix_from_weyl, three_two_from_full)
 
 rng = np.random.default_rng(7)
 
@@ -371,8 +372,7 @@ def test_circ_prime_matches_oracle():
     A = TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, 4, 4, 4)))
     full5 = circ_prime_oracle(A.full())
     out = circ_prime(A)
-    from weylbench.tensors import ThreeTwoTensor
-    assert np.allclose(out.comps, ThreeTwoTensor.from_full(full5).comps, atol=1e-13)
+    assert np.allclose(out.comps, three_two_from_full(full5).comps, atol=1e-13)
 
 
 def test_circ_prime_zero_and_dimension_guard():
@@ -656,10 +656,10 @@ def test_raw_kernels_batch_equals_single(n, count):
     g = np.eye(n) + 0.1 * (h + np.swapaxes(h, -1, -2))
     _assert_batch_equals_single(lambda a: kn_four(a, np.eye(n)), h)
     _assert_batch_equals_single(kn_four, h, g)
-    _assert_batch_equals_single(weyl_split, R4)
+    _assert_batch_equals_single(frame_weyl_split, R4)
     _assert_batch_equals_single(sharp_four, R4, S4)
     Rm, Sm = four_tensor_to_pair_matrix(n, R4), four_tensor_to_pair_matrix(n, S4)
-    Wm = four_tensor_to_pair_matrix(n, weyl_split(R4).W)
+    Wm = four_tensor_to_pair_matrix(n, frame_weyl_split(R4).W)
     _assert_batch_equals_single(lambda a, b: sharp_matrix(n, a, b), Rm, Sm)
     _assert_batch_equals_single(lambda m: cubic_parts(n, m), Wm)
     _assert_batch_equals_single(lambda m: pair_slots(n, m), Rm)
@@ -771,8 +771,8 @@ def test_check_trace_free_is_per_tensor():
 def test_weyl_split_on_derivative_slices(n):
     """A leading axis of size n (nabla_m R slices) splits slice by slice."""
     D = random_curvature_derivative_full(rng, n)
-    _assert_batch_equals_single(weyl_split, D)
-    split = weyl_split(D)
+    _assert_batch_equals_single(frame_weyl_split, D)
+    split = frame_weyl_split(D)
     assert np.abs(np.einsum('mipjp->mij', split.W)).max() < 1e-13
     assert np.allclose(split.s_part + split.e_part + split.W, D, atol=1e-14)
 
@@ -780,7 +780,7 @@ def test_weyl_split_on_derivative_slices(n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_weyl_split_matches_decompose(n):
     R = random_curvature(rng, n)
-    split = weyl_split(R.four())
+    split = frame_weyl_split(R.four())
     dec = decompose(R)
     assert np.array_equal(dec.E, split.E) and dec.S == float(split.S)
     assert np.allclose(R.four(), split.W + split.e_part + split.s_part, atol=1e-14)
@@ -798,7 +798,7 @@ def test_weyl_parts_keeps_the_bits_of_the_four_index_split(n, shape):
     R4 = _curvature_batch(n, int(np.prod(shape))).reshape(shape + (n,) * 4)
     R = four_tensor_to_pair_matrix(n, R4)
     parts = weyl_parts(n, R, pair_ricci(n, R))
-    four = weyl_split(pair_matrix_to_four_tensor(n, R))
+    four = frame_weyl_split(pair_matrix_to_four_tensor(n, R))
     for name in ("W", "e_part", "s_part"):
         assert _same_bits_and_signs(getattr(parts, name),
                                     four_tensor_to_pair_matrix(n, getattr(four, name))), name
@@ -819,7 +819,7 @@ def test_g_circ_k_is_the_transpose_of_k_circ_g(n):
 def test_decompose_and_kulkarni_nomizu_keep_the_four_index_bits(n):
     """decompose and kulkarni_nomizu hold the matrices the four-index route stored."""
     R = random_curvature(rng, n)
-    dec, split = decompose(R), weyl_split(R.four())
+    dec, split = decompose(R), frame_weyl_split(R.four())
     for part, four in ((dec.weyl, split.W), (dec.e_part, split.e_part),
                        (dec.s_part, split.s_part)):
         assert _same_bits_and_signs(part.mat, symmetrized(four_tensor_to_pair_matrix(n, four)))
@@ -838,7 +838,7 @@ def weyl_matrix_four_tensor_reference(n, mat):
     """The Weyl part of T - b(T) as the samplers formed it on four-index tensors."""
     four = pair_matrix_to_four_tensor(n, mat)
     four -= cyclic_average(four)
-    return four_tensor_to_pair_matrix(n, weyl_split(four).W)
+    return four_tensor_to_pair_matrix(n, frame_weyl_split(four).W)
 
 
 def cubic_parts_four_tensor_reference(n, mat):
@@ -954,8 +954,8 @@ def test_weyl_split_with_metric_is_frame_invariant():
     R_coords = np.einsum('ia,jb,kc,ld,ijkl->abcd', A, A, A, A, R)
     split = weyl_split(R_coords, g)
     W_frame = np.einsum('ai,bj,ck,dl,abcd->ijkl', F, F, F, F, split.W)
-    assert np.allclose(W_frame, weyl_split(R).W, atol=1e-12)
-    assert float(split.S) == pytest.approx(float(weyl_split(R).S), abs=1e-12)
+    assert np.allclose(W_frame, frame_weyl_split(R).W, atol=1e-12)
+    assert float(split.S) == pytest.approx(float(frame_weyl_split(R).S), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -1092,8 +1092,6 @@ def test_cubic_parts_match_operator_products(n):
 
 
 def test_cubic_parts_determinant_identities_n4():
-    from weylbench.dim4 import embed_block
-
     for _ in range(5):
         block = random_symmetric(rng, 3)
         block -= np.trace(block) / 3.0 * np.eye(3)
@@ -1127,7 +1125,7 @@ def test_congruence_four_takes_one_matrix_per_object(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_weyl_norm_with_metric_matches_einsum_reference(n):
-    W = weyl_split(_curvature_batch(n, 1)[0]).W
+    W = frame_weyl_split(_curvature_batch(n, 1)[0]).W
     gi = _inverse_metric(n)
     value = 0.25 * float(np.vdot(congruence_four(W, gi), W))
     assert value == pytest.approx(w_norm_sq_einsum_reference(W, gi), rel=1e-13)
@@ -1136,7 +1134,7 @@ def test_weyl_norm_with_metric_matches_einsum_reference(n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_weyl_norm_with_metric_is_coordinate_invariant(n):
     """|W|^2_g is unchanged when W and g^-1 move to new coordinates x = P y."""
-    W = weyl_split(_curvature_batch(n, 1)[0]).W
+    W = frame_weyl_split(_curvature_batch(n, 1)[0]).W
     gi = _inverse_metric(n)
     P = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, size=(n, n))
     Pi = np.linalg.inv(P)

@@ -1,6 +1,7 @@
 """Finite-difference chart calculus: convergence and differential identities."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -660,3 +661,25 @@ def test_residuals_match_golden_bits(name):
     report = identity_residual_report(f)
     report["S"] = f.S
     assert {k: float(v).hex() for k, v in report.items()} == GOLDEN_HEX[name]
+
+
+# sha256 of the chart decomposition's bytes (the weyl, e_part and s_part pair matrices,
+# then E, S and Rc) at CENTER6[:n], h = 1e-3, captured at commit 6c14e91, when the
+# frame split still ran on (n, n, n, n) tensors; the pair-matrix split keeps every bit
+CENTER6 = [0.12, -0.07, 0.18, 0.05, -0.11, 0.09]
+DECOMPOSITION_SHA256 = {
+    (5, 2): "df053748358a54bb67f107388252bf8878f8088e45835ca7c3581a9a8477c671",
+    (5, 4): "2f7976e4bc5bdd960cfe37cc4715933bd55591fee5efdbc277ee11a3daa5701c",
+    (6, 2): "1663be78efc5e7ccdbaeff6265a4f9e1b52d84ef50066cd0dce842a24ec1a6ba",
+    (6, 4): "50d59ef6491e4be2db197fe160dd822b8fdd64077ed670909c57a1ff3e6efe68",
+}
+
+
+@pytest.mark.parametrize("n, order", sorted(DECOMPOSITION_SHA256))
+def test_frame_decomposition_matches_golden_bytes(n, order):
+    f = curvature_field(preset_metric(f"perturbed:{n}"),
+                        GridSpec(center=CENTER6[:n], h=1e-3, order=order))
+    d = f.decomposition
+    parts = (d.weyl.mat, d.e_part.mat, d.s_part.mat, d.E, np.float64(d.S), f.Rc)
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(p).tobytes() for p in parts))
+    assert digest.hexdigest() == DECOMPOSITION_SHA256[(n, order)]

@@ -46,6 +46,11 @@ def test_unknown_tolerance():
     assert run_cli("constants", "6", "--tol", "nope=1") == 2
 
 
+def test_zero_tolerance_is_accepted(capsys):
+    assert run_cli("constants", "6", "--tol", "eps_alg=0") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_model_subcommand(capsys):
     assert run_cli("model", "product:sphere:2:1.0,sphere:2:1.0", "--format", "json") == 0
     data = json.loads(capsys.readouterr().out)
@@ -276,10 +281,15 @@ def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0, e_trace=0.0, traced_w
     (("model", "sphere:4:0"), None),
     (("model", "sphere:4:-1"), None),
     (("chart", "euclidean:4", "--h", "nan"), None),
-], ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
-        "pinch-pointwise-nan-S", "pinch-norm-traced-E", "pinch-pointwise-traced-E",
-        "pinch-norm-traced-W", "pinch-norm-mis-sized-E",
-        "model-zero-radius", "model-negative-radius", "chart-nan-step"])
+    (("chart", "perturbed:4", "--h", "1e-300"), None),
+] + [(("model", "sphere:4", "--tol", f"eps_alg={v}"), None)
+     for v in ("nan", "inf", "-inf", "-1", "1e400")],
+    ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
+         "pinch-pointwise-nan-S", "pinch-norm-traced-E", "pinch-pointwise-traced-E",
+         "pinch-norm-traced-W", "pinch-norm-mis-sized-E",
+         "model-zero-radius", "model-negative-radius", "chart-nan-step",
+         "chart-collapsed-step", "tol-nan", "tol-inf", "tol-minus-inf", "tol-negative",
+         "tol-overflow"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
     if payload is not None:

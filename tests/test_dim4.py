@@ -10,7 +10,6 @@ from weylbench.dim4 import (
     berger_normal_form,
     det_identities,
     e_circ_g_orthogonality,
-    embed_block,
     hodge_pm_basis,
     pinched_lemma_check,
     split_self_dual,
@@ -18,6 +17,8 @@ from weylbench.dim4 import (
 from weylbench.models import model_curvature, parse_model_spec
 from weylbench.sampling import random_curvature, random_traceless_symmetric, random_weyl
 from weylbench.tensors import CurvatureTensor
+
+from reference import embed_block
 
 rng = np.random.default_rng(11)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weylbench.algebra import decompose, kn_four, pure_matrix_from_weyl
+from weylbench.algebra import decompose, kn_four
 from weylbench.models import (
     MAX_CURVATURE_SCALE,
     Factor,
@@ -15,6 +15,8 @@ from weylbench.models import (
     symmetric_space_identity_report,
 )
 from weylbench.tensors import CurvatureTensor, Operator2Form
+
+from reference import pure_matrix_from_weyl
 
 CATALOG = [
     "sphere:4:1.0",

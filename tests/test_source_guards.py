@@ -34,18 +34,27 @@ directly: ``serialization.py`` calls neither ``from_four_tensor`` nor
 The orthonormal-frame Weyl split runs on pair matrices (``algebra.weyl_parts``):
 the suite's identity chunk calls none of ``weyl_split``, ``kn_four`` and
 ``four_tensor_to_pair_matrix``, ``algebra.decompose`` calls neither ``.four()``
-nor ``weyl_split``, and the model catalogue builds its curvature in one checked
-step, with no ``from_operator``.  The suite's second-Bianchi and circ-prime
-families run at their (triple, pair) components: ``suite.py`` imports none of
-``second_bianchi_full``, ``circ_prime_full``, ``full5_to_triple_pair`` and
-``kn_four``.
+nor ``weyl_split``, the chart's frame decomposition (``chart._assemble``) calls
+neither ``weyl_split`` nor ``kn_four``, and the model catalogue builds its
+curvature in one checked step, with no ``from_operator``.  The suite's
+second-Bianchi and circ-prime families run at their (triple, pair) components:
+``suite.py`` imports none of ``second_bianchi_full``, ``circ_prime_full``,
+``full5_to_triple_pair`` and ``kn_four``.
 
 A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
 so every metric evaluation of the package goes through one call site and its
 shape and positive-definiteness checks.
+
+The package holds only runtime code: every top-level function in ``src/weylbench``
+is exported by ``__init__.py``, referred to by other package code, traced by the
+benchmark (``TRACED_FUNCTIONS`` in ``benchmarks/tracing.py``, read only), or on
+the short allow-list of helpers that scripts and tests build inputs with.  Oracles
+that only tests call live in ``tests/reference.py``.
 """
 
 import ast
+import importlib.util
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weylbench"
@@ -207,6 +216,7 @@ def test_frame_weyl_split_runs_on_pair_matrices():
     assert not called_names(SRC / "suite.py", "_identity_chunk") & {
         "weyl_split", "kn_four", "four_tensor_to_pair_matrix"}
     assert not called_names(SRC / "algebra.py", "decompose") & {"four", "weyl_split"}
+    assert not called_names(SRC / "chart.py", "_assemble") & {"weyl_split", "kn_four"}
     assert "from_operator" not in called_names(SRC / "models.py")
 
 
@@ -230,7 +240,7 @@ def test_suite_runs_the_second_bianchi_families_without_five_index_kernels():
 
 
 #: optional parameters (defaults) over the package's functions
-MAX_OPTIONAL_PARAMETERS = 33
+MAX_OPTIONAL_PARAMETERS = 31
 
 
 def optional_parameters(path: Path) -> list[str]:
@@ -283,3 +293,47 @@ def test_metric_evaluator_is_called_only_in_the_table():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in fn_call_sites(path)]
     assert [(hit.split(":")[0], hit.split(" ", 1)[1]) for hit in found] == [
         ("chart.py", "ChartMetric.table")], found
+
+
+TRACING = SRC.parent.parent / "benchmarks" / "tracing.py"
+#: helpers for building inputs and writing files, kept for scripts and tests
+UNREACHED_ALLOWED = {"random_operator", "random_curvature", "random_weyl",
+                     "random_traceless_symmetric", "dump_grid_file", "operator_to_dict"}
+
+
+def traced_functions() -> set[str]:
+    spec = importlib.util.spec_from_file_location("weylbench_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name for _, name in module.TRACED_FUNCTIONS}
+
+
+def unreached_functions(files: list[Path]) -> list[str]:
+    """``file:name`` of each top-level function that ``__init__.py`` does not import and
+    no code in the files refers to outside the function's own body."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in files}
+    exported = imported_names(next(path for path in files if path.name == "__init__.py"))
+
+    def refs(node: ast.AST) -> list[str]:
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    seen = Counter(name for tree in trees.values() for name in refs(tree))
+    return [f"{path.name}:{node.name}" for path, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name not in exported
+            and seen[node.name] == refs(node).count(node.name)]
+
+
+def test_guard_sees_unreached_functions(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import api\n")
+    (tmp_path / "a.py").write_text("def api():\n    return helper()\n"
+                                   "def helper():\n    return 1\n"
+                                   "def loop(k):\n    return loop(k - 1) if k else 0\n"
+                                   "def orphan():\n    return api()\n")
+    assert unreached_functions(sorted(tmp_path.glob("*.py"))) == ["a.py:loop", "a.py:orphan"]
+
+
+def test_package_functions_are_reached():
+    unreached = [hit for hit in unreached_functions(sorted(SRC.glob("*.py")))
+                 if hit.split(":")[1] not in traced_functions()]
+    assert [hit for hit in unreached if hit.split(":")[1] not in UNREACHED_ALLOWED] == []

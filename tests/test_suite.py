@@ -8,8 +8,7 @@ import pytest
 
 from weylbench import sampling, suite
 from weylbench.algebra import circ_prime_full, kn_four, second_bianchi_full, weyl_parts
-from weylbench.basis import (four_tensor_to_pair_matrix, full5_to_triple_pair,
-                             pair_matrix_to_four_tensor, pair_ricci)
+from weylbench.basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor, pair_ricci
 from weylbench.sampling import (
     curvature_derivative_from_uniform,
     curvature_from_uniform,
@@ -25,6 +24,8 @@ from weylbench.sampling import (
 )
 from weylbench.suite import run_identity_suite
 from weylbench.tensors import cyclic_average, max_abs
+
+from reference import full5_to_triple_pair
 
 DIMENSIONS = (4, 5, 6, 7, 8)
 

