@@ -9,7 +9,7 @@ pinch verdicts with their dimensional constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -253,10 +253,11 @@ def wcubic_oracle(s: float, n: int, budget: int = 100_000, seed: int = 0) -> Ora
     """Independent maximization of sum x^3 / sum x^2 on {sum x = 0, x <= s}.
 
     Multi-start projected gradient ascent with step halving (the candidate
-    rows march in lockstep), seeded with the structured stationary points
-    (k entries at the cap, the rest equal) and 64 random feasible starts.
-    Each step costs one sort, one cumulative sum and elementwise products;
-    cubes are formed by multiplication rather than np.power.
+    rows march in lockstep) from 64 random feasible starts only, so the
+    maximiser must be found by the ascent: with ``budget=0`` the value is the
+    best start's and falls short of the closed form.  Each step costs one
+    sort, one cumulative sum and elementwise products; cubes are formed by
+    multiplication rather than np.power.
     """
     check_finite(s)
     if not s > 0:
@@ -266,9 +267,7 @@ def wcubic_oracle(s: float, n: int, budget: int = 100_000, seed: int = 0) -> Ora
     if budget < 0:
         raise ValueError("budget must be >= 0")
     rng = np.random.default_rng(seed)
-    k = np.arange(1, n)[:, None]
-    x = np.vstack([np.where(np.arange(n) < k, s, -k * s / (n - k)),
-                   _project_feasible(rng.uniform(-1.0, 1.0, size=(64, n)) * s, s)])
+    x = _project_feasible(rng.uniform(-1.0, 1.0, size=(64, n)) * s, s)
     fx, q, p = _ratio(x)
     step = np.full(x.shape[0], 0.5 * s)
     evals = x.shape[0]
@@ -295,11 +294,12 @@ def wcubic_oracle(s: float, n: int, budget: int = 100_000, seed: int = 0) -> Ora
 class ConstantsTable:
     """Dimensional constants of the rigidity machinery.
 
-    alpha is the biggest real root of
+    For n >= 6 alpha is the biggest real root of
         8(n-1)^2 a^2 - 2n(n-1)(n-2) a + n(n-2)(n-3) = 0,
-    real only for n = 4 or n >= 6; a1/a2 are emitted for n >= 6, the
-    dimension-5 route carries its own coefficient triple instead, and the
-    dimension-4 thresholds live in the self-dual subsystem.
+    which has none for n = 5, where alpha = 1/2.  For n >= 5 the gap coefficients
+    are a1 = 2 c(n)(n-1) alpha^2 / d and a2 = 2(n-1) alpha^2 / d sqrt((n-1)/n),
+    d = 2(n-1) alpha - n + 3: (8/sqrt10, 2/sqrt5) at n = 5.  The dimension-4
+    thresholds live in the self-dual subsystem.
     """
 
     n: int
@@ -308,14 +308,9 @@ class ConstantsTable:
     a1: float | None = None
     a2: float | None = None
     c_n: float | None = None
-    case5: tuple[float, float, float] | None = None
 
     def as_dict(self) -> dict:
-        out = {"n": self.n, "s_n": self.s_n, "alpha": self.alpha,
-               "a1": self.a1, "a2": self.a2, "c_n": self.c_n}
-        if self.case5 is not None:
-            out["case5_c1"], out["case5_c2"], out["case5_threshold"] = self.case5
-        return out
+        return asdict(self)
 
 
 def quadratic_coefficients(n: int) -> tuple[float, float, float]:
@@ -331,14 +326,13 @@ def constants(n: int) -> ConstantsTable:
     if n == 4:
         return ConstantsTable(n=n, s_n=s_n)
     if n == 5:
-        c5 = table_c(5)
-        return ConstantsTable(n=n, s_n=s_n, alpha=0.5, c_n=c5,
-                              case5=(c5, 2.0 / math.sqrt(5.0), 3.0 / 16.0))
-    A, B, C = quadratic_coefficients(n)
-    disc = B * B - 4.0 * A * C  # 4n(n-1)^2(n-2)(n-4)(n-6), >= 0 for n >= 6
-    alpha = (-B + math.sqrt(max(disc, 0.0))) / (2.0 * A)
+        alpha = 0.5
+    else:
+        A, B, C = quadratic_coefficients(n)
+        disc = B * B - 4.0 * A * C  # 4n(n-1)^2(n-2)(n-4)(n-6), >= 0 for n >= 6
+        alpha = (-B + math.sqrt(max(disc, 0.0))) / (2.0 * A)
     denom = 2.0 * (n - 1) * alpha - n + 3.0
-    a1 = 10.0 * (n - 1) * alpha ** 2 / denom
+    a1 = 2.0 * table_c(n) * (n - 1) * alpha ** 2 / denom
     a2 = 2.0 * (n - 1) * alpha ** 2 / denom * math.sqrt((n - 1) / n)
     return ConstantsTable(n=n, s_n=s_n, alpha=alpha, a1=a1, a2=a2, c_n=table_c(n))
 
@@ -406,32 +400,23 @@ def pinch_verdict_dim4(omega: float, S: float) -> PinchVerdict:
 def gap_verdict_integral(norm_w: float, norm_e: float, lam: float, n: int) -> PinchVerdict:
     """Integral gap verdict on user-supplied L^{n/2} norms and Yamabe invariant.
 
-    For n >= 6 the condition is a1 ||W|| + a2 ||E|| < s_n lambda; dimension five
-    uses the coefficients (8/sqrt10, 2/sqrt5) against (3/16) lambda.  A strict
-    inequality is required: meeting the gap forces conformal flatness, and the
-    borderline case forces nothing.
+    For every n >= 5 the condition is a1 ||W|| + a2 ||E|| < s_n lambda with the
+    coefficients of ``constants(n)``.  A strict inequality is required: meeting
+    the gap forces conformal flatness, and the borderline case forces nothing.
     """
     check_finite(norm_w, norm_e, lam)
     if lam <= 0:
         raise ValueError("the Yamabe invariant input must be positive")
     if norm_w < 0 or norm_e < 0:
         raise ValueError("norms must be nonnegative")
-    if n == 5:
-        c1, c2, thr = constants(5).case5
-        value = c1 * norm_w + c2 * norm_e
-        threshold = thr * lam
-        which = "case5"
-        details = {"c1": c1, "c2": c2}
-    elif n >= 6:
-        tab = constants(n)
-        value = tab.a1 * norm_w + tab.a2 * norm_e
-        threshold = tab.s_n * lam
-        which = "integral"
-        details = {"a1": tab.a1, "a2": tab.a2, "s_n": tab.s_n}
-    else:
+    if n < 5:
         raise ValueError("integral gap verdict requires n >= 5")
+    tab = constants(n)
+    value = tab.a1 * norm_w + tab.a2 * norm_e
+    threshold = tab.s_n * lam
     return PinchVerdict(condition_value=float(value), threshold=float(threshold),
-                        satisfied=bool(value < threshold), which=which, details=details)
+                        satisfied=bool(value < threshold), which="integral",
+                        details={"a1": tab.a1, "a2": tab.a2, "s_n": tab.s_n})
 
 
 def integral_rigidity_d(norm_w: float, norm_e: float, lam: float, n: int) -> float:

@@ -109,13 +109,15 @@ def cmd_model(args, tols) -> int:
     report["results"]["n"] = pkg.R.n
     report["results"]["scalar"] = pkg.S
     tol = tols["eps_alg"]
+    # the trace norm of Rc: |S| if its eigenvalues share a sign, nonzero where S cancels
+    scale = max(1.0, float(np.abs(np.linalg.eigvalsh(pkg.Rc)).sum()))
     for name, value in package_consistency(pkg).items():  # pythagoras is quadratic in R
         _check(report, f"consistency.{name}", value,
-               tol * max(1.0, abs(pkg.S)) ** (2 if name == "pythagoras" else 1))
+               tol * scale ** (2 if name == "pythagoras" else 1))
     if pkg.R.n >= 4:
         for name, value in symmetric_space_identity_report(pkg).items():
             if name in ("r1", "r2"):
-                _check(report, name, value, tol * max(1.0, abs(pkg.S)) ** 3)
+                _check(report, name, value, tol * scale ** 3)
             else:
                 report["results"][name] = value
     return _finish(report, args)
@@ -132,11 +134,11 @@ def cmd_dim4(args, tols) -> int:
     scale = max(1.0, float(np.abs(op.mat).max()))
     _check(report, "trace_free_residual", float(np.abs(ricci_contraction(op)).max()),
            tol * scale * 100)
-    W = CurvatureTensor(4, op.mat, tol=1.0)  # Bianchi residual reported, not trusted
-    _check(report, "bianchi_residual", bianchi_residual(W), tol * scale * 100)
+    _check(report, "bianchi_residual", bianchi_residual(op), tol * scale * 100)
     if report["failures"]:
         return _finish(report, args)
     try:  # the guards' bound is tol itself, tighter than the rows' 100 tol
+        W = CurvatureTensor(4, op.mat, tol=100 * tol)
         split, nf = split_self_dual(W, tol), berger_normal_form(W, tol)
         det = det_identities(split.wplus, tol)
     except ValueError as exc:

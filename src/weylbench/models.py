@@ -23,10 +23,10 @@ from .basis import pair_basis
 from .tensors import CurvatureTensor, inner
 
 
-#: largest n^2 max|R_ijkl| a model may have.  Its scalar curvature obeys |S| <= n^2 max|R_ijkl|,
-#: and the cubic identities of ``symmetric_space_identity_report`` (and the CLI bounds
-#: tol * max(1, |S|)^3) sum up to n^6 products of three curvature entries; 1e100 keeps
-#: each such cube below 1e300, finite with room for the sums.
+#: largest n^2 max|R_ijkl| a model may have.  Its diagonal Ricci form has trace norm at
+#: most n^2 max|R_ijkl|, and the cubic identities of ``symmetric_space_identity_report``
+#: (and the CLI bounds tol * max(1, that norm)^3) sum up to n^6 products of three
+#: curvature entries; 1e100 keeps each such cube below 1e300, finite with room for the sums.
 MAX_CURVATURE_SCALE = 1e100
 
 

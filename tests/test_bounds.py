@@ -396,10 +396,14 @@ def test_wcubic_rejects_bad_cap(cap):
 def test_wcubic_oracle_budget_guard():
     with pytest.raises(ValueError, match="budget"):
         wcubic_oracle(1.0, 5, budget=-1)
-    # no budget leaves the seeded rows, among them the maximiser (s, -s/(n-1), ...)
-    res = wcubic_oracle(1.0, 5, budget=0)
-    assert res.evaluations == 4 + 64 and not res.converged
-    assert res.value == pytest.approx(wcubic_closed_form(1.0, 5), rel=1e-14)
+    # no budget leaves the 64 random starts, none of them the maximiser: the
+    # lower check can fail, and only the ascent reaches s(n-2)/(n-1)
+    for n in range(4, 11):
+        res = wcubic_oracle(1.0, n, budget=0)
+        assert res.evaluations == 64 and not res.converged
+        assert res.value < wcubic_closed_form(1.0, n) - 1e-4, n
+        assert wcubic_oracle(1.0, n).value == pytest.approx(wcubic_closed_form(1.0, n),
+                                                            rel=1e-14)
 
 
 def test_audits_reject_negative_samples():
@@ -444,14 +448,15 @@ def test_constants_large_n_asymptotics():
 
 
 def test_constants_case5():
+    # dimension five runs the general formula at alpha = 1/2, bit for bit the
+    # coefficients (8/sqrt10, 2/sqrt5) against 3/16
     tab = constants(5)
-    assert tab.alpha == pytest.approx(0.5)
-    assert tab.c_n == pytest.approx(8 / math.sqrt(10))
-    assert tab.a1 is None and tab.a2 is None
-    c1, c2, thr = tab.case5
-    assert c1 == pytest.approx(8 / math.sqrt(10))
-    assert c2 == pytest.approx(2 / math.sqrt(5))
-    assert thr == pytest.approx(3 / 16)
+    assert tab.alpha == 0.5
+    assert tab.c_n == 8 / math.sqrt(10)
+    assert tab.a1 == 8 / math.sqrt(10)
+    assert tab.a2 == 2 / math.sqrt(5)
+    assert tab.s_n == 3 / 16
+    assert set(tab.as_dict()) == {"n", "s_n", "alpha", "a1", "a2", "c_n"}
 
 
 def test_constants_n4_alpha_fields_absent():
@@ -552,11 +557,12 @@ def test_gap_verdict_trivial_and_borderline():
 
 def test_gap_verdict_case5_arithmetic():
     v = gap_verdict_integral(0.1, 0.1, 16.0, 5)
-    assert v.which == "case5"
+    assert v.which == "integral"
     expect = 0.8 / math.sqrt(10) + 0.2 / math.sqrt(5)
     assert v.condition_value == pytest.approx(expect, rel=1e-12)
     assert v.threshold == pytest.approx(3.0)
     assert v.satisfied
+    assert v.details == {"a1": 8 / math.sqrt(10), "a2": 2 / math.sqrt(5), "s_n": 3 / 16}
 
 
 def test_gap_verdict_guards():

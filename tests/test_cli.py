@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -62,6 +63,15 @@ def test_model_bad_spec():
     assert run_cli("model", "banana:4") == 2
 
 
+@pytest.mark.parametrize("radius", [f"1e{k}" for k in range(-45, 46, 5)])
+def test_model_verdict_does_not_depend_on_radius_when_scalar_cancels(capsys, radius):
+    """S = 0 on this product at every radius; the bounds scale with the trace norm of Rc."""
+    spec = f"product:hyperbolic:3:{radius},sphere:3:{radius},euclidean:4"
+    assert run_cli("model", spec, "--format", "json") == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["results"]["scalar"] == 0.0 and data["failures"] == []
+
+
 def test_identities_empty_suite(capsys):
     assert run_cli("identities", "--n", "4", "--trials", "0", "--format", "json") == 0
     data = json.loads(capsys.readouterr().out)
@@ -80,7 +90,10 @@ def test_gap_subcommand(capsys):
     assert run_cli("gap", "0.1", "0.1", "16.0", "5", "--format", "json") == 0
     data = json.loads(capsys.readouterr().out)
     v = data["results"]["verdict"]
-    assert v["which"] == "case5" and v["satisfied"] is True
+    assert v["which"] == "integral" and v["satisfied"] is True
+    assert v["condition_value"] == pytest.approx(0.8 / math.sqrt(10) + 0.2 / math.sqrt(5),
+                                                 rel=1e-12)
+    assert v["threshold"] == 3.0
     assert run_cli("gap", "0.1", "0.1", "-1.0", "5") == 2
 
 
@@ -150,6 +163,16 @@ def test_chart_halving(capsys):
     assert data["passed"] is True
 
 
+def test_chart_halving_fails_below_the_round_off_step(capsys):
+    """At h = 1e-5 round-off swamps the O(h^2) error, and every ratio leaves [3.5, 4.5]."""
+    assert run_cli("chart", "perturbed:4", "--h", "1e-5", "--halving", "--format", "json") == 1
+    data = json.loads(capsys.readouterr().out)
+    keys = ("second_bianchi_r", "bianchi_map_w", "delta_w_pq")
+    assert data["failures"] == [f"halving.{key}" for key in keys]
+    for key in keys:
+        assert not 3.5 <= data["results"]["halving_ratios"][key] <= 4.5
+
+
 def test_chart_defaults_are_the_grid_spec_defaults(tmp_path):
     outs = [tmp_path / "default.txt", tmp_path / "explicit.txt"]
     assert run_cli("chart", "sphere-stereo:4", "--out", str(outs[0])) == 0
@@ -174,6 +197,19 @@ def test_bounds_subcommand(capsys):
                    "--format", "json") == 0
     data = json.loads(capsys.readouterr().out)
     assert data["passed"] is True
+
+
+def test_bounds_oracle_defect_fails_without_ascent(capsys):
+    """The oracle starts only from random points: with no budget its defect rows fail."""
+    assert run_cli("bounds", "--trials", "2", "--budget", "0", "--format", "json") == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert failures and all(f.startswith("oracle.") and f.endswith(".defect") for f in failures)
+    assert {f"oracle.n{n}_s1.0.defect" for n in range(4, 9)} <= set(failures)
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "7", "123", "99999"])
+def test_bounds_oracle_finds_the_maximiser(capsys, seed):
+    assert run_cli("bounds", "--trials", "2", "--budget", "2000", "--seed", seed) == 0
 
 
 def test_report_formats(tmp_path):
