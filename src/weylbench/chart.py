@@ -37,7 +37,7 @@ from .algebra import (
     weyl_split,
 )
 from .basis import four_tensor_to_pair_matrix
-from .serialization import json_list, json_matrix, json_number
+from .serialization import json_list, json_matrix, json_number, json_object, read_json_object
 from .tensors import (
     CovDerivCurvature,
     CurvatureDecomposition,
@@ -187,14 +187,11 @@ def grid_file_metric(path: str) -> ChartMetric:
     offset k, bit for bit.  At load every matrix must be finite and symmetric
     and every offset a distinct length-n integer vector.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or not isinstance(data.get("grid"), dict):
-        raise ValueError(f"{path} is not a grid file (a JSON object with a grid object)")
+    data = read_json_object(path, f"grid file {path}")
+    spec = json_object(data.get("grid"), f"grid file {path} grid")
     if "points" in data:
         raise ValueError(f"{path} is an old-format grid file (explicit points); "
                          "write it again with dump_grid_file")
-    spec = data["grid"]
     n = check_dimension(json_number(data["n"], int, "grid file n"))
     center = [json_number(c, float, "grid file grid.center entry")
               for c in json_list(spec["center"], "grid file grid.center")]

@@ -2,14 +2,14 @@
 
 Exit codes: 0 all asserted checks pass, 1 at least one tolerance assertion
 failed, 2 usage or input error.  Identical invocations produce byte-identical
-reports (seeded randomness, no timestamps).
+reports (seeded randomness, no timestamps).  Each ``cmd_*`` fills in the report
+that ``main`` creates, and ``main`` writes every report.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -32,7 +32,7 @@ from .chart import GridSpec, curvature_field, grid_file_metric, identity_residua
 from .dim4 import berger_normal_form, det_identities, split_self_dual
 from .models import model_curvature, package_consistency, parse_model_spec, symmetric_space_identity_report
 from .report import render
-from .serialization import json_matrix, json_number, operator_from_dict
+from .serialization import json_matrix, json_number, operator_from_dict, read_json_object
 from .suite import run_identity_suite
 from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, bianchi_residual
 
@@ -49,7 +49,7 @@ def _base_report(args: argparse.Namespace, tols: dict) -> dict:
     return {
         "command": args.command,
         "config": {
-            "seed": getattr(args, "seed", None),
+            "seed": args.seed,
             "trials": getattr(args, "trials", None),
             "format": args.format,
             "tolerances": dict(sorted(tols.items())),
@@ -91,19 +91,16 @@ def _check(report: dict, name: str, value: float, bound: float) -> None:
         report["failures"].append(name)
 
 
-def cmd_identities(args, tols) -> int:
-    report = _base_report(args, tols)
+def cmd_identities(args, tols, report) -> None:
     dims = tuple(int(d) for d in args.n) if args.n else (4, 5, 6, 7, 8)
     suite = run_identity_suite(dimensions=dims, trials=args.trials, seed=args.seed,
                                tolerance=tols["eps_alg"], workers=args.workers)
     report["results"]["residuals"] = dict(sorted(suite.residuals.items()))
     report["results"]["reported_stats"] = dict(sorted(suite.stats.items()))
     report["failures"] = sorted(suite.failures())
-    return _finish(report, args)
 
 
-def cmd_model(args, tols) -> int:
-    report = _base_report(args, tols)
+def cmd_model(args, tols, report) -> None:
     spec = parse_model_spec(args.spec)
     pkg = model_curvature(spec)
     report["results"]["n"] = pkg.R.n
@@ -120,14 +117,11 @@ def cmd_model(args, tols) -> int:
                 _check(report, name, value, tol * scale ** 3)
             else:
                 report["results"][name] = value
-    return _finish(report, args)
 
 
-def cmd_dim4(args, tols) -> int:
-    report = _base_report(args, tols)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    op = operator_from_dict(data, tol=tols["eps_alg"])
+def cmd_dim4(args, tols, report) -> None:
+    op = operator_from_dict(read_json_object(args.input, f"dim4 input {args.input}"),
+                            tol=tols["eps_alg"])
     if op.n != 4:
         raise ValueError(f"dim4 subcommand needs an n=4 operator, got n={op.n}")
     tol = tols["eps_alg"]
@@ -136,7 +130,7 @@ def cmd_dim4(args, tols) -> int:
            tol * scale * 100)
     _check(report, "bianchi_residual", bianchi_residual(op), tol * scale * 100)
     if report["failures"]:
-        return _finish(report, args)
+        return
     try:  # the guards' bound is tol itself, tighter than the rows' 100 tol
         W = CurvatureTensor(4, op.mat, tol=100 * tol)
         split, nf = split_self_dual(W, tol), berger_normal_form(W, tol)
@@ -144,7 +138,7 @@ def cmd_dim4(args, tols) -> int:
     except ValueError as exc:
         report["results"]["guard_refusal"] = str(exc)
         report["failures"].append("guard_refusal")
-        return _finish(report, args)
+        return
     report["results"]["wplus_eigenvalues"] = sorted(np.linalg.eigvalsh(split.wplus).tolist())
     report["results"]["wminus_eigenvalues"] = sorted(np.linalg.eigvalsh(split.wminus).tolist())
     report["results"]["normal_form"] = {"a": nf.a.tolist(), "b": nf.b.tolist(),
@@ -158,11 +152,9 @@ def cmd_dim4(args, tols) -> int:
     if args.scalar is not None:
         omega = float(np.linalg.eigvalsh(split.wplus).max())
         report["results"]["pinch"] = pinch_verdict_dim4(omega, args.scalar).as_dict()
-    return _finish(report, args)
 
 
-def cmd_bounds(args, tols) -> int:
-    report = _base_report(args, tols)
+def cmd_bounds(args, tols, report) -> None:
     audits = [audit_cubic_bounds(n, args.trials, seed=args.seed) for n in (5, 6, 7, 8)]
     keys = {"berger": "component", "cubic_eig": "eig", "cubic_norm": "norm"}
     worst = {name: float(np.max([a[key] for a in audits]))  # np.max keeps a NaN
@@ -183,11 +175,9 @@ def cmd_bounds(args, tols) -> int:
             _check(report, f"{key}.excess", max(res.value - closed, 0.0), tols["oracle_high"])
             _check(report, f"{key}.defect", max(closed - res.value, 0.0), tols["oracle_low"])
     report["results"]["oracle"] = oracle_results
-    return _finish(report, args)
 
 
-def cmd_constants(args, tols) -> int:
-    report = _base_report(args, tols)
+def cmd_constants(args, tols, report) -> None:
     tab = constants(args.n)
     report["results"]["constants"] = {k: v for k, v in tab.as_dict().items() if v is not None}
     if tab.alpha is not None and args.n >= 6:
@@ -197,19 +187,9 @@ def cmd_constants(args, tols) -> int:
         _check(report, "quadratic_residual", resid, tols["eps_alg"])
         lower = (args.n - 3) / (2.0 * (args.n - 1))
         _check(report, "alpha_above_lower_bound", max(0.0, lower - tab.alpha), tols["eps_alg"])
-    return _finish(report, args)
 
 
-def _load_pinch_inputs(args) -> tuple[CurvatureTensor, np.ndarray, float]:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    op = operator_from_dict(data["W"])
-    W = CurvatureTensor(op.n, op.mat)
-    return W, json_matrix(data["E"], "pinch E"), json_number(data["S"], float, "pinch S")
-
-
-def cmd_pinch(args, tols) -> int:
-    report = _base_report(args, tols)
+def cmd_pinch(args, tols, report) -> None:
     if args.kind == "dim4":
         if args.omega is None or args.scalar is None:
             raise ValueError("dim4 pinch needs --omega and --S")
@@ -217,24 +197,20 @@ def cmd_pinch(args, tols) -> int:
     else:
         if not args.input:
             raise ValueError("pointwise/norm pinch needs --input JSON with W, E, S")
-        W, E, S = _load_pinch_inputs(args)
-        if args.kind == "pointwise":
-            verdict = pinch_verdict_pointwise(W, E, S)
-        else:
-            verdict = pinch_verdict_norm(W, E, S)
+        data = read_json_object(args.input, f"pinch input {args.input}")
+        op = operator_from_dict(data["W"])
+        W = CurvatureTensor(op.n, op.mat)
+        E, S = json_matrix(data["E"], "pinch E"), json_number(data["S"], float, "pinch S")
+        verdict = (pinch_verdict_pointwise if args.kind == "pointwise" else pinch_verdict_norm)(W, E, S)
     report["results"]["verdict"] = verdict.as_dict()
-    return _finish(report, args)
 
 
-def cmd_gap(args, tols) -> int:
-    report = _base_report(args, tols)
+def cmd_gap(args, tols, report) -> None:
     verdict = gap_verdict_integral(args.norm_w, args.norm_e, args.yamabe, args.n)
     report["results"]["verdict"] = verdict.as_dict()
-    return _finish(report, args)
 
 
-def cmd_chart(args, tols) -> int:
-    report = _base_report(args, tols)
+def cmd_chart(args, tols, report) -> None:
     if args.target.endswith(".json"):
         metric = grid_file_metric(args.target)
     else:
@@ -270,7 +246,6 @@ def cmd_chart(args, tols) -> int:
             if not (3.5 <= ratios[key] <= 4.5):
                 report["failures"].append(f"halving.{key}")
         report["results"]["halving_ratios"] = {k: float(v) for k, v in sorted(ratios.items())}
-    return _finish(report, args)
 
 
 @functools.cache
@@ -288,60 +263,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"weylbench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a named tolerance")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--out", help="write the report to a file instead of stdout")
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("identities", help="randomized curvature-algebra identity suite")
+    p = command("identities", cmd_identities, "randomized curvature-algebra identity suite")
     p.add_argument("--n", action="append", help="dimension (repeatable), default 4..8")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_identities)
 
-    p = sub.add_parser("model", help="homogeneous model-space package and residuals")
+    p = command("model", cmd_model, "homogeneous model-space package and residuals")
     p.add_argument("spec", help='e.g. "sphere:4:1.0" or "product:sphere:2:1.0,sphere:2:1.0"')
-    common(p)
-    p.set_defaults(func=cmd_model)
 
-    p = sub.add_parser("dim4", help="self-dual split, normal form, determinant identities")
+    p = command("dim4", cmd_dim4, "self-dual split, normal form, determinant identities")
     p.add_argument("input", help="operator JSON file (n = 4)")
     p.add_argument("--S", dest="scalar", type=float, default=None,
                    help="scalar curvature for the pinch verdict")
-    common(p)
-    p.set_defaults(func=cmd_dim4)
 
-    p = sub.add_parser("bounds", help="sampling audit of the cubic bounds plus the oracle")
+    p = command("bounds", cmd_bounds, "sampling audit of the cubic bounds plus the oracle")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--budget", type=int, default=100_000)
-    common(p)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("constants", help="dimensional constants table")
+    p = command("constants", cmd_constants, "dimensional constants table")
     p.add_argument("n", type=int)
-    common(p)
-    p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("pinch", help="pointwise pinch verdicts")
+    p = command("pinch", cmd_pinch, "pointwise pinch verdicts")
     p.add_argument("kind", choices=("pointwise", "norm", "dim4"))
     p.add_argument("--input", help="JSON file with W (operator), E (matrix), S (number)")
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--S", dest="scalar", type=float, default=None)
-    common(p)
-    p.set_defaults(func=cmd_pinch)
 
-    p = sub.add_parser("gap", help="integral gap verdict from norms and the Yamabe invariant")
+    p = command("gap", cmd_gap, "integral gap verdict from norms and the Yamabe invariant")
     p.add_argument("norm_w", type=float)
     p.add_argument("norm_e", type=float)
     p.add_argument("yamabe", type=float)
     p.add_argument("n", type=int)
-    common(p)
-    p.set_defaults(func=cmd_gap)
 
-    p = sub.add_parser("chart", help="finite-difference chart field and identity residuals")
+    p = command("chart", cmd_chart, "finite-difference chart field and identity residuals")
     p.add_argument("target", help="preset name or grid-file path (*.json)")
     p.add_argument("--h", dest="step", type=float, default=None,
                    help="stencil step (default 1e-3, or the grid file's step)")
@@ -350,8 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--halving", action="store_true",
                    help="recompute at h/2 and check O(h^2) ratios")
     p.add_argument("--ricci-identity", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_chart)
+
+    for p in sub.choices.values():  # after each command's own arguments, as --help lists them
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                       help="override a named tolerance")
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--out", help="write the report to a file instead of stdout")
 
     return parser
 
@@ -364,8 +328,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         tols = _parse_tols(args.tol)
-        return args.func(args, tols)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        report = _base_report(args, tols)
+        args.func(args, tols, report)
+        return _finish(report, args)
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except AssertionError as exc:

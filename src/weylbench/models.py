@@ -40,7 +40,7 @@ class Factor:
         if self.kind not in ("sphere", "hyperbolic", "euclidean"):
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.dim < 2:
-            raise ValueError("product factors need dimension >= 2")
+            raise ValueError("model factors need dimension >= 2")
         try:
             curvature = 1.0 / self.radius ** 2
         except (OverflowError, ZeroDivisionError):  # radius^2 overflows or underflows to 0
@@ -82,36 +82,32 @@ class CurvaturePackage:
     S: float
 
 
+def _factor(text: str) -> Factor:
+    """One ``kind:dim[:radius]`` field group: a single space form or a product factor."""
+    bits = text.strip().split(":")
+    if len(bits) not in (2, 3):
+        raise ValueError(f"bad model spec {text!r}, expected kind:dim[:radius]")
+    return Factor(bits[0], int(bits[1]), float(bits[2]) if len(bits) == 3 else 1.0)
+
+
 def parse_model_spec(text: str) -> ModelSpec:
-    """Parse CLI strings like "sphere:4:1.0" or "product:sphere:2:1.0,sphere:2:1.0"."""
-    text = text.strip()
-    if text.startswith("product:"):
-        factors = []
-        for part in text[len("product:"):].split(","):
-            bits = part.strip().split(":")
-            if len(bits) == 2:
-                kind, dim = bits
-                radius = 1.0
-            elif len(bits) == 3:
-                kind, dim, radius = bits
-            else:
-                raise ValueError(f"bad product factor {part!r}")
-            factors.append(Factor(kind, int(dim), float(radius)))
+    """Parse CLI strings like "sphere:4:1.0", "product:sphere:2:1.0,sphere:2:1.0" or
+    "fubini-study:2"; a missing or extra field is refused."""
+    name, _, rest = text.strip().partition(":")
+    kind = name.replace("-", "_")
+    if kind == "product":
+        factors = tuple(_factor(part) for part in rest.split(","))
         if len(factors) < 2:
             raise ValueError("product needs at least two factors")
-        return ModelSpec(kind="product", factors=tuple(factors))
-    bits = text.split(":")
-    kind = bits[0].replace("-", "_")
-    if kind in ("sphere", "hyperbolic"):
-        if len(bits) not in (2, 3):
-            raise ValueError(f"bad model spec {text!r}")
-        return ModelSpec(kind=kind, dim=int(bits[1]),
-                         radius=float(bits[2]) if len(bits) == 3 else 1.0)
-    if kind == "euclidean":
-        return ModelSpec(kind=kind, dim=int(bits[1]))
+        return ModelSpec(kind="product", factors=factors)
+    if kind in ("sphere", "hyperbolic", "euclidean"):
+        f = _factor(text)
+        return ModelSpec(kind=f.kind, dim=f.dim, radius=f.radius)
     if kind == "fubini_study":
-        return ModelSpec(kind=kind, complex_dim=int(bits[1]))
-    raise ValueError(f"unknown model kind {bits[0]!r}")
+        if not rest or ":" in rest:
+            raise ValueError(f"bad model spec {text!r}, expected fubini-study:m")
+        return ModelSpec(kind=kind, complex_dim=int(rest))
+    raise ValueError(f"unknown model kind {name!r}")
 
 
 def _fubini_study_four(m: int) -> np.ndarray:

@@ -8,13 +8,13 @@ from typing import Any
 import numpy as np
 
 
-def flatten(data: dict, prefix: str = "") -> list[tuple[str, Any]]:
+def flatten(data: dict, prefix: str) -> list[tuple[str, Any]]:
     rows: list[tuple[str, Any]] = []
     for key in data:
         value = data[key]
         name = f"{prefix}{key}"
         if isinstance(value, dict):
-            rows.extend(flatten(value, prefix=f"{name}."))
+            rows.extend(flatten(value, f"{name}."))
         elif isinstance(value, (list, tuple)):
             rows.append((name, json.dumps(value)))
         else:
@@ -22,11 +22,11 @@ def flatten(data: dict, prefix: str = "") -> list[tuple[str, Any]]:
     return rows
 
 
-def render(data: dict, fmt: str = "text") -> str:
+def render(data: dict, fmt: str) -> str:
     data = _plain(data)
     if fmt == "json":
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    rows = flatten(data)
+    rows = flatten(data, "")
     if fmt == "csv":
         lines = ["name,value"]
         for name, value in rows:

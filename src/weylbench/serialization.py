@@ -8,7 +8,8 @@ Two variants are accepted:
 Sparse components are validated on load: entries must be finite and consistent
 with the pair symmetry T_ijkl = T_klij and the antisymmetries in (i, j) and
 (k, l).  Numbers must be JSON numbers: strings, booleans and null are refused,
-and so is a fractional dimension.
+and so is a fractional dimension.  An operator, its sparse components and every
+input file must be JSON objects.
 """
 
 from __future__ import annotations
@@ -39,6 +40,18 @@ def json_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list, got {json.dumps(value)}")
     return value
+
+
+def json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object a file holds; any other JSON value in it is refused."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json_object(json.load(fh), what)
 
 
 def json_matrix(value, what: str) -> np.ndarray:
@@ -77,7 +90,7 @@ def _from_sparse(data: dict, tol: float) -> Operator2Form:
     n = json_number(data["n"], int, "operator n")
     pb = pair_basis(n)
     mat = np.full((pb.size, pb.size), np.nan)
-    for key, value in data["components"].items():
+    for key, value in json_object(data["components"], "operator components").items():
         idx = tuple(int(t) for t in key.split(","))
         if len(idx) != 4 or any(t < 0 or t >= n for t in idx):
             raise ValueError(f"bad component key {key!r}")
@@ -98,6 +111,7 @@ def _from_sparse(data: dict, tol: float) -> Operator2Form:
 
 
 def operator_from_dict(data: dict, tol: float = EPS_ALG) -> Operator2Form:
+    data = json_object(data, "operator")
     if "matrix" in data:
         return _from_dense(data, tol)
     if "components" in data:

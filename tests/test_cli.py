@@ -1,11 +1,14 @@
 """CLI behavior: subcommands, exit codes, determinism, report formats."""
 
 import argparse
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,12 @@ from weylbench.serialization import operator_to_dict
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+#: the environment of a ``python -m weylbench.cli`` child, with the checkout's src first
+#: on PYTHONPATH so that the child also runs from an uninstalled checkout
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def test_constants_text(capsys):
@@ -231,7 +240,7 @@ def test_determinism_bit_identical(tmp_path):
 
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "weylbench.cli", "constants", "6"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert "alpha" in proc.stdout
 
@@ -318,13 +327,25 @@ def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0, e_trace=0.0, traced_w
     (("model", "sphere:4:-1"), None),
     (("chart", "euclidean:4", "--h", "nan"), None),
     (("chart", "perturbed:4", "--h", "1e-300"), None),
+    (("model", "euclidean"), None),
+    (("model", "fubini-study"), None),
+    (("model", "euclidean:4:abc"), None),
+    (("model", "fubini-study:3:xyz"), None),
+    (("dim4", "{file}"), lambda: ["matrix"]),
+    (("dim4", "{file}"), lambda: {"n": 4, "components": [1, 2]}),
+    (("pinch", "pointwise", "--input", "{file}"), lambda: [1, 2]),
+    (("pinch", "pointwise", "--input", "{file}"), lambda: "str"),
+    (("pinch", "norm", "--input", "{file}"), lambda: {"W": ["components"], "E": [[0]], "S": 1}),
 ] + [(("model", "sphere:4", "--tol", f"eps_alg={v}"), None)
      for v in ("nan", "inf", "-inf", "-1", "1e400")],
     ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
          "pinch-pointwise-nan-S", "pinch-norm-traced-E", "pinch-pointwise-traced-E",
          "pinch-norm-traced-W", "pinch-norm-mis-sized-E",
          "model-zero-radius", "model-negative-radius", "chart-nan-step",
-         "chart-collapsed-step", "tol-nan", "tol-inf", "tol-minus-inf", "tol-negative",
+         "chart-collapsed-step", "model-euclidean-no-dim", "model-fubini-study-no-dim",
+         "model-euclidean-bad-radius", "model-fubini-study-extra-field", "dim4-list",
+         "dim4-sparse-list-components", "pinch-pointwise-list", "pinch-pointwise-string",
+         "pinch-norm-list-W", "tol-nan", "tol-inf", "tol-minus-inf", "tol-negative",
          "tol-overflow"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
@@ -340,7 +361,7 @@ def test_infinite_symmetric_pair_prints_only_the_error(tmp_path):
     path = tmp_path / "inf.json"
     path.write_text(json.dumps({"n": 4, "basis": "lex-pairs", "matrix": mat.tolist()}))
     proc = subprocess.run([sys.executable, "-m", "weylbench.cli", "dim4", str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
@@ -701,6 +722,30 @@ def test_shared_parser_help_matches_a_fresh_parser(capsys, command):
         with pytest.raises(SystemExit):
             fresh_parser.parse_args(bad)
     assert capsys.readouterr().err == shared_errors
+
+
+#: sha256 of each --help text at COLUMNS=80, for the root (None) and every subcommand
+HELP_SHA256 = {
+    None: "70f72437db978813e54ef568a2c17b3da9f74e440250e56508d9d7980b8442e6",
+    "identities": "e2538469c8b83cbb868295495d6e5925aebcc80a5bd0fed2052592e37e8ac6d4",
+    "model": "adac219c44d5a6f23fe13c471153a615e130577a37e03f3e54b4866ec5a4704f",
+    "dim4": "5738957c3a01d8422aa93dd77a177a05f3ceef9d90af1631053d45e7bb1f9435",
+    "bounds": "29d719096436d12e121f4fb4907be834dc2d281611b10726f2906ed57d80fe41",
+    "constants": "0f5cf53f5baba7bdc84d78c240abd31d38cdfe870dba5885f4be37ebe1a0b8cc",
+    "pinch": "53387063388d2b096b03370623e0edac8bb75ce49fc733e01db9b4067a4d0b5c",
+    "gap": "76de2b58e994f7fb91cdb43af7d2f9d7b40ec83bd7c2bfe104fe2afddfd0a329",
+    "chart": "fe8ec021f7d9da931e932a3a7da76bb78b3c2b04980a6b47c04382bee4146b4e",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the pinned bytes are Python 3.11 argparse's layout")
+def test_help_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    assert list(HELP_SHA256) == [None, *SUBCOMMANDS]
+    for command, digest in HELP_SHA256.items():
+        assert run_cli(*([command] if command else []), "--help") == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, command
 
 
 def test_options_do_not_leak_between_calls(capsys):

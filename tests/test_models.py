@@ -136,6 +136,11 @@ def test_invalid_specs_rejected():
         model_curvature(ModelSpec(kind="sphere", dim=2))
     with pytest.raises(ValueError):
         model_curvature(ModelSpec(kind="fubini_study", complex_dim=1))
+    for text in ("euclidean", "fubini-study", "euclidean:4:abc", "fubini-study:3:xyz",
+                 "sphere:4:1.0:2", "product:sphere:2,euclidean"):
+        with pytest.raises(ValueError):
+            parse_model_spec(text)
+    assert parse_model_spec("euclidean:4:2.0").dim == 4  # as a product factor reads it
 
 
 @pytest.mark.parametrize("text", ["sphere:4:0", "sphere:4:-1", "hyperbolic:4:0",

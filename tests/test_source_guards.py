@@ -240,7 +240,7 @@ def test_suite_runs_the_second_bianchi_families_without_five_index_kernels():
 
 
 #: optional parameters (defaults) over the package's functions
-MAX_OPTIONAL_PARAMETERS = 31
+MAX_OPTIONAL_PARAMETERS = 29
 
 
 def optional_parameters(path: Path) -> list[str]:
