@@ -32,16 +32,6 @@ from .tensors import (
     symmetrized,
 )
 
-__all__ = [
-    "kulkarni_nomizu", "ricci_contraction", "bianchi_project", "decompose",
-    "dot_product", "sharp_product", "tri", "circ_prime", "circ_prime_pairs", "second_bianchi",
-    "second_bianchi_pairs",
-    "u_contraction", "quadratic_forms", "pure_cubics", "weyl_sectional_split",
-    "QuadraticForms", "PureCubics", "kn_four", "sharp_four", "sharp_matrix", "weyl_split",
-    "WeylSplit", "weyl_parts", "weyl_matrix", "decomposition", "cubic_parts",
-    "congruence_four", "kn_g_matrix", "kn_g_pairing",
-]
-
 # Raw kernels act on the trailing axes of plain arrays and broadcast over leading batch
 # axes (u_tensor_contractions takes one tensor); the typed functions below wrap them.
 # Weyl-type operators enter as (..., N, N) pair matrices (weyl_parts, the one orthonormal-

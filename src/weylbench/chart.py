@@ -37,7 +37,7 @@ from .algebra import (
     weyl_split,
 )
 from .basis import four_tensor_to_pair_matrix
-from .serialization import json_list, json_matrix, json_number, json_object, read_json_object
+from .serialization import json_fields, json_list, json_matrix, json_number, json_object, read_json_object
 from .tensors import (
     CovDerivCurvature,
     CurvatureDecomposition,
@@ -187,22 +187,25 @@ def grid_file_metric(path: str) -> ChartMetric:
     offset k, bit for bit.  At load every matrix must be finite and symmetric
     and every offset a distinct length-n integer vector.
     """
-    data = read_json_object(path, f"grid file {path}")
-    spec = json_object(data.get("grid"), f"grid file {path} grid")
+    what = f"grid file {path}"
+    data = read_json_object(path, what)
     if "points" in data:
         raise ValueError(f"{path} is an old-format grid file (explicit points); "
                          "write it again with dump_grid_file")
-    n = check_dimension(json_number(data["n"], int, "grid file n"))
+    n, spec, offsets, matrices = json_fields(data, ("n", "grid", "offsets", "matrices"), what)
+    center, h, order = json_fields(json_object(spec, f"{what} grid"), ("center", "h", "order"),
+                                   f"{what} grid")
+    n = check_dimension(json_number(n, int, "grid file n"))
     center = [json_number(c, float, "grid file grid.center entry")
-              for c in json_list(spec["center"], "grid file grid.center")]
+              for c in json_list(center, "grid file grid.center")]
     if len(center) != n:
         raise ValueError(f"grid file grid.center has {len(center)} entries, expected n = {n}")
-    grid = GridSpec(center=center, h=json_number(spec["h"], float, "grid file grid.h"),
-                    order=json_number(spec["order"], int, "grid file grid.order"))
+    grid = GridSpec(center=center, h=json_number(h, float, "grid file grid.h"),
+                    order=json_number(order, int, "grid file grid.order"))
     rows: dict[tuple, int] = {}  # offset -> its row of mats
     mats = []
-    for k, mat in zip(json_list(data["offsets"], "grid file offsets"),
-                      json_list(data["matrices"], "grid file matrices"), strict=True):
+    for k, mat in zip(json_list(offsets, "grid file offsets"),
+                      json_list(matrices, "grid file matrices"), strict=True):
         if (not (isinstance(k, list) and len(k) == n and all(type(c) is int for c in k))
                 or tuple(k) in rows):
             raise ValueError(f"grid file offset {k!r} is not a new length-{n} integer vector")

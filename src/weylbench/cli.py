@@ -32,7 +32,7 @@ from .chart import GridSpec, curvature_field, grid_file_metric, identity_residua
 from .dim4 import berger_normal_form, det_identities, split_self_dual
 from .models import model_curvature, package_consistency, parse_model_spec, symmetric_space_identity_report
 from .report import render
-from .serialization import json_matrix, json_number, operator_from_dict, read_json_object
+from .serialization import json_fields, json_matrix, json_number, operator_from_dict, read_json_object
 from .suite import run_identity_suite
 from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, bianchi_residual
 
@@ -49,7 +49,7 @@ def _base_report(args: argparse.Namespace, tols: dict) -> dict:
     return {
         "command": args.command,
         "config": {
-            "seed": args.seed,
+            "seed": getattr(args, "seed", None),
             "trials": getattr(args, "trials", None),
             "format": args.format,
             "tolerances": dict(sorted(tols.items())),
@@ -71,14 +71,14 @@ def _finish(report: dict, args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
-def _parse_tols(pairs: list[str]) -> dict:
-    tols = dict(DEFAULT_TOLERANCES)
+def _parse_tols(names: tuple, pairs: list[str] | None) -> dict:
+    tols = {name: DEFAULT_TOLERANCES[name] for name in names}
     for pair in pairs or []:
         if "=" not in pair:
             raise ValueError(f"bad tolerance override {pair!r}, expected name=value")
         name, value = pair.split("=", 1)
         if name not in tols:
-            raise ValueError(f"unknown tolerance {name!r}")
+            raise ValueError(f"unknown tolerance {name!r}, expected one of {', '.join(tols)}")
         tols[name] = float(value)
         if not 0.0 <= tols[name] < np.inf:  # NaN fails too
             raise ValueError(f"tolerance {name} must be finite and >= 0, got {value}")
@@ -120,11 +120,10 @@ def cmd_model(args, tols, report) -> None:
 
 
 def cmd_dim4(args, tols, report) -> None:
-    op = operator_from_dict(read_json_object(args.input, f"dim4 input {args.input}"),
-                            tol=tols["eps_alg"])
+    tol = tols["eps_alg"]
+    op = operator_from_dict(read_json_object(args.input, f"dim4 input {args.input}"), tol=tol)
     if op.n != 4:
         raise ValueError(f"dim4 subcommand needs an n=4 operator, got n={op.n}")
-    tol = tols["eps_alg"]
     scale = max(1.0, float(np.abs(op.mat).max()))
     _check(report, "trace_free_residual", float(np.abs(ricci_contraction(op)).max()),
            tol * scale * 100)
@@ -197,10 +196,11 @@ def cmd_pinch(args, tols, report) -> None:
     else:
         if not args.input:
             raise ValueError("pointwise/norm pinch needs --input JSON with W, E, S")
-        data = read_json_object(args.input, f"pinch input {args.input}")
-        op = operator_from_dict(data["W"])
+        what = f"pinch input {args.input}"
+        w, E, S = json_fields(read_json_object(args.input, what), ("W", "E", "S"), what)
+        op = operator_from_dict(w)
         W = CurvatureTensor(op.n, op.mat)
-        E, S = json_matrix(data["E"], "pinch E"), json_number(data["S"], float, "pinch S")
+        E, S = json_matrix(E, "pinch E"), json_number(S, float, "pinch S")
         verdict = (pinch_verdict_pointwise if args.kind == "pointwise" else pinch_verdict_norm)(W, E, S)
     report["results"]["verdict"] = verdict.as_dict()
 
@@ -263,44 +263,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"weylbench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary):
+    def command(name, func, tols, summary):  # tols: the names its func reads
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, tol_names=tols)
         return p
 
-    p = command("identities", cmd_identities, "randomized curvature-algebra identity suite")
+    p = command("identities", cmd_identities, ("eps_alg",),
+                "randomized curvature-algebra identity suite")
     p.add_argument("--n", action="append", help="dimension (repeatable), default 4..8")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = command("model", cmd_model, "homogeneous model-space package and residuals")
+    p = command("model", cmd_model, ("eps_alg",), "homogeneous model-space package and residuals")
     p.add_argument("spec", help='e.g. "sphere:4:1.0" or "product:sphere:2:1.0,sphere:2:1.0"')
 
-    p = command("dim4", cmd_dim4, "self-dual split, normal form, determinant identities")
+    p = command("dim4", cmd_dim4, ("eps_alg", "eps_nf"),
+                "self-dual split, normal form, determinant identities")
     p.add_argument("input", help="operator JSON file (n = 4)")
     p.add_argument("--S", dest="scalar", type=float, default=None,
                    help="scalar curvature for the pinch verdict")
 
-    p = command("bounds", cmd_bounds, "sampling audit of the cubic bounds plus the oracle")
+    p = command("bounds", cmd_bounds, ("eps_alg", "oracle_low", "oracle_high"),
+                "sampling audit of the cubic bounds plus the oracle")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = command("constants", cmd_constants, "dimensional constants table")
+    p = command("constants", cmd_constants, ("eps_alg",), "dimensional constants table")
     p.add_argument("n", type=int)
 
-    p = command("pinch", cmd_pinch, "pointwise pinch verdicts")
+    p = command("pinch", cmd_pinch, (), "pointwise pinch verdicts")
     p.add_argument("kind", choices=("pointwise", "norm", "dim4"))
     p.add_argument("--input", help="JSON file with W (operator), E (matrix), S (number)")
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--S", dest="scalar", type=float, default=None)
 
-    p = command("gap", cmd_gap, "integral gap verdict from norms and the Yamabe invariant")
+    p = command("gap", cmd_gap, (), "integral gap verdict from norms and the Yamabe invariant")
     p.add_argument("norm_w", type=float)
     p.add_argument("norm_e", type=float)
     p.add_argument("yamabe", type=float)
     p.add_argument("n", type=int)
 
-    p = command("chart", cmd_chart, "finite-difference chart field and identity residuals")
+    p = command("chart", cmd_chart, ("eps_alg", "chart_zero"),
+                "finite-difference chart field and identity residuals")
     p.add_argument("target", help="preset name or grid-file path (*.json)")
     p.add_argument("--h", dest="step", type=float, default=None,
                    help="stencil step (default 1e-3, or the grid file's step)")
@@ -311,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ricci-identity", action="store_true")
 
     for p in sub.choices.values():  # after each command's own arguments, as --help lists them
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a named tolerance")
+        if p.get_default("tol_names"):
+            p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                           help="override a named tolerance")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", help="write the report to a file instead of stdout")
 
@@ -327,12 +333,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        tols = _parse_tols(args.tol)
+        tols = _parse_tols(args.tol_names, getattr(args, "tol", None))
         report = _base_report(args, tols)
         args.func(args, tols, report)
         return _finish(report, args)
-    except (ValueError, KeyError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, KeyError, OSError) as exc:  # str() of a KeyError quotes its message
+        sys.stderr.write(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}\n")
         return 2
     except AssertionError as exc:
         sys.stderr.write(f"assertion failed: {exc}\n")

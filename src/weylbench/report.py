@@ -37,14 +37,8 @@ def render(data: dict, fmt: str) -> str:
         return "\n".join(lines) + "\n"
     if fmt == "text":
         width = max((len(name) for name, _ in rows), default=0)
-        return "\n".join(f"{name.ljust(width)}  {_fmt_value(v)}" for name, v in rows) + "\n"
+        return "\n".join(f"{name.ljust(width)}  {v}" for name, v in rows) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _fmt_value(v: Any) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _plain(data: dict) -> dict:

@@ -48,6 +48,14 @@ def json_object(value, what: str) -> dict:
     return value
 
 
+def json_fields(data: dict, keys: tuple, what: str) -> list:
+    """The values of the required fields ``keys``; the first missing one is refused by name."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing the field {key!r}")
+    return [data[key] for key in keys]
+
+
 def read_json_object(path: str, what: str) -> dict:
     """The JSON object a file holds; any other JSON value in it is refused."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -71,8 +79,7 @@ def operator_to_dict(op: Operator2Form) -> dict[str, Any]:
     return {"n": op.n, "basis": "lex-pairs", "matrix": op.mat.tolist()}
 
 
-def _from_dense(data: dict, tol: float) -> Operator2Form:
-    n = json_number(data["n"], int, "operator n")
+def _from_dense(data: dict, n: int, tol: float) -> Operator2Form:
     basis = data.get("basis", "lex-pairs")
     if basis != "lex-pairs":
         raise ValueError(f"unsupported basis {basis!r}, expected 'lex-pairs'")
@@ -83,11 +90,10 @@ def _from_dense(data: dict, tol: float) -> Operator2Form:
     return Operator2Form(n, check_symmetric(mat, "pair-basis matrix (T_ijkl = T_klij)", tol))
 
 
-def _from_sparse(data: dict, tol: float) -> Operator2Form:
+def _from_sparse(data: dict, n: int, tol: float) -> Operator2Form:
     """Each component's signed value goes to its pair entry and the transposed one.  The
     eight images of a key under the symmetries are those two entries, so a key agrees
     with earlier ones exactly when its value agrees with the entry they left."""
-    n = json_number(data["n"], int, "operator n")
     pb = pair_basis(n)
     mat = np.full((pb.size, pb.size), np.nan)
     for key, value in json_object(data["components"], "operator components").items():
@@ -112,8 +118,9 @@ def _from_sparse(data: dict, tol: float) -> Operator2Form:
 
 def operator_from_dict(data: dict, tol: float = EPS_ALG) -> Operator2Form:
     data = json_object(data, "operator")
+    n = json_number(*json_fields(data, ("n",), "operator"), int, "operator n")
     if "matrix" in data:
-        return _from_dense(data, tol)
+        return _from_dense(data, n, tol)
     if "components" in data:
-        return _from_sparse(data, tol)
+        return _from_sparse(data, n, tol)
     raise ValueError("operator JSON needs either 'matrix' or 'components'")

@@ -56,6 +56,39 @@ def test_unknown_tolerance():
     assert run_cli("constants", "6", "--tol", "nope=1") == 2
 
 
+@pytest.mark.parametrize("argv, refused", [
+    (("gap", "0.1", "0.1", "16.0", "5", "--seed", "3"), "unrecognized arguments: --seed 3"),
+    (("chart", "euclidean:4", "--seed", "1"), "unrecognized arguments: --seed 1"),
+    (("pinch", "dim4", "--omega", "1", "--S", "4", "--tol", "eps_alg=1e-9"),
+     "unrecognized arguments: --tol eps_alg=1e-9"),
+    (("identities", "--n", "4", "--trials", "1", "--tol", "eps_nf=1"),
+     "unknown tolerance 'eps_nf', expected one of eps_alg"),
+    (("bounds", "--trials", "0", "--tol", "chart_zero=1"),
+     "unknown tolerance 'chart_zero', expected one of eps_alg, oracle_low, oracle_high"),
+], ids=["gap-seed", "chart-seed", "pinch-tol", "identities-eps-nf", "bounds-chart-zero"])
+def test_setting_the_command_does_not_read_is_usage_error(capsys, argv, refused):
+    """--seed and --tol exist only where the command reads them, and --tol takes only
+    the names it reads; anything else is refused, not silently ignored."""
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1].endswith(refused)
+
+
+@pytest.mark.parametrize("argv, seed, tolerances", [
+    (("identities", "--n", "4", "--trials", "1", "--seed", "4"), 4, ["eps_alg"]),
+    (("model", "sphere:4"), None, ["eps_alg"]),
+    (("bounds", "--trials", "0", "--budget", "500"), 0, ["eps_alg", "oracle_high", "oracle_low"]),
+    (("constants", "6"), None, ["eps_alg"]),
+    (("pinch", "dim4", "--omega", "1", "--S", "4"), None, []),
+    (("gap", "0.1", "0.1", "16.0", "5"), None, []),
+    (("chart", "euclidean:4"), None, ["chart_zero", "eps_alg"]),
+], ids=["identities", "model", "bounds", "constants", "pinch", "gap", "chart"])
+def test_config_records_only_the_settings_the_command_reads(capsys, argv, seed, tolerances):
+    assert run_cli(*argv, "--format", "json") == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["seed"] == seed and list(config["tolerances"]) == tolerances
+
+
 def test_zero_tolerance_is_accepted(capsys):
     assert run_cli("constants", "6", "--tol", "eps_alg=0") == 0
     assert capsys.readouterr().err == ""
@@ -313,7 +346,10 @@ def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0, e_trace=0.0, traced_w
     return {"W": W, "E": E.tolist(), "S": S}
 
 
-@pytest.mark.parametrize("argv, payload", [
+_NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "matrices": []}
+
+
+@pytest.mark.parametrize("argv, payload, message", [(argv, payload, None) for argv, payload in [
     (("dim4", "{file}"), lambda: _weyl_dict(4, nan_entry=True)),
     (("dim4", "{file}"), lambda: {"n": 4, "components": {"0,1,2,3": float("nan")}}),
     (("pinch", "norm", "--input", "{file}"), lambda: _pinch_payload(nan_w=True)),
@@ -337,7 +373,17 @@ def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0, e_trace=0.0, traced_w
     (("pinch", "pointwise", "--input", "{file}"), lambda: "str"),
     (("pinch", "norm", "--input", "{file}"), lambda: {"W": ["components"], "E": [[0]], "S": 1}),
 ] + [(("model", "sphere:4", "--tol", f"eps_alg={v}"), None)
-     for v in ("nan", "inf", "-inf", "-1", "1e400")],
+     for v in ("nan", "inf", "-inf", "-1", "1e400")]] + [
+    (("pinch", "norm", "--input", "{file}"), lambda: {"E": [[0]], "S": 1},
+     "pinch input {file} is missing the field 'W'"),
+    (("pinch", "pointwise", "--input", "{file}"), lambda: {"W": _weyl_dict(5), "E": [[0]]},
+     "pinch input {file} is missing the field 'S'"),
+    (("dim4", "{file}"), lambda: {"matrix": [[0]]}, "operator is missing the field 'n'"),
+    (("dim4", "{file}"), lambda: {"components": {}}, "operator is missing the field 'n'"),
+    (("chart", "{file}"), lambda: _NO_OFFSETS, "grid file {file} is missing the field 'offsets'"),
+    (("chart", "{file}"), lambda: dict(_NO_OFFSETS, offsets=[], grid={"center": [0.0] * 4}),
+     "grid file {file} grid is missing the field 'h'"),
+],
     ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
          "pinch-pointwise-nan-S", "pinch-norm-traced-E", "pinch-pointwise-traced-E",
          "pinch-norm-traced-W", "pinch-norm-mis-sized-E",
@@ -346,13 +392,17 @@ def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0, e_trace=0.0, traced_w
          "model-euclidean-bad-radius", "model-fubini-study-extra-field", "dim4-list",
          "dim4-sparse-list-components", "pinch-pointwise-list", "pinch-pointwise-string",
          "pinch-norm-list-W", "tol-nan", "tol-inf", "tol-minus-inf", "tol-negative",
-         "tol-overflow"])
-def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload):
+         "tol-overflow", "pinch-missing-W", "pinch-missing-S", "dim4-dense-missing-n",
+         "dim4-sparse-missing-n", "grid-missing-offsets", "grid-missing-h"])
+def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "input.json"
     if payload is not None:
         path.write_text(json.dumps(payload()))
     assert run_cli(*(arg.format(file=path) for arg in argv)) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if message is not None:  # a missing field is named, with the file where it is known
+        assert err == f"error: {message.format(file=path)}\n"
 
 
 def test_infinite_symmetric_pair_prints_only_the_error(tmp_path):
@@ -586,7 +636,7 @@ def test_grid_file_read_on_a_grid_it_does_not_hold_is_usage_error(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: ") and "no metric sample" in captured.err
+    assert captured.err.startswith("error: grid file has no metric sample")  # not quoted
     assert "step 0.001 and order 2" in captured.err
     assert "serves only the assembly it was written for" in captured.err
 
@@ -728,13 +778,13 @@ def test_shared_parser_help_matches_a_fresh_parser(capsys, command):
 HELP_SHA256 = {
     None: "70f72437db978813e54ef568a2c17b3da9f74e440250e56508d9d7980b8442e6",
     "identities": "e2538469c8b83cbb868295495d6e5925aebcc80a5bd0fed2052592e37e8ac6d4",
-    "model": "adac219c44d5a6f23fe13c471153a615e130577a37e03f3e54b4866ec5a4704f",
-    "dim4": "5738957c3a01d8422aa93dd77a177a05f3ceef9d90af1631053d45e7bb1f9435",
+    "model": "78768f16fb79cbff70e183b74fa831a9e9e89832a31c8dc17f59889930aa1b54",
+    "dim4": "26d81fa171ffb9f8f10ae33d3f97438be4707a9ad1b124e86acfbce5faa571cc",
     "bounds": "29d719096436d12e121f4fb4907be834dc2d281611b10726f2906ed57d80fe41",
-    "constants": "0f5cf53f5baba7bdc84d78c240abd31d38cdfe870dba5885f4be37ebe1a0b8cc",
-    "pinch": "53387063388d2b096b03370623e0edac8bb75ce49fc733e01db9b4067a4d0b5c",
-    "gap": "76de2b58e994f7fb91cdb43af7d2f9d7b40ec83bd7c2bfe104fe2afddfd0a329",
-    "chart": "fe8ec021f7d9da931e932a3a7da76bb78b3c2b04980a6b47c04382bee4146b4e",
+    "constants": "b9d7dc97226ac57beda2e41bff6ae18871482d546e7b39991edf215b98ec91fc",
+    "pinch": "5b28072fb6f0c9e9e4d9233dce3c62146fc37158fe0e3718c895536e14cd9937",
+    "gap": "658a042a58321067f594438c82f09a58111a5b3a852f4a0e5b41d0695fb91f53",
+    "chart": "062eb0fa6dc2005d6f04012630f589c9e7f4cada3a6514c478e2b7ac75dbaa9d",
 }
 
 

@@ -45,6 +45,10 @@ A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
 so every metric evaluation of the package goes through one call site and its
 shape and positive-definiteness checks.
 
+Every CLI option is read: the tolerance names each subcommand declares in
+``cli.build_parser`` are exactly the ``tols["..."]`` keys its ``cmd_*`` reads, and
+``--seed`` is declared exactly where the ``cmd_*`` reads ``args.seed``.
+
 The package holds only runtime code: every top-level function in ``src/weylbench``
 is exported by ``__init__.py``, referred to by other package code, traced by the
 benchmark (``TRACED_FUNCTIONS`` in ``benchmarks/tracing.py``, read only), or on
@@ -337,3 +341,72 @@ def test_package_functions_are_reached():
     unreached = [hit for hit in unreached_functions(sorted(SRC.glob("*.py")))
                  if hit.split(":")[1] not in traced_functions()]
     assert [hit for hit in unreached if hit.split(":")[1] not in UNREACHED_ALLOWED] == []
+
+
+
+def cli_option_mismatches(path: Path) -> dict[str, list[str]]:
+    """For each ``p = command(name, cmd_*, tolerance names, summary)`` in ``build_parser``:
+    the settings it declares that its ``cmd_*`` does not read, and those it reads without
+    declaring them.  A ``--seed`` added in a loop counts for every command, and a ``tols``
+    used other than as ``tols["name"]`` is reported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    declared: dict[str, dict] = {}
+    for stmt in funcs["build_parser"].body:
+        for call in (node for node in ast.walk(stmt) if isinstance(node, ast.Call)):
+            if _called_name(call) == "command":
+                name = ast.literal_eval(call.args[0])
+                declared[name] = {"func": call.args[1].id, "seed": False,
+                                  "tols": set(ast.literal_eval(call.args[2]))}
+            elif _called_name(call) == "add_argument" and ast.literal_eval(call.args[0]) == "--seed":
+                for command in declared.values() if isinstance(stmt, ast.For) else [declared[name]]:
+                    command["seed"] = True
+    out = {}
+    for name, command in declared.items():
+        func, nodes = command["func"], list(ast.walk(funcs[command["func"]]))
+        reads = [n.slice.value for n in nodes if isinstance(n, ast.Subscript)
+                 and isinstance(n.value, ast.Name) and n.value.id == "tols"
+                 and isinstance(n.slice, ast.Constant)]
+        uses = sum(isinstance(n, ast.Name) and n.id == "tols" for n in nodes)
+        reads_seed = any(isinstance(n, ast.Attribute) and n.attr == "seed"
+                         and isinstance(n.value, ast.Name) and n.value.id == "args" for n in nodes)
+        out[name] = (
+            [f"declares tolerance {k!r} that {func} does not read"
+             for k in sorted(command["tols"] - set(reads))]
+            + [f"{func} reads tolerance {k!r} that it does not declare"
+               for k in sorted(set(reads) - command["tols"])]
+            + [f"{func} uses tols other than as tols[name]"] * (uses > len(reads))
+            + [f"declares --seed that {func} does not read"] * (command["seed"] > reads_seed)
+            + [f"{func} reads args.seed without --seed"] * (reads_seed > command["seed"]))
+    return out
+
+
+def test_guard_sees_unread_and_undeclared_options(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def cmd_a(args, tols, report):\n    report[0] = tols['eps_alg'] + args.seed\n"
+        "def cmd_b(args, tols, report):\n    report[0] = tols['chart_zero'] + args.seed\n"
+        "def cmd_c(args, tols, report):\n    report[0] = helper(tols)\n"
+        "def build_parser():\n"
+        "    def command(name, func, tols, summary):\n        return sub.add_parser(name)\n"
+        "    p = command('a', cmd_a, ('eps_alg', 'eps_nf'), 'a')\n"
+        "    p.add_argument('--seed', type=int, default=0)\n"
+        "    p = command('b', cmd_b, (), 'b')\n"
+        "    p = command('c', cmd_c, (), 'c')\n"
+        "    p.add_argument('--seed', type=int, default=0)\n"
+        "    for p in sub.choices.values():\n        p.add_argument('--format')\n")
+    assert cli_option_mismatches(probe) == {
+        "a": ["declares tolerance 'eps_nf' that cmd_a does not read"],
+        "b": ["cmd_b reads tolerance 'chart_zero' that it does not declare",
+              "cmd_b reads args.seed without --seed"],
+        "c": ["cmd_c uses tols other than as tols[name]", "declares --seed that cmd_c does not read"]}
+    probe.write_text(probe.read_text().replace("'--format'", "'--seed'"))
+    assert cli_option_mismatches(probe)["b"] == [
+        "cmd_b reads tolerance 'chart_zero' that it does not declare"]
+
+
+def test_every_cli_option_is_read():
+    found = cli_option_mismatches(SRC / "cli.py")
+    assert sorted(found) == sorted(["identities", "model", "dim4", "bounds", "constants",
+                                    "pinch", "gap", "chart"])
+    assert {name: hits for name, hits in found.items() if hits} == {}
