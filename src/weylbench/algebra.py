@@ -38,7 +38,7 @@ from .tensors import (
 # frame Weyl split, weyl_matrix, sharp_matrix, cubic_parts, kn_g_pairing, the check_trace_free
 # guard), and the second-Bianchi and circ-prime images leave as (..., T, N) (triple, pair)
 # components (second_bianchi_pairs, circ_prime_pairs); kn_four, _ricci_trace, weyl_split (the
-# split in coordinates under a metric), sharp_four, congruence_four, quadratic_form,
+# split in coordinates, given g and g^-1), sharp_four, congruence_four, quadratic_form,
 # circ_prime_full and second_bianchi_full do the four- and five-index work.
 
 
@@ -76,12 +76,12 @@ class WeylSplit(NamedTuple):
     W: np.ndarray
 
 
-def weyl_split(R4: np.ndarray, g: np.ndarray) -> WeylSplit:
+def weyl_split(R4: np.ndarray, g: np.ndarray, gi: np.ndarray) -> WeylSplit:
     """Weyl split W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) of (..., n, n, n, n) tensors
-    in coordinates with metric ``g``: Rc is the Ricci trace, S the scalar, E = Rc - (S/n) g.
+    in coordinates with metric ``g`` and its inverse ``gi`` (the caller's, so one inverse table
+    serves every stage of a chart): Rc is the Ricci trace, S the scalar, E = Rc - (S/n) g.
     In an orthonormal frame ``weyl_parts`` splits pair matrices."""
     n = R4.shape[-1]
-    gi = np.linalg.inv(g)
     Rc = _ricci_trace(R4, gi)
     S = np.einsum('...ij,...ij->...', Rc, gi)
     s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)

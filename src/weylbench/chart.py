@@ -25,17 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (
-    _ricci_trace,
-    circ_prime,
-    congruence_four,
-    cubic_parts,
-    decomposition,
-    kn_g_pairing,
-    second_bianchi,
-    weyl_parts,
-    weyl_split,
-)
+from .algebra import (_ricci_trace, circ_prime, congruence_four, cubic_parts, decomposition,
+                      kn_g_pairing, second_bianchi, weyl_parts, weyl_split)
 from .basis import four_tensor_to_pair_matrix
 from .serialization import json_fields, json_list, json_matrix, json_number, json_object, read_json_object
 from .tensors import (
@@ -58,9 +49,9 @@ class ChartMetric:
     ``fn`` maps one point x of shape (n,) to its (n, n) metric.  The presets and grid
     files (``preset_metric``, ``grid_file_metric``) are a private subclass whose ``fn``
     also maps an (N, n) point stack to (N, n, n); ``table`` evaluates those in one call
-    and any other metric one point at a time.  Shape and positive definiteness are
-    checked at every evaluated point (``table``).  Grid-file metrics carry the grid they
-    were tabulated for in ``default_grid``.
+    and any other metric one point at a time.  ``table`` checks the shape at every point
+    and positive definiteness by one Cholesky factorisation of the stack.  Grid-file
+    metrics carry the grid they were tabulated for in ``default_grid``.
     """
 
     name: str
@@ -78,13 +69,22 @@ class ChartMetric:
             if g.shape != gs[r].shape:
                 raise ValueError(f"metric evaluator returned shape {g.shape}")
             gs[r] = g
-        # non-finite entries fail first: on most, eigvalsh raises an error naming no point
-        bad = ~np.isfinite(gs).all(axis=(1, 2))
-        if not bad.any():
-            bad = ~(np.linalg.eigvalsh(gs).min(axis=-1) > 0)  # a NaN eigenvalue fails too
+        bad = ~np.isfinite(gs).all(axis=(1, 2))  # non-finite entries fail first
+        if not (bad.any() or _factors(gs)):  # one Cholesky factorisation of the whole stack
+            bad = np.array([not _factors(g) for g in gs])  # only then one per row, to name one
         if bad.any():
             raise ValueError(f"metric not positive definite at {xs[bad.argmax()].tolist()}")
         return gs
+
+
+def _factors(g: np.ndarray) -> bool:
+    """Whether every matrix of g, one (n, n) matrix or a stack, has a Cholesky factor: is
+    numerically positive definite (only its lower triangle is read)."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -195,23 +195,23 @@ def grid_file_metric(path: str) -> ChartMetric:
     n, spec, offsets, matrices = json_fields(data, ("n", "grid", "offsets", "matrices"), what)
     center, h, order = json_fields(json_object(spec, f"{what} grid"), ("center", "h", "order"),
                                    f"{what} grid")
-    n = check_dimension(json_number(n, int, "grid file n"))
-    center = [json_number(c, float, "grid file grid.center entry")
-              for c in json_list(center, "grid file grid.center")]
+    n = check_dimension(json_number(n, int, f"{what} n"))
+    center = [json_number(c, float, f"{what} grid.center entry")
+              for c in json_list(center, f"{what} grid.center")]
     if len(center) != n:
-        raise ValueError(f"grid file grid.center has {len(center)} entries, expected n = {n}")
-    grid = GridSpec(center=center, h=json_number(h, float, "grid file grid.h"),
-                    order=json_number(order, int, "grid file grid.order"))
+        raise ValueError(f"{what} grid.center has {len(center)} entries, expected n = {n}")
+    grid = GridSpec(center=center, h=json_number(h, float, f"{what} grid.h"),
+                    order=json_number(order, int, f"{what} grid.order"))
     rows: dict[tuple, int] = {}  # offset -> its row of mats
     mats = []
-    for k, mat in zip(json_list(offsets, "grid file offsets"),
-                      json_list(matrices, "grid file matrices"), strict=True):
+    for k, mat in zip(json_list(offsets, f"{what} offsets"),
+                      json_list(matrices, f"{what} matrices"), strict=True):
         if (not (isinstance(k, list) and len(k) == n and all(type(c) is int for c in k))
                 or tuple(k) in rows):
-            raise ValueError(f"grid file offset {k!r} is not a new length-{n} integer vector")
-        mat = check_symmetric(json_matrix(mat, "grid file matrix"), "grid file matrix")
+            raise ValueError(f"{what} offset {k!r} is not a new length-{n} integer vector")
+        mat = check_symmetric(json_matrix(mat, f"{what} matrix"), f"{what} matrix")
         if mat.shape != (n, n):
-            raise ValueError(f"grid file matrix has shape {mat.shape}, expected ({n}, {n})")
+            raise ValueError(f"{what} matrix has shape {mat.shape}, expected ({n}, {n})")
         rows[tuple(k)] = len(mats)
         mats.append(mat)
     mats = np.array(mats).reshape(-1, n, n)
@@ -298,6 +298,7 @@ class _Lattice:
         self.steps, self.keys, self.near, (around, w2, decomp, gamma) = _offsets(
             metric.n, grid.order, with_ricci_identity)
         self.g = metric.table(grid.point(self.keys))
+        self.gi = np.linalg.inv(self.g[:gamma])  # g^-1 where Gamma, R and |W|^2 are formed
         k = np.arange(self.keys.min(), self.keys.max() + 1)  # after the table: its errors come first
         if not (np.diff(grid.center[:, None] + grid.h * k, axis=1) > 0).all():
             raise ValueError(f"step {grid.h} does not separate the stencil points at the center")
@@ -335,8 +336,7 @@ class _Lattice:
 
 def christoffel(lattice: _Lattice, rows) -> np.ndarray:
     """Gamma^c_ij = (1/2) g^{cl} (d_i g_jl + d_j g_il - d_l g_ij), indexed [row, c, i, j]."""
-    gi = np.linalg.inv(lattice.g[rows])
-    dg = lattice.grad(lattice.g, rows)
+    gi, dg = lattice.gi[rows], lattice.grad(lattice.g, rows)
     term = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
     return 0.5 * np.einsum('zkl,zijl->zkij', gi, term)
 
@@ -360,12 +360,12 @@ def curvature_tensor_at(lattice: _Lattice, rows) -> np.ndarray:
 def _decomp_coords(lattice: _Lattice, rows):
     """R, Rc, S, W in coordinates at the given rows."""
     R = curvature_tensor_at(lattice, rows)
-    split = weyl_split(R, lattice.g[rows])
+    split = weyl_split(R, lattice.g[rows], lattice.gi[rows])
     return R, split.Rc, split.S, split.W
 
 
 def _w_norm_sq_at(lattice: _Lattice, rows) -> np.ndarray:
-    W, gi = lattice.decomp[3][rows], np.linalg.inv(lattice.g[rows])
+    W, gi = lattice.decomp[3][rows], lattice.gi[rows]
     C, W = congruence_four(W, gi).reshape(len(W), 1, -1), W.reshape(len(W), -1, 1)
     return 0.25 * np.matmul(C, W)[:, 0, 0]  # a BLAS dot per row, as np.vdot
 
@@ -406,7 +406,7 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
     n, h, c = lattice.n, lattice.grid.h, [0]  # row 0 is the center
     # wrap tolerance for validated containers: discretization leaves O(h^2) defects
     wrap_tol = max(1e-8, 200.0 * h * h)
-    gi0 = np.linalg.inv(lattice.g[0])
+    gi0 = lattice.gi[0]
     F = np.linalg.inv(np.linalg.cholesky(lattice.g[0])).T  # columns: frame vectors; F^T g0 F = Id
 
     R, Rc, S, W = lattice.decomp  # in coordinates
@@ -455,7 +455,7 @@ def _ricci_identity_residual(lattice: _Lattice, rows) -> np.ndarray:
     nabla Rc is taken on the rows up to the last neighbour of the given ones (a prefix)."""
     R, Rc = lattice.decomp[:2]
     n2 = lattice.nabla(lattice.nabla(Rc, slice(lattice.near[rows].max() + 1)), rows)
-    R, Rc, gi = R[rows], Rc[rows], np.linalg.inv(lattice.g[rows])
+    R, Rc, gi = R[rows], Rc[rows], lattice.gi[rows]
     rhs = (np.einsum('zabcs,zst,ztd->zabcd', R, gi, Rc)
            + np.einsum('zabds,zst,ztc->zabcd', R, gi, Rc))
     return np.abs(n2 - np.transpose(n2, (0, 2, 1, 3, 4)) - rhs).reshape(len(R), -1).max(axis=1)

@@ -952,7 +952,7 @@ def test_weyl_split_with_metric_is_frame_invariant():
     F = np.linalg.inv(A)  # frame e_i = F_ai d_a is orthonormal for g = A^T A
     g = A.T @ A
     R_coords = np.einsum('ia,jb,kc,ld,ijkl->abcd', A, A, A, A, R)
-    split = weyl_split(R_coords, g)
+    split = weyl_split(R_coords, g, np.linalg.inv(g))
     W_frame = np.einsum('ai,bj,ck,dl,abcd->ijkl', F, F, F, F, split.W)
     assert np.allclose(W_frame, frame_weyl_split(R).W, atol=1e-12)
     assert float(split.S) == pytest.approx(float(frame_weyl_split(R).S), abs=1e-12)

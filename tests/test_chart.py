@@ -15,6 +15,7 @@ from weylbench.chart import (
     _decomp_coords,
     _Lattice,
     _offsets,
+    _StackedMetric,
     _w_norm_sq_at,
     christoffel,
     curvature_field,
@@ -229,6 +230,52 @@ def test_assembly_names_its_one_indefinite_stencil_point():
     bad = grid.point((3, 0, 0, 0)).tolist()
     with pytest.raises(ValueError, match=re.escape(f"positive definite at {bad}")):
         curvature_field(m, grid)
+
+
+#: boundary metrics of the Cholesky decision: positive definite with an eigenvalue near
+#: underflow, exactly singular and diagonal, and A^T A of rank 3 (its last Cholesky pivot is
+#: 1 - 1 = 0 in exact arithmetic, while its least eigvalsh eigenvalue reads about +5e-17)
+_TINY = np.diag([1.0, 1.0, 1.0, 1e-300])
+_SINGULAR = np.diag([1.0, 1.0, 0.0, 1.0])
+_A3 = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+_NAN = np.eye(4)
+_NAN[1, 2] = _NAN[2, 1] = np.nan
+
+
+def _listed(mats, stacked: bool) -> ChartMetric:
+    """mats[r] at the point r e_0: a package evaluator or a per-point one."""
+    mats = np.array(mats)
+    if stacked:
+        return _StackedMetric("listed", 4, lambda x: mats[x[..., 0].astype(int)])
+    return ChartMetric("listed", 4, lambda x: mats[int(x[0])])
+
+
+def _row_points(count: int) -> np.ndarray:
+    return np.arange(count)[:, None] * np.eye(4)[0]
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["package", "per-point"])
+def test_tiny_positive_eigenvalue_is_accepted(stacked):
+    table = _listed([np.eye(4), _TINY], stacked).table(_row_points(2))
+    assert np.array_equal(table, np.stack([np.eye(4), _TINY]))
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["package", "per-point"])
+@pytest.mark.parametrize("bad", [_SINGULAR, _A3.T @ _A3], ids=["singular-diagonal", "rank-3"])
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_first_singular_row_is_named(stacked, bad, row):
+    mats = [np.eye(4)] * 6
+    mats[row] = mats[5] = bad  # a later bad row is not the one named
+    points = _row_points(len(mats))
+    with pytest.raises(ValueError, match=re.escape(f"not positive definite at {points[row].tolist()}")):
+        _listed(mats, stacked).table(points)
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["package", "per-point"])
+def test_non_finite_row_is_named_before_a_singular_one(stacked):
+    points = _row_points(3)
+    with pytest.raises(ValueError, match=re.escape(f"not positive definite at {points[2].tolist()}")):
+        _listed([np.eye(4), _SINGULAR, _NAN], stacked).table(points)
 
 
 @pytest.mark.parametrize("value", [np.eye(3), np.ones(4), 1.0], ids=["3x3", "vector", "scalar"])
@@ -449,6 +496,19 @@ def test_stage_rows_do_not_depend_on_the_batch(name, order):
                 assert part[r].tobytes() == row[0].tobytes(), (stage.__name__, r)
 
 
+@pytest.mark.parametrize("name, order", [("perturbed:4", 2), ("perturbed:5", 4)])
+def test_shared_inverse_table_does_not_depend_on_the_batch(name, order):
+    """The one g^-1 table of an assembly, over the Christoffel rows, holds the bits of
+    inverting a slice of them, a single row included."""
+    n = int(name.split(":")[1])
+    grid = GridSpec(center=0.1 * (1.0 + np.arange(n)) / n, h=1e-3, order=order)
+    lattice = _Lattice(preset_metric(name), grid, with_ricci_identity=True)
+    g = lattice.g[:len(lattice.gamma)]
+    assert lattice.gi.shape == g.shape
+    for rows in [slice(1), slice(3, 17), slice(None, None, 7), slice(len(g) - 1, None)]:
+        assert lattice.gi[rows].tobytes() == np.linalg.inv(g[rows]).tobytes(), rows
+
+
 def test_grid_file_round_trip(tmp_path):
     m = preset_metric("sphere-stereo:4")
     grid = GridSpec(center=CENTER4, h=2e-3)
@@ -501,7 +561,7 @@ def test_grid_file_missing_point(tmp_path):
 
 def test_nan_metric_is_not_positive_definite():
     bad = np.eye(4)
-    bad[1, 2] = bad[2, 1] = np.nan  # eigvalsh gives NaN eigenvalues here
+    bad[1, 2] = bad[2, 1] = np.nan  # refused by the finite check, before any factorisation
     m = ChartMetric("nan", 4, lambda x: bad)
     with pytest.raises(ValueError, match="positive definite"):
         m.table(np.zeros((1, 4)))

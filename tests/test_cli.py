@@ -576,10 +576,11 @@ def _huge_step(data):
     ("chart", _huge_step, "grid file grid.h"),
 ], ids=lambda x: x.__name__.strip("_") if callable(x) else None)
 def test_json_integer_beyond_the_float_range_is_usage_error(tmp_path, capsys, kind, edit, field):
-    """An integer too large for a float is refused with one error line naming its field,
-    not an OverflowError traceback."""
+    """An integer too large for a float is refused with one error line naming its field
+    (and a grid file's path), not an OverflowError traceback."""
     if kind == "chart":
         argv = ["chart", str(_grid_file(tmp_path, edit))]
+        field = field.replace("grid file", f"grid file {argv[1]}")
     else:
         data = _weyl_dict(4) if kind == "dim4" else _pinch_payload()
         edit(data)
