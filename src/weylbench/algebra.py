@@ -8,7 +8,6 @@ against that single choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .basis import (_circ_prime_positions, _cyclic_ricci_positions, _kn_g_positions, _padded,
                     _second_bianchi_positions, _signed_take, _take_trailing, bianchi_image,
-                    pair_basis, pair_ricci, pair_slots)
+                    pair_basis, pair_ricci, pair_slots, read_only_cache)
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -227,16 +226,14 @@ def sharp_four(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return 0.5 * _alt_pairs(np.swapaxes(m.reshape(m.shape[:-2] + (n, n, n, n)), -3, -2))
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def _sharp_positions(n: int) -> np.ndarray:
     """(4, N, N) flat positions of m[(i,k),(j,l)], m[(j,l),(i,k)], m[(i,l),(j,k)] and
     m[(j,k),(i,l)] in an (n^2, n^2) matrix: the terms of ``_alt_pairs`` at i < j, k < l."""
     i, j = pair_basis(n).rows[:, None], pair_basis(n).cols[:, None]
     k, l = i.T, j.T
-    flat = np.stack([((a * n + b) * n + c) * n + d
+    return np.stack([((a * n + b) * n + c) * n + d
                      for a, b, c, d in ((i, k, j, l), (j, l, i, k), (i, l, j, k), (j, k, i, l))])
-    flat.flags.writeable = False
-    return flat
 
 
 def sharp_matrix(n: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ reconstructs a component for either index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 
 import numpy as np
@@ -43,6 +43,18 @@ class TripleBasis:
         return len(self.triples)
 
 
+def read_only_cache(build):
+    """``lru_cache(maxsize=None)`` for tables that every caller shares: each ndarray that
+    ``build`` returns, alone or as a member of a tuple, is made read-only once."""
+    def frozen(*args):
+        out = build(*args)
+        for arr in out if isinstance(out, tuple) else (out,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return out
+    return lru_cache(maxsize=None)(wraps(build)(frozen))
+
+
 @lru_cache(maxsize=None)
 def pair_basis(n: int) -> PairBasis:
     if n < 2:
@@ -67,7 +79,7 @@ def triple_basis(n: int) -> TripleBasis:
     return TripleBasis(n, tuple(combinations(range(n), 3)))
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def disjoint_pair_mask(n: int) -> np.ndarray:
     """Boolean (N, N) mask of pair-basis entries whose four indices are distinct."""
     pb = pair_basis(n)
@@ -75,7 +87,6 @@ def disjoint_pair_mask(n: int) -> np.ndarray:
     for a, (i, j) in enumerate(pb.pairs):
         for b, (k, l) in enumerate(pb.pairs):
             mask[a, b] = len({i, j, k, l}) == 4
-    mask.flags.writeable = False
     return mask
 
 
@@ -92,7 +103,7 @@ def _take_trailing(x: np.ndarray, k: int, flat: np.ndarray) -> np.ndarray:
     return np.take(x.reshape(x.shape[:x.ndim - k] + (-1,)), flat, axis=-1)
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def _padded_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, n, n, n) flat positions of T_ijkl in an (N + 1, N + 1) pair matrix whose
     last row and column are the zero pad (for i = j or k = l), and the signs
@@ -101,19 +112,15 @@ def _padded_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     pos = np.where(pb.pos >= 0, pb.pos, pb.size)
     flat = pos[:, :, None, None] * (pb.size + 1) + pos[None, None, :, :]
     sign = pb.sign[:, :, None, None] * pb.sign[None, None, :, :]
-    flat.flags.writeable = False
-    sign.flags.writeable = False
     return flat, sign
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def _pair_positions(n: int) -> np.ndarray:
     """(N, N) flat positions of T[i, j, k, l] in an (n, n, n, n) block, (ij, kl) pairs."""
     pb = pair_basis(n)
     pair = pb.rows * n + pb.cols
-    flat = pair[:, None] * (n * n) + pair[None, :]
-    flat.flags.writeable = False
-    return flat
+    return pair[:, None] * (n * n) + pair[None, :]
 
 
 def _triple_pair_grid(n: int) -> tuple[np.ndarray, ...]:
@@ -146,15 +153,12 @@ def pair_matrix_to_four_tensor(n: int, mat: np.ndarray) -> np.ndarray:
 
 def _expansion_positions(n: int, *terms) -> tuple[np.ndarray, np.ndarray]:
     """(len(terms), ...) ``_padded_positions`` entries at broadcast index quadruples
-    (i, j, k, l), for ``_signed_take``; read-only."""
+    (i, j, k, l), for ``_signed_take``."""
     flat, sign = _padded_positions(n)
-    out = np.stack([flat[t] for t in terms]), np.stack([sign[t] for t in terms])
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return np.stack([flat[t] for t in terms]), np.stack([sign[t] for t in terms])
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def _cyclic_pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """T_kijl and T_jkil, the cyclic partners of T_ijkl in ``cyclic_average``, at the
     pair entries (ij, kl), i < j and k < l: (2, N, N)."""
@@ -164,7 +168,7 @@ def _cyclic_pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _expansion_positions(n, (k, i, j, l), (j, k, i, l))
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def _cyclic_ricci_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The Ricci-trace entries T_ipjp and their cyclic partners T_jipp and T_pjip:
     (3, n, n, n) over (p, i, j)."""
@@ -184,13 +188,10 @@ def bianchi_image(n: int, mat: np.ndarray) -> np.ndarray:
     return (mat + t[..., 0, :, :] + t[..., 1, :, :]) / 3.0
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def _pair_slot_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_padded_positions`` in slot order: (n^2, n^2) at [(i,k),(j,l)] for T_ijkl; read-only."""
-    out = tuple(np.swapaxes(a, 1, 2).reshape(n * n, n * n) for a in _padded_positions(n))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    """``_padded_positions`` in slot order: (n^2, n^2) at [(i,k),(j,l)] for T_ijkl."""
+    return tuple(np.swapaxes(a, 1, 2).reshape(n * n, n * n) for a in _padded_positions(n))
 
 
 def pair_slots(n: int, mat: np.ndarray) -> np.ndarray:
@@ -206,57 +207,49 @@ def pair_ricci(n: int, mat: np.ndarray) -> np.ndarray:
     return np.einsum('...pij->...ij', _signed_take(_padded(mat), flat[0], sign[0]))
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def _kn_g_positions(n: int) -> np.ndarray:
     """(4, N, N) flat positions, in a (2, n, n) stack of E times 0 and E times 1, of the
     four terms E_ik g_jl, E_jl g_ik, E_il g_jk and E_jk g_il of (E o g)_ijkl for g = I,
-    in the order ``algebra._alt_pairs`` adds them, at the pair entries (ij, kl); read-only."""
+    in the order ``algebra._alt_pairs`` adds them, at the pair entries (ij, kl)."""
     pb = pair_basis(n)
     i, j = pb.rows[:, None], pb.cols[:, None]
     k, l = i.T, j.T
-    flat = np.stack([(c == d) * n * n + a * n + b
+    return np.stack([(c == d) * n * n + a * n + b
                      for a, b, c, d in ((i, k, j, l), (j, l, i, k), (i, l, j, k), (j, k, i, l))])
-    flat.flags.writeable = False
-    return flat
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def _second_bianchi_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(3, T, N) flat positions of D_i,jkml, D_k,ijml and D_j,kiml in an (n, N, N) stack of
     derivative pair matrices at i < j < k, m < l (the terms of ``second_bianchi_full`` in
     its order), and the (3, T, 1) signs the pair expansion gives them (those of their
-    first pairs; m < l has sign +1); read-only."""
+    first pairs; m < l has sign +1)."""
     pb = pair_basis(n)
     i, j, k, m, l = _triple_pair_grid(n)
     flat = np.stack([(d * pb.size + pb.pos[a, b]) * pb.size + pb.pos[m, l]
                      for d, a, b in ((i, j, k), (k, i, j), (j, k, i))])
     sign = np.stack([pb.sign[a, b] for a, b in ((j, k), (i, j), (k, i))])
-    flat.flags.writeable = False
-    sign.flags.writeable = False
     return flat, sign
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def _circ_prime_positions(n: int) -> np.ndarray:
     """(6, T, N) flat positions, in an (n^3 + 1,) tensor whose last entry is the zero pad, of
     the six terms g_kl A_ijm, g_il A_jkm, g_jl A_kim, g_km A_jil, g_im A_kjl and g_jm A_ikl of
-    (A o' g)_ijkml at i < j < k, m < l; the pad where the metric factor vanishes; read-only."""
+    (A o' g)_ijkml at i < j < k, m < l; the pad where the metric factor vanishes."""
     i, j, k, m, l = _triple_pair_grid(n)
-    flat = np.stack([np.where(x == y, (a * n + b) * n + c, n ** 3)
+    return np.stack([np.where(x == y, (a * n + b) * n + c, n ** 3)
                      for x, y, a, b, c in ((l, k, i, j, m), (l, i, j, k, m), (l, j, k, i, m),
                                            (m, k, j, i, l), (m, i, k, j, l), (m, j, i, k, l))])
-    flat.flags.writeable = False
-    return flat
 
 
-@lru_cache(maxsize=None)
+@read_only_cache
 def _divergence_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, n, n, n) flat positions of T_m,abcm over (m, a, b, c) in an (n, N + 1, N + 1) stack
-    of padded pair matrices (``_padded``), and the signs ``_padded_positions`` gives; read-only."""
+    of padded pair matrices (``_padded``), and the signs ``_padded_positions`` gives."""
     flat, sign = (np.moveaxis(x, -1, 0) for x in _padded_positions(n))
-    flat = flat + (np.arange(n) * (pair_basis(n).size + 1) ** 2)[:, None, None, None]
-    flat.flags.writeable = False
-    return flat, sign
+    return flat + (np.arange(n) * (pair_basis(n).size + 1) ** 2)[:, None, None, None], sign
 
 
 def pair_divergence(n: int, mat: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ the round unit sphere have sectional curvature +1.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 
 from .algebra import (_ricci_trace, circ_prime, congruence_four, cubic_parts, decomposition,
                       kn_g_pairing, second_bianchi, weyl_parts, weyl_split)
-from .basis import four_tensor_to_pair_matrix
+from .basis import four_tensor_to_pair_matrix, read_only_cache
 from .serialization import json_fields, json_list, json_matrix, json_number, json_object, read_json_object
 from .tensors import (
     CovDerivCurvature,
@@ -204,8 +203,10 @@ def grid_file_metric(path: str) -> ChartMetric:
                     order=json_number(order, int, f"{what} grid.order"))
     rows: dict[tuple, int] = {}  # offset -> its row of mats
     mats = []
-    for k, mat in zip(json_list(offsets, f"{what} offsets"),
-                      json_list(matrices, f"{what} matrices"), strict=True):
+    offsets, matrices = json_list(offsets, f"{what} offsets"), json_list(matrices, f"{what} matrices")
+    if len(offsets) != len(matrices):
+        raise ValueError(f"{what} has {len(offsets)} offsets and {len(matrices)} matrices")
+    for k, mat in zip(offsets, matrices):
         if (not (isinstance(k, list) and len(k) == n and all(type(c) is int for c in k))
                 or tuple(k) in rows):
             raise ValueError(f"{what} offset {k!r} is not a new length-{n} integer vector")
@@ -248,11 +249,10 @@ def dump_grid_file(metric: ChartMetric, grid: GridSpec, path: str,
     return len(rows)
 
 
-@functools.cache
+@read_only_cache
 def _offsets(n: int, order: int, with_ricci_identity: bool) -> tuple:
     """(steps, keys, near, row counts of the center's stencil, w2, decomp and gamma) of
-    every assembly of one shape (see ``_Lattice``), numbered once per process; keys and
-    near are shared, so they are read-only."""
+    every assembly of one shape (see ``_Lattice``), numbered once per process."""
     steps = (1, -1) if order == 2 else (2, 1, -1, -2)
     unit, (a, b) = np.eye(n, dtype=int), np.triu_indices(n, 1)
     moves = np.concatenate([s * unit for s in steps])
@@ -270,8 +270,6 @@ def _offsets(n: int, order: int, with_ricci_identity: bool) -> tuple:
     row = {k: r for r, k in enumerate(numbered)}
     near = zip(*(gamma[:, None] + moves).reshape(-1, n).T.tolist())
     near = np.array(list(map(row.__getitem__, near))).reshape(len(gamma), -1, n)
-    keys.setflags(write=False)
-    near.setflags(write=False)
     return steps, keys, near, (len(around), len(w2), len(decomp), len(gamma))
 
 
@@ -422,7 +420,7 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
     split = weyl_parts(n, four_tensor_to_pair_matrix(n, Rf), np.ascontiguousarray(_ricci_trace(Rf)))
     dec = decomposition(split, tol=wrap_tol)
 
-    nabla_r, nabla_w = CovDerivCurvature.from_full(nRf), CovDerivCurvature.from_full(nWf)
+    nabla_r, nabla_w = (CovDerivCurvature(n, four_tensor_to_pair_matrix(n, T)) for T in (nRf, nWf))
     delta_w = TwoFormOneForm.from_full(np.einsum('mabcm->abc', nWf))
     P = TwoFormOneForm.from_full(nRcf - np.transpose(nRcf, (1, 0, 2)))
     Q = TwoFormOneForm.from_full(np.einsum('ki,j->ijk', np.eye(n), vS)

@@ -141,15 +141,7 @@ class Operator2Form:
 
     @classmethod
     def from_four_tensor(cls, four: np.ndarray) -> "Operator2Form":
-        four = np.asarray(four, dtype=float)
-        n = four.shape[0]
-        if four.shape != (n, n, n, n):
-            raise ValueError(f"expected (n,n,n,n) tensor, got {four.shape}")
-        scale = finite_scale(four, "tensor")
-        check_small(four + np.swapaxes(four, 0, 1), scale, EPS_ALG,
-                    "tensor is not antisymmetric in the first index pair")
-        check_small(four + np.swapaxes(four, 2, 3), scale, EPS_ALG,
-                    "tensor is not antisymmetric in the second index pair")
+        n, four = _full(four, 4, ((0, 1), (2, 3)))
         return cls(n, four_tensor_to_pair_matrix(n, four))
 
     @property
@@ -259,53 +251,66 @@ class CurvatureDecomposition:
     S: float
 
 
-class TwoFormOneForm:
-    """3-index tensor antisymmetric in its first two slots, components (N, n)."""
+def _full(full: np.ndarray, rank: int, pairs) -> tuple[int, np.ndarray]:
+    """(n, full) for a finite (n,)*rank tensor antisymmetric within EPS_ALG in each slot
+    pair of ``pairs``: the one boundary check of the full-tensor constructors."""
+    full = np.asarray(full, dtype=float)
+    n = full.shape[0] if full.ndim else 0
+    if full.shape != (n,) * rank:
+        raise ValueError(f"expected (n,)*{rank} tensor, got {full.shape}")
+    scale = finite_scale(full, "tensor")
+    for a, b in pairs:
+        check_small(full + np.swapaxes(full, a, b), scale, EPS_ALG,
+                    f"tensor is not antisymmetric in slots {a} and {b}")
+    return n, full
+
+
+class _Components:
+    """A mixed-index tensor stored as its finite, read-only component array of shape
+    ``_shape(n)``; its norm is the Euclidean norm of the components."""
 
     __slots__ = ("n", "comps")
+    _minimum = 2
 
     def __init__(self, n: int, comps: np.ndarray):
-        self.n = check_dimension(n)
-        pb = pair_basis(self.n)
+        self.n = check_dimension(n, self._minimum)
         comps = np.asarray(comps, dtype=float)
-        if comps.shape != (pb.size, self.n):
-            raise ValueError(f"expected ({pb.size}, {n}) components, got {comps.shape}")
+        if comps.shape != self._shape(self.n):
+            raise ValueError(f"expected {self._shape(self.n)} components, got {comps.shape}")
+        finite_scale(comps, "components")
         self.comps = _frozen(comps)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.comps))
+
+
+class TwoFormOneForm(_Components):
+    """3-index tensor antisymmetric in its first two slots, components (N, n)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _shape(n: int) -> tuple:
+        return pair_basis(n).size, n
 
     @classmethod
     def from_full(cls, full: np.ndarray) -> "TwoFormOneForm":
-        full = np.asarray(full, dtype=float)
-        n = full.shape[0]
-        if full.shape != (n, n, n):
-            raise ValueError(f"expected (n, n, n) tensor, got {full.shape}")
-        scale = finite_scale(full, "tensor")
-        check_small(full + np.swapaxes(full, 0, 1), scale, EPS_ALG,
-                    "tensor is not antisymmetric in its first two slots")
+        n, full = _full(full, 3, ((0, 1),))
         return cls(n, full3_to_pair_form(n, full))
 
     def full(self) -> np.ndarray:
         return pair_form_to_full3(self.n, self.comps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.comps))
 
-
-class ThreeTwoTensor:
+class ThreeTwoTensor(_Components):
     """Element of Lambda^3 x Lambda^2, components (triples, pairs)."""
 
-    __slots__ = ("n", "comps")
+    __slots__ = ()
+    _minimum = 3
 
-    def __init__(self, n: int, comps: np.ndarray):
-        self.n = check_dimension(n, minimum=3)
-        tb = triple_basis(self.n)
-        pb = pair_basis(self.n)
-        comps = np.asarray(comps, dtype=float)
-        if comps.shape != (tb.size, pb.size):
-            raise ValueError(f"expected ({tb.size}, {pb.size}) components, got {comps.shape}")
-        self.comps = _frozen(comps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.comps))
+    @staticmethod
+    def _shape(n: int) -> tuple:
+        return triple_basis(n).size, pair_basis(n).size
 
     def __sub__(self, other: "ThreeTwoTensor") -> "ThreeTwoTensor":
         if self.n != other.n:
@@ -323,7 +328,7 @@ class ThreeTwoTensor:
     __rmul__ = __mul__
 
 
-class CovDerivCurvature:
+class CovDerivCurvature(_Components):
     """Formal covariant derivative of a curvature-type tensor.
 
     Components (m, a, b) over pair indices: slice m holds nabla_m T as a
@@ -331,32 +336,24 @@ class CovDerivCurvature:
     four slots).
     """
 
-    __slots__ = ("n", "comps")
+    __slots__ = ()
+
+    @staticmethod
+    def _shape(n: int) -> tuple:
+        return n, pair_basis(n).size, pair_basis(n).size
 
     def __init__(self, n: int, comps: np.ndarray):
-        self.n = check_dimension(n)
-        pb = pair_basis(self.n)
-        comps = np.asarray(comps, dtype=float)
-        if comps.shape != (self.n, pb.size, pb.size):
-            raise ValueError(f"expected ({n}, {pb.size}, {pb.size}) components, got {comps.shape}")
-        scale = finite_scale(comps, "components")
-        check_small(comps - np.swapaxes(comps, 1, 2), scale, EPS_ALG,
+        super().__init__(n, comps)
+        check_small(self.comps - np.swapaxes(self.comps, 1, 2), self.comps, EPS_ALG,
                     "slices are not symmetric in the last four slots")
-        self.comps = _frozen(comps)
 
     @classmethod
     def from_full(cls, full: np.ndarray) -> "CovDerivCurvature":
-        full = np.asarray(full, dtype=float)
-        n = full.shape[0]
-        if full.shape != (n, n, n, n, n):
-            raise ValueError(f"expected (n,)*5 tensor, got {full.shape}")
+        n, full = _full(full, 5, ((1, 2), (3, 4)))
         return cls(n, four_tensor_to_pair_matrix(n, full))
 
     def full(self) -> np.ndarray:
         return pair_matrix_to_four_tensor(self.n, self.comps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.comps))
 
 
 class PureCurvatureMatrix:

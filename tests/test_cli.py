@@ -383,6 +383,8 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
     (("chart", "{file}"), lambda: _NO_OFFSETS, "grid file {file} is missing the field 'offsets'"),
     (("chart", "{file}"), lambda: dict(_NO_OFFSETS, offsets=[], grid={"center": [0.0] * 4}),
      "grid file {file} grid is missing the field 'h'"),
+    (("chart", "{file}"), lambda: dict(_NO_OFFSETS, offsets=[[0, 0, 0, 0]]),
+     "grid file {file} has 1 offsets and 0 matrices"),
 ],
     ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
          "pinch-pointwise-nan-S", "pinch-norm-traced-E", "pinch-pointwise-traced-E",
@@ -393,7 +395,8 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
          "dim4-sparse-list-components", "pinch-pointwise-list", "pinch-pointwise-string",
          "pinch-norm-list-W", "tol-nan", "tol-inf", "tol-minus-inf", "tol-negative",
          "tol-overflow", "pinch-missing-W", "pinch-missing-S", "dim4-dense-missing-n",
-         "dim4-sparse-missing-n", "grid-missing-offsets", "grid-missing-h"])
+         "dim4-sparse-missing-n", "grid-missing-offsets", "grid-missing-h",
+         "grid-length-mismatch"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "input.json"
     if payload is not None:

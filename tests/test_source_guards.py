@@ -45,6 +45,10 @@ A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
 so every metric evaluation of the package goes through one call site and its
 shape and positive-definiteness checks.
 
+Arrays are made read-only in three places only: ``basis.read_only_cache`` for the
+cached index tables, ``tensors._frozen`` for container components and
+``basis.pair_basis`` for the arrays inside its dataclass.
+
 Every CLI option is read: the tolerance names each subcommand declares in
 ``cli.build_parser`` are exactly the ``tols["..."]`` keys its ``cmd_*`` reads, and
 ``--seed`` is declared exactly where the ``cmd_*`` reads ``args.seed``.
@@ -303,6 +307,33 @@ TRACING = SRC.parent.parent / "benchmarks" / "tracing.py"
 #: helpers for building inputs and writing files, kept for scripts and tests
 UNREACHED_ALLOWED = {"random_operator", "random_curvature", "random_weyl",
                      "random_traceless_symmetric", "dump_grid_file", "operator_to_dict"}
+
+
+def freeze_sites(path: Path) -> set[str]:
+    """Top-level definitions of a file (``<module>`` outside them) that touch an array's
+    ``flags.writeable`` or call ``setflags``."""
+    out = set()
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and node.attr == "writeable"
+                 and isinstance(node.value, ast.Attribute) and node.value.attr == "flags")
+                    or (isinstance(node, ast.Call) and _called_name(node) == "setflags")):
+                out.add(getattr(top, "name", "<module>"))
+    return out
+
+
+def test_guard_sees_freezes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def table(n):\n    def build():\n        a.setflags(write=False)\n"
+                     "def other():\n    return b.flags.writeable\n"
+                     "c.flags.writeable = False\nd.flags.c_contiguous\n")
+    assert freeze_sites(probe) == {"table", "other", "<module>"}
+
+
+def test_arrays_are_frozen_only_by_the_read_only_helpers():
+    found = {(path.name, site) for path in sorted(SRC.glob("*.py")) for site in freeze_sites(path)}
+    assert found == {("basis.py", "read_only_cache"), ("basis.py", "pair_basis"),
+                     ("tensors.py", "_frozen")}
 
 
 def traced_functions() -> set[str]:

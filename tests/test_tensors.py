@@ -1,6 +1,9 @@
 """Basis bookkeeping and tensor-container invariants."""
 
+import ast
+import importlib
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from weylbench.tensors import (
     CurvatureTensor,
     Operator2Form,
     PureCurvatureMatrix,
+    ThreeTwoTensor,
     TwoFormOneForm,
     bianchi_residual,
     check_bianchi,
@@ -237,6 +241,16 @@ def test_cov_deriv_slices_round_trip(n):
     assert np.array_equal(CovDerivCurvature.from_full(full).comps, D.comps)
 
 
+def test_cov_deriv_from_full_refuses_a_tensor_not_antisymmetric_in_its_pairs():
+    """A pair-symmetric five-index tensor symmetric in slots 1, 2 is refused, not read
+    off at its entries a < b alone (where the defect g_ab g_cd vanishes)."""
+    D = CovDerivCurvature(4, _cov_deriv_comps(1.0))
+    odd = D.full() + np.einsum('m,ab,cd->mabcd', np.ones(4), np.eye(4), np.eye(4))
+    assert np.array_equal(four_tensor_to_pair_matrix(4, odd), D.comps)
+    with pytest.raises(ValueError, match="not antisymmetric in slots 1 and 2"):
+        CovDerivCurvature.from_full(odd)
+
+
 def test_trace_free_guard_rejects_nan_and_large_traces():
     check_small(np.zeros((3, 3)), np.ones((3, 3)), 1e-10, "ok")
     check_small(1e-11, 5.0 * np.ones((2, 2)), 1e-11, "scaled by the entries")
@@ -320,6 +334,8 @@ NON_FINITE_BUILDERS = {
     "Operator2Form.from_four_tensor": lambda v: Operator2Form.from_four_tensor(
         pair_matrix_to_four_tensor(4, _diagonal(v))),
     "TwoFormOneForm.from_full": lambda v: TwoFormOneForm.from_full(_antisymmetric_three(v)),
+    "TwoFormOneForm": lambda v: TwoFormOneForm(4, _diagonal(v)[:, :4]),
+    "ThreeTwoTensor": lambda v: ThreeTwoTensor(4, _diagonal(v)[:4]),
     "CovDerivCurvature": lambda v: CovDerivCurvature(4, _cov_deriv_comps(v)),
     "PureCurvatureMatrix": lambda v: PureCurvatureMatrix(4, _pure_curvature(v)),
     "check_traceless": lambda v: check_traceless(np.diag([v, -1.0, 0.0, 0.0]), "E"),
@@ -388,3 +404,27 @@ def test_curvature_from_four_tensor_checks_first_bianchi_at_the_default_toleranc
         CurvatureTensor(4, m)
     with pytest.raises(ValueError, match="first Bianchi identity violated"):
         CurvatureTensor.from_four_tensor(pair_matrix_to_four_tensor(4, m))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "weylbench"
+# (module, name) of every table built under ``basis.read_only_cache``
+READ_ONLY_TABLES = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+                    for node in ast.parse(path.read_text(encoding="utf-8")).body
+                    if isinstance(node, ast.FunctionDef) and any(
+                        isinstance(d, ast.Name) and d.id == "read_only_cache"
+                        for d in node.decorator_list)]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_cached_tables_are_read_only(n):
+    assert len(READ_ONLY_TABLES) == 12 and ("chart", "_offsets") in READ_ONLY_TABLES
+    for module, name in READ_ONLY_TABLES:
+        build = getattr(importlib.import_module(f"weylbench.{module}"), name)
+        for args in [(n, 2, False), (n, 4, True)] if name == "_offsets" else [(n,)]:
+            out = build(*args)
+            arrays = [x for x in (out if isinstance(out, tuple) else (out,))
+                      if isinstance(x, np.ndarray)]
+            assert arrays, name
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = arr
