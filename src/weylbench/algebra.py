@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import (_circ_prime_positions, _cyclic_ricci_positions, _kn_g_positions, _padded,
-                    _second_bianchi_positions, _signed_take, _take_trailing, bianchi_image,
-                    pair_basis, pair_ricci, pair_slots, read_only_cache)
+                    _pair_generators, _second_bianchi_positions, _signed_take, _take_trailing,
+                    bianchi_image, pair_basis, pair_ricci, pair_slots, read_only_cache)
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -32,13 +32,13 @@ from .tensors import (
 )
 
 # Raw kernels act on the trailing axes of plain arrays and broadcast over leading batch
-# axes (u_tensor_contractions takes one tensor); the typed functions below wrap them.
-# Weyl-type operators enter as (..., N, N) pair matrices (weyl_parts, the one orthonormal-
-# frame Weyl split, weyl_matrix, sharp_matrix, cubic_parts, kn_g_pairing, the check_trace_free
-# guard), and the second-Bianchi and circ-prime images leave as (..., T, N) (triple, pair)
-# components (second_bianchi_pairs, circ_prime_pairs); kn_four, _ricci_trace, weyl_split (the
-# split in coordinates, given g and g^-1), sharp_four, congruence_four, quadratic_form,
-# circ_prime_full and second_bianchi_full do the four- and five-index work.
+# axes; the typed functions below wrap them.  Weyl-type operators enter as (..., N, N) pair
+# matrices (weyl_parts, the one orthonormal-frame Weyl split, weyl_matrix, sharp_matrix,
+# cubic_parts, kn_g_pairing, u_tensor_contractions, the check_trace_free guard), and the
+# second-Bianchi and circ-prime images leave as (..., T, N) (triple, pair) components
+# (second_bianchi_pairs, circ_prime_pairs); kn_four, _ricci_trace, weyl_split (the split in
+# coordinates, given g and g^-1), sharp_four, congruence_four, quadratic_form, circ_prime_full
+# and second_bianchi_full do the four- and five-index work.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -352,29 +352,22 @@ def second_bianchi(D: CovDerivCurvature) -> ThreeTwoTensor:
     return ThreeTwoTensor(D.n, second_bianchi_pairs(D.n, D.comps))
 
 
-def u_tensor_contractions(W4: np.ndarray) -> tuple[float, float]:
-    """Skew-auxiliary-tensor sums (u_norm_sq, contracted) of one raw (n, n, n, n) W.
+def u_tensor_contractions(n: int, W: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Skew-auxiliary-tensor sums (u_norm_sq, contracted) of (..., N, N) symmetric pair
+    matrices W, the u-tensor contracted against (..., N, N) pair matrices T.
 
-    v_mnpqij = W_inpq g_jm + W_mipq g_jn + W_mniq g_jp + W_mnpi g_jq and u = v - v^T
-    in (i, j), built as n (n^3, n^2) slabs over m in reused buffers (each term added onto
-    a diagonal as in ``circ_prime_full``); the slab sums are numpy reductions, since the
-    bits of BLAS dots depend on the thread count.  The cubic contraction is orientation-
-    fixed: the raw sum sum W_ijkl u_ij u_kl has the opposite sign; contracted = -(raw sum) / 8.
+    u_ij = E_ij . W (v_mnpqij = W_inpq g_jm + W_mipq g_jn + W_mniq g_jp + W_mnpi g_jq less
+    its (i, j) transpose) has the pair matrix U_I = A_I W + (A_I W)^T, A_I = _pair_generators.
+    Over ordered index pairs sum u*u = 8 sum U^2 and sum T_ijkl <u_ij, u_kl> = 16 <G, T>,
+    G_IK = <U_I, U_K>; contracted = -(the T sum) / 8, 8 <W, W^2 + W#> at T = W.  The sums
+    are numpy reductions over trailing axes of C-order stacks; the batch size cannot move them.
     """
-    n = W4.shape[-1]
-    v, u, prod = np.empty((3, n ** 3, n ** 2))
-    v5, Wp = v.reshape((n,) * 5), W4.reshape(n ** 2, n ** 2)
-    norm_sum = cubic_sum = 0.0
-    for m in range(n):
-        v.fill(0.0)
-        np.einsum('npqi->inpq', v5[..., m])[...] += W4
-        for diagonal in ('npqin->ipqn', 'npqip->niqp', 'npqiq->npiq'):
-            np.einsum(diagonal, v5)[...] += W4[m, ..., None]
-        np.subtract(v5, np.swapaxes(v5, -1, -2), out=u.reshape((n,) * 5))
-        norm_sum += float(np.sum(np.multiply(u, u, out=prod)))
-        np.matmul(u, Wp, out=prod)
-        cubic_sum += float(np.sum(np.multiply(prod, u, out=prod)))
-    return norm_sum, -cubic_sum / 8.0
+    N = W.shape[-1]
+    AW = (_pair_generators(n).reshape(N * N, N) @ W).reshape(W.shape[:-2] + (N, N, N))
+    U = AW + np.swapaxes(AW, -1, -2)
+    Uf = U.reshape(W.shape[:-2] + (N, N * N))
+    G = Uf @ np.swapaxes(Uf, -1, -2)
+    return 8.0 * np.sum(U * U, axis=(-3, -2, -1)), -2.0 * np.sum(G * T, axis=(-2, -1))
 
 
 def u_contraction(W: CurvatureTensor) -> tuple[float, float]:
@@ -384,7 +377,7 @@ def u_contraction(W: CurvatureTensor) -> tuple[float, float]:
     contracted equals 8 <W, W^2 + W#>; see ``u_tensor_contractions``.
     """
     check_trace_free(W.n, W.mat, "u-contraction")
-    return u_tensor_contractions(W.four())
+    return tuple(float(x) for x in u_tensor_contractions(W.n, W.mat, W.mat))
 
 
 @dataclass(frozen=True)

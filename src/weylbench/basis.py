@@ -220,6 +220,22 @@ def _kn_g_positions(n: int) -> np.ndarray:
 
 
 @read_only_cache
+def _pair_generators(n: int) -> np.ndarray:
+    """(N, N, N) matrices A_I of w -> X w + w X^T on 2-forms w, X = e_j e_i^T - e_i e_j^T for
+    the pair I = (i, j): (A_I w)_ml = [m = j] w_il - [m = i] w_jl + [l = j] w_mi - [l = i] w_mj,
+    entries in {-1, 0, 1} (no two terms share one; w_aa = 0 drops two at (m, l) = I)."""
+    pb = pair_basis(n)
+    i, j, m, l = pb.rows[:, None], pb.cols[:, None], pb.rows[None], pb.cols[None]
+    A = np.zeros((pb.size,) * 3)
+    for hit, a, b, s in ((m == j, i, l, 1.0), (m == i, j, l, -1.0),
+                         (l == j, m, i, 1.0), (l == i, m, j, -1.0)):
+        hit &= a != b
+        a, b = np.broadcast_to(a, hit.shape)[hit], np.broadcast_to(b, hit.shape)[hit]
+        A[np.nonzero(hit) + (pb.pos[a, b],)] = s * pb.sign[a, b]
+    return A
+
+
+@read_only_cache
 def _second_bianchi_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(3, T, N) flat positions of D_i,jkml, D_k,ijml and D_j,kiml in an (n, N, N) stack of
     derivative pair matrices at i < j < k, m < l (the terms of ``second_bianchi_full`` in

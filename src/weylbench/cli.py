@@ -34,7 +34,7 @@ from .models import model_curvature, package_consistency, parse_model_spec, symm
 from .report import render
 from .serialization import json_fields, json_matrix, json_number, operator_from_dict, read_json_object
 from .suite import run_identity_suite
-from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, bianchi_residual
+from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, Operator2Form, bianchi_residual
 
 DEFAULT_TOLERANCES = {
     "eps_alg": EPS_ALG,
@@ -119,9 +119,17 @@ def cmd_model(args, tols, report) -> None:
                 report["results"][name] = value
 
 
+def _operator(data, what: str, tol: float) -> Operator2Form:
+    """``operator_from_dict`` with its errors prefixed by ``what``, the input's label."""
+    try:
+        return operator_from_dict(data, tol=tol)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
 def cmd_dim4(args, tols, report) -> None:
-    tol = tols["eps_alg"]
-    op = operator_from_dict(read_json_object(args.input, f"dim4 input {args.input}"), tol=tol)
+    what, tol = f"dim4 input {args.input}", tols["eps_alg"]
+    op = _operator(read_json_object(args.input, what), what, tol)
     if op.n != 4:
         raise ValueError(f"dim4 subcommand needs an n=4 operator, got n={op.n}")
     scale = max(1.0, float(np.abs(op.mat).max()))
@@ -198,7 +206,7 @@ def cmd_pinch(args, tols, report) -> None:
             raise ValueError("pointwise/norm pinch needs --input JSON with W, E, S")
         what = f"pinch input {args.input}"
         w, E, S = json_fields(read_json_object(args.input, what), ("W", "E", "S"), what)
-        op = operator_from_dict(w)
+        op = _operator(w, what, EPS_ALG)
         W = CurvatureTensor(op.n, op.mat)
         E, S = json_matrix(E, "pinch E"), json_number(S, float, "pinch S")
         verdict = (pinch_verdict_pointwise if args.kind == "pointwise" else pinch_verdict_norm)(W, E, S)

@@ -12,7 +12,7 @@ samples are one ``random_weyl_batch`` draw, the numbers of per-trial draws);
 each identity family is then evaluated once on the (B, ...) stacks with the
 raw kernels of ``algebra`` (the Weyl split and sharps straight into pair
 matrices, the second-Bianchi and circ-prime images straight into their
-(triple, pair) components, the u-tensor in slabs) and its worst value folded
+(triple, pair) components, the u-tensor on pairs) and its worst value folded
 into the report as a float.  The typed containers' input checks run once per
 chunk: symmetry and first Bianchi of R, then of W, the e/s parts, k o g and
 A o g as one (5, B, ...) stack, and trace-free W before the sectional split
@@ -283,10 +283,9 @@ def _sharp_cubic_trial(n: int, Wm: np.ndarray) -> np.ndarray:
 
 
 def _u_tensor_trial(n: int, Wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u_norm, u_cubic) residuals of a chunk; the u-tensor sums are taken per sample."""
+    """(u_norm, u_cubic) residuals of a chunk; the u-tensor sums are one call on its stack."""
     check_trace_free(n, Wm, "u-contraction")
-    W4 = pair_matrix_to_four_tensor(n, Wm)
-    norm_sum, contracted = np.array([u_tensor_contractions(W) for W in W4]).T
+    norm_sum, contracted = u_tensor_contractions(n, Wm, Wm)
     cubic = sum(cubic_parts(n, Wm))
     return (_rel(norm_sum - 32.0 * (n - 1) * frobenius(Wm, Wm), norm_sum),
             _rel(contracted - 8.0 * cubic, contracted))

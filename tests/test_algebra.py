@@ -48,8 +48,9 @@ from weylbench.algebra import (
     weyl_sectional_split,
     weyl_split,
 )
-from weylbench.basis import (bianchi_image, four_tensor_to_pair_matrix, pair_basis, pair_divergence,
-                             pair_matrix_to_four_tensor, pair_ricci, pair_slots)
+from weylbench.basis import (_pair_generators, bianchi_image, four_tensor_to_pair_matrix,
+                             pair_basis, pair_divergence, pair_matrix_to_four_tensor, pair_ricci,
+                             pair_slots)
 from weylbench.bounds import cubic_bound_eval, eigen_bound, eigen_bound_terms, weyl_bound_terms
 from weylbench.sampling import (
     pure_from_uniform,
@@ -608,16 +609,22 @@ def circ_prime_einsum_reference(a):
             + np.einsum('im,kjn->ijkmn', g, a) + np.einsum('jm,ikn->ijkmn', g, a))
 
 
-def u_tensor_einsum_reference(Wf):
-    """Four einsum outer products with g on the full n^6 u-tensor (the earlier
-    u_tensor_contractions): (sum u*u, sum W_ijkl u_ij u_kl) in Wf's dtype."""
+def u_tensor_einsum(Wf):
+    """The full (n,)*6 u-tensor u[m, n, p, q, i, j] = (u_ij)_mnpq of a four-index Wf, by four
+    einsum outer products with g (the earlier u_tensor_contractions), in Wf's dtype."""
     n = Wf.shape[-1]
     g = np.eye(n, dtype=Wf.dtype)
     v = (np.einsum('inpq,jm->mnpqij', Wf, g) + np.einsum('mipq,jn->mnpqij', Wf, g)
          + np.einsum('mniq,jp->mnpqij', Wf, g) + np.einsum('mnpi,jq->mnpqij', Wf, g))
-    u = v - np.transpose(v, (0, 1, 2, 3, 5, 4))
+    return v - np.transpose(v, (0, 1, 2, 3, 5, 4))
+
+
+def u_tensor_einsum_reference(Wf, Tf):
+    """(sum u*u, sum T_ijkl u_ij u_kl) on the full n^6 u-tensor of Wf, in Wf's dtype."""
+    n = Wf.shape[-1]
+    u = u_tensor_einsum(Wf)
     U = u.reshape(n ** 4, n ** 2)
-    return np.sum(u * u), np.sum((U @ Wf.reshape(n ** 2, n ** 2)) * U)
+    return np.sum(u * u), np.sum((U @ Tf.reshape(n ** 2, n ** 2)) * U)
 
 
 def reindex_einsum_reference(W4, R4):
@@ -682,6 +689,7 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(quadratic_form, R4, g)
     _assert_batch_equals_single(cube_trace, g)
     _assert_batch_equals_single(kn_g_pairing, h, Rm)
+    _assert_batch_equals_single(lambda w, t: u_tensor_contractions(n, w, t), Wm, Rm)
     subsets = rng.uniform(size=(count, n)) < 0.5
     _assert_batch_equals_single(sectional_sums, rng.uniform(-1.0, 1.0, size=(count, N)), subsets)
     _assert_batch_equals_single(lambda m: tuple(weyl_bound_terms(n, m).values()), Wm)
@@ -700,7 +708,7 @@ def test_typed_wrappers_are_their_kernels(n):
     mask[[0, n - 1]] = True
     assert weyl_sectional_split(W, subset) == tuple(
         float(x) for x in sectional_sums(np.diagonal(W.mat), mask))
-    assert u_contraction(W) == u_tensor_contractions(W.four())
+    assert u_contraction(W) == tuple(float(x) for x in u_tensor_contractions(n, W.mat, W.mat))
     T = random_operator(rng, n)
     kerb, imb = bianchi_project(T)
     image = bianchi_image(n, T.mat)
@@ -976,29 +984,67 @@ def test_circ_prime_placement_matches_einsum_reference_bitwise(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_u_tensor_placement_matches_einsum_reference(n):
-    """Both sums agree with the full n^6 u-tensor to round-off.  The slab sums
-    add in another order than one sum over the whole array, so the bits are
-    pinned by the exact integer check below, not here."""
+    """The pair matrices U_I = A_I W + (A_I W)^T are those of u_ij read off the full n^6
+    u-tensor of W's expansion, which pins the sign convention of the generator table, and
+    both sums agree with the n^6 sums to round-off, for T = W and for an unrelated curvature
+    T (a wrong sign on some A_I flips the G_IK that pair it with the others).  The pair sums
+    add in another order than one sum over the whole array, so the bits are pinned by the
+    exact integer check below, not here."""
+    pb = pair_basis(n)
     for _ in range(3):
-        W = random_weyl(rng, n)
-        norm_sum, contracted = u_tensor_contractions(W.four())
-        ref_norm, ref_cubic = u_tensor_einsum_reference(W.four())
-        assert contracted == pytest.approx(-ref_cubic / 8.0, rel=1e-14)
-        assert norm_sum == pytest.approx(ref_norm, rel=1e-14)
+        W, R = random_weyl(rng, n), random_curvature(rng, n)
+        AW = _pair_generators(n) @ W.mat
+        u = u_tensor_einsum(W.four())
+        expect = four_tensor_to_pair_matrix(n, np.moveaxis(u[..., pb.rows, pb.cols], -1, 0))
+        assert np.allclose(AW + np.swapaxes(AW, -1, -2), expect, rtol=0, atol=1e-13)
+        for T in (W, R):
+            norm_sum, contracted = u_tensor_contractions(n, W.mat, T.mat)
+            ref_norm, ref_cubic = u_tensor_einsum_reference(W.four(), T.four())
+            assert contracted == pytest.approx(-ref_cubic / 8.0, rel=1e-14)
+            assert norm_sum == pytest.approx(ref_norm, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_u_tensor_sums_are_exact_on_integer_tensors(n):
-    """On integer entries in [-8, 8] every partial sum is an exact integer, so
-    both sums equal the int64 evaluation of the reference bit for bit, whatever
-    order they are added in."""
-    ints = np.random.default_rng(n).integers(-8, 9, size=(3,) + (n,) * 4)
-    for W in ints:
-        norm_sum, contracted = u_tensor_contractions(W.astype(float))
-        ref_norm, ref_cubic = u_tensor_einsum_reference(W)
+    """On symmetric integer pair matrices every partial sum is an exact integer, so both
+    sums equal the int64 evaluation of the reference bit for bit, whatever order they are
+    added in."""
+    ints = np.random.default_rng(n).integers(-8, 9, size=(3, 2) + (pair_basis(n).size,) * 2)
+    for W, T in ints + np.swapaxes(ints, -1, -2):
+        norm_sum, contracted = u_tensor_contractions(n, W.astype(float), T.astype(float))
+        ref_norm, ref_cubic = u_tensor_einsum_reference(
+            *(pair_matrix_to_four_tensor(n, X.astype(float)).astype(np.int64) for X in (W, T)))
         assert ref_norm.dtype == np.int64 and ref_cubic.dtype == np.int64
         assert norm_sum.hex() == float(ref_norm).hex()
         assert contracted.hex() == (-float(ref_cubic) / 8.0).hex()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_u_tensor_contracted_against_its_curvature(n):
+    """Contracted against R itself, the u-tensor of R's Weyl part W gives
+    8 <W, W^2 + W#> - 4 <Rc o g, W^2> with the full Ricci form Rc (ROADMAP item 8)."""
+    R = random_curvature(rng, n)
+    Rc = pair_ricci(n, R.mat)
+    W = weyl_parts(n, R.mat, Rc).W
+    _, contracted = u_tensor_contractions(n, W, R.mat)
+    expect = 8.0 * sum(cubic_parts(n, W)) - 4.0 * kn_g_pairing(Rc, W)
+    assert contracted == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_u_tensor_sums_are_invariant_and_homogeneous(n):
+    """Both sums are O(n)-invariant when W and T turn together, and scaling both by
+    2^(+-20) scales them by its square and cube bit for bit."""
+    W, R = random_weyl(rng, n), random_curvature(rng, n)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    sums = u_tensor_contractions(n, W.mat, R.mat)
+    turned = u_tensor_contractions(
+        n, *(four_tensor_to_pair_matrix(n, congruence_four(X.four(), Q)) for X in (W, R)))
+    for value, rotated in zip(sums, turned):
+        assert rotated == pytest.approx(value, rel=1e-12)
+    for scale in (2.0 ** 20, 2.0 ** -20):
+        norm_sum, contracted = u_tensor_contractions(n, scale * W.mat, scale * R.mat)
+        assert norm_sum == scale ** 2 * sums[0] and contracted == scale ** 3 * sums[1]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

@@ -378,8 +378,12 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
      "pinch input {file} is missing the field 'W'"),
     (("pinch", "pointwise", "--input", "{file}"), lambda: {"W": _weyl_dict(5), "E": [[0]]},
      "pinch input {file} is missing the field 'S'"),
-    (("dim4", "{file}"), lambda: {"matrix": [[0]]}, "operator is missing the field 'n'"),
-    (("dim4", "{file}"), lambda: {"components": {}}, "operator is missing the field 'n'"),
+    (("dim4", "{file}"), lambda: {"matrix": [[0]]},
+     "dim4 input {file}: operator is missing the field 'n'"),
+    (("dim4", "{file}"), lambda: {"components": {}},
+     "dim4 input {file}: operator is missing the field 'n'"),
+    (("pinch", "norm", "--input", "{file}"), lambda: {"W": {"matrix": [[0]]}, "E": [[0]], "S": 1},
+     "pinch input {file}: operator is missing the field 'n'"),
     (("chart", "{file}"), lambda: _NO_OFFSETS, "grid file {file} is missing the field 'offsets'"),
     (("chart", "{file}"), lambda: dict(_NO_OFFSETS, offsets=[], grid={"center": [0.0] * 4}),
      "grid file {file} grid is missing the field 'h'"),
@@ -395,8 +399,8 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
          "dim4-sparse-list-components", "pinch-pointwise-list", "pinch-pointwise-string",
          "pinch-norm-list-W", "tol-nan", "tol-inf", "tol-minus-inf", "tol-negative",
          "tol-overflow", "pinch-missing-W", "pinch-missing-S", "dim4-dense-missing-n",
-         "dim4-sparse-missing-n", "grid-missing-offsets", "grid-missing-h",
-         "grid-length-mismatch"])
+         "dim4-sparse-missing-n", "pinch-operator-missing-n", "grid-missing-offsets",
+         "grid-missing-h", "grid-length-mismatch"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "input.json"
     if payload is not None:
@@ -580,7 +584,7 @@ def _huge_step(data):
 ], ids=lambda x: x.__name__.strip("_") if callable(x) else None)
 def test_json_integer_beyond_the_float_range_is_usage_error(tmp_path, capsys, kind, edit, field):
     """An integer too large for a float is refused with one error line naming its field
-    (and a grid file's path), not an OverflowError traceback."""
+    (and an operator's or a grid file's path), not an OverflowError traceback."""
     if kind == "chart":
         argv = ["chart", str(_grid_file(tmp_path, edit))]
         field = field.replace("grid file", f"grid file {argv[1]}")
@@ -591,6 +595,8 @@ def test_json_integer_beyond_the_float_range_is_usage_error(tmp_path, capsys, ki
         path.write_text(json.dumps(data))
         argv = (["dim4", str(path)] if kind == "dim4"
                 else ["pinch", "pointwise", "--input", str(path)])
+        if kind == "dim4":  # an operator's errors name the file it came from
+            field = f"dim4 input {path}: {field}"
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
