@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (_circ_prime_positions, _cyclic_ricci_positions, _kn_g_positions, _padded,
+from .basis import (_circ_prime_positions, _cyclic_ricci_positions, _padded,
                     _pair_generators, _second_bianchi_positions, _signed_take, _take_trailing,
                     bianchi_image, pair_basis, pair_ricci, pair_slots, read_only_cache)
 from .tensors import (
@@ -33,12 +33,12 @@ from .tensors import (
 
 # Raw kernels act on the trailing axes of plain arrays and broadcast over leading batch
 # axes; the typed functions below wrap them.  Weyl-type operators enter as (..., N, N) pair
-# matrices (weyl_parts, the one orthonormal-frame Weyl split, weyl_matrix, sharp_matrix,
-# cubic_parts, kn_g_pairing, u_tensor_contractions, the check_trace_free guard), and the
-# second-Bianchi and circ-prime images leave as (..., T, N) (triple, pair) components
-# (second_bianchi_pairs, circ_prime_pairs); kn_four, _ricci_trace, weyl_split (the split in
-# coordinates, given g and g^-1), sharp_four, congruence_four, quadratic_form, circ_prime_full
-# and second_bianchi_full do the four- and five-index work.
+# matrices (weyl_split, the one Weyl split under any metric, and weyl_parts, its
+# orthonormal-frame call, weyl_matrix, sharp_matrix, cubic_parts, kn_g_pairing,
+# u_tensor_contractions, the check_trace_free guard), Kulkarni-Nomizu products leave as pair
+# matrices (kn_matrix), and the second-Bianchi and circ-prime images leave as (..., T, N)
+# (triple, pair) components (second_bianchi_pairs, circ_prime_pairs); kn_four, sharp_four,
+# quadratic_form, circ_prime_full and second_bianchi_full do the four- and five-index work.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -57,11 +57,29 @@ def kn_four(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _alt_pairs(np.einsum('...ik,...jl->...ijkl', h, k))
 
 
-def _ricci_trace(R4: np.ndarray, gi: np.ndarray | None = None) -> np.ndarray:
-    """rc_ij = R_ipjq g^pq; the identity metric when gi is None."""
-    if gi is None:
-        return np.einsum('...ipjp->...ij', R4)
-    return np.einsum('...ipjq,...pq->...ij', R4, gi)
+@read_only_cache
+def _sharp_positions(n: int) -> np.ndarray:
+    """(4, N, N) flat positions of m[(i,k),(j,l)], m[(j,l),(i,k)], m[(i,l),(j,k)] and
+    m[(j,k),(i,l)] in an (n^2, n^2) matrix: the terms of ``_alt_pairs`` at i < j, k < l."""
+    i, j = pair_basis(n).rows[:, None], pair_basis(n).cols[:, None]
+    k, l = i.T, j.T
+    return np.stack([((a * n + b) * n + c) * n + d
+                     for a, b, c, d in ((i, k, j, l), (j, l, i, k), (i, l, j, k), (j, k, i, l))])
+
+
+@read_only_cache
+def _kn_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_sharp_positions`` as flat (n, n) positions of h and k: m[(a,b),(c,d)] = h_ab k_cd."""
+    return divmod(_sharp_positions(n), n * n)
+
+
+def kn_matrix(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Pair matrices (..., N, N) of h o k for (..., n, n) forms h and k: ``kn_four``'s four
+    products at the pair entries, added in ``_alt_pairs``' order, then +0.0 as einsum's zero
+    output normalises signed zeros, so the bits are those of kn_four's expansion read back."""
+    hp, kp = _kn_positions(h.shape[-1])
+    t = _take_trailing(h, 2, hp) * _take_trailing(k, 2, kp)
+    return t[..., 0, :, :] + t[..., 1, :, :] - t[..., 2, :, :] - t[..., 3, :, :] + 0.0
 
 
 class WeylSplit(NamedTuple):
@@ -75,33 +93,15 @@ class WeylSplit(NamedTuple):
     W: np.ndarray
 
 
-def weyl_split(R4: np.ndarray, g: np.ndarray, gi: np.ndarray) -> WeylSplit:
-    """Weyl split W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) of (..., n, n, n, n) tensors
-    in coordinates with metric ``g`` and its inverse ``gi`` (the caller's, so one inverse table
-    serves every stage of a chart): Rc is the Ricci trace, S the scalar, E = Rc - (S/n) g.
-    In an orthonormal frame ``weyl_parts`` splits pair matrices."""
-    n = R4.shape[-1]
-    Rc = _ricci_trace(R4, gi)
-    S = np.einsum('...ij,...ij->...', Rc, gi)
+def weyl_split(n: int, R: np.ndarray, Rc: np.ndarray, S: np.ndarray, g: np.ndarray) -> WeylSplit:
+    """Weyl split W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) of (..., N, N) pair matrices R
+    with the Ricci traces Rc and scalars S the caller took under the metric g (a chart with its
+    g^-1): E = Rc - (S/n) g; W and the parts are pair matrices.  ``weyl_parts`` is g = I."""
     s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
     E = Rc - (s2 / n) * g
-    s_part = s2[..., None, None] / (2 * n * (n - 1)) * kn_four(g, g)
-    e_part = kn_four(E, g) / (n - 2)
-    return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R4 - s_part - e_part)
-
-
-def congruence_four(T: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """sum_mnpq A_ma A_nb A_pc A_qd T_mnpq: T's four indices moved by one (n, n) matrix.
-
-    With K = A (x) A, K[(m,n),(a,b)] = A_ma A_nb, this is the congruence
-    K^T T K of T's (n^2, n^2) matrix over the index pairs (ij, kl): two matrix
-    products instead of an n^8 sum.  T may carry leading batch axes, and A may
-    carry T's (one matrix per object); K's entries are the products np.kron forms.
-    """
-    n = T.shape[-1]
-    K = (A[..., :, None, :, None] * A[..., None, :, None, :]).reshape(A.shape[:-2] + (n * n,) * 2)
-    out = np.swapaxes(K, -1, -2) @ T.reshape(T.shape[:-4] + (n * n, n * n)) @ K
-    return out.reshape(T.shape)
+    s_part = s2 / (2 * n * (n - 1)) * kn_matrix(g, g)
+    e_part = kn_matrix(E, g) / (n - 2)
+    return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R - s_part - e_part)
 
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> CurvatureTensor:
@@ -114,7 +114,7 @@ def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> CurvatureTensor:
     k = check_symmetric(k, "second factor")
     if h.shape != k.shape:
         raise ValueError(f"dimension mismatch: {h.shape[0]} vs {k.shape[0]}")
-    return CurvatureTensor.from_four_tensor(kn_four(h, k))
+    return CurvatureTensor(h.shape[0], kn_matrix(h, k))
 
 
 def ricci_contraction(T: Operator2Form) -> np.ndarray:
@@ -122,28 +122,11 @@ def ricci_contraction(T: Operator2Form) -> np.ndarray:
     return pair_ricci(T.n, T.mat)
 
 
-def kn_g_matrix(E: np.ndarray) -> np.ndarray:
-    """Pair matrices of kn_four(E, g) for (..., n, n) E and g = I, by kn_four's
-    operations: einsum adds each product E_ik g_jl onto a zero output, and
-    ``_alt_pairs`` adds the four terms in turn."""
-    n = E.shape[-1]
-    terms = np.stack([E * 0.0, E], axis=-3)  # E_ik g_jl is E_ik times 0 or 1
-    terms += 0.0
-    t = _take_trailing(terms, 3, _kn_g_positions(n))
-    return t[..., 0, :, :] + t[..., 1, :, :] - t[..., 2, :, :] - t[..., 3, :, :]
-
-
 def weyl_parts(n: int, R: np.ndarray, Rc: np.ndarray) -> WeylSplit:
-    """Weyl split of (..., N, N) pair matrices R with Ricci traces Rc in an orthonormal frame:
-    ``weyl_split``'s formula at g = I, with W, e_part and s_part as pair matrices.  Each entry
-    takes the four-index split's operations in their order (``kn_g_matrix`` for E o g, 2 on the
-    diagonal for g o g), so the bits are those of the n^4 route."""
-    S = np.trace(Rc, axis1=-2, axis2=-1)
-    s2 = np.asarray(S)[..., None, None]
-    E = Rc - (s2 / n) * np.eye(n)
-    s_part = s2 / (2 * n * (n - 1)) * (2.0 * np.eye(R.shape[-1]))  # g o g: 2 on the diagonal
-    e_part = kn_g_matrix(E) / (n - 2)
-    return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R - s_part - e_part)
+    """Orthonormal-frame ``weyl_split`` of (..., N, N) pair matrices R with Ricci traces Rc:
+    g = I and S = tr Rc.  Each entry takes the four-index split's operations in their order
+    (``kn_matrix`` for E o g and g o g), so the bits are those of the n^4 route."""
+    return weyl_split(n, R, Rc, np.trace(Rc, axis1=-2, axis2=-1), np.eye(n))
 
 
 def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
@@ -226,16 +209,6 @@ def sharp_four(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return 0.5 * _alt_pairs(np.swapaxes(m.reshape(m.shape[:-2] + (n, n, n, n)), -3, -2))
 
 
-@read_only_cache
-def _sharp_positions(n: int) -> np.ndarray:
-    """(4, N, N) flat positions of m[(i,k),(j,l)], m[(j,l),(i,k)], m[(i,l),(j,k)] and
-    m[(j,k),(i,l)] in an (n^2, n^2) matrix: the terms of ``_alt_pairs`` at i < j, k < l."""
-    i, j = pair_basis(n).rows[:, None], pair_basis(n).cols[:, None]
-    k, l = i.T, j.T
-    return np.stack([((a * n + b) * n + c) * n + d
-                     for a, b, c, d in ((i, k, j, l), (j, l, i, k), (i, l, j, k), (j, k, i, l))])
-
-
 def sharp_matrix(n: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pair matrices (..., N, N) of A # B for (..., N, N) pair matrices A and B: only the
     pair entries of ``sharp_four``'s four terms are gathered and added in its order, so
@@ -276,9 +249,9 @@ def kn_g_pairing(X: np.ndarray, Wm: np.ndarray) -> np.ndarray:
     X and X o g are symmetrized as ``kulkarni_nomizu`` stores them, and
     W^2 = Wm Wm^T as ``dot_product`` forms it, so the value keeps the bits of
     sum(kulkarni_nomizu(X, g).mat * dot_product(W, W).mat) with g the identity
-    (X o g straight into pair matrices by ``kn_g_matrix``).
+    (X o g straight into pair matrices by ``kn_matrix``).
     """
-    Xg = symmetrized(kn_g_matrix(symmetrized(X)))
+    Xg = symmetrized(kn_matrix(symmetrized(X), np.eye(X.shape[-1])))
     return frobenius(Xg, Wm @ np.swapaxes(Wm, -1, -2))
 
 

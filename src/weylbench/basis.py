@@ -208,18 +208,6 @@ def pair_ricci(n: int, mat: np.ndarray) -> np.ndarray:
 
 
 @read_only_cache
-def _kn_g_positions(n: int) -> np.ndarray:
-    """(4, N, N) flat positions, in a (2, n, n) stack of E times 0 and E times 1, of the
-    four terms E_ik g_jl, E_jl g_ik, E_il g_jk and E_jk g_il of (E o g)_ijkl for g = I,
-    in the order ``algebra._alt_pairs`` adds them, at the pair entries (ij, kl)."""
-    pb = pair_basis(n)
-    i, j = pb.rows[:, None], pb.cols[:, None]
-    k, l = i.T, j.T
-    return np.stack([(c == d) * n * n + a * n + b
-                     for a, b, c, d in ((i, k, j, l), (j, l, i, k), (i, l, j, k), (j, k, i, l))])
-
-
-@read_only_cache
 def _pair_generators(n: int) -> np.ndarray:
     """(N, N, N) matrices A_I of w -> X w + w X^T on 2-forms w, X = e_j e_i^T - e_i e_j^T for
     the pair I = (i, j): (A_I w)_ml = [m = j] w_il - [m = i] w_jl + [l = j] w_mi - [l = i] w_mj,

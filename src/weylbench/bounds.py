@@ -397,13 +397,8 @@ def pinch_verdict_dim4(omega: float, S: float) -> PinchVerdict:
                         details={"omega": float(omega)})
 
 
-def gap_verdict_integral(norm_w: float, norm_e: float, lam: float, n: int) -> PinchVerdict:
-    """Integral gap verdict on user-supplied L^{n/2} norms and Yamabe invariant.
-
-    For every n >= 5 the condition is a1 ||W|| + a2 ||E|| < s_n lambda with the
-    coefficients of ``constants(n)``.  A strict inequality is required: meeting
-    the gap forces conformal flatness, and the borderline case forces nothing.
-    """
+def _integral_inputs(norm_w: float, norm_e: float, lam: float, n: int) -> None:
+    """The guard of the integral inputs: finite, lambda > 0, norms >= 0 and n >= 5."""
     check_finite(norm_w, norm_e, lam)
     if lam <= 0:
         raise ValueError("the Yamabe invariant input must be positive")
@@ -411,6 +406,16 @@ def gap_verdict_integral(norm_w: float, norm_e: float, lam: float, n: int) -> Pi
         raise ValueError("norms must be nonnegative")
     if n < 5:
         raise ValueError("integral gap verdict requires n >= 5")
+
+
+def gap_verdict_integral(norm_w: float, norm_e: float, lam: float, n: int) -> PinchVerdict:
+    """Integral gap verdict on user-supplied L^{n/2} norms and Yamabe invariant.
+
+    For every n >= 5 the condition is a1 ||W|| + a2 ||E|| < s_n lambda with the
+    coefficients of ``constants(n)``.  A strict inequality is required: meeting
+    the gap forces conformal flatness, and the borderline case forces nothing.
+    """
+    _integral_inputs(norm_w, norm_e, lam, n)
     tab = constants(n)
     value = tab.a1 * norm_w + tab.a2 * norm_e
     threshold = tab.s_n * lam
@@ -426,9 +431,7 @@ def integral_rigidity_d(norm_w: float, norm_e: float, lam: float, n: int) -> flo
     the derived consistency value (c1 ||W|| + c2 ||E||) / lambda with
     c1 = 2 c(n) and c2 = 2 sqrt((n-1)/n).
     """
-    check_finite(norm_w, norm_e, lam)
-    if lam <= 0:
-        raise ValueError("the Yamabe invariant input must be positive")
+    _integral_inputs(norm_w, norm_e, lam, n)
     c1 = 2.0 * table_c(n)
     c2 = 2.0 * math.sqrt((n - 1) / n)
     return (c1 * norm_w + c2 * norm_e) / lam

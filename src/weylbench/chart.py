@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (_ricci_trace, circ_prime, congruence_four, cubic_parts, decomposition,
-                      kn_g_pairing, second_bianchi, weyl_parts, weyl_split)
-from .basis import four_tensor_to_pair_matrix, read_only_cache
+from .algebra import (circ_prime, cubic_parts, decomposition, kn_g_pairing, kn_matrix,
+                      second_bianchi, weyl_parts, weyl_split)
+from .basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor, read_only_cache
 from .serialization import json_fields, json_list, json_matrix, json_number, json_object, read_json_object
 from .tensors import (
     CovDerivCurvature,
@@ -38,6 +38,7 @@ from .tensors import (
     check_dimension,
     check_finite,
     check_symmetric,
+    frobenius,
 )
 
 
@@ -280,10 +281,10 @@ class _Lattice:
     R there and, with the Ricci identity, at its neighbours; Gamma where R is, g where
     Gamma is), each set a prefix of the rows: row r is offset ``keys[r]``, and ``near[r,
     j, m]`` the row of ``keys[r]`` moved ``steps[j]`` along axis m.  Tables: ``g``,
-    ``gamma``, ``decomp`` = (R, Rc, S, W) in coordinates (R kept on the center's
-    stencil, W on the w2 rows: all that is read) and ``w2``.  The tables live for one
-    assembly; the offsets depend only on (n, order, with_ricci_identity) and are numbered
-    once per shape (``_offsets``), so every assembly of a shape shares them.
+    ``gamma``, ``decomp`` = (R, Rc, S, W) in coordinates (R kept on the center's stencil,
+    W held as (rows, N, N) pair matrices on the w2 rows: all that is read) and ``w2``.  The
+    tables live for one assembly; the offsets depend only on (n, order, with_ricci_identity)
+    and are numbered once per shape (``_offsets``), so every assembly of a shape shares them.
     """
 
     def __init__(self, metric: ChartMetric, grid: GridSpec, with_ricci_identity: bool):
@@ -356,16 +357,18 @@ def curvature_tensor_at(lattice: _Lattice, rows) -> np.ndarray:
 
 
 def _decomp_coords(lattice: _Lattice, rows):
-    """R, Rc, S, W in coordinates at the given rows."""
-    R = curvature_tensor_at(lattice, rows)
-    split = weyl_split(R, lattice.g[rows], lattice.gi[rows])
-    return R, split.Rc, split.S, split.W
+    """R, Rc, S in coordinates at the given rows, and W (split by the row's g) as pair matrices."""
+    n, R, gi = lattice.n, curvature_tensor_at(lattice, rows), lattice.gi[rows]
+    Rc = np.einsum('zipjq,zpq->zij', R, gi)
+    S = np.einsum('zij,zij->z', Rc, gi)
+    return R, Rc, S, weyl_split(n, four_tensor_to_pair_matrix(n, R), Rc, S, lattice.g[rows]).W
 
 
 def _w_norm_sq_at(lattice: _Lattice, rows) -> np.ndarray:
-    W, gi = lattice.decomp[3][rows], lattice.gi[rows]
-    C, W = congruence_four(W, gi).reshape(len(W), 1, -1), W.reshape(len(W), -1, 1)
-    return 0.25 * np.matmul(C, W)[:, 0, 0]  # a BLAS dot per row, as np.vdot
+    """|W|^2_g = (1/4) W_ijkl W^ijkl at the given rows: (1/4) <W, G W G^T> of W's pair
+    matrices, G = g^-1 o g^-1 (twice g^-1 on 2-forms, once for each order of a pair)."""
+    W, G = lattice.decomp[3][rows], kn_matrix(lattice.gi[rows], lattice.gi[rows])
+    return 0.25 * frobenius(G @ W @ np.swapaxes(G, -1, -2), W)
 
 
 @dataclass(frozen=True)
@@ -407,7 +410,8 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
     gi0 = lattice.gi[0]
     F = np.linalg.inv(np.linalg.cholesky(lattice.g[0])).T  # columns: frame vectors; F^T g0 F = Id
 
-    R, Rc, S, W = lattice.decomp  # in coordinates
+    R, Rc, S, W = lattice.decomp  # in coordinates; W's four indices on the center's stencil
+    W = pair_matrix_to_four_tensor(n, W[:len(R)])
     nR, nW, nRc = (lattice.nabla(T, c)[0] for T in (R, W, Rc))
     vS = F.T @ lattice.grad(S, c)[0]
     def to_frame(T: np.ndarray) -> np.ndarray:
@@ -416,8 +420,7 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
         return T
     Rf, nRf, nWf, nRcf = map(to_frame, (R[0], nR, nW, nRc))
     R_op = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(Rf), tol=wrap_tol)
-    # a contiguous Ricci trace, as the four-index frame split of tests/reference.py forms it
-    split = weyl_parts(n, four_tensor_to_pair_matrix(n, Rf), np.ascontiguousarray(_ricci_trace(Rf)))
+    split = weyl_parts(n, four_tensor_to_pair_matrix(n, Rf), np.einsum('ipjp->ij', Rf))
     dec = decomposition(split, tol=wrap_tol)
 
     nabla_r, nabla_w = (CovDerivCurvature(n, four_tensor_to_pair_matrix(n, T)) for T in (nRf, nWf))

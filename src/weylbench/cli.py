@@ -9,6 +9,7 @@ that ``main`` creates, and ``main`` writes every report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -34,7 +35,7 @@ from .models import model_curvature, package_consistency, parse_model_spec, symm
 from .report import render
 from .serialization import json_fields, json_matrix, json_number, operator_from_dict, read_json_object
 from .suite import run_identity_suite
-from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, Operator2Form, bianchi_residual
+from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, bianchi_residual
 
 DEFAULT_TOLERANCES = {
     "eps_alg": EPS_ALG,
@@ -119,17 +120,20 @@ def cmd_model(args, tols, report) -> None:
                 report["results"][name] = value
 
 
-def _operator(data, what: str, tol: float) -> Operator2Form:
-    """``operator_from_dict`` with its errors prefixed by ``what``, the input's label."""
+@contextlib.contextmanager
+def _labelled(what: str):
+    """Prefix the ValueErrors raised inside with ``what``, the input's label."""
     try:
-        return operator_from_dict(data, tol=tol)
+        yield
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from exc
 
 
 def cmd_dim4(args, tols, report) -> None:
     what, tol = f"dim4 input {args.input}", tols["eps_alg"]
-    op = _operator(read_json_object(args.input, what), what, tol)
+    data = read_json_object(args.input, what)
+    with _labelled(what):
+        op = operator_from_dict(data, tol=tol)
     if op.n != 4:
         raise ValueError(f"dim4 subcommand needs an n=4 operator, got n={op.n}")
     scale = max(1.0, float(np.abs(op.mat).max()))
@@ -206,10 +210,11 @@ def cmd_pinch(args, tols, report) -> None:
             raise ValueError("pointwise/norm pinch needs --input JSON with W, E, S")
         what = f"pinch input {args.input}"
         w, E, S = json_fields(read_json_object(args.input, what), ("W", "E", "S"), what)
-        op = _operator(w, what, EPS_ALG)
-        W = CurvatureTensor(op.n, op.mat)
-        E, S = json_matrix(E, "pinch E"), json_number(S, float, "pinch S")
-        verdict = (pinch_verdict_pointwise if args.kind == "pointwise" else pinch_verdict_norm)(W, E, S)
+        with _labelled(what):  # W's checks, E's and S's, and the verdict's own on E
+            W = CurvatureTensor.from_operator(operator_from_dict(w, tol=EPS_ALG))
+            E, S = json_matrix(E, "pinch E"), json_number(S, float, "pinch S")
+            verdict = (pinch_verdict_pointwise if args.kind == "pointwise"
+                       else pinch_verdict_norm)(W, E, S)
     report["results"]["verdict"] = verdict.as_dict()
 
 
@@ -244,14 +249,14 @@ def cmd_chart(args, tols, report) -> None:
         grid2 = GridSpec(center=center, h=grid.h / 2.0, order=grid.order)
         field2 = curvature_field(metric, grid2, with_ricci_identity=False)
         residuals2 = identity_residual_report(field2)
-        ratios = {}
-        floor = 1e-10  # round-off floor of the nested stencils; no O(h^2) signal below
+        ratios, expect = {}, 2.0 ** grid.order  # an O(h^order) residual halves by 2^order
+        floor = 1e-10  # round-off floor of the nested stencils; no truncation signal below
         for key in ("second_bianchi_r", "bianchi_map_w", "delta_w_pq"):
             hi, lo = residuals.get(key, 0.0), residuals2.get(key, 0.0)
             if hi <= floor and lo <= floor:
                 continue  # converged past discretization on this preset
             ratios[key] = hi / lo if lo > 0 else float("inf")
-            if not (3.5 <= ratios[key] <= 4.5):
+            if not (7 / 8 * expect <= ratios[key] <= 9 / 8 * expect):
                 report["failures"].append(f"halving.{key}")
         report["results"]["halving_ratios"] = {k: float(v) for k, v in sorted(ratios.items())}
 
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(2, 4), default=None)
     p.add_argument("--center", help="comma-separated chart coordinates")
     p.add_argument("--halving", action="store_true",
-                   help="recompute at h/2 and check O(h^2) ratios")
+                   help="recompute at h/2 and check that residuals halve by 2^order")
     p.add_argument("--ricci-identity", action="store_true")
 
     for p in sub.choices.values():  # after each command's own arguments, as --help lists them

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import check_trace_free, congruence_four, cubic_parts, kn_g_pairing
+from .algebra import check_trace_free, cubic_parts, kn_g_pairing, kn_matrix
 from .basis import pair_basis
 from .tensors import (EPS_ALG, CurvatureTensor, check_bianchi, check_finite, check_traceless,
                       symmetrized)
@@ -111,9 +111,12 @@ def _fix_sign(vecs: np.ndarray) -> np.ndarray:
 
 
 def _berger_frame_matrix(W: CurvatureTensor, frame: np.ndarray) -> np.ndarray:
-    """Operator matrix in the frame-induced basis (f12, f13, f14, f34, f42, f23)."""
+    """Operator matrix in the frame-induced basis (f12, f13, f14, f34, f42, f23): L^T W L,
+    L = (1/2) frame o frame (the frame on 2-forms) in that basis's order and orientation."""
+    pb = pair_basis(4)
     i, j = np.array([(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)]).T
-    return congruence_four(W.four(), frame)[i[:, None], j[:, None], i, j]
+    L = 0.5 * kn_matrix(frame, frame)[:, pb.pos[i, j]] * pb.sign[i, j]
+    return L.T @ W.mat @ L
 
 
 def berger_normal_form(W: CurvatureTensor, tol: float = EPS_ALG) -> BergerNormalForm:

@@ -35,7 +35,7 @@ from .algebra import (
     circ_prime_pairs,
     cube_trace,
     cubic_parts,
-    kn_g_matrix,
+    kn_matrix,
     pure_cubic_parts,
     quadratic_form,
     second_bianchi_pairs,
@@ -173,7 +173,7 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     A = a[..., None] * g
     # W, the e- and s-parts, k o g and A o g: one (5, B, ...) container check
     Wm, _, _, Km, Bm = _curvature(n, np.stack(
-        [split.W, split.e_part, split.s_part, kn_g_matrix(k), kn_g_matrix(A)]))
+        [split.W, split.e_part, split.s_part, kn_matrix(k, g), kn_matrix(A, g)]))
     W4 = pair_matrix_to_four_tensor(n, Wm)
     Rc, S, E = split.Rc, split.S, split.E
     RR, WW = frobenius(Rm, Rm), frobenius(Wm, Wm)
@@ -258,12 +258,11 @@ def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
     next family runs.
     """
     # second-Bianchi images of the decomposition pieces (raw kernels, component norms)
-    C = symmetrized(mC)
+    C, g = symmetrized(mC), np.eye(n)
     P = C - np.swapaxes(C, -3, -2)
-    resid = second_bianchi_pairs(n, kn_g_matrix(C)) - circ_prime_pairs(n, P)
+    resid = second_bianchi_pairs(n, kn_matrix(C, g)) - circ_prime_pairs(n, P)
     rc_part = _rel(max_abs(resid, 1), max_abs(P, 1))
-    D_s = v[..., :, None, None] * (2.0 * np.eye(pair_basis(n).size))  # v_m (g o g)
-    g = np.eye(n)
+    D_s = v[..., :, None, None] * kn_matrix(g, g)  # v_m (g o g)
     Qf = np.einsum('ki,...j->...ijk', g, v) - np.einsum('kj,...i->...ijk', g, v)
     resid = second_bianchi_pairs(n, D_s) + circ_prime_pairs(n, Qf)
     s_part = _rel(max_abs(resid, 1), max_abs(Qf, 1))

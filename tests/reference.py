@@ -3,19 +3,42 @@
 The package keeps one implementation of each concept; the slower or wider routes
 below stay here as oracles.  ``frame_weyl_split`` is the orthonormal-frame Weyl
 split on (n, n, n, n) tensors whose bits ``algebra.weyl_parts``, ``decompose``
-and ``weyl_matrix`` reproduce from pair matrices; ``full5_to_triple_pair`` reads
-the (triple, pair) components of five-index tensors, the bits
-``second_bianchi_pairs`` and ``circ_prime_pairs`` reproduce.
+and ``weyl_matrix`` reproduce from pair matrices, with ``ricci_trace`` the
+four-index Ricci trace under a metric; ``congruence_four`` moves all four indices
+of a four-tensor by one matrix, the einsum-free route that the pair-matrix
+congruence L^T T L with L = (1/2) ``algebra.kn_matrix(A, A)`` reproduces;
+``full5_to_triple_pair`` reads the (triple, pair) components of five-index
+tensors, the bits ``second_bianchi_pairs`` and ``circ_prime_pairs`` reproduce.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from weylbench.algebra import WeylSplit, _ricci_trace, kn_four
+from weylbench.algebra import WeylSplit, kn_four
 from weylbench.basis import _take_trailing, _triple_pair_grid, pair_basis
 from weylbench.dim4 import _from_block
 from weylbench.tensors import CurvatureTensor, PureCurvatureMatrix, ThreeTwoTensor, check_symmetric
+
+
+def ricci_trace(R4: np.ndarray, gi: np.ndarray | None = None) -> np.ndarray:
+    """rc_ij = R_ipjq g^pq of (..., n, n, n, n) tensors; the identity metric when gi is None."""
+    if gi is None:
+        return np.einsum('...ipjp->...ij', R4)
+    return np.einsum('...ipjq,...pq->...ij', R4, gi)
+
+
+def congruence_four(T: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_mnpq A_ma A_nb A_pc A_qd T_mnpq: T's four indices moved by one (n, n) matrix.
+
+    With K = A (x) A, K[(m,n),(a,b)] = A_ma A_nb, this is the congruence K^T T K of T's
+    (n^2, n^2) matrix over the index pairs (ij, kl).  T may carry leading batch axes, and
+    A may carry T's (one matrix per object).
+    """
+    n = T.shape[-1]
+    K = (A[..., :, None, :, None] * A[..., None, :, None, :]).reshape(A.shape[:-2] + (n * n,) * 2)
+    out = np.swapaxes(K, -1, -2) @ T.reshape(T.shape[:-4] + (n * n, n * n)) @ K
+    return out.reshape(T.shape)
 
 
 @lru_cache(maxsize=None)
@@ -33,7 +56,7 @@ def frame_weyl_split(R4: np.ndarray) -> WeylSplit:
     n = R4.shape[-1]
     g, gg = np.eye(n), _kn_identity(n)
     # contiguous rows keep the trace's summation order the same at every batch size
-    Rc = np.ascontiguousarray(_ricci_trace(R4))
+    Rc = np.ascontiguousarray(ricci_trace(R4))
     S = np.trace(Rc, axis1=-2, axis2=-1)
     s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
     E = Rc - (s2 / n) * g

@@ -6,26 +6,26 @@ random inputs.
 """
 
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from weylbench import suite
+from weylbench.chart import _w_norm_sq_at
 from weylbench.algebra import (
     _pair_slots,
-    _ricci_trace,
     bianchi_project,
     check_trace_free,
     circ_prime,
     circ_prime_full,
     circ_prime_pairs,
-    congruence_four,
     cube_trace,
     cubic_parts,
     decompose,
     dot_product,
     kn_four,
-    kn_g_matrix,
+    kn_matrix,
     kn_g_pairing,
     kulkarni_nomizu,
     pure_cubic_parts,
@@ -78,8 +78,8 @@ from weylbench.tensors import (
     symmetrized,
 )
 
-from reference import (embed_block, frame_weyl_split, full5_to_triple_pair,
-                       pure_matrix_from_weyl, three_two_from_full)
+from reference import (congruence_four, embed_block, frame_weyl_split, full5_to_triple_pair,
+                       pure_matrix_from_weyl, ricci_trace, three_two_from_full)
 
 rng = np.random.default_rng(7)
 
@@ -632,6 +632,12 @@ def reindex_einsum_reference(W4, R4):
     return 0.5 * np.einsum('ijkl,jplq,ipkq->', W4, W4, R4)
 
 
+def pair_congruence(T, A):
+    """L^T T L of (..., N, N) pair matrices T, L = (1/2) A o A: T's four indices moved by A."""
+    L = 0.5 * kn_matrix(A, A)
+    return np.swapaxes(L, -1, -2) @ T @ L
+
+
 def _inverse_metric(n):
     A = np.eye(n) + 0.2 * rng.uniform(-1.0, 1.0, size=(n, n))
     return np.linalg.inv(A.T @ A)
@@ -671,7 +677,8 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(lambda m: cubic_parts(n, m), Wm)
     _assert_batch_equals_single(lambda m: pair_slots(n, m), Rm)
     _assert_batch_equals_single(lambda m: pair_ricci(n, m), Rm)
-    _assert_batch_equals_single(lambda a: congruence_four(a, h[0]), R4)
+    _assert_batch_equals_single(kn_matrix, h, g)
+    _assert_batch_equals_single(pair_congruence, Rm, h)
     _assert_batch_equals_single(circ_prime_full, rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 3))
     _assert_batch_equals_single(second_bianchi_full,
                                 rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 5))
@@ -814,13 +821,30 @@ def test_weyl_parts_keeps_the_bits_of_the_four_index_split(n, shape):
         assert _same_bits_and_signs(getattr(parts, name), getattr(four, name)), name
 
 
+def _same_bits_with_nans(a, b):
+    """Equal bits where both are numbers (signed zeros included) and NaNs at the same places."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and _same_bits_and_signs(a[~nan], b[~nan]))
+
+
 @pytest.mark.parametrize("n", range(4, 11))
 def test_g_circ_k_is_the_transpose_of_k_circ_g(n):
-    """For symmetric k the pair matrix of g o k is that of k o g transposed, entry for entry."""
-    k = random_symmetric(rng, n)
-    g = np.eye(n)
-    assert _same_bits_and_signs(four_tensor_to_pair_matrix(n, kn_four(g, k)), kn_g_matrix(k).T)
-    assert _same_bits_and_signs(four_tensor_to_pair_matrix(n, kn_four(k, g)), kn_g_matrix(k))
+    """kn_matrix(h, k) is kn_four(h, k)'s expansion read back, bit for bit (signed zeros and
+    NaN positions included), for symmetric, non-symmetric, sparse, -0.0, non-finite and
+    batched forms, and g o k is k o g transposed, entry for entry, for symmetric k."""
+    k, g = random_symmetric(rng, n), np.eye(n)
+    assert _same_bits_and_signs(four_tensor_to_pair_matrix(n, kn_four(g, k)), kn_matrix(k, g).T)
+    assert _same_bits_and_signs(four_tensor_to_pair_matrix(n, kn_four(k, g)), kn_matrix(k, g))
+    h = rng.uniform(-1.0, 1.0, size=(2, 3, n, n))  # no symmetry
+    sparse = -h * (rng.uniform(size=h.shape) < 0.3)
+    bad = h.copy()
+    bad[0, 0, 0, 1], bad[1, 2, n - 1, n - 1] = np.nan, np.inf
+    with np.errstate(invalid="ignore"):
+        for a, b in ((h, sparse), (sparse, h), (bad, h), (h[0], bad[1, 2]), (symmetrized(h), g),
+                     (g, sparse[1]), (-np.zeros_like(h), g), (bad, -np.zeros_like(h)), (k, k)):
+            expect = four_tensor_to_pair_matrix(n, kn_four(a, b))
+            assert _same_bits_with_nans(kn_matrix(a, b), expect)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -880,7 +904,7 @@ def test_pair_native_kernels_keep_the_four_tensor_bits(n, count):
             assert _same_bits(bianchi_image(n, mat), bianchi_image_four_tensor_reference(n, mat))
             assert _same_bits(weyl_matrix(n, mat), weyl_matrix_four_tensor_reference(n, mat))
             assert _same_bits(pair_slots(n, mat), _pair_slots(four))
-            assert _same_bits(pair_ricci(n, mat), _ricci_trace(four))
+            assert _same_bits(pair_ricci(n, mat), ricci_trace(four))
             for got, expect in zip(cubic_parts(n, mat), cubic_parts_four_tensor_reference(n, mat)):
                 assert _same_bits(got, expect)
             for a, b in ((mat, other), (other, mat), (mat, mat)):
@@ -926,14 +950,12 @@ def test_triple_pair_kernels_keep_the_five_index_bits(n, count):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_weyl_matrix_is_orthogonally_equivariant(n):
-    """W(A.T) = A.W(T) for orthogonal A moving all four indices (congruence_four)."""
+    """W(A.T) = A.W(T) for orthogonal A moving all four indices (the pair congruence)."""
     N = pair_basis(n).size
     T = symmetrized(rng.uniform(-1.0, 1.0, size=(3, N, N)))
     A, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    moved = four_tensor_to_pair_matrix(n, congruence_four(pair_matrix_to_four_tensor(n, T), A))
-    W = weyl_matrix(n, T)
-    expect = four_tensor_to_pair_matrix(n, congruence_four(pair_matrix_to_four_tensor(n, W), A))
-    assert np.abs(weyl_matrix(n, moved) - expect).max() <= 1e-13 * np.abs(expect).max()
+    expect = pair_congruence(weyl_matrix(n, T), A)
+    assert np.abs(weyl_matrix(n, pair_congruence(T, A)) - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
@@ -955,15 +977,18 @@ def test_audit_samples_are_the_typed_tensors(n):
 def test_weyl_split_with_metric_is_frame_invariant():
     """In coordinates with metric g the split agrees with the orthonormal-frame split."""
     n = 5
-    R = random_curvature(rng, n).four()
+    R = random_curvature(rng, n)
     A = np.eye(n) + 0.2 * rng.uniform(-1.0, 1.0, size=(n, n))
     F = np.linalg.inv(A)  # frame e_i = F_ai d_a is orthonormal for g = A^T A
-    g = A.T @ A
-    R_coords = np.einsum('ia,jb,kc,ld,ijkl->abcd', A, A, A, A, R)
-    split = weyl_split(R_coords, g, np.linalg.inv(g))
-    W_frame = np.einsum('ai,bj,ck,dl,abcd->ijkl', F, F, F, F, split.W)
-    assert np.allclose(W_frame, frame_weyl_split(R).W, atol=1e-12)
-    assert float(split.S) == pytest.approx(float(frame_weyl_split(R).S), abs=1e-12)
+    g, gi = A.T @ A, np.linalg.inv(A.T @ A)
+    R_coords = pair_congruence(R.mat, A)
+    Rc = ricci_trace(pair_matrix_to_four_tensor(n, R_coords), gi)
+    split = weyl_split(n, R_coords, Rc, np.einsum('ij,ij->', Rc, gi), g)
+    frame = weyl_parts(n, R.mat, pair_ricci(n, R.mat))
+    assert np.allclose(pair_congruence(split.W, F), frame.W, atol=1e-12)
+    assert float(split.S) == pytest.approx(float(frame.S), abs=1e-12)
+    W_four = congruence_four(pair_matrix_to_four_tensor(n, split.W), F)
+    assert np.allclose(W_four, frame_weyl_split(R.four()).W, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -1038,8 +1063,7 @@ def test_u_tensor_sums_are_invariant_and_homogeneous(n):
     W, R = random_weyl(rng, n), random_curvature(rng, n)
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     sums = u_tensor_contractions(n, W.mat, R.mat)
-    turned = u_tensor_contractions(
-        n, *(four_tensor_to_pair_matrix(n, congruence_four(X.four(), Q)) for X in (W, R)))
+    turned = u_tensor_contractions(n, *(pair_congruence(X.mat, Q) for X in (W, R)))
     for value, rotated in zip(sums, turned):
         assert rotated == pytest.approx(value, rel=1e-12)
     for scale in (2.0 ** 20, 2.0 ** -20):
@@ -1149,42 +1173,68 @@ def test_cubic_parts_determinant_identities_n4():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_congruence_four_matches_einsum_reference(n):
-    T = rng.uniform(-1.0, 1.0, size=(n,) * 4)  # no index symmetry
-    A = rng.uniform(-1.0, 1.0, size=(n, n))    # neither symmetric nor orthogonal
-    expect = frame_rotation_einsum_reference(A, T)
-    assert np.abs(congruence_four(T, A) - expect).max() <= 1e-13 * np.abs(expect).max()
-    assert congruence_four(np.stack([T, 2.0 * T]), A).shape == (2,) + (n,) * 4
+    """L^T T L with L = (1/2) A o A is the pair matrix of all four indices of T's expansion
+    moved by A, for A neither symmetric nor orthogonal; the four-index route of
+    tests/reference.py (congruence_four) agrees too."""
+    N = pair_basis(n).size
+    T = rng.uniform(-1.0, 1.0, size=(N, N))  # no pair symmetry
+    A = rng.uniform(-1.0, 1.0, size=(n, n))
+    T4 = pair_matrix_to_four_tensor(n, T)
+    expect = four_tensor_to_pair_matrix(n, frame_rotation_einsum_reference(A, T4))
+    assert np.abs(pair_congruence(T, A) - expect).max() <= 1e-13 * np.abs(expect).max()
+    assert np.abs(congruence_four(T4, A)
+                  - frame_rotation_einsum_reference(A, T4)).max() <= 1e-13 * np.abs(expect).max()
+    assert pair_congruence(np.stack([T, 2.0 * T]), A).shape == (2, N, N)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_pair_congruence_is_multiplicative(n):
+    """Lambda^2(AB) = Lambda^2 A Lambda^2 B for L = (1/2) A o A (Cauchy-Binet), so the
+    congruence by AB is the congruence by A, then by B."""
+    A, B = rng.uniform(-1.0, 1.0, size=(2, n, n))
+    lam = [0.5 * kn_matrix(X, X) for X in (A @ B, A, B)]
+    assert np.abs(lam[0] - lam[1] @ lam[2]).max() <= 1e-14 * max(1.0, np.abs(lam[0]).max())
 
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_congruence_four_takes_one_matrix_per_object(n):
-    """A may carry T's batch axis; every object keeps the bits of the np.kron congruence."""
-    T = rng.uniform(-1.0, 1.0, size=(6,) + (n,) * 4)
+    """A may carry T's batch axis: every object of the pair congruence keeps the bits it
+    has alone, and every object of congruence_four those of the np.kron congruence."""
+    N = pair_basis(n).size
+    T = rng.uniform(-1.0, 1.0, size=(6, N, N))
     A = rng.uniform(-1.0, 1.0, size=(6, n, n))
-    batched = congruence_four(T, A)
+    T4 = pair_matrix_to_four_tensor(n, T)
+    batched, batched_four = pair_congruence(T, A), congruence_four(T4, A)
     for b in range(6):
+        assert batched[b].tobytes() == pair_congruence(T[b], A[b]).tobytes()
         K = np.kron(A[b], A[b])
-        kron = (K.T @ T[b].reshape(n * n, n * n) @ K).reshape((n,) * 4)
-        assert congruence_four(T[b], A[b]).tobytes() == kron.tobytes()
-        assert batched[b].tobytes() == kron.tobytes()
+        kron = (K.T @ T4[b].reshape(n * n, n * n) @ K).reshape((n,) * 4)
+        assert batched_four[b].tobytes() == kron.tobytes()
+
+
+def _chart_w_norm_sq(W, gi):
+    """The chart's |W|^2_g of one pair matrix W under one g^-1 (a lattice of one row)."""
+    return float(_w_norm_sq_at(SimpleNamespace(decomp=(None,) * 3 + (W[None],), gi=gi[None]),
+                               slice(None))[0])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_weyl_norm_with_metric_matches_einsum_reference(n):
+    """The chart's (1/4) <W, G W G^T>, G = g^-1 o g^-1 on pair matrices, is the
+    six-operand contraction of W's expansion."""
     W = frame_weyl_split(_curvature_batch(n, 1)[0]).W
     gi = _inverse_metric(n)
-    value = 0.25 * float(np.vdot(congruence_four(W, gi), W))
+    value = _chart_w_norm_sq(four_tensor_to_pair_matrix(n, W), gi)
     assert value == pytest.approx(w_norm_sq_einsum_reference(W, gi), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_weyl_norm_with_metric_is_coordinate_invariant(n):
     """|W|^2_g is unchanged when W and g^-1 move to new coordinates x = P y."""
-    W = frame_weyl_split(_curvature_batch(n, 1)[0]).W
+    W = four_tensor_to_pair_matrix(n, frame_weyl_split(_curvature_batch(n, 1)[0]).W)
     gi = _inverse_metric(n)
     P = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, size=(n, n))
     Pi = np.linalg.inv(P)
-    W_new, gi_new = congruence_four(W, P), Pi @ gi @ Pi.T
-    before = float(np.vdot(congruence_four(W, gi), W))
-    after = float(np.vdot(congruence_four(W_new, gi_new), W_new))
+    before = _chart_w_norm_sq(W, gi)
+    after = _chart_w_norm_sq(pair_congruence(W, P), Pi @ gi @ Pi.T)
     assert after == pytest.approx(before, rel=1e-12)

@@ -581,6 +581,23 @@ def test_integral_rigidity_d_consistency():
         integral_rigidity_d(0.1, 0.1, 0.0, 6)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-1.0, 0.5, 2.0, 6), "norms must be nonnegative"),
+    ((0.5, -1e-300, 2.0, 6), "norms must be nonnegative"),
+    ((0.1, 0.1, -1.0, 6), "Yamabe invariant input must be positive"),
+    ((0.1, 0.1, 1.0, 4), "requires n >= 5"),
+    ((math.nan, 0.1, 1.0, 6), "finite"),
+])
+def test_integral_rigidity_d_and_the_gap_verdict_share_one_guard(args, message):
+    """integral_rigidity_d refuses what gap_verdict_integral refuses, with its message
+    (a negative norm once gave d = -4.54)."""
+    from weylbench.bounds import integral_rigidity_d
+
+    for integral in (integral_rigidity_d, gap_verdict_integral):
+        with pytest.raises(ValueError, match=message):
+            integral(*args)
+
+
 # ------------------------------------------------------ non-finite inputs
 
 def _weyl_with_nan(n):

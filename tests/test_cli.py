@@ -15,7 +15,7 @@ import pytest
 
 from weylbench import cli
 from weylbench.cli import main
-from weylbench.sampling import random_curvature, random_weyl
+from weylbench.sampling import random_curvature, random_operator, random_weyl
 from weylbench.serialization import operator_to_dict
 
 
@@ -215,6 +215,25 @@ def test_chart_halving_fails_below_the_round_off_step(capsys):
         assert not 3.5 <= data["results"]["halving_ratios"][key] <= 4.5
 
 
+@pytest.mark.parametrize("argv", [("perturbed:4", "--h", "4e-2"), ("perturbed:6", "--h", "2e-2"),
+                                  ("product-spheres:2:2:1.0:1.0", "--h", "2e-2")],
+                         ids=["perturbed4", "perturbed6", "product-spheres"])
+def test_chart_order_4_halving_expects_a_ratio_of_16(argv, capsys):
+    """Order-4 residuals halve by about 16, inside 2^4 x [7/8, 9/8]; the O(h^2) window
+    [3.5, 4.5] refused every one of these."""
+    assert run_cli("chart", *argv, "--order", "4", "--halving", "--format", "json") == 0
+    ratios = json.loads(capsys.readouterr().out)["results"]["halving_ratios"]
+    assert ratios and all(14.0 <= r <= 18.0 for r in ratios.values())
+
+
+def test_chart_order_4_halving_fails_at_the_round_off_step(capsys):
+    """At the default step order-4 residuals sit at round-off (ratios near 0.2): no pass."""
+    assert run_cli("chart", "perturbed:4", "--order", "4", "--halving", "--format", "json") == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["failures"] and all(key.startswith("halving.") for key in data["failures"])
+    assert all(r < 1.0 for r in data["results"]["halving_ratios"].values())
+
+
 def test_chart_defaults_are_the_grid_spec_defaults(tmp_path):
     outs = [tmp_path / "default.txt", tmp_path / "explicit.txt"]
     assert run_cli("chart", "sphere-stereo:4", "--out", str(outs[0])) == 0
@@ -384,6 +403,14 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
      "dim4 input {file}: operator is missing the field 'n'"),
     (("pinch", "norm", "--input", "{file}"), lambda: {"W": {"matrix": [[0]]}, "E": [[0]], "S": 1},
      "pinch input {file}: operator is missing the field 'n'"),
+    (("pinch", "pointwise", "--input", "{file}"),
+     lambda: dict(_pinch_payload(), W=operator_to_dict(random_operator(np.random.default_rng(0), 5))),
+     "pinch input {file}: first Bianchi identity violated beyond tolerance"),
+    (("pinch", "norm", "--input", "{file}"),
+     lambda: dict(_pinch_payload(), E=np.diag([1.0, 0.0, 0.0, 0.0, 0.0]).tolist()),
+     "pinch input {file}: E must be traceless"),
+    (("pinch", "pointwise", "--input", "{file}"), lambda: _pinch_payload(e_size=4),
+     "pinch input {file}: dimension mismatch"),
     (("chart", "{file}"), lambda: _NO_OFFSETS, "grid file {file} is missing the field 'offsets'"),
     (("chart", "{file}"), lambda: dict(_NO_OFFSETS, offsets=[], grid={"center": [0.0] * 4}),
      "grid file {file} grid is missing the field 'h'"),
@@ -399,7 +426,8 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
          "dim4-sparse-list-components", "pinch-pointwise-list", "pinch-pointwise-string",
          "pinch-norm-list-W", "tol-nan", "tol-inf", "tol-minus-inf", "tol-negative",
          "tol-overflow", "pinch-missing-W", "pinch-missing-S", "dim4-dense-missing-n",
-         "dim4-sparse-missing-n", "pinch-operator-missing-n", "grid-missing-offsets",
+         "dim4-sparse-missing-n", "pinch-operator-missing-n", "pinch-W-not-bianchi",
+         "pinch-E-traced", "pinch-E-mis-sized", "grid-missing-offsets",
          "grid-missing-h", "grid-length-mismatch"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "input.json"
@@ -584,7 +612,7 @@ def _huge_step(data):
 ], ids=lambda x: x.__name__.strip("_") if callable(x) else None)
 def test_json_integer_beyond_the_float_range_is_usage_error(tmp_path, capsys, kind, edit, field):
     """An integer too large for a float is refused with one error line naming its field
-    (and an operator's or a grid file's path), not an OverflowError traceback."""
+    and its file, not an OverflowError traceback."""
     if kind == "chart":
         argv = ["chart", str(_grid_file(tmp_path, edit))]
         field = field.replace("grid file", f"grid file {argv[1]}")
@@ -595,8 +623,7 @@ def test_json_integer_beyond_the_float_range_is_usage_error(tmp_path, capsys, ki
         path.write_text(json.dumps(data))
         argv = (["dim4", str(path)] if kind == "dim4"
                 else ["pinch", "pointwise", "--input", str(path)])
-        if kind == "dim4":  # an operator's errors name the file it came from
-            field = f"dim4 input {path}: {field}"
+        field = f"{kind} input {path}: {field}"  # an input's errors name its file
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
@@ -794,7 +821,7 @@ HELP_SHA256 = {
     "constants": "b9d7dc97226ac57beda2e41bff6ae18871482d546e7b39991edf215b98ec91fc",
     "pinch": "5b28072fb6f0c9e9e4d9233dce3c62146fc37158fe0e3718c895536e14cd9937",
     "gap": "658a042a58321067f594438c82f09a58111a5b3a852f4a0e5b41d0695fb91f53",
-    "chart": "062eb0fa6dc2005d6f04012630f589c9e7f4cada3a6514c478e2b7ac75dbaa9d",
+    "chart": "8ebd6018bf64084a70506836d6c646f601be87c683570b5b692201e2ed3014a5",
 }
 
 

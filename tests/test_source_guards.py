@@ -3,7 +3,8 @@
 Without ``optimize``, ``np.einsum`` sums over the product of all distinct
 indices in one nested loop; for the four-index contractions of this package
 that is n^6 to n^8 once there are four or more operands.  Such contractions go
-through reshape + matmul kernels instead, e.g. ``algebra.congruence_four``.
+through reshape + matmul kernels instead, e.g. the pair-matrix congruence
+L^T W L with L = (1/2) ``algebra.kn_matrix(A, A)``.
 
 The identity suite runs on raw arrays: the typed containers and their typed
 wrappers validate and copy per object, so ``suite.py`` neither imports nor
@@ -22,7 +23,8 @@ back unnoticed.
 Weyl-type operators cross module boundaries as pair matrices: the samplers, the
 bounds, the first-Bianchi and Weyl projections, the cubic and sharp kernels and
 the trace-free and Bianchi guards run without the n^4 round trip.
-``sampling.py`` calls neither ``cyclic_average`` nor ``weyl_split``, neither
+``sampling.py`` calls neither ``cyclic_average`` nor ``weyl_split`` (its Weyl
+parts come from ``weyl_matrix``), neither
 ``bounds.py`` nor ``sampling.py`` calls ``.four()`` or
 ``pair_matrix_to_four_tensor``, and no kernel that reads pair matrices
 (``basis.bianchi_image``, ``pair_ricci``, ``algebra.weyl_matrix``, ``cubic_parts``,
@@ -31,12 +33,16 @@ the trace-free and Bianchi guards run without the n^4 round trip.
 directly: ``serialization.py`` calls neither ``from_four_tensor`` nor
 ``pair_matrix_to_four_tensor``.  The suite takes its Weyl samples from
 ``sampling.random_weyl_batch``, so it calls no ``weyl_from_uniform`` of its own.
-The orthonormal-frame Weyl split runs on pair matrices (``algebra.weyl_parts``):
-the suite's identity chunk calls none of ``weyl_split``, ``kn_four`` and
-``four_tensor_to_pair_matrix``, ``algebra.decompose`` calls neither ``.four()``
-nor ``weyl_split``, the chart's frame decomposition (``chart._assemble``) calls
-neither ``weyl_split`` nor ``kn_four``, and the model catalogue builds its
-curvature in one checked step, with no ``from_operator``.  The suite's
+The Weyl split runs on pair matrices, in the frame (``algebra.weyl_parts``) and in
+a chart's coordinates (``algebra.weyl_split`` with the row's metric), and the
+Kulkarni-Nomizu product has one pair-matrix kernel (``algebra.kn_matrix``): the
+suite's identity chunk calls neither ``kn_four`` nor ``four_tensor_to_pair_matrix``,
+``algebra.decompose`` calls no ``.four()``, the chart's frame decomposition
+(``chart._assemble``) calls no ``kn_four``, none of ``chart._decomp_coords``,
+``chart._w_norm_sq_at``, ``dim4._berger_frame_matrix`` and
+``algebra.kulkarni_nomizu`` calls ``kn_four``, ``.four()`` or
+``pair_matrix_to_four_tensor``, and the model catalogue builds its curvature in
+one checked step, with no ``from_operator``.  The suite's
 second-Bianchi and circ-prime families run at their (triple, pair) components:
 ``suite.py`` imports none of ``second_bianchi_full``, ``circ_prime_full``,
 ``full5_to_triple_pair`` and ``kn_four``.
@@ -220,11 +226,19 @@ def test_suite_draws_weyl_samples_only_through_the_sampler():
     assert "weyl_from_uniform" not in called_names(SRC / "suite.py")
 
 
+#: (file, function) pairs that split or multiply on pair matrices alone
+PAIR_MATRIX_WEYL_STAGES = (("chart.py", "_decomp_coords"), ("chart.py", "_w_norm_sq_at"),
+                           ("dim4.py", "_berger_frame_matrix"), ("algebra.py", "kulkarni_nomizu"))
+
+
 def test_frame_weyl_split_runs_on_pair_matrices():
     assert not called_names(SRC / "suite.py", "_identity_chunk") & {
-        "weyl_split", "kn_four", "four_tensor_to_pair_matrix"}
-    assert not called_names(SRC / "algebra.py", "decompose") & {"four", "weyl_split"}
-    assert not called_names(SRC / "chart.py", "_assemble") & {"weyl_split", "kn_four"}
+        "kn_four", "four_tensor_to_pair_matrix"}
+    assert "four" not in called_names(SRC / "algebra.py", "decompose")
+    assert "kn_four" not in called_names(SRC / "chart.py", "_assemble")
+    for name, function in PAIR_MATRIX_WEYL_STAGES:
+        assert not called_names(SRC / name, function) & {
+            "kn_four", "four", "pair_matrix_to_four_tensor"}, function
     assert "from_operator" not in called_names(SRC / "models.py")
 
 
@@ -248,7 +262,7 @@ def test_suite_runs_the_second_bianchi_families_without_five_index_kernels():
 
 
 #: optional parameters (defaults) over the package's functions
-MAX_OPTIONAL_PARAMETERS = 29
+MAX_OPTIONAL_PARAMETERS = 28
 
 
 def optional_parameters(path: Path) -> list[str]:
