@@ -320,30 +320,43 @@ def quadratic_coefficients(n: int) -> tuple[float, float, float]:
 
 
 def constants(n: int) -> ConstantsTable:
+    """The constants of dimension n >= 4; refused if n or one of them overflows a float."""
     if n < 4:
         raise ValueError("constants defined for n >= 4")
-    s_n = (n - 2) / (4.0 * (n - 1))
-    if n == 4:
-        return ConstantsTable(n=n, s_n=s_n)
-    if n == 5:
-        alpha = 0.5
-    else:
-        A, B, C = quadratic_coefficients(n)
-        disc = B * B - 4.0 * A * C  # 4n(n-1)^2(n-2)(n-4)(n-6), >= 0 for n >= 6
-        alpha = (-B + math.sqrt(max(disc, 0.0))) / (2.0 * A)
-    denom = 2.0 * (n - 1) * alpha - n + 3.0
-    a1 = 2.0 * table_c(n) * (n - 1) * alpha ** 2 / denom
-    a2 = 2.0 * (n - 1) * alpha ** 2 / denom * math.sqrt((n - 1) / n)
-    return ConstantsTable(n=n, s_n=s_n, alpha=alpha, a1=a1, a2=a2, c_n=table_c(n))
+    try:
+        s_n = (n - 2) / (4.0 * (n - 1))
+        if n == 4:
+            return ConstantsTable(n=n, s_n=s_n)
+        if n == 5:
+            alpha = 0.5
+        else:
+            A, B, C = quadratic_coefficients(n)
+            disc = B * B - 4.0 * A * C  # 4n(n-1)^2(n-2)(n-4)(n-6), >= 0 for n >= 6
+            alpha = (-B + math.sqrt(max(disc, 0.0))) / (2.0 * A)
+        denom = 2.0 * (n - 1) * alpha - n + 3.0
+        a1 = 2.0 * table_c(n) * (n - 1) * alpha ** 2 / denom
+        a2 = 2.0 * (n - 1) * alpha ** 2 / denom * math.sqrt((n - 1) / n)
+        if all(map(math.isfinite, (n, alpha, a1, a2))):
+            return ConstantsTable(n=n, s_n=s_n, alpha=alpha, a1=a1, a2=a2, c_n=table_c(n))
+    except OverflowError:  # n or a term beyond the float range
+        pass
+    raise ValueError(f"the constants of dimension n = {n} overflow the float range")
 
 
 @dataclass(frozen=True)
 class PinchVerdict:
+    """condition_value against threshold, both finite (not an overflowed, non-JSON inf)."""
+
     condition_value: float
     threshold: float
     satisfied: bool
     which: str
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.condition_value) and math.isfinite(self.threshold)):
+            raise ValueError(f"{self.which} verdict overflows the float range: condition "
+                             f"{self.condition_value}, threshold {self.threshold}")
 
     def as_dict(self) -> dict:
         return {"which": self.which, "condition_value": self.condition_value,

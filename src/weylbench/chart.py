@@ -26,20 +26,11 @@ import numpy as np
 
 from .algebra import (circ_prime, cubic_parts, decomposition, kn_g_pairing, kn_matrix,
                       second_bianchi, weyl_parts, weyl_split)
-from .basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor, read_only_cache
+from .basis import (four_tensor_to_pair_matrix, pair_divergence, pair_matrix_to_four_tensor,
+                    pair_ricci, read_only_cache)
 from .serialization import json_fields, json_list, json_matrix, json_number, json_object, read_json_object
-from .tensors import (
-    CovDerivCurvature,
-    CurvatureDecomposition,
-    CurvatureTensor,
-    Operator2Form,
-    ThreeTwoTensor,
-    TwoFormOneForm,
-    check_dimension,
-    check_finite,
-    check_symmetric,
-    frobenius,
-)
+from .tensors import (CovDerivCurvature, CurvatureDecomposition, CurvatureTensor, ThreeTwoTensor,
+                      TwoFormOneForm, check_dimension, check_finite, check_symmetric, frobenius)
 
 
 @dataclass(frozen=True)
@@ -281,9 +272,9 @@ class _Lattice:
     R there and, with the Ricci identity, at its neighbours; Gamma where R is, g where
     Gamma is), each set a prefix of the rows: row r is offset ``keys[r]``, and ``near[r,
     j, m]`` the row of ``keys[r]`` moved ``steps[j]`` along axis m.  Tables: ``g``,
-    ``gamma``, ``decomp`` = (R, Rc, S, W) in coordinates (R kept on the center's stencil,
-    W held as (rows, N, N) pair matrices on the w2 rows: all that is read) and ``w2``.  The
-    tables live for one assembly; the offsets depend only on (n, order, with_ricci_identity)
+    ``gamma``, ``decomp`` = (R, Rc, S, W) in coordinates (R and W as (rows, N, N) pair
+    matrices, R on the center's stencil and W on the w2 rows: all that is read) and ``w2``.
+    The tables live for one assembly; the offsets depend only on (n, order, ricci identity)
     and are numbered once per shape (``_offsets``), so every assembly of a shape shares them.
     """
 
@@ -326,11 +317,14 @@ class _Lattice:
         return (-along(2) + 8.0 * along(1) - 8.0 * along(-1) + along(-2)) / (12.0 * self.grid.h)
 
     def nabla(self, T: np.ndarray, rows) -> np.ndarray:
-        """nabla_m T = d_m T - sum over slots a of Gamma^s_ma T_..s.. at rows of a table of any rank."""
-        Tr, gam = T[rows], self.gamma[rows]
+        """nabla_m T = d_m T - sum over slots of C_m acting on the slot, at rows of a table:
+        C_m[a, s] = Gamma^s_ma on a vector slot (length n), and its derivation of 2-forms
+        kn_matrix(C_m, I) on a pair slot (length N = n(n-1)/2 > n), built only for those."""
+        Tr, C = T[rows], np.moveaxis(self.gamma[rows], 1, -1)  # a view: Gamma's sum order
+        act = {k: C if k == self.n else kn_matrix(C, np.eye(self.n)) for k in set(Tr.shape[1:])}
         idx = "abcdefgh"[:Tr.ndim - 1]
-        return self.grad(T, rows) - sum(np.einsum(f"zsm{a},z{idx.replace(a, 's')}->zm{idx}",
-                                                  gam, Tr) for a in idx)
+        return self.grad(T, rows) - sum(np.einsum(f"zm{a}s,z{idx.replace(a, 's')}->zm{idx}",
+                                                  act[k], Tr) for a, k in zip(idx, Tr.shape[1:]))
 
 
 def christoffel(lattice: _Lattice, rows) -> np.ndarray:
@@ -357,11 +351,13 @@ def curvature_tensor_at(lattice: _Lattice, rows) -> np.ndarray:
 
 
 def _decomp_coords(lattice: _Lattice, rows):
-    """R, Rc, S in coordinates at the given rows, and W (split by the row's g) as pair matrices."""
+    """R, Rc, S in coordinates at the given rows, and W split by the row's g: R and W as
+    pair matrices, R read off its four indices once, after its Ricci trace."""
     n, R, gi = lattice.n, curvature_tensor_at(lattice, rows), lattice.gi[rows]
     Rc = np.einsum('zipjq,zpq->zij', R, gi)
     S = np.einsum('zij,zij->z', Rc, gi)
-    return R, Rc, S, weyl_split(n, four_tensor_to_pair_matrix(n, R), Rc, S, lattice.g[rows]).W
+    R = four_tensor_to_pair_matrix(n, R)
+    return R, Rc, S, weyl_split(n, R, Rc, S, lattice.g[rows]).W
 
 
 def _w_norm_sq_at(lattice: _Lattice, rows) -> np.ndarray:
@@ -409,22 +405,22 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
     wrap_tol = max(1e-8, 200.0 * h * h)
     gi0 = lattice.gi[0]
     F = np.linalg.inv(np.linalg.cholesky(lattice.g[0])).T  # columns: frame vectors; F^T g0 F = Id
+    L = 0.5 * kn_matrix(F, F)  # F on 2-forms: L[(ij), (ab)] = F_ia F_jb - F_ib F_ja
 
-    R, Rc, S, W = lattice.decomp  # in coordinates; W's four indices on the center's stencil
-    W = pair_matrix_to_four_tensor(n, W[:len(R)])
+    R, Rc, S, W = lattice.decomp  # in coordinates; R and W as pair matrices
     nR, nW, nRc = (lattice.nabla(T, c)[0] for T in (R, W, Rc))
     vS = F.T @ lattice.grad(S, c)[0]
-    def to_frame(T: np.ndarray) -> np.ndarray:
-        for _ in range(T.ndim):
-            T = np.tensordot(T, F, axes=([0], [0]))
+    def to_frame(T: np.ndarray) -> np.ndarray:  # F on each vector slot, L on each pair slot
+        for size in T.shape:
+            T = np.tensordot(T, F if size == n else L, axes=([0], [0]))
         return T
     Rf, nRf, nWf, nRcf = map(to_frame, (R[0], nR, nW, nRc))
-    R_op = CurvatureTensor.from_operator(Operator2Form.from_four_tensor(Rf), tol=wrap_tol)
-    split = weyl_parts(n, four_tensor_to_pair_matrix(n, Rf), np.einsum('ipjp->ij', Rf))
+    R_op = CurvatureTensor(n, Rf, tol=wrap_tol)
+    split = weyl_parts(n, Rf, pair_ricci(n, Rf))
     dec = decomposition(split, tol=wrap_tol)
 
-    nabla_r, nabla_w = (CovDerivCurvature(n, four_tensor_to_pair_matrix(n, T)) for T in (nRf, nWf))
-    delta_w = TwoFormOneForm.from_full(np.einsum('mabcm->abc', nWf))
+    nabla_r, nabla_w = CovDerivCurvature(n, nRf), CovDerivCurvature(n, nWf)
+    delta_w = TwoFormOneForm.from_full(pair_divergence(n, nWf))
     P = TwoFormOneForm.from_full(nRcf - np.transpose(nRcf, (1, 0, 2)))
     Q = TwoFormOneForm.from_full(np.einsum('ki,j->ijk', np.eye(n), vS)
                                  - np.einsum('kj,i->ijk', np.eye(n), vS))
@@ -456,7 +452,7 @@ def _ricci_identity_residual(lattice: _Lattice, rows) -> np.ndarray:
     nabla Rc is taken on the rows up to the last neighbour of the given ones (a prefix)."""
     R, Rc = lattice.decomp[:2]
     n2 = lattice.nabla(lattice.nabla(Rc, slice(lattice.near[rows].max() + 1)), rows)
-    R, Rc, gi = R[rows], Rc[rows], lattice.gi[rows]
+    R, Rc, gi = pair_matrix_to_four_tensor(lattice.n, R[rows]), Rc[rows], lattice.gi[rows]
     rhs = (np.einsum('zabcs,zst,ztd->zabcd', R, gi, Rc)
            + np.einsum('zabds,zst,ztc->zabcd', R, gi, Rc))
     return np.abs(n2 - np.transpose(n2, (0, 2, 1, 3, 4)) - rhs).reshape(len(R), -1).max(axis=1)

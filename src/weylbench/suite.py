@@ -49,7 +49,6 @@ from .basis import (
     full3_to_pair_form,
     pair_basis,
     pair_divergence,
-    pair_matrix_to_four_tensor,
     pair_ricci,
     pair_slots,
 )
@@ -167,14 +166,16 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
         rep.record(f"{family}_n{n}", values, (n, first))
 
     Rm = _curvature(n, curvature_from_uniform(n, mR))
-    R4 = pair_matrix_to_four_tensor(n, Rm)
     split = weyl_parts(n, Rm, pair_ricci(n, Rm))
     k = symmetrized(mk)
     A = a[..., None] * g
     # W, the e- and s-parts, k o g and A o g: one (5, B, ...) container check
     Wm, _, _, Km, Bm = _curvature(n, np.stack(
         [split.W, split.e_part, split.s_part, kn_matrix(k, g), kn_matrix(A, g)]))
-    W4 = pair_matrix_to_four_tensor(n, Wm)
+    # slot matrices s[(i,k),(j,l)] = T_ijkl, and the C-order four-tensors read off them
+    XR, XW = pair_slots(n, Rm), pair_slots(n, Wm)
+    R4, W4 = (np.ascontiguousarray(np.swapaxes(x.reshape(x.shape[:-2] + (n,) * 4), -3, -2))
+              for x in (XR, XW))
     Rc, S, E = split.Rc, split.S, split.E
     RR, WW = frobenius(Rm, Rm), frobenius(Wm, Wm)
 
@@ -213,8 +214,7 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     rhs_b = 0.5 * np.einsum('...ii,...ijpq,...ijpq->...', A, W4, W4)
     record("productw_diag", _rel(lhs_b - rhs_b, WW))
     record("productw_sharp", _rel(lhs_b + frobenius(Wm, sharp[2]), WW))
-    X = pair_slots(n, Wm)  # sum_jl W_ijkl W_jplq = (X X)[(i,k),(p,q)]: W with W first
-    rhs_c = 0.5 * frobenius(X @ X, pair_slots(n, Rm))
+    rhs_c = 0.5 * frobenius(XW @ XW, XR)  # sum_jl W_ijkl W_jplq = (XW XW)[(i,k),(p,q)]
     record("productw_reindex", _rel(frobenius(Wm, sharp[3]) - rhs_c, WW))
 
     # circ-prime norm identity on divergence-type tensors

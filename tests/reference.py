@@ -9,14 +9,20 @@ of a four-tensor by one matrix, the einsum-free route that the pair-matrix
 congruence L^T T L with L = (1/2) ``algebra.kn_matrix(A, A)`` reproduces;
 ``full5_to_triple_pair`` reads the (triple, pair) components of five-index
 tensors, the bits ``second_bianchi_pairs`` and ``circ_prime_pairs`` reproduce.
+``four_index_field`` is the chart's frame stage on (n, n, n, n) tensors: the
+covariant derivative with one Christoffel einsum per vector slot
+(``four_index_nabla``) and the frame change by one tensordot per index
+(``four_index_to_frame``), which ``chart._assemble`` reproduces on pair matrices.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from weylbench.algebra import WeylSplit, kn_four
-from weylbench.basis import _take_trailing, _triple_pair_grid, pair_basis
+from weylbench.algebra import WeylSplit, kn_four, second_bianchi_full
+from weylbench.basis import (_take_trailing, _triple_pair_grid, four_tensor_to_pair_matrix,
+                             full3_to_pair_form, pair_basis, pair_matrix_to_four_tensor)
+from weylbench.chart import curvature_tensor_at
 from weylbench.dim4 import _from_block
 from weylbench.tensors import CurvatureTensor, PureCurvatureMatrix, ThreeTwoTensor, check_symmetric
 
@@ -96,3 +102,69 @@ def three_two_from_full(full: np.ndarray) -> ThreeTwoTensor:
     """The ThreeTwoTensor of a full (n,)*5 tensor."""
     n = full.shape[0]
     return ThreeTwoTensor(n, full5_to_triple_pair(n, np.asarray(full, dtype=float)))
+
+
+def four_index_nabla(lattice, T: np.ndarray, rows) -> np.ndarray:
+    """nabla_m T = d_m T - sum over slots a of Gamma^s_ma T_..s.. at rows of a chart table
+    whose every slot is a vector slot, as (rows, n, n, n, n) for a curvature."""
+    Tr, gam = T[rows], lattice.gamma[rows]
+    idx = "abcdefgh"[:Tr.ndim - 1]
+    return lattice.grad(T, rows) - sum(np.einsum(f"zsm{a},z{idx.replace(a, 's')}->zm{idx}",
+                                                  gam, Tr) for a in idx)
+
+
+def four_index_to_frame(T: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Every index of T moved to the frame whose vectors are F's columns, one tensordot each."""
+    for _ in range(T.ndim):
+        T = np.tensordot(T, F, axes=([0], [0]))
+    return T
+
+
+def four_index_field(lattice) -> dict:
+    """The center fields of a ``chart._Lattice`` by the four-index route: R from
+    ``curvature_tensor_at`` and W expanded over the center's stencil, their covariant
+    derivatives and frame components on (n, n, n, n) tensors, the frame split by
+    ``frame_weyl_split``, divergences and the second-Bianchi maps by einsum, the Laplacian
+    of |W|^2_g from its table by offsets, and the Ricci identity residual (with it only).
+    Pair-indexed fields are read off as the chart's containers hold them."""
+    n, h, c = lattice.n, lattice.grid.h, [0]
+    _, Rc, S, W = lattice.decomp
+    R = curvature_tensor_at(lattice, slice(len(lattice.decomp[0])))
+    W = pair_matrix_to_four_tensor(n, W[:len(R)])
+    F = np.linalg.inv(np.linalg.cholesky(lattice.g[0])).T
+    nR, nW, nRc = (four_index_nabla(lattice, T, c)[0] for T in (R, W, Rc))
+    Rf, nRf, nWf, nRcf = (four_index_to_frame(T, F) for T in (R[0], nR, nW, nRc))
+    vS, eye = F.T @ lattice.grad(S, c)[0], np.eye(n)
+    split = frame_weyl_split(Rf)
+
+    row = {k: r for r, k in enumerate(map(tuple, lattice.keys.tolist()))}
+    def w2(*moves):  # |W|^2_g at the center moved by unit steps (axis, sign)
+        k = np.zeros(n, dtype=int)
+        for a, s in moves:
+            k[a] += s
+        return lattice.w2[row[tuple(k.tolist())]]
+    hess = np.array([[(w2((a, 1)) - 2.0 * w2() + w2((a, -1))) / (h * h) if a == b else
+                      (w2((a, 1), (b, 1)) - w2((a, 1), (b, -1)) - w2((a, -1), (b, 1))
+                       + w2((a, -1), (b, -1))) / (4.0 * h * h) for b in range(n)]
+                     for a in range(n)])
+    hess -= np.einsum('sab,s->ab', lattice.gamma[0], lattice.grad(lattice.w2, c)[0])
+
+    def pairs(T):  # pair matrices of trailing (n, n, n, n) blocks
+        return four_tensor_to_pair_matrix(n, T)
+    out = {"R": pairs(Rf), "W": pairs(split.W), "E": split.E, "Rc": split.Rc,
+           "nabla_r": pairs(nRf), "nabla_w": pairs(nWf), "nabla_rc": nRcf,
+           "delta_w": full3_to_pair_form(n, np.einsum('mabcm->abc', nWf)),
+           "P": full3_to_pair_form(n, nRcf - np.transpose(nRcf, (1, 0, 2))),
+           "Q": full3_to_pair_form(n, np.einsum('ki,j->ijk', eye, vS)
+                                   - np.einsum('kj,i->ijk', eye, vS)),
+           "b_w": full5_to_triple_pair(n, second_bianchi_full(nWf)),
+           "b_r": full5_to_triple_pair(n, second_bianchi_full(nRf)),
+           "lap_w_norm_sq": np.sum(np.linalg.inv(lattice.g[0]) * hess)}
+    if lattice.with_ricci_identity:
+        n2 = four_index_nabla(lattice, four_index_nabla(
+            lattice, Rc, slice(lattice.near[c].max() + 1)), c)[0]
+        gi = lattice.gi[0]
+        rhs = (np.einsum('abcs,st,td->abcd', R[0], gi, Rc[0])
+               + np.einsum('abds,st,tc->abcd', R[0], gi, Rc[0]))
+        out["ricci_identity"] = np.abs(n2 - np.transpose(n2, (1, 0, 2, 3)) - rhs).max()
+    return out

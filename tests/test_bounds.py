@@ -598,6 +598,26 @@ def test_integral_rigidity_d_and_the_gap_verdict_share_one_guard(args, message):
             integral(*args)
 
 
+@pytest.mark.parametrize("n", [10 ** 60, 10 ** 310])
+def test_constants_beyond_the_float_range_are_refused(n):
+    """A dimension whose alpha overflows (10^60) or that is itself beyond the float range
+    (10^310) is refused by name; a large finite one still gets its table."""
+    with pytest.raises(ValueError, match=f"n = {n} overflow"):
+        constants(n)
+    assert constants(10 ** 6).alpha > 0
+
+
+def test_verdict_refuses_a_non_finite_condition_or_threshold():
+    from weylbench.bounds import PinchVerdict
+
+    for value, threshold in ((math.inf, 1.0), (0.0, math.nan), (-math.inf, math.inf)):
+        with pytest.raises(ValueError, match="norm verdict overflows"):
+            PinchVerdict(condition_value=value, threshold=threshold, satisfied=False,
+                         which="norm")
+    with pytest.raises(ValueError, match="dim4_selfdual verdict overflows"):
+        pinch_verdict_dim4(1e308, 1e308)
+
+
 # ------------------------------------------------------ non-finite inputs
 
 def _weyl_with_nan(n):

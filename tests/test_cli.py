@@ -303,6 +303,23 @@ def test_gap_non_finite_is_usage_error(capsys):
     assert run_cli("gap", "inf", "0.1", "16.0", "6") == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("constants", str(10 ** 310)), "overflow the float range"),
+    (("gap", "0.1", "0.1", "16.0", str(10 ** 310)), "overflow the float range"),
+    (("constants", str(10 ** 60)), "overflow the float range"),
+    (("pinch", "dim4", "--omega", "1e308", "--S", "1e308"), "dim4_selfdual verdict overflows"),
+    (("gap", "1e308", "1e308", "1e-308", "5"), "integral verdict overflows"),
+])
+def test_overflowing_dimension_or_verdict_is_usage_error(capsys, argv, message):
+    """A dimension whose constants, or a verdict whose condition, leave the float range is
+    refused with one error line, not a traceback or an infinite (non-JSON) report value."""
+    assert run_cli(*argv, "--format", "json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
 def test_bounds_zero_trials_passes(capsys):
     assert run_cli("bounds", "--trials", "0", "--budget", "500", "--format", "json") == 0
     results = json.loads(capsys.readouterr().out)["results"]

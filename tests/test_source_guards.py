@@ -42,7 +42,12 @@ suite's identity chunk calls neither ``kn_four`` nor ``four_tensor_to_pair_matri
 ``chart._w_norm_sq_at``, ``dim4._berger_frame_matrix`` and
 ``algebra.kulkarni_nomizu`` calls ``kn_four``, ``.four()`` or
 ``pair_matrix_to_four_tensor``, and the model catalogue builds its curvature in
-one checked step, with no ``from_operator``.  The suite's
+one checked step, with no ``from_operator``.  The chart keeps R and W as pair
+matrices from the coordinate split to the frame: neither ``chart._assemble`` nor
+``chart._Lattice.nabla`` (its one covariant derivative) calls
+``four_tensor_to_pair_matrix``, ``pair_matrix_to_four_tensor``,
+``from_four_tensor`` or ``.four()``, and ``_assemble``'s ``to_frame`` is the one
+top-level chart function that calls ``tensordot`` (its one frame change).  The suite's
 second-Bianchi and circ-prime families run at their (triple, pair) components:
 ``suite.py`` imports none of ``second_bianchi_full``, ``circ_prime_full``,
 ``full5_to_triple_pair`` and ``kn_four``.
@@ -188,21 +193,24 @@ def test_trace_and_bianchi_decisions_go_through_the_guards():
 
 
 def called_names(path: Path, function: str | None = None) -> set[str]:
-    """Names called in a file, or only inside its top-level function ``function``."""
+    """Names called in a file, or only inside its top-level function (or method
+    ``Class.method``) ``function``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    if function is not None:
+    for name in function.split(".") if function else ():
         tree = next(node for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name == function)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
     return {_called_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
 
 def test_guard_sees_calls_by_function(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def f(x):\n    return weyl_split(x).W\n"
-                     "def g(x):\n    return t.cyclic_average(x)\n")
-    assert {"weyl_split", "cyclic_average"} <= called_names(probe)
+                     "def g(x):\n    return t.cyclic_average(x)\n"
+                     "class K:\n    def f(self, x):\n        return x.four()\n")
+    assert {"weyl_split", "cyclic_average", "four"} <= called_names(probe)
     assert called_names(probe, "f") == {"weyl_split"}
     assert called_names(probe, "g") == {"cyclic_average"}
+    assert called_names(probe, "K.f") == {"four"}
 
 
 PAIR_NATIVE_KERNELS = {"basis.py": ("bianchi_image", "pair_ricci"),
@@ -236,6 +244,14 @@ def test_frame_weyl_split_runs_on_pair_matrices():
         "kn_four", "four_tensor_to_pair_matrix"}
     assert "four" not in called_names(SRC / "algebra.py", "decompose")
     assert "kn_four" not in called_names(SRC / "chart.py", "_assemble")
+    for function in ("_assemble", "_Lattice.nabla"):  # R and W stay pair matrices
+        assert not called_names(SRC / "chart.py", function) & {
+            "four_tensor_to_pair_matrix", "pair_matrix_to_four_tensor", "from_four_tensor",
+            "four"}, function
+    # one frame change: the tensordot of _assemble's to_frame, for vector and pair slots
+    tree = ast.parse((SRC / "chart.py").read_text(encoding="utf-8"))
+    assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and "tensordot" in called_names(SRC / "chart.py", node.name)] == ["_assemble"]
     for name, function in PAIR_MATRIX_WEYL_STAGES:
         assert not called_names(SRC / name, function) & {
             "kn_four", "four", "pair_matrix_to_four_tensor"}, function
