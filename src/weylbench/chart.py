@@ -1,14 +1,14 @@
 """Finite-difference curvature calculus on a coordinate chart.
 
-Christoffel symbols come from central differences of the metric, curvature
-from differences of the Christoffels, and covariant derivatives of curvature
-quantities from differences of the pointwise fields with Christoffel
+Christoffel symbols come from central differences of the metric, curvature (as
+(N, N) pair matrices) from differences of the Christoffels, and covariant derivatives
+of curvature quantities from differences of the pointwise fields with Christoffel
 correction.  Everything is expressed at the center point in the
 Gram-orthonormalized coordinate frame (lower-triangular Cholesky convention).
 
 Every stencil point of an assembly is an integer offset k from the center,
 with coordinates ``GridSpec.point(k) = center + h * k``, and each stage is
-tabulated once over its whole offset set in one batched pass (``_Lattice``).
+tabulated once over its whole offset set in batched passes (``_Lattice``).
 
 Sign convention: R_ijkl = -g_ls R^s_ijk with
 R^s_ijk = d_i Gamma^s_jk - d_j Gamma^s_ik + Gamma-quadratic terms, which makes
@@ -26,8 +26,7 @@ import numpy as np
 
 from .algebra import (circ_prime, cubic_parts, decomposition, kn_g_pairing, kn_matrix,
                       second_bianchi, weyl_parts, weyl_split)
-from .basis import (four_tensor_to_pair_matrix, pair_divergence, pair_matrix_to_four_tensor,
-                    pair_ricci, read_only_cache)
+from .basis import pair_basis, pair_divergence, pair_ricci, pair_slots, read_only_cache
 from .serialization import json_fields, json_list, json_matrix, json_number, json_object, read_json_object
 from .tensors import (CovDerivCurvature, CurvatureDecomposition, CurvatureTensor, ThreeTwoTensor,
                       TwoFormOneForm, check_dimension, check_finite, check_symmetric, frobenius)
@@ -273,9 +272,10 @@ class _Lattice:
     Gamma is), each set a prefix of the rows: row r is offset ``keys[r]``, and ``near[r,
     j, m]`` the row of ``keys[r]`` moved ``steps[j]`` along axis m.  Tables: ``g``,
     ``gamma``, ``decomp`` = (R, Rc, S, W) in coordinates (R and W as (rows, N, N) pair
-    matrices, R on the center's stencil and W on the w2 rows: all that is read) and ``w2``.
-    The tables live for one assembly; the offsets depend only on (n, order, ricci identity)
-    and are numbered once per shape (``_offsets``), so every assembly of a shape shares them.
+    matrices, R on the center's stencil and W on the w2 rows: all that is read) and ``w2``,
+    each in passes of about 10,000 entries (``_tabulate``).  The tables live for one
+    assembly; the offsets depend only on (n, order, ricci identity) and are numbered once
+    per shape (``_offsets``), so every assembly of a shape shares them.
     """
 
     def __init__(self, metric: ChartMetric, grid: GridSpec, with_ricci_identity: bool):
@@ -298,9 +298,9 @@ class _Lattice:
 
     def _tabulate(self, stage, rank: int, *keep: int) -> tuple:
         """stage(self, rows) over the first max(keep) rows, output i kept on its first keep[i]
-        rows; a pass takes about 2,500 entries of the per-row rank-``rank`` tensors (4 rows of
-        an n = 5 curvature), so its temporaries stay small beside the tables."""
-        step, count, tables = max(1, 2500 // self.n ** rank), max(keep), None
+        rows; a pass takes about 10,000 entries (80 KB) of the per-row rank-``rank`` tensors (one
+        pass per stage at n = 4, order 2), so its temporaries stay small beside the tables."""
+        step, count, tables = max(1, 10000 // self.n ** rank), max(keep), None
         for start in range(0, count, step):
             parts = stage(self, slice(start, min(start + step, count)))
             parts = parts if isinstance(parts, tuple) else (parts,)
@@ -335,28 +335,25 @@ def christoffel(lattice: _Lattice, rows) -> np.ndarray:
 
 
 def curvature_tensor_at(lattice: _Lattice, rows) -> np.ndarray:
-    """(0,4) curvature in coordinates, projected onto its exact symmetry class.
-
-    The projection removes the O(h^2) antisymmetry/pair-symmetry defects of
-    the raw stencil value without touching its first-Bianchi content.
-    """
-    g, gam = lattice.g[rows], lattice.gamma[rows]
-    dgam = lattice.grad(lattice.gamma, rows)
-    rup = (np.transpose(dgam, (0, 1, 3, 4, 2)) - np.transpose(dgam, (0, 3, 1, 4, 2))
-           + np.einsum('zsip,zpjk->zijks', gam, gam) - np.einsum('zsjp,zpik->zijks', gam, gam))
-    R = -np.einsum('zijks,zls->zijkl', rup, g)
-    R = 0.25 * (R - np.transpose(R, (0, 2, 1, 3, 4)) - np.transpose(R, (0, 1, 2, 4, 3))
-                + np.transpose(R, (0, 2, 1, 4, 3)))
-    return 0.5 * (R + np.transpose(R, (0, 3, 4, 1, 2)))
+    """(0,4) curvature in coordinates as (rows, N, N) pair matrices.  R^s_abk is formed only at
+    the pairs a < b (antisymmetric in (a, b) by construction) from d Gamma and two batched
+    (rows, N, n, n) matmuls, then projected (antisymmetric in (k, l), symmetric in the pairs)
+    to remove the O(h^2) defects of the raw value without touching its first-Bianchi content."""
+    a, b = pair_basis(lattice.n).rows, pair_basis(lattice.n).cols  # the pairs a < b
+    C = np.moveaxis(lattice.gamma[rows], 1, -1)  # C[z, i, j, s] = Gamma^s_ij
+    D = np.moveaxis(lattice.grad(lattice.gamma, rows), 2, -1)  # D[z, i, j, k, s] = d_i Gamma^s_jk
+    rup = D[:, a, b] - D[:, b, a] + C[:, b] @ C[:, a] - C[:, a] @ C[:, b]  # [z, ab, k, s]
+    R = -(rup @ np.swapaxes(lattice.g[rows], 1, 2)[:, None])  # R_abkl = -R^s_abk g_ls
+    R = 0.5 * (R[..., a, b] - R[..., b, a])
+    return 0.5 * (R + np.swapaxes(R, 1, 2))
 
 
 def _decomp_coords(lattice: _Lattice, rows):
     """R, Rc, S in coordinates at the given rows, and W split by the row's g: R and W as
-    pair matrices, R read off its four indices once, after its Ricci trace."""
+    pair matrices, Rc_ij = R_ipjq g^pq as R's slot matrices times g^-1 as a vector."""
     n, R, gi = lattice.n, curvature_tensor_at(lattice, rows), lattice.gi[rows]
-    Rc = np.einsum('zipjq,zpq->zij', R, gi)
+    Rc = (pair_slots(n, R) @ gi.reshape(-1, n * n, 1)).reshape(-1, n, n)
     S = np.einsum('zij,zij->z', Rc, gi)
-    R = four_tensor_to_pair_matrix(n, R)
     return R, Rc, S, weyl_split(n, R, Rc, S, lattice.g[rows]).W
 
 
@@ -452,9 +449,10 @@ def _ricci_identity_residual(lattice: _Lattice, rows) -> np.ndarray:
     nabla Rc is taken on the rows up to the last neighbour of the given ones (a prefix)."""
     R, Rc = lattice.decomp[:2]
     n2 = lattice.nabla(lattice.nabla(Rc, slice(lattice.near[rows].max() + 1)), rows)
-    R, Rc, gi = pair_matrix_to_four_tensor(lattice.n, R[rows]), Rc[rows], lattice.gi[rows]
-    rhs = (np.einsum('zabcs,zst,ztd->zabcd', R, gi, Rc)
-           + np.einsum('zabds,zst,ztc->zabcd', R, gi, Rc))
+    n, Rc, gi = lattice.n, Rc[rows], lattice.gi[rows]
+    R = pair_slots(n, R[rows]).reshape((-1,) + (n,) * 4)  # R[z, a, c, b, d] = R_abcd
+    rhs = (np.einsum('zacbs,zst,ztd->zabcd', R, gi, Rc)
+           + np.einsum('zadbs,zst,ztc->zabcd', R, gi, Rc))
     return np.abs(n2 - np.transpose(n2, (0, 2, 1, 3, 4)) - rhs).reshape(len(R), -1).max(axis=1)
 
 

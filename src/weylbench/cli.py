@@ -194,7 +194,8 @@ def cmd_constants(args, tols, report) -> None:
     if tab.alpha is not None and args.n >= 6:
         from .bounds import quadratic_coefficients
         A, B, C = quadratic_coefficients(args.n)
-        resid = (A * tab.alpha ** 2 + B * tab.alpha + C) / max(1.0, abs(C))
+        a2, a1 = A * tab.alpha ** 2, B * tab.alpha  # relative to the largest term of the sum
+        resid = (a2 + a1 + C) / max(1.0, abs(a2), abs(a1), abs(C))
         _check(report, "quadratic_residual", resid, tols["eps_alg"])
         lower = (args.n - 3) / (2.0 * (args.n - 1))
         _check(report, "alpha_above_lower_bound", max(0.0, lower - tab.alpha), tols["eps_alg"])

@@ -9,20 +9,23 @@ of a four-tensor by one matrix, the einsum-free route that the pair-matrix
 congruence L^T T L with L = (1/2) ``algebra.kn_matrix(A, A)`` reproduces;
 ``full5_to_triple_pair`` reads the (triple, pair) components of five-index
 tensors, the bits ``second_bianchi_pairs`` and ``circ_prime_pairs`` reproduce.
-``four_index_field`` is the chart's frame stage on (n, n, n, n) tensors: the
-covariant derivative with one Christoffel einsum per vector slot
-(``four_index_nabla``) and the frame change by one tensordot per index
-(``four_index_to_frame``), which ``chart._assemble`` reproduces on pair matrices.
+``four_index_decomposition`` is the chart's coordinate stage on (n, n, n, n)
+tensors: the curvature from the Christoffels on all n^3 index triples
+(``four_index_curvature``) and its Ricci trace by einsum, which
+``chart._decomp_coords`` reproduces at the index pairs a < b.  ``four_index_field``
+is the chart's frame stage on (n, n, n, n) tensors: the covariant derivative with
+one Christoffel einsum per vector slot (``four_index_nabla``) and the frame change
+by one tensordot per index (``four_index_to_frame``), which ``chart._assemble``
+reproduces on pair matrices.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from weylbench.algebra import WeylSplit, kn_four, second_bianchi_full
+from weylbench.algebra import WeylSplit, kn_four, second_bianchi_full, weyl_split
 from weylbench.basis import (_take_trailing, _triple_pair_grid, four_tensor_to_pair_matrix,
                              full3_to_pair_form, pair_basis, pair_matrix_to_four_tensor)
-from weylbench.chart import curvature_tensor_at
 from weylbench.dim4 import _from_block
 from weylbench.tensors import CurvatureTensor, PureCurvatureMatrix, ThreeTwoTensor, check_symmetric
 
@@ -120,17 +123,41 @@ def four_index_to_frame(T: np.ndarray, F: np.ndarray) -> np.ndarray:
     return T
 
 
-def four_index_field(lattice) -> dict:
-    """The center fields of a ``chart._Lattice`` by the four-index route: R from
-    ``curvature_tensor_at`` and W expanded over the center's stencil, their covariant
-    derivatives and frame components on (n, n, n, n) tensors, the frame split by
-    ``frame_weyl_split``, divergences and the second-Bianchi maps by einsum, the Laplacian
-    of |W|^2_g from its table by offsets, and the Ricci identity residual (with it only).
-    Pair-indexed fields are read off as the chart's containers hold them."""
+def four_index_curvature(lattice, rows) -> np.ndarray:
+    """(0,4) curvature of a ``chart._Lattice`` in coordinates at the given rows as
+    (rows, n, n, n, n) tensors: R^s_ijk on all n^3 index triples by einsums, lowered with g,
+    then projected onto its exact symmetry class by four transposes and a pair swap."""
+    g, gam = lattice.g[rows], lattice.gamma[rows]
+    dgam = lattice.grad(lattice.gamma, rows)
+    rup = (np.transpose(dgam, (0, 1, 3, 4, 2)) - np.transpose(dgam, (0, 3, 1, 4, 2))
+           + np.einsum('zsip,zpjk->zijks', gam, gam) - np.einsum('zsjp,zpik->zijks', gam, gam))
+    R = -np.einsum('zijks,zls->zijkl', rup, g)
+    R = 0.25 * (R - np.transpose(R, (0, 2, 1, 3, 4)) - np.transpose(R, (0, 1, 2, 4, 3))
+                + np.transpose(R, (0, 2, 1, 4, 3)))
+    return 0.5 * (R + np.transpose(R, (0, 3, 4, 1, 2)))
+
+
+def four_index_decomposition(lattice) -> tuple:
+    """(R, Rc, S, W) of a ``chart._Lattice`` over its decomposition rows by the four-index
+    route: R from ``four_index_curvature`` as (rows, n, n, n, n) tensors, Rc and S by einsum
+    under the row's g^-1, and W split by ``algebra.weyl_split`` from R's pair matrices read
+    off its four indices, as (rows, N, N) pair matrices."""
+    n, rows = lattice.n, slice(len(lattice.decomp[1]))
+    R, gi = four_index_curvature(lattice, rows), lattice.gi[rows]
+    Rc = np.einsum('zipjq,zpq->zij', R, gi)
+    S = np.einsum('zij,zij->z', Rc, gi)
+    return R, Rc, S, weyl_split(n, four_tensor_to_pair_matrix(n, R), Rc, S, lattice.g[rows]).W
+
+
+def four_index_field(lattice, R, Rc, S, W) -> dict:
+    """The center fields of a ``chart._Lattice`` by the four-index route from coordinate
+    tables R, Rc, S and W (R and W as (rows, n, n, n, n) tensors on the center's stencil at
+    least, Rc and S on the decomposition rows): their covariant derivatives and frame
+    components on (n, n, n, n) tensors, the frame split by ``frame_weyl_split``,
+    divergences and the second-Bianchi maps by einsum, the Laplacian of |W|^2_g from its
+    table by offsets, and the Ricci identity residual (with it only).  Pair-indexed fields
+    are read off as the chart's containers hold them."""
     n, h, c = lattice.n, lattice.grid.h, [0]
-    _, Rc, S, W = lattice.decomp
-    R = curvature_tensor_at(lattice, slice(len(lattice.decomp[0])))
-    W = pair_matrix_to_four_tensor(n, W[:len(R)])
     F = np.linalg.inv(np.linalg.cholesky(lattice.g[0])).T
     nR, nW, nRc = (four_index_nabla(lattice, T, c)[0] for T in (R, W, Rc))
     Rf, nRf, nWf, nRcf = (four_index_to_frame(T, F) for T in (R[0], nR, nW, nRc))

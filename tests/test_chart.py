@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from weylbench.algebra import decompose
+from weylbench.basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor
 from weylbench.chart import (
     ChartMetric,
     GridSpec,
@@ -29,7 +30,7 @@ from weylbench.chart import (
 from weylbench.models import model_curvature, parse_model_spec
 from weylbench.tensors import inner
 
-from reference import four_index_field
+from reference import four_index_decomposition, four_index_field
 
 CENTER4 = np.array([0.12, -0.07, 0.18, 0.05])
 
@@ -475,13 +476,14 @@ def test_assemblies_of_one_shape_share_read_only_offsets():
             table += 0
 
 
-@pytest.mark.parametrize("name, order", [("perturbed:4", 2), ("perturbed:5", 4)])
+@pytest.mark.parametrize("name, order", [("perturbed:4", 2), ("perturbed:5", 4),
+                                         ("product-spheres:2:3", 2)])
 def test_stage_rows_do_not_depend_on_the_batch(name, order):
-    """Each stage over all its rows in one pass, in the lattice's blocks and one row at a
-    time gives the same bits."""
-    n = int(name.split(":")[1])
-    grid = GridSpec(center=0.1 * (1.0 + np.arange(n)) / n, h=1e-3, order=order)
-    lattice = _Lattice(preset_metric(name), grid, with_ricci_identity=True)
+    """Each stage over all its rows in one pass, in the lattice's passes and one row at a
+    time gives the same bits (the Ricci identity's rows included)."""
+    m = preset_metric(name)
+    grid = GridSpec(center=0.1 * (1.0 + np.arange(m.n)) / m.n, h=1e-3, order=order)
+    lattice = _Lattice(m, grid, with_ricci_identity=True)
     assert np.array_equal(lattice.g, np.stack([lattice.metric.table(x[None])[0]
                                                for x in grid.point(lattice.keys)]))
     stages = [(christoffel, len(lattice.gamma), (lattice.gamma,)),
@@ -646,14 +648,28 @@ def test_coordinate_weyl_norm_matches_frame_norm(name):
 @pytest.mark.parametrize("name", ["perturbed:4", "perturbed:5", "perturbed:6", "sphere-stereo:4",
                                   "sphere-stereo:5:2.0", "product-spheres:2:2"])
 def test_chart_matches_the_four_index_reference(name, order, ricci):
-    """The pair-matrix frame stage (one nabla and one frame change for vector and 2-form
-    slots) gives the four-index route's fields, each within 1e-13 of its scale, and no
-    lattice table carries four vector slots."""
+    """The pair-matrix coordinate stage (R at the index pairs a < b, Rc through R's slot
+    matrices) and frame stage (one nabla and one frame change for vector and 2-form slots)
+    give the four-index route's tables and fields, each within 1e-13 of its scale, and no
+    lattice table carries four vector slots.  Each stage is held against the reference from
+    the same inputs: tables rounded apart differ in their finite differences by round-off / h
+    (up to 7.8e-13 in the order-4 Ricci identity), so the frame stage starts from the
+    lattice's own coordinate tables."""
     m = preset_metric(name)
-    lattice = _Lattice(m, GridSpec(center=0.1 * (1.0 + np.arange(m.n)) / m.n, h=1e-3,
+    n = m.n
+    lattice = _Lattice(m, GridSpec(center=0.1 * (1.0 + np.arange(n)) / n, h=1e-3,
                                    order=order), ricci)
     assert all(t.ndim < 5 for t in (lattice.g, lattice.gamma, *lattice.decomp, lattice.w2))
-    f, ref = _assemble(lattice), four_index_field(lattice)
+    R, Rc, S, W = four_index_decomposition(lattice)
+    for key, table, want in zip("R Rc S W".split(), lattice.decomp,
+                                (four_tensor_to_pair_matrix(n, R), Rc, S, W)):
+        err = np.abs(table - want[:len(table)]).max()
+        assert err <= 1e-13 * max(1.0, np.abs(want).max()), (key, err)
+
+    R, Rc, S, W = lattice.decomp
+    ref = four_index_field(lattice, pair_matrix_to_four_tensor(n, R), Rc, S,
+                           pair_matrix_to_four_tensor(n, W))
+    f = _assemble(lattice)
     got = {"R": f.R.mat, "W": f.decomposition.weyl.mat, "E": f.decomposition.E, "Rc": f.Rc,
            "nabla_r": f.nabla_r.comps, "nabla_w": f.nabla_w.comps, "nabla_rc": f.nabla_rc,
            "delta_w": f.delta_w.comps, "P": f.P.comps, "Q": f.Q.comps, "b_w": f.b_w.comps,
@@ -712,45 +728,51 @@ def test_memo_lives_for_one_assembly():
 # as pair matrices, the frame change L^T T L, the frame Ricci trace by pair_ricci,
 # the Ricci identity's R rows expanded from pair matrices): every entry of at least
 # 1e-20 moved by at most 1.5e-9 relative (S, second_bianchi_r and ricci_identity
-# included), and grad_abs_w_sq, built from |W|^2_g alone, keeps its bits.
+# included), and grad_abs_w_sq, built from |W|^2_g alone, keeps its bits.  All but the
+# product's S, grad_abs_w_sq and second_bianchi_r and sphere-stereo:4's S were re-captured
+# once more when R^s_abk came to be formed at the pairs a < b only and Rc through R's
+# slot matrices: R and W move by round-off (about 1e-16 of their scale), which the
+# differences amplify by 1/h.  Entries of at least 1e-20 moved by at most 3.3e-6 relative
+# (the cancelling residuals of perturbed:4: bianchi_map_w, delta_w_pq), S by 1 ulp, except
+# sphere-stereo:4's bianchi_map_w (1.1e-12, the differenced round-off of a zero W: 9.1%).
 GOLDEN_HEX = {
     "perturbed:4": {
-        "S": "0x1.a8464b65bb728p-4",
-        "bianchi_grad_margin": "0x1.1cb2d8763d116p-9",
-        "bianchi_map_w": "0x1.6aaabf2146836p-32",
-        "bianchi_norm_identity": "0x1.dc2db00000000p-44",
-        "delta_w_pq": "0x1.366ab97400000p-31",
-        "grad_abs_w_sq": "0x1.e8fb428234c8bp-14",
-        "kato_classical_margin": "0x1.73decb086e911p-11",
-        "nabla_w_sq": "0x1.b0fe3358b52a2p-11",
-        "ricci_identity": "0x1.3ac016fa80000p-32",
-        "second_bianchi_r": "0x1.01e3d18de9131p-30",
+        "S": "0x1.a8464b65bb727p-4",
+        "bianchi_grad_margin": "0x1.1cb2d8763d131p-9",
+        "bianchi_map_w": "0x1.6aab063d000f0p-32",
+        "bianchi_norm_identity": "0x1.dc2d600000000p-44",
+        "delta_w_pq": "0x1.366afd8000000p-31",
+        "grad_abs_w_sq": "0x1.e8fb4282345a5p-14",
+        "kato_classical_margin": "0x1.73decb086ea1bp-11",
+        "nabla_w_sq": "0x1.b0fe3358b52d0p-11",
+        "ricci_identity": "0x1.3ac01b4e80000p-32",
+        "second_bianchi_r": "0x1.01e3cf76a0958p-30",
     },
     "product-spheres:2:2:1.0:1.0": {
         "S": "0x1.ffff8ca6995f9p+1",
-        "bianchi_grad_margin": "0x1.13c89a3bb25c6p-35",
-        "bianchi_map_w": "0x1.8c1ee4e61744cp-20",
-        "bianchi_norm_identity": "0x1.31db03feb2dadp-38",
-        "bochner": "0x1.d79eee0660000p-15",
-        "delta_w_pq": "0x1.9476871fe2ee0p-21",
+        "bianchi_grad_margin": "0x1.13c89a5d1e84ep-35",
+        "bianchi_map_w": "0x1.8c1ee65a1389ap-20",
+        "bianchi_norm_identity": "0x1.31db04125f42ap-38",
+        "bochner": "0x1.d79ecd5720000p-15",
+        "delta_w_pq": "0x1.947688145b516p-21",
         "grad_abs_w_sq": "0x1.01bdb1174a0c1p-37",
-        "kato_classical_margin": "0x1.31dabdc3e94a4p-38",
-        "kato_improved_margin": "-0x1.2e66c82e762f0p-41",
-        "nabla_w_sq": "0x1.9aab0ff93eb13p-37",
+        "kato_classical_margin": "0x1.31dabe2aedb70p-38",
+        "kato_improved_margin": "-0x1.2e66c4f652c90p-41",
+        "nabla_w_sq": "0x1.9aab102cc0e79p-37",
         "second_bianchi_r": "0x0.0p+0",
     },
     "sphere-stereo:4": {
         "S": "0x1.7fffaccf44182p+3",
-        "bianchi_grad_margin": "0x1.a29f1a56b01c5p-81",
-        "bianchi_map_w": "0x1.207c763f77857p-40",
-        "bianchi_norm_identity": "0x1.6852d412035b0p-85",
-        "bochner": "-0x1.416179c86f613p-84",
-        "delta_w_pq": "0x1.7601c86c152d7p-22",
-        "grad_abs_w_sq": "0x1.63e280fbacdefp-85",
-        "kato_classical_margin": "0x1.2b6aca652ebeap-82",
-        "kato_improved_margin": "0x1.0dc294fae056cp-82",
-        "nabla_w_sq": "0x1.57e71a84a45a8p-82",
-        "second_bianchi_r": "0x1.12cea6c3e8cd0p-18",
+        "bianchi_grad_margin": "0x1.e1c9c712944acp-81",
+        "bianchi_map_w": "0x1.3acb67e6d288fp-40",
+        "bianchi_norm_identity": "0x1.589bcabb38cbcp-84",
+        "bochner": "0x1.fa44363bc831bp-82",
+        "delta_w_pq": "0x1.7601d194ab26ep-22",
+        "grad_abs_w_sq": "0x1.0f127b9adbf95p-84",
+        "kato_classical_margin": "0x1.4ee402e02dca3p-82",
+        "kato_improved_margin": "0x1.21b6439bb3cb4p-82",
+        "nabla_w_sq": "0x1.92a8a1c6e4c88p-82",
+        "second_bianchi_r": "0x1.12cea6bee6a34p-18",
     },
 }
 
@@ -767,13 +789,15 @@ def test_residuals_match_golden_bits(name):
 # sha256 of the chart decomposition's bytes (the weyl, e_part and s_part pair matrices,
 # then E, S and Rc) at CENTER6[:n], h = 1e-3, re-captured when the chart's R moved
 # to the frame as the pair matrix L^T R L instead of by four tensordots (the fields
-# move by at most 4.4e-16 of their scale; see test_chart_matches_the_four_index_reference)
+# move by at most 4.4e-16 of their scale; see test_chart_matches_the_four_index_reference),
+# and again when R came to be formed at the index pairs a < b and Rc through its slot
+# matrices (the coordinate tables move by at most 1.2e-16 of their scale there)
 CENTER6 = [0.12, -0.07, 0.18, 0.05, -0.11, 0.09]
 DECOMPOSITION_SHA256 = {
-    (5, 2): "37bfc225b93d5f00f2b7d5210e131777f15b02d6873536fd300e2c888d4736b0",
-    (5, 4): "5cefb9c03889a3b8fbd2e1285304c011cf587037fe5e582c2c6f070a34375591",
-    (6, 2): "ac5643c93714629b017cfacc6d26e9e402da193357713e09951bca5c75f8ee7e",
-    (6, 4): "63021f714932785ec40d410bae00668a0722e57ee070aa30035398570dc9c30b",
+    (5, 2): "664e271f6625907a7e0a4636f4bf02d92fd4863593f0587356cd97aae9ea2c03",
+    (5, 4): "81bccbfad5bc9148d7192c07c393547021e497b26962e905ad049d6c92bf2954",
+    (6, 2): "b1a76641d81146cedbe13352c193270f178806dc5fff10a010c808129a8e2569",
+    (6, 4): "6a78a2091e0df5a1903820910b1aa680adcf9bd447f0aa7520da96eea6b02b33",
 }
 
 

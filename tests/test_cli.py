@@ -44,6 +44,17 @@ def test_constants_json(capsys):
     assert data["config"]["versions"]["numpy"]
 
 
+@pytest.mark.parametrize("n", [6, 8, 100, 5000000, 10 ** 8])
+def test_constants_quadratic_residual_is_relative_to_its_largest_term(capsys, n):
+    """alpha solves A alpha^2 + B alpha + C = 0; the residual is read against the largest of
+    the three terms, not against |C| alone, whose terms cancel to about 1e-9 of it at large n."""
+    assert run_cli("constants", str(n), "--format", "json") == 0
+    resid = json.loads(capsys.readouterr().out)["results"]["quadratic_residual"]
+    assert abs(resid) <= 1e-15
+    if n in (6, 8):
+        assert resid == 0.0
+
+
 def test_constants_usage_error(capsys):
     assert run_cli("constants", "3") == 2
 

@@ -47,7 +47,10 @@ matrices from the coordinate split to the frame: neither ``chart._assemble`` nor
 ``chart._Lattice.nabla`` (its one covariant derivative) calls
 ``four_tensor_to_pair_matrix``, ``pair_matrix_to_four_tensor``,
 ``from_four_tensor`` or ``.four()``, and ``_assemble``'s ``to_frame`` is the one
-top-level chart function that calls ``tensordot`` (its one frame change).  The suite's
+top-level chart function that calls ``tensordot`` (its one frame change).  The chart
+forms R at the index pairs a < b and reads Rc and the Ricci identity's R through
+``pair_slots``, so ``chart.py`` imports neither ``four_tensor_to_pair_matrix`` nor
+``pair_matrix_to_four_tensor``.  The suite's
 second-Bianchi and circ-prime families run at their (triple, pair) components:
 ``suite.py`` imports none of ``second_bianchi_full``, ``circ_prime_full``,
 ``full5_to_triple_pair`` and ``kn_four``.
@@ -270,6 +273,11 @@ def test_guard_sees_imports(tmp_path):
     probe.write_text("import numpy.linalg\nfrom .algebra import (kn_four,\n    tri)\n"
                      "def f():\n    from .basis import full5_to_triple_pair\n")
     assert imported_names(probe) == {"linalg", "kn_four", "tri", "full5_to_triple_pair"}
+
+
+def test_chart_imports_no_four_index_expander():
+    assert not imported_names(SRC / "chart.py") & {"four_tensor_to_pair_matrix",
+                                                   "pair_matrix_to_four_tensor"}
 
 
 def test_suite_runs_the_second_bianchi_families_without_five_index_kernels():
