@@ -8,7 +8,8 @@ Gram-orthonormalized coordinate frame (lower-triangular Cholesky convention).
 
 Every stencil point of an assembly is an integer offset k from the center,
 with coordinates ``GridSpec.point(k) = center + h * k``, and each stage is
-tabulated once over its whole offset set in batched passes (``_Lattice``).
+tabulated once over its whole offset set in batched passes (``_Lattice``); W is
+split from R under the metric once per assembly, on the rows that read it.
 
 Sign convention: R_ijkl = -g_ls R^s_ijk with
 R^s_ijk = d_i Gamma^s_jk - d_j Gamma^s_ik + Gamma-quadratic terms, which makes
@@ -28,8 +29,9 @@ from .algebra import (circ_prime, cubic_parts, decomposition, kn_g_pairing, kn_m
                       second_bianchi, weyl_parts, weyl_split)
 from .basis import pair_basis, pair_divergence, pair_ricci, pair_slots, read_only_cache
 from .serialization import json_fields, json_list, json_matrix, json_number, json_object, read_json_object
-from .tensors import (CovDerivCurvature, CurvatureDecomposition, CurvatureTensor, ThreeTwoTensor,
-                      TwoFormOneForm, check_dimension, check_finite, check_symmetric, frobenius)
+from .tensors import (EPS_ALG, CovDerivCurvature, CurvatureDecomposition, CurvatureTensor,
+                      ThreeTwoTensor, TwoFormOneForm, check_dimension, check_finite,
+                      check_symmetric, frobenius, within_tol)
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,9 @@ class ChartMetric:
     ``fn`` maps one point x of shape (n,) to its (n, n) metric.  The presets and grid
     files (``preset_metric``, ``grid_file_metric``) are a private subclass whose ``fn``
     also maps an (N, n) point stack to (N, n, n); ``table`` evaluates those in one call
-    and any other metric one point at a time.  ``table`` checks the shape at every point
-    and positive definiteness by one Cholesky factorisation of the stack.  Grid-file
-    metrics carry the grid they were tabulated for in ``default_grid``.
+    and any other metric one point at a time.  ``table`` checks the shape at every point,
+    symmetry and positive definiteness (one Cholesky factorisation of the stack).
+    Grid-file metrics carry the grid they were tabulated for in ``default_grid``.
     """
 
     name: str
@@ -60,6 +62,11 @@ class ChartMetric:
                 raise ValueError(f"metric evaluator returned shape {g.shape}")
             gs[r] = g
         bad = ~np.isfinite(gs).all(axis=(1, 2))  # non-finite entries fail first
+        gt = np.swapaxes(gs, 1, 2)
+        if not (bad.any() or np.array_equal(gs, gt)):  # one exact test, then row by row
+            skew = ~within_tol(gs - gt, gs, EPS_ALG, lead=1)  # the check_symmetric rule
+            if skew.any():
+                raise ValueError(f"metric not symmetric at {xs[skew.argmax()].tolist()}")
         if not (bad.any() or _factors(gs)):  # one Cholesky factorisation of the whole stack
             bad = np.array([not _factors(g) for g in gs])  # only then one per row, to name one
         if bad.any():
@@ -242,8 +249,8 @@ def dump_grid_file(metric: ChartMetric, grid: GridSpec, path: str,
 
 @read_only_cache
 def _offsets(n: int, order: int, with_ricci_identity: bool) -> tuple:
-    """(steps, keys, near, row counts of the center's stencil, w2, decomp and gamma) of
-    every assembly of one shape (see ``_Lattice``), numbered once per process."""
+    """(steps, keys, near, row counts of w2, decomp and gamma) of every assembly of one
+    shape (see ``_Lattice``), numbered once per process."""
     steps = (1, -1) if order == 2 else (2, 1, -1, -2)
     unit, (a, b) = np.eye(n, dtype=int), np.triu_indices(n, 1)
     moves = np.concatenate([s * unit for s in steps])
@@ -261,7 +268,7 @@ def _offsets(n: int, order: int, with_ricci_identity: bool) -> tuple:
     row = {k: r for r, k in enumerate(numbered)}
     near = zip(*(gamma[:, None] + moves).reshape(-1, n).T.tolist())
     near = np.array(list(map(row.__getitem__, near))).reshape(len(gamma), -1, n)
-    return steps, keys, near, (len(around), len(w2), len(decomp), len(gamma))
+    return steps, keys, near, (len(w2), len(decomp), len(gamma))
 
 
 class _Lattice:
@@ -271,11 +278,11 @@ class _Lattice:
     R there and, with the Ricci identity, at its neighbours; Gamma where R is, g where
     Gamma is), each set a prefix of the rows: row r is offset ``keys[r]``, and ``near[r,
     j, m]`` the row of ``keys[r]`` moved ``steps[j]`` along axis m.  Tables: ``g``,
-    ``gamma``, ``decomp`` = (R, Rc, S, W) in coordinates (R and W as (rows, N, N) pair
-    matrices, R on the center's stencil and W on the w2 rows: all that is read) and ``w2``,
-    each in passes of about 10,000 entries (``_tabulate``).  The tables live for one
-    assembly; the offsets depend only on (n, order, ricci identity) and are numbered once
-    per shape (``_offsets``), so every assembly of a shape shares them.
+    ``gamma``, ``decomp`` = (R, Rc, S) in coordinates and ``w2``, each stage on all its rows
+    in passes of about 10,000 entries (``_tabulate``), and ``W``, split from R once on the w2
+    rows (R and W as (rows, N, N) pair matrices).  The tables live for one assembly; the
+    offsets depend only on (n, order, ricci identity) and are numbered once per shape
+    (``_offsets``), so every assembly of a shape shares them.
     """
 
     def __init__(self, metric: ChartMetric, grid: GridSpec, with_ricci_identity: bool):
@@ -285,7 +292,7 @@ class _Lattice:
             raise ValueError(f"center must have shape ({metric.n},)")
         self.metric, self.grid, self.with_ricci_identity = metric, grid, with_ricci_identity
         self.n = metric.n
-        self.steps, self.keys, self.near, (around, w2, decomp, gamma) = _offsets(
+        self.steps, self.keys, self.near, (w2, decomp, gamma) = _offsets(
             metric.n, grid.order, with_ricci_identity)
         self.g = metric.table(grid.point(self.keys))
         self.gi = np.linalg.inv(self.g[:gamma])  # g^-1 where Gamma, R and |W|^2 are formed
@@ -293,20 +300,21 @@ class _Lattice:
         if not (np.diff(grid.center[:, None] + grid.h * k, axis=1) > 0).all():
             raise ValueError(f"step {grid.h} does not separate the stencil points at the center")
         self.gamma = self._tabulate(christoffel, 3, gamma)[0]
-        self.decomp = self._tabulate(_decomp_coords, 4, around, decomp, decomp, w2)
+        self.decomp = self._tabulate(_decomp_coords, 4, decomp)
+        self.W = weyl_split(self.n, *(T[:w2] for T in self.decomp), self.g[:w2]).W
         self.w2 = self._tabulate(_w_norm_sq_at, 4, w2)[0]
 
-    def _tabulate(self, stage, rank: int, *keep: int) -> tuple:
-        """stage(self, rows) over the first max(keep) rows, output i kept on its first keep[i]
-        rows; a pass takes about 10,000 entries (80 KB) of the per-row rank-``rank`` tensors (one
-        pass per stage at n = 4, order 2), so its temporaries stay small beside the tables."""
-        step, count, tables = max(1, 10000 // self.n ** rank), max(keep), None
+    def _tabulate(self, stage, rank: int, count: int) -> tuple:
+        """stage(self, rows) over the first count rows, each output filled into one table; a
+        pass takes about 10,000 entries (80 KB) of the per-row rank-``rank`` tensors (one pass
+        per stage at n = 4, order 2), so its temporaries stay small beside the tables."""
+        step, tables = max(1, 10000 // self.n ** rank), None
         for start in range(0, count, step):
             parts = stage(self, slice(start, min(start + step, count)))
             parts = parts if isinstance(parts, tuple) else (parts,)
-            tables = tables or tuple(np.empty((k,) + p.shape[1:]) for k, p in zip(keep, parts))
+            tables = tables or tuple(np.empty((count,) + p.shape[1:]) for p in parts)
             for table, part in zip(tables, parts):
-                table[start:start + len(part)] = part[:max(0, len(table) - start)]
+                table[start:start + len(part)] = part
         return tables
 
     def grad(self, T: np.ndarray, rows) -> np.ndarray:
@@ -349,18 +357,17 @@ def curvature_tensor_at(lattice: _Lattice, rows) -> np.ndarray:
 
 
 def _decomp_coords(lattice: _Lattice, rows):
-    """R, Rc, S in coordinates at the given rows, and W split by the row's g: R and W as
-    pair matrices, Rc_ij = R_ipjq g^pq as R's slot matrices times g^-1 as a vector."""
+    """R, Rc, S in coordinates at the given rows: R as pair matrices, Rc_ij = R_ipjq g^pq
+    as R's slot matrices times g^-1 as a vector (W is split from them in ``_Lattice``)."""
     n, R, gi = lattice.n, curvature_tensor_at(lattice, rows), lattice.gi[rows]
     Rc = (pair_slots(n, R) @ gi.reshape(-1, n * n, 1)).reshape(-1, n, n)
-    S = np.einsum('zij,zij->z', Rc, gi)
-    return R, Rc, S, weyl_split(n, R, Rc, S, lattice.g[rows]).W
+    return R, Rc, np.einsum('zij,zij->z', Rc, gi)
 
 
 def _w_norm_sq_at(lattice: _Lattice, rows) -> np.ndarray:
-    """|W|^2_g = (1/4) W_ijkl W^ijkl at the given rows: (1/4) <W, G W G^T> of W's pair
-    matrices, G = g^-1 o g^-1 (twice g^-1 on 2-forms, once for each order of a pair)."""
-    W, G = lattice.decomp[3][rows], kn_matrix(lattice.gi[rows], lattice.gi[rows])
+    """|W|^2_g = (1/4) W_ijkl W^ijkl at the given rows of ``W``: (1/4) <W, G W G^T> of W's
+    pair matrices, G = g^-1 o g^-1 (twice g^-1 on 2-forms, once for each order of a pair)."""
+    W, G = lattice.W[rows], kn_matrix(lattice.gi[rows], lattice.gi[rows])
     return 0.25 * frobenius(G @ W @ np.swapaxes(G, -1, -2), W)
 
 
@@ -404,8 +411,8 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
     F = np.linalg.inv(np.linalg.cholesky(lattice.g[0])).T  # columns: frame vectors; F^T g0 F = Id
     L = 0.5 * kn_matrix(F, F)  # F on 2-forms: L[(ij), (ab)] = F_ia F_jb - F_ib F_ja
 
-    R, Rc, S, W = lattice.decomp  # in coordinates; R and W as pair matrices
-    nR, nW, nRc = (lattice.nabla(T, c)[0] for T in (R, W, Rc))
+    R, Rc, S = lattice.decomp  # in coordinates; R (like W) as pair matrices
+    nR, nW, nRc = (lattice.nabla(T, c)[0] for T in (R, lattice.W, Rc))
     vS = F.T @ lattice.grad(S, c)[0]
     def to_frame(T: np.ndarray) -> np.ndarray:  # F on each vector slot, L on each pair slot
         for size in T.shape:

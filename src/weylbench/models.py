@@ -14,8 +14,8 @@ import numpy as np
 from .algebra import (
     cubic_parts,
     decompose,
-    kn_four,
     kn_g_pairing,
+    kn_matrix,
     quadratic_forms,
     ricci_contraction,
 )
@@ -110,17 +110,6 @@ def parse_model_spec(text: str) -> ModelSpec:
     raise ValueError(f"unknown model kind {name!r}")
 
 
-def _fubini_study_four(m: int) -> np.ndarray:
-    """Unit Fubini-Study curvature (holomorphic sectional curvature 4)."""
-    n = 2 * m
-    g = np.eye(n)
-    J = np.zeros((n, n))
-    for k in range(m):
-        J[2 * k + 1, 2 * k] = 1.0
-        J[2 * k, 2 * k + 1] = -1.0
-    return 0.5 * (kn_four(g, g) + kn_four(J, J)) + 2.0 * np.einsum('ij,kl->ijkl', J, J)
-
-
 def model_curvature(spec: ModelSpec) -> CurvaturePackage:
     n = spec.n
     if n < 3:
@@ -128,7 +117,11 @@ def model_curvature(spec: ModelSpec) -> CurvaturePackage:
     if spec.kind == "fubini_study":
         if spec.complex_dim < 2:
             raise ValueError("fubini_study needs complex dimension >= 2")
-        R = CurvatureTensor.from_four_tensor(_fubini_study_four(spec.complex_dim))
+        # unit Fubini-Study curvature (holomorphic sectional curvature 4): (1/2)(g o g + J o J)
+        # + 2 j j^T, with j the complex structure J (J e_2k = e_2k+1) at the index pairs
+        g, J = np.eye(n), np.kron(np.eye(spec.complex_dim), [[0.0, -1.0], [1.0, 0.0]])
+        j = J[pair_basis(n).rows, pair_basis(n).cols]
+        R = CurvatureTensor(n, 0.5 * (kn_matrix(g, g) + kn_matrix(J, J)) + 2.0 * np.outer(j, j))
     elif spec.kind in ("sphere", "hyperbolic", "euclidean", "product"):
         # sum_f (sec_f / 2) g_f o g_f holds sec_f at each pair inside factor f, else zero
         factors = spec.factors if spec.kind == "product" else (Factor(spec.kind, n, spec.radius),)

@@ -1214,8 +1214,7 @@ def test_congruence_four_takes_one_matrix_per_object(n):
 
 def _chart_w_norm_sq(W, gi):
     """The chart's |W|^2_g of one pair matrix W under one g^-1 (a lattice of one row)."""
-    return float(_w_norm_sq_at(SimpleNamespace(decomp=(None,) * 3 + (W[None],), gi=gi[None]),
-                               slice(None))[0])
+    return float(_w_norm_sq_at(SimpleNamespace(W=W[None], gi=gi[None]), slice(None))[0])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

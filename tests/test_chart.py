@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from weylbench.algebra import decompose
+from weylbench.algebra import decompose, weyl_split
 from weylbench.basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor
 from weylbench.chart import (
     ChartMetric,
@@ -388,6 +388,24 @@ def test_nan_point_is_refused_by_every_preset(name, axis):
         m.table(x[None])
 
 
+@pytest.mark.parametrize("offset", [lambda x: 0.3, lambda x: 1e-7 * (1.0 + x.sum())],
+                         ids=["constant", "tiny"])
+def test_non_symmetric_metric_is_refused_by_name(offset):
+    """An evaluator whose upper triangle carries an offset the lower one lacks is refused
+    at the first such point, where the Cholesky test (lower triangle only) would let it
+    through; an asymmetry within check_symmetric's rule is accepted."""
+    def fn(x):
+        return np.eye(4) + np.triu(np.full((4, 4), offset(x)))
+    grid = GridSpec(center=CENTER4, h=1e-3)
+    with pytest.raises(ValueError, match=re.escape(f"metric not symmetric at {CENTER4.tolist()}")):
+        curvature_field(ChartMetric("skew", 4, fn), grid)
+    xs = np.stack([np.zeros(4), CENTER4])
+    with pytest.raises(ValueError, match=re.escape(f"metric not symmetric at {CENTER4.tolist()}")):
+        ChartMetric("skew", 4, lambda x: fn(x) if x.any() else np.eye(4)).table(xs)
+    near = ChartMetric("near", 4, lambda x: np.eye(4) + np.triu(np.full((4, 4), 1e-12), 1))
+    assert near.table(xs)[0, 0, 1] == 1e-12
+
+
 @pytest.mark.parametrize("name", ["euclidean:5", "sphere-stereo:5", "product-spheres:2:3",
                                   "perturbed:5", "grid-file"])
 def test_per_point_table_equals_the_stacked_table(tmp_path, name):
@@ -439,19 +457,22 @@ def test_stacked_evaluator_of_one_point_shape_is_refused(rows):
 
 # (g, Gamma, decomposition, |W|^2_g) rows of one assembly, equal to the calls of
 # ChartMetric.fn, christoffel, _decomp_coords and _w_norm_sq_at when each was
-# evaluated once per stencil point
+# evaluated once per stencil point; the W table has the |W|^2_g rows
 @pytest.mark.parametrize("name, order, ricci, sizes", [
     ("perturbed:4", 2, False, (313, 121, 33, 33)),
     ("perturbed:5", 2, False, (671, 221, 51, 51)),
     ("perturbed:4", 4, False, (1225, 305, 41, 41)),
     ("perturbed:5", 2, True, (681, 231, 61, 51)),
     ("perturbed:5", 4, True, (4881, 1181, 201, 61)),
+    ("perturbed:6", 4, True, (10497, 2073, 289, 85)),
 ])
 def test_stage_sizes(name, order, ricci, sizes):
     n = int(name.split(":")[1])
     grid = GridSpec(center=0.1 * (1.0 + np.arange(n)) / n, h=1e-3, order=order)
     lattice = _Lattice(preset_metric(name), grid, ricci)
     assert (len(lattice.g), len(lattice.gamma), len(lattice.decomp[1]), len(lattice.w2)) == sizes
+    # every decomposition output on all its rows; W split only on the rows that read it
+    assert [len(t) for t in lattice.decomp] == [sizes[2]] * 3 and len(lattice.W) == sizes[3]
     assert len(lattice.keys) == len({tuple(k) for k in lattice.keys.tolist()}) == sizes[0]
     # the numbering kept for the shape is the one a fresh walk gives
     cached, fresh = _offsets(n, order, ricci), _offsets.__wrapped__(n, order, ricci)
@@ -480,7 +501,8 @@ def test_assemblies_of_one_shape_share_read_only_offsets():
                                          ("product-spheres:2:3", 2)])
 def test_stage_rows_do_not_depend_on_the_batch(name, order):
     """Each stage over all its rows in one pass, in the lattice's passes and one row at a
-    time gives the same bits (the Ricci identity's rows included)."""
+    time gives the same bits (the Ricci identity's rows included), and so does the W
+    table's one split of all its rows."""
     m = preset_metric(name)
     grid = GridSpec(center=0.1 * (1.0 + np.arange(m.n)) / m.n, h=1e-3, order=order)
     lattice = _Lattice(m, grid, with_ricci_identity=True)
@@ -499,6 +521,10 @@ def test_stage_rows_do_not_depend_on_the_batch(name, order):
             one = one if isinstance(one, tuple) else (one,)
             for part, row in zip(whole, one):
                 assert part[r].tobytes() == row[0].tobytes(), (stage.__name__, r)
+    R, Rc, S = lattice.decomp
+    for r in range(len(lattice.W)):
+        one = weyl_split(lattice.n, R[[r]], Rc[[r]], S[[r]], lattice.g[[r]]).W
+        assert lattice.W[r].tobytes() == one[0].tobytes(), r
 
 
 @pytest.mark.parametrize("name, order", [("perturbed:4", 2), ("perturbed:5", 4)])
@@ -643,6 +669,46 @@ def test_coordinate_weyl_norm_matches_frame_norm(name):
     assert coords == pytest.approx(frame, rel=1e-12)
 
 
+def _conformal_errors(name, h, order):
+    """Relative errors of W's conformal invariance between a preset g and e^{2 phi} g (a
+    per-point ChartMetric), phi = 0.2 sin(x1 + 2 x2) + 0.1 x3^2 - 0.15 xn, at the center
+    0.05 (1, ..., n): the frame W against e^{-2 phi} W at the center, the coordinate W
+    table against e^{2 phi(x)} W on its rows, and |W|_g^{n/2} sqrt(det g) on those rows."""
+    def phi(x):
+        return 0.2 * np.sin(x[0] + 2.0 * x[1]) + 0.1 * x[2] ** 2 - 0.15 * x[-1]
+    m = preset_metric(name)
+    tilde = ChartMetric(f"conformal:{name}", m.n, lambda x: np.exp(2.0 * phi(x)) * m.fn(x))
+    grid = GridSpec(center=0.05 * np.arange(1.0, m.n + 1), h=h, order=order)
+    base, conformal = _Lattice(m, grid, False), _Lattice(tilde, grid, False)
+    rows = slice(len(base.W))
+    W = _assemble(base).decomposition.weyl.mat
+    frame = _assemble(conformal).decomposition.weyl.mat - np.exp(-2.0 * phi(grid.center)) * W
+    scaled = np.exp(2.0 * np.array([phi(x) for x in grid.point(base.keys[rows])]))[:, None, None]
+    def integrand(lattice):
+        return lattice.w2 ** (m.n / 4) * np.sqrt(np.linalg.det(lattice.g[rows]))
+    return (np.abs(frame).max() / np.abs(W).max(),
+            np.abs(conformal.W - scaled * base.W).max() / np.abs(scaled * base.W).max(),
+            np.abs(integrand(conformal) - integrand(base)).max() / integrand(base).max())
+
+
+@pytest.mark.parametrize("name", ["perturbed:4", "perturbed:5", "perturbed:6",
+                                  "product-spheres:2:3"])
+def test_weyl_split_is_conformally_invariant(name):
+    """For e^{2 phi} g the (0,4) Weyl tensor is e^{2 phi} W pointwise, so |W|^{n/2} dV is
+    unchanged: an oracle with no golden for the coordinate split under the metric, its W
+    table and |W|^2_g (the frame W alone misses a fault in the last two, since _assemble
+    splits the frame R again).  At order 2 and h = 4, 2, 1 (x 1e-3) the frame and table
+    errors halve with ratios 3.96-4.20 and the integrand's second halving reads 3.98-4.23,
+    gated in [3.5, 4.5]; its first halving reaches 4.91 on perturbed:5 and is not gated.
+    At order 4 and h = 4e-3 every error is at most 6.5e-9: the 5e-8 bound leaves a factor
+    of about 8."""
+    errs = np.array([_conformal_errors(name, h, 2) for h in (4e-3, 2e-3, 1e-3)])
+    ratios = errs[:-1] / errs[1:]
+    assert ((3.5 <= ratios[:, :2]) & (ratios[:, :2] <= 4.5)).all(), ratios
+    assert 3.5 <= ratios[1, 2] <= 4.5, ratios
+    assert max(_conformal_errors(name, 4e-3, 4)) <= 5e-8
+
+
 @pytest.mark.parametrize("ricci", [False, True])
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("name", ["perturbed:4", "perturbed:5", "perturbed:6", "sphere-stereo:4",
@@ -659,16 +725,17 @@ def test_chart_matches_the_four_index_reference(name, order, ricci):
     n = m.n
     lattice = _Lattice(m, GridSpec(center=0.1 * (1.0 + np.arange(n)) / n, h=1e-3,
                                    order=order), ricci)
-    assert all(t.ndim < 5 for t in (lattice.g, lattice.gamma, *lattice.decomp, lattice.w2))
+    assert all(t.ndim < 5 for t in (lattice.g, lattice.gamma, *lattice.decomp, lattice.W,
+                                    lattice.w2))
     R, Rc, S, W = four_index_decomposition(lattice)
-    for key, table, want in zip("R Rc S W".split(), lattice.decomp,
+    for key, table, want in zip("R Rc S W".split(), (*lattice.decomp, lattice.W),
                                 (four_tensor_to_pair_matrix(n, R), Rc, S, W)):
         err = np.abs(table - want[:len(table)]).max()
         assert err <= 1e-13 * max(1.0, np.abs(want).max()), (key, err)
 
-    R, Rc, S, W = lattice.decomp
+    R, Rc, S = lattice.decomp
     ref = four_index_field(lattice, pair_matrix_to_four_tensor(n, R), Rc, S,
-                           pair_matrix_to_four_tensor(n, W))
+                           pair_matrix_to_four_tensor(n, lattice.W))
     f = _assemble(lattice)
     got = {"R": f.R.mat, "W": f.decomposition.weyl.mat, "E": f.decomposition.E, "Rc": f.Rc,
            "nabla_r": f.nabla_r.comps, "nabla_w": f.nabla_w.comps, "nabla_rc": f.nabla_rc,

@@ -8,7 +8,6 @@ from weylbench.models import (
     MAX_CURVATURE_SCALE,
     Factor,
     ModelSpec,
-    _fubini_study_four,
     model_curvature,
     package_consistency,
     parse_model_spec,
@@ -166,10 +165,14 @@ def test_curvature_scale_at_the_bound_is_accepted():
 def _four_index_curvature(spec):
     """The catalogue's pair matrix as it was formed on four-index tensors: the sum of
     (sec_f / 2) g_f o g_f over the factors, or the Fubini-Study tensor, read back."""
+    n = spec.n
     if spec.kind == "fubini_study":
-        four = _fubini_study_four(spec.complex_dim)
+        g, J = np.eye(n), np.zeros((n, n))
+        for k in range(spec.complex_dim):
+            J[2 * k + 1, 2 * k] = 1.0
+            J[2 * k, 2 * k + 1] = -1.0
+        four = 0.5 * (kn_four(g, g) + kn_four(J, J)) + 2.0 * np.einsum('ij,kl->ijkl', J, J)
     else:
-        n = spec.n
         four, start = np.zeros((n, n, n, n)), 0
         for f in spec.factors or (Factor(spec.kind, n, spec.radius),):
             g = np.zeros((n, n))
@@ -181,7 +184,8 @@ def _four_index_curvature(spec):
 
 @pytest.mark.parametrize("text", [
     "sphere:4:1.0", "sphere:5:0.7", "hyperbolic:6:0.3", "euclidean:5",
-    "product:sphere:2:0.5,hyperbolic:3:3.0,euclidean:2", "fubini-study:3"])
+    "product:sphere:2:0.5,hyperbolic:3:3.0,euclidean:2", "fubini-study:2", "fubini-study:3",
+    "fubini-study:4", "fubini-study:5"])
 def test_model_curvature_keeps_the_four_index_bits(text):
     spec = parse_model_spec(text)
     mat, reference = model_curvature(spec).R.mat, _four_index_curvature(spec)

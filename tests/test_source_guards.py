@@ -41,8 +41,11 @@ suite's identity chunk calls neither ``kn_four`` nor ``four_tensor_to_pair_matri
 (``chart._assemble``) calls no ``kn_four``, none of ``chart._decomp_coords``,
 ``chart._w_norm_sq_at``, ``dim4._berger_frame_matrix`` and
 ``algebra.kulkarni_nomizu`` calls ``kn_four``, ``.four()`` or
-``pair_matrix_to_four_tensor``, and the model catalogue builds its curvature in
-one checked step, with no ``from_operator``.  The chart keeps R and W as pair
+``pair_matrix_to_four_tensor``, and the model catalogue builds its curvature as a
+pair matrix in one checked step: ``models.py`` calls none of ``from_operator``,
+``kn_four``, ``from_four_tensor`` and ``.four()``.  The chart splits W once per
+assembly: ``chart.py`` calls ``weyl_split`` exactly once, in ``_Lattice.__init__``,
+and ``_decomp_coords`` (R, Rc and S) calls none.  The chart keeps R and W as pair
 matrices from the coordinate split to the frame: neither ``chart._assemble`` nor
 ``chart._Lattice.nabla`` (its one covariant derivative) calls
 ``four_tensor_to_pair_matrix``, ``pair_matrix_to_four_tensor``,
@@ -258,7 +261,15 @@ def test_frame_weyl_split_runs_on_pair_matrices():
     for name, function in PAIR_MATRIX_WEYL_STAGES:
         assert not called_names(SRC / name, function) & {
             "kn_four", "four", "pair_matrix_to_four_tensor"}, function
-    assert "from_operator" not in called_names(SRC / "models.py")
+    assert not called_names(SRC / "models.py") & {
+        "from_operator", "kn_four", "from_four_tensor", "four"}
+
+
+def test_chart_splits_weyl_once_per_assembly():
+    splits = [c.lineno for c in _calls(SRC / "chart.py") if _called_name(c) == "weyl_split"]
+    assert len(splits) == 1, splits
+    assert "weyl_split" in called_names(SRC / "chart.py", "_Lattice.__init__")
+    assert "weyl_split" not in called_names(SRC / "chart.py", "_decomp_coords")
 
 
 def imported_names(path: Path) -> set[str]:
