@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import (circ_prime, cubic_parts, decomposition, kn_g_pairing, kn_matrix,
                       second_bianchi, weyl_parts, weyl_split)
 from .basis import pair_basis, pair_divergence, pair_ricci, pair_slots, read_only_cache
-from .serialization import json_fields, json_list, json_matrix, json_number, json_object, read_json_object
+from .serialization import json_array, json_fields, json_number, json_object, read_json_object
 from .tensors import (EPS_ALG, CovDerivCurvature, CurvatureDecomposition, CurvatureTensor,
                       ThreeTwoTensor, TwoFormOneForm, check_dimension, check_finite,
                       check_symmetric, frobenius, within_tol)
@@ -181,8 +181,8 @@ def grid_file_metric(path: str) -> ChartMetric:
     """Metric tabulated at the lattice offsets of one assembly (see ``dump_grid_file``).
 
     A point x is served only if it is the file grid's point c + h*k of a listed
-    offset k, bit for bit.  At load every matrix must be finite and symmetric
-    and every offset a distinct length-n integer vector.
+    offset k, bit for bit.  At load the offsets must be distinct length-n integer
+    vectors, one per matrix, and the matrices a finite, symmetric (m, n, n) stack.
     """
     what = f"grid file {path}"
     data = read_json_object(path, what)
@@ -193,27 +193,25 @@ def grid_file_metric(path: str) -> ChartMetric:
     center, h, order = json_fields(json_object(spec, f"{what} grid"), ("center", "h", "order"),
                                    f"{what} grid")
     n = check_dimension(json_number(n, int, f"{what} n"))
-    center = [json_number(c, float, f"{what} grid.center entry")
-              for c in json_list(center, f"{what} grid.center")]
-    if len(center) != n:
-        raise ValueError(f"{what} grid.center has {len(center)} entries, expected n = {n}")
+    center = json_array(center, float, f"{what} grid.center")
+    if center.shape != (n,):
+        raise ValueError(f"{what} grid.center has shape {center.shape}, expected ({n},)")
     grid = GridSpec(center=center, h=json_number(h, float, f"{what} grid.h"),
                     order=json_number(order, int, f"{what} grid.order"))
-    rows: dict[tuple, int] = {}  # offset -> its row of mats
-    mats = []
-    offsets, matrices = json_list(offsets, f"{what} offsets"), json_list(matrices, f"{what} matrices")
-    if len(offsets) != len(matrices):
-        raise ValueError(f"{what} has {len(offsets)} offsets and {len(matrices)} matrices")
-    for k, mat in zip(offsets, matrices):
-        if (not (isinstance(k, list) and len(k) == n and all(type(c) is int for c in k))
-                or tuple(k) in rows):
-            raise ValueError(f"{what} offset {k!r} is not a new length-{n} integer vector")
-        mat = check_symmetric(json_matrix(mat, f"{what} matrix"), f"{what} matrix")
-        if mat.shape != (n, n):
-            raise ValueError(f"{what} matrix has shape {mat.shape}, expected ({n}, {n})")
-        rows[tuple(k)] = len(mats)
-        mats.append(mat)
-    mats = np.array(mats).reshape(-1, n, n)
+    offsets = json_array(offsets, int, f"{what} offsets")
+    if offsets.shape[1:] != (n,):  # [] reads as shape (0,)
+        raise ValueError(f"{what} offsets have shape {offsets.shape}, expected (m, {n}), m > 0")
+    keys = list(map(tuple, offsets.tolist()))
+    rows = dict(zip(keys, range(len(keys))))  # offset -> its row of mats (a repeat's last)
+    if len(rows) < len(keys):
+        first = next(k for r, k in enumerate(keys) if rows[k] != r)
+        raise ValueError(f"{what} repeats the offset {list(first)}")
+    mats = json_array(matrices, float, f"{what} matrix")
+    if mats.ndim and len(mats) != len(keys):
+        raise ValueError(f"{what} has {len(keys)} offsets and {len(mats)} matrices")
+    if mats.shape != offsets.shape + (n,):
+        raise ValueError(f"{what} matrices have shape {mats.shape}, expected {offsets.shape + (n,)}")
+    mats = check_symmetric(mats, f"{what} matrix", lead=1)
 
     def fn(x: np.ndarray) -> np.ndarray:
         xs = x.reshape(-1, n)
@@ -278,11 +276,11 @@ class _Lattice:
     R there and, with the Ricci identity, at its neighbours; Gamma where R is, g where
     Gamma is), each set a prefix of the rows: row r is offset ``keys[r]``, and ``near[r,
     j, m]`` the row of ``keys[r]`` moved ``steps[j]`` along axis m.  Tables: ``g``,
-    ``gamma``, ``decomp`` = (R, Rc, S) in coordinates and ``w2``, each stage on all its rows
-    in passes of about 10,000 entries (``_tabulate``), and ``W``, split from R once on the w2
-    rows (R and W as (rows, N, N) pair matrices).  The tables live for one assembly; the
-    offsets depend only on (n, order, ricci identity) and are numbered once per shape
-    (``_offsets``), so every assembly of a shape shares them.
+    ``gamma`` and ``decomp`` = (R, Rc, S) in coordinates, each stage on all its rows in passes
+    of about 10,000 entries (``_tabulate``), ``W``, split from R once on the w2 rows (R and W
+    as (rows, N, N) pair matrices), and ``w2`` from W in one call.  The tables live for one
+    assembly; the offsets depend only on (n, order, ricci identity) and are numbered once
+    per shape (``_offsets``), so every assembly of a shape shares them.
     """
 
     def __init__(self, metric: ChartMetric, grid: GridSpec, with_ricci_identity: bool):
@@ -302,12 +300,12 @@ class _Lattice:
         self.gamma = self._tabulate(christoffel, 3, gamma)[0]
         self.decomp = self._tabulate(_decomp_coords, 4, decomp)
         self.W = weyl_split(self.n, *(T[:w2] for T in self.decomp), self.g[:w2]).W
-        self.w2 = self._tabulate(_w_norm_sq_at, 4, w2)[0]
+        self.w2 = _w_norm_sq_at(self, slice(w2))  # differences no table: one call
 
     def _tabulate(self, stage, rank: int, count: int) -> tuple:
-        """stage(self, rows) over the first count rows, each output filled into one table; a
-        pass takes about 10,000 entries (80 KB) of the per-row rank-``rank`` tensors (one pass
-        per stage at n = 4, order 2), so its temporaries stay small beside the tables."""
+        """A differencing stage(self, rows) over the first count rows, each output filled into
+        one table; a pass takes about 10,000 entries (80 KB) of the per-row rank-``rank``
+        tensors (one pass at n = 4, order 2), so its temporaries stay small beside the tables."""
         step, tables = max(1, 10000 // self.n ** rank), None
         for start in range(0, count, step):
             parts = stage(self, slice(start, min(start + step, count)))

@@ -33,7 +33,7 @@ from .chart import GridSpec, curvature_field, grid_file_metric, identity_residua
 from .dim4 import berger_normal_form, det_identities, split_self_dual
 from .models import model_curvature, package_consistency, parse_model_spec, symmetric_space_identity_report
 from .report import render
-from .serialization import json_fields, json_matrix, json_number, operator_from_dict, read_json_object
+from .serialization import json_array, json_fields, json_number, operator_from_dict, read_json_object
 from .suite import run_identity_suite
 from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, bianchi_residual
 
@@ -213,7 +213,7 @@ def cmd_pinch(args, tols, report) -> None:
         w, E, S = json_fields(read_json_object(args.input, what), ("W", "E", "S"), what)
         with _labelled(what):  # W's checks, E's and S's, and the verdict's own on E
             W = CurvatureTensor.from_operator(operator_from_dict(w, tol=EPS_ALG))
-            E, S = json_matrix(E, "pinch E"), json_number(S, float, "pinch S")
+            E, S = json_array(E, float, "pinch E"), json_number(S, float, "pinch S")
             verdict = (pinch_verdict_pointwise if args.kind == "pointwise"
                        else pinch_verdict_norm)(W, E, S)
     report["results"]["verdict"] = verdict.as_dict()

@@ -36,12 +36,6 @@ def json_number(value, kind: type, what: str):
         raise ValueError(f"{what} is beyond the float range") from None
 
 
-def json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, got {json.dumps(value)}")
-    return value
-
-
 def json_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {json.dumps(value)}")
@@ -62,17 +56,21 @@ def read_json_object(path: str, what: str) -> dict:
         return json_object(json.load(fh), what)
 
 
-def json_matrix(value, what: str) -> np.ndarray:
-    """Nested lists of JSON numbers as a float array; every leaf is checked in one pass."""
+def json_array(value, kind: type, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a ``kind`` array; every leaf is checked in one pass,
+    as ``json_number`` checks one number."""
     leaves = np.array(value, dtype=object)
-    wrong = {t for t in set(map(type, leaves.flat)) if t is bool or not issubclass(t, (int, float))}
+    allowed = (int,) if kind is int else (int, float)
+    wrong = {t for t in set(map(type, leaves.flat)) if t is bool or not issubclass(t, allowed)}
     if wrong:
         bad = next(x for x in leaves.flat if type(x) in wrong)
-        raise ValueError(f"{what} entries must be numbers, got {json.dumps(bad)}")
+        expected = "integers" if kind is int else "numbers"
+        raise ValueError(f"{what} entries must be {expected}, got {json.dumps(bad)}")
     try:
-        return leaves.astype(float)
+        return leaves.astype(kind)
     except OverflowError:
-        raise ValueError(f"{what} entries must lie within the float range") from None
+        limit = "int64" if kind is int else "float"
+        raise ValueError(f"{what} entries must lie within the {limit} range") from None
 
 
 def operator_to_dict(op: Operator2Form) -> dict[str, Any]:
@@ -83,7 +81,7 @@ def _from_dense(data: dict, n: int, tol: float) -> Operator2Form:
     basis = data.get("basis", "lex-pairs")
     if basis != "lex-pairs":
         raise ValueError(f"unsupported basis {basis!r}, expected 'lex-pairs'")
-    mat = json_matrix(data["matrix"], "operator matrix")
+    mat = json_array(data["matrix"], float, "operator matrix")
     N = n * (n - 1) // 2  # checked before the pair basis of n is built
     if mat.shape != (N, N):
         raise ValueError(f"matrix shape {mat.shape} does not match n={n} (need {N}x{N})")

@@ -16,9 +16,9 @@ matrices, the second-Bianchi and circ-prime images straight into their
 into the report as a float.  The typed containers' input checks run once per
 chunk: symmetry and first Bianchi of R, then of W, the e/s parts, k o g and
 A o g as one (5, B, ...) stack, and trace-free W before the sectional split
-and the u-tensor (``check_small`` and the ``check_bianchi`` and
-``check_trace_free`` guards), so each object keeps its own scale and the
-containers' messages.  The residuals do not depend on
+and the u-tensor (the ``check_symmetric``, ``check_bianchi`` and
+``check_trace_free`` guards, each over the whole stack), so each object keeps
+its own scale and the containers' messages.  The residuals do not depend on
 CHUNK (the batched basis expansions return C-order stacks, so every per-trial
 sum runs in one order), and the report keeps the (n, trial index) of every
 worst residual, so ``trials = index + 1`` with the same seed replays it.
@@ -63,7 +63,7 @@ from .sampling import (
 from .tensors import (
     EPS_ALG,
     check_bianchi,
-    check_small,
+    check_symmetric,
     cyclic_average,
     frobenius,
     max_abs,
@@ -118,16 +118,10 @@ def _rel(value, scale):
 
 
 def _curvature(n: int, mat: np.ndarray) -> np.ndarray:
-    """Pair matrices of a stack as ``CurvatureTensor`` holds them.
-
-    The container's checks (symmetric, then first Bianchi) run object by object
-    over every leading axis, one batched check each, and the matrices are
-    symmetrized as the container stores them.
-    """
-    check_small(mat - np.swapaxes(mat, -1, -2), mat, EPS_ALG,
-                f"pair-basis matrix must be symmetric within tolerance {EPS_ALG}",
-                lead=mat.ndim - 2)
-    mat = symmetrized(mat)
+    """Pair matrices of a stack as ``CurvatureTensor`` holds them: the container's two
+    guards (``check_symmetric``, then ``check_bianchi``) run object by object over every
+    leading axis, with its messages, and the matrices come back symmetrized."""
+    mat = check_symmetric(mat, "pair-basis matrix", lead=mat.ndim - 2)
     check_bianchi(n, mat, EPS_ALG)
     return mat
 

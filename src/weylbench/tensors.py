@@ -92,13 +92,17 @@ def check_finite(*values) -> None:
         raise ValueError("inputs must be finite")
 
 
-def check_symmetric(mat: np.ndarray, what: str = "matrix", tol: float = EPS_ALG) -> np.ndarray:
+def check_symmetric(mat: np.ndarray, what: str = "matrix", tol: float = EPS_ALG,
+                    lead: int = 0) -> np.ndarray:
+    """mat symmetrized, once it is one square matrix (with ``lead`` leading batch axes, a
+    stack of them), finite and symmetric within tol, each matrix at its own scale."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim != lead + 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {mat.shape}")
-    scale = finite_scale(mat, what)
-    if not within_tol(mat - mat.T, scale, tol):
-        raise ValueError(f"{what} must be symmetric within tolerance {tol}")
+    scale = max_abs(mat, lead)  # one per matrix; a NaN or inf is refused before mat - mat^T
+    finite_scale(scale, what)
+    check_small(mat - np.swapaxes(mat, -1, -2), scale, tol,
+                f"{what} must be symmetric within tolerance {tol}", lead)
     return symmetrized(mat)
 
 
@@ -232,8 +236,8 @@ class CurvatureTensor(Operator2Form):
         check_bianchi(self.n, self.mat, tol)
 
     @classmethod
-    def from_operator(cls, op: Operator2Form, tol: float = EPS_ALG) -> "CurvatureTensor":
-        return cls(op.n, op.mat, tol=tol)
+    def from_operator(cls, op: Operator2Form) -> "CurvatureTensor":
+        return cls(op.n, op.mat)
 
 
 @dataclass(frozen=True)

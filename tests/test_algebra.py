@@ -182,6 +182,11 @@ def test_half_gg_is_identity_operator():
 def test_kn_dimension_mismatch():
     with pytest.raises(ValueError):
         kulkarni_nomizu(np.eye(3), np.eye(4))
+    # the typed product takes one matrix per factor: a stack is for kn_matrix
+    with pytest.raises(ValueError, match=r"first factor must be square, got shape \(2, 4, 4\)"):
+        kulkarni_nomizu(np.stack([np.eye(4)] * 2), np.eye(4))
+    with pytest.raises(ValueError, match=r"second factor must be square, got shape \(2, 4, 4\)"):
+        kulkarni_nomizu(np.eye(4), np.stack([np.eye(4)] * 2))
 
 
 def test_kn_adjoint_is_ricci_contraction():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import re
 
@@ -527,6 +528,21 @@ def test_stage_rows_do_not_depend_on_the_batch(name, order):
         assert lattice.W[r].tobytes() == one[0].tobytes(), r
 
 
+def test_w_norm_sq_is_one_call_per_assembly(monkeypatch):
+    """|W|^2_g differences no table, so it runs once over all its rows (85 at perturbed:6,
+    order 4, with the Ricci identity), not in passes of the differencing stages."""
+    calls = []
+
+    def counted(lattice, rows):
+        calls.append(rows)
+        return _w_norm_sq_at(lattice, rows)
+
+    monkeypatch.setattr("weylbench.chart._w_norm_sq_at", counted)
+    grid = GridSpec(center=0.1 * (1.0 + np.arange(6)) / 6, h=1e-3, order=4)
+    lattice = _Lattice(preset_metric("perturbed:6"), grid, with_ricci_identity=True)
+    assert calls == [slice(85)] and len(lattice.w2) == 85
+
+
 @pytest.mark.parametrize("name, order", [("perturbed:4", 2), ("perturbed:5", 4)])
 def test_shared_inverse_table_does_not_depend_on_the_batch(name, order):
     """The one g^-1 table of an assembly, over the Christoffel rows, holds the bits of
@@ -588,6 +604,46 @@ def test_grid_file_missing_point(tmp_path):
         with pytest.raises(KeyError, match=re.escape(f"no metric sample at {missing.tolist()};")):
             gm.table(np.stack(xs))
     assert np.array_equal(gm.table(np.stack([held, held])), np.stack([np.eye(4)] * 2))
+
+
+def _first_offset(value):
+    return lambda data: dict(data, offsets=[value] + data["offsets"][1:])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: dict(data, offsets=[[0] * 4] * 2 + data["offsets"][2:]),
+     "repeats the offset [0, 0, 0, 0]"),
+    (_first_offset([0.0] * 4), "offsets entries must be integers, got 0.0"),
+    (_first_offset([True, 0, 0, 0]), "offsets entries must be integers, got true"),
+    (_first_offset([2 ** 63, 0, 0, 0]), "offsets entries must lie within the int64 range"),
+    (_first_offset([0, 0, 0]), "offsets entries must be integers, got [0, 0, 0]"),
+    (lambda data: dict(data, offsets=[k[:3] for k in data["offsets"]]),
+     "offsets have shape (313, 3), expected (m, 4), m > 0"),
+    (lambda data: dict(data, offsets=[], matrices=[]), "offsets have shape (0,)"),
+    (lambda data: dict(data, matrices=[]), "has 313 offsets and 0 matrices"),
+    (lambda data: dict(data, matrices=[np.eye(3).tolist()] * 313),
+     "matrices have shape (313, 3, 3), expected (313, 4, 4)"),
+    (lambda data: dict(data, matrices=[np.eye(3).tolist()] + data["matrices"][1:]),
+     "matrix entries must be numbers, got [[1.0, 0.0, 0.0]"),
+    (lambda data: dict(data, matrices=[np.full((4, 4), math.nan).tolist()] + data["matrices"][1:]),
+     "matrix must be finite"),
+    (lambda data: dict(data, matrices=[np.triu(np.ones((4, 4))).tolist()] + data["matrices"][1:]),
+     "matrix must be symmetric within tolerance 1e-10"),
+], ids=["repeated-offset", "float-offset", "bool-offset", "int64-overflow-offset",
+        "short-offset", "short-offsets", "empty", "no-matrices", "small-matrices",
+        "one-small-matrix", "nan-matrix", "asymmetric-matrix"])
+def test_bad_grid_file_is_refused_at_load_by_name(tmp_path, edit, message):
+    """Each defect of a grid file is refused when the file is read, before any assembly
+    asks it for a point, by one ValueError that names the file."""
+    path = str(tmp_path / "g.json")
+    dump_grid_file(preset_metric("euclidean:4"), GridSpec(center=CENTER4, h=1e-3), path)
+    with open(path, encoding="utf-8") as fh:
+        data = edit(json.load(fh))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    with pytest.raises(ValueError) as info:
+        grid_file_metric(path)
+    assert str(info.value).startswith(f"grid file {path} ") and message in str(info.value)
 
 
 def test_nan_metric_is_not_positive_definite():

@@ -439,6 +439,9 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
      "pinch input {file}: E must be traceless"),
     (("pinch", "pointwise", "--input", "{file}"), lambda: _pinch_payload(e_size=4),
      "pinch input {file}: dimension mismatch"),
+    (("pinch", "pointwise", "--input", "{file}"),
+     lambda: dict(_pinch_payload(), E=np.zeros((2, 5, 5)).tolist()),
+     "pinch input {file}: E must be square, got shape (2, 5, 5)"),
     (("chart", "{file}"), lambda: _NO_OFFSETS, "grid file {file} is missing the field 'offsets'"),
     (("chart", "{file}"), lambda: dict(_NO_OFFSETS, offsets=[], grid={"center": [0.0] * 4}),
      "grid file {file} grid is missing the field 'h'"),
@@ -455,7 +458,7 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
          "pinch-norm-list-W", "tol-nan", "tol-inf", "tol-minus-inf", "tol-negative",
          "tol-overflow", "pinch-missing-W", "pinch-missing-S", "dim4-dense-missing-n",
          "dim4-sparse-missing-n", "pinch-operator-missing-n", "pinch-W-not-bianchi",
-         "pinch-E-traced", "pinch-E-mis-sized", "grid-missing-offsets",
+         "pinch-E-traced", "pinch-E-mis-sized", "pinch-E-stacked", "grid-missing-offsets",
          "grid-missing-h", "grid-length-mismatch"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "input.json"

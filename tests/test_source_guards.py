@@ -15,7 +15,9 @@ Each invariant is decided in one place: the typed products (``kulkarni_nomizu``,
 (elsewhere the raw kernels such as ``kn_g_pairing`` serve), and the trace-free,
 traceless and first-Bianchi checks go through the guards ``check_trace_free``,
 ``check_traceless`` and ``check_bianchi``, so no other module hands such a
-residual to ``check_small`` itself.
+residual to ``check_small`` itself.  Symmetry goes through ``check_symmetric``
+(which takes leading batch axes): outside ``tensors.py`` no ``check_small``
+is handed ``x - x.T`` or ``x - swapaxes(x, -1, -2)``.
 
 Optional parameters are counted, so a knob that only tests set cannot come
 back unnoticed.
@@ -159,15 +161,29 @@ def typed_product_calls(path: Path) -> list[str]:
             if _called_name(c) in TYPED_PRODUCTS]
 
 
+def _is_transpose_of(node: ast.AST, x: ast.AST) -> bool:
+    """Whether node is ``x.T`` or ``swapaxes(x, -1, -2)`` (either axis order)."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        return ast.dump(node.value) == ast.dump(x)
+    return (isinstance(node, ast.Call) and _called_name(node) == "swapaxes"
+            and len(node.args) == 3 and ast.dump(node.args[0]) == ast.dump(x)
+            and sorted(ast.unparse(a) for a in node.args[1:]) == ["-1", "-2"])
+
+
 def hand_made_guards(path: Path) -> list[str]:
-    """``check_small`` calls whose residual is a trace, Ricci contraction or Bianchi sum."""
+    """``check_small`` calls whose residual is a trace, Ricci contraction or Bianchi sum,
+    or a symmetry residual ``x - x.T`` or ``x - swapaxes(x, -1, -2)``."""
     out = []
     for c in _calls(path):
+        if _called_name(c) != "check_small":
+            continue
         resid = c.args[0] if c.args else next(
             (k.value for k in c.keywords if k.arg == "resid"), None)
-        if (_called_name(c) == "check_small" and isinstance(resid, ast.Call)
-                and _called_name(resid) in GUARDED_RESIDUALS):
+        if isinstance(resid, ast.Call) and _called_name(resid) in GUARDED_RESIDUALS:
             out.append(f"{path.name}:{c.lineno} {_called_name(resid)}")
+        elif (isinstance(resid, ast.BinOp) and isinstance(resid.op, ast.Sub)
+              and _is_transpose_of(resid.right, resid.left)):
+            out.append(f"{path.name}:{c.lineno} symmetric")
     return out
 
 
@@ -178,10 +194,14 @@ def test_invariant_guards_see_their_calls(tmp_path):
                      "check_small(resid=cyclic_average(T), entries=m, tol=t, message='b')\n"
                      "check_small(T - T.T, T, tol, 'symmetric')\n"
                      "check_small(basis.pair_ricci(n, m), m, tol, 'rc')\n"
-                     "check_small(bianchi_image(n, m), m, tol, 'b', lead=1)\n")
+                     "check_small(bianchi_image(n, m), m, tol, 'b', lead=1)\n"
+                     "check_small(m - np.swapaxes(m, -2, -1), m, tol, 's', lead=1)\n"
+                     "check_small(a - b.T, a, tol, 'two matrices')\n"
+                     "check_small(m - np.swapaxes(m, 1, 2), m, tol, 'slices')\n")
     assert len(typed_product_calls(probe)) == 2
     assert hand_made_guards(probe) == ["probe.py:2 trace", "probe.py:3 cyclic_average",
-                                       "probe.py:5 pair_ricci", "probe.py:6 bianchi_image"]
+                                       "probe.py:4 symmetric", "probe.py:5 pair_ricci",
+                                       "probe.py:6 bianchi_image", "probe.py:7 symmetric"]
 
 
 def test_typed_products_are_called_only_in_algebra():
@@ -192,9 +212,11 @@ def test_typed_products_are_called_only_in_algebra():
 
 
 def test_trace_and_bianchi_decisions_go_through_the_guards():
-    files = [p for p in sorted(SRC.glob("*.py")) if p.name not in ("tensors.py", "algebra.py")]
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "tensors.py"]
     assert files
-    offenders = [hit for path in files for hit in hand_made_guards(path)]
+    # algebra.py holds check_trace_free; only its symmetry residuals count
+    offenders = [hit for path in files for hit in hand_made_guards(path)
+                 if path.name != "algebra.py" or hit.endswith(" symmetric")]
     assert not offenders, offenders
 
 

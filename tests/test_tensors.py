@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from weylbench.basis import (
 from weylbench.sampling import (random_operator, random_weyl, two_form_one_form_from_uniform,
                                 uniform)
 from weylbench.tensors import (
+    EPS_ALG,
     CovDerivCurvature,
     CurvatureTensor,
     Operator2Form,
@@ -329,6 +331,8 @@ def _pure_curvature(value):
 # symmetric or antisymmetric pair of entries)
 NON_FINITE_BUILDERS = {
     "check_symmetric": lambda v: check_symmetric(_diagonal(v)),
+    "check_symmetric-stack": lambda v: check_symmetric(np.stack([np.eye(6), _diagonal(v)]),
+                                                       lead=1),
     "Operator2Form": lambda v: Operator2Form(4, _diagonal(v)),
     "CurvatureTensor": lambda v: CurvatureTensor(4, _weyl_pair_matrix(v)),
     "Operator2Form.from_four_tensor": lambda v: Operator2Form.from_four_tensor(
@@ -351,6 +355,24 @@ def test_validators_reject_non_finite_input(name, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be finite"):
             NON_FINITE_BUILDERS[name](value)
+
+
+def test_symmetric_guard_scales_each_matrix_of_a_stack_by_its_own_entries():
+    """With lead = 1 a 1e-6 asymmetry beside entries of 1 is refused even when another
+    matrix of the stack holds 1e8 (one shared scale would pass it); each matrix comes
+    back as the guard returns it alone.  Without lead only one square matrix passes."""
+    skew = np.eye(3)
+    skew[0, 1] += 1e-6
+    stack = np.stack([1e8 * np.eye(3), skew])
+    with pytest.raises(ValueError, match="stack must be symmetric within tolerance 1e-10"):
+        check_symmetric(stack, "stack", lead=1)
+    check_small(stack - np.swapaxes(stack, -1, -2), stack, EPS_ALG, "shared")  # one scale passes
+    ok = np.stack([1e8 * np.eye(3) + np.triu(np.full((3, 3), 1e-3), 1), np.eye(3)])
+    got = check_symmetric(ok, "stack", lead=1)
+    assert all(np.array_equal(got[b], check_symmetric(ok[b], "one")) for b in range(2))
+    for bad, lead in ((ok, 0), (ok[0], 1), (np.ones((2, 3, 4)), 1)):
+        with pytest.raises(ValueError, match=re.escape(f"must be square, got shape {bad.shape}")):
+            check_symmetric(bad, "stack", lead=lead)
 
 
 def test_traceless_guard_symmetrizes_and_rejects_traces():
