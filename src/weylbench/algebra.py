@@ -36,9 +36,10 @@ from .tensors import (
 # matrices (weyl_split, the one Weyl split under any metric, and weyl_parts, its
 # orthonormal-frame call, weyl_matrix, sharp_matrix, cubic_parts, kn_g_pairing,
 # u_tensor_contractions, the check_trace_free guard), Kulkarni-Nomizu products leave as pair
-# matrices (kn_matrix), and the second-Bianchi and circ-prime images leave as (..., T, N)
-# (triple, pair) components (second_bianchi_pairs, circ_prime_pairs); kn_four, sharp_four,
-# quadratic_form, circ_prime_full and second_bianchi_full do the four- and five-index work.
+# matrices (kn_matrix; kn_identity for h o g with g = I), and the second-Bianchi and
+# circ-prime images leave as (..., T, N) (triple, pair) components (second_bianchi_pairs,
+# circ_prime_pairs); kn_four, sharp_four, quadratic_form, circ_prime_full and
+# second_bianchi_full do the four- and five-index work.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -73,13 +74,39 @@ def _kn_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return divmod(_sharp_positions(n), n * n)
 
 
+def _kn_sum(t: np.ndarray) -> np.ndarray:
+    """The Kulkarni-Nomizu pair entries from their (..., 4, N, N) terms: added in
+    ``_alt_pairs``' order, then +0.0 as einsum's zero output normalises signed zeros."""
+    return t[..., 0, :, :] + t[..., 1, :, :] - t[..., 2, :, :] - t[..., 3, :, :] + 0.0
+
+
 def kn_matrix(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Pair matrices (..., N, N) of h o k for (..., n, n) forms h and k: ``kn_four``'s four
-    products at the pair entries, added in ``_alt_pairs``' order, then +0.0 as einsum's zero
-    output normalises signed zeros, so the bits are those of kn_four's expansion read back."""
+    products at the pair entries, summed by ``_kn_sum``, so the bits are those of kn_four's
+    expansion read back.  With k the identity, ``kn_identity`` gives the same bits."""
     hp, kp = _kn_positions(h.shape[-1])
-    t = _take_trailing(h, 2, hp) * _take_trailing(k, 2, kp)
-    return t[..., 0, :, :] + t[..., 1, :, :] - t[..., 2, :, :] - t[..., 3, :, :] + 0.0
+    return _kn_sum(_take_trailing(h, 2, hp) * _take_trailing(k, 2, kp))
+
+
+@read_only_cache
+def _identity_kn_factors(n: int) -> np.ndarray:
+    """(4, N, N) entries of the identity at ``_kn_positions``' second-factor positions:
+    the 0/1 factors kn_matrix(h, I) multiplies h's entries by."""
+    return np.take(np.eye(n).ravel(), _kn_positions(n)[1])
+
+
+def kn_identity(h: np.ndarray) -> np.ndarray:
+    """Pair matrices (..., N, N) of h o g with g the identity, for (..., n, n) forms h:
+    kn_matrix(h, I) with I's entries read from a cached table, bit for bit (the zero
+    terms are kept, so NaN and inf in h spread as they do there)."""
+    n = h.shape[-1]
+    return _kn_sum(_take_trailing(h, 2, _kn_positions(n)[0]) * _identity_kn_factors(n))
+
+
+@read_only_cache
+def kn_identity_square(n: int) -> np.ndarray:
+    """g o g = 2 I on pairs, for g the identity: kn_identity(I)."""
+    return kn_identity(np.eye(n))
 
 
 class WeylSplit(NamedTuple):
@@ -93,15 +120,21 @@ class WeylSplit(NamedTuple):
     W: np.ndarray
 
 
+def _weyl_split(n: int, R: np.ndarray, Rc: np.ndarray, S: np.ndarray, g: np.ndarray,
+                gg: np.ndarray, kn_g) -> WeylSplit:
+    """``weyl_split`` with g o g given and X o g formed by ``kn_g``."""
+    s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
+    E = Rc - (s2 / n) * g
+    s_part = s2 / (2 * n * (n - 1)) * gg
+    e_part = kn_g(E) / (n - 2)
+    return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R - s_part - e_part)
+
+
 def weyl_split(n: int, R: np.ndarray, Rc: np.ndarray, S: np.ndarray, g: np.ndarray) -> WeylSplit:
     """Weyl split W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) of (..., N, N) pair matrices R
     with the Ricci traces Rc and scalars S the caller took under the metric g (a chart with its
     g^-1): E = Rc - (S/n) g; W and the parts are pair matrices.  ``weyl_parts`` is g = I."""
-    s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
-    E = Rc - (s2 / n) * g
-    s_part = s2 / (2 * n * (n - 1)) * kn_matrix(g, g)
-    e_part = kn_matrix(E, g) / (n - 2)
-    return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R - s_part - e_part)
+    return _weyl_split(n, R, Rc, S, g, kn_matrix(g, g), lambda X: kn_matrix(X, g))
 
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> CurvatureTensor:
@@ -125,8 +158,10 @@ def ricci_contraction(T: Operator2Form) -> np.ndarray:
 def weyl_parts(n: int, R: np.ndarray, Rc: np.ndarray) -> WeylSplit:
     """Orthonormal-frame ``weyl_split`` of (..., N, N) pair matrices R with Ricci traces Rc:
     g = I and S = tr Rc.  Each entry takes the four-index split's operations in their order
-    (``kn_matrix`` for E o g and g o g), so the bits are those of the n^4 route."""
-    return weyl_split(n, R, Rc, np.trace(Rc, axis1=-2, axis2=-1), np.eye(n))
+    (``kn_identity`` for E o g, the cached 2 I of ``kn_identity_square`` for g o g, both
+    with kn_matrix's bits), so the bits are those of the n^4 route."""
+    return _weyl_split(n, R, Rc, np.trace(Rc, axis1=-2, axis2=-1), np.eye(n),
+                       kn_identity_square(n), kn_identity)
 
 
 def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
@@ -213,7 +248,14 @@ def sharp_matrix(n: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pair matrices (..., N, N) of A # B for (..., N, N) pair matrices A and B: only the
     pair entries of ``sharp_four``'s four terms are gathered and added in its order, so
     the bits are those of sharp_four on the four-index expansions, without n^4 tensors."""
-    m = pair_slots(n, A) @ np.swapaxes(pair_slots(n, B), -1, -2)
+    return sharp_slots(n, pair_slots(n, A), pair_slots(n, B))
+
+
+def sharp_slots(n: int, XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
+    """``sharp_matrix`` from the (..., n^2, n^2) slot matrices ``pair_slots`` gives A and B,
+    for callers that hold them.  XA and XB must be distinct buffers for sharp_matrix's bits:
+    numpy's matmul takes syrk for X @ X^T of one buffer, and syrk sums in another order."""
+    m = XA @ np.swapaxes(XB, -1, -2)
     t = _take_trailing(m, 2, _sharp_positions(n))
     return 0.5 * (t[..., 0, :, :] + t[..., 1, :, :] - t[..., 2, :, :] - t[..., 3, :, :])
 
@@ -249,9 +291,9 @@ def kn_g_pairing(X: np.ndarray, Wm: np.ndarray) -> np.ndarray:
     X and X o g are symmetrized as ``kulkarni_nomizu`` stores them, and
     W^2 = Wm Wm^T as ``dot_product`` forms it, so the value keeps the bits of
     sum(kulkarni_nomizu(X, g).mat * dot_product(W, W).mat) with g the identity
-    (X o g straight into pair matrices by ``kn_matrix``).
+    (X o g straight into pair matrices by ``kn_identity``).
     """
-    Xg = symmetrized(kn_matrix(symmetrized(X), np.eye(X.shape[-1])))
+    Xg = symmetrized(kn_identity(symmetrized(X)))
     return frobenius(Xg, Wm @ np.swapaxes(Wm, -1, -2))
 
 

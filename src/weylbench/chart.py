@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (circ_prime, cubic_parts, decomposition, kn_g_pairing, kn_matrix,
-                      second_bianchi, weyl_parts, weyl_split)
+from .algebra import (circ_prime, cubic_parts, decomposition, kn_g_pairing, kn_identity,
+                      kn_matrix, second_bianchi, weyl_parts, weyl_split)
 from .basis import pair_basis, pair_divergence, pair_ricci, pair_slots, read_only_cache
 from .serialization import json_array, json_fields, json_number, json_object, read_json_object
 from .tensors import (EPS_ALG, CovDerivCurvature, CurvatureDecomposition, CurvatureTensor,
@@ -325,9 +325,9 @@ class _Lattice:
     def nabla(self, T: np.ndarray, rows) -> np.ndarray:
         """nabla_m T = d_m T - sum over slots of C_m acting on the slot, at rows of a table:
         C_m[a, s] = Gamma^s_ma on a vector slot (length n), and its derivation of 2-forms
-        kn_matrix(C_m, I) on a pair slot (length N = n(n-1)/2 > n), built only for those."""
+        C_m o I (kn_identity) on a pair slot (length N = n(n-1)/2 > n), built only for those."""
         Tr, C = T[rows], np.moveaxis(self.gamma[rows], 1, -1)  # a view: Gamma's sum order
-        act = {k: C if k == self.n else kn_matrix(C, np.eye(self.n)) for k in set(Tr.shape[1:])}
+        act = {k: C if k == self.n else kn_identity(C) for k in set(Tr.shape[1:])}
         idx = "abcdefgh"[:Tr.ndim - 1]
         return self.grad(T, rows) - sum(np.einsum(f"zm{a}s,z{idx.replace(a, 's')}->zm{idx}",
                                                   act[k], Tr) for a, k in zip(idx, Tr.shape[1:]))

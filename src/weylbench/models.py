@@ -15,6 +15,7 @@ from .algebra import (
     cubic_parts,
     decompose,
     kn_g_pairing,
+    kn_identity_square,
     kn_matrix,
     quadratic_forms,
     ricci_contraction,
@@ -73,6 +74,13 @@ class ModelSpec:
             return 2 * self.complex_dim
         return self.dim
 
+    @property
+    def blocks(self) -> tuple[Factor, ...]:
+        """The constant-curvature factors of a space form (one) or a product."""
+        if self.kind == "product":
+            return self.factors
+        return (Factor(self.kind, self.n, self.radius),)
+
 
 @dataclass(frozen=True)
 class CurvaturePackage:
@@ -119,12 +127,13 @@ def model_curvature(spec: ModelSpec) -> CurvaturePackage:
             raise ValueError("fubini_study needs complex dimension >= 2")
         # unit Fubini-Study curvature (holomorphic sectional curvature 4): (1/2)(g o g + J o J)
         # + 2 j j^T, with j the complex structure J (J e_2k = e_2k+1) at the index pairs
-        g, J = np.eye(n), np.kron(np.eye(spec.complex_dim), [[0.0, -1.0], [1.0, 0.0]])
+        J = np.kron(np.eye(spec.complex_dim), [[0.0, -1.0], [1.0, 0.0]])
         j = J[pair_basis(n).rows, pair_basis(n).cols]
-        R = CurvatureTensor(n, 0.5 * (kn_matrix(g, g) + kn_matrix(J, J)) + 2.0 * np.outer(j, j))
+        R = CurvatureTensor(n, 0.5 * (kn_identity_square(n) + kn_matrix(J, J))
+                            + 2.0 * np.outer(j, j))
     elif spec.kind in ("sphere", "hyperbolic", "euclidean", "product"):
         # sum_f (sec_f / 2) g_f o g_f holds sec_f at each pair inside factor f, else zero
-        factors = spec.factors if spec.kind == "product" else (Factor(spec.kind, n, spec.radius),)
+        factors = spec.blocks
         block = np.repeat(np.arange(len(factors)), [f.dim for f in factors])  # factor of an index
         i, j = block[pair_basis(n).rows], block[pair_basis(n).cols]
         sec = [f.sectional for f in factors]
@@ -139,12 +148,24 @@ def model_curvature(spec: ModelSpec) -> CurvaturePackage:
     return CurvaturePackage(spec=spec, R=R, Rc=Rc, S=float(np.trace(Rc)))
 
 
+def closed_form_ricci(spec: ModelSpec) -> np.ndarray:
+    """The Ricci form the spec implies, without its curvature tensor: (d_f - 1) K_f on the
+    diagonal block of each constant-curvature factor f (dimension d_f, sectional curvature
+    K_f), and the Einstein form 2(m + 1) g of unit Fubini-Study CP^m."""
+    if spec.kind == "fubini_study":
+        return 2.0 * (spec.complex_dim + 1) * np.eye(spec.n)
+    blocks = spec.blocks
+    return np.diag(np.repeat([(f.dim - 1) * f.sectional for f in blocks], [f.dim for f in blocks]))
+
+
 def package_consistency(pkg: CurvaturePackage) -> dict[str, float]:
-    """Residuals of the internal-consistency checks every catalog entry must pass."""
+    """Residuals of the internal-consistency checks every catalog entry must pass; the
+    Ricci form and scalar of the curvature are compared with ``closed_form_ricci``."""
     R, n = pkg.R, pkg.R.n
+    Rc = closed_form_ricci(pkg.spec)
     out: dict[str, float] = {}
-    out["ricci"] = float(np.abs(ricci_contraction(R) - pkg.Rc).max())
-    out["scalar"] = abs(float(np.trace(pkg.Rc)) - pkg.S)
+    out["ricci"] = float(np.abs(pkg.Rc - Rc).max())
+    out["scalar"] = abs(pkg.S - float(np.trace(Rc)))
     if n >= 4:
         dec = decompose(R)
         total = dec.weyl.mat + dec.e_part.mat + dec.s_part.mat

@@ -12,7 +12,7 @@ from itertools import permutations
 import numpy as np
 
 from .algebra import weyl_matrix
-from .basis import bianchi_image, pair_basis
+from .basis import _take_trailing, bianchi_image, pair_basis, read_only_cache
 from .tensors import CurvatureTensor, Operator2Form, symmetrized
 
 
@@ -65,21 +65,54 @@ def pure_from_uniform(m: np.ndarray) -> np.ndarray:
     return w
 
 
+def _lead_transpose(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """x with its five trailing axes permuted by ``axes``, the leading ones kept."""
+    lead = tuple(range(x.ndim - 5))
+    return np.transpose(x, lead + tuple(len(lead) + a for a in axes))
+
+
+def _derivative_potential(s: np.ndarray) -> np.ndarray:
+    """The cubic potential s_{cd,pqr} of (..., n, n, n, n, n) draws: symmetric in (c, d)
+    and in (p, q, r), summed into one accumulator in place."""
+    sym = s + _lead_transpose(s, (1, 0, 2, 3, 4))
+    sym /= 2.0
+    acc = np.zeros_like(sym)
+    for perm in permutations((2, 3, 4)):
+        acc += _lead_transpose(sym, (0, 1) + perm)
+    acc /= 6.0
+    return acc
+
+
 def curvature_derivative_from_uniform(s: np.ndarray) -> np.ndarray:
     """Formal nabla R from (..., n, n, n, n, n) draws; see random_curvature_derivative_full."""
-    lead = tuple(range(s.ndim - 5))
-
-    def t(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        return np.transpose(x, lead + tuple(len(lead) + a for a in axes))
-
-    s = (s + t(s, (1, 0, 2, 3, 4))) / 2.0
-    acc = np.zeros_like(s)
-    for perm in permutations((2, 3, 4)):
-        acc += t(s, (0, 1) + perm)
-    s = acc / 6.0
+    s = _derivative_potential(s)
     # D[i,j,k,m,n] = -(1/2)(s[k,n,i,j,m] + s[j,m,i,k,n] - s[k,m,i,j,n] - s[j,n,i,k,m])
-    return -0.5 * (t(s, (2, 3, 0, 4, 1)) + t(s, (2, 0, 3, 1, 4))
-                   - t(s, (2, 3, 0, 1, 4)) - t(s, (2, 0, 3, 4, 1)))
+    return -0.5 * (_lead_transpose(s, (2, 3, 0, 4, 1)) + _lead_transpose(s, (2, 0, 3, 1, 4))
+                   - _lead_transpose(s, (2, 3, 0, 1, 4)) - _lead_transpose(s, (2, 0, 3, 4, 1)))
+
+
+@read_only_cache
+def _derivative_pair_positions(n: int) -> np.ndarray:
+    """(4, n, N, N) flat positions in an (n, n, n, n, n) potential of s[k,l,i,j,m],
+    s[j,m,i,k,l], s[k,m,i,j,l] and s[j,l,i,k,m] at D's pair entries (i, (jk), (ml)),
+    j < k and m < l: the four terms of ``curvature_derivative_from_uniform`` in its order."""
+    pb = pair_basis(n)
+    i = np.arange(n)[:, None, None]
+    j, k = pb.rows[None, :, None], pb.cols[None, :, None]
+    m, l = pb.rows[None, None, :], pb.cols[None, None, :]
+    return np.stack([(((a * n + b) * n + c) * n + d) * n + e
+                     for a, b, c, d, e in ((k, l, i, j, m), (j, m, i, k, l),
+                                           (k, m, i, j, l), (j, l, i, k, m))])
+
+
+def curvature_derivative_pairs_from_uniform(s: np.ndarray) -> np.ndarray:
+    """(..., n, N, N) derivative pair matrices D[i, (jk), (ml)] of
+    ``curvature_derivative_from_uniform`` from (..., n, n, n, n, n) draws: the potential's
+    four terms are gathered only at the pair entries and added in that map's order, so the
+    bits are those of four_tensor_to_pair_matrix on its five-index array."""
+    t = _take_trailing(_derivative_potential(s), 5, _derivative_pair_positions(s.shape[-1]))
+    return -0.5 * (t[..., 0, :, :, :] + t[..., 1, :, :, :]
+                   - t[..., 2, :, :, :] - t[..., 3, :, :, :])
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:

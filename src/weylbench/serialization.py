@@ -58,10 +58,14 @@ def read_json_object(path: str, what: str) -> dict:
 
 def json_array(value, kind: type, what: str) -> np.ndarray:
     """Nested lists of JSON numbers as a ``kind`` array; every leaf is checked in one pass,
-    as ``json_number`` checks one number."""
+    as ``json_number`` checks one number.  A nest whose lists differ in length or depth is
+    refused as ragged (numpy's object array keeps such inner lists as its entries)."""
     leaves = np.array(value, dtype=object)
+    types = set(map(type, leaves.flat))
+    if list in types:
+        raise ValueError(f"{what} entries are ragged: their nested lists differ in length or depth")
     allowed = (int,) if kind is int else (int, float)
-    wrong = {t for t in set(map(type, leaves.flat)) if t is bool or not issubclass(t, allowed)}
+    wrong = {t for t in types if t is bool or not issubclass(t, allowed)}
     if wrong:
         bad = next(x for x in leaves.flat if type(x) in wrong)
         expected = "integers" if kind is int else "numbers"

@@ -13,7 +13,13 @@ each identity family is then evaluated once on the (B, ...) stacks with the
 raw kernels of ``algebra`` (the Weyl split and sharps straight into pair
 matrices, the second-Bianchi and circ-prime images straight into their
 (triple, pair) components, the u-tensor on pairs) and its worst value folded
-into the report as a float.  The typed containers' input checks run once per
+into the report as a float.  Each table is formed once: the slot matrices of
+R, W, A o g and k o g are gathered once per operand and the nine sharp
+products formed from them (``sharp_slots``), h o g with g = I reads the
+identity's entries from a cached table (``kn_identity``), and the derivative
+draws go straight to pair matrices
+(``curvature_derivative_pairs_from_uniform``), each with the bits of the route
+it replaces.  The typed containers' input checks run once per
 chunk: symmetry and first Bianchi of R, then of W, the e/s parts, k o g and
 A o g as one (5, B, ...) stack, and trace-free W before the sectional split
 and the u-tensor (the ``check_symmetric``, ``check_bianchi`` and
@@ -35,17 +41,17 @@ from .algebra import (
     circ_prime_pairs,
     cube_trace,
     cubic_parts,
-    kn_matrix,
+    kn_identity,
+    kn_identity_square,
     pure_cubic_parts,
     quadratic_form,
     second_bianchi_pairs,
     sectional_sums,
-    sharp_matrix,
+    sharp_slots,
     u_tensor_contractions,
     weyl_parts,
 )
 from .basis import (
-    four_tensor_to_pair_matrix,
     full3_to_pair_form,
     pair_basis,
     pair_divergence,
@@ -53,7 +59,7 @@ from .basis import (
     pair_slots,
 )
 from .sampling import (
-    curvature_derivative_from_uniform,
+    curvature_derivative_pairs_from_uniform,
     curvature_from_uniform,
     pure_from_uniform,
     random_weyl_batch,
@@ -154,7 +160,6 @@ def _identity_draws(rng: np.random.Generator, n: int, count: int) -> list[np.nda
 def _identity_chunk(rng: np.random.Generator, n: int, count: int,
                     rep: SuiteReport, first: int) -> None:
     mR, mk, a, mA, mC, v, mD, subset, mw = _identity_draws(rng, n, count)
-    g = np.eye(n)
 
     def record(family: str, values) -> None:
         rep.record(f"{family}_n{n}", values, (n, first))
@@ -162,12 +167,13 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     Rm = _curvature(n, curvature_from_uniform(n, mR))
     split = weyl_parts(n, Rm, pair_ricci(n, Rm))
     k = symmetrized(mk)
-    A = a[..., None] * g
+    A = a[..., None] * np.eye(n)
     # W, the e- and s-parts, k o g and A o g: one (5, B, ...) container check
     Wm, _, _, Km, Bm = _curvature(n, np.stack(
-        [split.W, split.e_part, split.s_part, kn_matrix(k, g), kn_matrix(A, g)]))
-    # slot matrices s[(i,k),(j,l)] = T_ijkl, and the C-order four-tensors read off them
-    XR, XW = pair_slots(n, Rm), pair_slots(n, Wm)
+        [split.W, split.e_part, split.s_part, kn_identity(k), kn_identity(A)]))
+    # slot matrices s[(i,k),(j,l)] = T_ijkl, one gather per operand, and the C-order
+    # four-tensors read off them
+    XR, XW, XB, XK = (pair_slots(n, x) for x in (Rm, Wm, Bm, Km))
     R4, W4 = (np.ascontiguousarray(np.swapaxes(x.reshape(x.shape[:-2] + (n,) * 4), -3, -2))
               for x in (XR, XW))
     Rc, S, E = split.Rc, split.S, split.E
@@ -183,23 +189,26 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     pyth = RR - (WW + S ** 2 / (2 * n * (n - 1)) + frobenius(E, E) / (n - 2))
     record("pythagoras", _rel(pyth, RR))
 
-    # every sharp product of the trial in one stacked call: W#W, R#R, B#W, then
-    # R1#R2 of the six argument orders (R1, R2, R3) of (R, W, K) in tri
-    sharp = sharp_matrix(n, np.stack([Wm, Rm, Bm, Rm, Rm, Wm, Wm, Km, Km]),
-                         np.stack([Wm, Rm, Wm, Wm, Km, Rm, Km, Rm, Wm]))
+    # the nine sharp products from the four slot stacks: W#W, R#R, B#W, then R1#R2 of the
+    # six argument orders (R1, R2, R3) of (R, W, K) in tri.  W#W and R#R multiply by a copy:
+    # X @ X^T of one buffer takes syrk, which sums in another order than sharp_matrix's gemm
+    WsW, RsR = sharp_slots(n, XW, XW.copy()), sharp_slots(n, XR, XR.copy())
+    BsW = sharp_slots(n, XB, XW)
+    tri_sharp = np.stack([sharp_slots(n, X, Y) for X, Y in (
+        (XR, XW), (XR, XK), (XW, XR), (XW, XK), (XK, XR), (XK, XW))])
 
     # quadratic products: rc(W^2 + W#) = 0 and the contraction formula for R
     W2 = Wm @ np.swapaxes(Wm, -1, -2)
-    quad_W = W2 + sharp[0]
+    quad_W = W2 + WsW
     record("rc_quadratic_weyl", _rel(max_abs(pair_ricci(n, quad_W), 1), WW))
-    quad_R = Rm @ np.swapaxes(Rm, -1, -2) + sharp[1]
+    quad_R = Rm @ np.swapaxes(Rm, -1, -2) + RsR
     rc_pred = np.einsum('...ipjq,...pq->...ij', R4, Rc)
     record("rc_quadratic_contraction", _rel(max_abs(pair_ricci(n, quad_R) - rc_pred, 1), RR))
 
     # trilinear symmetry <R1.R2 + R2.R1 + 2 R1 # R2, R3> over all six argument orders
     p, q, r = (np.stack(x) for x in ([Rm, Rm, Wm, Wm, Km, Km], [Wm, Km, Rm, Km, Rm, Wm],
                                       [Km, Wm, Km, Rm, Wm, Rm]))
-    vals = frobenius(p @ np.swapaxes(q, -1, -2) + q @ np.swapaxes(p, -1, -2) + 2.0 * sharp[3:], r)
+    vals = frobenius(p @ np.swapaxes(q, -1, -2) + q @ np.swapaxes(p, -1, -2) + 2.0 * tri_sharp, r)
     record("tri_symmetry", _rel(vals.max(axis=0) - vals.min(axis=0), np.abs(vals).max(axis=0)))
 
     # metric-product pairing lemma, with the symmetric factor diagonalized
@@ -207,9 +216,9 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     lhs_b = frobenius(W2, Bm)
     rhs_b = 0.5 * np.einsum('...ii,...ijpq,...ijpq->...', A, W4, W4)
     record("productw_diag", _rel(lhs_b - rhs_b, WW))
-    record("productw_sharp", _rel(lhs_b + frobenius(Wm, sharp[2]), WW))
+    record("productw_sharp", _rel(lhs_b + frobenius(Wm, BsW), WW))
     rhs_c = 0.5 * frobenius(XW @ XW, XR)  # sum_jl W_ijkl W_jplq = (XW XW)[(i,k),(p,q)]
-    record("productw_reindex", _rel(frobenius(Wm, sharp[3]) - rhs_c, WW))
+    record("productw_reindex", _rel(frobenius(Wm, tri_sharp[0]) - rhs_c, WW))
 
     # circ-prime norm identity on divergence-type tensors
     Af = two_form_one_form_from_uniform(mA)
@@ -247,21 +256,21 @@ def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
 
     Each family is evaluated at the (B, T, N) independent components, i < j < k and
     m < l, of its second-Bianchi and circ-prime images, formed from (B, n, N, N)
-    derivative pair matrices.  The only five-index array is the derivative draw map's,
-    read once into pair matrices; a function of its own so that it is freed before the
-    next family runs.
+    derivative pair matrices.  The only five-index arrays are the derivative draws and
+    their symmetrised potential, read straight into pair matrices; a function of its own
+    so that they are freed before the next family runs.
     """
     # second-Bianchi images of the decomposition pieces (raw kernels, component norms)
     C, g = symmetrized(mC), np.eye(n)
     P = C - np.swapaxes(C, -3, -2)
-    resid = second_bianchi_pairs(n, kn_matrix(C, g)) - circ_prime_pairs(n, P)
+    resid = second_bianchi_pairs(n, kn_identity(C)) - circ_prime_pairs(n, P)
     rc_part = _rel(max_abs(resid, 1), max_abs(P, 1))
-    D_s = v[..., :, None, None] * kn_matrix(g, g)  # v_m (g o g)
+    D_s = v[..., :, None, None] * kn_identity_square(n)  # v_m (g o g)
     Qf = np.einsum('ki,...j->...ijk', g, v) - np.einsum('kj,...i->...ijk', g, v)
     resid = second_bianchi_pairs(n, D_s) + circ_prime_pairs(n, Qf)
     s_part = _rel(max_abs(resid, 1), max_abs(Qf, 1))
     # second-Bianchi image of the trace-free part on an exact derivative field
-    D = four_tensor_to_pair_matrix(n, curvature_derivative_from_uniform(mD))
+    D = curvature_derivative_pairs_from_uniform(mD)
     W = weyl_parts(n, D, pair_ricci(n, D)).W
     bw = second_bianchi_pairs(n, W)
     resid = bw - circ_prime_pairs(n, pair_divergence(n, W)) / (n - 3)

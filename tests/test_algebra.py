@@ -25,8 +25,10 @@ from weylbench.algebra import (
     decompose,
     dot_product,
     kn_four,
-    kn_matrix,
     kn_g_pairing,
+    kn_identity,
+    kn_identity_square,
+    kn_matrix,
     kulkarni_nomizu,
     pure_cubic_parts,
     pure_cubics,
@@ -40,6 +42,7 @@ from weylbench.algebra import (
     sharp_four,
     sharp_matrix,
     sharp_product,
+    sharp_slots,
     tri,
     u_contraction,
     u_tensor_contractions,
@@ -852,6 +855,28 @@ def test_g_circ_k_is_the_transpose_of_k_circ_g(n):
             assert _same_bits_with_nans(kn_matrix(a, b), expect)
 
 
+@pytest.mark.parametrize("n", range(4, 11))
+def test_kn_against_the_identity_is_kn_matrix_with_the_identity(n):
+    """kn_identity(h) is kn_matrix(h, I), bit for bit (signed zeros and NaN payloads
+    included), for one form and stacks of shape (3,) and (2, 5), on random, sparse,
+    signed-zero and non-finite entries; kn_identity_square(n) is kn_matrix(I, I)."""
+    g = np.eye(n)
+    h = rng.uniform(-1.0, 1.0, size=(2, 5, n, n))
+    sparse = -h * (rng.uniform(size=h.shape) < 0.2)
+    signed = np.where(rng.uniform(size=h.shape) < 0.5, 0.0, -0.0)
+    bad = symmetrized(h)
+    bad[0, 0, 0, 1], bad[1, 3, n - 1, n - 1], bad[1, 4, 1, 2] = np.nan, np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        for x in (h, sparse, signed, bad):
+            for stack in (x[0, 0], x[1, :3], x):
+                assert _same_bits(kn_identity(stack), kn_matrix(stack, g))
+        got = kn_identity(bad)
+    assert np.isnan(got[0, 0]).any() and np.isinf(got[1, 3]).any() and np.isnan(got[1, 4]).any()
+    assert np.isfinite(got[0, 1]).all()  # each form keeps its own entries
+    assert _same_bits(kn_identity_square(n), kn_matrix(g, g))
+    assert _same_bits(kn_identity_square(n), 2.0 * np.eye(pair_basis(n).size))
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_decompose_and_kulkarni_nomizu_keep_the_four_index_bits(n):
     """decompose and kulkarni_nomizu hold the matrices the four-index route stored."""
@@ -920,6 +945,18 @@ def test_pair_native_kernels_keep_the_four_tensor_bits(n, count):
     assert np.isnan(image[0]).any() and np.isnan(W[0]).any() and not np.isfinite(W[-1]).all()
     if count > 2:  # each sample keeps its own entries
         assert np.isfinite(image[1]).all() and np.isfinite(W[1]).all()
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_sharp_from_slot_matrices_keeps_the_sharp_matrix_bits(n):
+    """sharp_slots on slot matrices gathered once per operand is sharp_matrix, bit for bit,
+    for A # B and, with one operand copied to its own buffer, for A # A."""
+    N = pair_basis(n).size
+    A, B = (symmetrized(rng.uniform(-1.0, 1.0, size=(3, N, N))) for _ in range(2))
+    XA, XB = pair_slots(n, A), pair_slots(n, B)
+    assert _same_bits(sharp_slots(n, XA, XB), sharp_matrix(n, A, B))
+    assert _same_bits(sharp_slots(n, XB, XA), sharp_matrix(n, B, A))
+    assert _same_bits(sharp_slots(n, XA, XA.copy()), sharp_matrix(n, A, A))
 
 
 @pytest.mark.parametrize("n", range(4, 11))

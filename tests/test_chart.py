@@ -616,7 +616,7 @@ def _first_offset(value):
     (_first_offset([0.0] * 4), "offsets entries must be integers, got 0.0"),
     (_first_offset([True, 0, 0, 0]), "offsets entries must be integers, got true"),
     (_first_offset([2 ** 63, 0, 0, 0]), "offsets entries must lie within the int64 range"),
-    (_first_offset([0, 0, 0]), "offsets entries must be integers, got [0, 0, 0]"),
+    (_first_offset([0, 0, 0]), "offsets entries are ragged"),
     (lambda data: dict(data, offsets=[k[:3] for k in data["offsets"]]),
      "offsets have shape (313, 3), expected (m, 4), m > 0"),
     (lambda data: dict(data, offsets=[], matrices=[]), "offsets have shape (0,)"),
@@ -624,7 +624,7 @@ def _first_offset(value):
     (lambda data: dict(data, matrices=[np.eye(3).tolist()] * 313),
      "matrices have shape (313, 3, 3), expected (313, 4, 4)"),
     (lambda data: dict(data, matrices=[np.eye(3).tolist()] + data["matrices"][1:]),
-     "matrix entries must be numbers, got [[1.0, 0.0, 0.0]"),
+     "matrix entries are ragged"),
     (lambda data: dict(data, matrices=[np.full((4, 4), math.nan).tolist()] + data["matrices"][1:]),
      "matrix must be finite"),
     (lambda data: dict(data, matrices=[np.triu(np.ones((4, 4))).tolist()] + data["matrices"][1:]),

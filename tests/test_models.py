@@ -10,6 +10,7 @@ from weylbench.models import (
     CurvaturePackage,
     Factor,
     ModelSpec,
+    closed_form_ricci,
     model_curvature,
     package_consistency,
     parse_model_spec,
@@ -88,6 +89,32 @@ def test_fubini_study_einstein():
     pkg = model_curvature(parse_model_spec("fubini_study:2"))
     assert pkg.S == pytest.approx(24.0)
     assert np.allclose(pkg.Rc, 6.0 * np.eye(4), atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_fubini_study_einstein_constant(m):
+    """Unit Fubini-Study CP^m (holomorphic sectional curvature 4) is Einstein with
+    Rc = 2(m + 1) g and S = 4m(m + 1); the closed form the consistency rows use agrees."""
+    pkg = model_curvature(parse_model_spec(f"fubini-study:{m}"))
+    assert np.array_equal(pkg.Rc, 2.0 * (m + 1) * np.eye(2 * m))
+    assert pkg.S == 4.0 * m * (m + 1)
+    assert np.array_equal(closed_form_ricci(pkg.spec), pkg.Rc)
+
+
+def test_closed_form_ricci_of_a_product():
+    spec = parse_model_spec("product:sphere:2:0.5,hyperbolic:3:2.0,euclidean:2")
+    assert np.array_equal(closed_form_ricci(spec), np.diag([4.0] * 2 + [-0.5] * 3 + [0.0] * 2))
+
+
+@pytest.mark.parametrize("wrong", ["sphere:4:2.0", "hyperbolic:4:1.0",
+                                   "product:sphere:2:1.0,sphere:2:1.0", "fubini-study:2"])
+def test_consistency_rows_catch_a_curvature_the_spec_does_not_imply(wrong):
+    """A package whose R (and the Rc and S read off it) is not the spec's fails the ricci
+    and scalar rows: they compare against the spec's closed form, not against R itself."""
+    pkg = model_curvature(parse_model_spec(wrong))
+    claimed = CurvaturePackage(spec=parse_model_spec("sphere:4:1.0"), R=pkg.R, Rc=pkg.Rc, S=pkg.S)
+    res = package_consistency(claimed)
+    assert res["ricci"] > 0.1 and res["scalar"] > 0.1, res
 
 
 @pytest.mark.parametrize("spec", CATALOG)

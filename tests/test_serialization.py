@@ -157,3 +157,15 @@ def test_dense_shape_is_checked_before_the_pair_basis_is_built(monkeypatch):
     monkeypatch.setattr(serialization, "pair_basis", no_basis)
     with pytest.raises(ValueError, match=r"does not match n=1400 \(need 979300x979300\)"):
         operator_from_dict({"n": 1400, "matrix": [[0.0]]})
+
+
+@pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], [[1.0, [2.0]], [3.0, 4.0]], [1.0, [2.0]],
+                                   [[[1.0]], [2.0]], [[], [1.0]]])
+def test_ragged_nests_are_refused_as_a_shape_fault(value):
+    """Lists of unequal length or depth are named as ragged, not as a wrong entry type;
+    a wrong leaf in a regular nest keeps its type message."""
+    with pytest.raises(ValueError, match=r"^m entries are ragged: their nested lists differ"):
+        serialization.json_array(value, float, "m")
+    with pytest.raises(ValueError, match=r"^m entries must be integers, got true$"):
+        serialization.json_array([[1, 2], [True, 3]], int, "m")
+    assert serialization.json_array([[1, 2], [3, 4]], int, "m").shape == (2, 2)

@@ -58,7 +58,11 @@ forms R at the index pairs a < b and reads Rc and the Ricci identity's R through
 ``pair_matrix_to_four_tensor``.  The suite's
 second-Bianchi and circ-prime families run at their (triple, pair) components:
 ``suite.py`` imports none of ``second_bianchi_full``, ``circ_prime_full``,
-``full5_to_triple_pair`` and ``kn_four``.
+``full5_to_triple_pair`` and ``kn_four``, and it reads the derivative draws straight
+into pair matrices, so it imports neither ``four_tensor_to_pair_matrix`` nor
+``curvature_derivative_from_uniform``.  h o g with g = I reads the identity's entries
+from a cached table (``algebra.kn_identity``): no ``kn_matrix`` call passes
+``np.eye(...)``, or a name its function binds to one, as the second factor.
 
 A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
 so every metric evaluation of the package goes through one call site and its
@@ -316,6 +320,49 @@ def test_chart_imports_no_four_index_expander():
 def test_suite_runs_the_second_bianchi_families_without_five_index_kernels():
     assert not imported_names(SRC / "suite.py") & {
         "second_bianchi_full", "circ_prime_full", "full5_to_triple_pair", "kn_four"}
+
+
+def test_suite_reads_derivative_draws_straight_to_pair_matrices():
+    assert not imported_names(SRC / "suite.py") & {
+        "four_tensor_to_pair_matrix", "curvature_derivative_from_uniform"}
+
+
+def _is_eye(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and _called_name(node) == "eye"
+
+
+def identity_kn_calls(path: Path) -> list[str]:
+    """``file:line`` of each ``kn_matrix(h, k)`` whose second factor is ``np.eye(...)`` or a
+    name the enclosing function binds to one (``g = np.eye(n)``, ``g, J = np.eye(n), ...``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    out = set()
+    for scope in [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]:
+        eyes = set()
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                             and isinstance(node.value, ast.Tuple) else [(target, node.value)])
+                    eyes |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_eye(v)}
+        out |= {f"{path.name}:{c.lineno}" for c in ast.walk(scope)
+                if isinstance(c, ast.Call) and _called_name(c) == "kn_matrix"
+                and len(c.args) == 2 and (_is_eye(c.args[1]) or isinstance(c.args[1], ast.Name)
+                                          and c.args[1].id in eyes)}
+    return sorted(out)
+
+
+def test_guard_sees_kn_against_the_identity(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(h, k):\n    return kn_matrix(h, np.eye(4)) + kn_matrix(h, k)\n"
+                     "def g(h):\n    g, J = np.eye(4), h\n    return a.kn_matrix(J, g)\n"
+                     "def k(h, g):\n    return kn_matrix(h, g) + kn_matrix(np.eye(4), h)\n")
+    assert identity_kn_calls(probe) == ["probe.py:2", "probe.py:5"]
+
+
+def test_kn_against_the_identity_reads_the_cached_table():
+    """h o g with g = I goes through ``algebra.kn_identity`` (and g o g through the cached
+    ``kn_identity_square``), so no call gathers the identity's entries per call."""
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in identity_kn_calls(path)] == []
 
 
 #: optional parameters (defaults) over the package's functions

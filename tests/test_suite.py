@@ -11,6 +11,7 @@ from weylbench.algebra import circ_prime_full, kn_four, second_bianchi_full, wey
 from weylbench.basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor, pair_ricci
 from weylbench.sampling import (
     curvature_derivative_from_uniform,
+    curvature_derivative_pairs_from_uniform,
     curvature_from_uniform,
     pure_from_uniform,
     random_curvature,
@@ -75,6 +76,18 @@ def test_stacked_draws_are_the_per_trial_samplers_samples(n):
         W = random_weyl(ref, n)
         assert np.array_equal(weyl_mats[b], W.mat)
     assert rng.uniform() == ref.uniform()
+
+
+@pytest.mark.parametrize("n", DIMENSIONS)
+@pytest.mark.parametrize("lead", [(), (1,), (2,), (3,)])
+def test_derivative_draws_map_straight_to_the_pair_matrices(n, lead):
+    """The derivative pair map is the five-index draw map read into pair matrices, bit
+    for bit, for one trial and for stacks of 1, 2 and 3."""
+    s = np.random.default_rng([17, n, len(lead)]).uniform(-1.0, 1.0, size=lead + (n,) * 5)
+    expect = four_tensor_to_pair_matrix(n, curvature_derivative_from_uniform(s))
+    got = curvature_derivative_pairs_from_uniform(s)
+    assert got.shape == expect.shape == lead + (n,) + (n * (n - 1) // 2,) * 2
+    assert got.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)

@@ -439,7 +439,7 @@ READ_ONLY_TABLES = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_cached_tables_are_read_only(n):
-    assert len(READ_ONLY_TABLES) == 13 and ("chart", "_offsets") in READ_ONLY_TABLES
+    assert len(READ_ONLY_TABLES) == 16 and ("chart", "_offsets") in READ_ONLY_TABLES
     for module, name in READ_ONLY_TABLES:
         build = getattr(importlib.import_module(f"weylbench.{module}"), name)
         for args in [(n, 2, False), (n, 4, True)] if name == "_offsets" else [(n,)]:
