@@ -384,6 +384,36 @@ def test_wcubic_oracle_is_exactly_homogeneous_in_the_cap(n):
             assert np.array_equal(res.best_x, s * unit.best_x), (n, seed, s)
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-10, 1e77, 1e100, 1e200])
+def test_wcubic_oracle_is_scale_free(s):
+    # the ascent runs at cap 1: no guard or square under- or overflows at extreme caps
+    res = wcubic_oracle(s, 5, seed=0)
+    assert res.converged
+    assert res.value == pytest.approx(wcubic_closed_form(s, 5), rel=1e-14)
+    assert res.best_x.max() <= s and abs(res.best_x.sum()) <= 1e-14 * s
+
+
+#: (n, cap, seed) where an earlier ascent ran to the 100k budget: fixed-length steps halved
+#: on rejection (n = 4 and 11), or the cap-face direction with that halving (n = 8)
+STALLED_UNDER_HALVING = ([(4, s, 2892652273) for s in (0.5, 1.0, 2.0)]
+                         + [(11, 1.0, seed) for seed in (3, 5, 26, 30, 34)] + [(8, 1.0, 3)])
+
+
+@pytest.mark.parametrize("n,s,seed", STALLED_UNDER_HALVING)
+def test_wcubic_oracle_converges_where_halving_stalled(n, s, seed):
+    res = wcubic_oracle(s, n, seed=seed)
+    assert res.converged and res.evaluations < 100_000, res.evaluations
+    assert res.value == pytest.approx(wcubic_closed_form(s, n), rel=1e-14)
+
+
+def test_wcubic_oracle_converges_within_150_steps():
+    for n in range(2, 13):
+        for seed in range(8):
+            res = wcubic_oracle(1.0, n, seed=seed)
+            assert res.converged and res.evaluations <= 64 * 150, (n, seed, res.evaluations)
+            assert res.value == pytest.approx(wcubic_closed_form(1.0, n), rel=1e-14, abs=1e-15)
+
+
 # ------------------------------------------------ oracle and audit boundaries
 
 @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.0, -1.0])

@@ -64,6 +64,11 @@ into pair matrices, so it imports neither ``four_tensor_to_pair_matrix`` nor
 from a cached table (``algebra.kn_identity``): no ``kn_matrix`` call passes
 ``np.eye(...)``, or a name its function binds to one, as the second factor.
 
+The cubic oracle projects only through ``bounds._project_feasible``, called by that
+name once for its starts and once in its ascent loop, and calls none of the
+projection's steps itself, so the benchmark tracer's span on the module attribute
+counts every step.
+
 A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
 so every metric evaluation of the package goes through one call site and its
 shape and positive-definiteness checks.
@@ -363,6 +368,49 @@ def test_kn_against_the_identity_reads_the_cached_table():
     """h o g with g = I goes through ``algebra.kn_identity`` (and g o g through the cached
     ``kn_identity_square``), so no call gathers the identity's entries per call."""
     assert [hit for path in sorted(SRC.glob("*.py")) for hit in identity_kn_calls(path)] == []
+
+
+#: the steps of the feasible projection (sort, cumulative sum, cap)
+PROJECTION_STEPS = {"sort", "argsort", "partition", "cumsum", "accumulate", "clip"}
+
+
+def projection_uses(path: Path, function: str) -> list[str]:
+    """How the top-level ``function`` of a file reaches ``_project_feasible``, in source
+    order: ``call`` or ``loop call`` (inside a ``while`` or ``for``) for a direct call by that
+    name, ``alias`` for any other reference, which a patched module attribute would miss."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    scope = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == function)
+    out = []
+
+    def visit(node: ast.AST, looped: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "_project_feasible"):
+                out.append("loop call" if looped else "call")
+                for arg in child.args + child.keywords:
+                    visit(arg, looped)
+                continue
+            if isinstance(child, ast.Name) and child.id == "_project_feasible":
+                out.append("alias")
+            visit(child, looped or isinstance(child, (ast.While, ast.For)))
+
+    visit(scope, False)
+    return out
+
+
+def test_guard_sees_projection_uses(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(x, p=_project_feasible):\n    y = _project_feasible(x, 1.0)\n"
+                     "    while x:\n        y = _project_feasible(g(_project_feasible), 1.0)\n"
+                     "    return np.sort(y)\n")
+    assert projection_uses(probe, "f") == ["alias", "call", "loop call", "alias"]
+    assert "sort" in called_names(probe, "f") & PROJECTION_STEPS
+
+
+def test_oracle_projects_only_through_the_one_projection():
+    assert projection_uses(SRC / "bounds.py", "wcubic_oracle") == ["call", "loop call"]
+    assert not called_names(SRC / "bounds.py", "wcubic_oracle") & PROJECTION_STEPS
 
 
 #: optional parameters (defaults) over the package's functions
