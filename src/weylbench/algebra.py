@@ -13,9 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (_circ_prime_positions, _cyclic_ricci_positions, _padded,
-                    _pair_generators, _second_bianchi_positions, _signed_take, _take_trailing,
-                    bianchi_image, pair_basis, pair_ricci, pair_slots, read_only_cache)
+from .basis import (_circ_prime_positions, _pair_generators, _second_bianchi_positions,
+                    _take_trailing, bianchi_image, pair_basis, pair_ricci, pair_slots,
+                    read_only_cache)
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -33,13 +33,13 @@ from .tensors import (
 
 # Raw kernels act on the trailing axes of plain arrays and broadcast over leading batch
 # axes; the typed functions below wrap them.  Weyl-type operators enter as (..., N, N) pair
-# matrices (weyl_split, the one Weyl split under any metric, and weyl_parts, its
-# orthonormal-frame call, weyl_matrix, sharp_matrix, cubic_parts, kn_g_pairing,
-# u_tensor_contractions, the check_trace_free guard), Kulkarni-Nomizu products leave as pair
-# matrices (kn_matrix; kn_identity for h o g with g = I), and the second-Bianchi and
-# circ-prime images leave as (..., T, N) (triple, pair) components (second_bianchi_pairs,
-# circ_prime_pairs); kn_four, sharp_four, quadratic_form, circ_prime_full and
-# second_bianchi_full do the four- and five-index work.
+# matrices (weyl_split, the one Weyl split under any metric, and weyl_parts, its frame call,
+# weyl_matrix, sharp_matrix, cubic_parts, kn_g_pairing, bochner_curvature_term,
+# u_tensor_contractions, check_trace_free) or as (..., n^2, n^2) slot matrices (sharp_slots;
+# curvature_action, the one R(h) kernel, and quadratic_form on it); Kulkarni-Nomizu products
+# leave as pair matrices (kn_matrix; kn_identity for g = I) and the second-Bianchi and
+# circ-prime images as (..., T, N) components (second_bianchi_pairs, circ_prime_pairs).
+# kn_four, sharp_four, circ_prime_full and second_bianchi_full are reference kernels only.
 
 
 def _alt_pairs(m: np.ndarray) -> np.ndarray:
@@ -166,17 +166,15 @@ def weyl_parts(n: int, R: np.ndarray, Rc: np.ndarray) -> WeylSplit:
 
 def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
     """Pair matrices (..., N, N) of the Weyl part, in an orthonormal frame, of the
-    first-Bianchi projection R = T - b(T) of (..., N, N) pair matrices T.
+    first-Bianchi projection R = T - b(T) of the symmetric parts T of (..., N, N) pair
+    matrices (a symmetric input is its own symmetric part, bit for bit).
 
-    The Ricci trace R_ipjp is summed from the cyclic terms as a four-index trace of
-    pair_matrix_to_four_tensor(n, T) minus its cyclic_average sums it (over p, as
-    ``pair_ricci`` sums), and ``weyl_parts`` splits, so the bits are those of the
-    four-index route without the n^4 tensors.
+    R is T less ``bianchi_image``, its Ricci trace is ``pair_ricci`` and ``weyl_parts``
+    splits, so the bits are those of the four-index route on T without the n^4 tensors.
     """
-    R = mat - bianchi_image(n, mat)
-    t = np.moveaxis(_signed_take(_padded(mat), *_cyclic_ricci_positions(n)), -4, 0)
-    Rc = np.einsum('...pij->...ij', t[0] - (t[0] + t[1] + t[2]) / 3.0)  # sum_p R_ipjp
-    return weyl_parts(n, R, Rc).W
+    T = symmetrized(mat)
+    R = T - bianchi_image(n, T)
+    return weyl_parts(n, R, pair_ricci(n, R)).W
 
 
 def check_trace_free(n: int, mat: np.ndarray, what: str, tol: float = EPS_ALG) -> None:
@@ -285,6 +283,15 @@ def cubic_parts(n: int, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.sum(M * (M @ M), axis=(-2, -1)), 0.5 * np.sum(w * (w @ w), axis=(-2, -1)))
 
 
+def curvature_action(X: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """R(h)_ij = sum_pq R_ipjq h_pq, the curvature acting on (..., n, n) forms h, from the
+    (..., n^2, n^2) slot matrices X[(i,k),(j,l)] = R_ijkl of ``pair_slots``: X @ vec(h),
+    one matrix-vector product per object (the Ricci form under a metric is R(g^-1))."""
+    n = h.shape[-1]
+    out = X @ h.reshape(h.shape[:-2] + (n * n, 1))
+    return out.reshape(out.shape[:-2] + (n, n))
+
+
 def kn_g_pairing(X: np.ndarray, Wm: np.ndarray) -> np.ndarray:
     """<X o g, W^2> of raw (..., n, n) forms X against (..., N, N) pair matrices Wm.
 
@@ -295,6 +302,13 @@ def kn_g_pairing(X: np.ndarray, Wm: np.ndarray) -> np.ndarray:
     """
     Xg = symmetrized(kn_identity(symmetrized(X)))
     return frobenius(Xg, Wm @ np.swapaxes(Wm, -1, -2))
+
+
+def bochner_curvature_term(n: int, Rc: np.ndarray, Wm: np.ndarray) -> np.ndarray:
+    """2 <W, W^2 + W#> - <Rc o g, W^2>, the zeroth-order curvature term of the Bochner
+    formula for |W|^2 (its r1), of (..., N, N) Weyl pair matrices Wm with Ricci forms Rc:
+    ``cubic_parts`` summed and ``kn_g_pairing``."""
+    return 2.0 * sum(cubic_parts(n, Wm)) - kn_g_pairing(Rc, Wm)
 
 
 def circ_prime_full(a: np.ndarray) -> np.ndarray:
@@ -401,9 +415,10 @@ class QuadraticForms:
     A_cubed: float
 
 
-def quadratic_form(T4: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """T(A, A) = sum T_ijkl A_ik A_jl of raw (..., n, n, n, n) T and (..., n, n) A."""
-    return np.einsum('...ijkl,...ik,...jl->...', T4, A, A)
+def quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """T(A, A) = sum T_ijkl A_ik A_jl = <A, T(A)> of (..., n^2, n^2) slot matrices X of T
+    (``pair_slots``) and (..., n, n) A, with T(A) from ``curvature_action``."""
+    return frobenius(A, curvature_action(X, A))
 
 
 def cube_trace(A: np.ndarray) -> np.ndarray:
@@ -416,7 +431,7 @@ def quadratic_forms(W: Operator2Form, A: np.ndarray) -> QuadraticForms:
     A = check_symmetric(A, "quadratic-form argument")
     if A.shape[0] != W.n:
         raise ValueError(f"dimension mismatch: {W.n} vs {A.shape[0]}")
-    return QuadraticForms(W_AA=float(quadratic_form(W.four(), A)),
+    return QuadraticForms(W_AA=float(quadratic_form(pair_slots(W.n, W.mat), A)),
                           A_cubed=float(cube_trace(A)))
 
 

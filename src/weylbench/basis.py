@@ -151,38 +151,30 @@ def pair_matrix_to_four_tensor(n: int, mat: np.ndarray) -> np.ndarray:
     return _signed_take(_padded(mat), *_padded_positions(n))
 
 
-def _expansion_positions(n: int, *terms) -> tuple[np.ndarray, np.ndarray]:
-    """(len(terms), ...) ``_padded_positions`` entries at broadcast index quadruples
-    (i, j, k, l), for ``_signed_take``."""
-    flat, sign = _padded_positions(n)
-    return np.stack([flat[t] for t in terms]), np.stack([sign[t] for t in terms])
-
-
 @read_only_cache
 def _cyclic_pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """T_kijl and T_jkil, the cyclic partners of T_ijkl in ``cyclic_average``, at the
-    pair entries (ij, kl), i < j and k < l: (2, N, N)."""
-    pb = pair_basis(n)
-    i, j = pb.rows[:, None], pb.cols[:, None]
-    k, l = i.T, j.T
-    return _expansion_positions(n, (k, i, j, l), (j, k, i, l))
+    """T_kijl and T_jkil, the cyclic partners of T_ijkl in b(T), at the pair entries
+    (ij, kl), i < j and k < l: (2, N, N) ``_padded_positions`` entries."""
+    i, j = pair_basis(n).rows[:, None], pair_basis(n).cols[:, None]
+    terms = ((i.T, i, j, j.T), (j, i.T, i, j.T))  # (k, i, j, l) and (j, k, i, l)
+    return tuple(np.stack([a[t] for t in terms]) for a in _padded_positions(n))
 
 
 @read_only_cache
-def _cyclic_ricci_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Ricci-trace entries T_ipjp and their cyclic partners T_jipp and T_pjip:
-    (3, n, n, n) over (p, i, j)."""
+def _ricci_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Ricci-trace entries T_ipjp: (n, n, n) ``_padded_positions`` entries over (p, i, j)."""
     p, i, j = np.ix_(*(np.arange(n),) * 3)
-    return _expansion_positions(n, (i, p, j, p), (j, i, p, p), (p, j, i, p))
+    return tuple(a[i, p, j, p] for a in _padded_positions(n))
 
 
 def bianchi_image(n: int, mat: np.ndarray) -> np.ndarray:
-    """Pair matrices of the cyclic averages b(T) of (..., N, N) pair matrices.
+    """Pair matrices of the cyclic averages b(T)_ijkl = (T_ijkl + T_kijl + T_jkil)/3 of
+    (..., N, N) pair matrices: the one first-Bianchi kernel.
 
     For symmetric T the first-Bianchi projection is T - symmetrized(b(T)).  Only
-    the two cyclic partners of each pair entry are gathered and added in
-    ``tensors.cyclic_average``'s order, so the bits are those of the four-index
-    route four_tensor_to_pair_matrix(n, cyclic_average(pair_matrix_to_four_tensor(n, mat))).
+    the two cyclic partners of each pair entry are gathered and added in that order,
+    so the bits are those of the cyclic average of the four-index expansion read back
+    at the pair entries (the route ``tests/reference.py`` keeps as its oracle).
     """
     t = _signed_take(_padded(mat), *_cyclic_pair_positions(n))
     return (mat + t[..., 0, :, :] + t[..., 1, :, :]) / 3.0
@@ -203,8 +195,7 @@ def pair_slots(n: int, mat: np.ndarray) -> np.ndarray:
 def pair_ricci(n: int, mat: np.ndarray) -> np.ndarray:
     """(..., n, n) Ricci traces rc_ij = sum_p T_ipjp of (..., N, N) pair matrices; the entries
     are summed over p as einsum sums the four-index expansion, so the bits are its trace's."""
-    flat, sign = _cyclic_ricci_positions(n)
-    return np.einsum('...pij->...ij', _signed_take(_padded(mat), flat[0], sign[0]))
+    return np.einsum('...pij->...ij', _signed_take(_padded(mat), *_ricci_positions(n)))
 
 
 @read_only_cache

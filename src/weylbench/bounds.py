@@ -15,6 +15,7 @@ import numpy as np
 
 from .algebra import check_trace_free, cubic_parts
 from .basis import disjoint_pair_mask, read_only_cache
+from .sampling import traceless_from_uniform, uniform
 from .tensors import (
     EPS_ALG,
     CurvatureTensor,
@@ -141,10 +142,7 @@ def _eigen_deviations(samples: int, seed: int):
         raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(seed)
     for m in range(2, 11):
-        t = rng.uniform(-1.0, 1.0, size=(samples, m, m))
-        t = (t + np.transpose(t, (0, 2, 1))) / 2.0
-        t -= np.einsum('bii->b', t)[:, None, None] / m * np.eye(m)
-        lam, bound = eigen_bound_terms(t)
+        lam, bound = eigen_bound_terms(traceless_from_uniform(uniform(rng, samples, m, m)))
         yield m, (lam - bound) / np.maximum(bound, 1e-30)
 
 
@@ -219,7 +217,7 @@ def wcubic_closed_form(s: float, n: int) -> float:
         raise ValueError("cap must be positive")
     if n < 2:
         raise ValueError("need at least two variables")
-    return s * (n - 2) / (n - 1)
+    return s * ((n - 2) / (n - 1))
 
 
 @read_only_cache

@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (circ_prime, cubic_parts, decomposition, kn_g_pairing, kn_identity,
-                      kn_matrix, second_bianchi, weyl_parts, weyl_split)
+from .algebra import (bochner_curvature_term, circ_prime, curvature_action, decomposition,
+                      kn_identity, kn_matrix, second_bianchi, weyl_parts, weyl_split)
 from .basis import pair_basis, pair_divergence, pair_ricci, pair_slots, read_only_cache
 from .serialization import json_array, json_fields, json_number, json_object, read_json_object
 from .tensors import (EPS_ALG, CovDerivCurvature, CurvatureDecomposition, CurvatureTensor,
@@ -356,9 +356,9 @@ def curvature_tensor_at(lattice: _Lattice, rows) -> np.ndarray:
 
 def _decomp_coords(lattice: _Lattice, rows):
     """R, Rc, S in coordinates at the given rows: R as pair matrices, Rc_ij = R_ipjq g^pq
-    as R's slot matrices times g^-1 as a vector (W is split from them in ``_Lattice``)."""
+    as the curvature action on g^-1 (W is split from them in ``_Lattice``)."""
     n, R, gi = lattice.n, curvature_tensor_at(lattice, rows), lattice.gi[rows]
-    Rc = (pair_slots(n, R) @ gi.reshape(-1, n * n, 1)).reshape(-1, n, n)
+    Rc = curvature_action(pair_slots(n, R), gi)
     return R, Rc, np.einsum('zij,zij->z', Rc, gi)
 
 
@@ -487,11 +487,8 @@ def identity_residual_report(f: ChartCurvatureField) -> dict[str, float]:
     out["nabla_w_sq"] = f.nabla_w_norm_sq
     if f.metric.harmonic_weyl:
         out["kato_improved_margin"] = f.nabla_w_norm_sq - (n + 1) / (n - 1) * grad2
-        W = f.decomposition.weyl
-        cubic = float(sum(cubic_parts(n, W.mat)))
-        rc_term = float(kn_g_pairing(f.Rc, W.mat))
-        out["bochner"] = (f.lap_w_norm_sq - 2.0 * f.nabla_w_norm_sq
-                          + 4.0 * cubic - 2.0 * rc_term)
+        r1 = bochner_curvature_term(n, f.Rc, f.decomposition.weyl.mat)
+        out["bochner"] = f.lap_w_norm_sq - 2.0 * f.nabla_w_norm_sq + 2.0 * float(r1)
     if f.ricci_identity_residual is not None:
         out["ricci_identity"] = f.ricci_identity_residual
     return out

@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import check_trace_free, cubic_parts, kn_g_pairing, kn_matrix
-from .basis import pair_basis
+from .basis import pair_basis, pair_ricci
 from .tensors import (EPS_ALG, CurvatureTensor, check_bianchi, check_finite, check_traceless,
                       symmetrized)
 
@@ -197,8 +197,7 @@ def e_circ_g_orthogonality(W: CurvatureTensor, E: np.ndarray) -> float:
     _require_weyl(W, EPS_ALG)
     E = check_traceless(E, "E")
     scale = max(1.0, float(np.abs(E).max()))
-    Wf = W.four()
-    contraction = np.einsum('ikpq,jkpq->ij', Wf, Wf)
+    contraction = 2.0 * pair_ricci(4, W.mat @ W.mat.T)  # sum_kpq W_ikpq W_jkpq
     w_norm_sq = float(np.sum(W.mat * W.mat))
     dev = np.abs(contraction - w_norm_sq * np.eye(4)).max()
     if dev > 100 * EPS_ALG * max(1.0, w_norm_sq):

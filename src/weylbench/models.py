@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    cubic_parts,
+    bochner_curvature_term,
     decompose,
-    kn_g_pairing,
     kn_identity_square,
     kn_matrix,
     quadratic_forms,
@@ -191,9 +190,7 @@ def symmetric_space_identity_report(pkg: CurvaturePackage) -> dict[str, float]:
         raise ValueError("identity report requires dimension >= 4")
     dec = decompose(pkg.R)
     W = dec.weyl
-    cubic = float(sum(cubic_parts(n, W.mat)))
-    rc_term = float(kn_g_pairing(pkg.Rc, W.mat))
-    r1 = 2.0 * cubic - rc_term
+    r1 = bochner_curvature_term(n, pkg.Rc, W.mat)
     qf = quadratic_forms(W, dec.E)
     e_norm_sq = float(np.sum(dec.E * dec.E))
     r2 = qf.W_AA - (n / (n - 2)) * qf.A_cubed - pkg.S * e_norm_sq / (n - 1)

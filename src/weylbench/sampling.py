@@ -37,8 +37,17 @@ def curvature_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
 
 
 def weyl_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
-    """Pair matrices of the Weyl parts of the curvature tensors built from (..., N, N) draws."""
-    return weyl_matrix(n, symmetrized(m))
+    """Pair matrices of the Weyl parts of the curvature tensors built from the symmetric
+    parts of (..., N, N) draws (``weyl_matrix`` takes them)."""
+    return weyl_matrix(n, m)
+
+
+def traceless_from_uniform(m: np.ndarray) -> np.ndarray:
+    """Traceless symmetric matrices of (..., m, m) draws: the symmetric part less its trace
+    over m times the identity."""
+    n = m.shape[-1]
+    t = symmetrized(m)
+    return t - np.einsum('...ii->...', t)[..., None, None] / n * np.eye(n)
 
 
 def two_form_one_form_from_uniform(a: np.ndarray) -> np.ndarray:
@@ -120,13 +129,11 @@ def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_traceless_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = random_symmetric(rng, n)
-    return m - np.trace(m) / n * np.eye(n)
+    return traceless_from_uniform(uniform(rng, n, n))
 
 
 def random_operator(rng: np.random.Generator, n: int) -> Operator2Form:
-    N = pair_basis(n).size
-    return Operator2Form(n, symmetrized(uniform(rng, N, N)))
+    return Operator2Form(n, random_symmetric(rng, pair_basis(n).size))
 
 
 def random_curvature(rng: np.random.Generator, n: int) -> CurvatureTensor:

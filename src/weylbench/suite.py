@@ -11,13 +11,14 @@ are stacked and mapped to samples by the ``*_from_uniform`` maps (its Weyl
 samples are one ``random_weyl_batch`` draw, the numbers of per-trial draws);
 each identity family is then evaluated once on the (B, ...) stacks with the
 raw kernels of ``algebra`` (the Weyl split and sharps straight into pair
-matrices, the second-Bianchi and circ-prime images straight into their
-(triple, pair) components, the u-tensor on pairs) and its worst value folded
-into the report as a float.  Each table is formed once: the slot matrices of
-R, W, A o g and k o g are gathered once per operand and the nine sharp
-products formed from them (``sharp_slots``), h o g with g = I reads the
-identity's entries from a cached table (``kn_identity``), and the derivative
-draws go straight to pair matrices
+matrices, R(h) and the quadratic forms on slot matrices through
+``curvature_action``, the second-Bianchi and circ-prime images at their
+(triple, pair) components, the u-tensor on pairs; no four-index tensor is
+formed) and its worst value folded into the report as a float.  Each table is
+formed once: the slot matrices of R, W, A o g and k o g are gathered once per
+operand and the nine sharp products formed from them (``sharp_slots``), h o g
+with g = I reads the identity's entries from a cached table (``kn_identity``),
+and the derivative draws go straight to pair matrices
 (``curvature_derivative_pairs_from_uniform``), each with the bits of the route
 it replaces.  The typed containers' input checks run once per
 chunk: symmetry and first Bianchi of R, then of W, the e/s parts, k o g and
@@ -41,6 +42,7 @@ from .algebra import (
     circ_prime_pairs,
     cube_trace,
     cubic_parts,
+    curvature_action,
     kn_identity,
     kn_identity_square,
     pure_cubic_parts,
@@ -52,6 +54,7 @@ from .algebra import (
     weyl_parts,
 )
 from .basis import (
+    bianchi_image,
     full3_to_pair_form,
     pair_basis,
     pair_divergence,
@@ -70,7 +73,6 @@ from .tensors import (
     EPS_ALG,
     check_bianchi,
     check_symmetric,
-    cyclic_average,
     frobenius,
     max_abs,
     running_max,
@@ -171,11 +173,8 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     # W, the e- and s-parts, k o g and A o g: one (5, B, ...) container check
     Wm, _, _, Km, Bm = _curvature(n, np.stack(
         [split.W, split.e_part, split.s_part, kn_identity(k), kn_identity(A)]))
-    # slot matrices s[(i,k),(j,l)] = T_ijkl, one gather per operand, and the C-order
-    # four-tensors read off them
+    # slot matrices s[(i,k),(j,l)] = T_ijkl, one gather per operand
     XR, XW, XB, XK = (pair_slots(n, x) for x in (Rm, Wm, Bm, Km))
-    R4, W4 = (np.ascontiguousarray(np.swapaxes(x.reshape(x.shape[:-2] + (n,) * 4), -3, -2))
-              for x in (XR, XW))
     Rc, S, E = split.Rc, split.S, split.E
     RR, WW = frobenius(Rm, Rm), frobenius(Wm, Wm)
 
@@ -185,7 +184,7 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
 
     # decomposition: trace-freeness, Bianchi, Pythagoras
     record("weyl_ricci_free", max_abs(pair_ricci(n, Wm), 1))
-    record("weyl_bianchi_free", max_abs(cyclic_average(W4), 1))
+    record("weyl_bianchi_free", max_abs(bianchi_image(n, Wm), 1))
     pyth = RR - (WW + S ** 2 / (2 * n * (n - 1)) + frobenius(E, E) / (n - 2))
     record("pythagoras", _rel(pyth, RR))
 
@@ -202,7 +201,7 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     quad_W = W2 + WsW
     record("rc_quadratic_weyl", _rel(max_abs(pair_ricci(n, quad_W), 1), WW))
     quad_R = Rm @ np.swapaxes(Rm, -1, -2) + RsR
-    rc_pred = np.einsum('...ipjq,...pq->...ij', R4, Rc)
+    rc_pred = curvature_action(XR, Rc)
     record("rc_quadratic_contraction", _rel(max_abs(pair_ricci(n, quad_R) - rc_pred, 1), RR))
 
     # trilinear symmetry <R1.R2 + R2.R1 + 2 R1 # R2, R3> over all six argument orders
@@ -214,7 +213,8 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     # metric-product pairing lemma, with the symmetric factor diagonalized
     record("productw_orth", _rel(frobenius(Bm, quad_W), WW))
     lhs_b = frobenius(W2, Bm)
-    rhs_b = 0.5 * np.einsum('...ii,...ijpq,...ijpq->...', A, W4, W4)
+    pb = pair_basis(n)  # sum_{i<j} (A_ii + A_jj) |row_(ij) W|^2
+    rhs_b = np.sum((a[..., pb.rows] + a[..., pb.cols]) * np.sum(Wm * Wm, axis=-1), axis=-1)
     record("productw_diag", _rel(lhs_b - rhs_b, WW))
     record("productw_sharp", _rel(lhs_b + frobenius(Wm, BsW), WW))
     rhs_c = 0.5 * frobenius(XW @ XW, XR)  # sum_jl W_ijkl W_jplq = (XW XW)[(i,k),(p,q)]
@@ -238,9 +238,9 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
 
     # Ricci-polynomial identities; quadratic_forms takes the symmetrized Ricci form
     Ac = symmetrized(Rc)
-    A3, R_AA, e3, e2 = cube_trace(Ac), quadratic_form(R4, Ac), cube_trace(E), frobenius(E, E)
+    A3, R_AA, e3, e2 = cube_trace(Ac), quadratic_form(XR, Ac), cube_trace(E), frobenius(E, E)
     record("ricci_cubed", _rel(A3 - (e3 + 3.0 / n * S * e2 + S ** 3 / n ** 2), A3))
-    pred = (quadratic_form(W4, Ac) - 2.0 * e3 / (n - 2) + S ** 3 / n ** 2
+    pred = (quadratic_form(XW, Ac) - 2.0 * e3 / (n - 2) + S ** 3 / n ** 2
             + (2.0 * n - 3.0) / (n * (n - 1)) * S * e2)
     record("ricci_curvature_form", _rel(R_AA - pred, R_AA))
 

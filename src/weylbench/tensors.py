@@ -203,15 +203,9 @@ def norm(a: Operator2Form) -> float:
     return float(np.linalg.norm(a.mat))
 
 
-def cyclic_average(four: np.ndarray) -> np.ndarray:
-    """First-Bianchi cyclic average b(T)_ijkl = (T_ijkl + T_kijl + T_jkil)/3 (batch-aware)."""
-    return (four + np.einsum('...kijl->...ijkl', four)
-            + np.einsum('...jkil->...ijkl', four)) / 3.0
-
-
 def bianchi_residual(op: Operator2Form) -> float:
-    """Max-norm of the first-Bianchi cyclic sum b(T)."""
-    return float(np.abs(cyclic_average(op.four())).max())
+    """Max-norm of the first-Bianchi cyclic sum b(T) at the pair entries (``bianchi_image``)."""
+    return float(np.abs(bianchi_image(op.n, op.mat)).max())
 
 
 def check_bianchi(n: int, mat: np.ndarray, tol: float) -> None:

@@ -1,10 +1,13 @@
 """Reference routes that only the tests call.
 
 The package keeps one implementation of each concept; the slower or wider routes
-below stay here as oracles.  ``frame_weyl_split`` is the orthonormal-frame Weyl
+below stay here as oracles.  ``cyclic_average`` is the first-Bianchi sum on
+(n, n, n, n) tensors, whose bits ``basis.bianchi_image`` reproduces at the pair
+entries.  ``frame_weyl_split`` is the orthonormal-frame Weyl
 split on (n, n, n, n) tensors whose bits ``algebra.weyl_parts``, ``decompose``
 and ``weyl_matrix`` reproduce from pair matrices, with ``ricci_trace`` the
-four-index Ricci trace under a metric; ``congruence_four`` moves all four indices
+four-index Ricci trace under a metric (R(g^-1), the einsum route of
+``algebra.curvature_action``); ``congruence_four`` moves all four indices
 of a four-tensor by one matrix, the einsum-free route that the pair-matrix
 congruence L^T T L with L = (1/2) ``algebra.kn_matrix(A, A)`` reproduces;
 ``full5_to_triple_pair`` reads the (triple, pair) components of five-index
@@ -30,8 +33,16 @@ from weylbench.dim4 import _from_block
 from weylbench.tensors import CurvatureTensor, PureCurvatureMatrix, ThreeTwoTensor, check_symmetric
 
 
+def cyclic_average(four: np.ndarray) -> np.ndarray:
+    """First-Bianchi cyclic average b(T)_ijkl = (T_ijkl + T_kijl + T_jkil)/3 of
+    (..., n, n, n, n) tensors."""
+    return (four + np.einsum('...kijl->...ijkl', four)
+            + np.einsum('...jkil->...ijkl', four)) / 3.0
+
+
 def ricci_trace(R4: np.ndarray, gi: np.ndarray | None = None) -> np.ndarray:
-    """rc_ij = R_ipjq g^pq of (..., n, n, n, n) tensors; the identity metric when gi is None."""
+    """rc_ij = R_ipjq g^pq of (..., n, n, n, n) tensors; the identity metric when gi is None.
+    With any (..., n, n) form h in place of g^-1 it is R(h), ``algebra.curvature_action``."""
     if gi is None:
         return np.einsum('...ipjp->...ij', R4)
     return np.einsum('...ipjq,...pq->...ij', R4, gi)

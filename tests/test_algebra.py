@@ -22,6 +22,7 @@ from weylbench.algebra import (
     circ_prime_pairs,
     cube_trace,
     cubic_parts,
+    curvature_action,
     decompose,
     dot_product,
     kn_four,
@@ -56,6 +57,7 @@ from weylbench.basis import (_pair_generators, bianchi_image, four_tensor_to_pai
                              pair_slots)
 from weylbench.bounds import cubic_bound_eval, eigen_bound, eigen_bound_terms, weyl_bound_terms
 from weylbench.sampling import (
+    curvature_from_uniform,
     pure_from_uniform,
     random_curvature,
     random_curvature_derivative_full,
@@ -74,15 +76,15 @@ from weylbench.tensors import (
     PureCurvatureMatrix,
     TwoFormOneForm,
     check_traceless,
-    cyclic_average,
     frobenius,
     inner,
     norm,
     symmetrized,
 )
 
-from reference import (congruence_four, embed_block, frame_weyl_split, full5_to_triple_pair,
-                       pure_matrix_from_weyl, ricci_trace, three_two_from_full)
+from reference import (congruence_four, cyclic_average, embed_block, frame_weyl_split,
+                       full5_to_triple_pair, pure_matrix_from_weyl, ricci_trace,
+                       three_two_from_full)
 
 rng = np.random.default_rng(7)
 
@@ -701,7 +703,7 @@ def test_raw_kernels_batch_equals_single(n, count):
                                 rng.uniform(-1.0, 1.0, size=(count, N, N)))
     _assert_batch_equals_single(lambda m: weyl_matrix(n, m),
                                 symmetrized(rng.uniform(-1.0, 1.0, size=(count, N, N))))
-    _assert_batch_equals_single(quadratic_form, R4, g)
+    _assert_batch_equals_single(quadratic_form, pair_slots(n, Rm), g)
     _assert_batch_equals_single(cube_trace, g)
     _assert_batch_equals_single(kn_g_pairing, h, Rm)
     _assert_batch_equals_single(lambda w, t: u_tensor_contractions(n, w, t), Wm, Rm)
@@ -717,7 +719,8 @@ def test_typed_wrappers_are_their_kernels(n):
     W, R = random_weyl(rng, n), random_curvature(rng, n)
     A = random_symmetric(rng, n)
     qf = quadratic_forms(R, A)
-    assert (qf.W_AA, qf.A_cubed) == (float(quadratic_form(R.four(), A)), float(cube_trace(A)))
+    assert (qf.W_AA, qf.A_cubed) == (float(quadratic_form(pair_slots(n, R.mat), A)),
+                                     float(cube_trace(A)))
     subset = {0, n - 1}
     mask = np.zeros(n, dtype=bool)
     mask[[0, n - 1]] = True
@@ -920,7 +923,7 @@ def test_pair_native_kernels_keep_the_four_tensor_bits(n, count):
     """bianchi_image, weyl_matrix, pair_slots, pair_ricci, cubic_parts and sharp_matrix
     against their four-index routes, bit for bit (signed zeros and NaN payloads
     included), on symmetric, non-symmetric, sparse, zero, -0.0 and non-finite pair
-    matrices."""
+    matrices; weyl_matrix takes the symmetric part, so its route starts from that."""
     N = pair_basis(n).size
     raw = rng.uniform(-1.0, 1.0, size=(count, N, N))
     sparse = -symmetrized(raw) * (rng.uniform(size=(count, N, N)) < 0.1)
@@ -932,7 +935,8 @@ def test_pair_native_kernels_keep_the_four_tensor_bits(n, count):
         for mat in (raw, symmetrized(raw), sparse, np.zeros_like(raw), -np.zeros_like(raw), bad):
             four = pair_matrix_to_four_tensor(n, mat)
             assert _same_bits(bianchi_image(n, mat), bianchi_image_four_tensor_reference(n, mat))
-            assert _same_bits(weyl_matrix(n, mat), weyl_matrix_four_tensor_reference(n, mat))
+            assert _same_bits(weyl_matrix(n, mat),
+                              weyl_matrix_four_tensor_reference(n, symmetrized(mat)))
             assert _same_bits(pair_slots(n, mat), _pair_slots(four))
             assert _same_bits(pair_ricci(n, mat), ricci_trace(four))
             for got, expect in zip(cubic_parts(n, mat), cubic_parts_four_tensor_reference(n, mat)):
@@ -945,6 +949,36 @@ def test_pair_native_kernels_keep_the_four_tensor_bits(n, count):
     assert np.isnan(image[0]).any() and np.isnan(W[0]).any() and not np.isfinite(W[-1]).all()
     if count > 2:  # each sample keeps its own entries
         assert np.isfinite(image[1]).all() and np.isfinite(W[1]).all()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("count", [1, 7, 64])
+def test_curvature_action_matches_the_four_index_einsum(n, count):
+    """R(h) from slot matrices against the einsum on the four-index expansion at 1e-13
+    relative, each object of a batch bit for bit as alone, quadratic_form likewise, and
+    the identity mapped to the Ricci trace."""
+    N = pair_basis(n).size
+    R = curvature_from_uniform(n, uniform(rng, count, N, N))
+    h = uniform(rng, count, n, n)
+    X = pair_slots(n, R)
+    got, expect = curvature_action(X, h), ricci_trace(pair_matrix_to_four_tensor(n, R), h)
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    _assert_batch_equals_single(curvature_action, X, h)
+    _assert_batch_equals_single(quadratic_form, X, symmetrized(h))
+    A = symmetrized(h)
+    qf = np.einsum('...ijkl,...ik,...jl->...', pair_matrix_to_four_tensor(n, R), A, A)
+    assert np.abs(quadratic_form(X, A) - qf).max() <= 1e-13 * np.abs(qf).max()
+    assert np.allclose(curvature_action(X, np.eye(n)), pair_ricci(n, R), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_curvature_action_is_self_adjoint_on_symmetric_forms(n):
+    """<h, R(k)> = <R(h), k> for symmetric h and k (R_ipjq = R_jqip)."""
+    X = pair_slots(n, random_curvature(rng, n).mat)
+    for _ in range(5):
+        h, k = random_symmetric(rng, n), random_symmetric(rng, n)
+        lhs, rhs = frobenius(h, curvature_action(X, k)), frobenius(curvature_action(X, h), k)
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -28,8 +28,8 @@ from weylbench.bounds import (
 from weylbench.algebra import decompose
 from weylbench.models import model_curvature, parse_model_spec
 from weylbench.sampling import (random_curvature, random_traceless_symmetric, random_weyl,
-                                random_weyl_batch)
-from weylbench.tensors import CurvatureTensor, Operator2Form
+                                random_weyl_batch, traceless_from_uniform)
+from weylbench.tensors import CurvatureTensor, Operator2Form, symmetrized
 
 rng = np.random.default_rng(13)
 
@@ -412,6 +412,36 @@ def test_wcubic_oracle_converges_within_150_steps():
             res = wcubic_oracle(1.0, n, seed=seed)
             assert res.converged and res.evaluations <= 64 * 150, (n, seed, res.evaluations)
             assert res.value == pytest.approx(wcubic_closed_form(1.0, n), rel=1e-14, abs=1e-15)
+
+
+def test_wcubic_closed_form_is_finite_at_the_largest_caps():
+    """s (n-2)/(n-1) is s times the ratio, so a cap near the largest double stays finite and
+    agrees with the oracle; at power-of-two caps both orders of the product give one double."""
+    for n in (3, 5, 8, 12):
+        closed = wcubic_closed_form(1e308, n)
+        assert math.isfinite(closed)
+        assert wcubic_oracle(1e308, n).value == pytest.approx(closed, rel=1e-14)
+    for n in range(2, 13):
+        for s in (0.25, 0.5, 1.0, 2.0, 4.0):
+            assert wcubic_closed_form(s, n) == s * (n - 2) / (n - 1)
+
+
+def test_one_traceless_draw_map_keeps_both_earlier_forms():
+    """traceless_from_uniform, the draw map of the eigenvalue audit and of
+    random_traceless_symmetric, gives the bits of the batched in-place einsum trace it
+    replaced, and those of the per-matrix np.trace below m = 8; from m = 8 np.trace sums
+    the diagonal pairwise, so the two differ at round-off there."""
+    for seed in (0, 1, 7, 123):
+        for m in range(2, 11):
+            for count in (1, 2, 64):
+                t = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, m, m))
+                old = (t + np.transpose(t, (0, 2, 1))) / 2.0
+                old -= np.einsum('bii->b', old)[:, None, None] / m * np.eye(m)
+                assert np.array_equal(traceless_from_uniform(t), old)
+            sym = symmetrized(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, m)))
+            got = random_traceless_symmetric(np.random.default_rng(seed), m)
+            old = sym - np.trace(sym) / m * np.eye(m)
+            assert np.array_equal(got, old) if m < 8 else np.allclose(got, old, rtol=0, atol=1e-15)
 
 
 # ------------------------------------------------ oracle and audit boundaries

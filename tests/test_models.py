@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from weylbench.algebra import decompose, kn_four, ricci_contraction
+from weylbench.algebra import (bochner_curvature_term, cubic_parts, decompose, kn_four,
+                               kn_g_pairing, ricci_contraction)
 from weylbench.basis import _pair_generators, pair_basis
 from weylbench.models import (
     MAX_CURVATURE_SCALE,
@@ -134,6 +135,21 @@ def test_catalog_identity_residuals(spec):
     scale = max(1.0, abs(pkg.S)) ** 3
     assert abs(rep["r1"]) <= 1e-10 * scale, spec
     assert abs(rep["r2"]) <= 1e-10 * scale, spec
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_bochner_kernel_is_the_report_r1(spec):
+    """bochner_curvature_term is r1 = 2 <W, W^2 + W#> - <Rc o g, W^2> formed term by term,
+    bit for bit, on the catalogue and on a generic curvature of the same dimension."""
+    pkg = model_curvature(parse_model_spec(spec))
+    n = pkg.R.n
+    R = random_curvature(np.random.default_rng(n), n)
+    generic = CurvaturePackage(pkg.spec, R, ricci_contraction(R), 0.0)
+    for p in (pkg, generic):
+        W = decompose(p.R).weyl.mat
+        r1 = 2.0 * float(sum(cubic_parts(n, W))) - float(kn_g_pairing(p.Rc, W))
+        assert float(bochner_curvature_term(n, p.Rc, W)).hex() == r1.hex()
+        assert symmetric_space_identity_report(p)["r1"].hex() == r1.hex()
 
 
 def test_s3_x_s2_values():

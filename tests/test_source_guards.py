@@ -24,7 +24,15 @@ back unnoticed.
 
 Weyl-type operators cross module boundaries as pair matrices: the samplers, the
 bounds, the first-Bianchi and Weyl projections, the cubic and sharp kernels and
-the trace-free and Bianchi guards run without the n^4 round trip.
+the trace-free and Bianchi guards run without the n^4 round trip.  The four-index
+expansion is a boundary format: outside ``Operator2Form.four`` and
+``CovDerivCurvature.full`` and the reference kernels the benchmark traces, no package
+code calls ``.four()``, ``pair_matrix_to_four_tensor`` or ``cyclic_average`` (the
+first-Bianchi sum on four-tensors, now the tests' oracle in ``tests/reference.py``).
+Each curvature contraction has one runtime route: R(h) = sum R_ipjq h_pq is
+``algebra.curvature_action`` on slot matrices, the first-Bianchi sum
+``basis.bianchi_image``, the Ricci trace ``basis.pair_ricci`` and the Bochner curvature
+term ``algebra.bochner_curvature_term``.
 ``sampling.py`` calls neither ``cyclic_average`` nor ``weyl_split`` (its Weyl
 parts come from ``weyl_matrix``), neither
 ``bounds.py`` nor ``sampling.py`` calls ``.four()`` or
@@ -267,6 +275,91 @@ def test_pair_native_projections_skip_the_four_tensor_round_trip():
                                                          "pair_matrix_to_four_tensor"}
 
 
+#: the public boundary methods that expand pair matrices into full four-index tensors
+FOUR_INDEX_BOUNDARY = {("tensors.py", "Operator2Form.four"),
+                       ("tensors.py", "CovDerivCurvature.full")}
+FOUR_INDEX_EXPANDERS = {"four", "pair_matrix_to_four_tensor", "cyclic_average"}
+
+
+def scoped_calls(path: Path) -> list[tuple[ast.Call, str]]:
+    """Every call in a file with its scope: the enclosing class and function names joined
+    by dots, ``<module>`` outside them."""
+    out = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                out.append((child, ".".join(scope) or "<module>"))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), ())
+    return out
+
+
+def four_index_call_sites(path: Path) -> list[tuple[str, str, str]]:
+    """(file:line, scope, name) of every call of a ``FOUR_INDEX_EXPANDERS`` name in a file."""
+    return [(f"{path.name}:{call.lineno}", scope, _called_name(call))
+            for call, scope in scoped_calls(path) if _called_name(call) in FOUR_INDEX_EXPANDERS]
+
+
+def test_guard_sees_four_index_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class T:\n    def four(self):\n"
+                     "        return pair_matrix_to_four_tensor(1, m)\n"
+                     "def f(W):\n    return W.four() + b.cyclic_average(x)\n"
+                     "y = full(z)\n")
+    assert four_index_call_sites(probe) == [
+        ("probe.py:3", "T.four", "pair_matrix_to_four_tensor"), ("probe.py:5", "f", "four"),
+        ("probe.py:5", "f", "cyclic_average")]
+
+
+def test_four_index_tensors_form_only_at_the_boundary():
+    """No runtime route expands pair matrices into four-index tensors: ``.four()``,
+    ``pair_matrix_to_four_tensor`` and ``cyclic_average`` are called only by the boundary
+    methods and by the reference kernels the benchmark traces."""
+    traced = {(f"{module}.py", name) for module, name in traced_function_pairs()}
+    hits = [(path.name, hit) for path in sorted(SRC.glob("*.py"))
+            for hit in four_index_call_sites(path)]
+    assert {(name, scope) for name, (_, scope, _) in hits} >= FOUR_INDEX_BOUNDARY
+    assert [hit for name, hit in hits if (name, hit[1]) not in FOUR_INDEX_BOUNDARY
+            and (name, hit[1].split(".")[0]) not in traced] == []
+
+
+def einsum_index_counts(path: Path, function: str) -> list[int]:
+    """Index counts (``...`` aside) of every operand and output of the ``np.einsum`` calls
+    with literal subscripts inside the top-level ``function`` of a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    scope = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [len(term.replace("...", "")) for node in ast.walk(scope)
+            if isinstance(node, ast.Call) and _called_name(node) == "einsum"
+            and node.args and isinstance(node.args[0], ast.Constant)
+            for term in node.args[0].value.replace("->", ",").split(",")]
+
+
+def test_guard_sees_einsum_indices(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(R4, h):\n    return np.einsum('...ipjq,...pq->...ij', R4, h)\n")
+    assert einsum_index_counts(probe, "f") == [4, 2, 2]
+
+
+def test_each_curvature_contraction_has_one_route():
+    """R(h) goes through ``curvature_action`` (the chart's Ricci form under g^-1, the
+    suite's contraction and quadratic forms), the Bochner curvature term through
+    ``bochner_curvature_term`` (chart and models), and the suite's identity chunk forms
+    no four-index tensor: none of its einsum operands carries four indices."""
+    for name, function in (("chart.py", "_decomp_coords"), ("suite.py", "_identity_chunk"),
+                           ("algebra.py", "quadratic_form")):
+        assert "curvature_action" in called_names(SRC / name, function), function
+    for name, function in (("chart.py", "identity_residual_report"),
+                           ("models.py", "symmetric_space_identity_report")):
+        called = called_names(SRC / name, function)
+        assert "bochner_curvature_term" in called, function
+        assert not called & {"cubic_parts", "kn_g_pairing"}, function
+    assert max(einsum_index_counts(SRC / "suite.py", "_identity_chunk"), default=0) < 4
+
+
 def test_suite_draws_weyl_samples_only_through_the_sampler():
     assert "weyl_from_uniform" not in called_names(SRC / "suite.py")
 
@@ -439,20 +532,9 @@ def test_optional_parameters_do_not_grow():
 
 
 def fn_call_sites(path: Path) -> list[str]:
-    """``file:line scope`` of every ``x.fn(...)`` call in a file, scope the enclosing
-    class and function names."""
-    out = []
-
-    def visit(node: ast.AST, scope: tuple) -> None:
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "fn"):
-                out.append(f"{path.name}:{child.lineno} {'.'.join(scope) or '<module>'}")
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            visit(child, scope + (child.name,) if named else scope)
-
-    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), ())
-    return out
+    """``file:line scope`` of every ``x.fn(...)`` call in a file (``scoped_calls``)."""
+    return [f"{path.name}:{call.lineno} {scope}" for call, scope in scoped_calls(path)
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "fn"]
 
 
 def test_guard_sees_fn_calls(tmp_path):
@@ -502,11 +584,16 @@ def test_arrays_are_frozen_only_by_the_read_only_helpers():
                      ("tensors.py", "_frozen")}
 
 
-def traced_functions() -> set[str]:
+def traced_function_pairs() -> list[tuple[str, str]]:
+    """(module, function) of every name ``benchmarks/tracing.py`` traces."""
     spec = importlib.util.spec_from_file_location("weylbench_bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return {name for _, name in module.TRACED_FUNCTIONS}
+    return module.TRACED_FUNCTIONS
+
+
+def traced_functions() -> set[str]:
+    return {name for _, name in traced_function_pairs()}
 
 
 def unreached_functions(files: list[Path]) -> list[str]:

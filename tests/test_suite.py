@@ -24,9 +24,9 @@ from weylbench.sampling import (
     uniform,
 )
 from weylbench.suite import run_identity_suite
-from weylbench.tensors import cyclic_average, max_abs
+from weylbench.tensors import max_abs
 
-from reference import full5_to_triple_pair
+from reference import cyclic_average, full5_to_triple_pair
 
 DIMENSIONS = (4, 5, 6, 7, 8)
 
@@ -149,12 +149,13 @@ def test_worst_residual_replays_from_its_trial_index():
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "identity_suite_seed3_trials2.json")
                     .read_text(encoding="utf-8"))
-MOVED_FAMILIES = ("productw_reindex", "u_norm", "u_cubic", "bianchi_weyl_part")
+MOVED_FAMILIES = ("productw_reindex", "u_norm", "u_cubic", "bianchi_weyl_part", "productw_diag",
+                  "rc_quadratic_contraction", "ricci_curvature_form")
 
 
 def test_residuals_keep_their_golden_bits():
     """Every residual and stat of trials=2, seed=3 against its committed float.hex.
-    Only the four families whose formulation changed differ from the earlier
+    Only the seven families whose formulation changed differ from the earlier
     values (kept under moved_from)."""
     rep = run_identity_suite(trials=2, seed=3)
     assert {k: v.hex() for k, v in rep.residuals.items()} == GOLDEN["residuals"]

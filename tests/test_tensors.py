@@ -31,13 +31,12 @@ from weylbench.tensors import (
     check_small,
     check_symmetric,
     check_traceless,
-    cyclic_average,
     inner,
     norm,
     within_tol,
 )
 
-from reference import full5_to_triple_pair, three_two_from_full
+from reference import cyclic_average, full5_to_triple_pair, three_two_from_full
 
 rng = np.random.default_rng(42)
 
