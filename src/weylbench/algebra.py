@@ -8,14 +8,13 @@ against that single choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .basis import (_circ_prime_positions, _pair_generators, _second_bianchi_positions,
                     _take_trailing, bianchi_image, pair_basis, pair_ricci, pair_slots,
-                    read_only_cache)
+                    read_only_cache, triple_basis)
 from .tensors import (
     EPS_ALG,
     CovDerivCurvature,
@@ -270,7 +269,7 @@ def tri(R1: Operator2Form, R2: Operator2Form, R3: Operator2Form) -> float:
     R1._check_same(R3)
     a, b = R1.mat, R2.mat
     sharp = sharp_matrix(R1.n, a, b)
-    return float(np.sum((a @ b.T + b @ a.T + 2.0 * sharp) * R3.mat))
+    return float(frobenius(a @ b.T + b @ a.T + 2.0 * sharp, R3.mat))
 
 
 def cubic_parts(n: int, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,8 +444,8 @@ class PureCubics:
 def pure_cubic_parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sharp_cubic, square_cubic, three_plane_sum) of raw (..., n, n) matrices; see pure_cubics."""
     n = w.shape[-1]
-    i, j = np.triu_indices(n, 1)
-    a, b, c = np.array(list(combinations(range(n), 3)), dtype=int).reshape(-1, 3).T
+    i, j = pair_basis(n).rows, pair_basis(n).cols
+    a, b, c = triple_basis(n).ijk
 
     def pick(p, q):  # contiguous, so each sum runs over one matrix's entries alone
         return np.ascontiguousarray(w[..., p, q])

@@ -37,6 +37,7 @@ class TripleBasis:
 
     n: int
     triples: tuple[tuple[int, int, int], ...]
+    ijk: np.ndarray  # (3, T) the indices i, j, k of each triple
 
     @property
     def size(self) -> int:
@@ -74,9 +75,12 @@ def pair_basis(n: int) -> PairBasis:
 
 @lru_cache(maxsize=None)
 def triple_basis(n: int) -> TripleBasis:
-    if n < 3:
-        raise ValueError(f"need dimension >= 3, got {n}")
-    return TripleBasis(n, tuple(combinations(range(n), 3)))
+    if n < 2:
+        raise ValueError(f"need dimension >= 2, got {n}")
+    triples = tuple(combinations(range(n), 3))  # none at n = 2
+    ijk = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    ijk.flags.writeable = False
+    return TripleBasis(n, triples, ijk)
 
 
 @read_only_cache
@@ -126,8 +130,7 @@ def _pair_positions(n: int) -> np.ndarray:
 def _triple_pair_grid(n: int) -> tuple[np.ndarray, ...]:
     """(T, 1) columns i, j, k of the triples i < j < k and (1, N) rows m, l of the pairs m < l."""
     pb = pair_basis(n)
-    i, j, k = np.array(triple_basis(n).triples).T[:, :, None]
-    return i, j, k, pb.rows[None, :], pb.cols[None, :]
+    return (*triple_basis(n).ijk[:, :, None], pb.rows[None, :], pb.cols[None, :])
 
 
 def _padded(mat: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .tensors import (
     check_bianchi,
     check_finite,
     check_traceless,
+    frobenius,
     running_max,
 )
 
@@ -41,7 +42,7 @@ def weyl_bound_terms(n: int, Wm: np.ndarray) -> dict[str, np.ndarray]:
     eigs = np.full(Wm.shape[:-1], np.nan)
     eigs[finite] = np.linalg.eigvalsh(Wm[finite])
     omega, omega_max = np.abs(eigs).max(axis=-1), eigs.max(axis=-1)
-    w2 = np.einsum('...ij,...ij->...', Wm, Wm)
+    w2 = frobenius(Wm, Wm)
     lhs_dot, lhs_sharp = cubic_parts(n, Wm)
     t = {"w2": w2, "omega": omega, "omega_max": omega_max,
          "max_component": np.abs(Wm[..., disjoint_pair_mask(n)]).max(axis=-1, initial=0.0),
@@ -59,7 +60,7 @@ def eigen_bound_terms(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(largest |eigenvalue|, sqrt((m-1)/m) |T|_F) of (..., m, m) symmetric T."""
     m = T.shape[-1]
     lam = np.abs(np.linalg.eigvalsh(T)).max(axis=-1)
-    return lam, np.sqrt((m - 1) / m) * np.sqrt(np.einsum('...ij,...ij->...', T, T))
+    return lam, np.sqrt((m - 1) / m) * np.sqrt(frobenius(T, T))
 
 
 def eigen_bound(T: np.ndarray) -> tuple[float, float]:
@@ -108,7 +109,7 @@ def berger_component_bound(W: CurvatureTensor) -> ComponentBound:
     return ComponentBound(max_component=max_comp, bound=bound)
 
 
-def audit_cubic_bounds(n: int, samples: int, seed: int = 0) -> dict[str, float]:
+def audit_cubic_bounds(n: int, samples: int, seed: int) -> dict[str, float]:
     """Worst relative excesses of the component/eigenvalue/norm bounds on random
     trace-free tensors; all values <= 0 mean zero violations."""
     if n < 5:
@@ -146,7 +147,7 @@ def _eigen_deviations(samples: int, seed: int):
         yield m, (lam - bound) / np.maximum(bound, 1e-30)
 
 
-def audit_eigen_bound(samples: int, seed: int = 0) -> float:
+def audit_eigen_bound(samples: int, seed: int) -> float:
     """Worst relative excess of max |eigenvalue| over sqrt((m-1)/m)|T| on random
     traceless symmetric m x m matrices, m = 3..10.  The m = 2 draws come first
     in the stream; there the bound is an equality (``audit_eigen_equality``)."""
@@ -409,8 +410,7 @@ def pinch_verdict_norm(W: CurvatureTensor, E: np.ndarray, S: float) -> PinchVerd
         raise ValueError("norm pinch verdict requires n >= 5")
     check_finite(S)
     E = _pinch_inputs(W, E, "pinch_verdict_norm")
-    w_norm = float(np.linalg.norm(W.mat))
-    e_norm = float(np.linalg.norm(E))
+    w_norm, e_norm = (math.sqrt(frobenius(x, x)) for x in (W.mat, E))
     value = table_c(n) * w_norm + math.sqrt((n - 1) / n) * e_norm
     threshold = S / n
     return PinchVerdict(condition_value=float(value), threshold=float(threshold),

@@ -250,7 +250,7 @@ def _offsets(n: int, order: int, with_ricci_identity: bool) -> tuple:
     """(steps, keys, near, row counts of w2, decomp and gamma) of every assembly of one
     shape (see ``_Lattice``), numbered once per process."""
     steps = (1, -1) if order == 2 else (2, 1, -1, -2)
-    unit, (a, b) = np.eye(n, dtype=int), np.triu_indices(n, 1)
+    unit, a, b = np.eye(n, dtype=int), pair_basis(n).rows, pair_basis(n).cols
     moves = np.concatenate([s * unit for s in steps])
     numbered: dict[tuple, None] = {}  # every offset so far, in row order
     def star(K): return np.concatenate([K, (K[:, None] + moves).reshape(-1, n)])
@@ -411,12 +411,11 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
 
     R, Rc, S = lattice.decomp  # in coordinates; R (like W) as pair matrices
     nR, nW, nRc = (lattice.nabla(T, c)[0] for T in (R, lattice.W, Rc))
-    vS = F.T @ lattice.grad(S, c)[0]
     def to_frame(T: np.ndarray) -> np.ndarray:  # F on each vector slot, L on each pair slot
         for size in T.shape:
             T = np.tensordot(T, F if size == n else L, axes=([0], [0]))
         return T
-    Rf, nRf, nWf, nRcf = map(to_frame, (R[0], nR, nW, nRc))
+    Rf, nRf, nWf, nRcf, vS = map(to_frame, (R[0], nR, nW, nRc, lattice.grad(S, c)[0]))
     R_op = CurvatureTensor(n, Rf, tol=wrap_tol)
     split = weyl_parts(n, Rf, pair_ricci(n, Rf))
     dec = decomposition(split, tol=wrap_tol)
@@ -430,14 +429,14 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
 
     w2, near, j = lattice.w2, lattice.near, lattice.steps.index
     d2f = np.diag((w2[near[0, j(1)]] - 2.0 * w2[0] + w2[near[0, j(-1)]]) / (h * h))
-    a, b = np.triu_indices(n, 1)
+    a, b = pair_basis(n).rows, pair_basis(n).cols
     def w2_ab(sa, sb): return w2[near[near[0, j(sa), a], j(sb), b]]  # at sa e_a + sb e_b
     d2f[a, b] = d2f[b, a] = (w2_ab(1, 1) - w2_ab(1, -1) - w2_ab(-1, 1)
                              + w2_ab(-1, -1)) / (4.0 * h * h)
     lap_w2 = float(np.einsum('ab,ab->', gi0, d2f)
                    - np.einsum('ab,sab,s->', gi0, lattice.gamma[0], lattice.grad(w2, c)[0]))
 
-    grad_absw = F.T @ lattice.grad(np.sqrt(np.maximum(w2, 0.0)), c)[0]
+    grad_absw = to_frame(lattice.grad(np.sqrt(np.maximum(w2, 0.0)), c)[0])
     ricci_res = (float(_ricci_identity_residual(lattice, c)[0])
                  if lattice.with_ricci_identity else None)
 
@@ -445,8 +444,8 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
         metric=lattice.metric, grid=lattice.grid, frame=F, R=R_op, Rc=split.Rc,
         S=dec.S, decomposition=dec, nabla_r=nabla_r, nabla_w=nabla_w, nabla_rc=nRcf, grad_s=vS,
         delta_w=delta_w, P=P, Q=Q, b_w=b_w, b_r=b_r,
-        lap_w_norm_sq=lap_w2, grad_w_norm=grad_absw,
-        nabla_w_norm_sq=float(np.sum(nabla_w.comps ** 2)), ricci_identity_residual=ricci_res)
+        lap_w_norm_sq=lap_w2, grad_w_norm=grad_absw, ricci_identity_residual=ricci_res,
+        nabla_w_norm_sq=float(frobenius(nWf.reshape(-1), nWf.reshape(-1))))
 
 
 def _ricci_identity_residual(lattice: _Lattice, rows) -> np.ndarray:
@@ -481,7 +480,7 @@ def identity_residual_report(f: ChartCurvatureField) -> dict[str, float]:
     out["bianchi_grad_margin"] = 3.0 * f.nabla_w_norm_sq - bw2
     pq = f.P.comps + f.Q.comps / (2.0 * (n - 1))
     out["delta_w_pq"] = float(np.abs(f.delta_w.comps + (n - 3) / (n - 2) * pq).max())
-    grad2 = float(np.sum(f.grad_w_norm ** 2))
+    grad2 = float(frobenius(f.grad_w_norm, f.grad_w_norm))
     out["kato_classical_margin"] = f.nabla_w_norm_sq - grad2
     out["grad_abs_w_sq"] = grad2
     out["nabla_w_sq"] = f.nabla_w_norm_sq

@@ -35,7 +35,7 @@ from .models import model_curvature, package_consistency, parse_model_spec, symm
 from .report import render
 from .serialization import json_array, json_fields, json_number, operator_from_dict, read_json_object
 from .suite import run_identity_suite
-from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, bianchi_residual
+from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, bianchi_residual, frobenius, inner
 
 DEFAULT_TOLERANCES = {
     "eps_alg": EPS_ALG,
@@ -157,7 +157,7 @@ def cmd_dim4(args, tols, report) -> None:
     _check(report, "normal_form_residual", nf.residual, tols["eps_nf"] * scale)
     _check(report, "cube_dot_vs_3det", det.cube_dot - 3 * det.det, 100 * tol * scale ** 3)
     _check(report, "cube_sharp_vs_6det", det.cube_sharp - 6 * det.det, 100 * tol * scale ** 3)
-    wp_norm = float(np.linalg.norm(split.wplus))
+    wp_norm = float(np.sqrt(frobenius(split.wplus, split.wplus)))
     _check(report, "det_sharp_bound", max(0.0, 18 * det.det - np.sqrt(6) * wp_norm ** 3),
            tol * scale ** 3)
     if args.scalar is not None:
@@ -238,7 +238,7 @@ def cmd_chart(args, tols, report) -> None:
     report["results"]["n"] = metric.n
     report["results"]["harmonic_weyl"] = metric.harmonic_weyl
     report["results"]["scalar"] = field.S
-    report["results"]["weyl_norm_sq"] = float(np.sum(field.decomposition.weyl.mat ** 2))
+    report["results"]["weyl_norm_sq"] = inner(field.decomposition.weyl, field.decomposition.weyl)
     report["results"]["residuals"] = {k: float(v) for k, v in sorted(residuals.items())}
     if metric.name.startswith("euclidean"):
         for key, value in residuals.items():

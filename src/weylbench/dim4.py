@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import check_trace_free, cubic_parts, kn_g_pairing, kn_matrix
 from .basis import pair_basis, pair_ricci
 from .tensors import (EPS_ALG, CurvatureTensor, check_bianchi, check_finite, check_traceless,
-                      symmetrized)
+                      frobenius, inner, symmetrized)
 
 def hodge_pm_basis() -> np.ndarray:
     """Columns 0-2: orthonormal self-dual 2-forms; columns 3-5: anti-self-dual.
@@ -142,9 +142,9 @@ def berger_normal_form(W: CurvatureTensor, tol: float = EPS_ALG) -> BergerNormal
     I = [np.sqrt(2.0) * _form_matrix(phis[:, a]) for a in range(3)]
     J = [np.sqrt(2.0) * _form_matrix(psis[:, a]) for a in range(3)]
     # orient the triples: I1 I2 = -I3 and J1 J2 = +J3 match the standard frame
-    if float(np.sum((I[0] @ I[1]) * (-I[2]))) < 0:
+    if frobenius(I[0] @ I[1], -I[2]) < 0:
         I[2] = -I[2]
-    if float(np.sum((J[0] @ J[1]) * J[2])) < 0:
+    if frobenius(J[0] @ J[1], J[2]) < 0:
         J[2] = -J[2]
     best: tuple[float, np.ndarray] | None = None
     for s1, s2 in product((1.0, -1.0), repeat=2):
@@ -182,7 +182,7 @@ def pinched_lemma_check(lambda1: float, lambda3: float, S: float) -> bool:
     satisfied = bool(lambda3 <= thresh + EPS_ALG * max(1.0, abs(thresh)))
     if satisfied:
         spec = np.array([lambda1, -lambda1 - lambda3, lambda3])
-        conclusion = S * float(np.sum(spec ** 2)) - 36.0 * float(np.prod(spec))
+        conclusion = S * float(frobenius(spec, spec)) - 36.0 * float(np.prod(spec))
         if conclusion < -1e-9 * max(1.0, abs(S) ** 3):
             raise AssertionError("conclusion inequality violated on reconstructed spectrum")
     return satisfied
@@ -198,7 +198,7 @@ def e_circ_g_orthogonality(W: CurvatureTensor, E: np.ndarray) -> float:
     E = check_traceless(E, "E")
     scale = max(1.0, float(np.abs(E).max()))
     contraction = 2.0 * pair_ricci(4, W.mat @ W.mat.T)  # sum_kpq W_ikpq W_jkpq
-    w_norm_sq = float(np.sum(W.mat * W.mat))
+    w_norm_sq = inner(W, W)
     dev = np.abs(contraction - w_norm_sq * np.eye(4)).max()
     if dev > 100 * EPS_ALG * max(1.0, w_norm_sq):
         raise AssertionError("quadratic contraction of W is not pure trace")

@@ -20,7 +20,7 @@ from .algebra import (
     ricci_contraction,
 )
 from .basis import pair_basis
-from .tensors import CurvatureTensor, inner
+from .tensors import CurvatureTensor, frobenius, inner
 
 
 #: largest n^2 max|R_ijkl| a model may have.  Its diagonal Ricci form has trace norm at
@@ -171,7 +171,7 @@ def package_consistency(pkg: CurvaturePackage) -> dict[str, float]:
         out["reassembly"] = float(np.abs(total - R.mat).max())
         lhs = inner(R, R)
         rhs = (inner(dec.weyl, dec.weyl) + pkg.S ** 2 / (2 * n * (n - 1))
-               + float(np.sum(dec.E * dec.E)) / (n - 2))
+               + float(frobenius(dec.E, dec.E)) / (n - 2))
         out["pythagoras"] = abs(lhs - rhs)
     return out
 
@@ -192,7 +192,7 @@ def symmetric_space_identity_report(pkg: CurvaturePackage) -> dict[str, float]:
     W = dec.weyl
     r1 = bochner_curvature_term(n, pkg.Rc, W.mat)
     qf = quadratic_forms(W, dec.E)
-    e_norm_sq = float(np.sum(dec.E * dec.E))
+    e_norm_sq = float(frobenius(dec.E, dec.E))
     r2 = qf.W_AA - (n / (n - 2)) * qf.A_cubed - pkg.S * e_norm_sq / (n - 1)
     return {"r1": float(r1), "r2": float(r2), "weyl_norm_sq": inner(W, W),
             "e_norm_sq": e_norm_sq, "scalar": pkg.S}

@@ -36,12 +36,6 @@ def curvature_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
     return sym - symmetrized(bianchi_image(n, sym))
 
 
-def weyl_from_uniform(n: int, m: np.ndarray) -> np.ndarray:
-    """Pair matrices of the Weyl parts of the curvature tensors built from the symmetric
-    parts of (..., N, N) draws (``weyl_matrix`` takes them)."""
-    return weyl_matrix(n, m)
-
-
 def traceless_from_uniform(m: np.ndarray) -> np.ndarray:
     """Traceless symmetric matrices of (..., m, m) draws: the symmetric part less its trace
     over m times the identity."""
@@ -148,9 +142,9 @@ def random_weyl(rng: np.random.Generator, n: int) -> CurvatureTensor:
 
 
 def random_weyl_batch(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Pair matrices (count, N, N) of a batch of Weyl-type tensors."""
+    """Pair matrices (count, N, N) of a batch of Weyl-type tensors (``weyl_matrix`` of draws)."""
     N = pair_basis(n).size
-    return weyl_from_uniform(n, uniform(rng, count, N, N))
+    return weyl_matrix(n, uniform(rng, count, N, N))
 
 
 def random_curvature_derivative_full(rng: np.random.Generator, n: int) -> np.ndarray:

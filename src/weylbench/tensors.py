@@ -1,6 +1,7 @@
 """Core tensor types: operators on 2-forms and the mixed-index tensor classes.
 
-Norm conventions (fixed once, used everywhere):
+Norm conventions (fixed once, used everywhere: every <A, B> and |A|^2 is ``frobenius``, every
+norm its square root, and only a sum of a product formed in the same expression is inline):
 
 * operators on 2-forms:  |T|^2 = sum_{i<j, k<l} T_ijkl^2  (the operator norm,
   one quarter of the full four-index square sum), so <T, S> is the Frobenius
@@ -12,6 +13,7 @@ Norm conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,9 +190,11 @@ class Operator2Form:
 
 
 def frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius inner products of (..., N, N) stacks, one sum per matrix (batch-aware)."""
+    """Frobenius inner products, one pairwise sum per matrix of (..., N, N) stacks (an empty
+    batch gives none).  A sum of a product formed in place (``cubic_parts``) has these bits
+    and stays inline, where numpy reuses its buffer (n = 8: 1.1 ms inline, 2.6 ms here)."""
     prod = a * b
-    return prod.reshape(prod.shape[:-2] + (-1,)).sum(axis=-1)
+    return prod.reshape(prod.shape[:-2] + (math.prod(prod.shape[-2:]),)).sum(axis=-1)
 
 
 def inner(a: Operator2Form, b: Operator2Form) -> float:
@@ -200,7 +204,7 @@ def inner(a: Operator2Form, b: Operator2Form) -> float:
 
 
 def norm(a: Operator2Form) -> float:
-    return float(np.linalg.norm(a.mat))
+    return math.sqrt(inner(a, a))
 
 
 def bianchi_residual(op: Operator2Form) -> float:
@@ -265,7 +269,7 @@ def _full(full: np.ndarray, rank: int, pairs) -> tuple[int, np.ndarray]:
 
 class _Components:
     """A mixed-index tensor stored as its finite, read-only component array of shape
-    ``_shape(n)``; its norm is the Euclidean norm of the components."""
+    ``_shape(n)``; its norm is sqrt(``frobenius``) of the flattened components."""
 
     __slots__ = ("n", "comps")
     _minimum = 2
@@ -279,7 +283,7 @@ class _Components:
         self.comps = _frozen(comps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.comps))
+        return math.sqrt(frobenius(self.comps.reshape(-1), self.comps.reshape(-1)))
 
 
 class TwoFormOneForm(_Components):

@@ -19,6 +19,13 @@ residual to ``check_small`` itself.  Symmetry goes through ``check_symmetric``
 (which takes leading batch axes): outside ``tensors.py`` no ``check_small``
 is handed ``x - x.T`` or ``x - swapaxes(x, -1, -2)``.
 
+There is one inner product: outside ``tensors.py`` no code takes a norm with
+``np.linalg.norm``, pairs two operands with an einsum that sums two or more of their
+indices, or sums a whole ``x * y`` or ``x ** 2`` itself; ``<A, B>`` and ``|A|^2`` are
+``tensors.frobenius`` (and ``inner``, ``norm`` on it).  The chart's contractions with
+g^-1 (S = <Rc, g^-1> in ``_decomp_coords``, the g^ab sum of the Laplacian in
+``_assemble``) are metric traces, not pairings of the norm convention, and stay einsums.
+
 Optional parameters are counted, so a knob that only tests set cannot come
 back unnoticed.
 
@@ -42,7 +49,7 @@ parts come from ``weyl_matrix``), neither
 ``pair_matrix_to_four_tensor``.  The sparse operator loader writes pair entries
 directly: ``serialization.py`` calls neither ``from_four_tensor`` nor
 ``pair_matrix_to_four_tensor``.  The suite takes its Weyl samples from
-``sampling.random_weyl_batch``, so it calls no ``weyl_from_uniform`` of its own.
+``sampling.random_weyl_batch``, so it calls no ``weyl_matrix`` of its own.
 The Weyl split runs on pair matrices, in the frame (``algebra.weyl_parts``) and in
 a chart's coordinates (``algebra.weyl_split`` with the row's metric), and the
 Kulkarni-Nomizu product has one pair-matrix kernel (``algebra.kn_matrix``): the
@@ -60,7 +67,8 @@ matrices from the coordinate split to the frame: neither ``chart._assemble`` nor
 ``chart._Lattice.nabla`` (its one covariant derivative) calls
 ``four_tensor_to_pair_matrix``, ``pair_matrix_to_four_tensor``,
 ``from_four_tensor`` or ``.four()``, and ``_assemble``'s ``to_frame`` is the one
-top-level chart function that calls ``tensordot`` (its one frame change).  The chart
+chart function that calls ``tensordot`` (its one frame change, for R, its derivatives,
+grad S and grad |W|): ``_assemble`` applies the frame F in no ``@`` of its own.  The chart
 forms R at the index pairs a < b and reads Rc and the Ricci identity's R through
 ``pair_slots``, so ``chart.py`` imports neither ``four_tensor_to_pair_matrix`` nor
 ``pair_matrix_to_four_tensor``.  The suite's
@@ -82,8 +90,9 @@ so every metric evaluation of the package goes through one call site and its
 shape and positive-definiteness checks.
 
 Arrays are made read-only in three places only: ``basis.read_only_cache`` for the
-cached index tables, ``tensors._frozen`` for container components and
-``basis.pair_basis`` for the arrays inside its dataclass.
+cached index tables, ``tensors._frozen`` for container components and the basis
+constructors ``basis.pair_basis`` and ``basis.triple_basis`` for the arrays inside
+their dataclasses.
 
 Every CLI option is read: the tolerance names each subcommand declares in
 ``cli.build_parser`` are exactly the ``tols["..."]`` keys its ``cmd_*`` reads, and
@@ -361,7 +370,37 @@ def test_each_curvature_contraction_has_one_route():
 
 
 def test_suite_draws_weyl_samples_only_through_the_sampler():
-    assert "weyl_from_uniform" not in called_names(SRC / "suite.py")
+    assert "weyl_matrix" not in called_names(SRC / "suite.py")
+
+
+def frame_changes(path: Path) -> list[str]:
+    """``scope kind`` of each frame change in a file: every ``tensordot`` call, and every
+    ``@`` with the frame ``F`` or ``F.T`` as an operand."""
+    def is_frame(node):
+        return (isinstance(node, ast.Name) and node.id == "F") or (
+            isinstance(node, ast.Attribute) and node.attr == "T" and is_frame(node.value))
+    out = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            where = ".".join(scope)
+            if isinstance(child, ast.Call) and _called_name(child) == "tensordot":
+                out.append(f"{where} tensordot")
+            elif (isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult)
+                  and (is_frame(child.left) or is_frame(child.right))):
+                out.append(f"{where} @")
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), ())
+    return out
+
+
+def test_guard_sees_frame_changes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(F, v, T):\n    def g(T):\n        return np.tensordot(T, F, 1)\n"
+                     "    return F.T @ v, v @ F, L @ v, g(T)\n")
+    assert frame_changes(probe) == ["f.g tensordot", "f @", "f @"]
 
 
 #: (file, function) pairs that split or multiply on pair matrices alone
@@ -379,9 +418,7 @@ def test_frame_weyl_split_runs_on_pair_matrices():
             "four_tensor_to_pair_matrix", "pair_matrix_to_four_tensor", "from_four_tensor",
             "four"}, function
     # one frame change: the tensordot of _assemble's to_frame, for vector and pair slots
-    tree = ast.parse((SRC / "chart.py").read_text(encoding="utf-8"))
-    assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-            and "tensordot" in called_names(SRC / "chart.py", node.name)] == ["_assemble"]
+    assert frame_changes(SRC / "chart.py") == ["_assemble.to_frame tensordot"]
     for name, function in PAIR_MATRIX_WEYL_STAGES:
         assert not called_names(SRC / name, function) & {
             "kn_four", "four", "pair_matrix_to_four_tensor"}, function
@@ -506,8 +543,69 @@ def test_oracle_projects_only_through_the_one_projection():
     assert not called_names(SRC / "bounds.py", "wcubic_oracle") & PROJECTION_STEPS
 
 
+#: the chart's contractions with g^-1: metric traces, not norm-convention pairings
+METRIC_TRACES = {("chart.py", "_decomp_coords"), ("chart.py", "_assemble")}
+
+
+def _is_pairing_einsum(call: ast.Call) -> bool:
+    """An einsum of two operands with one subscript, summed over two or more indices."""
+    if not (_called_name(call) == "einsum" and len(call.args) == 3
+            and isinstance(call.args[0], ast.Constant)):
+        return False
+    inputs, _, out = call.args[0].value.replace(" ", "").partition("->")
+    a, _, b = inputs.partition(",")
+    return a == b and len(a.replace("...", "")) - len(out.replace("...", "")) >= 2
+
+
+def _is_product_or_square(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and (isinstance(node.op, ast.Mult) or (
+        isinstance(node.op, ast.Pow) and ast.unparse(node.right) == "2"))
+
+
+def pairing_sites(path: Path) -> list[tuple[str, str, str]]:
+    """(file:line, scope, kind) of each inner product or norm a file takes by a route of
+    its own: ``np.linalg.norm``, a pairing einsum, or a whole-array ``sum`` of ``x * y``
+    or ``x ** 2`` (one with ``axis`` reduces a product formed in place, as ``cubic_parts``
+    does)."""
+    out = []
+    for call, scope in scoped_calls(path):
+        if (_called_name(call) == "norm" and isinstance(call.func, ast.Attribute)
+                and ast.unparse(call.func.value).endswith("linalg")):
+            kind = "linalg.norm"
+        elif _is_pairing_einsum(call):
+            kind = "einsum"
+        elif (_called_name(call) == "sum" and len(call.args) == 1 and not call.keywords
+              and _is_product_or_square(call.args[0])):
+            kind = "sum"
+        else:
+            continue
+        out.append((f"{path.name}:{call.lineno}", scope, kind))
+    return out
+
+
+def test_guard_sees_pairing_sites(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(a, b, d):\n    x = np.linalg.norm(a) + numpy.linalg.norm(b)\n"
+                     "    y = np.einsum('...ij,...ij->...', a, b) + np.einsum('ab, ab', a, b)\n"
+                     "    z = np.sum(a * b) + np.sum(a ** 2) + np.sum(a * b, axis=-1)\n"
+                     "    return np.einsum('ij,ij->i', d, d), np.einsum('ij,jk->ik', a, b), "
+                     "np.sum(a ** 3), d.norm()\n")
+    assert pairing_sites(probe) == [
+        ("probe.py:2", "f", "linalg.norm"), ("probe.py:2", "f", "linalg.norm"),
+        ("probe.py:3", "f", "einsum"), ("probe.py:3", "f", "einsum"),
+        ("probe.py:4", "f", "sum"), ("probe.py:4", "f", "sum")]
+
+
+def test_norms_and_pairings_go_through_frobenius():
+    hits = [(path.name, hit) for path in sorted(SRC.glob("*.py")) if path.name != "tensors.py"
+            for hit in pairing_sites(path)]
+    assert [hit for name, hit in hits
+            if hit[2] != "einsum" or (name, hit[1]) not in METRIC_TRACES] == []
+    assert {(name, hit[1]) for name, hit in hits} == METRIC_TRACES
+
+
 #: optional parameters (defaults) over the package's functions
-MAX_OPTIONAL_PARAMETERS = 28
+MAX_OPTIONAL_PARAMETERS = 26
 
 
 def optional_parameters(path: Path) -> list[str]:
@@ -581,7 +679,7 @@ def test_guard_sees_freezes(tmp_path):
 def test_arrays_are_frozen_only_by_the_read_only_helpers():
     found = {(path.name, site) for path in sorted(SRC.glob("*.py")) for site in freeze_sites(path)}
     assert found == {("basis.py", "read_only_cache"), ("basis.py", "pair_basis"),
-                     ("tensors.py", "_frozen")}
+                     ("basis.py", "triple_basis"), ("tensors.py", "_frozen")}
 
 
 def traced_function_pairs() -> list[tuple[str, str]]:

@@ -195,6 +195,6 @@ def test_guard_raises_on_a_u_tensor_sample_that_is_not_trace_free(monkeypatch):
         four = pair_matrix_to_four_tensor(n, symmetrized(m))
         return four_tensor_to_pair_matrix(n, four - cyclic_average(four))
 
-    monkeypatch.setattr(sampling, "weyl_from_uniform", curvature_pairs)
+    monkeypatch.setattr(sampling, "weyl_matrix", curvature_pairs)
     with pytest.raises(ValueError, match="u-contraction requires a trace-free"):
         run_identity_suite(dimensions=(6,), trials=2)

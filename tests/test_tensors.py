@@ -31,6 +31,7 @@ from weylbench.tensors import (
     check_small,
     check_symmetric,
     check_traceless,
+    frobenius,
     inner,
     norm,
     within_tol,
@@ -135,6 +136,29 @@ def test_operator_norm_is_quarter_of_full_contraction():
     four = op.four()
     assert np.einsum('ijkl,ijkl->', four, four) == pytest.approx(4 * norm(op) ** 2)
     assert inner(op, op) == pytest.approx(norm(op) ** 2)
+
+
+def test_frobenius_takes_empty_batches_and_sums_each_object_alone():
+    assert frobenius(np.zeros((0, 6, 6)), np.zeros((0, 6, 6))).shape == (0,)
+    assert frobenius(np.zeros((2, 0, 6, 6)), np.zeros((2, 0, 6, 6))).shape == (2, 0)
+    for count in (1, 7, 64):
+        a, b = rng.standard_normal((2, count, 10, 10))
+        batch = frobenius(a, b)
+        assert batch.shape == (count,)
+        assert all(batch[k] == frobenius(a[k], b[k]) for k in range(count))
+
+
+def test_norms_are_square_roots_of_the_one_inner_product():
+    """Every norm is sqrt(frobenius), so |T|^2 and <T, T> agree to the bit."""
+    for n in (4, 5, 7):
+        op = random_operator(rng, n)
+        assert norm(op) == np.sqrt(inner(op, op))
+        slices = rng.standard_normal(CovDerivCurvature._shape(n))
+        for t in (TwoFormOneForm(n, rng.standard_normal(TwoFormOneForm._shape(n))),
+                  ThreeTwoTensor(n, rng.standard_normal(ThreeTwoTensor._shape(n))),
+                  CovDerivCurvature(n, slices + np.swapaxes(slices, 1, 2))):
+            flat = t.comps.reshape(-1)
+            assert t.norm() == np.sqrt(frobenius(flat, flat))
 
 
 def test_inner_dimension_mismatch():
