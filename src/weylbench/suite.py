@@ -6,29 +6,26 @@ u-tensor trials.  A trial's draws are the samplers' own (``sampling.uniform``
 in the order the per-trial samplers call it), so the sample stream is the one
 those samplers give, bit for bit.
 
-Trials run in chunks of ``CHUNK`` (2; its comment says why).  A chunk's draws
-are stacked and mapped to samples by the ``*_from_uniform`` maps (its Weyl
-samples are one ``random_weyl_batch`` draw, the numbers of per-trial draws);
-each identity family is then evaluated once on the (B, ...) stacks with the
-raw kernels of ``algebra`` (the Weyl split and sharps straight into pair
-matrices, R(h) and the quadratic forms on slot matrices through
-``curvature_action``, the second-Bianchi and circ-prime images at their
-(triple, pair) components, the u-tensor on pairs; no four-index tensor is
-formed) and its worst value folded into the report as a float.  Each table is
-formed once: the slot matrices of R, W, A o g and k o g are gathered once per
-operand and the nine sharp products formed from them (``sharp_slots``), h o g
-with g = I reads the identity's entries from a cached table (``kn_identity``),
-and the derivative draws go straight to pair matrices
-(``curvature_derivative_pairs_from_uniform``), each with the bits of the route
-it replaces.  The typed containers' input checks run once per
-chunk: symmetry and first Bianchi of R, then of W, the e/s parts, k o g and
-A o g as one (5, B, ...) stack, and trace-free W before the sectional split
-and the u-tensor (the ``check_symmetric``, ``check_bianchi`` and
-``check_trace_free`` guards, each over the whole stack), so each object keeps
-its own scale and the containers' messages.  The residuals do not depend on
-CHUNK (the batched basis expansions return C-order stacks, so every per-trial
-sum runs in one order), and the report keeps the (n, trial index) of every
-worst residual, so ``trials = index + 1`` with the same seed replays it.
+Trials run in chunks sized per dimension by ``CHUNK_ENTRIES`` (64 trials at n = 4 down
+to 2 at n = 8; its comment says why).  A chunk's draws are stacked and mapped to samples
+by the ``*_from_uniform`` maps (its Weyl samples are one ``random_weyl_batch`` draw, the
+numbers of per-trial draws); each identity family is then evaluated once on the (B, ...)
+stacks with the raw kernels of ``algebra`` (the Weyl split and sharps straight into pair
+matrices, R(h) and the quadratic forms on slot matrices through ``curvature_action``, the
+second-Bianchi and circ-prime images at their (triple, pair) components, the u-tensor on
+pairs; no four-index tensor is formed) and its worst value folded into the report as a
+float.  Each table is formed once: the slot matrices of R, W, A o g and k o g are gathered
+once per operand and the nine sharp products formed from them (``sharp_slots``), h o g
+with g = I reads the identity's entries from a cached table (``kn_identity``), and the
+derivative draws go straight to pair matrices (``curvature_derivative_pairs_from_uniform``),
+each with the bits of the route it replaces.  The typed containers' input checks run once
+per chunk: symmetry and first Bianchi of R, then of W, the e/s parts, k o g and A o g as
+one (5, B, ...) stack, and trace-free W before the sectional split and the u-tensor (the
+``check_symmetric``, ``check_bianchi`` and ``check_trace_free`` guards, each over the
+whole stack), so each object keeps its own scale and the containers' messages.  The
+residuals do not depend on the chunk sizes (the batched basis expansions return C-order
+stacks, so every per-trial sum runs in one order), and the report keeps the (n, trial
+index) of every worst residual, so ``trials = index + 1`` with the same seed replays it.
 """
 
 from __future__ import annotations
@@ -79,14 +76,14 @@ from .tensors import (
     symmetrized,
 )
 
-#: trials per chunk; a chunk's transient arrays grow with it.  Peak RSS of
-#: `weylbench identities --n 4 --n 6 --trials 10` is 37.4 MB with chunks of 1,
-#: 38.1 with 2, 38.9 with 3, 39.5 with 4 and 43.8 with 16 (40.3 MB before the
-#: suite was batched).  Batching pays most for the small dimensions (suite time
-#: per trial at n = 4: 1.3 ms alone, 0.74 ms in chunks of 2, 0.49 ms in chunks
-#: of 4) and little at n = 8 (4.4-4.8 ms at chunks of 1 to 4).
-#: Measured on 2 vCPUs with numpy 2.4.6.
-CHUNK = 2
+#: entries of a chunk's n^5 derivative-draw stack, the largest per-trial array (the u-tensor's
+#: N^3 and the slot stacks' n^4 are smaller at n >= 4): at most 64, 20, 8, 3 and 2 trials a
+#: chunk at n = 4..8.  Against two trials a chunk at every n, suite time per trial falls from
+#: 0.8 to 0.15 ms at n = 4 (3 ms at n = 8 either way), and `weylbench identities --seed 4` from
+#: 10.8-11.3 to 6.7-6.8 s, peaking at 41.4 MB instead of 41.2.  2**17 is a little faster but
+#: peaks 1.8-2.2 MB higher (40.1 MB for `identities --n 4 --n 6 --trials 10`, 38.3 at 2**16,
+#: 37.6 at two trials a chunk).  Measured on 2 vCPUs with numpy 2.4.6.
+CHUNK_ENTRIES = 2 ** 16
 
 
 @dataclass
@@ -134,10 +131,12 @@ def _curvature(n: int, mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _chunks(total: int):
-    """(first trial, trial count) of each chunk of ``total`` trials."""
-    for first in range(0, total, CHUNK):
-        yield first, min(CHUNK, total - first)
+def _chunks(total: int, n: int):
+    """(first trial, count) of the fewest near-equal chunks within CHUNK_ENTRIES at dimension n."""
+    count = -(-total // max(1, CHUNK_ENTRIES // n ** 5))
+    for i in range(count):
+        first = total * i // count
+        yield first, total * (i + 1) // count - first
 
 
 def _identity_draws(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
@@ -297,17 +296,17 @@ def _run_dimension(args: tuple[int, int, int, float]) -> tuple[dict, dict, dict]
     n, trials, seed, tolerance = args
     rep = SuiteReport(seed=seed, trials=trials, dimensions=(n,), tolerance=tolerance)
     rng = np.random.default_rng([seed, n])
-    for first, count in _chunks(trials):
+    for first, count in _chunks(trials, n):
         _identity_chunk(rng, n, count, rep, first)
     reduced = max(1, trials // 10) if trials > 0 else 0
-    for first, count in _chunks(trials if n <= 5 else reduced):
+    for first, count in _chunks(trials if n <= 5 else reduced, n):
         dev = _sharp_cubic_trial(n, _curvature(n, random_weyl_batch(rng, n, count)))
         if n <= 5:
             rep.record(f"sharp_cubic_n{n}", dev, (n, first))
         else:
             key = f"sharp_cubic_deviation_n{n}"
             rep.stats[key] = running_max(rep.stats.get(key, 0.0), dev)
-    for first, count in _chunks(reduced):
+    for first, count in _chunks(reduced, n):
         u_norm, u_cubic = _u_tensor_trial(n, _curvature(n, random_weyl_batch(rng, n, count)))
         rep.record(f"u_norm_n{n}", u_norm, (n, first))
         rep.record(f"u_cubic_n{n}", u_cubic, (n, first))
@@ -330,8 +329,8 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
     for n in dimensions:
         if n < 4:
             raise ValueError("identity suite runs for dimensions >= 4")
-    rep = SuiteReport(seed=seed, trials=trials, dimensions=tuple(dimensions),
-                      tolerance=tolerance)
+    dimensions = tuple(dict.fromkeys(dimensions))  # a repeated n runs once
+    rep = SuiteReport(seed=seed, trials=trials, dimensions=dimensions, tolerance=tolerance)
     jobs = [(n, trials, seed, tolerance) for n in dimensions]
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
@@ -339,7 +338,7 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
             results = pool.map(_run_dimension, jobs)
     else:
         results = [_run_dimension(job) for job in jobs]
-    for residuals, stats, worst in results:  # keys end in _n{n}: a repeated n repeats them
+    for residuals, stats, worst in results:
         rep.residuals.update(residuals)
         rep.stats.update(stats)
         rep.worst.update(worst)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylbench import cli
+from weylbench import cli, suite
 from weylbench.cli import main
 from weylbench.sampling import random_curvature, random_operator, random_weyl
 from weylbench.serialization import operator_to_dict
@@ -299,6 +299,33 @@ def test_determinism_bit_identical(tmp_path):
     assert run_cli(*args, "--out", str(a)) == 0
     assert run_cli(*args, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_identities_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    args = ["identities", "--n", "4", "--n", "6", "--trials", "10", "--format", "json"]
+    outputs = []
+    for entries in (suite.CHUNK_ENTRIES, 1, 2 ** 40):
+        monkeypatch.setattr(suite, "CHUNK_ENTRIES", entries)
+        out = tmp_path / f"{entries}.json"
+        assert run_cli(*args, "--out", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_identities_repeated_dimension_runs_once(tmp_path, monkeypatch):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    args = ["identities", "--trials", "3", "--seed", "5", "--format", "json"]
+    assert run_cli(*args, "--n", "4", "--out", str(once)) == 0
+    run_dimension, calls = suite._run_dimension, []
+
+    def counted(job):
+        calls.append(job[0])
+        return run_dimension(job)
+
+    monkeypatch.setattr(suite, "_run_dimension", counted)
+    assert run_cli(*args, "--n", "4", "--n", "4", "--workers", "2", "--out", str(twice)) == 0
+    assert calls == [4]
+    assert twice.read_bytes() == once.read_bytes()
 
 
 def test_entry_point_runs():

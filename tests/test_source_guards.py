@@ -543,18 +543,21 @@ def test_oracle_projects_only_through_the_one_projection():
     assert not called_names(SRC / "bounds.py", "wcubic_oracle") & PROJECTION_STEPS
 
 
-#: the chart's contractions with g^-1: metric traces, not norm-convention pairings
-METRIC_TRACES = {("chart.py", "_decomp_coords"), ("chart.py", "_assemble")}
+#: the chart's contractions with g^-1: metric traces, not norm-convention pairings; and the
+#: oracle's step norms, a stated exception: ``frobenius`` sums their rows in another order
+#: and would move the ``oracle`` report bytes
+EINSUM_EXCEPTIONS = {("chart.py", "_decomp_coords"), ("chart.py", "_assemble"),
+                     ("bounds.py", "wcubic_oracle")}
 
 
 def _is_pairing_einsum(call: ast.Call) -> bool:
-    """An einsum of two operands with one subscript, summed over two or more indices."""
+    """An einsum of two operands with one subscript, summed over one or more indices."""
     if not (_called_name(call) == "einsum" and len(call.args) == 3
             and isinstance(call.args[0], ast.Constant)):
         return False
     inputs, _, out = call.args[0].value.replace(" ", "").partition("->")
     a, _, b = inputs.partition(",")
-    return a == b and len(a.replace("...", "")) - len(out.replace("...", "")) >= 2
+    return a == b and len(a.replace("...", "")) - len(out.replace("...", "")) >= 1
 
 
 def _is_product_or_square(node: ast.AST) -> bool:
@@ -593,15 +596,15 @@ def test_guard_sees_pairing_sites(tmp_path):
     assert pairing_sites(probe) == [
         ("probe.py:2", "f", "linalg.norm"), ("probe.py:2", "f", "linalg.norm"),
         ("probe.py:3", "f", "einsum"), ("probe.py:3", "f", "einsum"),
-        ("probe.py:4", "f", "sum"), ("probe.py:4", "f", "sum")]
+        ("probe.py:4", "f", "sum"), ("probe.py:4", "f", "sum"), ("probe.py:5", "f", "einsum")]
 
 
 def test_norms_and_pairings_go_through_frobenius():
     hits = [(path.name, hit) for path in sorted(SRC.glob("*.py")) if path.name != "tensors.py"
             for hit in pairing_sites(path)]
     assert [hit for name, hit in hits
-            if hit[2] != "einsum" or (name, hit[1]) not in METRIC_TRACES] == []
-    assert {(name, hit[1]) for name, hit in hits} == METRIC_TRACES
+            if hit[2] != "einsum" or (name, hit[1]) not in EINSUM_EXCEPTIONS] == []
+    assert {(name, hit[1]) for name, hit in hits} == EINSUM_EXCEPTIONS
 
 
 #: optional parameters (defaults) over the package's functions
