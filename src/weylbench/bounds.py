@@ -265,8 +265,9 @@ def wcubic_oracle(s: float, n: int, budget: int = 100_000, seed: int = 0) -> Ora
     Multi-start projected gradient ascent from 64 random feasible starts only,
     so the maximiser must be found by the ascent: with ``budget=0`` the value
     is the best start's and falls short of the closed form.  f is homogeneous
-    of degree one: the ascent runs at cap 1, and s scales its result (exactly
-    for s a power of two).  Each row steps along the gradient on its cap face,
+    of degree one: the ascent runs at cap 1 and never sees s, so ``value`` and
+    ``best_x`` are bit for bit s times their cap-1 values, for every finite
+    positive s.  Each row steps along the gradient on its cap face,
     with the components at the cap zeroed and the rest re-centred (Calamai &
     Moré 1987); its step doubles on a gain, up to 0.5, and shrinks eightfold
     on a rejection.  The ascent stops when every step is at most 1e-12 or

@@ -334,8 +334,10 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
     jobs = [(n, trials, seed, tolerance) for n in dimensions]
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
+        largest_first = sorted(jobs, reverse=True)  # the largest n is the longest job
         with mp.get_context("spawn").Pool(min(workers, len(jobs))) as pool:
-            results = pool.map(_run_dimension, jobs)
+            done = dict(zip(largest_first, pool.map(_run_dimension, largest_first)))
+        results = [done[job] for job in jobs]  # merged in the given order
     else:
         results = [_run_dimension(job) for job in jobs]
     for residuals, stats, worst in results:

@@ -284,6 +284,36 @@ def test_bounds_oracle_finds_the_maximiser(capsys, seed):
     assert run_cli("bounds", "--trials", "2", "--budget", "2000", "--seed", seed) == 0
 
 
+@pytest.mark.parametrize("seed,budget", [(0, 0), (0, 2000), (7, 0), (7, 2000)])
+def test_bounds_runs_one_ascent_per_dimension(capsys, monkeypatch, seed, budget):
+    """One cap-1 ascent per n serves the three caps, with the rows and failures of an
+    ascent per cap."""
+    oracle, calls = cli.wcubic_oracle, []
+
+    def counted(s, n, **kwargs):
+        calls.append((s, n))
+        return oracle(s, n, **kwargs)
+
+    monkeypatch.setattr(cli, "wcubic_oracle", counted)
+    code = run_cli("bounds", "--trials", "0", "--budget", str(budget), "--seed", str(seed),
+                   "--format", "json")
+    assert calls == [(1.0, n) for n in range(2, 9)]
+    data = json.loads(capsys.readouterr().out)
+    rows, failures = {}, []
+    for n in range(2, 9):
+        for s in (0.5, 1.0, 2.0):
+            res, closed = oracle(s, n, budget=budget, seed=seed), cli.wcubic_closed_form(s, n)
+            key = f"oracle.n{n}_s{s}"
+            rows[key] = {"oracle": res.value, "converged": res.converged}
+            failures += [f"{key}.{name}" for name, gap, tol in (
+                ("excess", res.value - closed, cli.DEFAULT_TOLERANCES["oracle_high"]),
+                ("defect", closed - res.value, cli.DEFAULT_TOLERANCES["oracle_low"])) if gap > tol]
+    assert {key: {k: row[k] for k in ("oracle", "converged")}
+            for key, row in data["results"]["oracle"].items()} == rows
+    assert data["failures"] == failures and code == (1 if failures else 0)
+    assert bool(failures) == (budget == 0)  # no ascent falls short of the closed form
+
+
 def test_report_formats(tmp_path):
     out_csv = tmp_path / "r.csv"
     assert run_cli("constants", "6", "--format", "csv", "--out", str(out_csv)) == 0
