@@ -326,15 +326,16 @@ def circ_prime_full(a: np.ndarray) -> np.ndarray:
 
 
 def circ_prime_pairs(n: int, a: np.ndarray) -> np.ndarray:
-    """(..., T, N) components (i < j < k, m < l) of ``circ_prime_full`` of (..., n, n, n) tensors.
+    """(..., T, N) components (i < j < k, m < l) of ``circ_prime_full`` of (..., N, n) pairs.
 
     The six terms are gathered at cached positions, zero from a pad where the metric factor
-    vanishes, and added onto zero in the formula's order, so the bits are those of the
-    full kernel at those entries (a zero added there leaves a sum unchanged).
+    vanishes, multiplied by their pairs' signs as ``pair_form_to_full3`` multiplies (a negation
+    would flip a NaN's sign bit), and added onto zero in the formula's order, so the bits are
+    the full kernel's on the expansion at those entries (a zero added there changes no sum).
     """
-    flat = a.reshape(a.shape[:-3] + (-1,))
-    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
-    t = np.take(padded, _circ_prime_positions(n), axis=-1)
+    flat, sign = _circ_prime_positions(n)
+    padded = np.concatenate([a, np.zeros(a.shape[:-2] + (1, n))], axis=-2)
+    t = _take_trailing(padded, 2, flat) * sign
     return sum(t[..., r, :, :] for r in range(6))
 
 
@@ -349,7 +350,7 @@ def circ_prime(A: TwoFormOneForm) -> ThreeTwoTensor:
     """
     if A.n < 4:
         raise ValueError(f"circ-prime product requires dimension >= 4, got {A.n}")
-    return ThreeTwoTensor(A.n, circ_prime_pairs(A.n, A.full()))
+    return ThreeTwoTensor(A.n, circ_prime_pairs(A.n, A.comps))
 
 
 def second_bianchi_full(full: np.ndarray) -> np.ndarray:

@@ -232,32 +232,34 @@ def _second_bianchi_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @read_only_cache
-def _circ_prime_positions(n: int) -> np.ndarray:
-    """(6, T, N) flat positions, in an (n^3 + 1,) tensor whose last entry is the zero pad, of
-    the six terms g_kl A_ijm, g_il A_jkm, g_jl A_kim, g_km A_jil, g_im A_kjl and g_jm A_ikl of
-    (A o' g)_ijkml at i < j < k, m < l; the pad where the metric factor vanishes."""
-    i, j, k, m, l = _triple_pair_grid(n)
-    return np.stack([np.where(x == y, (a * n + b) * n + c, n ** 3)
-                     for x, y, a, b, c in ((l, k, i, j, m), (l, i, j, k, m), (l, j, k, i, m),
-                                           (m, k, j, i, l), (m, i, k, j, l), (m, j, i, k, l))])
+def _circ_prime_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(6, T, N) flat positions, in (N + 1, n) pair components (A_abc at pos[a, b] n + c, a < b)
+    whose last row is the zero pad, of the six terms of (A o' g)_ijkml at i < j < k, m < l in
+    ``circ_prime``'s order, the pad where the metric factor vanishes; and their pairs' signs."""
+    pb, (i, j, k, m, l) = pair_basis(n), _triple_pair_grid(n)
+    terms = ((l, k, i, j, m), (l, i, j, k, m), (l, j, k, i, m),
+             (m, k, j, i, l), (m, i, k, j, l), (m, j, i, k, l))
+    flat = [np.where(x == y, pb.pos[a, b] * n + c, pb.size * n) for x, y, a, b, c in terms]
+    return np.stack(flat), np.stack([pb.sign[a, b] for _, _, a, b, _ in terms])
 
 
 @read_only_cache
 def _divergence_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, n, n, n) flat positions of T_m,abcm over (m, a, b, c) in an (n, N + 1, N + 1) stack
+    """(n, N, n) flat positions of T_m,abcm over (m, a < b, c) in an (n, N + 1, N + 1) stack
     of padded pair matrices (``_padded``), and the signs ``_padded_positions`` gives."""
-    flat, sign = (np.moveaxis(x, -1, 0) for x in _padded_positions(n))
-    return flat + (np.arange(n) * (pair_basis(n).size + 1) ** 2)[:, None, None, None], sign
+    pb = pair_basis(n)
+    flat, sign = (np.moveaxis(x, -1, 0)[:, pb.rows, pb.cols] for x in _padded_positions(n))
+    return flat + (np.arange(n) * (pb.size + 1) ** 2)[:, None, None], sign
 
 
 def pair_divergence(n: int, mat: np.ndarray) -> np.ndarray:
-    """(..., n, n, n) divergences sum_m T_m,abcm of (..., n, N, N) derivative pair matrices,
-    with the bits of einsum('...mabcm->...abc') on their five-index expansions (the
-    entries are summed over m as that einsum sums them)."""
+    """(..., N, n) pair components (a < b) of the divergences sum_m T_m,abcm of (..., n, N, N)
+    derivative pair matrices, with the bits of einsum('...mabcm->...abc') on their five-index
+    expansions (the entries are summed over m as that einsum sums them)."""
     flat, sign = _divergence_positions(n)
     t = _take_trailing(_padded(mat), 3, flat)
     t *= sign
-    return np.einsum('...mabc->...abc', t)
+    return np.einsum('...mpc->...pc', t)
 
 
 def four_tensor_to_pair_matrix(n: int, four: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ Gram-orthonormalized coordinate frame (lower-triangular Cholesky convention).
 Every stencil point of an assembly is an integer offset k from the center,
 with coordinates ``GridSpec.point(k) = center + h * k``, and each stage is
 tabulated once over its whole offset set in batched passes (``_Lattice``); W is
-split from R under the metric once per assembly, on the rows that read it.
+split from R once on the rows that read it, and again from the frame R at the center.
 
 Sign convention: R_ijkl = -g_ls R^s_ijk with
 R^s_ijk = d_i Gamma^s_jk - d_j Gamma^s_ik + Gamma-quadratic terms, which makes
@@ -421,15 +421,14 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
     dec = decomposition(split, tol=wrap_tol)
 
     nabla_r, nabla_w = CovDerivCurvature(n, nRf), CovDerivCurvature(n, nWf)
-    delta_w = TwoFormOneForm.from_full(pair_divergence(n, nWf))
-    P = TwoFormOneForm.from_full(nRcf - np.transpose(nRcf, (1, 0, 2)))
-    Q = TwoFormOneForm.from_full(np.einsum('ki,j->ijk', np.eye(n), vS)
-                                 - np.einsum('kj,i->ijk', np.eye(n), vS))
+    a, b, g = pair_basis(n).rows, pair_basis(n).cols, np.eye(n)
+    delta_w = TwoFormOneForm(n, pair_divergence(n, nWf))
+    P = TwoFormOneForm(n, nRcf[a, b] - nRcf[b, a])
+    Q = TwoFormOneForm(n, g[a] * vS[b, None] - g[b] * vS[a, None])
     b_w, b_r = second_bianchi(nabla_w), second_bianchi(nabla_r)
 
     w2, near, j = lattice.w2, lattice.near, lattice.steps.index
     d2f = np.diag((w2[near[0, j(1)]] - 2.0 * w2[0] + w2[near[0, j(-1)]]) / (h * h))
-    a, b = pair_basis(n).rows, pair_basis(n).cols
     def w2_ab(sa, sb): return w2[near[near[0, j(sa), a], j(sb), b]]  # at sa e_a + sb e_b
     d2f[a, b] = d2f[b, a] = (w2_ab(1, 1) - w2_ab(1, -1) - w2_ab(-1, 1)
                              + w2_ab(-1, -1)) / (4.0 * h * h)

@@ -33,7 +33,8 @@ from .chart import GridSpec, curvature_field, grid_file_metric, identity_residua
 from .dim4 import berger_normal_form, det_identities, split_self_dual
 from .models import model_curvature, package_consistency, parse_model_spec, symmetric_space_identity_report
 from .report import render
-from .serialization import json_array, json_fields, json_number, operator_from_dict, read_json_object
+from .serialization import (json_array, json_fields, json_number, operator_dimension,
+                            operator_from_dict, read_json_object)
 from .suite import run_identity_suite
 from .tensors import EPS_ALG, EPS_NF, CurvatureTensor, bianchi_residual, frobenius, inner
 
@@ -133,9 +134,11 @@ def cmd_dim4(args, tols, report) -> None:
     what, tol = f"dim4 input {args.input}", tols["eps_alg"]
     data = read_json_object(args.input, what)
     with _labelled(what):
+        n = operator_dimension(data)
+    if n != 4:  # refused before an operator of that n is built
+        raise ValueError(f"dim4 subcommand needs an n=4 operator, got n={n}")
+    with _labelled(what):
         op = operator_from_dict(data, tol=tol)
-    if op.n != 4:
-        raise ValueError(f"dim4 subcommand needs an n=4 operator, got n={op.n}")
     scale = max(1.0, float(np.abs(op.mat).max()))
     _check(report, "trace_free_residual", float(np.abs(ricci_contraction(op)).max()),
            tol * scale * 100)
@@ -212,9 +215,11 @@ def cmd_pinch(args, tols, report) -> None:
             raise ValueError("pointwise/norm pinch needs --input JSON with W, E, S")
         what = f"pinch input {args.input}"
         w, E, S = json_fields(read_json_object(args.input, what), ("W", "E", "S"), what)
-        with _labelled(what):  # W's checks, E's and S's, and the verdict's own on E
-            W = CurvatureTensor.from_operator(operator_from_dict(w, tol=EPS_ALG))
+        with _labelled(what):  # E and S read, W's n against E's size before W is built,
             E, S = json_array(E, float, "pinch E"), json_number(S, float, "pinch S")
+            if E.shape[-1:] != (operator_dimension(w),):  # W's checks, the verdict's on E
+                raise ValueError("dimension mismatch")
+            W = CurvatureTensor.from_operator(operator_from_dict(w, tol=EPS_ALG))
             verdict = (pinch_verdict_pointwise if args.kind == "pointwise"
                        else pinch_verdict_norm)(W, E, S)
     report["results"]["verdict"] = verdict.as_dict()

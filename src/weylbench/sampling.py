@@ -12,7 +12,7 @@ from itertools import permutations
 import numpy as np
 
 from .algebra import weyl_matrix
-from .basis import _take_trailing, bianchi_image, pair_basis, read_only_cache
+from .basis import _take_trailing, bianchi_image, full3_to_pair_form, pair_basis, read_only_cache
 from .tensors import CurvatureTensor, Operator2Form, symmetrized
 
 
@@ -45,13 +45,13 @@ def traceless_from_uniform(m: np.ndarray) -> np.ndarray:
 
 
 def two_form_one_form_from_uniform(a: np.ndarray) -> np.ndarray:
-    """(..., n, n, n) draws made antisymmetric in the first two slots and 1-3 trace-free,
-    the subspace of divergence-type tensors (where |A o' g|^2 = (n-3)|A|^2 holds)."""
+    """(..., N, n) pair components of (..., n, n, n) draws made antisymmetric in the first two
+    slots and 1-3 trace-free: divergence-type tensors, where |A o' g|^2 = (n-3)|A|^2 holds."""
     n = a.shape[-1]
     a = a - np.swapaxes(a, -3, -2)
     c = np.einsum('...iji->...j', a)
     t = np.einsum('im,...j->...ijm', np.eye(n), c) - np.einsum('jm,...i->...ijm', np.eye(n), c)
-    return a - t / (n - 1)
+    return full3_to_pair_form(n, a - t / (n - 1))
 
 
 def pure_from_uniform(m: np.ndarray) -> np.ndarray:

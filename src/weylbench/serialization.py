@@ -118,9 +118,14 @@ def _from_sparse(data: dict, n: int, tol: float) -> Operator2Form:
     return Operator2Form(n, np.nan_to_num(mat, nan=0.0))
 
 
+def operator_dimension(data) -> int:
+    """The n an operator object declares, read before anything is sized by it."""
+    n, = json_fields(json_object(data, "operator"), ("n",), "operator")
+    return json_number(n, int, "operator n")
+
+
 def operator_from_dict(data: dict, tol: float = EPS_ALG) -> Operator2Form:
-    data = json_object(data, "operator")
-    n = json_number(*json_fields(data, ("n",), "operator"), int, "operator n")
+    n = operator_dimension(data)
     if "matrix" in data:
         return _from_dense(data, n, tol)
     if "components" in data:

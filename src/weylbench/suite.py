@@ -52,7 +52,6 @@ from .algebra import (
 )
 from .basis import (
     bianchi_image,
-    full3_to_pair_form,
     pair_basis,
     pair_divergence,
     pair_ricci,
@@ -220,9 +219,8 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     record("productw_reindex", _rel(frobenius(Wm, tri_sharp[0]) - rhs_c, WW))
 
     # circ-prime norm identity on divergence-type tensors
-    Af = two_form_one_form_from_uniform(mA)
-    Ap = full3_to_pair_form(n, Af)
-    cp = circ_prime_pairs(n, Af)
+    Ap = two_form_one_form_from_uniform(mA)
+    cp = circ_prime_pairs(n, Ap)
     a2, cp2 = frobenius(Ap, Ap), frobenius(cp, cp)
     record("circ_prime_norm", _rel(cp2 - (n - 3) * a2, a2))
 
@@ -260,12 +258,12 @@ def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
     so that they are freed before the next family runs.
     """
     # second-Bianchi images of the decomposition pieces (raw kernels, component norms)
-    C, g = symmetrized(mC), np.eye(n)
-    P = C - np.swapaxes(C, -3, -2)
+    C, g, (a, b) = symmetrized(mC), np.eye(n), (pair_basis(n).rows, pair_basis(n).cols)
+    P = C[..., a, b, :] - C[..., b, a, :]
     resid = second_bianchi_pairs(n, kn_identity(C)) - circ_prime_pairs(n, P)
     rc_part = _rel(max_abs(resid, 1), max_abs(P, 1))
     D_s = v[..., :, None, None] * kn_identity_square(n)  # v_m (g o g)
-    Qf = np.einsum('ki,...j->...ijk', g, v) - np.einsum('kj,...i->...ijk', g, v)
+    Qf = g[a] * v[..., b, None] - g[b] * v[..., a, None]
     resid = second_bianchi_pairs(n, D_s) + circ_prime_pairs(n, Qf)
     s_part = _rel(max_abs(resid, 1), max_abs(Qf, 1))
     # second-Bianchi image of the trace-free part on an exact derivative field

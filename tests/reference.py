@@ -11,7 +11,9 @@ four-index Ricci trace under a metric (R(g^-1), the einsum route of
 of a four-tensor by one matrix, the einsum-free route that the pair-matrix
 congruence L^T T L with L = (1/2) ``algebra.kn_matrix(A, A)`` reproduces;
 ``full5_to_triple_pair`` reads the (triple, pair) components of five-index
-tensors, the bits ``second_bianchi_pairs`` and ``circ_prime_pairs`` reproduce.
+tensors, the bits ``second_bianchi_pairs`` and ``circ_prime_pairs`` reproduce, and
+``triple_pair_to_full5`` expands them back; ``rotated`` moves every index of a full
+tensor by one matrix, the frame change of the equivariance oracles.
 ``four_index_decomposition`` is the chart's coordinate stage on (n, n, n, n)
 tensors: the curvature from the Christoffels on all n^3 index triples
 (``four_index_curvature``) and its Ricci trace by einsum, which
@@ -28,7 +30,8 @@ import numpy as np
 
 from weylbench.algebra import WeylSplit, kn_four, second_bianchi_full, weyl_split
 from weylbench.basis import (_take_trailing, _triple_pair_grid, four_tensor_to_pair_matrix,
-                             full3_to_pair_form, pair_basis, pair_matrix_to_four_tensor)
+                             full3_to_pair_form, pair_basis, pair_matrix_to_four_tensor,
+                             triple_basis)
 from weylbench.dim4 import _from_block
 from weylbench.tensors import CurvatureTensor, PureCurvatureMatrix, ThreeTwoTensor, check_symmetric
 
@@ -110,6 +113,27 @@ def _triple_pair_positions(n: int) -> np.ndarray:
 def full5_to_triple_pair(n: int, full: np.ndarray) -> np.ndarray:
     """(..., n,n,n,n,n) tensors, 3-form in slots 0-2 and 2-form in 3-4 -> (..., T, N)."""
     return _take_trailing(full, 5, _triple_pair_positions(n))
+
+
+def triple_pair_to_full5(n: int, comps: np.ndarray) -> np.ndarray:
+    """The (n,)*5 tensor, alternating in slots 0-2 and in slots 3-4, of (T, N) components:
+    ``full5_to_triple_pair`` inverted."""
+    pb, ijk = pair_basis(n), triple_basis(n).ijk
+    out = np.zeros((n,) * 5)
+    for perm, sign in (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
+                       ((1, 0, 2), -1.0), ((0, 2, 1), -1.0), ((2, 1, 0), -1.0)):
+        i, j, k = (ijk[p][:, None] for p in perm)
+        out[i, j, k, pb.rows, pb.cols] = sign * comps
+        out[i, j, k, pb.cols, pb.rows] = -sign * comps
+    return out
+
+
+def rotated(T: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum A_ia A_jb ... T_ij...: every index of T moved by one (n, n) matrix, one
+    tensordot per index."""
+    for _ in range(T.ndim):
+        T = np.tensordot(T, A, axes=([0], [0]))
+    return T
 
 
 def three_two_from_full(full: np.ndarray) -> ThreeTwoTensor:

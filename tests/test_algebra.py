@@ -53,8 +53,8 @@ from weylbench.algebra import (
     weyl_split,
 )
 from weylbench.basis import (_pair_generators, bianchi_image, four_tensor_to_pair_matrix,
-                             pair_basis, pair_divergence, pair_matrix_to_four_tensor, pair_ricci,
-                             pair_slots)
+                             full3_to_pair_form, pair_basis, pair_divergence, pair_form_to_full3,
+                             pair_matrix_to_four_tensor, pair_ricci, pair_slots)
 from weylbench.bounds import cubic_bound_eval, eigen_bound, eigen_bound_terms, weyl_bound_terms
 from weylbench.sampling import (
     curvature_from_uniform,
@@ -83,8 +83,8 @@ from weylbench.tensors import (
 )
 
 from reference import (congruence_four, cyclic_average, embed_block, frame_weyl_split,
-                       full5_to_triple_pair, pure_matrix_from_weyl, ricci_trace,
-                       three_two_from_full)
+                       full5_to_triple_pair, pure_matrix_from_weyl, ricci_trace, rotated,
+                       three_two_from_full, triple_pair_to_full5)
 
 rng = np.random.default_rng(7)
 
@@ -380,7 +380,7 @@ def test_tri_permutation_symmetry():
 # ----------------------------------------------------------- circ prime
 
 def test_circ_prime_matches_oracle():
-    A = TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, 4, 4, 4)))
+    A = TwoFormOneForm(4, two_form_one_form_from_uniform(uniform(rng, 4, 4, 4)))
     full5 = circ_prime_oracle(A.full())
     out = circ_prime(A)
     assert np.allclose(out.comps, three_two_from_full(full5).comps, atol=1e-13)
@@ -396,7 +396,7 @@ def test_circ_prime_zero_and_dimension_guard():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_circ_prime_norm_identity(n):
-    A = TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, n, n, n)))
+    A = TwoFormOneForm(n, two_form_one_form_from_uniform(uniform(rng, n, n, n)))
     assert circ_prime(A).norm() ** 2 == pytest.approx((n - 3) * A.norm() ** 2, rel=1e-11)
 
 
@@ -693,7 +693,7 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(second_bianchi_full,
                                 rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 5))
     _assert_batch_equals_single(lambda a: circ_prime_pairs(n, a),
-                                rng.uniform(-1.0, 1.0, size=(count,) + (n,) * 3))
+                                rng.uniform(-1.0, 1.0, size=(count, pair_basis(n).size, n)))
     D = rng.uniform(-1.0, 1.0, size=(count, n) + (pair_basis(n).size,) * 2)
     _assert_batch_equals_single(lambda d: second_bianchi_pairs(n, d), D)
     _assert_batch_equals_single(lambda d: pair_divergence(n, d), D)
@@ -734,8 +734,8 @@ def test_typed_wrappers_are_their_kernels(n):
     assert np.array_equal(kerb.mat, T.mat - imb.mat)
     D = CovDerivCurvature(n, np.stack([random_operator(rng, n).mat for _ in range(n)]))
     assert np.array_equal(second_bianchi(D).comps, second_bianchi_pairs(n, D.comps))
-    A = TwoFormOneForm.from_full(two_form_one_form_from_uniform(uniform(rng, n, n, n)))
-    assert np.array_equal(circ_prime(A).comps, circ_prime_pairs(n, A.full()))
+    A = TwoFormOneForm(n, two_form_one_form_from_uniform(uniform(rng, n, n, n)))
+    assert np.array_equal(circ_prime(A).comps, circ_prime_pairs(n, A.comps))
     E = random_traceless_symmetric(rng, n)
     assert eigen_bound(E) == tuple(float(v) for v in eigen_bound_terms(check_traceless(E, "E")))
     if n >= 5:
@@ -998,25 +998,30 @@ def test_sharp_from_slot_matrices_keeps_the_sharp_matrix_bits(n):
 def test_triple_pair_kernels_keep_the_five_index_bits(n, count):
     """second_bianchi_pairs, circ_prime_pairs and pair_divergence against the (triple, pair)
     components of their five-index routes, bit for bit (signed zeros and NaN payloads
-    included), on random, sparse, zero, -0.0 and non-finite inputs."""
+    included), on random, sparse, zero, -0.0 and non-finite inputs; circ_prime_pairs takes
+    (count, N, n) pair components and its route their (n, n, n) expansions."""
     N = pair_basis(n).size
     D = rng.uniform(-1.0, 1.0, size=(count, n, N, N))
-    a = rng.uniform(-1.0, 1.0, size=(count, n, n, n))
+    a = rng.uniform(-1.0, 1.0, size=(count, N, n))
     bad_D, bad_a = D.copy(), a.copy()
     bad_D[0, 0, N - 1, 2] = np.nan  # D_0,(n-2)(n-1) enters B_0(n-2)(n-1)
     bad_D[-1, n - 1, 0, 1] = np.inf
     bad_D[-1, n - 1, 0, 0] = -np.inf
-    bad_a[0, 0, 1, 2] = np.nan
-    bad_a[-1, 1, 0, 2] = np.inf
-    bad_a[-1, 1, 2, 0] = -np.inf
+    bad_a[0, 0, 2] = np.nan  # A_012
+    bad_a[0, pair_basis(n).pos[1, 2], 3] = np.nan  # A_123, also gathered as A_213 = -A_123
+    bad_a[-1, 1, 1] = np.inf  # A_021
+    bad_a[-1, pair_basis(n).pos[1, 2], 0] = -np.inf
     with np.errstate(invalid="ignore"):
         for d, x in ((D, a), (-D * (D < -0.8), a * (a > 0.8)), (bad_D, bad_a),
                      (np.zeros_like(D), -np.zeros_like(a)), (-np.zeros_like(D), np.zeros_like(a))):
             full = pair_matrix_to_four_tensor(n, d)
             assert _same_bits(second_bianchi_pairs(n, d),
                               full5_to_triple_pair(n, second_bianchi_full(full)))
-            assert _same_bits(pair_divergence(n, d), np.einsum('...mabcm->...abc', full))
-            assert _same_bits(circ_prime_pairs(n, x), full5_to_triple_pair(n, circ_prime_full(x)))
+            assert _same_bits(pair_divergence(n, d),
+                              full3_to_pair_form(n, np.einsum('...mabcm->...abc', full)))
+            x_full = np.stack([pair_form_to_full3(n, c) for c in x])
+            assert _same_bits(circ_prime_pairs(n, x),
+                              full5_to_triple_pair(n, circ_prime_full(x_full)))
         sb, cp = second_bianchi_pairs(n, bad_D), circ_prime_pairs(n, bad_a)
     assert np.isnan(sb[0]).any() and np.isnan(cp[0]).any()
     assert not np.isfinite(sb[-1]).all() and not np.isfinite(cp[-1]).all()
@@ -1032,6 +1037,23 @@ def test_weyl_matrix_is_orthogonally_equivariant(n):
     A, _ = np.linalg.qr(rng.standard_normal((n, n)))
     expect = pair_congruence(weyl_matrix(n, T), A)
     assert np.abs(weyl_matrix(n, pair_congruence(T, A)) - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_two_form_one_form_kernels_are_orthogonally_equivariant(n):
+    """pair_divergence and circ_prime_pairs commute with a seeded orthogonal A moving every
+    index, rotated through the full expansions: an oracle independent of the bit tests,
+    which share the kernels' index tables."""
+    N = pair_basis(n).size
+    A = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
+    def rotate3(c): return full3_to_pair_form(n, rotated(pair_form_to_full3(n, c), A))
+    D = rng.uniform(-1.0, 1.0, size=(n, N, N))
+    D_rot = four_tensor_to_pair_matrix(n, rotated(pair_matrix_to_four_tensor(n, D), A))
+    expect = rotate3(pair_divergence(n, D))
+    assert np.abs(pair_divergence(n, D_rot) - expect).max() <= 1e-13 * np.abs(expect).max()
+    a = rng.uniform(-1.0, 1.0, size=(N, n))
+    expect = full5_to_triple_pair(n, rotated(triple_pair_to_full5(n, circ_prime_pairs(n, a)), A))
+    assert np.abs(circ_prime_pairs(n, rotate3(a)) - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])

@@ -1,15 +1,18 @@
-"""Every function the traced benchmark run patches still exists under its name.
+"""Every function the traced benchmark run patches still exists under its name, and
+every call the benchmark's workloads make still runs and passes its check.
 
 The traced run (benchmarks/tracing.py) wraps functions by (module, name) and
 times suite._run_dimension; a rename or deletion would silently drop a layer.
-This test only reads the benchmark's list.
+These tests only read the benchmark's files.
 """
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+TRACING, WORKLOADS = BENCHMARKS / "tracing.py", BENCHMARKS / "workloads.py"
 
 
 def load_tracing():
@@ -60,3 +63,23 @@ def test_traced_assembly_records_every_chart_layer():
               if module == "chart" and not calls.get(f"chart.{name}")]
     assert not silent, silent
     assert tracer.metric_calls == tracer.metric_distinct == 4881
+
+
+def test_each_workload_runs_a_cycle_through_its_checks(tmp_path, monkeypatch):
+    """One whole cycle of every workload's op mix, each op through its own check, so a
+    change to a call the benchmark makes fails here and not only as failed benchmark ops.
+    bounds_audit runs its first six ops (four audits, the eigen audit and one oracle):
+    the oracle entries repeat one call at other sizes and caps."""
+    monkeypatch.setitem(sys.modules, "tracing", load_tracing())  # workloads imports it
+    spec = importlib.util.spec_from_file_location("weylbench_bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert set(workloads.WORKLOADS) == {"identity_suite", "bounds_audit", "chart_assembly",
+                                        "cli_reports"}
+    for name, cls in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload = cls(seed=0, workdir=str(workdir))
+        for k in range(6 if name == "bounds_audit" else workload.cycle):
+            call, check = workload.prepare(k)
+            assert check(call()), (name, k)

@@ -504,6 +504,12 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
      "grid file {file} grid is missing the field 'h'"),
     (("chart", "{file}"), lambda: dict(_NO_OFFSETS, offsets=[[0, 0, 0, 0]]),
      "grid file {file} has 1 offsets and 0 matrices"),
+    # a declared n is refused before anything is sized by it (an n = 1000 operator is 1.8 TiB)
+    (("dim4", "{file}"), lambda: {"n": 1000, "components": {}},
+     "dim4 subcommand needs an n=4 operator, got n=1000"),
+    (("pinch", "pointwise", "--input", "{file}"),
+     lambda: dict(_pinch_payload(), W={"n": 1000, "components": {}}),
+     "pinch input {file}: dimension mismatch"),
 ],
     ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
          "pinch-pointwise-nan-S", "pinch-norm-traced-E", "pinch-pointwise-traced-E",
@@ -516,7 +522,7 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
          "tol-overflow", "pinch-missing-W", "pinch-missing-S", "dim4-dense-missing-n",
          "dim4-sparse-missing-n", "pinch-operator-missing-n", "pinch-W-not-bianchi",
          "pinch-E-traced", "pinch-E-mis-sized", "pinch-E-stacked", "grid-missing-offsets",
-         "grid-missing-h", "grid-length-mismatch"])
+         "grid-missing-h", "grid-length-mismatch", "dim4-huge-n", "pinch-huge-n-W"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "input.json"
     if payload is not None:

@@ -36,6 +36,10 @@ expansion is a boundary format: outside ``Operator2Form.four`` and
 ``CovDerivCurvature.full`` and the reference kernels the benchmark traces, no package
 code calls ``.four()``, ``pair_matrix_to_four_tensor`` or ``cyclic_average`` (the
 first-Bianchi sum on four-tensors, now the tests' oracle in ``tests/reference.py``).
+2-form-valued 1-forms (delta W, P, Q and the circ-prime input) run as (..., N, n) pair
+components: outside ``tensors.py`` no package code calls ``from_full``, ``.full()`` or
+``pair_form_to_full3``, and ``full3_to_pair_form`` only in the sampler's one read of its
+antisymmetrised draws (``sampling.two_form_one_form_from_uniform``).
 Each curvature contraction has one runtime route: R(h) = sum R_ipjq h_pq is
 ``algebra.curvature_action`` on slot matrices, the first-Bianchi sum
 ``basis.bianchi_image``, the Ricci trace ``basis.pair_ricci`` and the Bochner curvature
@@ -333,6 +337,44 @@ def test_four_index_tensors_form_only_at_the_boundary():
     assert {(name, scope) for name, (_, scope, _) in hits} >= FOUR_INDEX_BOUNDARY
     assert [hit for name, hit in hits if (name, hit[1]) not in FOUR_INDEX_BOUNDARY
             and (name, hit[1].split(".")[0]) not in traced] == []
+
+
+#: the calls that expand (N, n) pair components into (n, n, n) tensors or read them back off
+THREE_INDEX_CONVERTERS = {"from_full", "full", "pair_form_to_full3", "full3_to_pair_form"}
+
+
+def three_index_call_sites(path: Path) -> list[tuple[str, str, str]]:
+    """(file:line, scope, name) of every call of a ``THREE_INDEX_CONVERTERS`` name in a file;
+    a ``full`` call counts only as ``x.full()`` with no arguments (``np.full(shape, v)`` is not)."""
+    return [(f"{path.name}:{call.lineno}", scope, name) for call, scope in scoped_calls(path)
+            for name in [_called_name(call)] if name in THREE_INDEX_CONVERTERS
+            and (name != "full" or isinstance(call.func, ast.Attribute) and not call.args)]
+
+
+def test_guard_sees_three_index_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(A, n):\n    return A.full(), np.full((n, n), 0.0)\n"
+                     "class K:\n    def g(self, x):\n"
+                     "        return TwoFormOneForm.from_full(x), b.full3_to_pair_form(4, x)\n"
+                     "y = pair_form_to_full3(4, z)\n")
+    assert three_index_call_sites(probe) == [
+        ("probe.py:2", "f", "full"), ("probe.py:5", "K.g", "from_full"),
+        ("probe.py:5", "K.g", "full3_to_pair_form"),
+        ("probe.py:6", "<module>", "pair_form_to_full3")]
+
+
+def test_two_form_one_forms_stay_pair_components():
+    """delta W, P, Q and the circ-prime input run as (..., N, n) pair components: only
+    ``tensors.py`` (``TwoFormOneForm.from_full`` and ``full``, the boundary methods) calls
+    ``from_full``, ``.full()`` or ``pair_form_to_full3``, and ``full3_to_pair_form`` is called
+    there and in the sampler's one read of its antisymmetrised draws."""
+    sampler = ("sampling.py", "two_form_one_form_from_uniform", "full3_to_pair_form")
+    hits = [(path.name, scope, name) for path in sorted(SRC.glob("*.py"))
+            for _, scope, name in three_index_call_sites(path)]
+    assert {"pair_form_to_full3", "full3_to_pair_form"} <= {
+        name for file, _, name in hits if file == "tensors.py"}
+    assert [hit for hit in hits if hit[0] != "tensors.py" and hit != sampler] == []
+    assert sampler in hits
 
 
 def einsum_index_counts(path: Path, function: str) -> list[int]:

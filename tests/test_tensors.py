@@ -13,6 +13,7 @@ from weylbench.basis import (
     four_tensor_to_pair_matrix,
     full3_to_pair_form,
     pair_basis,
+    pair_form_to_full3,
     pair_matrix_to_four_tensor,
     triple_basis,
 )
@@ -331,7 +332,8 @@ def _diagonal(value):
 
 
 def _antisymmetric_three(value):
-    full = two_form_one_form_from_uniform(uniform(np.random.default_rng(9), 4, 4, 4))
+    comps = two_form_one_form_from_uniform(uniform(np.random.default_rng(9), 4, 4, 4))
+    full = pair_form_to_full3(4, comps)
     full[0, 1, 2] *= value
     full[1, 0, 2] *= value
     return full
