@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (_circ_prime_positions, _pair_generators, _second_bianchi_positions,
+from .basis import (_circ_prime_positions, _in_passes, _pair_generators, _second_bianchi_positions,
                     _take_trailing, bianchi_image, pair_basis, pair_ricci, pair_slots,
                     read_only_cache, triple_basis)
 from .tensors import (
@@ -97,9 +97,13 @@ def _identity_kn_factors(n: int) -> np.ndarray:
 def kn_identity(h: np.ndarray) -> np.ndarray:
     """Pair matrices (..., N, N) of h o g with g the identity, for (..., n, n) forms h:
     kn_matrix(h, I) with I's entries read from a cached table, bit for bit (the zero
-    terms are kept, so NaN and inf in h spread as they do there)."""
+    terms are kept, so NaN and inf in h spread as they do there).  The four terms are
+    gathered as a (B, 4, N, N) stack, so the forms run in passes of at most
+    CHUNK_ENTRIES / 4N^2 (``basis._in_passes``): at most 20 a pass at n = 8."""
     n = h.shape[-1]
-    return _kn_sum(_take_trailing(h, 2, _kn_positions(n)[0]) * _identity_kn_factors(n))
+    hp, factors = _kn_positions(n)[0], _identity_kn_factors(n)
+    return _in_passes(lambda x: _kn_sum(_take_trailing(x, 2, hp) * factors), h, 2,
+                      4 * pair_basis(n).size ** 2)
 
 
 @read_only_cache
@@ -124,8 +128,8 @@ def _weyl_split(n: int, R: np.ndarray, Rc: np.ndarray, S: np.ndarray, g: np.ndar
     """``weyl_split`` with g o g given and X o g formed by ``kn_g``."""
     s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
     E = Rc - (s2 / n) * g
+    e_part = kn_g(E) / (n - 2)  # before s_part, so kn_g's passes run beside one stack fewer
     s_part = s2 / (2 * n * (n - 1)) * gg
-    e_part = kn_g(E) / (n - 2)
     return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R - s_part - e_part)
 
 
@@ -171,8 +175,9 @@ def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
     R is T less ``bianchi_image``, its Ricci trace is ``pair_ricci`` and ``weyl_parts``
     splits, so the bits are those of the four-index route on T without the n^4 tensors.
     """
-    T = symmetrized(mat)
-    R = T - bianchi_image(n, T)
+    R = symmetrized(mat)
+    del mat  # a caller's temporary input (the samplers' draws) is freed before the split
+    R = R - bianchi_image(n, R)  # rebinding R frees T before the split too
     return weyl_parts(n, R, pair_ricci(n, R)).W
 
 
@@ -277,9 +282,13 @@ def cubic_parts(n: int, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     <W, W^2> = tr(M^3), and <W, W#> = (1/2) sum w o (w w) with the slot matrix
     w[(i,k),(j,l)] = W_ijkl (``pair_slots``), since (w w)[(i,k),(j,l)] = sum_pq W_ipkq W_jplq.
+    The slot product holds n^4 entries an object, so <W, W#> runs in passes of at most
+    CHUNK_ENTRIES / n^4 objects (``basis._in_passes``): at most 16 a pass at n = 8.
     """
-    w = pair_slots(n, M)
-    return (np.sum(M * (M @ M), axis=(-2, -1)), 0.5 * np.sum(w * (w @ w), axis=(-2, -1)))
+    def sharp(m):
+        w = pair_slots(n, m)
+        return 0.5 * np.sum(w * (w @ w), axis=(-2, -1))
+    return np.sum(M * (M @ M), axis=(-2, -1)), _in_passes(sharp, M, 2, n ** 4)
 
 
 def curvature_action(X: np.ndarray, h: np.ndarray) -> np.ndarray:

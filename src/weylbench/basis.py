@@ -8,6 +8,7 @@ reconstructs a component for either index order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
@@ -54,6 +55,23 @@ def read_only_cache(build):
                 arr.flags.writeable = False
         return out
     return lru_cache(maxsize=None)(wraps(build)(frozen))
+
+
+#: bytes of the largest (N, N) float64 pair matrix a dimension read from input may size:
+#: n <= 16 (N = 120).  At n = 16 `weylbench model sphere:16` takes 0.34 s and 39 MB peak RSS
+#: and `identities --n 16 --trials 1` 0.47 s and 141 MB; a chart assembly grows about as n^6
+#: (218 MB at `chart perturbed:12`).  The tests and docs read n <= 10.  2 vCPUs, numpy 2.4.6.
+MAX_PAIR_MATRIX_BYTES = 2 ** 17
+
+
+def check_pair_dimension(n: int, what: str) -> int:
+    """n, refused with a ValueError that names it when one (N, N) float64 pair matrix of
+    dimension n is larger than MAX_PAIR_MATRIX_BYTES: the guard of a dimension read from input."""
+    N = n * (n - 1) // 2
+    if 8 * N * N > MAX_PAIR_MATRIX_BYTES:
+        raise ValueError(f"{what}: dimension n = {n} needs {N} x {N} pair matrices of "
+                         f"{8 * N * N} bytes, beyond the {MAX_PAIR_MATRIX_BYTES}-byte budget")
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -103,8 +121,48 @@ def disjoint_pair_mask(n: int) -> np.ndarray:
 
 
 def _take_trailing(x: np.ndarray, k: int, flat: np.ndarray) -> np.ndarray:
-    """Entries of x's trailing k axes at the C-order positions ``flat``, per leading index."""
-    return np.take(x.reshape(x.shape[:x.ndim - k] + (-1,)), flat, axis=-1)
+    """Entries of x's trailing k axes at the C-order positions ``flat``, per leading index
+    (none for an empty batch)."""
+    lead = x.ndim - k
+    return np.take(x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),)), flat, axis=-1)
+
+
+#: entries one batched pass may hold per intermediate: the suite's chunks (n^5 derivative
+#: draws a trial: 64, 20, 8, 3 and 2 trials at n = 4..8) and the expanding kernels' passes
+#: (``_in_passes``) share it.  Against two trials a chunk at every n, suite time per trial
+#: falls from 0.8 to 0.15 ms at n = 4 (3 ms at n = 8 either way), and `weylbench identities
+#: --seed 4` from 10.8-11.3 to 6.7-6.8 s, peaking at 41.4 MB instead of 41.2.  2**17 is a
+#: little faster but peaks 1.8-2.2 MB higher (40.1 MB for `identities --n 4 --n 6 --trials
+#: 10`, 38.3 at 2**16, 37.6 at two trials a chunk).  Measured on 2 vCPUs with numpy 2.4.6.
+CHUNK_ENTRIES = 2 ** 16
+
+
+def _chunks(total: int, entries: int):
+    """(first, count) of the fewest near-equal chunks of ``total`` objects whose
+    ``entries`` each add up to at most CHUNK_ENTRIES (one object a chunk at the least)."""
+    count = -(-total // max(1, CHUNK_ENTRIES // entries))
+    for i in range(count):
+        first = total * i // count
+        yield first, total * (i + 1) // count - first
+
+
+def _in_passes(kernel, x: np.ndarray, k: int, entries: int) -> np.ndarray:
+    """kernel(x) for a kernel of the objects in x's trailing k axes that holds ``entries``
+    intermediate entries per object, in the fewest near-equal passes (``_chunks``) over the
+    objects, leading axes flattened, so no pass holds more than CHUNK_ENTRIES of them (one
+    object at the least).  An input that fits one pass is one call, kernel(x); otherwise the
+    passes fill one output.  The objects are independent, so the bits are the one call's."""
+    lead = x.shape[:x.ndim - k]
+    passes = list(_chunks(math.prod(lead), entries))
+    if len(passes) <= 1:
+        return kernel(x)
+    flat, out = x.reshape((-1,) + x.shape[x.ndim - k:]), None
+    for first, count in passes:
+        part = kernel(flat[first:first + count])
+        if out is None:
+            out = np.empty((len(flat),) + part.shape[1:], part.dtype)
+        out[first:first + count] = part
+    return out.reshape(lead + out.shape[1:])
 
 
 @read_only_cache

@@ -27,7 +27,8 @@ import numpy as np
 
 from .algebra import (bochner_curvature_term, circ_prime, curvature_action, decomposition,
                       kn_identity, kn_matrix, second_bianchi, weyl_parts, weyl_split)
-from .basis import pair_basis, pair_divergence, pair_ricci, pair_slots, read_only_cache
+from .basis import (check_pair_dimension, pair_basis, pair_divergence, pair_ricci, pair_slots,
+                    read_only_cache)
 from .serialization import json_array, json_fields, json_number, json_object, read_json_object
 from .tensors import (EPS_ALG, CovDerivCurvature, CurvatureDecomposition, CurvatureTensor,
                       ThreeTwoTensor, TwoFormOneForm, check_dimension, check_finite,
@@ -153,6 +154,9 @@ def preset_metric(name: str) -> ChartMetric:
     bits = name.strip().split(":")
     kind = bits[0]
 
+    def dim(*fields: int) -> int:  # the preset's n, refused beyond the pair-matrix budget
+        return check_pair_dimension(sum(int(bits[i]) for i in fields), f"chart preset {name!r}")
+
     def radius(i: int) -> float:
         r = float(bits[i]) if len(bits) > i else 1.0
         if not 0 < r < math.inf:
@@ -160,18 +164,18 @@ def preset_metric(name: str) -> ChartMetric:
         return r
 
     if kind == "euclidean" and len(bits) == 2:
-        n = int(bits[1])
+        n = dim(1)
         return _StackedMetric(name, n, lambda x: np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)),
                               harmonic_weyl=True)
     if kind == "sphere-stereo" and len(bits) in (2, 3):
-        n = int(bits[1])
+        n = dim(1)
         return _StackedMetric(name, n, _stereo_spheres((n, radius(2))), harmonic_weyl=True)
     if kind == "product-spheres" and len(bits) in (3, 4, 5):
         p, q = int(bits[1]), int(bits[2])
-        return _StackedMetric(name, p + q, _stereo_spheres((p, radius(3)), (q, radius(4))),
+        return _StackedMetric(name, dim(1, 2), _stereo_spheres((p, radius(3)), (q, radius(4))),
                               harmonic_weyl=True)
     if kind == "perturbed" and len(bits) in (2, 3):
-        n = int(bits[1])
+        n = dim(1)
         amp = float(bits[2]) if len(bits) > 2 else 0.05
         return _StackedMetric(name, n, _perturbed(n, amp), harmonic_weyl=False)
     raise ValueError(f"bad chart preset {name!r}")
@@ -192,7 +196,7 @@ def grid_file_metric(path: str) -> ChartMetric:
     n, spec, offsets, matrices = json_fields(data, ("n", "grid", "offsets", "matrices"), what)
     center, h, order = json_fields(json_object(spec, f"{what} grid"), ("center", "h", "order"),
                                    f"{what} grid")
-    n = check_dimension(json_number(n, int, f"{what} n"))
+    n = check_pair_dimension(check_dimension(json_number(n, int, f"{what} n")), what)
     center = json_array(center, float, f"{what} grid.center")
     if center.shape != (n,):
         raise ValueError(f"{what} grid.center has shape {center.shape}, expected ({n},)")

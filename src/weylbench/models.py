@@ -19,7 +19,7 @@ from .algebra import (
     quadratic_forms,
     ricci_contraction,
 )
-from .basis import pair_basis
+from .basis import check_pair_dimension, pair_basis
 from .tensors import CurvatureTensor, frobenius, inner
 
 
@@ -99,22 +99,26 @@ def _factor(text: str) -> Factor:
 
 def parse_model_spec(text: str) -> ModelSpec:
     """Parse CLI strings like "sphere:4:1.0", "product:sphere:2:1.0,sphere:2:1.0" or
-    "fubini-study:2"; a missing or extra field is refused."""
+    "fubini-study:2"; a missing or extra field is refused, and so is a total dimension
+    beyond ``basis.MAX_PAIR_MATRIX_BYTES``."""
     name, _, rest = text.strip().partition(":")
     kind = name.replace("-", "_")
     if kind == "product":
         factors = tuple(_factor(part) for part in rest.split(","))
         if len(factors) < 2:
             raise ValueError("product needs at least two factors")
-        return ModelSpec(kind="product", factors=factors)
-    if kind in ("sphere", "hyperbolic", "euclidean"):
+        spec = ModelSpec(kind="product", factors=factors)
+    elif kind in ("sphere", "hyperbolic", "euclidean"):
         f = _factor(text)
-        return ModelSpec(kind=f.kind, dim=f.dim, radius=f.radius)
-    if kind == "fubini_study":
+        spec = ModelSpec(kind=f.kind, dim=f.dim, radius=f.radius)
+    elif kind == "fubini_study":
         if not rest or ":" in rest:
             raise ValueError(f"bad model spec {text!r}, expected fubini-study:m")
-        return ModelSpec(kind=kind, complex_dim=int(rest))
-    raise ValueError(f"unknown model kind {name!r}")
+        spec = ModelSpec(kind=kind, complex_dim=int(rest))
+    else:
+        raise ValueError(f"unknown model kind {name!r}")
+    check_pair_dimension(spec.n, f"model {text!r}")
+    return spec
 
 
 def model_curvature(spec: ModelSpec) -> CurvaturePackage:

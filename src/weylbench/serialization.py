@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .basis import pair_basis
+from .basis import check_pair_dimension, pair_basis
 from .tensors import EPS_ALG, Operator2Form, check_symmetric, within_tol
 
 
@@ -95,8 +95,10 @@ def _from_dense(data: dict, n: int, tol: float) -> Operator2Form:
 def _from_sparse(data: dict, n: int, tol: float) -> Operator2Form:
     """Each component's signed value goes to its pair entry and the transposed one.  The
     eight images of a key under the symmetries are those two entries, so a key agrees
-    with earlier ones exactly when its value agrees with the entry they left."""
-    pb = pair_basis(n)
+    with earlier ones exactly when its value agrees with the entry they left.  The pair
+    matrix is sized by n alone, so n is refused past ``basis.MAX_PAIR_MATRIX_BYTES`` first
+    (a dense matrix's size is checked against the one the input holds)."""
+    pb = pair_basis(check_pair_dimension(n, "operator"))
     mat = np.full((pb.size, pb.size), np.nan)
     for key, value in json_object(data["components"], "operator components").items():
         idx = tuple(int(t) for t in key.split(","))

@@ -6,8 +6,8 @@ u-tensor trials.  A trial's draws are the samplers' own (``sampling.uniform``
 in the order the per-trial samplers call it), so the sample stream is the one
 those samplers give, bit for bit.
 
-Trials run in chunks sized per dimension by ``CHUNK_ENTRIES`` (64 trials at n = 4 down
-to 2 at n = 8; its comment says why).  A chunk's draws are stacked and mapped to samples
+Trials run in chunks sized per dimension by ``basis.CHUNK_ENTRIES`` (64 trials at n = 4
+down to 2 at n = 8; its comment says why).  A chunk's draws are stacked and mapped to samples
 by the ``*_from_uniform`` maps (its Weyl samples are one ``random_weyl_batch`` draw, the
 numbers of per-trial draws); each identity family is then evaluated once on the (B, ...)
 stacks with the raw kernels of ``algebra`` (the Weyl split and sharps straight into pair
@@ -51,7 +51,9 @@ from .algebra import (
     weyl_parts,
 )
 from .basis import (
+    _chunks,
     bianchi_image,
+    check_pair_dimension,
     pair_basis,
     pair_divergence,
     pair_ricci,
@@ -74,15 +76,6 @@ from .tensors import (
     running_max,
     symmetrized,
 )
-
-#: entries of a chunk's n^5 derivative-draw stack, the largest per-trial array (the u-tensor's
-#: N^3 and the slot stacks' n^4 are smaller at n >= 4): at most 64, 20, 8, 3 and 2 trials a
-#: chunk at n = 4..8.  Against two trials a chunk at every n, suite time per trial falls from
-#: 0.8 to 0.15 ms at n = 4 (3 ms at n = 8 either way), and `weylbench identities --seed 4` from
-#: 10.8-11.3 to 6.7-6.8 s, peaking at 41.4 MB instead of 41.2.  2**17 is a little faster but
-#: peaks 1.8-2.2 MB higher (40.1 MB for `identities --n 4 --n 6 --trials 10`, 38.3 at 2**16,
-#: 37.6 at two trials a chunk).  Measured on 2 vCPUs with numpy 2.4.6.
-CHUNK_ENTRIES = 2 ** 16
 
 
 @dataclass
@@ -128,14 +121,6 @@ def _curvature(n: int, mat: np.ndarray) -> np.ndarray:
     mat = check_symmetric(mat, "pair-basis matrix", lead=mat.ndim - 2)
     check_bianchi(n, mat, EPS_ALG)
     return mat
-
-
-def _chunks(total: int, n: int):
-    """(first trial, count) of the fewest near-equal chunks within CHUNK_ENTRIES at dimension n."""
-    count = -(-total // max(1, CHUNK_ENTRIES // n ** 5))
-    for i in range(count):
-        first = total * i // count
-        yield first, total * (i + 1) // count - first
 
 
 def _identity_draws(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
@@ -294,17 +279,17 @@ def _run_dimension(args: tuple[int, int, int, float]) -> tuple[dict, dict, dict]
     n, trials, seed, tolerance = args
     rep = SuiteReport(seed=seed, trials=trials, dimensions=(n,), tolerance=tolerance)
     rng = np.random.default_rng([seed, n])
-    for first, count in _chunks(trials, n):
+    for first, count in _chunks(trials, n ** 5):
         _identity_chunk(rng, n, count, rep, first)
     reduced = max(1, trials // 10) if trials > 0 else 0
-    for first, count in _chunks(trials if n <= 5 else reduced, n):
+    for first, count in _chunks(trials if n <= 5 else reduced, n ** 5):
         dev = _sharp_cubic_trial(n, _curvature(n, random_weyl_batch(rng, n, count)))
         if n <= 5:
             rep.record(f"sharp_cubic_n{n}", dev, (n, first))
         else:
             key = f"sharp_cubic_deviation_n{n}"
             rep.stats[key] = running_max(rep.stats.get(key, 0.0), dev)
-    for first, count in _chunks(reduced, n):
+    for first, count in _chunks(reduced, n ** 5):
         u_norm, u_cubic = _u_tensor_trial(n, _curvature(n, random_weyl_batch(rng, n, count)))
         rep.record(f"u_norm_n{n}", u_norm, (n, first))
         rep.record(f"u_cubic_n{n}", u_cubic, (n, first))
@@ -327,6 +312,7 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
     for n in dimensions:
         if n < 4:
             raise ValueError("identity suite runs for dimensions >= 4")
+        check_pair_dimension(n, "identity suite")
     dimensions = tuple(dict.fromkeys(dimensions))  # a repeated n runs once
     rep = SuiteReport(seed=seed, trials=trials, dimensions=dimensions, tolerance=tolerance)
     jobs = [(n, trials, seed, tolerance) for n in dimensions]

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from weylbench import suite
+from weylbench import basis, suite
 from weylbench.chart import _w_norm_sq_at
 from weylbench.algebra import (
     _pair_slots,
@@ -670,9 +670,21 @@ def _assert_batch_equals_single(kernel, *batched):
             assert np.array_equal(x[b], y)
 
 
+#: pass budgets of the expanding kernels: one object a pass, the default, one pass
+PASS_BUDGETS = (1, basis.CHUNK_ENTRIES, 2 ** 40)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 @pytest.mark.parametrize("count", [1, 64])
-def test_raw_kernels_batch_equals_single(n, count):
+def test_raw_kernels_batch_equals_single(n, count, monkeypatch):
+    """Each raw kernel gives a batch's objects the values it gives them one at a time, at
+    every pass budget of the kernels that run in passes (``basis._in_passes``)."""
+    for entries in PASS_BUDGETS:
+        monkeypatch.setattr(basis, "CHUNK_ENTRIES", entries)
+        _raw_kernels_batch_equals_single(n, count)
+
+
+def _raw_kernels_batch_equals_single(n, count):
     R4 = _curvature_batch(n, count)
     S4 = _curvature_batch(n, count)
     h = rng.uniform(-1.0, 1.0, size=(count, n, n))
@@ -711,6 +723,98 @@ def test_raw_kernels_batch_equals_single(n, count):
     _assert_batch_equals_single(sectional_sums, rng.uniform(-1.0, 1.0, size=(count, N)), subsets)
     _assert_batch_equals_single(lambda m: tuple(weyl_bound_terms(n, m).values()), Wm)
     _assert_batch_equals_single(eigen_bound_terms, h + np.swapaxes(h, -1, -2))
+
+
+def _with_specials(x):
+    """x with NaN, inf, -inf and -0.0 written into its first objects (one kind each)."""
+    x = x.copy()
+    flat = x.reshape((-1,) + x.shape[-2:])
+    for b, value in enumerate((np.nan, np.inf, -np.inf, -0.0)):
+        flat[b % len(flat), b % x.shape[-2], (2 * b) % x.shape[-1]] = value
+    return x
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_passes_do_not_move_the_routed_kernels_bits(n, monkeypatch):
+    """cubic_parts and kn_identity (and weyl_matrix and weyl_parts, which call kn_identity)
+    give the same shapes, dtypes and bits, signed zeros and NaN payloads included, at one
+    object a pass, the default passes and one pass, on stacks with two leading axes holding
+    NaN, inf and -0.0, on float32 input, on a single object and on an empty batch."""
+    N = pair_basis(n).size
+    M = _with_specials(symmetrized(rng.uniform(-1.0, 1.0, size=(3, 90, N, N))))
+    h = _with_specials(rng.uniform(-1.0, 1.0, size=(4, 120, n, n)))
+    R = symmetrized(rng.uniform(-1.0, 1.0, size=(3, 15, N, N)))
+    cases = [lambda: cubic_parts(n, M), lambda: cubic_parts(n, M.astype(np.float32)),
+             lambda: cubic_parts(n, M[0, 0]), lambda: cubic_parts(n, M[:0]),
+             lambda: kn_identity(h), lambda: kn_identity(h.astype(np.float32)),
+             lambda: kn_identity(h[0, 0]), lambda: kn_identity(h[:, :0]),
+             lambda: kn_identity(np.moveaxis(h, 1, 0)),  # a non-contiguous view
+             lambda: weyl_matrix(n, R), lambda: tuple(weyl_parts(n, R, pair_ricci(n, R)))]
+    def run(case):
+        with np.errstate(invalid="ignore"):  # inf times a zero term: NaN, as intended
+            return case()
+    expect = [run(case) for case in cases]
+    assert basis.CHUNK_ENTRIES < 270 * n ** 4 and basis.CHUNK_ENTRIES < 480 * 4 * N * N  # passes
+    for entries in (1, 2 ** 40):
+        monkeypatch.setattr(basis, "CHUNK_ENTRIES", entries)
+        for case, want in zip(cases, expect):
+            got = run(case)
+            for x, y in zip(got if isinstance(got, tuple) else (got,),
+                            want if isinstance(want, tuple) else (want,)):
+                assert x.dtype == y.dtype and _same_bits(x, y)
+    for x in (expect[0][1], expect[4]):  # NaN, inf and -inf spoil their own objects alone
+        finite = np.isfinite(x.reshape(x.shape[:2] + (-1,))).all(axis=-1)
+        assert np.isnan(x[0, 0]).any() and not finite[0, :3].any()
+        assert finite[0, 3:].all() and finite[1:].all()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_cubic_parts_are_invariant_and_homogeneous(n):
+    """Both parts of cubic_parts are O(n)-invariant, each object under its own seeded
+    orthogonal frame (rotated through the full expansion), and odd homogeneous of degree 3:
+    scaling each object by its own power of two +-2^k scales its values by its cube, bit for
+    bit.  The stack (3, 15) runs in passes at the default budget from n = 7."""
+    N, shape = pair_basis(n).size, (3, 15)
+    W = random_weyl_batch(rng, n, 45).reshape(shape + (N, N))
+    frames = _seeded_frames(n, 45)
+    W_rot = np.stack([four_tensor_to_pair_matrix(n, rotated(pair_matrix_to_four_tensor(n, w), A))
+                      for w, A in zip(W.reshape(-1, N, N), frames)]).reshape(W.shape)
+    parts = cubic_parts(n, W)
+    for value, turned in zip(parts, cubic_parts(n, W_rot)):
+        assert np.abs(turned - value).max() <= 1e-12 * np.abs(value).max()
+    scale = np.where(np.arange(45) % 2, -1.0, 1.0) * 2.0 ** (np.arange(45) % 7 * 5 - 15)
+    scale = scale.reshape(shape)
+    for value, scaled in zip(parts, cubic_parts(n, scale[..., None, None] * W)):
+        assert _same_bits(scaled, scale ** 3 * value)
+
+
+def _seeded_frames(n, count):
+    """``count`` orthogonal (n, n) frames from a seeded stream, one per object."""
+    return np.linalg.qr(np.random.default_rng([n, count]).standard_normal((count, n, n)))[0]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_kn_products_are_equivariant_and_bilinear(n):
+    """kn_matrix(A^T h A, A^T k A) and kn_identity(A^T h A) are A moving h o k and h o g
+    (rotated through the full expansion), each object of a (4, 40) stack under its own seeded
+    frame; the stack runs in passes at the default budget from n = 6.  Both are bilinear:
+    linear in h, and kn_matrix in k, to round-off."""
+    N, shape = pair_basis(n).size, (4, 40)
+    h, k = (symmetrized(rng.uniform(-1.0, 1.0, size=shape + (n, n))) for _ in range(2))
+    frames = _seeded_frames(n, 160).reshape(shape + (n, n))
+    def turn(x): return np.swapaxes(frames, -1, -2) @ x @ frames  # as ``rotated`` moves it
+    def rotate(P): return np.stack([
+        four_tensor_to_pair_matrix(n, rotated(pair_matrix_to_four_tensor(n, p), A))
+        for p, A in zip(P.reshape(-1, N, N), frames.reshape(-1, n, n))]).reshape(P.shape)
+    for got, expect in ((kn_matrix(turn(h), turn(k)), rotate(kn_matrix(h, k))),
+                        (kn_identity(turn(h)), rotate(kn_identity(h)))):
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    h2 = symmetrized(rng.uniform(-1.0, 1.0, size=shape + (n, n)))
+    a, b = 0.75, -1.5
+    for got, expect in ((kn_identity(a * h + b * h2), a * kn_identity(h) + b * kn_identity(h2)),
+                        (kn_matrix(a * h + b * h2, k), a * kn_matrix(h, k) + b * kn_matrix(h2, k)),
+                        (kn_matrix(k, a * h + b * h2), a * kn_matrix(k, h) + b * kn_matrix(k, h2))):
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

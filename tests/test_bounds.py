@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from weylbench.bounds import (
     wcubic_oracle,
     weyl_bound_terms,
 )
+from weylbench import basis
 from weylbench.algebra import decompose
 from weylbench.models import model_curvature, parse_model_spec
 from weylbench.sampling import (random_curvature, random_traceless_symmetric, random_weyl,
@@ -154,6 +156,35 @@ def test_cubic_bound_audit_small():
         if n == 5:
             assert worst["eig_signed"] <= 1e-10
             assert worst["dim5_identity"] <= 1e-10
+
+
+def test_cubic_bound_audit_does_not_depend_on_the_pass_budget(monkeypatch):
+    """One sample a kernel pass, the default passes and one pass give the same worst
+    excesses, bit for bit, at n = 5..8."""
+    for n in (5, 6, 7, 8):
+        runs = []
+        for entries in (1, basis.CHUNK_ENTRIES, 2 ** 40):
+            monkeypatch.setattr(basis, "CHUNK_ENTRIES", entries)
+            runs.append({k: float(v).hex() for k, v in audit_cubic_bounds(n, 200, 3).items()})
+        assert runs[0] == runs[1] == runs[2]
+
+
+#: traced peak of one warm 64-sample n = 8 audit pass: 1.83 MB measured with the kernels'
+#: bounded passes (4.94 MB when ``cubic_parts`` and ``kn_identity`` held whole batches)
+AUDIT_PEAK_BYTES = 2.1e6
+
+
+def test_cubic_bound_audit_peak_memory_is_bounded():
+    """The n = 8 audit's transient stacks stay within the bounded passes: tracemalloc's peak
+    over one 64-sample pass (caches warm) stays under AUDIT_PEAK_BYTES."""
+    audit_cubic_bounds(8, 64, seed=0)
+    tracemalloc.start()
+    try:
+        audit_cubic_bounds(8, 64, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < AUDIT_PEAK_BYTES
 
 
 # -------------------------------------------------- constrained cubic ratio

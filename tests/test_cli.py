@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylbench import cli, suite
+from weylbench import basis, cli, suite
 from weylbench.cli import main
 from weylbench.sampling import random_curvature, random_operator, random_weyl
 from weylbench.serialization import operator_to_dict
@@ -334,8 +334,8 @@ def test_determinism_bit_identical(tmp_path):
 def test_identities_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
     args = ["identities", "--n", "4", "--n", "6", "--trials", "10", "--format", "json"]
     outputs = []
-    for entries in (suite.CHUNK_ENTRIES, 1, 2 ** 40):
-        monkeypatch.setattr(suite, "CHUNK_ENTRIES", entries)
+    for entries in (basis.CHUNK_ENTRIES, 1, 2 ** 40):
+        monkeypatch.setattr(basis, "CHUNK_ENTRIES", entries)
         out = tmp_path / f"{entries}.json"
         assert run_cli(*args, "--out", str(out)) == 0
         outputs.append(out.read_bytes())
@@ -510,6 +510,23 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
     (("pinch", "pointwise", "--input", "{file}"),
      lambda: dict(_pinch_payload(), W={"n": 1000, "components": {}}),
      "pinch input {file}: dimension mismatch"),
+    # an n whose pair matrix passes basis.MAX_PAIR_MATRIX_BYTES is refused where it is read
+    (("model", "sphere:2000"), None, "model 'sphere:2000': dimension n = 2000 needs 1999000 x "
+     "1999000 pair matrices of 31968008000000 bytes, beyond the 131072-byte budget"),
+    (("model", "fubini-study:9"), None, "model 'fubini-study:9': dimension n = 18 needs 153 x "
+     "153 pair matrices of 187272 bytes, beyond the 131072-byte budget"),
+    (("model", "product:sphere:9:1.0,sphere:8:1.0"), None, None),
+    (("pinch", "pointwise", "--input", "{file}"),
+     lambda: dict(_pinch_payload(), W={"n": 1000, "components": {}},
+                  E=np.zeros((1000, 1000)).tolist()),
+     "pinch input {file}: operator: dimension n = 1000 needs 499500 x 499500 pair matrices of "
+     "1996002000000 bytes, beyond the 131072-byte budget"),
+    (("identities", "--n", "4", "--n", "17", "--trials", "1"), None,
+     "identity suite: dimension n = 17 needs 136 x 136 pair matrices of 147968 bytes, "
+     "beyond the 131072-byte budget"),
+    (("chart", "perturbed:17"), None, None),
+    (("chart", "product-spheres:9:8"), None, None),
+    (("chart", "{file}"), lambda: dict(_NO_OFFSETS, n=17), None),
 ],
     ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
          "pinch-pointwise-nan-S", "pinch-norm-traced-E", "pinch-pointwise-traced-E",
@@ -522,7 +539,10 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
          "tol-overflow", "pinch-missing-W", "pinch-missing-S", "dim4-dense-missing-n",
          "dim4-sparse-missing-n", "pinch-operator-missing-n", "pinch-W-not-bianchi",
          "pinch-E-traced", "pinch-E-mis-sized", "pinch-E-stacked", "grid-missing-offsets",
-         "grid-missing-h", "grid-length-mismatch", "dim4-huge-n", "pinch-huge-n-W"])
+         "grid-missing-h", "grid-length-mismatch", "dim4-huge-n", "pinch-huge-n-W",
+         "model-huge-n", "model-fubini-study-past-budget", "model-product-past-budget",
+         "pinch-huge-n-W-and-E", "identities-past-budget", "chart-preset-past-budget",
+         "chart-product-past-budget", "grid-past-budget"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "input.json"
     if payload is not None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylbench import sampling, suite
+from weylbench import basis, sampling, suite
 from weylbench.algebra import circ_prime_full, kn_four, second_bianchi_full, weyl_parts
 from weylbench.basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor, pair_ricci
 from weylbench.sampling import (
@@ -124,7 +124,7 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
     default chunks give the same residuals, stats and provenance at every n."""
     reports = [run_identity_suite(dimensions=DIMENSIONS, trials=5, seed=13)]
     for entries in (1, 2 ** 40):
-        monkeypatch.setattr(suite, "CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(basis, "CHUNK_ENTRIES", entries)
         reports.append(run_identity_suite(dimensions=DIMENSIONS, trials=5, seed=13))
     default = reports[0]
     for rep in reports[1:]:
@@ -135,19 +135,19 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
 
 @pytest.mark.parametrize("n", DIMENSIONS)
 def test_chunks_split_the_trials_evenly_within_the_entry_budget(n, monkeypatch):
-    cap = max(1, suite.CHUNK_ENTRIES // n ** 5)
+    cap = max(1, basis.CHUNK_ENTRIES // n ** 5)
     assert cap == {4: 64, 5: 20, 6: 8, 7: 3, 8: 2}[n]
     for total in (1, 2, 3, 9, 10, 37, 100, 1000):
-        firsts, sizes = zip(*suite._chunks(total, n))
+        firsts, sizes = zip(*basis._chunks(total, n ** 5))
         assert firsts == tuple(np.cumsum((0,) + sizes[:-1])) and sum(sizes) == total
         assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
         assert len(sizes) == -(-total // cap)  # the fewest chunks the budget allows
-    assert list(suite._chunks(0, n)) == []
-    assert list(suite._chunks(2, n)) == [(0, 2)]  # trials = 2: one chunk a dimension
-    monkeypatch.setattr(suite, "CHUNK_ENTRIES", 1)
-    assert list(suite._chunks(3, n)) == [(0, 1), (1, 1), (2, 1)]
-    monkeypatch.setattr(suite, "CHUNK_ENTRIES", 2 ** 40)
-    assert list(suite._chunks(1000, n)) == [(0, 1000)]
+    assert list(basis._chunks(0, n ** 5)) == []
+    assert list(basis._chunks(2, n ** 5)) == [(0, 2)]  # trials = 2: one chunk a dimension
+    monkeypatch.setattr(basis, "CHUNK_ENTRIES", 1)
+    assert list(basis._chunks(3, n ** 5)) == [(0, 1), (1, 1), (2, 1)]
+    monkeypatch.setattr(basis, "CHUNK_ENTRIES", 2 ** 40)
+    assert list(basis._chunks(1000, n ** 5)) == [(0, 1000)]
 
 
 def test_worst_residual_replays_from_its_trial_index():
