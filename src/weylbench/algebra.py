@@ -98,12 +98,13 @@ def kn_identity(h: np.ndarray) -> np.ndarray:
     """Pair matrices (..., N, N) of h o g with g the identity, for (..., n, n) forms h:
     kn_matrix(h, I) with I's entries read from a cached table, bit for bit (the zero
     terms are kept, so NaN and inf in h spread as they do there).  The four terms are
-    gathered as a (B, 4, N, N) stack, so the forms run in passes of at most
+    gathered as a (B, 4, N, N) stack, so the flattened forms run in passes of at most
     CHUNK_ENTRIES / 4N^2 (``basis._in_passes``): at most 20 a pass at n = 8."""
     n = h.shape[-1]
-    hp, factors = _kn_positions(n)[0], _identity_kn_factors(n)
-    return _in_passes(lambda x: _kn_sum(_take_trailing(x, 2, hp) * factors), h, 2,
-                      4 * pair_basis(n).size ** 2)
+    hp, factors, flat = _kn_positions(n)[0], _identity_kn_factors(n), h.reshape(-1, n, n)
+    out = _in_passes(lambda rows: _kn_sum(_take_trailing(flat[rows], 2, hp) * factors),
+                     len(flat), 4 * pair_basis(n).size ** 2)
+    return out.reshape(h.shape[:-2] + out.shape[1:])
 
 
 @read_only_cache
@@ -282,13 +283,15 @@ def cubic_parts(n: int, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     <W, W^2> = tr(M^3), and <W, W#> = (1/2) sum w o (w w) with the slot matrix
     w[(i,k),(j,l)] = W_ijkl (``pair_slots``), since (w w)[(i,k),(j,l)] = sum_pq W_ipkq W_jplq.
-    The slot product holds n^4 entries an object, so <W, W#> runs in passes of at most
-    CHUNK_ENTRIES / n^4 objects (``basis._in_passes``): at most 16 a pass at n = 8.
+    The slot product holds n^4 entries an object, so <W, W#> runs over the flattened objects
+    in passes of at most CHUNK_ENTRIES / n^4 (``basis._in_passes``): at most 16 at n = 8.
     """
-    def sharp(m):
-        w = pair_slots(n, m)
+    flat = M.reshape((-1,) + M.shape[-2:])
+    def sharp(rows):
+        w = pair_slots(n, flat[rows])
         return 0.5 * np.sum(w * (w @ w), axis=(-2, -1))
-    return np.sum(M * (M @ M), axis=(-2, -1)), _in_passes(sharp, M, 2, n ** 4)
+    return (np.sum(M * (M @ M), axis=(-2, -1)),
+            _in_passes(sharp, len(flat), n ** 4).reshape(M.shape[:-2]))
 
 
 def curvature_action(X: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -127,13 +127,13 @@ def _take_trailing(x: np.ndarray, k: int, flat: np.ndarray) -> np.ndarray:
     return np.take(x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),)), flat, axis=-1)
 
 
-#: entries one batched pass may hold per intermediate: the suite's chunks (n^5 derivative
-#: draws a trial: 64, 20, 8, 3 and 2 trials at n = 4..8) and the expanding kernels' passes
-#: (``_in_passes``) share it.  Against two trials a chunk at every n, suite time per trial
-#: falls from 0.8 to 0.15 ms at n = 4 (3 ms at n = 8 either way), and `weylbench identities
-#: --seed 4` from 10.8-11.3 to 6.7-6.8 s, peaking at 41.4 MB instead of 41.2.  2**17 is a
-#: little faster but peaks 1.8-2.2 MB higher (40.1 MB for `identities --n 4 --n 6 --trials
-#: 10`, 38.3 at 2**16, 37.6 at two trials a chunk).  Measured on 2 vCPUs with numpy 2.4.6.
+#: entries one batched pass may hold per intermediate; ``_chunks`` plans every pass under it:
+#: the suite's chunks (n^5 entries a trial), the tables ``_in_passes`` fills (the expanding
+#: kernels, the chart's stages) and the eigenvalue audit's draws.  Against two trials a chunk at
+#: every n, suite time per trial falls from 0.8 to 0.15 ms at n = 4 (3 ms at n = 8 either way),
+#: and `weylbench identities --seed 4` from 10.8-11.3 to 6.7-6.8 s, peaking at 41.4 MB instead
+#: of 41.2.  2**17 is a little faster but peaks 1.8-2.2 MB higher (40.1 MB for `identities --n 4
+#: --n 6 --trials 10`, 38.3 at 2**16, 37.6 at two trials a chunk).  2 vCPUs, numpy 2.4.6.
 CHUNK_ENTRIES = 2 ** 16
 
 
@@ -146,23 +146,24 @@ def _chunks(total: int, entries: int):
         yield first, total * (i + 1) // count - first
 
 
-def _in_passes(kernel, x: np.ndarray, k: int, entries: int) -> np.ndarray:
-    """kernel(x) for a kernel of the objects in x's trailing k axes that holds ``entries``
-    intermediate entries per object, in the fewest near-equal passes (``_chunks``) over the
-    objects, leading axes flattened, so no pass holds more than CHUNK_ENTRIES of them (one
-    object at the least).  An input that fits one pass is one call, kernel(x); otherwise the
-    passes fill one output.  The objects are independent, so the bits are the one call's."""
-    lead = x.shape[:x.ndim - k]
-    passes = list(_chunks(math.prod(lead), entries))
+def _in_passes(kernel, total: int, entries: int):
+    """kernel(rows) over a row slice of ``total`` independent objects, for a kernel that holds
+    ``entries`` intermediate entries per object, in the passes ``_chunks`` plans, so no pass
+    holds more than CHUNK_ENTRIES of them (one object at the least).  One pass is one call,
+    kernel(slice(0, total)); more passes fill one table per output, whether the kernel returns
+    an array or a tuple of them.  The objects are independent, so the bits are the one call's."""
+    passes = list(_chunks(total, entries))
     if len(passes) <= 1:
-        return kernel(x)
-    flat, out = x.reshape((-1,) + x.shape[x.ndim - k:]), None
+        return kernel(slice(0, total))
+    tables = None
     for first, count in passes:
-        part = kernel(flat[first:first + count])
-        if out is None:
-            out = np.empty((len(flat),) + part.shape[1:], part.dtype)
-        out[first:first + count] = part
-    return out.reshape(lead + out.shape[1:])
+        rows = slice(first, first + count)
+        out = kernel(rows)
+        parts = out if isinstance(out, tuple) else (out,)
+        tables = tables or tuple(np.empty((total,) + p.shape[1:], p.dtype) for p in parts)
+        for table, part in zip(tables, parts):
+            table[rows] = part
+    return tables if isinstance(out, tuple) else tables[0]
 
 
 @read_only_cache

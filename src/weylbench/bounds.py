@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import check_trace_free, cubic_parts
-from .basis import disjoint_pair_mask, read_only_cache
+from .basis import _chunks, check_pair_dimension, disjoint_pair_mask, read_only_cache
 from .sampling import traceless_from_uniform, uniform
 from .tensors import (
     EPS_ALG,
@@ -114,13 +114,14 @@ def audit_cubic_bounds(n: int, samples: int, seed: int) -> dict[str, float]:
     trace-free tensors; all values <= 0 mean zero violations."""
     if n < 5:
         raise ValueError("audit applies for n >= 5")
+    check_pair_dimension(n, "cubic bound audit")
     if samples < 0:
         raise ValueError("samples must be >= 0")
     from .sampling import random_weyl_batch
     rng = np.random.default_rng([seed, n])
     worst = dict.fromkeys(("component", "eig", "norm")
                           + (("eig_signed", "dim5_identity") if n == 5 else ()), -np.inf)
-    for done in range(0, samples, 64):  # 64 samples per batched pass
+    for done in range(0, samples, 64):  # a fixed 64-sample batch (README: why not _chunks)
         t = weyl_bound_terms(n, random_weyl_batch(rng, n, min(64, samples - done)))
         lhs, scale3 = t["lhs"], np.maximum(t["w2"], 1e-30) ** 1.5
         excess = {"component": ((t["max_component"] - t["component_bound"])
@@ -135,16 +136,17 @@ def audit_cubic_bounds(n: int, samples: int, seed: int) -> dict[str, float]:
     return worst
 
 
-def _eigen_deviations(samples: int, seed: int):
-    """Yield (m, (max |eigenvalue| - sqrt((m-1)/m)|T|) / that bound) for random
-    traceless symmetric m x m matrices T, drawn from default_rng(seed) for
-    m = 2..10 in turn."""
+def _eigen_deviations(samples: int, seed: int, last: int):
+    """Yield (m, (max |eigenvalue| - sqrt((m-1)/m)|T|) / that bound), one pass at a time, for
+    random traceless symmetric m x m matrices T drawn from default_rng(seed) for m = 2..last
+    in turn, each m's in the passes ``basis._chunks`` plans at m^2 entries a sample."""
     if samples < 0:
         raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(seed)
-    for m in range(2, 11):
-        lam, bound = eigen_bound_terms(traceless_from_uniform(uniform(rng, samples, m, m)))
-        yield m, (lam - bound) / np.maximum(bound, 1e-30)
+    for m in range(2, last + 1):
+        for _, count in _chunks(samples, m * m):
+            lam, bound = eigen_bound_terms(traceless_from_uniform(uniform(rng, count, m, m)))
+            yield m, (lam - bound) / np.maximum(bound, 1e-30)
 
 
 def audit_eigen_bound(samples: int, seed: int) -> float:
@@ -152,7 +154,7 @@ def audit_eigen_bound(samples: int, seed: int) -> float:
     traceless symmetric m x m matrices, m = 3..10.  The m = 2 draws come first
     in the stream; there the bound is an equality (``audit_eigen_equality``)."""
     worst = -np.inf
-    for m, excess in _eigen_deviations(samples, seed):
+    for m, excess in _eigen_deviations(samples, seed, 10):
         if m > 2:
             worst = running_max(worst, excess)
     return worst
@@ -162,8 +164,10 @@ def audit_eigen_equality(samples: int, seed: int) -> float:
     """Worst two-sided |max |eigenvalue| - |T|/sqrt(2)| / (|T|/sqrt(2)) on the
     2 x 2 matrices ``audit_eigen_bound(samples, seed)`` draws first, where the
     bound holds with equality; 0.0 with no samples."""
-    _, deviation = next(_eigen_deviations(samples, seed))
-    return running_max(0.0, np.abs(deviation))
+    worst = 0.0
+    for _, deviation in _eigen_deviations(samples, seed, 2):
+        worst = running_max(worst, np.abs(deviation))
+    return worst
 
 
 @dataclass(frozen=True)

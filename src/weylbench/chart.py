@@ -27,8 +27,8 @@ import numpy as np
 
 from .algebra import (bochner_curvature_term, circ_prime, curvature_action, decomposition,
                       kn_identity, kn_matrix, second_bianchi, weyl_parts, weyl_split)
-from .basis import (check_pair_dimension, pair_basis, pair_divergence, pair_ricci, pair_slots,
-                    read_only_cache)
+from .basis import (_in_passes, check_pair_dimension, pair_basis, pair_divergence, pair_ricci,
+                    pair_slots, read_only_cache)
 from .serialization import json_array, json_fields, json_number, json_object, read_json_object
 from .tensors import (EPS_ALG, CovDerivCurvature, CurvatureDecomposition, CurvatureTensor,
                       ThreeTwoTensor, TwoFormOneForm, check_dimension, check_finite,
@@ -186,7 +186,8 @@ def grid_file_metric(path: str) -> ChartMetric:
 
     A point x is served only if it is the file grid's point c + h*k of a listed
     offset k, bit for bit.  At load the offsets must be distinct length-n integer
-    vectors, one per matrix, and the matrices a finite, symmetric (m, n, n) stack.
+    vectors, one per matrix, the matrices a finite, symmetric (m, n, n) stack and the
+    ``harmonic_weyl`` tag, false if absent, a JSON boolean.
     """
     what = f"grid file {path}"
     data = read_json_object(path, what)
@@ -231,8 +232,10 @@ def grid_file_metric(path: str) -> ChartMetric:
                            " dumped with it)")
         return mats[found].reshape(x.shape + (n,))
 
-    return _StackedMetric(name=f"grid-file:{path}", n=n, fn=fn,
-                          harmonic_weyl=bool(data.get("harmonic_weyl", False)),
+    tag = data.get("harmonic_weyl", False)
+    if not isinstance(tag, bool):
+        raise ValueError(f"{what} harmonic_weyl must be true or false, got {json.dumps(tag)}")
+    return _StackedMetric(name=f"grid-file:{path}", n=n, fn=fn, harmonic_weyl=tag,
                           default_grid=grid)
 
 
@@ -280,8 +283,9 @@ class _Lattice:
     R there and, with the Ricci identity, at its neighbours; Gamma where R is, g where
     Gamma is), each set a prefix of the rows: row r is offset ``keys[r]``, and ``near[r,
     j, m]`` the row of ``keys[r]`` moved ``steps[j]`` along axis m.  Tables: ``g``,
-    ``gamma`` and ``decomp`` = (R, Rc, S) in coordinates, each stage on all its rows in passes
-    of about 10,000 entries (``_tabulate``), ``W``, split from R once on the w2 rows (R and W
+    ``gamma`` and ``decomp`` = (R, Rc, S) in coordinates, each stage on all its rows in the
+    passes of ``basis._in_passes`` (6 n^3 and 6 n^4 entries a row, its neighbour gathers and
+    products: one pass at n = 4, order 2), ``W``, split from R once on the w2 rows (R and W
     as (rows, N, N) pair matrices), and ``w2`` from W in one call.  The tables live for one
     assembly; the offsets depend only on (n, order, ricci identity) and are numbered once
     per shape (``_offsets``), so every assembly of a shape shares them.
@@ -293,31 +297,18 @@ class _Lattice:
         if grid.center.shape != (metric.n,):
             raise ValueError(f"center must have shape ({metric.n},)")
         self.metric, self.grid, self.with_ricci_identity = metric, grid, with_ricci_identity
-        self.n = metric.n
+        self.n = n = metric.n
         self.steps, self.keys, self.near, (w2, decomp, gamma) = _offsets(
-            metric.n, grid.order, with_ricci_identity)
+            n, grid.order, with_ricci_identity)
         self.g = metric.table(grid.point(self.keys))
         self.gi = np.linalg.inv(self.g[:gamma])  # g^-1 where Gamma, R and |W|^2 are formed
         k = np.arange(self.keys.min(), self.keys.max() + 1)  # after the table: its errors come first
         if not (np.diff(grid.center[:, None] + grid.h * k, axis=1) > 0).all():
             raise ValueError(f"step {grid.h} does not separate the stencil points at the center")
-        self.gamma = self._tabulate(christoffel, 3, gamma)[0]
-        self.decomp = self._tabulate(_decomp_coords, 4, decomp)
-        self.W = weyl_split(self.n, *(T[:w2] for T in self.decomp), self.g[:w2]).W
+        self.gamma = _in_passes(lambda rows: christoffel(self, rows), gamma, 6 * n ** 3)
+        self.decomp = _in_passes(lambda rows: _decomp_coords(self, rows), decomp, 6 * n ** 4)
+        self.W = weyl_split(n, *(T[:w2] for T in self.decomp), self.g[:w2]).W
         self.w2 = _w_norm_sq_at(self, slice(w2))  # differences no table: one call
-
-    def _tabulate(self, stage, rank: int, count: int) -> tuple:
-        """A differencing stage(self, rows) over the first count rows, each output filled into
-        one table; a pass takes about 10,000 entries (80 KB) of the per-row rank-``rank``
-        tensors (one pass at n = 4, order 2), so its temporaries stay small beside the tables."""
-        step, tables = max(1, 10000 // self.n ** rank), None
-        for start in range(0, count, step):
-            parts = stage(self, slice(start, min(start + step, count)))
-            parts = parts if isinstance(parts, tuple) else (parts,)
-            tables = tables or tuple(np.empty((count,) + p.shape[1:]) for p in parts)
-            for table, part in zip(tables, parts):
-                table[start:start + len(part)] = part
-        return tables
 
     def grad(self, T: np.ndarray, rows) -> np.ndarray:
         """d_m T at the given rows of table T, axis m after the row axis, by a central difference."""

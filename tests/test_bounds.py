@@ -187,6 +187,48 @@ def test_cubic_bound_audit_peak_memory_is_bounded():
     assert peak < AUDIT_PEAK_BYTES
 
 
+def test_cubic_bound_audit_refuses_a_dimension_past_the_pair_budget(monkeypatch):
+    """n = 17 needs 136 x 136 pair matrices, past basis.MAX_PAIR_MATRIX_BYTES: refused by
+    name before a sample is drawn."""
+    from weylbench import sampling
+
+    def no_draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(sampling, "random_weyl_batch", no_draw)
+    with pytest.raises(ValueError, match="n = 17 "):
+        audit_cubic_bounds(17, 1, seed=0)
+
+
+def test_eigen_audits_do_not_depend_on_the_pass_budget(monkeypatch):
+    """One sample a pass, the default passes (two for m = 9 and 10 at 1,000 samples) and one
+    pass draw the same stream and give the same worst excesses, bit for bit."""
+    runs = []
+    for entries in (1, basis.CHUNK_ENTRIES, 2 ** 40):
+        monkeypatch.setattr(basis, "CHUNK_ENTRIES", entries)
+        runs.append((audit_eigen_bound(1000, 5).hex(), audit_eigen_equality(1000, 5).hex()))
+    assert runs[0] == runs[1] == runs[2]
+
+
+#: traced peak of the eigenvalue audits at 20,000 samples: 2.21 MB measured with each m's
+#: draws in ``basis._chunks`` passes (64.5 MB when every m drew all its samples at once)
+EIGEN_AUDIT_PEAK_BYTES = 2.6e6
+
+
+def test_eigen_audit_peak_memory_is_bounded():
+    """audit_eigen_bound and audit_eigen_equality at 20,000 samples (caches warm) stay under
+    EIGEN_AUDIT_PEAK_BYTES of tracemalloc's peak: their draws run in bounded passes."""
+    audit_eigen_bound(64, seed=0)
+    tracemalloc.start()
+    try:
+        audit_eigen_bound(20_000, seed=0)
+        audit_eigen_equality(20_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < EIGEN_AUDIT_PEAK_BYTES
+
+
 # -------------------------------------------------- constrained cubic ratio
 
 def test_wcubic_closed_form_values():

@@ -332,14 +332,20 @@ def test_determinism_bit_identical(tmp_path):
 
 
 def test_identities_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
-    args = ["identities", "--n", "4", "--n", "6", "--trials", "10", "--format", "json"]
-    outputs = []
-    for entries in (basis.CHUNK_ENTRIES, 1, 2 ** 40):
-        monkeypatch.setattr(basis, "CHUNK_ENTRIES", entries)
-        out = tmp_path / f"{entries}.json"
-        assert run_cli(*args, "--out", str(out)) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    """So do a chart whose stages take several passes at the default budget (perturbed:5 at
+    order 4 with the Ricci identity: 1,181 Christoffel and 201 curvature rows) and the
+    bounds audits."""
+    budgets = (basis.CHUNK_ENTRIES, 1, 2 ** 40)
+    for args in (["identities", "--n", "4", "--n", "6", "--trials", "10"],
+                 ["chart", "perturbed:5", "--order", "4", "--ricci-identity"],
+                 ["bounds", "--trials", "30", "--budget", "2000"]):
+        outputs = []
+        for entries in budgets:
+            monkeypatch.setattr(basis, "CHUNK_ENTRIES", entries)
+            out = tmp_path / f"{entries}.json"
+            assert run_cli(*args, "--format", "json", "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0], args
 
 
 def test_identities_repeated_dimension_runs_once(tmp_path, monkeypatch):
@@ -451,6 +457,7 @@ def _pinch_payload(n=5, nan_w=False, nan_e=False, S=100.0, e_trace=0.0, traced_w
 
 
 _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "matrices": []}
+_ONE_OFFSET = dict(_NO_OFFSETS, offsets=[[0] * 4], matrices=[np.eye(4).tolist()])
 
 
 @pytest.mark.parametrize("argv, payload, message", [(argv, payload, None) for argv, payload in [
@@ -527,7 +534,9 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
     (("chart", "perturbed:17"), None, None),
     (("chart", "product-spheres:9:8"), None, None),
     (("chart", "{file}"), lambda: dict(_NO_OFFSETS, n=17), None),
-],
+] + [(("chart", "{file}"), lambda tag=tag: dict(_ONE_OFFSET, harmonic_weyl=tag),
+      f"grid file {{file}} harmonic_weyl must be true or false, got {json.dumps(tag)}")
+     for tag in ("false", 1, None)],
     ids=["dim4-dense-nan", "dim4-sparse-nan", "pinch-norm-nan-W", "pinch-norm-nan-E",
          "pinch-pointwise-nan-S", "pinch-norm-traced-E", "pinch-pointwise-traced-E",
          "pinch-norm-traced-W", "pinch-norm-mis-sized-E",
@@ -542,7 +551,8 @@ _NO_OFFSETS = {"n": 4, "grid": {"center": [0.0] * 4, "h": 1e-3, "order": 2}, "ma
          "grid-missing-h", "grid-length-mismatch", "dim4-huge-n", "pinch-huge-n-W",
          "model-huge-n", "model-fubini-study-past-budget", "model-product-past-budget",
          "pinch-huge-n-W-and-E", "identities-past-budget", "chart-preset-past-budget",
-         "chart-product-past-budget", "grid-past-budget"])
+         "chart-product-past-budget", "grid-past-budget", "grid-tag-string", "grid-tag-number",
+         "grid-tag-null"])
 def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "input.json"
     if payload is not None:
@@ -646,6 +656,22 @@ def test_non_number_grid_field_is_usage_error(tmp_path, capsys, edit):
     assert run_cli("chart", str(_grid_file(tmp_path, edit)), "--format", "json") == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: grid file ")
+
+
+@pytest.mark.parametrize("tag", [True, False, None], ids=["true", "false", "absent"])
+def test_grid_file_harmonic_weyl_tag_is_read_as_given(tmp_path, capsys, tag):
+    """A boolean tag is the metric's and an absent one reads false; only a tagged metric
+    gets the harmonic-Weyl rows (a non-boolean tag is a usage error, tested above)."""
+    def edit(data):
+        if tag is None:
+            del data["harmonic_weyl"]
+        else:
+            data["harmonic_weyl"] = tag
+    assert run_cli("chart", str(_grid_file(tmp_path, edit)), "--format", "json") == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["harmonic_weyl"] is bool(tag)
+    rows = {"bochner", "kato_improved_margin"}
+    assert rows & results["residuals"].keys() == (rows if tag else set())
 
 
 def _as_sparse(data):

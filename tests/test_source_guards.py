@@ -29,6 +29,11 @@ g^-1 (S = <Rc, g^-1> in ``_decomp_coords``, the g^ab sum of the Laplacian in
 Optional parameters are counted, so a knob that only tests set cannot come
 back unnoticed.
 
+Every batched pass is planned by ``basis._chunks`` under ``CHUNK_ENTRIES``, and
+``basis._in_passes`` is the one loop that fills tables from passes: no package code
+steps a ``range(start, stop, step)`` except ``bounds.audit_cubic_bounds``, whose fixed
+64-sample batch is the one left, so a pass loop written by hand fails here.
+
 Weyl-type operators cross module boundaries as pair matrices: the samplers, the
 bounds, the first-Bianchi and Weyl projections, the cubic and sharp kernels and
 the trace-free and Bianchi guards run without the n^4 round trip.  The four-index
@@ -672,6 +677,26 @@ def test_guard_counts_optional_parameters(tmp_path):
 def test_optional_parameters_do_not_grow():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in optional_parameters(path)]
     assert len(found) <= MAX_OPTIONAL_PARAMETERS, found
+
+
+def stepped_ranges(path: Path) -> list[str]:
+    """``file:line scope`` of every ``range(start, stop, step)`` call in a file
+    (``scoped_calls``): the mark of a pass loop written by hand."""
+    return [f"{path.name}:{call.lineno} {scope}" for call, scope in scoped_calls(path)
+            if _called_name(call) == "range" and len(call.args) == 3]
+
+
+def test_guard_sees_stepped_ranges(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(n):\n    for i in range(0, n, 64):\n        pass\n"
+                     "    return range(n), range(1, n)\n"
+                     "class K:\n    def g(self, n):\n        return list(range(0, n, self.k))\n")
+    assert stepped_ranges(probe) == ["probe.py:2 f", "probe.py:7 K.g"]
+
+
+def test_passes_are_planned_by_the_one_planner():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in stepped_ranges(path)]
+    assert [hit.split(" ", 1)[1] for hit in found] == ["audit_cubic_bounds"], found
 
 
 def fn_call_sites(path: Path) -> list[str]:
