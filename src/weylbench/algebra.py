@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import (_circ_prime_positions, _in_passes, _pair_generators, _second_bianchi_positions,
-                    _take_trailing, bianchi_image, pair_basis, pair_ricci, pair_slots,
+                    _take_times, _take_trailing, bianchi_image, pair_basis, pair_ricci, pair_slots,
                     read_only_cache, triple_basis)
 from .tensors import (
     EPS_ALG,
@@ -84,7 +84,7 @@ def kn_matrix(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     products at the pair entries, summed by ``_kn_sum``, so the bits are those of kn_four's
     expansion read back.  With k the identity, ``kn_identity`` gives the same bits."""
     hp, kp = _kn_positions(h.shape[-1])
-    return _kn_sum(_take_trailing(h, 2, hp) * _take_trailing(k, 2, kp))
+    return _kn_sum(_take_times(h, 2, hp, _take_trailing(k, 2, kp)))
 
 
 @read_only_cache
@@ -98,11 +98,12 @@ def kn_identity(h: np.ndarray) -> np.ndarray:
     """Pair matrices (..., N, N) of h o g with g the identity, for (..., n, n) forms h:
     kn_matrix(h, I) with I's entries read from a cached table, bit for bit (the zero
     terms are kept, so NaN and inf in h spread as they do there).  The four terms are
-    gathered as a (B, 4, N, N) stack, so the flattened forms run in passes of at most
-    CHUNK_ENTRIES / 4N^2 (``basis._in_passes``): at most 20 a pass at n = 8."""
+    gathered as a (B, 4, N, N) stack and multiplied in it (``basis._take_times``), so a pass
+    holds one such stack; the flattened forms run in passes of at most CHUNK_ENTRIES / 4N^2
+    (``basis._in_passes``): at most 20 a pass at n = 8."""
     n = h.shape[-1]
     hp, factors, flat = _kn_positions(n)[0], _identity_kn_factors(n), h.reshape(-1, n, n)
-    out = _in_passes(lambda rows: _kn_sum(_take_trailing(flat[rows], 2, hp) * factors),
+    out = _in_passes(lambda rows: _kn_sum(_take_times(flat[rows], 2, hp, factors)),
                      len(flat), 4 * pair_basis(n).size ** 2)
     return out.reshape(h.shape[:-2] + out.shape[1:])
 
@@ -347,7 +348,7 @@ def circ_prime_pairs(n: int, a: np.ndarray) -> np.ndarray:
     """
     flat, sign = _circ_prime_positions(n)
     padded = np.concatenate([a, np.zeros(a.shape[:-2] + (1, n))], axis=-2)
-    t = _take_trailing(padded, 2, flat) * sign
+    t = _take_times(padded, 2, flat, sign)
     return sum(t[..., r, :, :] for r in range(6))
 
 

@@ -127,13 +127,22 @@ def _take_trailing(x: np.ndarray, k: int, flat: np.ndarray) -> np.ndarray:
     return np.take(x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),)), flat, axis=-1)
 
 
+def _take_times(x: np.ndarray, k: int, flat: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """``_take_trailing(x, k, flat) * factor`` in the fresh gather's own buffer where that keeps
+    the product's dtype and shape (not for a float32 or int gather times float64), so no second
+    stack is held; the operands keep their order, so the bits are the out-of-place product's."""
+    t = _take_trailing(x, k, flat)
+    fits = np.result_type(t, factor) == t.dtype and np.broadcast(t, factor).shape == t.shape
+    return np.multiply(t, factor, out=t if fits else None)
+
+
 #: entries one batched pass may hold per intermediate; ``_chunks`` plans every pass under it:
-#: the suite's chunks (n^5 entries a trial), the tables ``_in_passes`` fills (the expanding
-#: kernels, the chart's stages) and the eigenvalue audit's draws.  Against two trials a chunk at
-#: every n, suite time per trial falls from 0.8 to 0.15 ms at n = 4 (3 ms at n = 8 either way),
-#: and `weylbench identities --seed 4` from 10.8-11.3 to 6.7-6.8 s, peaking at 41.4 MB instead
-#: of 41.2.  2**17 is a little faster but peaks 1.8-2.2 MB higher (40.1 MB for `identities --n 4
-#: --n 6 --trials 10`, 38.3 at 2**16, 37.6 at two trials a chunk).  2 vCPUs, numpy 2.4.6.
+#: the suite's chunks (n^5 entries a trial) and draw groups (3 n^5), the tables ``_in_passes``
+#: fills (expanding kernels, chart stages) and the eigenvalue audit's draws.  Against two trials
+#: a chunk at every n, suite time per trial falls from 0.8 to 0.15 ms at n = 4 (3 ms at n = 8
+#: either way), and `weylbench identities --seed 4` from 10.8-11.3 to 6.7-6.8 s, peaking at 41.4
+#: MB, not 41.2.  2**17 is a little faster but peaks 1.8-2.2 MB higher (40.1 MB for `identities
+#: --n 4 --n 6 --trials 10`, 38.3 at 2**16, 37.6 at two trials a chunk).  2 vCPUs, numpy 2.4.6.
 CHUNK_ENTRIES = 2 ** 16
 
 
@@ -200,17 +209,9 @@ def _padded(mat: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _signed_take(padded: np.ndarray, flat: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Entries T_ijkl of the four-index expansion at ``flat``, ``sign`` (a subset of
-    ``_padded_positions``): the bits pair_matrix_to_four_tensor gives them."""
-    out = _take_trailing(padded, 2, flat)
-    out *= sign  # one factor in {-1, 0, 1}: the bits, signed zeros too, of the two in turn
-    return out
-
-
 def pair_matrix_to_four_tensor(n: int, mat: np.ndarray) -> np.ndarray:
     """Expand (..., N, N) pair-basis matrices into full (..., n, n, n, n) tensors."""
-    return _signed_take(_padded(mat), *_padded_positions(n))
+    return _take_times(_padded(mat), 2, *_padded_positions(n))
 
 
 @read_only_cache
@@ -238,7 +239,7 @@ def bianchi_image(n: int, mat: np.ndarray) -> np.ndarray:
     so the bits are those of the cyclic average of the four-index expansion read back
     at the pair entries (the route ``tests/reference.py`` keeps as its oracle).
     """
-    t = _signed_take(_padded(mat), *_cyclic_pair_positions(n))
+    t = _take_times(_padded(mat), 2, *_cyclic_pair_positions(n))
     return (mat + t[..., 0, :, :] + t[..., 1, :, :]) / 3.0
 
 
@@ -251,13 +252,13 @@ def _pair_slot_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
 def pair_slots(n: int, mat: np.ndarray) -> np.ndarray:
     """(..., n^2, n^2) slot matrices s[(i,k),(j,l)] = T_ijkl of (..., N, N) pair matrices,
     with the bits of the four-index expansion's entries."""
-    return _signed_take(_padded(mat), *_pair_slot_positions(n))
+    return _take_times(_padded(mat), 2, *_pair_slot_positions(n))
 
 
 def pair_ricci(n: int, mat: np.ndarray) -> np.ndarray:
     """(..., n, n) Ricci traces rc_ij = sum_p T_ipjp of (..., N, N) pair matrices; the entries
     are summed over p as einsum sums the four-index expansion, so the bits are its trace's."""
-    return np.einsum('...pij->...ij', _signed_take(_padded(mat), *_ricci_positions(n)))
+    return np.einsum('...pij->...ij', _take_times(_padded(mat), 2, *_ricci_positions(n)))
 
 
 @read_only_cache

@@ -136,17 +136,20 @@ def audit_cubic_bounds(n: int, samples: int, seed: int) -> dict[str, float]:
     return worst
 
 
-def _eigen_deviations(samples: int, seed: int, last: int):
-    """Yield (m, (max |eigenvalue| - sqrt((m-1)/m)|T|) / that bound), one pass at a time, for
-    random traceless symmetric m x m matrices T drawn from default_rng(seed) for m = 2..last
-    in turn, each m's in the passes ``basis._chunks`` plans at m^2 entries a sample."""
+def _eigen_deviations(samples: int, seed: int, first: int, last: int):
+    """Yield (max |eigenvalue| - sqrt((m-1)/m)|T|) / that bound, one pass at a time, for random
+    traceless symmetric m x m matrices T drawn from default_rng(seed) for m = 2..last in turn,
+    each m's in the passes ``basis._chunks`` plans at m^2 entries a sample.  The draws for
+    m < first are taken in the same passes, so the stream is the same, but not evaluated."""
     if samples < 0:
         raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(seed)
     for m in range(2, last + 1):
         for _, count in _chunks(samples, m * m):
-            lam, bound = eigen_bound_terms(traceless_from_uniform(uniform(rng, count, m, m)))
-            yield m, (lam - bound) / np.maximum(bound, 1e-30)
+            draws = uniform(rng, count, m, m)
+            if m >= first:
+                lam, bound = eigen_bound_terms(traceless_from_uniform(draws))
+                yield (lam - bound) / np.maximum(bound, 1e-30)
 
 
 def audit_eigen_bound(samples: int, seed: int) -> float:
@@ -154,9 +157,8 @@ def audit_eigen_bound(samples: int, seed: int) -> float:
     traceless symmetric m x m matrices, m = 3..10.  The m = 2 draws come first
     in the stream; there the bound is an equality (``audit_eigen_equality``)."""
     worst = -np.inf
-    for m, excess in _eigen_deviations(samples, seed, 10):
-        if m > 2:
-            worst = running_max(worst, excess)
+    for excess in _eigen_deviations(samples, seed, 3, 10):
+        worst = running_max(worst, excess)
     return worst
 
 
@@ -165,7 +167,7 @@ def audit_eigen_equality(samples: int, seed: int) -> float:
     2 x 2 matrices ``audit_eigen_bound(samples, seed)`` draws first, where the
     bound holds with equality; 0.0 with no samples."""
     worst = 0.0
-    for _, deviation in _eigen_deviations(samples, seed, 2):
+    for deviation in _eigen_deviations(samples, seed, 2, 2):
         worst = running_max(worst, np.abs(deviation))
     return worst
 

@@ -17,12 +17,14 @@ pairs; no four-index tensor is formed) and its worst value folded into the repor
 float.  Each table is formed once: the slot matrices of R, W, A o g and k o g are gathered
 once per operand and the nine sharp products formed from them (``sharp_slots``), h o g
 with g = I reads the identity's entries from a cached table (``kn_identity``), and the
-derivative draws go straight to pair matrices (``curvature_derivative_pairs_from_uniform``),
-each with the bits of the route it replaces.  The typed containers' input checks run once
-per chunk: symmetry and first Bianchi of R, then of W, the e/s parts, k o g and A o g as
-one (5, B, ...) stack, and trace-free W before the sectional split and the u-tensor (the
-``check_symmetric``, ``check_bianchi`` and ``check_trace_free`` guards, each over the
-whole stack), so each object keeps its own scale and the containers' messages.  The
+derivative draws go to pair matrices (``curvature_derivative_pairs_from_uniform``) group by
+group as they are drawn, each with the bits of the route it replaces.  No chunk holds a (B, n^5)
+stack, and the product families free their tables before the second-Bianchi families form
+theirs.  The typed containers' input checks run once per chunk: symmetry and first Bianchi
+of R, then of W, the e/s parts, k o g and A o g as one (5, B, ...) stack, and trace-free W
+before the sectional split and the u-tensor (the ``check_symmetric``, ``check_bianchi`` and
+``check_trace_free`` guards, each over the whole stack), so each object keeps its own scale
+and the containers' messages.  The
 residuals do not depend on the chunk sizes (the batched basis expansions return C-order
 stacks, so every per-trial sum runs in one order), and the report keeps the (n, trial
 index) of every worst residual, so ``trials = index + 1`` with the same seed replays it.
@@ -127,24 +129,29 @@ def _identity_draws(rng: np.random.Generator, n: int, count: int) -> list[np.nda
     """The draws of ``count`` identity trials, taken trial by trial, stacked per input.
 
     Per trial, in stream order: R, k, diag(A), A', nabla Rc, v, nabla R, the
-    sectional subset (its size, then a permutation) and the pure matrix.
+    sectional subset (its size, then a permutation) and the pure matrix.  nabla R comes back
+    as (B, n, N, N) pair matrices: each group of trials ``basis._chunks`` plans at 3 n^5 entries
+    a trial (the draw, its symmetrised copy and the potential; 1 trial at n = 7 and 8, 21 at
+    n = 4) is mapped (``curvature_derivative_pairs_from_uniform``) before the next is drawn.
     """
-    N = pair_basis(n).size
-    trials = []
-    for _ in range(count):
-        draws = [uniform(rng, N, N), uniform(rng, n, n), uniform(rng, n),
-                 uniform(rng, n, n, n), uniform(rng, n, n, n), uniform(rng, n),
-                 uniform(rng, n, n, n, n, n)]
-        size = rng.integers(1, n)
-        subset = np.zeros(n, dtype=bool)
-        subset[rng.permutation(n)[:size]] = True
-        trials.append(draws + [subset, uniform(rng, n, n)])
-    return [np.stack(x) for x in zip(*trials)]
+    N, groups = pair_basis(n).size, []
+    for _, size in _chunks(count, 3 * n ** 5):
+        trials, mD = [], np.empty((size,) + (n,) * 5)
+        for b in range(size):
+            draws = [uniform(rng, N, N), uniform(rng, n, n), uniform(rng, n),
+                     uniform(rng, n, n, n), uniform(rng, n, n, n), uniform(rng, n)]
+            mD[b] = uniform(rng, n, n, n, n, n)
+            picked, subset = rng.integers(1, n), np.zeros(n, dtype=bool)
+            subset[rng.permutation(n)[:picked]] = True
+            trials.append(draws + [subset, uniform(rng, n, n)])
+        group = [np.stack(x) for x in zip(*trials)]
+        groups.append(group[:6] + [curvature_derivative_pairs_from_uniform(mD)] + group[6:])
+    return [np.concatenate(x) for x in zip(*groups)]
 
 
 def _identity_chunk(rng: np.random.Generator, n: int, count: int,
                     rep: SuiteReport, first: int) -> None:
-    mR, mk, a, mA, mC, v, mD, subset, mw = _identity_draws(rng, n, count)
+    mR, mk, a, mA, mC, v, D, subset, mw = _identity_draws(rng, n, count)
 
     def record(family: str, values) -> None:
         rep.record(f"{family}_n{n}", values, (n, first))
@@ -157,60 +164,69 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     Wm, _, _, Km, Bm = _curvature(n, np.stack(
         [split.W, split.e_part, split.s_part, kn_identity(k), kn_identity(A)]))
     # slot matrices s[(i,k),(j,l)] = T_ijkl, one gather per operand
-    XR, XW, XB, XK = (pair_slots(n, x) for x in (Rm, Wm, Bm, Km))
+    XR, XW = pair_slots(n, Rm), pair_slots(n, Wm)
     Rc, S, E = split.Rc, split.S, split.E
-    RR, WW = frobenius(Rm, Rm), frobenius(Wm, Wm)
 
-    # adjointness of the metric product against the Ricci contraction (g o k = (k o g)^T)
-    lhs = frobenius(Km, Rm)
-    record("selfadjoint", _rel(lhs - frobenius(k, Rc), lhs))
+    def products() -> None:
+        """The product families, selfadjoint through circ_prime_norm, in the report's order;
+        a function of its own, so that its tables (the slot matrices of A o g and k o g, the
+        nine sharp products, the (6, B, N, N) trilinear stacks, the circ-prime tables) are
+        freed when it returns, before the second-Bianchi families run."""
+        XB, XK = pair_slots(n, Bm), pair_slots(n, Km)
+        RR, WW = frobenius(Rm, Rm), frobenius(Wm, Wm)
 
-    # decomposition: trace-freeness, Bianchi, Pythagoras
-    record("weyl_ricci_free", max_abs(pair_ricci(n, Wm), 1))
-    record("weyl_bianchi_free", max_abs(bianchi_image(n, Wm), 1))
-    pyth = RR - (WW + S ** 2 / (2 * n * (n - 1)) + frobenius(E, E) / (n - 2))
-    record("pythagoras", _rel(pyth, RR))
+        # adjointness of the metric product against the Ricci contraction (g o k = (k o g)^T)
+        lhs = frobenius(Km, Rm)
+        record("selfadjoint", _rel(lhs - frobenius(k, Rc), lhs))
 
-    # the nine sharp products from the four slot stacks: W#W, R#R, B#W, then R1#R2 of the
-    # six argument orders (R1, R2, R3) of (R, W, K) in tri.  W#W and R#R multiply by a copy:
-    # X @ X^T of one buffer takes syrk, which sums in another order than sharp_matrix's gemm
-    WsW, RsR = sharp_slots(n, XW, XW.copy()), sharp_slots(n, XR, XR.copy())
-    BsW = sharp_slots(n, XB, XW)
-    tri_sharp = np.stack([sharp_slots(n, X, Y) for X, Y in (
-        (XR, XW), (XR, XK), (XW, XR), (XW, XK), (XK, XR), (XK, XW))])
+        # decomposition: trace-freeness, Bianchi, Pythagoras
+        record("weyl_ricci_free", max_abs(pair_ricci(n, Wm), 1))
+        record("weyl_bianchi_free", max_abs(bianchi_image(n, Wm), 1))
+        pyth = RR - (WW + S ** 2 / (2 * n * (n - 1)) + frobenius(E, E) / (n - 2))
+        record("pythagoras", _rel(pyth, RR))
 
-    # quadratic products: rc(W^2 + W#) = 0 and the contraction formula for R
-    W2 = Wm @ np.swapaxes(Wm, -1, -2)
-    quad_W = W2 + WsW
-    record("rc_quadratic_weyl", _rel(max_abs(pair_ricci(n, quad_W), 1), WW))
-    quad_R = Rm @ np.swapaxes(Rm, -1, -2) + RsR
-    rc_pred = curvature_action(XR, Rc)
-    record("rc_quadratic_contraction", _rel(max_abs(pair_ricci(n, quad_R) - rc_pred, 1), RR))
+        # the nine sharp products from the four slot stacks: W#W, R#R, B#W, then R1#R2 of the
+        # six argument orders (R1, R2, R3) of (R, W, K) in tri.  W#W and R#R multiply by a copy:
+        # X @ X^T of one buffer takes syrk, which sums in another order than sharp_matrix's gemm
+        WsW, RsR = sharp_slots(n, XW, XW.copy()), sharp_slots(n, XR, XR.copy())
+        BsW = sharp_slots(n, XB, XW)
+        tri_sharp = np.stack([sharp_slots(n, X, Y) for X, Y in (
+            (XR, XW), (XR, XK), (XW, XR), (XW, XK), (XK, XR), (XK, XW))])
 
-    # trilinear symmetry <R1.R2 + R2.R1 + 2 R1 # R2, R3> over all six argument orders
-    p, q, r = (np.stack(x) for x in ([Rm, Rm, Wm, Wm, Km, Km], [Wm, Km, Rm, Km, Rm, Wm],
-                                      [Km, Wm, Km, Rm, Wm, Rm]))
-    vals = frobenius(p @ np.swapaxes(q, -1, -2) + q @ np.swapaxes(p, -1, -2) + 2.0 * tri_sharp, r)
-    record("tri_symmetry", _rel(vals.max(axis=0) - vals.min(axis=0), np.abs(vals).max(axis=0)))
+        # quadratic products: rc(W^2 + W#) = 0 and the contraction formula for R
+        W2 = Wm @ np.swapaxes(Wm, -1, -2)
+        quad_W = W2 + WsW
+        record("rc_quadratic_weyl", _rel(max_abs(pair_ricci(n, quad_W), 1), WW))
+        quad_R = Rm @ np.swapaxes(Rm, -1, -2) + RsR
+        rc_pred = curvature_action(XR, Rc)
+        record("rc_quadratic_contraction", _rel(max_abs(pair_ricci(n, quad_R) - rc_pred, 1), RR))
 
-    # metric-product pairing lemma, with the symmetric factor diagonalized
-    record("productw_orth", _rel(frobenius(Bm, quad_W), WW))
-    lhs_b = frobenius(W2, Bm)
-    pb = pair_basis(n)  # sum_{i<j} (A_ii + A_jj) |row_(ij) W|^2
-    rhs_b = np.sum((a[..., pb.rows] + a[..., pb.cols]) * np.sum(Wm * Wm, axis=-1), axis=-1)
-    record("productw_diag", _rel(lhs_b - rhs_b, WW))
-    record("productw_sharp", _rel(lhs_b + frobenius(Wm, BsW), WW))
-    rhs_c = 0.5 * frobenius(XW @ XW, XR)  # sum_jl W_ijkl W_jplq = (XW XW)[(i,k),(p,q)]
-    record("productw_reindex", _rel(frobenius(Wm, tri_sharp[0]) - rhs_c, WW))
+        # trilinear symmetry <R1.R2 + R2.R1 + 2 R1 # R2, R3> over all six argument orders
+        p, q, r = (np.stack(x) for x in ([Rm, Rm, Wm, Wm, Km, Km], [Wm, Km, Rm, Km, Rm, Wm],
+                                          [Km, Wm, Km, Rm, Wm, Rm]))
+        vals = frobenius(p @ np.swapaxes(q, -1, -2) + q @ np.swapaxes(p, -1, -2)
+                         + 2.0 * tri_sharp, r)
+        record("tri_symmetry", _rel(vals.max(axis=0) - vals.min(axis=0), np.abs(vals).max(axis=0)))
 
-    # circ-prime norm identity on divergence-type tensors
-    Ap = two_form_one_form_from_uniform(mA)
-    cp = circ_prime_pairs(n, Ap)
-    a2, cp2 = frobenius(Ap, Ap), frobenius(cp, cp)
-    record("circ_prime_norm", _rel(cp2 - (n - 3) * a2, a2))
+        # metric-product pairing lemma, with the symmetric factor diagonalized
+        record("productw_orth", _rel(frobenius(Bm, quad_W), WW))
+        lhs_b = frobenius(W2, Bm)
+        pb = pair_basis(n)  # sum_{i<j} (A_ii + A_jj) |row_(ij) W|^2
+        rhs_b = np.sum((a[..., pb.rows] + a[..., pb.cols]) * np.sum(Wm * Wm, axis=-1), axis=-1)
+        record("productw_diag", _rel(lhs_b - rhs_b, WW))
+        record("productw_sharp", _rel(lhs_b + frobenius(Wm, BsW), WW))
+        rhs_c = 0.5 * frobenius(XW @ XW, XR)  # sum_jl W_ijkl W_jplq = (XW XW)[(i,k),(p,q)]
+        record("productw_reindex", _rel(frobenius(Wm, tri_sharp[0]) - rhs_c, WW))
 
+        # circ-prime norm identity on divergence-type tensors
+        Ap = two_form_one_form_from_uniform(mA)
+        cp = circ_prime_pairs(n, Ap)
+        a2, cp2 = frobenius(Ap, Ap), frobenius(cp, cp)
+        record("circ_prime_norm", _rel(cp2 - (n - 3) * a2, a2))
+
+    products()
     for family, values in zip(("bianchi_rc_part", "bianchi_s_part", "bianchi_weyl_part"),
-                              _second_bianchi_residuals(n, mC, v, mD)):
+                              _second_bianchi_residuals(n, mC, v, D)):
         record(family, values)
 
     # sectional split of the trace-free operator: W_ijij is the pair diagonal of W
@@ -233,14 +249,14 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
 
 
 def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
-                              mD: np.ndarray) -> tuple[np.ndarray, ...]:
+                              D: np.ndarray) -> tuple[np.ndarray, ...]:
     """The bianchi_{rc,s,weyl}_part residuals of a chunk.
 
     Each family is evaluated at the (B, T, N) independent components, i < j < k and
-    m < l, of its second-Bianchi and circ-prime images, formed from (B, n, N, N)
-    derivative pair matrices.  The only five-index arrays are the derivative draws and
-    their symmetrised potential, read straight into pair matrices; a function of its own
-    so that they are freed before the next family runs.
+    m < l, of its second-Bianchi and circ-prime images, formed from the (B, n, N, N)
+    derivative pair matrices D that ``_identity_draws`` maps from the draws group by group,
+    after the product families have freed their tables; a function of its own, so that its
+    tables are freed before the next family runs.
     """
     # second-Bianchi images of the decomposition pieces (raw kernels, component norms)
     C, g, (a, b) = symmetrized(mC), np.eye(n), (pair_basis(n).rows, pair_basis(n).cols)
@@ -252,7 +268,6 @@ def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
     resid = second_bianchi_pairs(n, D_s) + circ_prime_pairs(n, Qf)
     s_part = _rel(max_abs(resid, 1), max_abs(Qf, 1))
     # second-Bianchi image of the trace-free part on an exact derivative field
-    D = curvature_derivative_pairs_from_uniform(mD)
     W = weyl_parts(n, D, pair_ricci(n, D)).W
     bw = second_bianchi_pairs(n, W)
     resid = bw - circ_prime_pairs(n, pair_divergence(n, W)) / (n - 3)

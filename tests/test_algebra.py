@@ -14,6 +14,9 @@ import pytest
 from weylbench import basis, suite
 from weylbench.chart import _w_norm_sq_at
 from weylbench.algebra import (
+    _identity_kn_factors,
+    _kn_positions,
+    _kn_sum,
     _pair_slots,
     bianchi_project,
     check_trace_free,
@@ -732,6 +735,51 @@ def _with_specials(x):
     for b, value in enumerate((np.nan, np.inf, -np.inf, -0.0)):
         flat[b % len(flat), b % x.shape[-2], (2 * b) % x.shape[-1]] = value
     return x
+
+
+def _out_of_place_kernels(n):
+    """kn_identity, kn_matrix and circ_prime_pairs with their fresh gathers multiplied out of
+    place: the reference the in-place products must match in dtype and bits."""
+    hp, kp = _kn_positions(n)
+    flat, sign = basis._circ_prime_positions(n)
+
+    def circ(a):
+        padded = np.concatenate([a, np.zeros(a.shape[:-2] + (1, n))], axis=-2)
+        t = basis._take_trailing(padded, 2, flat) * sign
+        return sum(t[..., r, :, :] for r in range(6))
+
+    return (lambda h: _kn_sum(basis._take_trailing(h, 2, hp) * _identity_kn_factors(n)),
+            lambda h, k: _kn_sum(basis._take_trailing(h, 2, hp) * basis._take_trailing(k, 2, kp)),
+            circ)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, object])
+def test_gathers_multiplied_in_place_keep_the_out_of_place_dtype_and_bits(n, dtype):
+    """kn_identity, kn_matrix (each factor of each dtype against float64, and both of it) and
+    circ_prime_pairs form their products in the fresh gathers where the product's dtype
+    allows; on NaN, +-inf and -0.0 entries the result is the out-of-place product's, in dtype
+    and in bits (the int64 view; object results as float64)."""
+    N = pair_basis(n).size
+    h = _with_specials(rng.uniform(-1.0, 1.0, size=(3, n, n)))
+    a = _with_specials(rng.uniform(-1.0, 1.0, size=(3, N, n)))
+    if dtype is np.int64:
+        h, a = (np.round(7 * np.nan_to_num(x, posinf=1.0, neginf=-1.0)) for x in (h, a))
+    h, a = h.astype(dtype), a.astype(dtype)
+    g = rng.uniform(-1.0, 1.0, size=(3, n, n))
+    kn_g, kn, circ = _out_of_place_kernels(n)
+
+    def bits(x):  # the int64 view (int32 for float32); object results as float64
+        x = x.astype(np.float64) if x.dtype == object else x
+        return x.view(np.int64 if x.itemsize == 8 else np.int32)
+
+    with np.errstate(invalid="ignore"):  # inf times a zero term: NaN, as intended
+        cases = [(kn_identity(h), kn_g(h)), (kn_matrix(h, g), kn(h, g)),
+                 (kn_matrix(g, h), kn(g, h)), (kn_matrix(h, h), kn(h, h)),
+                 (kn_matrix(h[0], g), kn(h[0], g)), (circ_prime_pairs(n, a), circ(a))]
+    for got, expect in cases:
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert np.array_equal(bits(got), bits(expect))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

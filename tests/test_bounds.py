@@ -27,7 +27,7 @@ from weylbench.bounds import (
     wcubic_oracle,
     weyl_bound_terms,
 )
-from weylbench import basis
+from weylbench import basis, bounds
 from weylbench.algebra import decompose
 from weylbench.models import model_curvature, parse_model_spec
 from weylbench.sampling import (random_curvature, random_traceless_symmetric, random_weyl,
@@ -208,6 +208,32 @@ def test_eigen_audits_do_not_depend_on_the_pass_budget(monkeypatch):
         monkeypatch.setattr(basis, "CHUNK_ENTRIES", entries)
         runs.append((audit_eigen_bound(1000, 5).hex(), audit_eigen_equality(1000, 5).hex()))
     assert runs[0] == runs[1] == runs[2]
+
+
+#: audit_eigen_bound and audit_eigen_equality at seed 7, by sample count, as float.hex:
+#: recorded while audit_eigen_bound still ran eigen_bound_terms on the m = 2 draws it drops
+EIGEN_AUDIT_HEX = {0: ("-inf", "0x0.0p+0"),
+                   2: ("-0x1.6915f111336a7p-5", "0x1.de888c8e3c9e3p-53"),
+                   512: ("-0x1.d576047d0385ap-15", "0x1.d75a83aed7119p-52"),
+                   5000: ("-0x1.cce4ead77472cp-17", "0x1.066f2309732e9p-51")}
+
+
+@pytest.mark.parametrize("samples", sorted(EIGEN_AUDIT_HEX))
+def test_eigen_audits_keep_their_values_without_evaluating_dropped_draws(samples, monkeypatch):
+    """audit_eigen_bound draws its m = 2 samples in their passes but evaluates only m = 3..10,
+    and audit_eigen_equality only m = 2; both keep the recorded values, bit for bit."""
+    sizes, terms = [], bounds.eigen_bound_terms
+
+    def spy(T):
+        sizes.append(T.shape[-1])
+        return terms(T)
+
+    monkeypatch.setattr(bounds, "eigen_bound_terms", spy)
+    assert audit_eigen_bound(samples, 7).hex() == EIGEN_AUDIT_HEX[samples][0]
+    assert sorted(set(sizes)) == (list(range(3, 11)) if samples else [])
+    sizes.clear()
+    assert audit_eigen_equality(samples, 7).hex() == EIGEN_AUDIT_HEX[samples][1]
+    assert set(sizes) == ({2} if samples else set())
 
 
 #: traced peak of the eigenvalue audits at 20,000 samples: 2.21 MB measured with each m's

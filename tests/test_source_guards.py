@@ -26,6 +26,9 @@ indices, or sums a whole ``x * y`` or ``x ** 2`` itself; ``<A, B>`` and ``|A|^2`
 g^-1 (S = <Rc, g^-1> in ``_decomp_coords``, the g^ab sum of the Laplacian in
 ``_assemble``) are metric traces, not pairings of the norm convention, and stay einsums.
 
+A gathered stack is multiplied in its own buffer (``basis._take_times``): no expression
+multiplies a fresh ``_take_trailing(...)`` result out of place.
+
 Optional parameters are counted, so a knob that only tests set cannot come
 back unnoticed.
 
@@ -697,6 +700,41 @@ def test_guard_sees_stepped_ranges(tmp_path):
 def test_passes_are_planned_by_the_one_planner():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in stepped_ranges(path)]
     assert [hit.split(" ", 1)[1] for hit in found] == ["audit_cubic_bounds"], found
+
+
+def fresh_gather_products(path: Path) -> list[str]:
+    """``file:line`` of each ``x * y`` whose operand is a fresh gather: a ``_take_trailing(...)``
+    call, or a name the enclosing function binds to one (``t = _take_trailing(...)``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+    def gather(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and _called_name(node) == "_take_trailing"
+
+    out = set()
+    for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]:
+        fresh = set() if scope is tree else {
+            t.id for node in ast.walk(scope) if isinstance(node, ast.Assign)
+            and gather(node.value) for t in node.targets if isinstance(t, ast.Name)}
+        out |= {f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(gather(x) or isinstance(x, ast.Name) and x.id in fresh
+                        for x in (node.left, node.right))}
+    return sorted(out)
+
+
+def test_guard_sees_fresh_gather_products(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(x, s):\n    return _take_trailing(x, 2, p) * s\n"
+                     "def g(x, s):\n    t = b._take_trailing(x, 2, p)\n    u = 2.0 * t[0]\n"
+                     "    t *= s\n    return s * t\n"
+                     "def h(x, t):\n    return _take_times(x, 2, p, s) * t + x * t\n")
+    assert fresh_gather_products(probe) == ["probe.py:2", "probe.py:7"]
+
+
+def test_gathers_are_multiplied_in_their_own_buffers():
+    """A gathered stack times a factor goes through ``basis._take_times``, which forms the
+    product in the gather's buffer where the dtype allows, so no second stack is held."""
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in fresh_gather_products(path)] == []
 
 
 def fn_call_sites(path: Path) -> list[str]:

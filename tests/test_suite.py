@@ -1,6 +1,7 @@
 """The batched identity suite: samples, chunk independence, guards and provenance."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +68,8 @@ def test_stacked_draws_are_the_per_trial_samplers_samples(n):
                               two_form_one_form_from_uniform(uniform(ref, n, n, n)))
         assert np.array_equal(symmetrized(mC)[b], symmetrized(uniform(ref, n, n, n)))
         assert np.array_equal(v[b], ref.uniform(-1.0, 1.0, size=n))
-        assert np.array_equal(curvature_derivative_from_uniform(mD)[b],
-                              random_curvature_derivative_full(ref, n))
+        assert np.array_equal(mD[b], four_tensor_to_pair_matrix(
+            n, random_curvature_derivative_full(ref, n)))
         size = ref.integers(1, n)
         assert np.array_equal(np.flatnonzero(subset[b]), np.sort(ref.permutation(n)[:size]))
         assert np.array_equal(pure_from_uniform(mw)[b], pure_from_uniform(uniform(ref, n, n)))
@@ -96,7 +97,7 @@ def test_bianchi_families_are_the_full_kernels_at_the_components(n):
     pair) components of its five-index residual, formed by the full kernels: on
     kn_four and the n^5 scalar image for the rc and s parts, and on the expansion of
     the Weyl parts' pair matrices for the Weyl part."""
-    mC, v, mD = suite._identity_draws(np.random.default_rng([11, n]), n, 3)[4:7]
+    mC, v, D = suite._identity_draws(np.random.default_rng([11, n]), n, 3)[4:7]
     g = np.eye(n)
 
     def family(bianchi, circ, scale):
@@ -108,15 +109,34 @@ def test_bianchi_families_are_the_full_kernels_at_the_components(n):
     Qf = np.einsum('ki,...j->...ijk', g, v) - np.einsum('kj,...i->...ijk', g, v)
     D_s = np.einsum('...m,abcd->...mabcd', v, kn_four(g, g))
     s = family(second_bianchi_full(D_s), -circ_prime_full(Qf), max_abs(Qf, 1))
-    D = four_tensor_to_pair_matrix(n, curvature_derivative_from_uniform(mD))
     W = pair_matrix_to_four_tensor(n, weyl_parts(n, D, pair_ricci(n, D)).W)
     bw = second_bianchi_full(W)
     weyl = family(bw, circ_prime_full(np.einsum('...mabcm->...abc', W)) / (n - 3),
                   max_abs(full5_to_triple_pair(n, bw), 1))
-    got = suite._second_bianchi_residuals(n, mC, v, mD)
+    got = suite._second_bianchi_residuals(n, mC, v, D)
     for value, expect in zip(got, (rc, s, weyl)):
         assert value.tobytes() == expect.tobytes()
     assert not s.any()
+
+
+#: traced peak of a warm n = 8 suite of two trials: 1.217 MB measured with the derivative
+#: draws mapped to pair matrices group by group and the product families' tables freed before
+#: the second-Bianchi families run (2.62 MB when a chunk held its (B, n^5) draw stack to the
+#: end and every family's tables at once); the gate leaves a 23% margin
+SUITE_PEAK_BYTES = 1.5e6
+
+
+def test_identity_suite_peak_memory_is_bounded():
+    """run_identity_suite((8,), 2, seed=0) (caches warm) stays under SUITE_PEAK_BYTES of
+    tracemalloc's peak."""
+    run_identity_suite((8,), 2, seed=0)
+    tracemalloc.start()
+    try:
+        run_identity_suite((8,), 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SUITE_PEAK_BYTES
 
 
 def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
