@@ -124,15 +124,16 @@ def _take_trailing(x: np.ndarray, k: int, flat: np.ndarray) -> np.ndarray:
     """Entries of x's trailing k axes at the C-order positions ``flat``, per leading index
     (none for an empty batch)."""
     lead = x.ndim - k
-    return np.take(x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),)), flat, axis=-1)
+    return x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),)).take(flat, axis=-1)
 
 
 def _take_times(x: np.ndarray, k: int, flat: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """``_take_trailing(x, k, flat) * factor`` in the fresh gather's own buffer where that keeps
-    the product's dtype and shape (not for a float32 or int gather times float64), so no second
-    stack is held; the operands keep their order, so the bits are the out-of-place product's."""
+    """``_take_trailing(x, k, flat) * factor`` in the fresh gather's own buffer where the factor
+    has its dtype and broadcasts to its shape (a trailing-shape factor without an np.broadcast),
+    so no second stack is held; the operands keep their order: the out-of-place product's bits."""
     t = _take_trailing(x, k, flat)
-    fits = np.result_type(t, factor) == t.dtype and np.broadcast(t, factor).shape == t.shape
+    fits = factor.dtype == t.dtype and (t.shape[t.ndim - factor.ndim:] == factor.shape
+                                        or np.broadcast(t, factor).shape == t.shape)
     return np.multiply(t, factor, out=t if fits else None)
 
 

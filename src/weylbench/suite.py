@@ -7,27 +7,22 @@ in the order the per-trial samplers call it), so the sample stream is the one
 those samplers give, bit for bit.
 
 Trials run in chunks sized per dimension by ``basis.CHUNK_ENTRIES`` (64 trials at n = 4
-down to 2 at n = 8; its comment says why).  A chunk's draws are stacked and mapped to samples
-by the ``*_from_uniform`` maps (its Weyl samples are one ``random_weyl_batch`` draw, the
-numbers of per-trial draws); each identity family is then evaluated once on the (B, ...)
-stacks with the raw kernels of ``algebra`` (the Weyl split and sharps straight into pair
-matrices, R(h) and the quadratic forms on slot matrices through ``curvature_action``, the
-second-Bianchi and circ-prime images at their (triple, pair) components, the u-tensor on
-pairs; no four-index tensor is formed) and its worst value folded into the report as a
-float.  Each table is formed once: the slot matrices of R, W, A o g and k o g are gathered
-once per operand and the nine sharp products formed from them (``sharp_slots``), h o g
-with g = I reads the identity's entries from a cached table (``kn_identity``), and the
-derivative draws go to pair matrices (``curvature_derivative_pairs_from_uniform``) group by
-group as they are drawn, each with the bits of the route it replaces.  No chunk holds a (B, n^5)
-stack, and the product families free their tables before the second-Bianchi families form
-theirs.  The typed containers' input checks run once per chunk: symmetry and first Bianchi
-of R, then of W, the e/s parts, k o g and A o g as one (5, B, ...) stack, and trace-free W
-before the sectional split and the u-tensor (the ``check_symmetric``, ``check_bianchi`` and
-``check_trace_free`` guards, each over the whole stack), so each object keeps its own scale
-and the containers' messages.  The
-residuals do not depend on the chunk sizes (the batched basis expansions return C-order
-stacks, so every per-trial sum runs in one order), and the report keeps the (n, trial
-index) of every worst residual, so ``trials = index + 1`` with the same seed replays it.
+down to 2 at n = 8; its comment says why).  A chunk's draws are written trial by trial into
+(B, ...) arrays, the derivative draws mapped to pair matrices group by group as they are drawn
+(``curvature_derivative_pairs_from_uniform``), so no chunk holds a (B, n^5) stack.  Each
+family is evaluated once on the (B, ...) stacks with the raw kernels of ``algebra`` (pair
+matrices, slot matrices through ``curvature_action``, (triple, pair) components; no
+four-index tensor is formed), each table formed once, the product families' tables freed
+before the second-Bianchi families form theirs, and the chunk's residuals folded into the
+report in one pass (``SuiteReport.fold``).  The sharp-cubic and u-tensor samples are one
+Weyl stream, drawn in one set of chunks, each split where the u-tensor samples begin.
+The typed containers' checks run once per stack, each object at its own scale and with the
+containers' messages: symmetry and first Bianchi of R and its parts (W, the e/s parts,
+k o g, A o g) in one (6, B, ...) stack and of each tail chunk's samples, and trace-free W
+before the sectional split and the u-tensor.  The residuals do not depend on the chunk sizes
+(the batched basis expansions return C-order stacks, so every per-trial sum runs in one
+order), and the report keeps the (n, trial index) of every worst residual, so
+``trials = index + 1`` with the same seed replays it.
 """
 
 from __future__ import annotations
@@ -91,18 +86,24 @@ class SuiteReport:
     #: residual key -> (n, trial index) of its worst value within its family's trials
     worst: dict[str, tuple[int, int]] = field(default_factory=dict)
 
-    def record(self, name: str, values, where: tuple[int, int]) -> None:
-        """Fold |values| into the worst case of ``name``; a NaN is kept (NaN means fail).
+    def fold(self, families: dict, where: tuple[int, int]) -> None:
+        """Fold each key's |values| into its worst case in one pass over their (F, B) stack,
+        new keys in the order given; a NaN is kept (NaN means fail).  values[i] came from trial
+        k + i of dimension n, where ``where = (n, k)``.  When a key's values raise its worst
+        case, the first NaN (else the first maximum) among them becomes its provenance."""
+        names = list(families)
+        values = np.abs(np.array(list(families.values()), dtype=float).reshape(len(names), -1))
+        old = np.array([self.residuals.get(name, -np.inf) for name in names])
+        new = np.maximum(old, values.max(axis=1))
+        self.residuals.update(zip(names, new.tolist()))
+        raised = ((old == old) & (new != old)).tolist()  # raised, and not past a NaN
+        for name, hit, k in zip(names, raised, (where[1] + values.argmax(axis=1)).tolist()):
+            if hit:
+                self.worst[name] = (where[0], k)  # first NaN or max
 
-        values[i] came from trial k + i of dimension n, where ``where = (n, k)``.
-        When the values raise the worst case, the first NaN (else the first
-        maximum) among them becomes the key's provenance.
-        """
-        values = np.abs(values).ravel()
-        old = self.residuals.get(name, -np.inf)
-        self.residuals[name] = new = running_max(old, values)
-        if old == old and new != old:  # raised, and not past a NaN
-            self.worst[name] = (where[0], where[1] + int(values.argmax()))  # first NaN or max
+    def record(self, name: str, values, where: tuple[int, int]) -> None:
+        """``fold`` of one key's values."""
+        self.fold({name: values}, where)
 
     @property
     def passed(self) -> bool:
@@ -126,7 +127,7 @@ def _curvature(n: int, mat: np.ndarray) -> np.ndarray:
 
 
 def _identity_draws(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
-    """The draws of ``count`` identity trials, taken trial by trial, stacked per input.
+    """The draws of ``count`` identity trials, taken trial by trial into (count, ...) arrays.
 
     Per trial, in stream order: R, k, diag(A), A', nabla Rc, v, nabla R, the
     sectional subset (its size, then a permutation) and the pure matrix.  nabla R comes back
@@ -134,35 +135,35 @@ def _identity_draws(rng: np.random.Generator, n: int, count: int) -> list[np.nda
     a trial (the draw, its symmetrised copy and the potential; 1 trial at n = 7 and 8, 21 at
     n = 4) is mapped (``curvature_derivative_pairs_from_uniform``) before the next is drawn.
     """
-    N, groups = pair_basis(n).size, []
-    for _, size in _chunks(count, 3 * n ** 5):
-        trials, mD = [], np.empty((size,) + (n,) * 5)
-        for b in range(size):
-            draws = [uniform(rng, N, N), uniform(rng, n, n), uniform(rng, n),
-                     uniform(rng, n, n, n), uniform(rng, n, n, n), uniform(rng, n)]
-            mD[b] = uniform(rng, n, n, n, n, n)
-            picked, subset = rng.integers(1, n), np.zeros(n, dtype=bool)
-            subset[rng.permutation(n)[:picked]] = True
-            trials.append(draws + [subset, uniform(rng, n, n)])
-        group = [np.stack(x) for x in zip(*trials)]
-        groups.append(group[:6] + [curvature_derivative_pairs_from_uniform(mD)] + group[6:])
-    return [np.concatenate(x) for x in zip(*groups)]
+    N = pair_basis(n).size
+    draws = [np.empty((count,) + s) for s in ((N, N), (n, n), (n,), (n, n, n), (n, n, n), (n,))]
+    D, subset, mw = np.empty((count, n, N, N)), np.zeros((count, n), bool), np.empty((count, n, n))
+    for first, size in _chunks(count, 3 * n ** 5):
+        mD = np.empty((size,) + (n,) * 5)
+        for b in range(first, first + size):
+            for x in draws:
+                x[b] = uniform(rng, *x.shape[1:])
+            mD[b - first] = uniform(rng, n, n, n, n, n)
+            picked = rng.integers(1, n)
+            subset[b, rng.permutation(n)[:picked]] = True
+            mw[b] = uniform(rng, n, n)
+        D[first:first + size] = curvature_derivative_pairs_from_uniform(mD)
+    return draws + [D, subset, mw]
 
 
 def _identity_chunk(rng: np.random.Generator, n: int, count: int,
                     rep: SuiteReport, first: int) -> None:
     mR, mk, a, mA, mC, v, D, subset, mw = _identity_draws(rng, n, count)
+    res = {}  # family -> its (B,) residuals, folded into the report at the end
 
-    def record(family: str, values) -> None:
-        rep.record(f"{family}_n{n}", values, (n, first))
-
-    Rm = _curvature(n, curvature_from_uniform(n, mR))
+    Rm = curvature_from_uniform(n, mR)
     split = weyl_parts(n, Rm, pair_ricci(n, Rm))
     k = symmetrized(mk)
     A = a[..., None] * np.eye(n)
-    # W, the e- and s-parts, k o g and A o g: one (5, B, ...) container check
-    Wm, _, _, Km, Bm = _curvature(n, np.stack(
-        [split.W, split.e_part, split.s_part, kn_identity(k), kn_identity(A)]))
+    # R, W, the e- and s-parts, k o g and A o g: one (6, B, ...) container check (R is
+    # exactly symmetric, so the check would return it bit for bit)
+    _, Wm, _, _, Km, Bm = _curvature(n, np.stack(
+        [Rm, split.W, split.e_part, split.s_part, kn_identity(k), kn_identity(A)]))
     # slot matrices s[(i,k),(j,l)] = T_ijkl, one gather per operand
     XR, XW = pair_slots(n, Rm), pair_slots(n, Wm)
     Rc, S, E = split.Rc, split.S, split.E
@@ -177,13 +178,13 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
 
         # adjointness of the metric product against the Ricci contraction (g o k = (k o g)^T)
         lhs = frobenius(Km, Rm)
-        record("selfadjoint", _rel(lhs - frobenius(k, Rc), lhs))
+        res["selfadjoint"] = _rel(lhs - frobenius(k, Rc), lhs)
 
         # decomposition: trace-freeness, Bianchi, Pythagoras
-        record("weyl_ricci_free", max_abs(pair_ricci(n, Wm), 1))
-        record("weyl_bianchi_free", max_abs(bianchi_image(n, Wm), 1))
+        res["weyl_ricci_free"] = max_abs(pair_ricci(n, Wm), 1)
+        res["weyl_bianchi_free"] = max_abs(bianchi_image(n, Wm), 1)
         pyth = RR - (WW + S ** 2 / (2 * n * (n - 1)) + frobenius(E, E) / (n - 2))
-        record("pythagoras", _rel(pyth, RR))
+        res["pythagoras"] = _rel(pyth, RR)
 
         # the nine sharp products from the four slot stacks: W#W, R#R, B#W, then R1#R2 of the
         # six argument orders (R1, R2, R3) of (R, W, K) in tri.  W#W and R#R multiply by a copy:
@@ -196,56 +197,56 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
         # quadratic products: rc(W^2 + W#) = 0 and the contraction formula for R
         W2 = Wm @ np.swapaxes(Wm, -1, -2)
         quad_W = W2 + WsW
-        record("rc_quadratic_weyl", _rel(max_abs(pair_ricci(n, quad_W), 1), WW))
+        res["rc_quadratic_weyl"] = _rel(max_abs(pair_ricci(n, quad_W), 1), WW)
         quad_R = Rm @ np.swapaxes(Rm, -1, -2) + RsR
         rc_pred = curvature_action(XR, Rc)
-        record("rc_quadratic_contraction", _rel(max_abs(pair_ricci(n, quad_R) - rc_pred, 1), RR))
+        res["rc_quadratic_contraction"] = _rel(max_abs(pair_ricci(n, quad_R) - rc_pred, 1), RR)
 
         # trilinear symmetry <R1.R2 + R2.R1 + 2 R1 # R2, R3> over all six argument orders
         p, q, r = (np.stack(x) for x in ([Rm, Rm, Wm, Wm, Km, Km], [Wm, Km, Rm, Km, Rm, Wm],
                                           [Km, Wm, Km, Rm, Wm, Rm]))
         vals = frobenius(p @ np.swapaxes(q, -1, -2) + q @ np.swapaxes(p, -1, -2)
                          + 2.0 * tri_sharp, r)
-        record("tri_symmetry", _rel(vals.max(axis=0) - vals.min(axis=0), np.abs(vals).max(axis=0)))
+        res["tri_symmetry"] = _rel(vals.max(axis=0) - vals.min(axis=0), np.abs(vals).max(axis=0))
 
         # metric-product pairing lemma, with the symmetric factor diagonalized
-        record("productw_orth", _rel(frobenius(Bm, quad_W), WW))
+        res["productw_orth"] = _rel(frobenius(Bm, quad_W), WW)
         lhs_b = frobenius(W2, Bm)
         pb = pair_basis(n)  # sum_{i<j} (A_ii + A_jj) |row_(ij) W|^2
         rhs_b = np.sum((a[..., pb.rows] + a[..., pb.cols]) * np.sum(Wm * Wm, axis=-1), axis=-1)
-        record("productw_diag", _rel(lhs_b - rhs_b, WW))
-        record("productw_sharp", _rel(lhs_b + frobenius(Wm, BsW), WW))
+        res["productw_diag"] = _rel(lhs_b - rhs_b, WW)
+        res["productw_sharp"] = _rel(lhs_b + frobenius(Wm, BsW), WW)
         rhs_c = 0.5 * frobenius(XW @ XW, XR)  # sum_jl W_ijkl W_jplq = (XW XW)[(i,k),(p,q)]
-        record("productw_reindex", _rel(frobenius(Wm, tri_sharp[0]) - rhs_c, WW))
+        res["productw_reindex"] = _rel(frobenius(Wm, tri_sharp[0]) - rhs_c, WW)
 
         # circ-prime norm identity on divergence-type tensors
         Ap = two_form_one_form_from_uniform(mA)
         cp = circ_prime_pairs(n, Ap)
         a2, cp2 = frobenius(Ap, Ap), frobenius(cp, cp)
-        record("circ_prime_norm", _rel(cp2 - (n - 3) * a2, a2))
+        res["circ_prime_norm"] = _rel(cp2 - (n - 3) * a2, a2)
 
     products()
-    for family, values in zip(("bianchi_rc_part", "bianchi_s_part", "bianchi_weyl_part"),
-                              _second_bianchi_residuals(n, mC, v, D)):
-        record(family, values)
+    res["bianchi_rc_part"], res["bianchi_s_part"], res["bianchi_weyl_part"] = \
+        _second_bianchi_residuals(n, mC, v, D)
 
     # sectional split of the trace-free operator: W_ijij is the pair diagonal of W
     check_trace_free(n, Wm, "sectional split")
     w1, w2 = sectional_sums(np.diagonal(Wm, axis1=-2, axis2=-1), subset)
-    record("sectional_split", _rel(w1 - w2, w1))
+    res["sectional_split"] = _rel(w1 - w2, w1)
 
     # Ricci-polynomial identities; quadratic_forms takes the symmetrized Ricci form
     Ac = symmetrized(Rc)
     A3, R_AA, e3, e2 = cube_trace(Ac), quadratic_form(XR, Ac), cube_trace(E), frobenius(E, E)
-    record("ricci_cubed", _rel(A3 - (e3 + 3.0 / n * S * e2 + S ** 3 / n ** 2), A3))
+    res["ricci_cubed"] = _rel(A3 - (e3 + 3.0 / n * S * e2 + S ** 3 / n ** 2), A3)
     pred = (quadratic_form(XW, Ac) - 2.0 * e3 / (n - 2) + S ** 3 / n ** 2
             + (2.0 * n - 3.0) / (n * (n - 1)) * S * e2)
-    record("ricci_curvature_form", _rel(R_AA - pred, R_AA))
+    res["ricci_curvature_form"] = _rel(R_AA - pred, R_AA)
 
     # pure-curvature cubic identity
     sharp_cubic, square_cubic, three_plane = pure_cubic_parts(pure_from_uniform(mw))
-    record("pure_cubic_identity",
-           _rel(sharp_cubic - ((8.0 - n) / 2.0 * square_cubic + three_plane), sharp_cubic))
+    res["pure_cubic_identity"] = _rel(
+        sharp_cubic - ((8.0 - n) / 2.0 * square_cubic + three_plane), sharp_cubic)
+    rep.fold({f"{family}_n{n}": values for family, values in res.items()}, (n, first))
 
 
 def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
@@ -297,18 +298,29 @@ def _run_dimension(args: tuple[int, int, int, float]) -> tuple[dict, dict, dict]
     for first, count in _chunks(trials, n ** 5):
         _identity_chunk(rng, n, count, rep, first)
     reduced = max(1, trials // 10) if trials > 0 else 0
-    for first, count in _chunks(trials if n <= 5 else reduced, n ** 5):
-        dev = _sharp_cubic_trial(n, _curvature(n, random_weyl_batch(rng, n, count)))
-        if n <= 5:
-            rep.record(f"sharp_cubic_n{n}", dev, (n, first))
-        else:
-            key = f"sharp_cubic_deviation_n{n}"
-            rep.stats[key] = running_max(rep.stats.get(key, 0.0), dev)
-    for first, count in _chunks(reduced, n ** 5):
-        u_norm, u_cubic = _u_tensor_trial(n, _curvature(n, random_weyl_batch(rng, n, count)))
-        rep.record(f"u_norm_n{n}", u_norm, (n, first))
-        rep.record(f"u_cubic_n{n}", u_cubic, (n, first))
+    sharp = trials if n <= 5 else reduced
+    for first, count in _chunks(sharp + reduced, n ** 5):
+        Wm = _curvature(n, random_weyl_batch(rng, n, count))
+        cut = max(0, min(count, sharp - first))  # rows [0, cut) are sharp-cubic samples
+        if cut:
+            dev = _sharp_cubic_trial(n, Wm[:cut])
+            if n <= 5:
+                rep.record(f"sharp_cubic_n{n}", dev, (n, first))
+            else:
+                key = f"sharp_cubic_deviation_n{n}"
+                rep.stats[key] = running_max(rep.stats.get(key, 0.0), dev)
+        if cut < count:
+            u_norm, u_cubic = _u_tensor_trial(n, Wm[cut:])
+            rep.fold({f"u_norm_n{n}": u_norm, f"u_cubic_n{n}": u_cubic},
+                     (n, first + cut - sharp))
     return rep.residuals, rep.stats, rep.worst
+
+
+def _integer(value, what: str) -> int:
+    """int(value) of an int or numpy integer (not a bool), else a ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
@@ -320,15 +332,17 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
     independent of the worker count and the per-dimension blocks may run in
     parallel processes.
     """
+    trials = _integer(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    # a repeated n runs once
+    dimensions = tuple(dict.fromkeys(_integer(n, "each dimension") for n in dimensions))
     for n in dimensions:
         if n < 4:
             raise ValueError("identity suite runs for dimensions >= 4")
         check_pair_dimension(n, "identity suite")
-    dimensions = tuple(dict.fromkeys(dimensions))  # a repeated n runs once
     rep = SuiteReport(seed=seed, trials=trials, dimensions=dimensions, tolerance=tolerance)
     jobs = [(n, trials, seed, tolerance) for n in dimensions]
     if workers > 1 and len(jobs) > 1:
