@@ -36,8 +36,9 @@ from .tensors import (
 # weyl_matrix, sharp_matrix, cubic_parts, kn_g_pairing, bochner_curvature_term,
 # u_tensor_contractions, check_trace_free) or as (..., n^2, n^2) slot matrices (sharp_slots;
 # curvature_action, the one R(h) kernel, and quadratic_form on it); Kulkarni-Nomizu products
-# leave as pair matrices (kn_matrix; kn_identity for g = I) and the second-Bianchi and
-# circ-prime images as (..., T, N) components (second_bianchi_pairs, circ_prime_pairs).
+# leave as pair matrices (kn_matrix, the one kernel, g = I included), P and Q as (..., N, n)
+# pair components (pq_pairs), and the second-Bianchi and circ-prime images as (..., T, N)
+# components (second_bianchi_pairs, circ_prime_pairs).
 # kn_four, sharp_four, circ_prime_full and second_bianchi_full are reference kernels only.
 
 
@@ -80,38 +81,21 @@ def _kn_sum(t: np.ndarray) -> np.ndarray:
 
 
 def kn_matrix(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Pair matrices (..., N, N) of h o k for (..., n, n) forms h and k: ``kn_four``'s four
-    products at the pair entries, summed by ``_kn_sum``, so the bits are those of kn_four's
-    expansion read back.  With k the identity, ``kn_identity`` gives the same bits."""
-    hp, kp = _kn_positions(h.shape[-1])
-    return _kn_sum(_take_times(h, 2, hp, _take_trailing(k, 2, kp)))
-
-
-@read_only_cache
-def _identity_kn_factors(n: int) -> np.ndarray:
-    """(4, N, N) entries of the identity at ``_kn_positions``' second-factor positions:
-    the 0/1 factors kn_matrix(h, I) multiplies h's entries by."""
-    return np.take(np.eye(n).ravel(), _kn_positions(n)[1])
-
-
-def kn_identity(h: np.ndarray) -> np.ndarray:
-    """Pair matrices (..., N, N) of h o g with g the identity, for (..., n, n) forms h:
-    kn_matrix(h, I) with I's entries read from a cached table, bit for bit (the zero
-    terms are kept, so NaN and inf in h spread as they do there).  The four terms are
-    gathered as a (B, 4, N, N) stack and multiplied in it (``basis._take_times``), so a pass
-    holds one such stack; the flattened forms run in passes of at most CHUNK_ENTRIES / 4N^2
-    (``basis._in_passes``): at most 20 a pass at n = 8."""
+    """Pair matrices (..., N, N) of h o k for (..., n, n) forms h and k, the one Kulkarni-Nomizu
+    kernel: ``kn_four``'s four products at the pair entries, gathered as a (B, 4, N, N) stack,
+    multiplied in it (``basis._take_times``) and summed by ``_kn_sum``, so the bits are those of
+    kn_four's expansion read back, NaN and inf included.  A single (n, n) k (g = I, or g o g) is
+    gathered once, and h's flattened forms run in passes of at most CHUNK_ENTRIES / 4N^2
+    (``basis._in_passes``): at most 20 a pass at n = 8.  A k with leading axes is one call."""
     n = h.shape[-1]
-    hp, factors, flat = _kn_positions(n)[0], _identity_kn_factors(n), h.reshape(-1, n, n)
+    hp, kp = _kn_positions(n)
+    factors = _take_trailing(k, 2, kp)
+    if k.ndim > 2:
+        return _kn_sum(_take_times(h, 2, hp, factors))
+    flat = h.reshape(-1, n, n)
     out = _in_passes(lambda rows: _kn_sum(_take_times(flat[rows], 2, hp, factors)),
                      len(flat), 4 * pair_basis(n).size ** 2)
     return out.reshape(h.shape[:-2] + out.shape[1:])
-
-
-@read_only_cache
-def kn_identity_square(n: int) -> np.ndarray:
-    """g o g = 2 I on pairs, for g the identity: kn_identity(I)."""
-    return kn_identity(np.eye(n))
 
 
 class WeylSplit(NamedTuple):
@@ -125,21 +109,15 @@ class WeylSplit(NamedTuple):
     W: np.ndarray
 
 
-def _weyl_split(n: int, R: np.ndarray, Rc: np.ndarray, S: np.ndarray, g: np.ndarray,
-                gg: np.ndarray, kn_g) -> WeylSplit:
-    """``weyl_split`` with g o g given and X o g formed by ``kn_g``."""
-    s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
-    E = Rc - (s2 / n) * g
-    e_part = kn_g(E) / (n - 2)  # before s_part, so kn_g's passes run beside one stack fewer
-    s_part = s2 / (2 * n * (n - 1)) * gg
-    return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R - s_part - e_part)
-
-
 def weyl_split(n: int, R: np.ndarray, Rc: np.ndarray, S: np.ndarray, g: np.ndarray) -> WeylSplit:
     """Weyl split W = R - S (g o g)/(2n(n-1)) - (E o g)/(n-2) of (..., N, N) pair matrices R
     with the Ricci traces Rc and scalars S the caller took under the metric g (a chart with its
     g^-1): E = Rc - (S/n) g; W and the parts are pair matrices.  ``weyl_parts`` is g = I."""
-    return _weyl_split(n, R, Rc, S, g, kn_matrix(g, g), lambda X: kn_matrix(X, g))
+    s2 = np.asarray(S)[..., None, None]  # S broadcast against (n, n)
+    E = Rc - (s2 / n) * g
+    e_part = kn_matrix(E, g) / (n - 2)  # before s_part, so its passes run beside one stack fewer
+    s_part = s2 / (2 * n * (n - 1)) * kn_matrix(g, g)
+    return WeylSplit(Rc=Rc, S=S, E=E, s_part=s_part, e_part=e_part, W=R - s_part - e_part)
 
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> CurvatureTensor:
@@ -163,10 +141,8 @@ def ricci_contraction(T: Operator2Form) -> np.ndarray:
 def weyl_parts(n: int, R: np.ndarray, Rc: np.ndarray) -> WeylSplit:
     """Orthonormal-frame ``weyl_split`` of (..., N, N) pair matrices R with Ricci traces Rc:
     g = I and S = tr Rc.  Each entry takes the four-index split's operations in their order
-    (``kn_identity`` for E o g, the cached 2 I of ``kn_identity_square`` for g o g, both
-    with kn_matrix's bits), so the bits are those of the n^4 route."""
-    return _weyl_split(n, R, Rc, np.trace(Rc, axis1=-2, axis2=-1), np.eye(n),
-                       kn_identity_square(n), kn_identity)
+    (``kn_matrix(X, I)`` for E o g and g o g), so the bits are those of the n^4 route."""
+    return weyl_split(n, R, Rc, np.trace(Rc, axis1=-2, axis2=-1), np.eye(n))
 
 
 def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
@@ -310,9 +286,9 @@ def kn_g_pairing(X: np.ndarray, Wm: np.ndarray) -> np.ndarray:
     X and X o g are symmetrized as ``kulkarni_nomizu`` stores them, and
     W^2 = Wm Wm^T as ``dot_product`` forms it, so the value keeps the bits of
     sum(kulkarni_nomizu(X, g).mat * dot_product(W, W).mat) with g the identity
-    (X o g straight into pair matrices by ``kn_identity``).
+    (X o g straight into pair matrices by ``kn_matrix``).
     """
-    Xg = symmetrized(kn_identity(symmetrized(X)))
+    Xg = symmetrized(kn_matrix(symmetrized(X), np.eye(X.shape[-1])))
     return frobenius(Xg, Wm @ np.swapaxes(Wm, -1, -2))
 
 
@@ -350,6 +326,15 @@ def circ_prime_pairs(n: int, a: np.ndarray) -> np.ndarray:
     padded = np.concatenate([a, np.zeros(a.shape[:-2] + (1, n))], axis=-2)
     t = _take_times(padded, 2, flat, sign)
     return sum(t[..., r, :, :] for r in range(6))
+
+
+def pq_pairs(C: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q) as (..., N, n) pair components (a < b) of a Ricci gradient C_a,bc (..., n, n, n)
+    and a scalar gradient v (..., n): P_ab,c = C_a,bc - C_b,ac and Q_ab,c = g_ac v_b - g_bc v_a
+    with g = I, the two 2-form-valued 1-forms of delta W."""
+    n = v.shape[-1]
+    a, b, g = pair_basis(n).rows, pair_basis(n).cols, np.eye(n)
+    return C[..., a, b, :] - C[..., b, a, :], g[a] * v[..., b, None] - g[b] * v[..., a, None]
 
 
 def circ_prime(A: TwoFormOneForm) -> ThreeTwoTensor:

@@ -64,9 +64,18 @@ def read_only_cache(build):
 MAX_PAIR_MATRIX_BYTES = 2 ** 17
 
 
+def check_integer(value, what: str) -> int:
+    """int(value) of an int or numpy integer (not a bool), else a ValueError naming ``what``:
+    the package's one integer guard, so no size computed from a numpy integer wraps."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_pair_dimension(n: int, what: str) -> int:
-    """n, refused with a ValueError that names it when one (N, N) float64 pair matrix of
-    dimension n is larger than MAX_PAIR_MATRIX_BYTES: the guard of a dimension read from input."""
+    """int(n), refused by a ValueError naming ``what`` unless n is an integer (``check_integer``)
+    whose (N, N) float64 pair matrix fits MAX_PAIR_MATRIX_BYTES: a dimension read from input."""
+    n = check_integer(n, f"{what}: dimension n")
     N = n * (n - 1) // 2
     if 8 * N * N > MAX_PAIR_MATRIX_BYTES:
         raise ValueError(f"{what}: dimension n = {n} needs {N} x {N} pair matrices of "

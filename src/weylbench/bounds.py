@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import check_trace_free, cubic_parts
-from .basis import _chunks, check_pair_dimension, disjoint_pair_mask, read_only_cache
+from .basis import (_chunks, check_integer, check_pair_dimension, disjoint_pair_mask,
+                    read_only_cache)
 from .sampling import traceless_from_uniform, uniform
 from .tensors import (
     EPS_ALG,
@@ -112,9 +113,9 @@ def berger_component_bound(W: CurvatureTensor) -> ComponentBound:
 def audit_cubic_bounds(n: int, samples: int, seed: int) -> dict[str, float]:
     """Worst relative excesses of the component/eigenvalue/norm bounds on random
     trace-free tensors; all values <= 0 mean zero violations."""
+    n, samples = check_pair_dimension(n, "cubic bound audit"), check_integer(samples, "samples")
     if n < 5:
         raise ValueError("audit applies for n >= 5")
-    check_pair_dimension(n, "cubic bound audit")
     if samples < 0:
         raise ValueError("samples must be >= 0")
     from .sampling import random_weyl_batch
@@ -141,6 +142,7 @@ def _eigen_deviations(samples: int, seed: int, first: int, last: int):
     traceless symmetric m x m matrices T drawn from default_rng(seed) for m = 2..last in turn,
     each m's in the passes ``basis._chunks`` plans at m^2 entries a sample.  The draws for
     m < first are taken in the same passes, so the stream is the same, but not evaluated."""
+    samples = check_integer(samples, "samples")
     if samples < 0:
         raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(seed)
@@ -220,6 +222,7 @@ def table_c(n: int) -> float:
 def wcubic_closed_form(s: float, n: int) -> float:
     """Maximum of sum x_i^3 / sum x_i^2 over sum x_i = 0, x_i <= s: s(n-2)/(n-1)."""
     check_finite(s)
+    n = check_integer(n, "n")
     if not s > 0:
         raise ValueError("cap must be positive")
     if n < 2:
@@ -282,6 +285,7 @@ def wcubic_oracle(s: float, n: int, budget: int = 100_000, seed: int = 0) -> Ora
     elementwise products; cubes are formed by multiplication, not np.power.
     """
     check_finite(s)
+    n, budget = check_integer(n, "n"), check_integer(budget, "budget")
     if not s > 0:
         raise ValueError("cap must be positive")
     if not 2 <= n <= 12:
@@ -346,6 +350,7 @@ def quadratic_coefficients(n: int) -> tuple[float, float, float]:
 
 def constants(n: int) -> ConstantsTable:
     """The constants of dimension n >= 4; refused if n or one of them overflows a float."""
+    n = check_integer(n, "n")
     if n < 4:
         raise ValueError("constants defined for n >= 4")
     try:
@@ -434,15 +439,17 @@ def pinch_verdict_dim4(omega: float, S: float) -> PinchVerdict:
                         details={"omega": float(omega)})
 
 
-def _integral_inputs(norm_w: float, norm_e: float, lam: float, n: int) -> None:
-    """The guard of the integral inputs: finite, lambda > 0, norms >= 0 and n >= 5."""
+def _integral_inputs(norm_w: float, norm_e: float, lam: float, n: int) -> int:
+    """The guard of the integral inputs: finite, lambda > 0, norms >= 0 and an int n >= 5."""
     check_finite(norm_w, norm_e, lam)
+    n = check_integer(n, "n")
     if lam <= 0:
         raise ValueError("the Yamabe invariant input must be positive")
     if norm_w < 0 or norm_e < 0:
         raise ValueError("norms must be nonnegative")
     if n < 5:
         raise ValueError("integral gap verdict requires n >= 5")
+    return n
 
 
 def gap_verdict_integral(norm_w: float, norm_e: float, lam: float, n: int) -> PinchVerdict:
@@ -452,7 +459,7 @@ def gap_verdict_integral(norm_w: float, norm_e: float, lam: float, n: int) -> Pi
     coefficients of ``constants(n)``.  A strict inequality is required: meeting
     the gap forces conformal flatness, and the borderline case forces nothing.
     """
-    _integral_inputs(norm_w, norm_e, lam, n)
+    n = _integral_inputs(norm_w, norm_e, lam, n)
     tab = constants(n)
     value = tab.a1 * norm_w + tab.a2 * norm_e
     threshold = tab.s_n * lam
@@ -468,7 +475,7 @@ def integral_rigidity_d(norm_w: float, norm_e: float, lam: float, n: int) -> flo
     the derived consistency value (c1 ||W|| + c2 ||E||) / lambda with
     c1 = 2 c(n) and c2 = 2 sqrt((n-1)/n).
     """
-    _integral_inputs(norm_w, norm_e, lam, n)
+    n = _integral_inputs(norm_w, norm_e, lam, n)
     c1 = 2.0 * table_c(n)
     c2 = 2.0 * math.sqrt((n - 1) / n)
     return (c1 * norm_w + c2 * norm_e) / lam

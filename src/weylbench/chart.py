@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (bochner_curvature_term, circ_prime, curvature_action, decomposition,
-                      kn_identity, kn_matrix, second_bianchi, weyl_parts, weyl_split)
+                      kn_matrix, pq_pairs, second_bianchi, weyl_parts, weyl_split)
 from .basis import (_in_passes, check_pair_dimension, pair_basis, pair_divergence, pair_ricci,
                     pair_slots, read_only_cache)
 from .serialization import json_array, json_fields, json_number, json_object, read_json_object
@@ -320,9 +320,9 @@ class _Lattice:
     def nabla(self, T: np.ndarray, rows) -> np.ndarray:
         """nabla_m T = d_m T - sum over slots of C_m acting on the slot, at rows of a table:
         C_m[a, s] = Gamma^s_ma on a vector slot (length n), and its derivation of 2-forms
-        C_m o I (kn_identity) on a pair slot (length N = n(n-1)/2 > n), built only for those."""
+        C_m o I (``kn_matrix``) on a pair slot (length N = n(n-1)/2 > n), built only for those."""
         Tr, C = T[rows], np.moveaxis(self.gamma[rows], 1, -1)  # a view: Gamma's sum order
-        act = {k: C if k == self.n else kn_identity(C) for k in set(Tr.shape[1:])}
+        act = {k: C if k == self.n else kn_matrix(C, np.eye(self.n)) for k in set(Tr.shape[1:])}
         idx = "abcdefgh"[:Tr.ndim - 1]
         return self.grad(T, rows) - sum(np.einsum(f"zm{a}s,z{idx.replace(a, 's')}->zm{idx}",
                                                   act[k], Tr) for a, k in zip(idx, Tr.shape[1:]))
@@ -416,12 +416,11 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
     dec = decomposition(split, tol=wrap_tol)
 
     nabla_r, nabla_w = CovDerivCurvature(n, nRf), CovDerivCurvature(n, nWf)
-    a, b, g = pair_basis(n).rows, pair_basis(n).cols, np.eye(n)
     delta_w = TwoFormOneForm(n, pair_divergence(n, nWf))
-    P = TwoFormOneForm(n, nRcf[a, b] - nRcf[b, a])
-    Q = TwoFormOneForm(n, g[a] * vS[b, None] - g[b] * vS[a, None])
+    P, Q = (TwoFormOneForm(n, x) for x in pq_pairs(nRcf, vS))
     b_w, b_r = second_bianchi(nabla_w), second_bianchi(nabla_r)
 
+    a, b = pair_basis(n).rows, pair_basis(n).cols
     w2, near, j = lattice.w2, lattice.near, lattice.steps.index
     d2f = np.diag((w2[near[0, j(1)]] - 2.0 * w2[0] + w2[near[0, j(-1)]]) / (h * h))
     def w2_ab(sa, sb): return w2[near[near[0, j(sa), a], j(sb), b]]  # at sa e_a + sb e_b

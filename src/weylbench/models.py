@@ -14,7 +14,6 @@ import numpy as np
 from .algebra import (
     bochner_curvature_term,
     decompose,
-    kn_identity_square,
     kn_matrix,
     quadratic_forms,
     ricci_contraction,
@@ -132,7 +131,8 @@ def model_curvature(spec: ModelSpec) -> CurvaturePackage:
         # + 2 j j^T, with j the complex structure J (J e_2k = e_2k+1) at the index pairs
         J = np.kron(np.eye(spec.complex_dim), [[0.0, -1.0], [1.0, 0.0]])
         j = J[pair_basis(n).rows, pair_basis(n).cols]
-        R = CurvatureTensor(n, 0.5 * (kn_identity_square(n) + kn_matrix(J, J))
+        g = np.eye(n)
+        R = CurvatureTensor(n, 0.5 * (kn_matrix(g, g) + kn_matrix(J, J))
                             + 2.0 * np.outer(j, j))
     elif spec.kind in ("sphere", "hyperbolic", "euclidean", "product"):
         # sum_f (sec_f / 2) g_f o g_f holds sec_f at each pair inside factor f, else zero

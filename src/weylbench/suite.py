@@ -37,8 +37,8 @@ from .algebra import (
     cube_trace,
     cubic_parts,
     curvature_action,
-    kn_identity,
-    kn_identity_square,
+    kn_matrix,
+    pq_pairs,
     pure_cubic_parts,
     quadratic_form,
     second_bianchi_pairs,
@@ -50,6 +50,7 @@ from .algebra import (
 from .basis import (
     _chunks,
     bianchi_image,
+    check_integer,
     check_pair_dimension,
     pair_basis,
     pair_divergence,
@@ -158,12 +159,12 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
 
     Rm = curvature_from_uniform(n, mR)
     split = weyl_parts(n, Rm, pair_ricci(n, Rm))
-    k = symmetrized(mk)
-    A = a[..., None] * np.eye(n)
+    k, g = symmetrized(mk), np.eye(n)
+    A = a[..., None] * g
     # R, W, the e- and s-parts, k o g and A o g: one (6, B, ...) container check (R is
     # exactly symmetric, so the check would return it bit for bit)
     _, Wm, _, _, Km, Bm = _curvature(n, np.stack(
-        [Rm, split.W, split.e_part, split.s_part, kn_identity(k), kn_identity(A)]))
+        [Rm, split.W, split.e_part, split.s_part, kn_matrix(k, g), kn_matrix(A, g)]))
     # slot matrices s[(i,k),(j,l)] = T_ijkl, one gather per operand
     XR, XW = pair_slots(n, Rm), pair_slots(n, Wm)
     Rc, S, E = split.Rc, split.S, split.E
@@ -260,14 +261,13 @@ def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
     tables are freed before the next family runs.
     """
     # second-Bianchi images of the decomposition pieces (raw kernels, component norms)
-    C, g, (a, b) = symmetrized(mC), np.eye(n), (pair_basis(n).rows, pair_basis(n).cols)
-    P = C[..., a, b, :] - C[..., b, a, :]
-    resid = second_bianchi_pairs(n, kn_identity(C)) - circ_prime_pairs(n, P)
+    C, g = symmetrized(mC), np.eye(n)
+    P, Q = pq_pairs(C, v)
+    resid = second_bianchi_pairs(n, kn_matrix(C, g)) - circ_prime_pairs(n, P)
     rc_part = _rel(max_abs(resid, 1), max_abs(P, 1))
-    D_s = v[..., :, None, None] * kn_identity_square(n)  # v_m (g o g)
-    Qf = g[a] * v[..., b, None] - g[b] * v[..., a, None]
-    resid = second_bianchi_pairs(n, D_s) + circ_prime_pairs(n, Qf)
-    s_part = _rel(max_abs(resid, 1), max_abs(Qf, 1))
+    D_s = v[..., :, None, None] * kn_matrix(g, g)  # v_m (g o g)
+    resid = second_bianchi_pairs(n, D_s) + circ_prime_pairs(n, Q)
+    s_part = _rel(max_abs(resid, 1), max_abs(Q, 1))
     # second-Bianchi image of the trace-free part on an exact derivative field
     W = weyl_parts(n, D, pair_ricci(n, D)).W
     bw = second_bianchi_pairs(n, W)
@@ -316,13 +316,6 @@ def _run_dimension(args: tuple[int, int, int, float]) -> tuple[dict, dict, dict]
     return rep.residuals, rep.stats, rep.worst
 
 
-def _integer(value, what: str) -> int:
-    """int(value) of an int or numpy integer (not a bool), else a ValueError naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
                        trials: int = 1000, seed: int = 0,
                        tolerance: float = EPS_ALG, workers: int = 1) -> SuiteReport:
@@ -332,13 +325,13 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
     independent of the worker count and the per-dimension blocks may run in
     parallel processes.
     """
-    trials = _integer(trials, "trials")
+    trials = check_integer(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     # a repeated n runs once
-    dimensions = tuple(dict.fromkeys(_integer(n, "each dimension") for n in dimensions))
+    dimensions = tuple(dict.fromkeys(check_integer(n, "each dimension") for n in dimensions))
     for n in dimensions:
         if n < 4:
             raise ValueError("identity suite runs for dimensions >= 4")

@@ -14,7 +14,6 @@ import pytest
 from weylbench import basis, suite
 from weylbench.chart import _w_norm_sq_at
 from weylbench.algebra import (
-    _identity_kn_factors,
     _kn_positions,
     _kn_sum,
     _pair_slots,
@@ -30,8 +29,6 @@ from weylbench.algebra import (
     dot_product,
     kn_four,
     kn_g_pairing,
-    kn_identity,
-    kn_identity_square,
     kn_matrix,
     kulkarni_nomizu,
     pure_cubic_parts,
@@ -738,8 +735,8 @@ def _with_specials(x):
 
 
 def _out_of_place_kernels(n):
-    """kn_identity, kn_matrix and circ_prime_pairs with their fresh gathers multiplied out of
-    place: the reference the in-place products must match in dtype and bits."""
+    """kn_matrix and circ_prime_pairs with their fresh gathers multiplied out of place: the
+    reference the in-place products must match in dtype and bits."""
     hp, kp = _kn_positions(n)
     flat, sign = basis._circ_prime_positions(n)
 
@@ -748,18 +745,17 @@ def _out_of_place_kernels(n):
         t = basis._take_trailing(padded, 2, flat) * sign
         return sum(t[..., r, :, :] for r in range(6))
 
-    return (lambda h: _kn_sum(basis._take_trailing(h, 2, hp) * _identity_kn_factors(n)),
-            lambda h, k: _kn_sum(basis._take_trailing(h, 2, hp) * basis._take_trailing(k, 2, kp)),
+    return (lambda h, k: _kn_sum(basis._take_trailing(h, 2, hp) * basis._take_trailing(k, 2, kp)),
             circ)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, object])
 def test_gathers_multiplied_in_place_keep_the_out_of_place_dtype_and_bits(n, dtype):
-    """kn_identity, kn_matrix (each factor of each dtype against float64, and both of it) and
-    circ_prime_pairs form their products in the fresh gathers where the product's dtype
-    allows; on NaN, +-inf and -0.0 entries the result is the out-of-place product's, in dtype
-    and in bits (the int64 view; object results as float64)."""
+    """kn_matrix (each factor of each dtype against a float64 stack, h against the identity,
+    and both factors of it) and circ_prime_pairs form their products in the fresh gathers
+    where the product's dtype allows; on NaN, +-inf and -0.0 entries the result is the
+    out-of-place product's, in dtype and in bits (the int64 view; object results as float64)."""
     N = pair_basis(n).size
     h = _with_specials(rng.uniform(-1.0, 1.0, size=(3, n, n)))
     a = _with_specials(rng.uniform(-1.0, 1.0, size=(3, N, n)))
@@ -767,14 +763,15 @@ def test_gathers_multiplied_in_place_keep_the_out_of_place_dtype_and_bits(n, dty
         h, a = (np.round(7 * np.nan_to_num(x, posinf=1.0, neginf=-1.0)) for x in (h, a))
     h, a = h.astype(dtype), a.astype(dtype)
     g = rng.uniform(-1.0, 1.0, size=(3, n, n))
-    kn_g, kn, circ = _out_of_place_kernels(n)
+    kn, circ = _out_of_place_kernels(n)
+    eye = np.eye(n)
 
     def bits(x):  # the int64 view (int32 for float32); object results as float64
         x = x.astype(np.float64) if x.dtype == object else x
         return x.view(np.int64 if x.itemsize == 8 else np.int32)
 
     with np.errstate(invalid="ignore"):  # inf times a zero term: NaN, as intended
-        cases = [(kn_identity(h), kn_g(h)), (kn_matrix(h, g), kn(h, g)),
+        cases = [(kn_matrix(h, eye), kn(h, eye)), (kn_matrix(h, g), kn(h, g)),
                  (kn_matrix(g, h), kn(g, h)), (kn_matrix(h, h), kn(h, h)),
                  (kn_matrix(h[0], g), kn(h[0], g)), (circ_prime_pairs(n, a), circ(a))]
     for got, expect in cases:
@@ -784,19 +781,19 @@ def test_gathers_multiplied_in_place_keep_the_out_of_place_dtype_and_bits(n, dty
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_passes_do_not_move_the_routed_kernels_bits(n, monkeypatch):
-    """cubic_parts and kn_identity (and weyl_matrix and weyl_parts, which call kn_identity)
-    give the same shapes, dtypes and bits, signed zeros and NaN payloads included, at one
-    object a pass, the default passes and one pass, on stacks with two leading axes holding
-    NaN, inf and -0.0, on float32 input, on a single object and on an empty batch."""
+    """cubic_parts and kn_matrix against the identity (and weyl_matrix and weyl_parts, which
+    call it) give the same shapes, dtypes and bits, signed zeros and NaN payloads included,
+    at one object a pass, the default passes and one pass, on stacks with two leading axes
+    holding NaN, inf and -0.0, on float32 input, on a single object and on an empty batch."""
     N = pair_basis(n).size
     M = _with_specials(symmetrized(rng.uniform(-1.0, 1.0, size=(3, 90, N, N))))
-    h = _with_specials(rng.uniform(-1.0, 1.0, size=(4, 120, n, n)))
+    h, g = _with_specials(rng.uniform(-1.0, 1.0, size=(4, 120, n, n))), np.eye(n)
     R = symmetrized(rng.uniform(-1.0, 1.0, size=(3, 15, N, N)))
     cases = [lambda: cubic_parts(n, M), lambda: cubic_parts(n, M.astype(np.float32)),
              lambda: cubic_parts(n, M[0, 0]), lambda: cubic_parts(n, M[:0]),
-             lambda: kn_identity(h), lambda: kn_identity(h.astype(np.float32)),
-             lambda: kn_identity(h[0, 0]), lambda: kn_identity(h[:, :0]),
-             lambda: kn_identity(np.moveaxis(h, 1, 0)),  # a non-contiguous view
+             lambda: kn_matrix(h, g), lambda: kn_matrix(h.astype(np.float32), g),
+             lambda: kn_matrix(h[0, 0], g), lambda: kn_matrix(h[:, :0], g),
+             lambda: kn_matrix(np.moveaxis(h, 1, 0), g),  # a non-contiguous view
              lambda: weyl_matrix(n, R), lambda: tuple(weyl_parts(n, R, pair_ricci(n, R)))]
     def run(case):
         with np.errstate(invalid="ignore"):  # inf times a zero term: NaN, as intended
@@ -843,23 +840,24 @@ def _seeded_frames(n, count):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_kn_products_are_equivariant_and_bilinear(n):
-    """kn_matrix(A^T h A, A^T k A) and kn_identity(A^T h A) are A moving h o k and h o g
+    """kn_matrix(A^T h A, A^T k A) and kn_matrix(A^T h A, I) are A moving h o k and h o g
     (rotated through the full expansion), each object of a (4, 40) stack under its own seeded
-    frame; the stack runs in passes at the default budget from n = 6.  Both are bilinear:
-    linear in h, and kn_matrix in k, to round-off."""
+    frame; h o g runs in passes at the default budget from n = 6.  Both are bilinear: linear
+    in h, and h o k in k, to round-off."""
     N, shape = pair_basis(n).size, (4, 40)
     h, k = (symmetrized(rng.uniform(-1.0, 1.0, size=shape + (n, n))) for _ in range(2))
+    g = np.eye(n)
     frames = _seeded_frames(n, 160).reshape(shape + (n, n))
     def turn(x): return np.swapaxes(frames, -1, -2) @ x @ frames  # as ``rotated`` moves it
     def rotate(P): return np.stack([
         four_tensor_to_pair_matrix(n, rotated(pair_matrix_to_four_tensor(n, p), A))
         for p, A in zip(P.reshape(-1, N, N), frames.reshape(-1, n, n))]).reshape(P.shape)
     for got, expect in ((kn_matrix(turn(h), turn(k)), rotate(kn_matrix(h, k))),
-                        (kn_identity(turn(h)), rotate(kn_identity(h)))):
+                        (kn_matrix(turn(h), g), rotate(kn_matrix(h, g)))):
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
     h2 = symmetrized(rng.uniform(-1.0, 1.0, size=shape + (n, n)))
     a, b = 0.75, -1.5
-    for got, expect in ((kn_identity(a * h + b * h2), a * kn_identity(h) + b * kn_identity(h2)),
+    for got, expect in ((kn_matrix(a * h + b * h2, g), a * kn_matrix(h, g) + b * kn_matrix(h2, g)),
                         (kn_matrix(a * h + b * h2, k), a * kn_matrix(h, k) + b * kn_matrix(h2, k)),
                         (kn_matrix(k, a * h + b * h2), a * kn_matrix(k, h) + b * kn_matrix(k, h2))):
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
@@ -1012,9 +1010,11 @@ def test_g_circ_k_is_the_transpose_of_k_circ_g(n):
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_kn_against_the_identity_is_kn_matrix_with_the_identity(n):
-    """kn_identity(h) is kn_matrix(h, I), bit for bit (signed zeros and NaN payloads
-    included), for one form and stacks of shape (3,) and (2, 5), on random, sparse,
-    signed-zero and non-finite entries; kn_identity_square(n) is kn_matrix(I, I)."""
+    """h o g with g = I is kn_matrix(h, I), for one form and stacks of shape (3,) and (2, 5),
+    on random, sparse, signed-zero and non-finite entries: the single identity runs h in
+    passes and keeps, bit for bit (signed zeros and NaN payloads included), the one call a
+    k with a leading axis takes, and the four-index product read back (NaN at the same
+    entries); each form keeps its own non-finite entries, and g o g is 2 I bit for bit."""
     g = np.eye(n)
     h = rng.uniform(-1.0, 1.0, size=(2, 5, n, n))
     sparse = -h * (rng.uniform(size=h.shape) < 0.2)
@@ -1024,12 +1024,13 @@ def test_kn_against_the_identity_is_kn_matrix_with_the_identity(n):
     with np.errstate(invalid="ignore"):
         for x in (h, sparse, signed, bad):
             for stack in (x[0, 0], x[1, :3], x):
-                assert _same_bits(kn_identity(stack), kn_matrix(stack, g))
-        got = kn_identity(bad)
+                got = kn_matrix(stack, g)
+                assert _same_bits(got, kn_matrix(stack[None], g[None])[0])
+                assert _same_bits_with_nans(got, four_tensor_to_pair_matrix(n, kn_four(stack, g)))
+        got = kn_matrix(bad, g)
     assert np.isnan(got[0, 0]).any() and np.isinf(got[1, 3]).any() and np.isnan(got[1, 4]).any()
     assert np.isfinite(got[0, 1]).all()  # each form keeps its own entries
-    assert _same_bits(kn_identity_square(n), kn_matrix(g, g))
-    assert _same_bits(kn_identity_square(n), 2.0 * np.eye(pair_basis(n).size))
+    assert _same_bits(kn_matrix(g, g), 2.0 * np.eye(pair_basis(n).size))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -1487,3 +1488,46 @@ def test_weyl_norm_with_metric_is_coordinate_invariant(n):
     before = _chart_w_norm_sq(W, gi)
     after = _chart_w_norm_sq(pair_congruence(W, P), Pi @ gi @ Pi.T)
     assert after == pytest.approx(before, rel=1e-12)
+
+
+def _weyl_space_basis(n):
+    """Orthonormal rows spanning the algebraic Weyl tensors as flattened (N, N) pair matrices:
+    the right singular vectors of ``weyl_matrix`` over the symmetric pair matrices' unit basis
+    (E_ab + E_ba), cut at a relative singular value of 1e-10."""
+    N = pair_basis(n).size
+    rows, cols = np.triu_indices(N)
+    S = np.zeros((len(rows), N, N))
+    S[np.arange(len(rows)), rows, cols] = S[np.arange(len(rows)), cols, rows] = 1.0
+    _, sv, vt = np.linalg.svd(weyl_matrix(n, S).reshape(len(rows), N * N), full_matrices=False)
+    return vt[:np.sum(sv > 1e-10 * sv[0])]
+
+
+#: dim K = dim ker(second Bianchi) on R^n (x) W, n = 4..7; n = 8 (1,400) takes 3 s
+SECOND_BIANCHI_KERNEL_DIMS = {4: 24, 5: 105, 6: 300, 7: 693}
+
+
+@pytest.mark.parametrize("n", sorted(SECOND_BIANCHI_KERNEL_DIMS))
+def test_second_bianchi_kernel_gives_the_sharp_refined_kato_constant(n):
+    """K = ker(second Bianchi) on R^n (x) W, W the algebraic Weyl tensors, holds the
+    derivatives nabla W of harmonic Weyl curvature, and sup |nabla |W||^2 / |nabla W|^2 over it
+    is lambda_max(K_1^T K_1), K_1 the e_1 block of an orthonormal basis of K (O(n)-invariance
+    turns the gradient of |W| into e_1): the refined Kato constant (n-1)/(n+1) the chart's
+    kato_improved_margin reads.  dim W = n(n+1)(n+2)(n-3)/12; the eigenvalues of K_1 K_1^T lie
+    in [1/2, (n-1)/(n+1)], all 3/5 at n = 4, where every Weyl tensor attains the constant."""
+    N, Wb = pair_basis(n).size, _weyl_space_basis(n)
+    d = len(Wb)
+    assert d == n * (n + 1) * (n + 2) * (n - 3) // 12
+    images = []  # the second-Bianchi (T, N) images of e_m (x) w_a, column m d + a
+    for m in range(n):
+        D = np.zeros((d, n, N, N))
+        D[:, m] = Wb.reshape(d, N, N)
+        images.append(second_bianchi_pairs(n, D).reshape(d, -1))
+    _, sv, vt = np.linalg.svd(np.concatenate(images).T)
+    K = vt[np.sum(sv > 1e-10 * sv[0]):].T  # orthonormal columns spanning the kernel
+    assert K.shape[1] == SECOND_BIANCHI_KERNEL_DIMS[n]
+    K1, sharp = K[:d], (n - 1) / (n + 1)
+    assert abs(np.linalg.eigvalsh(K1.T @ K1).max() - sharp) <= 1e-12
+    block = np.linalg.eigvalsh(K1 @ K1.T)
+    assert 0.5 - 1e-12 <= block.min() and block.max() <= sharp + 1e-12
+    if n == 4:
+        assert np.abs(K1 @ K1.T - 0.6 * np.eye(d)).max() <= 1e-12

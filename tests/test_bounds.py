@@ -200,6 +200,18 @@ def test_cubic_bound_audit_refuses_a_dimension_past_the_pair_budget(monkeypatch)
         audit_cubic_bounds(17, 1, seed=0)
 
 
+@pytest.mark.parametrize("small", [np.uint8(17), np.int16(17)])
+def test_pair_dimension_is_sized_in_python_ints(small):
+    """A numpy integer n is checked as the int it holds: n = 17 is refused by name (a uint8
+    N * N would wrap below the budget, or overflow in the audit), and 16 comes back an int."""
+    with pytest.raises(ValueError, match="^x: dimension n = 17 needs 136 x 136"):
+        basis.check_pair_dimension(small, "x")
+    with pytest.raises(ValueError, match="^cubic bound audit: dimension n = 17 "):
+        audit_cubic_bounds(small, 2, 0)
+    fits = basis.check_pair_dimension(np.uint8(16), "x")
+    assert fits == 16 and type(fits) is int
+
+
 def test_eigen_audits_do_not_depend_on_the_pass_budget(monkeypatch):
     """One sample a pass, the default passes (two for m = 9 and 10 at 1,000 samples) and one
     pass draw the same stream and give the same worst excesses, bit for bit."""
@@ -584,6 +596,40 @@ def test_audits_reject_negative_samples():
         audit_cubic_bounds(5, -1, seed=0)
     with pytest.raises(ValueError, match="samples"):
         audit_eigen_bound(-1, seed=0)
+
+
+#: a call of each bounds function with a non-integer n, samples or budget, and the argument
+#: its ValueError names
+NON_INTEGER_CALLS = {
+    "audit_cubic_bounds": (lambda: audit_cubic_bounds(5, 2.5, 0), "samples"),
+    "audit_cubic_bounds_n": (lambda: audit_cubic_bounds(5.0, 2, 0),
+                             "cubic bound audit: dimension n"),
+    "audit_cubic_bounds_bool": (lambda: audit_cubic_bounds(5, True, 0), "samples"),
+    "audit_eigen_bound": (lambda: audit_eigen_bound(2.5, 0), "samples"),
+    "audit_eigen_equality": (lambda: audit_eigen_equality(2.5, 0), "samples"),
+    "wcubic_oracle": (lambda: wcubic_oracle(1.0, 4.5), "n"),
+    "wcubic_oracle_budget": (lambda: wcubic_oracle(1.0, 5, budget=100.0), "budget"),
+    "wcubic_closed_form": (lambda: wcubic_closed_form(1.0, 4.5), "n"),
+    "constants": (lambda: constants(5.5), "n"),
+    "gap_verdict_integral": (lambda: gap_verdict_integral(0.1, 0.1, 16.0, 5.5), "n"),
+    "integral_rigidity_d": (lambda: bounds.integral_rigidity_d(0.1, 0.1, 16.0, 5.5), "n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_CALLS))
+def test_bounds_refuse_non_integer_arguments_by_name(name):
+    call, argument = NON_INTEGER_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer, got "):
+        call()
+
+
+def test_bounds_run_numpy_integers_as_plain_ints():
+    """A uint8 n runs as the int it holds: n (n - 2)(n - 3) = 1080 at n = 12 would wrap."""
+    assert constants(np.uint8(12)) == constants(12)
+    assert gap_verdict_integral(0.1, 0.1, 16.0, np.uint8(12)) == gap_verdict_integral(
+        0.1, 0.1, 16.0, 12)
+    assert wcubic_closed_form(1.0, np.uint8(5)) == wcubic_closed_form(1.0, 5)
+    assert audit_eigen_equality(np.uint8(3), np.int64(2)) == audit_eigen_equality(3, 2)
 
 
 # ---------------------------------------------------------------- constants

@@ -88,9 +88,9 @@ second-Bianchi and circ-prime families run at their (triple, pair) components:
 ``suite.py`` imports none of ``second_bianchi_full``, ``circ_prime_full``,
 ``full5_to_triple_pair`` and ``kn_four``, and it reads the derivative draws straight
 into pair matrices, so it imports neither ``four_tensor_to_pair_matrix`` nor
-``curvature_derivative_from_uniform``.  h o g with g = I reads the identity's entries
-from a cached table (``algebra.kn_identity``): no ``kn_matrix`` call passes
-``np.eye(...)``, or a name its function binds to one, as the second factor.
+``curvature_derivative_from_uniform``.  The Kulkarni-Nomizu product has one kernel,
+g = I included: only ``algebra.kn_matrix`` reads its ``_kn_positions`` table, and no
+package function is named ``kn_identity*``.
 
 The cubic oracle projects only through ``bounds._project_feasible``, called by that
 name once for its starts and once in its ascent loop, and calls none of the
@@ -512,42 +512,42 @@ def test_suite_reads_derivative_draws_straight_to_pair_matrices():
         "four_tensor_to_pair_matrix", "curvature_derivative_from_uniform"}
 
 
-def _is_eye(node: ast.AST) -> bool:
-    return isinstance(node, ast.Call) and _called_name(node) == "eye"
+def kn_kernel_sites(path: Path) -> list[str]:
+    """The places in a file that form Kulkarni-Nomizu entries, in source order: ``file:scope``
+    of each reference to ``_kn_positions`` (a name or an attribute; its own definition is
+    neither) and ``file:def name`` of each function named ``kn_identity*``, at any depth."""
+    out = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name.startswith("kn_identity"):
+                out.append(f"{path.name}:def {child.name}")
+            if getattr(child, "id", getattr(child, "attr", None)) == "_kn_positions":
+                out.append(f"{path.name}:{'.'.join(scope) or '<module>'}")
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), ())
+    return out
 
 
-def identity_kn_calls(path: Path) -> list[str]:
-    """``file:line`` of each ``kn_matrix(h, k)`` whose second factor is ``np.eye(...)`` or a
-    name the enclosing function binds to one (``g = np.eye(n)``, ``g, J = np.eye(n), ...``)."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    out = set()
-    for scope in [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]:
-        eyes = set()
-        for node in ast.walk(scope):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
-                             and isinstance(node.value, ast.Tuple) else [(target, node.value)])
-                    eyes |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_eye(v)}
-        out |= {f"{path.name}:{c.lineno}" for c in ast.walk(scope)
-                if isinstance(c, ast.Call) and _called_name(c) == "kn_matrix"
-                and len(c.args) == 2 and (_is_eye(c.args[1]) or isinstance(c.args[1], ast.Name)
-                                          and c.args[1].id in eyes)}
-    return sorted(out)
-
-
-def test_guard_sees_kn_against_the_identity(tmp_path):
+def test_guard_sees_kn_kernel_sites(tmp_path):
     probe = tmp_path / "probe.py"
-    probe.write_text("def f(h, k):\n    return kn_matrix(h, np.eye(4)) + kn_matrix(h, k)\n"
-                     "def g(h):\n    g, J = np.eye(4), h\n    return a.kn_matrix(J, g)\n"
-                     "def k(h, g):\n    return kn_matrix(h, g) + kn_matrix(np.eye(4), h)\n")
-    assert identity_kn_calls(probe) == ["probe.py:2", "probe.py:5"]
+    probe.write_text("def kn_matrix(h, k):\n    return _kn_positions(4)\n"
+                     "def kn_identity(h):\n    return a._kn_positions(4)[0]\n"
+                     "class T:\n    def kn_identity_square(self):\n        return 2\n"
+                     "table = _kn_positions\ndef _kn_positions(n):\n    return n\n")
+    assert kn_kernel_sites(probe) == [
+        "probe.py:kn_matrix", "probe.py:def kn_identity", "probe.py:kn_identity",
+        "probe.py:def kn_identity_square", "probe.py:<module>"]
 
 
-def test_kn_against_the_identity_reads_the_cached_table():
-    """h o g with g = I goes through ``algebra.kn_identity`` (and g o g through the cached
-    ``kn_identity_square``), so no call gathers the identity's entries per call."""
-    assert [hit for path in sorted(SRC.glob("*.py")) for hit in identity_kn_calls(path)] == []
+def test_kulkarni_nomizu_has_one_kernel():
+    """Only ``algebra.kn_matrix`` forms Kulkarni-Nomizu entries: it alone reads the
+    ``_kn_positions`` table, and no package function is named ``kn_identity*`` (h o g with
+    g = I is ``kn_matrix(h, I)``)."""
+    sites = [hit for path in sorted(SRC.glob("*.py")) for hit in kn_kernel_sites(path)]
+    assert sites == ["algebra.py:kn_matrix"]
 
 
 #: the steps of the feasible projection (sort, cumulative sum, cap)
