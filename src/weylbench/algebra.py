@@ -138,10 +138,11 @@ def ricci_contraction(T: Operator2Form) -> np.ndarray:
     return pair_ricci(T.n, T.mat)
 
 
-def weyl_parts(n: int, R: np.ndarray, Rc: np.ndarray) -> WeylSplit:
-    """Orthonormal-frame ``weyl_split`` of (..., N, N) pair matrices R with Ricci traces Rc:
-    g = I and S = tr Rc.  Each entry takes the four-index split's operations in their order
+def weyl_parts(n: int, R: np.ndarray) -> WeylSplit:
+    """Orthonormal-frame ``weyl_split`` of (..., N, N) pair matrices R: g = I, Rc = ``pair_ricci``
+    and S = tr Rc.  Each entry takes the four-index split's operations in their order
     (``kn_matrix(X, I)`` for E o g and g o g), so the bits are those of the n^4 route."""
+    Rc = pair_ricci(n, R)
     return weyl_split(n, R, Rc, np.trace(Rc, axis1=-2, axis2=-1), np.eye(n))
 
 
@@ -156,7 +157,7 @@ def weyl_matrix(n: int, mat: np.ndarray) -> np.ndarray:
     R = symmetrized(mat)
     del mat  # a caller's temporary input (the samplers' draws) is freed before the split
     R = R - bianchi_image(n, R)  # rebinding R frees T before the split too
-    return weyl_parts(n, R, pair_ricci(n, R)).W
+    return weyl_parts(n, R).W
 
 
 def check_trace_free(n: int, mat: np.ndarray, what: str, tol: float = EPS_ALG) -> None:
@@ -186,7 +187,7 @@ def decompose(R: CurvatureTensor) -> CurvatureDecomposition:
     """
     if R.n < 4:
         raise ValueError(f"Weyl decomposition requires dimension >= 4, got {R.n}")
-    return decomposition(weyl_parts(R.n, R.mat, pair_ricci(R.n, R.mat)))
+    return decomposition(weyl_parts(R.n, R.mat))
 
 
 def decomposition(split: WeylSplit, tol: float = EPS_ALG) -> CurvatureDecomposition:

@@ -64,18 +64,31 @@ def read_only_cache(build):
 MAX_PAIR_MATRIX_BYTES = 2 ** 17
 
 
-def check_integer(value, what: str) -> int:
-    """int(value) of an int or numpy integer (not a bool), else a ValueError naming ``what``:
-    the package's one integer guard, so no size computed from a numpy integer wraps."""
+def check_integer(value, what: str, low: int) -> int:
+    """int(value) of an int or numpy integer (not a bool) >= low, else a ValueError naming
+    ``what``: the package's one integer guard, so no size computed from a numpy integer wraps."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if value < low:
+        raise ValueError(f"{what} must be >= {low}")
+    return value
 
 
-def check_pair_dimension(n: int, what: str) -> int:
-    """int(n), refused by a ValueError naming ``what`` unless n is an integer (``check_integer``)
-    whose (N, N) float64 pair matrix fits MAX_PAIR_MATRIX_BYTES: a dimension read from input."""
-    n = check_integer(n, f"{what}: dimension n")
+def parse_integer(text: str, what: str, low: int) -> int:
+    """``check_integer`` of the integer a spec-string field spells; any other text is refused
+    by a ValueError naming ``what``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+    return check_integer(value, what, low)
+
+
+def check_pair_dimension(n: int, what: str, low: int) -> int:
+    """``check_integer(n, low)`` of a dimension read from input, refused by a ValueError naming
+    ``what`` unless its (N, N) float64 pair matrix also fits MAX_PAIR_MATRIX_BYTES."""
+    n = check_integer(n, f"{what}: dimension n", low)
     N = n * (n - 1) // 2
     if 8 * N * N > MAX_PAIR_MATRIX_BYTES:
         raise ValueError(f"{what}: dimension n = {n} needs {N} x {N} pair matrices of "
@@ -85,8 +98,7 @@ def check_pair_dimension(n: int, what: str) -> int:
 
 @lru_cache(maxsize=None)
 def pair_basis(n: int) -> PairBasis:
-    if n < 2:
-        raise ValueError(f"need dimension >= 2, got {n}")
+    n = check_integer(n, "dimension", 2)
     pairs = tuple((i, j) for i, j in combinations(range(n), 2))
     pos = np.full((n, n), -1, dtype=np.int64)
     sign = np.zeros((n, n))
@@ -102,8 +114,7 @@ def pair_basis(n: int) -> PairBasis:
 
 @lru_cache(maxsize=None)
 def triple_basis(n: int) -> TripleBasis:
-    if n < 2:
-        raise ValueError(f"need dimension >= 2, got {n}")
+    n = check_integer(n, "dimension", 2)
     triples = tuple(combinations(range(n), 3))  # none at n = 2
     ijk = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     ijk.flags.writeable = False

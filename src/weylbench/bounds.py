@@ -113,11 +113,8 @@ def berger_component_bound(W: CurvatureTensor) -> ComponentBound:
 def audit_cubic_bounds(n: int, samples: int, seed: int) -> dict[str, float]:
     """Worst relative excesses of the component/eigenvalue/norm bounds on random
     trace-free tensors; all values <= 0 mean zero violations."""
-    n, samples = check_pair_dimension(n, "cubic bound audit"), check_integer(samples, "samples")
-    if n < 5:
-        raise ValueError("audit applies for n >= 5")
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
+    n = check_pair_dimension(n, "cubic bound audit", 5)
+    samples, seed = check_integer(samples, "samples", 0), check_integer(seed, "seed", 0)
     from .sampling import random_weyl_batch
     rng = np.random.default_rng([seed, n])
     worst = dict.fromkeys(("component", "eig", "norm")
@@ -142,9 +139,7 @@ def _eigen_deviations(samples: int, seed: int, first: int, last: int):
     traceless symmetric m x m matrices T drawn from default_rng(seed) for m = 2..last in turn,
     each m's in the passes ``basis._chunks`` plans at m^2 entries a sample.  The draws for
     m < first are taken in the same passes, so the stream is the same, but not evaluated."""
-    samples = check_integer(samples, "samples")
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
+    samples, seed = check_integer(samples, "samples", 0), check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     for m in range(2, last + 1):
         for _, count in _chunks(samples, m * m):
@@ -221,12 +216,10 @@ def table_c(n: int) -> float:
 
 def wcubic_closed_form(s: float, n: int) -> float:
     """Maximum of sum x_i^3 / sum x_i^2 over sum x_i = 0, x_i <= s: s(n-2)/(n-1)."""
-    check_finite(s)
-    n = check_integer(n, "n")
+    check_finite(s=s)
+    n = check_integer(n, "n", 2)
     if not s > 0:
         raise ValueError("cap must be positive")
-    if n < 2:
-        raise ValueError("need at least two variables")
     return s * ((n - 2) / (n - 1))
 
 
@@ -284,14 +277,13 @@ def wcubic_oracle(s: float, n: int, budget: int = 100_000, seed: int = 0) -> Ora
     step is at most 1e-10.  Each step costs one sort, one cumulative sum and
     elementwise products; cubes are formed by multiplication, not np.power.
     """
-    check_finite(s)
-    n, budget = check_integer(n, "n"), check_integer(budget, "budget")
+    check_finite(s=s)
+    n, budget = check_integer(n, "n", 2), check_integer(budget, "budget", 0)
+    seed = check_integer(seed, "seed", 0)
     if not s > 0:
         raise ValueError("cap must be positive")
-    if not 2 <= n <= 12:
+    if n > 12:
         raise ValueError("oracle supports 2 <= n <= 12")
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
     rng = np.random.default_rng(seed)
     x = _project_feasible(rng.uniform(-1.0, 1.0, size=(64, n)), 1.0)
     fqp = _ratio(x)
@@ -350,9 +342,7 @@ def quadratic_coefficients(n: int) -> tuple[float, float, float]:
 
 def constants(n: int) -> ConstantsTable:
     """The constants of dimension n >= 4; refused if n or one of them overflows a float."""
-    n = check_integer(n, "n")
-    if n < 4:
-        raise ValueError("constants defined for n >= 4")
+    n = check_integer(n, "n", 4)
     try:
         s_n = (n - 2) / (4.0 * (n - 1))
         if n == 4:
@@ -404,7 +394,7 @@ def pinch_verdict_pointwise(W: CurvatureTensor, E: np.ndarray, S: float) -> Pinc
     n = W.n
     if n < 5:
         raise ValueError("pointwise pinch verdict requires n >= 5")
-    check_finite(S)
+    check_finite(S=S)
     ext = spectral_extremes(W, E)
     omega = ext.omega_max if n == 5 else ext.omega_mag
     value = 2.0 * (n - 1) / 3.0 * omega + ext.ell
@@ -420,7 +410,7 @@ def pinch_verdict_norm(W: CurvatureTensor, E: np.ndarray, S: float) -> PinchVerd
     n = W.n
     if n < 5:
         raise ValueError("norm pinch verdict requires n >= 5")
-    check_finite(S)
+    check_finite(S=S)
     E = _pinch_inputs(W, E, "pinch_verdict_norm")
     w_norm, e_norm = (math.sqrt(frobenius(x, x)) for x in (W.mat, E))
     value = table_c(n) * w_norm + math.sqrt((n - 1) / n) * e_norm
@@ -432,7 +422,7 @@ def pinch_verdict_norm(W: CurvatureTensor, E: np.ndarray, S: float) -> PinchVerd
 
 def pinch_verdict_dim4(omega: float, S: float) -> PinchVerdict:
     """Self-dual eigenvalue pinch 6 omega <= S in dimension four."""
-    check_finite(omega, S)
+    check_finite(omega=omega, S=S)
     value = 6.0 * omega
     return PinchVerdict(condition_value=float(value), threshold=float(S),
                         satisfied=_leq(value, S), which="dim4_selfdual",
@@ -441,14 +431,12 @@ def pinch_verdict_dim4(omega: float, S: float) -> PinchVerdict:
 
 def _integral_inputs(norm_w: float, norm_e: float, lam: float, n: int) -> int:
     """The guard of the integral inputs: finite, lambda > 0, norms >= 0 and an int n >= 5."""
-    check_finite(norm_w, norm_e, lam)
-    n = check_integer(n, "n")
+    check_finite(norm_w=norm_w, norm_e=norm_e, lam=lam)
+    n = check_integer(n, "n", 5)
     if lam <= 0:
         raise ValueError("the Yamabe invariant input must be positive")
     if norm_w < 0 or norm_e < 0:
         raise ValueError("norms must be nonnegative")
-    if n < 5:
-        raise ValueError("integral gap verdict requires n >= 5")
     return n
 
 

@@ -27,11 +27,11 @@ import numpy as np
 
 from .algebra import (bochner_curvature_term, circ_prime, curvature_action, decomposition,
                       kn_matrix, pq_pairs, second_bianchi, weyl_parts, weyl_split)
-from .basis import (_in_passes, check_pair_dimension, pair_basis, pair_divergence, pair_ricci,
-                    pair_slots, read_only_cache)
+from .basis import (_in_passes, check_pair_dimension, pair_basis, pair_divergence, pair_slots,
+                    parse_integer, read_only_cache)
 from .serialization import json_array, json_fields, json_number, json_object, read_json_object
 from .tensors import (EPS_ALG, CovDerivCurvature, CurvatureDecomposition, CurvatureTensor,
-                      ThreeTwoTensor, TwoFormOneForm, check_dimension, check_finite,
+                      ThreeTwoTensor, TwoFormOneForm, check_finite,
                       check_symmetric, frobenius, within_tol)
 
 
@@ -100,7 +100,7 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        check_finite(self.h, self.center)
+        check_finite(h=self.h, center=self.center)
         if self.h <= 0:
             raise ValueError("step must be positive")
         if self.order not in (2, 4):
@@ -147,15 +147,17 @@ def preset_metric(name: str) -> ChartMetric:
     """Named chart presets.
 
     "euclidean:n", "sphere-stereo:n[:r]", "product-spheres:p:q[:r1[:r2]]",
-    "perturbed:n[:amp]".  The first three carry the harmonic-Weyl tag (flat,
-    conformally flat, locally symmetric); the perturbed family is generic.
-    Radii default to 1 and must be positive and finite.
+    "perturbed:n[:amp]".  The first three carry the harmonic-Weyl tag (flat, conformally
+    flat, locally symmetric); the perturbed family is generic.  Radii default to 1 and
+    must be positive and finite, amplitudes finite, p and q >= 1 and n (p + q) >= 4.
     """
     bits = name.strip().split(":")
     kind = bits[0]
 
-    def dim(*fields: int) -> int:  # the preset's n, refused beyond the pair-matrix budget
-        return check_pair_dimension(sum(int(bits[i]) for i in fields), f"chart preset {name!r}")
+    def dims(*fields: int) -> list[int]:  # the dimension fields; n, their sum, within budget
+        sizes = [parse_integer(bits[i], f"chart preset {name!r} dimension", 1) for i in fields]
+        check_pair_dimension(sum(sizes), f"chart preset {name!r}", 4)
+        return sizes
 
     def radius(i: int) -> float:
         r = float(bits[i]) if len(bits) > i else 1.0
@@ -164,19 +166,20 @@ def preset_metric(name: str) -> ChartMetric:
         return r
 
     if kind == "euclidean" and len(bits) == 2:
-        n = dim(1)
+        n, = dims(1)
         return _StackedMetric(name, n, lambda x: np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)),
                               harmonic_weyl=True)
     if kind == "sphere-stereo" and len(bits) in (2, 3):
-        n = dim(1)
+        n, = dims(1)
         return _StackedMetric(name, n, _stereo_spheres((n, radius(2))), harmonic_weyl=True)
     if kind == "product-spheres" and len(bits) in (3, 4, 5):
-        p, q = int(bits[1]), int(bits[2])
-        return _StackedMetric(name, dim(1, 2), _stereo_spheres((p, radius(3)), (q, radius(4))),
+        p, q = dims(1, 2)
+        return _StackedMetric(name, p + q, _stereo_spheres((p, radius(3)), (q, radius(4))),
                               harmonic_weyl=True)
     if kind == "perturbed" and len(bits) in (2, 3):
-        n = dim(1)
+        n, = dims(1)
         amp = float(bits[2]) if len(bits) > 2 else 0.05
+        check_finite(amplitude=amp)
         return _StackedMetric(name, n, _perturbed(n, amp), harmonic_weyl=False)
     raise ValueError(f"bad chart preset {name!r}")
 
@@ -197,7 +200,7 @@ def grid_file_metric(path: str) -> ChartMetric:
     n, spec, offsets, matrices = json_fields(data, ("n", "grid", "offsets", "matrices"), what)
     center, h, order = json_fields(json_object(spec, f"{what} grid"), ("center", "h", "order"),
                                    f"{what} grid")
-    n = check_pair_dimension(check_dimension(json_number(n, int, f"{what} n")), what)
+    n = check_pair_dimension(json_number(n, int, f"{what} n"), what, 4)
     center = json_array(center, float, f"{what} grid.center")
     if center.shape != (n,):
         raise ValueError(f"{what} grid.center has shape {center.shape}, expected ({n},)")
@@ -412,7 +415,7 @@ def _assemble(lattice: _Lattice) -> ChartCurvatureField:
         return T
     Rf, nRf, nWf, nRcf, vS = map(to_frame, (R[0], nR, nW, nRc, lattice.grad(S, c)[0]))
     R_op = CurvatureTensor(n, Rf, tol=wrap_tol)
-    split = weyl_parts(n, Rf, pair_ricci(n, Rf))
+    split = weyl_parts(n, Rf)
     dec = decomposition(split, tol=wrap_tol)
 
     nabla_r, nabla_w = CovDerivCurvature(n, nRf), CovDerivCurvature(n, nWf)

@@ -94,9 +94,8 @@ def _check(report: dict, name: str, value: float, bound: float) -> None:
 
 
 def cmd_identities(args, tols, report) -> None:
-    dims = tuple(int(d) for d in args.n) if args.n else (4, 5, 6, 7, 8)
-    suite = run_identity_suite(dimensions=dims, trials=args.trials, seed=args.seed,
-                               tolerance=tols["eps_alg"], workers=args.workers)
+    suite = run_identity_suite(dimensions=tuple(args.n or (4, 5, 6, 7, 8)), trials=args.trials,
+                               seed=args.seed, tolerance=tols["eps_alg"], workers=args.workers)
     report["results"]["residuals"] = dict(sorted(suite.residuals.items()))
     report["results"]["reported_stats"] = dict(sorted(suite.stats.items()))
     report["failures"] = sorted(suite.failures())
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("identities", cmd_identities, ("eps_alg",),
                 "randomized curvature-algebra identity suite")
-    p.add_argument("--n", action="append", help="dimension (repeatable), default 4..8")
+    p.add_argument("--n", action="append", type=int, help="dimension (repeatable), default 4..8")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

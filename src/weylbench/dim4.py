@@ -172,7 +172,7 @@ def pinched_lemma_check(lambda1: float, lambda3: float, S: float) -> bool:
     and in that case asserts S |W+|^2 >= 36 det(W+) on the reconstructed
     spectrum (lambda1, -lambda1 - lambda3, lambda3).
     """
-    check_finite(lambda1, lambda3, S)
+    check_finite(lambda1=lambda1, lambda3=lambda3, S=S)
     if not S > 0:
         raise ValueError("requires positive scalar input")
     if lambda1 < S / 6.0 - EPS_ALG * max(1.0, abs(S)):

@@ -18,7 +18,7 @@ from .algebra import (
     quadratic_forms,
     ricci_contraction,
 )
-from .basis import check_pair_dimension, pair_basis
+from .basis import check_integer, check_pair_dimension, pair_basis, parse_integer
 from .tensors import CurvatureTensor, frobenius, inner
 
 
@@ -38,8 +38,7 @@ class Factor:
     def __post_init__(self):
         if self.kind not in ("sphere", "hyperbolic", "euclidean"):
             raise ValueError(f"unknown factor kind {self.kind!r}")
-        if self.dim < 2:
-            raise ValueError("model factors need dimension >= 2")
+        object.__setattr__(self, "dim", check_integer(self.dim, f"{self.kind} dimension", 2))
         try:
             curvature = 1.0 / self.radius ** 2
         except (OverflowError, ZeroDivisionError):  # radius^2 overflows or underflows to 0
@@ -93,7 +92,8 @@ def _factor(text: str) -> Factor:
     bits = text.strip().split(":")
     if len(bits) not in (2, 3):
         raise ValueError(f"bad model spec {text!r}, expected kind:dim[:radius]")
-    return Factor(bits[0], int(bits[1]), float(bits[2]) if len(bits) == 3 else 1.0)
+    return Factor(bits[0], parse_integer(bits[1], f"{bits[0]} dimension", 1),
+                  float(bits[2]) if len(bits) == 3 else 1.0)
 
 
 def parse_model_spec(text: str) -> ModelSpec:
@@ -113,20 +113,17 @@ def parse_model_spec(text: str) -> ModelSpec:
     elif kind == "fubini_study":
         if not rest or ":" in rest:
             raise ValueError(f"bad model spec {text!r}, expected fubini-study:m")
-        spec = ModelSpec(kind=kind, complex_dim=int(rest))
+        spec = ModelSpec(kind=kind, complex_dim=parse_integer(rest, "complex dimension", 1))
     else:
         raise ValueError(f"unknown model kind {name!r}")
-    check_pair_dimension(spec.n, f"model {text!r}")
+    check_pair_dimension(spec.n, f"model {text!r}", 2)
     return spec
 
 
 def model_curvature(spec: ModelSpec) -> CurvaturePackage:
-    n = spec.n
-    if n < 3:
-        raise ValueError(f"total model dimension must be >= 3, got {n}")
+    n = check_integer(spec.n, "total model dimension", 3)
     if spec.kind == "fubini_study":
-        if spec.complex_dim < 2:
-            raise ValueError("fubini_study needs complex dimension >= 2")
+        check_integer(spec.complex_dim, "complex dimension", 2)
         # unit Fubini-Study curvature (holomorphic sectional curvature 4): (1/2)(g o g + J o J)
         # + 2 j j^T, with j the complex structure J (J e_2k = e_2k+1) at the index pairs
         J = np.kron(np.eye(spec.complex_dim), [[0.0, -1.0], [1.0, 0.0]])

@@ -98,7 +98,7 @@ def _from_sparse(data: dict, n: int, tol: float) -> Operator2Form:
     with earlier ones exactly when its value agrees with the entry they left.  The pair
     matrix is sized by n alone, so n is refused past ``basis.MAX_PAIR_MATRIX_BYTES`` first
     (a dense matrix's size is checked against the one the input holds)."""
-    pb = pair_basis(check_pair_dimension(n, "operator"))
+    pb = pair_basis(check_pair_dimension(n, "operator", 2))
     mat = np.full((pb.size, pb.size), np.nan)
     for key, value in json_object(data["components"], "operator components").items():
         idx = tuple(int(t) for t in key.split(","))

@@ -158,7 +158,7 @@ def _identity_chunk(rng: np.random.Generator, n: int, count: int,
     res = {}  # family -> its (B,) residuals, folded into the report at the end
 
     Rm = curvature_from_uniform(n, mR)
-    split = weyl_parts(n, Rm, pair_ricci(n, Rm))
+    split = weyl_parts(n, Rm)
     k, g = symmetrized(mk), np.eye(n)
     A = a[..., None] * g
     # R, W, the e- and s-parts, k o g and A o g: one (6, B, ...) container check (R is
@@ -269,7 +269,7 @@ def _second_bianchi_residuals(n: int, mC: np.ndarray, v: np.ndarray,
     resid = second_bianchi_pairs(n, D_s) + circ_prime_pairs(n, Q)
     s_part = _rel(max_abs(resid, 1), max_abs(Q, 1))
     # second-Bianchi image of the trace-free part on an exact derivative field
-    W = weyl_parts(n, D, pair_ricci(n, D)).W
+    W = weyl_parts(n, D).W
     bw = second_bianchi_pairs(n, W)
     resid = bw - circ_prime_pairs(n, pair_divergence(n, W)) / (n - 3)
     return rc_part, s_part, _rel(max_abs(resid, 1), max_abs(bw, 1))
@@ -325,17 +325,11 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
     independent of the worker count and the per-dimension blocks may run in
     parallel processes.
     """
-    trials = check_integer(trials, "trials")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    trials, workers = check_integer(trials, "trials", 0), check_integer(workers, "workers", 1)
+    seed = check_integer(seed, "seed", 0)
     # a repeated n runs once
-    dimensions = tuple(dict.fromkeys(check_integer(n, "each dimension") for n in dimensions))
-    for n in dimensions:
-        if n < 4:
-            raise ValueError("identity suite runs for dimensions >= 4")
-        check_pair_dimension(n, "identity suite")
+    dimensions = tuple(dict.fromkeys(check_pair_dimension(n, "identity suite", 4)
+                                     for n in dimensions))
     rep = SuiteReport(seed=seed, trials=trials, dimensions=dimensions, tolerance=tolerance)
     jobs = [(n, trials, seed, tolerance) for n in dimensions]
     if workers > 1 and len(jobs) > 1:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .basis import (
     bianchi_image,
+    check_integer,
     four_tensor_to_pair_matrix,
     full3_to_pair_form,
     pair_basis,
@@ -39,12 +40,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
-
-
-def check_dimension(n: int, minimum: int = 2) -> int:
-    if int(n) != n or n < minimum:
-        raise ValueError(f"dimension must be an integer >= {minimum}, got {n}")
-    return int(n)
 
 
 def max_abs(x, lead: int = 0) -> np.ndarray:
@@ -88,10 +83,11 @@ def check_small(resid, entries, tol: float, message: str, lead: int = 0) -> None
         raise ValueError(message)
 
 
-def check_finite(*values) -> None:
-    """Raise ValueError unless every input (a scalar or an array) is finite."""
-    if not all(np.isfinite(v).all() for v in values):
-        raise ValueError("inputs must be finite")
+def check_finite(**values) -> None:
+    """Raise a ValueError naming the first input (a scalar or an array) that is not finite."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
 
 
 def check_symmetric(mat: np.ndarray, what: str = "matrix", tol: float = EPS_ALG,
@@ -136,7 +132,7 @@ class Operator2Form:
     __slots__ = ("n", "mat")
 
     def __init__(self, n: int, mat: np.ndarray, require_self_adjoint: bool = True):
-        self.n = check_dimension(n)
+        self.n = check_integer(n, "dimension", 2)
         pb = pair_basis(self.n)
         mat = np.asarray(mat, dtype=float)
         if mat.shape != (pb.size, pb.size):
@@ -277,7 +273,7 @@ class _Components:
     _minimum = 2
 
     def __init__(self, n: int, comps: np.ndarray):
-        self.n = check_dimension(n, self._minimum)
+        self.n = check_integer(n, "dimension", self._minimum)
         comps = np.asarray(comps, dtype=float)
         if comps.shape != self._shape(self.n):
             raise ValueError(f"expected {self._shape(self.n)} components, got {comps.shape}")
@@ -369,7 +365,7 @@ class PureCurvatureMatrix:
     __slots__ = ("n", "w")
 
     def __init__(self, n: int, w: np.ndarray):
-        self.n = check_dimension(n)
+        self.n = check_integer(n, "dimension", 2)
         w = np.asarray(w, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"expected ({n}, {n}) matrix, got {w.shape}")

@@ -794,7 +794,7 @@ def test_passes_do_not_move_the_routed_kernels_bits(n, monkeypatch):
              lambda: kn_matrix(h, g), lambda: kn_matrix(h.astype(np.float32), g),
              lambda: kn_matrix(h[0, 0], g), lambda: kn_matrix(h[:, :0], g),
              lambda: kn_matrix(np.moveaxis(h, 1, 0), g),  # a non-contiguous view
-             lambda: weyl_matrix(n, R), lambda: tuple(weyl_parts(n, R, pair_ricci(n, R)))]
+             lambda: weyl_matrix(n, R), lambda: tuple(weyl_parts(n, R))]
     def run(case):
         with np.errstate(invalid="ignore"):  # inf times a zero term: NaN, as intended
             return case()
@@ -973,7 +973,7 @@ def test_weyl_parts_keeps_the_bits_of_the_four_index_split(n, shape):
     """Each field of weyl_parts on pair matrices is the four-index split's, read back."""
     R4 = _curvature_batch(n, int(np.prod(shape))).reshape(shape + (n,) * 4)
     R = four_tensor_to_pair_matrix(n, R4)
-    parts = weyl_parts(n, R, pair_ricci(n, R))
+    parts = weyl_parts(n, R)
     four = frame_weyl_split(pair_matrix_to_four_tensor(n, R))
     for name in ("W", "e_part", "s_part"):
         assert _same_bits_and_signs(getattr(parts, name),
@@ -1235,7 +1235,7 @@ def test_weyl_split_with_metric_is_frame_invariant():
     R_coords = pair_congruence(R.mat, A)
     Rc = ricci_trace(pair_matrix_to_four_tensor(n, R_coords), gi)
     split = weyl_split(n, R_coords, Rc, np.einsum('ij,ij->', Rc, gi), g)
-    frame = weyl_parts(n, R.mat, pair_ricci(n, R.mat))
+    frame = weyl_parts(n, R.mat)
     assert np.allclose(pair_congruence(split.W, F), frame.W, atol=1e-12)
     assert float(split.S) == pytest.approx(float(frame.S), abs=1e-12)
     W_four = congruence_four(pair_matrix_to_four_tensor(n, split.W), F)
@@ -1300,8 +1300,8 @@ def test_u_tensor_contracted_against_its_curvature(n):
     """Contracted against R itself, the u-tensor of R's Weyl part W gives
     8 <W, W^2 + W#> - 4 <Rc o g, W^2> with the full Ricci form Rc (ROADMAP item 8)."""
     R = random_curvature(rng, n)
-    Rc = pair_ricci(n, R.mat)
-    W = weyl_parts(n, R.mat, Rc).W
+    split = weyl_parts(n, R.mat)
+    W, Rc = split.W, split.Rc
     _, contracted = u_tensor_contractions(n, W, R.mat)
     expect = 8.0 * sum(cubic_parts(n, W)) - 4.0 * kn_g_pairing(Rc, W)
     assert contracted == pytest.approx(expect, rel=1e-12)

@@ -32,7 +32,9 @@ from weylbench.algebra import decompose
 from weylbench.models import model_curvature, parse_model_spec
 from weylbench.sampling import (random_curvature, random_traceless_symmetric, random_weyl,
                                 random_weyl_batch, traceless_from_uniform)
-from weylbench.tensors import CurvatureTensor, Operator2Form, symmetrized
+from weylbench.suite import run_identity_suite
+from weylbench.tensors import (CurvatureTensor, Operator2Form, PureCurvatureMatrix, ThreeTwoTensor,
+                               symmetrized)
 
 rng = np.random.default_rng(13)
 
@@ -205,10 +207,10 @@ def test_pair_dimension_is_sized_in_python_ints(small):
     """A numpy integer n is checked as the int it holds: n = 17 is refused by name (a uint8
     N * N would wrap below the budget, or overflow in the audit), and 16 comes back an int."""
     with pytest.raises(ValueError, match="^x: dimension n = 17 needs 136 x 136"):
-        basis.check_pair_dimension(small, "x")
+        basis.check_pair_dimension(small, "x", 2)
     with pytest.raises(ValueError, match="^cubic bound audit: dimension n = 17 "):
         audit_cubic_bounds(small, 2, 0)
-    fits = basis.check_pair_dimension(np.uint8(16), "x")
+    fits = basis.check_pair_dimension(np.uint8(16), "x", 2)
     assert fits == 16 and type(fits) is int
 
 
@@ -598,21 +600,21 @@ def test_audits_reject_negative_samples():
         audit_eigen_bound(-1, seed=0)
 
 
-#: a call of each bounds function with a non-integer n, samples or budget, and the argument
-#: its ValueError names
+#: a call of each bounds function with an integral-valued float or a numpy bool, which
+#: ``INTEGER_ARGUMENTS`` does not draw, and the argument its ValueError names
 NON_INTEGER_CALLS = {
-    "audit_cubic_bounds": (lambda: audit_cubic_bounds(5, 2.5, 0), "samples"),
+    "audit_cubic_bounds": (lambda: audit_cubic_bounds(5, 2.0, 0), "samples"),
     "audit_cubic_bounds_n": (lambda: audit_cubic_bounds(5.0, 2, 0),
                              "cubic bound audit: dimension n"),
-    "audit_cubic_bounds_bool": (lambda: audit_cubic_bounds(5, True, 0), "samples"),
-    "audit_eigen_bound": (lambda: audit_eigen_bound(2.5, 0), "samples"),
-    "audit_eigen_equality": (lambda: audit_eigen_equality(2.5, 0), "samples"),
-    "wcubic_oracle": (lambda: wcubic_oracle(1.0, 4.5), "n"),
+    "audit_cubic_bounds_bool": (lambda: audit_cubic_bounds(5, np.True_, 0), "samples"),
+    "audit_eigen_bound": (lambda: audit_eigen_bound(3.0, 0), "samples"),
+    "audit_eigen_equality": (lambda: audit_eigen_equality(np.float64(3.0), 0), "samples"),
+    "wcubic_oracle": (lambda: wcubic_oracle(1.0, 5.0), "n"),
     "wcubic_oracle_budget": (lambda: wcubic_oracle(1.0, 5, budget=100.0), "budget"),
-    "wcubic_closed_form": (lambda: wcubic_closed_form(1.0, 4.5), "n"),
-    "constants": (lambda: constants(5.5), "n"),
-    "gap_verdict_integral": (lambda: gap_verdict_integral(0.1, 0.1, 16.0, 5.5), "n"),
-    "integral_rigidity_d": (lambda: bounds.integral_rigidity_d(0.1, 0.1, 16.0, 5.5), "n"),
+    "wcubic_closed_form": (lambda: wcubic_closed_form(1.0, 5.0), "n"),
+    "constants": (lambda: constants(6.0), "n"),
+    "gap_verdict_integral": (lambda: gap_verdict_integral(0.1, 0.1, 16.0, 6.0), "n"),
+    "integral_rigidity_d": (lambda: bounds.integral_rigidity_d(0.1, 0.1, 16.0, 6.0), "n"),
 }
 
 
@@ -630,6 +632,52 @@ def test_bounds_run_numpy_integers_as_plain_ints():
         0.1, 0.1, 16.0, 12)
     assert wcubic_closed_form(1.0, np.uint8(5)) == wcubic_closed_form(1.0, 5)
     assert audit_eigen_equality(np.uint8(3), np.int64(2)) == audit_eigen_equality(3, 2)
+
+
+#: every integer argument of the public API: a call with the argument set to v, the
+#: argument's floor and the name its ValueError gives
+INTEGER_ARGUMENTS = {
+    "Operator2Form.n": (lambda v: Operator2Form(v, np.zeros((1, 1))), 2, "dimension"),
+    "ThreeTwoTensor.n": (lambda v: ThreeTwoTensor(v, np.zeros((1, 3))), 3, "dimension"),
+    "PureCurvatureMatrix.n": (lambda v: PureCurvatureMatrix(v, np.zeros((2, 2))), 2,
+                              "dimension"),
+    "run_identity_suite.dimensions": (lambda v: run_identity_suite((4, v), 1), 4,
+                                      "identity suite: dimension n"),
+    "run_identity_suite.trials": (lambda v: run_identity_suite((4,), v), 0, "trials"),
+    "run_identity_suite.workers": (lambda v: run_identity_suite((4,), 1, workers=v), 1,
+                                   "workers"),
+    "run_identity_suite.seed": (lambda v: run_identity_suite((4,), 1, seed=v), 0, "seed"),
+    "audit_cubic_bounds.n": (lambda v: audit_cubic_bounds(v, 1, 0), 5,
+                             "cubic bound audit: dimension n"),
+    "audit_cubic_bounds.samples": (lambda v: audit_cubic_bounds(5, v, 0), 0, "samples"),
+    "audit_cubic_bounds.seed": (lambda v: audit_cubic_bounds(5, 1, v), 0, "seed"),
+    "audit_eigen_bound.samples": (lambda v: audit_eigen_bound(v, 0), 0, "samples"),
+    "audit_eigen_bound.seed": (lambda v: audit_eigen_bound(1, v), 0, "seed"),
+    "audit_eigen_equality.samples": (lambda v: audit_eigen_equality(v, 0), 0, "samples"),
+    "audit_eigen_equality.seed": (lambda v: audit_eigen_equality(1, v), 0, "seed"),
+    "wcubic_oracle.n": (lambda v: wcubic_oracle(1.0, v, budget=0), 2, "n"),
+    "wcubic_oracle.budget": (lambda v: wcubic_oracle(1.0, 5, budget=v), 0, "budget"),
+    "wcubic_oracle.seed": (lambda v: wcubic_oracle(1.0, 5, budget=0, seed=v), 0, "seed"),
+    "wcubic_closed_form.n": (lambda v: wcubic_closed_form(1.0, v), 2, "n"),
+    "constants.n": (lambda v: constants(v), 4, "n"),
+    "gap_verdict_integral.n": (lambda v: gap_verdict_integral(0.1, 0.1, 16.0, v), 5, "n"),
+    "integral_rigidity_d.n": (lambda v: bounds.integral_rigidity_d(0.1, 0.1, 16.0, v), 5, "n"),
+}
+
+
+@pytest.mark.parametrize("case", ["float", "bool", "below", "numpy"])
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_are_refused_by_name(argument, case):
+    """2.5, True, the int below the floor and a numpy integer below it (a uint8 one below a
+    positive floor, an int8 -1 below a floor of 0) are each refused by one ValueError that
+    names the argument, before any work."""
+    call, low, name = INTEGER_ARGUMENTS[argument]
+    value = {"float": 2.5, "bool": True, "below": low - 1,
+             "numpy": np.uint8(low - 1) if low else np.int8(-1)}[case]
+    refusal = (f"must be >= {low}" if case in ("below", "numpy")
+               else f"must be an integer, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{name} {refusal}$"):
+        call(value)
 
 
 # ---------------------------------------------------------------- constants
@@ -804,7 +852,7 @@ def test_integral_rigidity_d_consistency():
     ((-1.0, 0.5, 2.0, 6), "norms must be nonnegative"),
     ((0.5, -1e-300, 2.0, 6), "norms must be nonnegative"),
     ((0.1, 0.1, -1.0, 6), "Yamabe invariant input must be positive"),
-    ((0.1, 0.1, 1.0, 4), "requires n >= 5"),
+    ((0.1, 0.1, 1.0, 4), "n must be >= 5"),
     ((math.nan, 0.1, 1.0, 6), "finite"),
 ])
 def test_integral_rigidity_d_and_the_gap_verdict_share_one_guard(args, message):

@@ -866,6 +866,36 @@ def test_identities_nonpositive_workers_is_usage_error(capsys, workers):
     assert capsys.readouterr().err == "error: workers must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("identities", "--seed", "-1"), "seed must be >= 0"),
+    (("bounds", "--seed", "-1"), "seed must be >= 0"),
+    (("model", "sphere:4.5"), "sphere dimension must be an integer, got '4.5'"),
+    (("model", "fubini-study:x"), "complex dimension must be an integer, got 'x'"),
+    (("chart", "perturbed:4.5"),
+     "chart preset 'perturbed:4.5' dimension must be an integer, got '4.5'"),
+    (("chart", "product-spheres:-1:5"), "chart preset 'product-spheres:-1:5' dimension must be >= 1"),
+    (("chart", "product-spheres:0:4"), "chart preset 'product-spheres:0:4' dimension must be >= 1"),
+    (("chart", "perturbed:3"), "chart preset 'perturbed:3': dimension n must be >= 4"),
+    (("chart", "perturbed:4:nan"), "amplitude must be finite"),
+    (("chart", "perturbed:4", "--h", "nan"), "h must be finite"),
+    (("gap", "nan", "0.1", "16", "5"), "norm_w must be finite"),
+    (("pinch", "dim4", "--omega", "nan", "--S", "1"), "omega must be finite"),
+], ids=["identities-seed", "bounds-seed", "model-dimension", "model-complex-dimension",
+        "chart-dimension", "chart-negative-factor", "chart-empty-factor", "chart-below-four",
+        "chart-amplitude", "chart-step", "gap-norm", "pinch-omega"])
+def test_refused_input_is_named(capsys, argv, message):
+    """Each refused number is named on stderr, exit 2: a seed below 0 (once numpy's
+    "expected non-negative integer"), a spec field that is no integer, below its floor or
+    not finite, and a non-finite CLI number."""
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_one_dimensional_sphere_factor_runs():
+    """S^1 x S^3 is a chart preset: a sphere factor's floor is 1."""
+    assert run_cli("chart", "product-spheres:1:3", "--format", "json") == 0
+
+
 def _dim4_sweep_inputs():
     """Weyl operators with a trace defect eps (g o g) or a Bianchi defect eps vol, at
     eps from 1e-12 to 1e-6: (name, pair matrix)."""

@@ -658,7 +658,7 @@ def test_norms_and_pairings_go_through_frobenius():
 
 
 #: optional parameters (defaults) over the package's functions
-MAX_OPTIONAL_PARAMETERS = 26
+MAX_OPTIONAL_PARAMETERS = 25
 
 
 def optional_parameters(path: Path) -> list[str]:

@@ -10,7 +10,7 @@ import pytest
 
 from weylbench import basis, sampling, suite
 from weylbench.algebra import circ_prime_full, kn_four, second_bianchi_full, weyl_parts
-from weylbench.basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor, pair_ricci
+from weylbench.basis import four_tensor_to_pair_matrix, pair_matrix_to_four_tensor
 from weylbench.sampling import (
     curvature_derivative_from_uniform,
     curvature_derivative_pairs_from_uniform,
@@ -110,7 +110,7 @@ def test_bianchi_families_are_the_full_kernels_at_the_components(n):
     Qf = np.einsum('ki,...j->...ijk', g, v) - np.einsum('kj,...i->...ijk', g, v)
     D_s = np.einsum('...m,abcd->...mabcd', v, kn_four(g, g))
     s = family(second_bianchi_full(D_s), -circ_prime_full(Qf), max_abs(Qf, 1))
-    W = pair_matrix_to_four_tensor(n, weyl_parts(n, D, pair_ricci(n, D)).W)
+    W = pair_matrix_to_four_tensor(n, weyl_parts(n, D).W)
     bw = second_bianchi_full(W)
     weyl = family(bw, circ_prime_full(np.einsum('...mabcm->...abc', W)) / (n - 3),
                   max_abs(full5_to_triple_pair(n, bw), 1))
@@ -258,7 +258,7 @@ def test_guard_raises_on_a_bianchi_violating_curvature(monkeypatch):
 def test_guard_raises_on_a_weyl_part_that_is_not_trace_free(monkeypatch):
     real = suite.weyl_parts
     # the curvature's own split keeps W = R
-    monkeypatch.setattr(suite, "weyl_parts", lambda n, R, Rc: real(n, R, Rc)._replace(W=R))
+    monkeypatch.setattr(suite, "weyl_parts", lambda n, R: real(n, R)._replace(W=R))
     with pytest.raises(ValueError, match="sectional split requires a trace-free"):
         run_identity_suite(dimensions=(5,), trials=3)
 

@@ -84,10 +84,14 @@ def test_fold_keeps_the_first_nan_the_first_maximum_and_the_key_order():
 
 
 @pytest.mark.parametrize("kwargs, name", [
-    ({"trials": 2.5}, "trials"), ({"trials": 2.0}, "trials"), ({"trials": True}, "trials"),
-    ({"trials": np.True_}, "trials"), ({"dimensions": (4.5,)}, "each dimension"),
-    ({"dimensions": (4, 5.0)}, "each dimension"), ({"dimensions": (True,)}, "each dimension")])
+    ({"trials": "2"}, "trials"), ({"trials": 2.0}, "trials"),
+    ({"trials": np.float64(2.0)}, "trials"), ({"trials": np.True_}, "trials"),
+    ({"dimensions": ("4",)}, "identity suite: dimension n"),
+    ({"dimensions": (4, 5.0)}, "identity suite: dimension n"),
+    ({"dimensions": (np.True_,)}, "identity suite: dimension n")])
 def test_non_integer_suite_arguments_are_refused(kwargs, name):
+    """Strings, integral-valued floats and numpy bools, which the integer-argument table of
+    tests/test_bounds.py does not draw."""
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         run_identity_suite(**{"dimensions": (4,), "trials": 1, **kwargs})
 
