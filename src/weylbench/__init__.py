@@ -38,6 +38,7 @@ from .bounds import (
     pinch_verdict_norm,
     pinch_verdict_pointwise,
     spectral_extremes,
+    wcubic_ascents,
     wcubic_closed_form,
     wcubic_oracle,
 )

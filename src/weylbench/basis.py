@@ -85,6 +85,15 @@ def parse_integer(text: str, what: str, low: int) -> int:
     return check_integer(value, what, low)
 
 
+def parse_float(text: str, what: str) -> float:
+    """The float a spec-string field spells; any other text is refused by a ValueError
+    naming ``what``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{what} must be a number, got {text!r}") from None
+
+
 def check_pair_dimension(n: int, what: str, low: int) -> int:
     """``check_integer(n, low)`` of a dimension read from input, refused by a ValueError naming
     ``what`` unless its (N, N) float64 pair matrix also fits MAX_PAIR_MATRIX_BYTES."""

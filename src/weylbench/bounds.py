@@ -1,21 +1,20 @@
 """Scalar bounds, rigidity constants, and pinch-condition verdicts.
 
-Everything here is a pure function of numeric inputs: eigenvalue extremes,
-the cubic bounds on <W, W^2 + W#>, the constrained-cubic maximization with
-its independent multi-start oracle, and the pointwise / norm / integral
-pinch verdicts with their dimensional constants.
+Everything here is a pure function of numeric inputs: eigenvalue extremes, the cubic
+bounds on <W, W^2 + W#>, the constrained-cubic maximization with its independent
+multi-start oracle (one ascent kernel that steps any set of dimensions in lockstep),
+and the pointwise / norm / integral pinch verdicts with their dimensional constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .algebra import check_trace_free, cubic_parts
-from .basis import (_chunks, check_integer, check_pair_dimension, disjoint_pair_mask,
-                    read_only_cache)
+from .basis import _chunks, check_integer, check_pair_dimension, disjoint_pair_mask
 from .sampling import traceless_from_uniform, uniform
 from .tensors import (
     EPS_ALG,
@@ -223,32 +222,37 @@ def wcubic_closed_form(s: float, n: int) -> float:
     return s * ((n - 2) / (n - 1))
 
 
-@read_only_cache
-def _projection_tables(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counts 1..n, and the flat index of each row's start in a (rows, n) array, less one."""
-    return np.arange(1.0, n + 1), np.arange(rows) * n - 1
+def _columns(counts) -> tuple[np.ndarray, ...]:
+    """The layout of a table whose column j holds counts[j] entries over padding: the counts,
+    ranks 1..max count as a column, each column's flat index in row -1, and tables of the
+    entries (1 on them, 0 on the padding) and of the padding (0 on the entries, +inf on it)."""
+    n = np.asarray(counts, dtype=float)
+    k = np.arange(1.0, n.max() + 1)[:, None]
+    return n, k, np.arange(len(n)) - len(n), 1.0 * (k <= n), np.where(k > n, np.inf, 0.0)
 
 
-def _project_feasible(x: np.ndarray, s: float) -> np.ndarray:
-    """Exact row-wise Euclidean projection onto {sum x = 0, x_i <= s}: y = s - x maps it onto
-    the simplex {y >= 0, sum y = n s}, projected by one sort and cumsum (Duchi et al. 2008)."""
-    x = np.atleast_2d(x)
-    rows, n = x.shape
-    k, before = _projection_tables(rows, n)
-    u = s - np.sort(x, axis=1)                  # s - x, descending
-    excess = np.add.accumulate(u, axis=1) - n * s  # sum of the k largest, minus n s
-    rho = np.add.reduce(u * k > excess, axis=1)  # entries below the cap
-    return np.minimum(x + (excess.take(before + rho) / rho)[:, None], s)
+def _project_feasible(x: np.ndarray, s: float, columns: tuple) -> np.ndarray:
+    """Exact column-wise Euclidean projection onto {sum x = 0, x_i <= s} of the n_j entries
+    atop each column j of x, for columns = ``_columns(n)``: y = s - x maps it onto the simplex
+    {y >= 0, sum y = n s}, projected by one sort and cumsum (Duchi et al. 2008).  Padding
+    that is finite or +inf sorts last as +inf and is ignored, and comes back as 0."""
+    n, k, before, real, lift = columns
+    u = x + lift
+    u.sort(axis=0)
+    u = s - u                                          # s - x, descending
+    excess = np.add.accumulate(u, axis=0) - n * s     # sum of the k largest, minus n s
+    rho = np.add.reduce(u * k > excess, axis=0)       # entries below the cap
+    return np.minimum(x + excess.take(rho * len(n) + before) / rho, s) * real
 
 
 def _ratio(x: np.ndarray) -> np.ndarray:
-    """(3, rows) stack of sum x^3 / sum x^2 (-inf where sum x^2 <= 1e-18), sum x^2 and
-    sum x^3 per row; cubes by multiplication, not np.power."""
+    """(3, columns) stack of sum x^3 / sum x^2 (-inf where sum x^2 <= 1e-18), sum x^2 and
+    sum x^3 down each column, in row order; cubes by multiplication, not np.power."""
     xx = x * x
-    fqp = np.empty((3, len(x)))
+    fqp = np.empty((3, x.shape[1]))
     fqp[0] = -np.inf
-    np.add.reduce(xx, axis=1, out=fqp[1])
-    np.add.reduce(xx * x, axis=1, out=fqp[2])
+    np.add.reduce(xx, axis=0, out=fqp[1])
+    np.add.reduce(xx * x, axis=0, out=fqp[2])
     np.divide(fqp[2], fqp[1], out=fqp[0], where=fqp[1] > 1e-18)
     return fqp
 
@@ -261,54 +265,71 @@ class OracleResult:
     converged: bool
 
 
-def wcubic_oracle(s: float, n: int, budget: int = 100_000, seed: int = 0) -> OracleResult:
-    """Independent maximization of f = sum x^3 / sum x^2 on {sum x = 0, x <= s}.
-
-    Multi-start projected gradient ascent from 64 random feasible starts only,
-    so the maximiser must be found by the ascent: with ``budget=0`` the value
-    is the best start's and falls short of the closed form.  f is homogeneous
-    of degree one: the ascent runs at cap 1 and never sees s, so ``value`` and
-    ``best_x`` are bit for bit s times their cap-1 values, for every finite
-    positive s.  Each row steps along the gradient on its cap face,
-    with the components at the cap zeroed and the rest re-centred (Calamai &
-    Moré 1987); its step doubles on a gain, up to 0.5, and shrinks eightfold
-    on a rejection.  The ascent stops when every step is at most 1e-12 or
-    ``budget`` evaluations (64 per step) are spent; ``converged`` means every
-    step is at most 1e-10.  Each step costs one sort, one cumulative sum and
-    elementwise products; cubes are formed by multiplication, not np.power.
-    """
-    check_finite(s=s)
-    n, budget = check_integer(n, "n", 2), check_integer(budget, "budget", 0)
-    seed = check_integer(seed, "seed", 0)
-    if not s > 0:
-        raise ValueError("cap must be positive")
-    if n > 12:
+def wcubic_ascents(dims, budget: int, seed: int) -> list[OracleResult]:
+    """The cap-1 ascents of ``wcubic_oracle(1.0, n, budget, seed)`` for every n in dims,
+    stepped in lockstep.  A (max n, 64 len(dims)) table holds one start per column over zero
+    padding, and every sum runs down the columns in row order, so each n's result is bit for
+    bit that of its ascent alone.  An n stops at its budget or step test, as alone; its
+    columns are then frozen and its evaluations stop counting."""
+    dims = [check_integer(n, "n", 2) for n in dims]
+    budget, seed = check_integer(budget, "budget", 0), check_integer(seed, "seed", 0)
+    if not dims or max(dims) > 12:
         raise ValueError("oracle supports 2 <= n <= 12")
-    rng = np.random.default_rng(seed)
-    x = _project_feasible(rng.uniform(-1.0, 1.0, size=(64, n)), 1.0)
+    columns = _columns(np.repeat(dims, 64))
+    real = columns[3]
+    x = np.zeros(real.shape)
+    for j, n in enumerate(dims):
+        x[:n, 64 * j:64 * j + 64] = np.random.default_rng(seed).uniform(-1.0, 1.0, (64, n)).T
+    x = _project_feasible(x, 1.0, columns)
     fqp = _ratio(x)
-    step = np.full(len(x), 0.5)
-    evals = len(x)
-    while evals < budget and step.max() > 1e-12:
+    steps = np.full((len(dims), 64), 0.5)
+    step, taken = steps.reshape(-1), np.zeros(len(dims), dtype=int)
+    for _ in range(-(-budget // 64) - 1):  # the steps while 64 (1 + taken) < budget
+        live = np.maximum.reduce(steps, axis=1) > 1e-12
+        if not any(live):
+            break
+        taken += live
         # x (3x - 2f) is the gradient times sum x^2; at the cap it is 3 - 2f > 1, above its
-        # row mean sum x^3 / n < 1, so it points outward.  Entries the projection's shift
+        # column mean sum x^3 / n < 1, so it points outward.  Entries the projection's shift
         # leaves a few ulps below 1 count as capped, or the step would push them back
-        free = (x < 1.0 - 1e-14).astype(float)
-        d = x * (3.0 * x - 2.0 * fqp[0, :, None]) * free
-        d -= np.add.reduce(d, axis=1, keepdims=True) / np.add.reduce(
-            free, axis=1, keepdims=True) * free
-        norm = np.sqrt(np.einsum('ij,ij->i', d, d))  # frobenius moves 48,329 of 140,800 row sums
-        trial = _project_feasible(x + (step / np.maximum(norm, 1e-30))[:, None] * d, 1.0)
+        free = (x < 1.0 - 1e-14) * real
+        d = x * (3.0 * x - 2.0 * fqp[0]) * free
+        d -= np.add.reduce(d, axis=0) / np.add.reduce(free, axis=0) * free
+        norm = np.sqrt(np.add.reduce(d * d, axis=0))
+        trial = _project_feasible(x + step / np.maximum(norm, 1e-30) * d, 1.0, columns)
         new = _ratio(trial)
-        evals += len(x)
         accept = new[0] > fqp[0]
-        np.copyto(x, trial, where=accept[:, None])
+        accept &= live.repeat(64)  # a stopped n's columns take no step; their steps only shrink
+        np.copyto(x, trial, where=accept)
         np.copyto(fqp, new, where=accept)
         step *= np.where(accept, 2.0, 0.125)
         np.minimum(step, 0.5, out=step)
-    best = int(np.argmax(fqp[0]))
-    return OracleResult(value=s * float(fqp[0, best]), best_x=s * x[best],
-                        evaluations=int(evals), converged=bool((step <= 1e-10).all()))
+    best = np.argmax(fqp[0].reshape(-1, 64), axis=1) + np.arange(0, x.shape[1], 64)
+    return [OracleResult(value=float(fqp[0, b]), best_x=x[:n, b].copy(),
+                         evaluations=64 * (1 + int(t)), converged=bool((row <= 1e-10).all()))
+            for n, b, t, row in zip(dims, best, taken, steps)]
+
+
+def wcubic_oracle(s: float, n: int, budget: int = 100_000, seed: int = 0) -> OracleResult:
+    """Independent maximization of f = sum x^3 / sum x^2 on {sum x = 0, x <= s}.
+
+    Multi-start projected gradient ascent from 64 random feasible starts only, so the
+    maximiser must be found by the ascent: with ``budget=0`` the value is the best start's
+    and falls short of the closed form.  f is homogeneous of degree one: the ascent runs at
+    cap 1 and never sees s, so ``value`` and ``best_x`` are bit for bit s times their cap-1
+    values, for every finite positive s.  It is the one-dimension case of ``wcubic_ascents``.
+    Each start steps along the gradient on its cap face, with the components at the cap
+    zeroed and the rest re-centred (Calamai & Moré 1987); its step doubles on a gain, up to
+    0.5, and shrinks eightfold on a rejection.  The ascent stops when every step is at most
+    1e-12 or ``budget`` evaluations (64 per step) are spent; ``converged`` means every step
+    is at most 1e-10.  Each step costs one sort, one cumulative sum and elementwise
+    products; cubes are formed by multiplication, not np.power.
+    """
+    check_finite(s=s)
+    if not s > 0:
+        raise ValueError("cap must be positive")
+    unit = wcubic_ascents((n,), budget, seed)[0]
+    return replace(unit, value=s * unit.value, best_x=s * unit.best_x)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ import numpy as np
 
 from .algebra import (bochner_curvature_term, circ_prime, curvature_action, decomposition,
                       kn_matrix, pq_pairs, second_bianchi, weyl_parts, weyl_split)
-from .basis import (_in_passes, check_pair_dimension, pair_basis, pair_divergence, pair_slots,
-                    parse_integer, read_only_cache)
+from .basis import (_in_passes, check_integer, check_pair_dimension, pair_basis, pair_divergence,
+                    pair_slots, parse_float, parse_integer, read_only_cache)
 from .serialization import json_array, json_fields, json_number, json_object, read_json_object
 from .tensors import (EPS_ALG, CovDerivCurvature, CurvatureDecomposition, CurvatureTensor,
                       ThreeTwoTensor, TwoFormOneForm, check_finite,
@@ -103,6 +103,7 @@ class GridSpec:
         check_finite(h=self.h, center=self.center)
         if self.h <= 0:
             raise ValueError("step must be positive")
+        object.__setattr__(self, "order", check_integer(self.order, "order", 2))
         if self.order not in (2, 4):
             raise ValueError("stencil order must be 2 or 4")
 
@@ -160,7 +161,7 @@ def preset_metric(name: str) -> ChartMetric:
         return sizes
 
     def radius(i: int) -> float:
-        r = float(bits[i]) if len(bits) > i else 1.0
+        r = parse_float(bits[i], f"chart preset {name!r} radius") if len(bits) > i else 1.0
         if not 0 < r < math.inf:
             raise ValueError("radius must be positive and finite")
         return r
@@ -178,7 +179,7 @@ def preset_metric(name: str) -> ChartMetric:
                               harmonic_weyl=True)
     if kind == "perturbed" and len(bits) in (2, 3):
         n, = dims(1)
-        amp = float(bits[2]) if len(bits) > 2 else 0.05
+        amp = parse_float(bits[2], f"chart preset {name!r} amplitude") if len(bits) > 2 else 0.05
         check_finite(amplitude=amp)
         return _StackedMetric(name, n, _perturbed(n, amp), harmonic_weyl=False)
     raise ValueError(f"bad chart preset {name!r}")

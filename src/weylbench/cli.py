@@ -26,8 +26,8 @@ from .bounds import (
     pinch_verdict_dim4,
     pinch_verdict_norm,
     pinch_verdict_pointwise,
+    wcubic_ascents,
     wcubic_closed_form,
-    wcubic_oracle,
 )
 from .chart import GridSpec, curvature_field, grid_file_metric, identity_residual_report, preset_metric
 from .dim4 import berger_normal_form, det_identities, split_self_dual
@@ -178,9 +178,8 @@ def cmd_bounds(args, tols, report) -> None:
     _check(report, "audit.eigen_equality_deviation",  # m = 2, where the bound is attained
            audit_eigen_equality(args.trials, args.seed), tols["eps_alg"] * 100)
     oracle_results = {}
-    for n in range(2, 9):
-        # the oracle's ascent runs at cap 1 and its value is s times the cap-1 value, bit for bit
-        unit = wcubic_oracle(1.0, n, budget=args.budget, seed=args.seed)
+    # one lockstep of the cap-1 ascents; a value at cap s is s times the cap-1 value, bit for bit
+    for n, unit in zip(range(2, 9), wcubic_ascents(range(2, 9), args.budget, args.seed)):
         for s in (0.5, 1.0, 2.0):
             closed, value = wcubic_closed_form(s, n), s * unit.value
             key = f"oracle.n{n}_s{s}"

@@ -18,7 +18,7 @@ from .algebra import (
     quadratic_forms,
     ricci_contraction,
 )
-from .basis import check_integer, check_pair_dimension, pair_basis, parse_integer
+from .basis import check_integer, check_pair_dimension, pair_basis, parse_float, parse_integer
 from .tensors import CurvatureTensor, frobenius, inner
 
 
@@ -93,7 +93,7 @@ def _factor(text: str) -> Factor:
     if len(bits) not in (2, 3):
         raise ValueError(f"bad model spec {text!r}, expected kind:dim[:radius]")
     return Factor(bits[0], parse_integer(bits[1], f"{bits[0]} dimension", 1),
-                  float(bits[2]) if len(bits) == 3 else 1.0)
+                  parse_float(bits[2], f"{bits[0]} radius") if len(bits) == 3 else 1.0)
 
 
 def parse_model_spec(text: str) -> ModelSpec:

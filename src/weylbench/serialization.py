@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .basis import check_pair_dimension, pair_basis
+from .basis import check_pair_dimension, pair_basis, parse_integer
 from .tensors import EPS_ALG, Operator2Form, check_symmetric, within_tol
 
 
@@ -101,8 +101,8 @@ def _from_sparse(data: dict, n: int, tol: float) -> Operator2Form:
     pb = pair_basis(check_pair_dimension(n, "operator", 2))
     mat = np.full((pb.size, pb.size), np.nan)
     for key, value in json_object(data["components"], "operator components").items():
-        idx = tuple(int(t) for t in key.split(","))
-        if len(idx) != 4 or any(t < 0 or t >= n for t in idx):
+        idx = tuple(parse_integer(t, f"component key {key!r} index", 0) for t in key.split(","))
+        if len(idx) != 4 or any(t >= n for t in idx):
             raise ValueError(f"bad component key {key!r}")
         i, j, k, l = idx
         v = json_number(value, float, f"component {key!r}")

@@ -189,8 +189,7 @@ def frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Frobenius inner products, one pairwise sum per matrix of (..., N, N) stacks (an empty
     batch gives none).  A sum of a product formed in place (``cubic_parts``) has these bits
     and stays inline, where numpy reuses its buffer (64 objects at n = 8 in its passes: 1.6 ms
-    inline, 1.7 ms here, on 2 vCPUs).  The one exception, the step-norm einsum of
-    ``wcubic_oracle``, stays: these sums move its bits."""
+    inline, 1.7 ms here, on 2 vCPUs)."""
     prod = a * b
     return prod.reshape(prod.shape[:-2] + (math.prod(prod.shape[-2:]),)).sum(axis=-1)
 

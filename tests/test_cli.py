@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylbench import basis, cli, suite
+from weylbench import basis, bounds, cli, suite
 from weylbench.cli import main
 from weylbench.sampling import random_curvature, random_operator, random_weyl
 from weylbench.serialization import operator_to_dict
@@ -286,18 +286,19 @@ def test_bounds_oracle_finds_the_maximiser(capsys, seed):
 
 @pytest.mark.parametrize("seed,budget", [(0, 0), (0, 2000), (7, 0), (7, 2000)])
 def test_bounds_runs_one_ascent_per_dimension(capsys, monkeypatch, seed, budget):
-    """One cap-1 ascent per n serves the three caps, with the rows and failures of an
-    ascent per cap."""
-    oracle, calls = cli.wcubic_oracle, []
+    """One lockstep call of the cap-1 ascents for n = 2..8 serves the three caps, with the
+    rows and failures of a single-dimension ``wcubic_oracle`` per cap."""
+    ascents, calls = cli.wcubic_ascents, []
 
-    def counted(s, n, **kwargs):
-        calls.append((s, n))
-        return oracle(s, n, **kwargs)
+    def counted(dims, budget, seed):
+        calls.append(tuple(dims))
+        return ascents(dims, budget, seed)
 
-    monkeypatch.setattr(cli, "wcubic_oracle", counted)
+    monkeypatch.setattr(cli, "wcubic_ascents", counted)
     code = run_cli("bounds", "--trials", "0", "--budget", str(budget), "--seed", str(seed),
                    "--format", "json")
-    assert calls == [(1.0, n) for n in range(2, 9)]
+    assert calls == [tuple(range(2, 9))]
+    oracle = bounds.wcubic_oracle
     data = json.loads(capsys.readouterr().out)
     rows, failures = {}, []
     for n in range(2, 9):
@@ -562,6 +563,32 @@ def test_invalid_or_non_finite_input_is_usage_error(tmp_path, capsys, argv, payl
     assert err.startswith("error: ")
     if message is not None:  # a missing field is named, with the file where it is known
         assert err == f"error: {message.format(file=path)}\n"
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (("chart", "perturbed:4:x"), None, "chart preset 'perturbed:4:x' amplitude must be a "
+     "number, got 'x'"),
+    (("chart", "sphere-stereo:4:abc"), None, "chart preset 'sphere-stereo:4:abc' radius must be "
+     "a number, got 'abc'"),
+    (("model", "sphere:4:abc"), None, "sphere radius must be a number, got 'abc'"),
+    (("model", "product:sphere:2:1.0,sphere:2:r"), None, "sphere radius must be a number, "
+     "got 'r'"),
+    (("dim4", "{file}"), {"n": 4, "components": {"0,1,x,3": 1.0}},
+     "dim4 input {file}: component key '0,1,x,3' index must be an integer, got 'x'"),
+    (("dim4", "{file}"), {"n": 4, "components": {"0,1,2.0,3": 1.0}},
+     "dim4 input {file}: component key '0,1,2.0,3' index must be an integer, got '2.0'"),
+    (("dim4", "{file}"), {"n": 4, "components": {"0,1,-1,3": 1.0}},
+     "dim4 input {file}: component key '0,1,-1,3' index must be >= 0"),
+], ids=["chart-amplitude", "chart-radius", "model-radius", "model-product-radius",
+        "dim4-key-text", "dim4-key-float", "dim4-key-negative"])
+def test_spec_and_key_fields_are_refused_by_name(tmp_path, capsys, argv, payload, message):
+    """A spec-string number field or a sparse-key index field that does not parse is named
+    in a usage error, not reported as a bare float() or int() failure."""
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    assert run_cli(*(arg.format(file=path) for arg in argv)) == 2
+    assert capsys.readouterr().err == f"error: {message.format(file=path)}\n"
 
 
 def test_infinite_symmetric_pair_prints_only_the_error(tmp_path):

@@ -93,9 +93,9 @@ g = I included: only ``algebra.kn_matrix`` reads its ``_kn_positions`` table, an
 package function is named ``kn_identity*``.
 
 The cubic oracle projects only through ``bounds._project_feasible``, called by that
-name once for its starts and once in its ascent loop, and calls none of the
-projection's steps itself, so the benchmark tracer's span on the module attribute
-counts every step.
+name once for its starts and once in the ascent loop of its one kernel,
+``wcubic_ascents``, and calls none of the projection's steps itself, so the benchmark
+tracer's span on the module attribute counts every step.
 
 A chart metric's evaluator ``fn`` is called only inside ``ChartMetric.table``,
 so every metric evaluation of the package goes through one call site and its
@@ -589,15 +589,13 @@ def test_guard_sees_projection_uses(tmp_path):
 
 
 def test_oracle_projects_only_through_the_one_projection():
-    assert projection_uses(SRC / "bounds.py", "wcubic_oracle") == ["call", "loop call"]
-    assert not called_names(SRC / "bounds.py", "wcubic_oracle") & PROJECTION_STEPS
+    assert projection_uses(SRC / "bounds.py", "wcubic_ascents") == ["call", "loop call"]
+    assert not called_names(SRC / "bounds.py", "wcubic_ascents") & PROJECTION_STEPS
+    assert projection_uses(SRC / "bounds.py", "wcubic_oracle") == []
 
 
-#: the chart's contractions with g^-1: metric traces, not norm-convention pairings; and the
-#: oracle's step norms, a stated exception: ``frobenius`` sums their rows in another order
-#: and would move the ``oracle`` report bytes
-EINSUM_EXCEPTIONS = {("chart.py", "_decomp_coords"), ("chart.py", "_assemble"),
-                     ("bounds.py", "wcubic_oracle")}
+#: the chart's contractions with g^-1: metric traces, not norm-convention pairings
+EINSUM_EXCEPTIONS = {("chart.py", "_decomp_coords"), ("chart.py", "_assemble")}
 
 
 def _is_pairing_einsum(call: ast.Call) -> bool:

@@ -464,8 +464,8 @@ READ_ONLY_TABLES = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_cached_tables_are_read_only(n):
-    assert len(READ_ONLY_TABLES) == 15 and ("chart", "_offsets") in READ_ONLY_TABLES
-    arguments = {"_offsets": [(n, 2, False), (n, 4, True)], "_projection_tables": [(64, n)]}
+    assert len(READ_ONLY_TABLES) == 14 and ("chart", "_offsets") in READ_ONLY_TABLES
+    arguments = {"_offsets": [(n, 2, False), (n, 4, True)]}
     for module, name in READ_ONLY_TABLES:
         build = getattr(importlib.import_module(f"weylbench.{module}"), name)
         for args in arguments.get(name, [(n,)]):
