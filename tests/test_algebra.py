@@ -55,7 +55,8 @@ from weylbench.algebra import (
 from weylbench.basis import (_pair_generators, bianchi_image, four_tensor_to_pair_matrix,
                              full3_to_pair_form, pair_basis, pair_divergence, pair_form_to_full3,
                              pair_matrix_to_four_tensor, pair_ricci, pair_slots)
-from weylbench.bounds import cubic_bound_eval, eigen_bound, eigen_bound_terms, weyl_bound_terms
+from weylbench.bounds import (HELPER_EIGENVALUES, cubic_bound_eval, eigen_bound,
+                              eigen_bound_terms, weyl_bound_terms)
 from weylbench.sampling import (
     curvature_from_uniform,
     pure_from_uniform,
@@ -667,7 +668,7 @@ def _assert_batch_equals_single(kernel, *batched):
         single = kernel(*(a[b] for a in batched))
         singles = single if isinstance(single, tuple) else (single,)
         for x, y in zip(outs, singles):
-            assert np.array_equal(x[b], y)
+            assert np.array_equal(x[b], y, equal_nan=True)
 
 
 #: pass budgets of the expanding kernels: one object a pass, the default, one pass
@@ -678,7 +679,9 @@ PASS_BUDGETS = (1, basis.CHUNK_ENTRIES, 2 ** 40)
 @pytest.mark.parametrize("count", [1, 64])
 def test_raw_kernels_batch_equals_single(n, count, monkeypatch):
     """Each raw kernel gives a batch's objects the values it gives them one at a time, at
-    every pass budget of the kernels that run in passes (``basis._in_passes``)."""
+    every pass budget of the kernels that run in passes (``basis._in_passes``).  At 64
+    objects from n = 5, weyl_bound_terms solves the spectra on its helper thread, with a NaN
+    and an inf object among them too."""
     for entries in PASS_BUDGETS:
         monkeypatch.setattr(basis, "CHUNK_ENTRIES", entries)
         _raw_kernels_batch_equals_single(n, count)
@@ -722,6 +725,11 @@ def _raw_kernels_batch_equals_single(n, count):
     subsets = rng.uniform(size=(count, n)) < 0.5
     _assert_batch_equals_single(sectional_sums, rng.uniform(-1.0, 1.0, size=(count, N)), subsets)
     _assert_batch_equals_single(lambda m: tuple(weyl_bound_terms(n, m).values()), Wm)
+    odd = Wm.copy()  # a NaN and an inf object: NaN spectra beside the others' own bits
+    odd[0, 0, 1] = odd[0, 1, 0] = np.nan
+    odd[-1, 1, 2] = odd[-1, 2, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        _assert_batch_equals_single(lambda m: tuple(weyl_bound_terms(n, m).values()), odd)
     _assert_batch_equals_single(eigen_bound_terms, h + np.swapaxes(h, -1, -2))
 
 
@@ -818,7 +826,13 @@ def test_cubic_parts_are_invariant_and_homogeneous(n):
     """Both parts of cubic_parts are O(n)-invariant, each object under its own seeded
     orthogonal frame (rotated through the full expansion), and odd homogeneous of degree 3:
     scaling each object by its own power of two +-2^k scales its values by its cube, bit for
-    bit.  The stack (3, 15) runs in passes at the default budget from n = 7."""
+    bit.  The stack (3, 15) runs in passes at the default budget from n = 7.
+
+    The frame-free terms of weyl_bound_terms on a (4, 16) stack (spectra on the helper thread
+    from n = 5) are invariant under W -> L W L^T, L = (1/2) kn_matrix(F, F) of each object's
+    seeded orthogonal F, and homogeneous under W -> lambda W, lambda > 0, each object by its
+    own lambda: |W|^2, omega, omega_max, <W, W^2 + W#> and <W, W^2> of degrees 2, 1, 1, 3
+    and 3, to round-off.  max_component depends on the frame and is left out."""
     N, shape = pair_basis(n).size, (3, 15)
     W = random_weyl_batch(rng, n, 45).reshape(shape + (N, N))
     frames = _seeded_frames(n, 45)
@@ -831,6 +845,20 @@ def test_cubic_parts_are_invariant_and_homogeneous(n):
     scale = scale.reshape(shape)
     for value, scaled in zip(parts, cubic_parts(n, scale[..., None, None] * W)):
         assert _same_bits(scaled, scale ** 3 * value)
+    shape = (4, 16)
+    W = random_weyl_batch(np.random.default_rng([n, 64]), n, 64).reshape(shape + (N, N))
+    assert (64 * N >= HELPER_EIGENVALUES) == (n >= 5)
+    F = _seeded_frames(n, 64).reshape(shape + (n, n))
+    L = 0.5 * kn_matrix(F, F)
+    lam = (1.0 + np.arange(64) % 5 / 4.0) * 2.0 ** (np.arange(64) % 9 - 4)
+    lam = lam.reshape(shape)
+    terms = weyl_bound_terms(n, W)
+    turned = weyl_bound_terms(n, L @ W @ np.swapaxes(L, -1, -2))
+    scaled = weyl_bound_terms(n, lam[..., None, None] * W)
+    for key, degree in (("w2", 2), ("omega", 1), ("omega_max", 1), ("lhs", 3), ("lhs_dot", 3)):
+        value, moved = terms[key], lam ** degree * terms[key]
+        assert np.abs(turned[key] - value).max() <= 1e-13 * np.abs(value).max(), key
+        assert np.abs(scaled[key] - moved).max() <= 1e-13 * np.abs(moved).max(), key
 
 
 def _seeded_frames(n, count):
@@ -1210,13 +1238,16 @@ def test_two_form_one_form_kernels_are_orthogonally_equivariant(n):
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
-def test_audit_samples_are_the_typed_tensors(n):
+@pytest.mark.parametrize("count", [5, 64])
+def test_audit_samples_are_the_typed_tensors(n, count):
     """The audit reads the operator the typed path holds: random_weyl_batch's pair
     matrices are each sample's CurvatureTensor.mat, and its bound terms are
-    cubic_bound_eval's, bit for bit."""
-    mats = random_weyl_batch(rng, n, 16)
+    cubic_bound_eval's, bit for bit, whether the batch's spectra are solved on the calling
+    thread (5 samples) or on the helper thread (64)."""
+    mats = random_weyl_batch(rng, n, count)
+    assert (count * mats.shape[-1] >= HELPER_EIGENVALUES) == (count == 64)
     t = weyl_bound_terms(n, mats)
-    for i in range(16):
+    for i in range(count):
         W = CurvatureTensor(n, mats[i])
         assert _same_bits(W.mat, mats[i])
         cb = cubic_bound_eval(W)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -1011,10 +1012,14 @@ def test_audit_cubic_bounds_keeps_nan(monkeypatch):
         assert math.isnan(worst["component"])
 
 
-def test_weyl_bound_terms_keep_each_sample_beside_a_nan_one():
-    """A non-finite pair matrix gets NaN terms; the other samples keep their bits."""
-    mats = random_weyl_batch(np.random.default_rng(4), 6, 5)
+@pytest.mark.parametrize("count", [5, 64])
+def test_weyl_bound_terms_keep_each_sample_beside_a_nan_one(count):
+    """A non-finite pair matrix gets NaN terms; the other samples keep their bits, with the
+    spectra solved on the calling thread (5 objects) and on the helper thread (64)."""
+    mats = random_weyl_batch(np.random.default_rng(4), 6, count)
+    assert ((count - 1) * 15 >= bounds.HELPER_EIGENVALUES) == (count == 64)
     clean = weyl_bound_terms(6, mats)
+    keep = np.arange(count) != 2
     for value in (np.nan, np.inf):
         odd = mats.copy()
         odd[2, 0, 1] = odd[2, 1, 0] = value
@@ -1022,8 +1027,35 @@ def test_weyl_bound_terms_keep_each_sample_beside_a_nan_one():
             terms = weyl_bound_terms(6, odd)
         for key in ("omega", "omega_max", "eig_bound", "lhs"):
             assert np.isnan(terms[key][2])
-            keep = [0, 1, 3, 4]
             assert terms[key][keep].tobytes() == clean[key][keep].tobytes()
+
+
+def test_helper_errors_surface_on_the_calling_thread(monkeypatch):
+    """An error eigvalsh raises on the spectrum helper is raised by the audit on the calling
+    thread, and the helper serves the next audit with the same bits as before."""
+    expect = {k: float(v).hex() for k, v in audit_cubic_bounds(8, 128, 0).items()}
+    raised_on = []
+
+    def failing(a):
+        raised_on.append(threading.current_thread())
+        raise np.linalg.LinAlgError("probe")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="probe"):
+        audit_cubic_bounds(8, 128, 0)
+    assert raised_on and threading.current_thread() not in raised_on
+    monkeypatch.undo()
+    assert {k: float(v).hex() for k, v in audit_cubic_bounds(8, 128, 0).items()} == expect
+
+
+def test_audits_keep_one_daemon_helper():
+    """Repeated audits start at most one thread, the daemon spectrum helper."""
+    before = threading.active_count()
+    for seed in range(4):
+        audit_cubic_bounds(5 + seed, 130, seed)
+    assert threading.active_count() <= before + 1
+    helpers = [t for t in threading.enumerate() if t.name == "weylbench-eigvalsh"]
+    assert len(helpers) == 1 and helpers[0].daemon
 
 
 def test_audit_eigen_bound_keeps_nan(monkeypatch):

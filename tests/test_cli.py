@@ -372,6 +372,19 @@ def test_entry_point_runs():
     assert "alpha" in proc.stdout
 
 
+def test_bounds_child_exits_with_the_in_process_bytes(capsys):
+    """A child whose audits solve their spectra on the helper thread (130 trials: two
+    64-sample batches a dimension) exits 0 on its own, within the timeout, and writes the
+    bytes the same argv writes in process: the daemon helper keeps no interpreter alive."""
+    argv = ["bounds", "--trials", "130", "--budget", "640"]
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "weylbench.cli", *argv], capture_output=True,
+                          text=True, env=CHILD_ENV, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == out
+
+
 def test_gap_non_finite_is_usage_error(capsys):
     assert run_cli("gap", "0.1", "0.1", "nan", "5") == 2
     assert "finite" in capsys.readouterr().err

@@ -110,6 +110,11 @@ Every CLI option is read: the tolerance names each subcommand declares in
 ``cli.build_parser`` are exactly the ``tols["..."]`` keys its ``cmd_*`` reads, and
 ``--seed`` is declared exactly where the ``cmd_*`` reads ``args.seed``.
 
+Threads and processes start in two known places: the bounds' one spectrum helper
+thread (``bounds._SpectrumHelper``) and the identity suite's multiprocessing branch.  No
+other package code imports ``threading``, ``concurrent.futures`` or ``multiprocessing`` or
+calls a ``Thread``, ``Pool``, ``Process`` or ``...Executor`` constructor.
+
 The package holds only runtime code: every top-level function in ``src/weylbench``
 is exported by ``__init__.py``, referred to by other package code, traced by the
 benchmark (``TRACED_FUNCTIONS`` in ``benchmarks/tracing.py``, read only), or on
@@ -302,20 +307,25 @@ FOUR_INDEX_BOUNDARY = {("tensors.py", "Operator2Form.four"),
 FOUR_INDEX_EXPANDERS = {"four", "pair_matrix_to_four_tensor", "cyclic_average"}
 
 
-def scoped_calls(path: Path) -> list[tuple[ast.Call, str]]:
-    """Every call in a file with its scope: the enclosing class and function names joined
-    by dots, ``<module>`` outside them."""
+def scoped_nodes(path: Path, kinds) -> list[tuple[ast.AST, str]]:
+    """Every node of the given ast kinds in a file with its scope: the enclosing class and
+    function names joined by dots, ``<module>`` outside them."""
     out = []
 
     def visit(node: ast.AST, scope: tuple) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
+            if isinstance(child, kinds):
                 out.append((child, ".".join(scope) or "<module>"))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, scope + (child.name,) if named else scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), ())
     return out
+
+
+def scoped_calls(path: Path) -> list[tuple[ast.Call, str]]:
+    """Every call in a file with its scope (``scoped_nodes``)."""
+    return scoped_nodes(path, ast.Call)
 
 
 def four_index_call_sites(path: Path) -> list[tuple[str, str, str]]:
@@ -898,3 +908,53 @@ def test_every_cli_option_is_read():
     assert sorted(found) == sorted(["identities", "model", "dim4", "bounds", "constants",
                                     "pinch", "gap", "chart"])
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+#: packages that start threads or processes, and the constructors that do (with any name
+#: ending in ``Executor``)
+CONCURRENCY_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
+CONCURRENCY_CALLS = {"Thread", "Pool", "Process"}
+
+
+def concurrency_sites(path: Path) -> list[tuple[str, str, str]]:
+    """(file:line, scope, what) of every import of a ``CONCURRENCY_MODULES`` package or one of
+    its submodules (``what`` is the module) and every call of a ``CONCURRENCY_CALLS`` name or
+    an ``...Executor`` (``what`` is the name) in a file (``scoped_nodes``)."""
+    out = []
+    for node, scope in scoped_nodes(path, (ast.Import, ast.ImportFrom, ast.Call)):
+        if isinstance(node, ast.Call):
+            name = _called_name(node) or ""
+            hits = [name] if name in CONCURRENCY_CALLS or name.endswith("Executor") else []
+        else:
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if node.level == 0 else [])
+            hits = [m for m in modules if m.split(".")[0] in CONCURRENCY_MODULES]
+        out += [(f"{path.name}:{node.lineno}", scope, hit) for hit in hits]
+    return out
+
+
+def test_guard_sees_concurrency_sites(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import threading, queue\nfrom concurrent.futures import ThreadPoolExecutor\n"
+                     "class H:\n    def start(self):\n        threading.Thread(target=f).start()\n"
+                     "def run(jobs):\n    import multiprocessing as mp\n"
+                     "    with mp.get_context('spawn').Pool(2) as p, ThreadPoolExecutor() as e:\n"
+                     "        return Thread(target=g), mp.Process(target=g)\n"
+                     "from .threading import x\nimport threadingx\n")
+    assert concurrency_sites(probe) == [
+        ("probe.py:1", "<module>", "threading"), ("probe.py:2", "<module>", "concurrent.futures"),
+        ("probe.py:5", "H.start", "Thread"), ("probe.py:7", "run", "multiprocessing"),
+        ("probe.py:8", "run", "Pool"), ("probe.py:8", "run", "ThreadPoolExecutor"),
+        ("probe.py:9", "run", "Thread"), ("probe.py:9", "run", "Process")]
+
+
+def test_threads_and_processes_start_only_in_the_known_places():
+    """The spectrum helper, ``bounds._SpectrumHelper`` (bounds.py imports ``threading`` for
+    it), starts the package's one thread; the identity suite's ``workers > 1`` branch starts
+    its only processes (ROADMAP item 5 is to decide that branch)."""
+    found = [(hit[0].split(":")[0],) + hit[1:]
+             for path in sorted(SRC.glob("*.py")) for hit in concurrency_sites(path)]
+    assert found == [("bounds.py", "<module>", "threading"),
+                     ("bounds.py", "_SpectrumHelper.submit", "Thread"),
+                     ("suite.py", "run_identity_suite", "multiprocessing"),
+                     ("suite.py", "run_identity_suite", "Pool")]
