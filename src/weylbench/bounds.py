@@ -45,13 +45,15 @@ class _SpectrumHelper:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._jobs: queue.SimpleQueue | None = None
+        self._thread: threading.Thread | None = None
 
     def submit(self, stack: np.ndarray) -> queue.SimpleQueue:
         with self._lock:
-            if self._jobs is None:
+            if self._thread is None or not self._thread.is_alive():  # a forked child has none
                 self._jobs = queue.SimpleQueue()
-                threading.Thread(target=self._serve, args=(self._jobs,), daemon=True,
-                                 name="weylbench-eigvalsh").start()
+                self._thread = threading.Thread(target=self._serve, args=(self._jobs,),
+                                                daemon=True, name="weylbench-eigvalsh")
+                self._thread.start()
         done = queue.SimpleQueue()
         self._jobs.put((stack, done))
         return done

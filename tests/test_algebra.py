@@ -1238,22 +1238,22 @@ def test_two_form_one_form_kernels_are_orthogonally_equivariant(n):
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
-@pytest.mark.parametrize("count", [5, 64])
-def test_audit_samples_are_the_typed_tensors(n, count):
+def test_audit_samples_are_the_typed_tensors(n):
     """The audit reads the operator the typed path holds: random_weyl_batch's pair
     matrices are each sample's CurvatureTensor.mat, and its bound terms are
     cubic_bound_eval's, bit for bit, whether the batch's spectra are solved on the calling
     thread (5 samples) or on the helper thread (64)."""
-    mats = random_weyl_batch(rng, n, count)
-    assert (count * mats.shape[-1] >= HELPER_EIGENVALUES) == (count == 64)
-    t = weyl_bound_terms(n, mats)
-    for i in range(count):
-        W = CurvatureTensor(n, mats[i])
-        assert _same_bits(W.mat, mats[i])
-        cb = cubic_bound_eval(W)
-        assert (cb.lhs, cb.eig_bound, cb.norm_bound, cb.lhs_dot_only, cb.eig_bound_signed) == (
-            float(t["lhs"][i]), float(t["eig_bound"][i]), float(t["norm_bound"][i]),
-            float(t["lhs_dot"][i]), float(t["signed_bound"][i]) if n == 5 else None)
+    for count in (5, 64):
+        mats = random_weyl_batch(rng, n, count)
+        assert (count * mats.shape[-1] >= HELPER_EIGENVALUES) == (count == 64)
+        t = weyl_bound_terms(n, mats)
+        for i in range(count):
+            W = CurvatureTensor(n, mats[i])
+            assert _same_bits(W.mat, mats[i])
+            cb = cubic_bound_eval(W)
+            assert (cb.lhs, cb.eig_bound, cb.norm_bound, cb.lhs_dot_only, cb.eig_bound_signed) == (
+                float(t["lhs"][i]), float(t["eig_bound"][i]), float(t["norm_bound"][i]),
+                float(t["lhs_dot"][i]), float(t["signed_bound"][i]) if n == 5 else None)
 
 
 def test_weyl_split_with_metric_is_frame_invariant():

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import signal
 import sys
 import threading
 import tracemalloc
@@ -1012,22 +1014,22 @@ def test_audit_cubic_bounds_keeps_nan(monkeypatch):
         assert math.isnan(worst["component"])
 
 
-@pytest.mark.parametrize("count", [5, 64])
-def test_weyl_bound_terms_keep_each_sample_beside_a_nan_one(count):
+def test_weyl_bound_terms_keep_each_sample_beside_a_nan_one():
     """A non-finite pair matrix gets NaN terms; the other samples keep their bits, with the
     spectra solved on the calling thread (5 objects) and on the helper thread (64)."""
-    mats = random_weyl_batch(np.random.default_rng(4), 6, count)
-    assert ((count - 1) * 15 >= bounds.HELPER_EIGENVALUES) == (count == 64)
-    clean = weyl_bound_terms(6, mats)
-    keep = np.arange(count) != 2
-    for value in (np.nan, np.inf):
-        odd = mats.copy()
-        odd[2, 0, 1] = odd[2, 1, 0] = value
-        with np.errstate(invalid="ignore"):
-            terms = weyl_bound_terms(6, odd)
-        for key in ("omega", "omega_max", "eig_bound", "lhs"):
-            assert np.isnan(terms[key][2])
-            assert terms[key][keep].tobytes() == clean[key][keep].tobytes()
+    for count in (5, 64):
+        mats = random_weyl_batch(np.random.default_rng(4), 6, count)
+        assert ((count - 1) * 15 >= bounds.HELPER_EIGENVALUES) == (count == 64)
+        clean = weyl_bound_terms(6, mats)
+        keep = np.arange(count) != 2
+        for value in (np.nan, np.inf):
+            odd = mats.copy()
+            odd[2, 0, 1] = odd[2, 1, 0] = value
+            with np.errstate(invalid="ignore"):
+                terms = weyl_bound_terms(6, odd)
+            for key in ("omega", "omega_max", "eig_bound", "lhs"):
+                assert np.isnan(terms[key][2])
+                assert terms[key][keep].tobytes() == clean[key][keep].tobytes()
 
 
 def test_helper_errors_surface_on_the_calling_thread(monkeypatch):
@@ -1046,6 +1048,24 @@ def test_helper_errors_surface_on_the_calling_thread(monkeypatch):
     assert raised_on and threading.current_thread() not in raised_on
     monkeypatch.undo()
     assert {k: float(v).hex() for k, v in audit_cubic_bounds(8, 128, 0).items()} == expect
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_helper():
+    """A child forked after the helper started has no helper thread: its first large stack
+    starts one, where waiting on the parent's queue would hang (an alarm ends such a child)."""
+    expect = {k: float(v).hex() for k, v in audit_cubic_bounds(8, 128, 0).items()}
+    pid = os.fork()
+    if pid == 0:  # the child leaves through os._exit alone, whatever happens
+        code = 1
+        try:
+            signal.alarm(30)
+            got = {k: float(v).hex() for k, v in audit_cubic_bounds(8, 128, 0).items()}
+            code = 0 if got == expect else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_audits_keep_one_daemon_helper():
