@@ -1078,6 +1078,34 @@ def test_audits_keep_one_daemon_helper():
     assert len(helpers) == 1 and helpers[0].daemon
 
 
+def test_callers_on_several_threads_share_the_one_helper():
+    """Four calling threads (more than the machine's cores) hand their stacks to the one
+    helper at once, under a short switch interval: each call gets its own stack's terms, the
+    bits a call on this thread gives, and no second helper starts."""
+    stacks = [random_weyl_batch(np.random.default_rng([8, k]), 8, 64) for k in range(4)]
+    expect = [weyl_bound_terms(8, m) for m in stacks]
+    same = [0] * 4
+
+    def call(k):
+        for _ in range(5):
+            terms = weyl_bound_terms(8, stacks[k])
+            same[k] += all(terms[key].tobytes() == expect[k][key].tobytes() for key in terms)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert same == [5] * 4
+    assert len([t for t in threading.enumerate() if t.name == "weylbench-eigvalsh"]) == 1
+
+
 def test_audit_eigen_bound_keeps_nan(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) * np.nan)
