@@ -95,7 +95,7 @@ def _check(report: dict, name: str, value: float, bound: float) -> None:
 
 def cmd_identities(args, tols, report) -> None:
     suite = run_identity_suite(dimensions=tuple(args.n or (4, 5, 6, 7, 8)), trials=args.trials,
-                               seed=args.seed, tolerance=tols["eps_alg"], workers=args.workers)
+                               seed=args.seed, tolerance=tols["eps_alg"])
     report["results"]["residuals"] = dict(sorted(suite.residuals.items()))
     report["results"]["reported_stats"] = dict(sorted(suite.stats.items()))
     report["failures"] = sorted(suite.failures())
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "randomized curvature-algebra identity suite")
     p.add_argument("--n", action="append", type=int, help="dimension (repeatable), default 4..8")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
     p = command("model", cmd_model, ("eps_alg",), "homogeneous model-space package and residuals")

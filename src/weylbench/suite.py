@@ -1,10 +1,10 @@
 """Randomized identity suite over the curvature algebra.
 
-Each dimension n draws from its own stream ``default_rng([seed, n])``, trial
-after trial: first every identity trial, then the sharp-cubic trials, then the
-u-tensor trials.  A trial's draws are the samplers' own (``sampling.uniform``
-in the order the per-trial samplers call it), so the sample stream is the one
-those samplers give, bit for bit.
+The dimensions run in turn in one process, a repeated n once, each folding its families
+straight into the caller's report.  Each n draws from its own stream ``default_rng([seed, n])``,
+trial after trial: first every identity trial, then the sharp-cubic trials, then the u-tensor
+trials, each with the samplers' own draws (``sampling.uniform`` in the order the per-trial
+samplers call it), so the sample stream is the one those samplers give, bit for bit.
 
 Trials run in chunks sized per dimension by ``basis.CHUNK_ENTRIES`` (64 trials at n = 4
 down to 2 at n = 8; its comment says why).  A chunk's draws are written trial by trial into
@@ -291,9 +291,8 @@ def _u_tensor_trial(n: int, Wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _rel(contracted - 8.0 * cubic, contracted))
 
 
-def _run_dimension(args: tuple[int, int, int, float]) -> tuple[dict, dict, dict]:
-    n, trials, seed, tolerance = args
-    rep = SuiteReport(seed=seed, trials=trials, dimensions=(n,), tolerance=tolerance)
+def _run_dimension(args: tuple[int, int, int, SuiteReport]) -> None:
+    n, trials, seed, rep = args
     rng = np.random.default_rng([seed, n])
     for first, count in _chunks(trials, n ** 5):
         _identity_chunk(rng, n, count, rep, first)
@@ -313,7 +312,6 @@ def _run_dimension(args: tuple[int, int, int, float]) -> tuple[dict, dict, dict]
             u_norm, u_cubic = _u_tensor_trial(n, Wm[cut:])
             rep.fold({f"u_norm_n{n}": u_norm, f"u_cubic_n{n}": u_cubic},
                      (n, first + cut - sharp))
-    return rep.residuals, rep.stats, rep.worst
 
 
 def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
@@ -321,27 +319,15 @@ def run_identity_suite(dimensions: tuple[int, ...] = (4, 5, 6, 7, 8),
                        tolerance: float = EPS_ALG, workers: int = 1) -> SuiteReport:
     """Run the full randomized identity suite; residuals are worst-case relative.
 
-    Each dimension draws from its own seeded stream, so the report is
-    independent of the worker count and the per-dimension blocks may run in
-    parallel processes.
+    ``workers`` (>= 1) is checked and otherwise unused; the keyword goes when the
+    benchmark harness, which passes ``workers=1``, next changes.
     """
-    trials, workers = check_integer(trials, "trials", 0), check_integer(workers, "workers", 1)
+    trials = check_integer(trials, "trials", 0)
+    check_integer(workers, "workers", 1)
     seed = check_integer(seed, "seed", 0)
-    # a repeated n runs once
     dimensions = tuple(dict.fromkeys(check_pair_dimension(n, "identity suite", 4)
                                      for n in dimensions))
     rep = SuiteReport(seed=seed, trials=trials, dimensions=dimensions, tolerance=tolerance)
-    jobs = [(n, trials, seed, tolerance) for n in dimensions]
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing as mp
-        largest_first = sorted(jobs, reverse=True)  # the largest n is the longest job
-        with mp.get_context("spawn").Pool(min(workers, len(jobs))) as pool:
-            done = dict(zip(largest_first, pool.map(_run_dimension, largest_first)))
-        results = [done[job] for job in jobs]  # merged in the given order
-    else:
-        results = [_run_dimension(job) for job in jobs]
-    for residuals, stats, worst in results:
-        rep.residuals.update(residuals)
-        rep.stats.update(stats)
-        rep.worst.update(worst)
+    for n in dimensions:
+        _run_dimension((n, trials, seed, rep))
     return rep

@@ -44,7 +44,7 @@ def criterion(num: int, label: str):
 def big_suite():
     t0 = time.time()
     rep = run_identity_suite(dimensions=(4, 5, 6, 7, 8), trials=1000, seed=0,
-                             tolerance=1e-10, workers=2)
+                             tolerance=1e-10)
     rep.elapsed = time.time() - t0
     return rep
 

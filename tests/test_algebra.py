@@ -5,6 +5,7 @@ its defining formula on small dimensions, then the stated identities run on
 random inputs.
 """
 
+import functools
 from itertools import product
 from types import SimpleNamespace
 
@@ -56,7 +57,8 @@ from weylbench.basis import (_pair_generators, bianchi_image, four_tensor_to_pai
                              full3_to_pair_form, pair_basis, pair_divergence, pair_form_to_full3,
                              pair_matrix_to_four_tensor, pair_ricci, pair_slots)
 from weylbench.bounds import (HELPER_EIGENVALUES, cubic_bound_eval, eigen_bound,
-                              eigen_bound_terms, weyl_bound_terms)
+                              eigen_bound_terms, pinch_verdict_norm, pinch_verdict_pointwise,
+                              weyl_bound_terms)
 from weylbench.sampling import (
     curvature_from_uniform,
     pure_from_uniform,
@@ -891,6 +893,49 @@ def test_kn_products_are_equivariant_and_bilinear(n):
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
+def _seeded_turns(n, shape):
+    """Seeded orthogonal frames F of a stack, and L = (1/2) kn_matrix(F, F), which moves pair
+    matrices as F moves the four indices: the congruence L P L^T rotates P, and the 2-form
+    action of L is w -> F w F^T."""
+    F = _seeded_frames(n, int(np.prod(shape))).reshape(shape + (n, n))
+    return F, 0.5 * kn_matrix(F, F)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_sharp_and_kn_g_pairing_are_equivariant(n):
+    """On a (4, 10) stack, each object under its own seeded frame: sharp_matrix(L A L^T,
+    L B L^T) = L (A # B) L^T for symmetric pair matrices A and B, and kn_g_pairing(F X F^T,
+    L W L^T) = kn_g_pairing(X, W) for raw forms X and Weyl pair matrices W.  Measured at most
+    1.8e-15 relative; the 1e-13 gate (as for cubic_parts) leaves a margin of 50."""
+    N, shape = pair_basis(n).size, (4, 10)
+    F, L = _seeded_turns(n, shape)
+    def turn(P): return L @ P @ np.swapaxes(L, -1, -2)
+    A, B = (symmetrized(rng.uniform(-1.0, 1.0, size=shape + (N, N))) for _ in range(2))
+    expect = turn(sharp_matrix(n, A, B))
+    assert np.abs(sharp_matrix(n, turn(A), turn(B)) - expect).max() \
+        <= 1e-13 * np.abs(expect).max()
+    X = rng.uniform(-1.0, 1.0, size=shape + (n, n))
+    W = random_weyl_batch(rng, n, 40).reshape(shape + (N, N))
+    value = kn_g_pairing(X, W)
+    turned = kn_g_pairing(F @ X @ np.swapaxes(F, -1, -2), turn(W))
+    assert np.abs(turned - value).max() <= 1e-13 * np.abs(value).max()
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_pinch_verdicts_are_invariant(n):
+    """pinch_verdict_pointwise and pinch_verdict_norm give the same condition_value on
+    (L W L^T, F E F^T) as on (W, E), for eight seeded frames F (L as in ``_seeded_turns``);
+    the verdicts exist from n = 5.  Measured at most 1.7e-15 relative; gated at 1e-13."""
+    F, L = _seeded_turns(n, (8,))
+    for f, l in zip(F, L):
+        W, E = random_weyl(rng, n), random_traceless_symmetric(rng, n)
+        W_turned = CurvatureTensor(n, l @ W.mat @ l.T)
+        E_turned = symmetrized(f @ E @ f.T)
+        for verdict in (pinch_verdict_pointwise, pinch_verdict_norm):
+            value = verdict(W, E, 1.0).condition_value
+            turned = verdict(W_turned, E_turned, 1.0).condition_value
+            assert abs(turned - value) <= 1e-13 * abs(value), verdict.__name__
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_typed_wrappers_are_their_kernels(n):
     """The typed functions return, bit for bit, what their raw kernels give."""
@@ -1537,6 +1582,22 @@ def _weyl_space_basis(n):
 SECOND_BIANCHI_KERNEL_DIMS = {4: 24, 5: 105, 6: 300, 7: 693}
 
 
+@functools.lru_cache(maxsize=None)
+def _second_bianchi_kernel(n):
+    """(Wb, K): the Weyl basis ``_weyl_space_basis`` and orthonormal columns K spanning the
+    kernel of the second-Bianchi map on R^n (x) W, in the coordinates of e_m (x) w_a at row
+    m d + a (d = len(Wb))."""
+    N, Wb = pair_basis(n).size, _weyl_space_basis(n)
+    d = len(Wb)
+    images = []  # the second-Bianchi (T, N) images of e_m (x) w_a, column m d + a
+    for m in range(n):
+        D = np.zeros((d, n, N, N))
+        D[:, m] = Wb.reshape(d, N, N)
+        images.append(second_bianchi_pairs(n, D).reshape(d, -1))
+    _, sv, vt = np.linalg.svd(np.concatenate(images).T)
+    return Wb, vt[np.sum(sv > 1e-10 * sv[0]):].T
+
+
 @pytest.mark.parametrize("n", sorted(SECOND_BIANCHI_KERNEL_DIMS))
 def test_second_bianchi_kernel_gives_the_sharp_refined_kato_constant(n):
     """K = ker(second Bianchi) on R^n (x) W, W the algebraic Weyl tensors, holds the
@@ -1545,16 +1606,9 @@ def test_second_bianchi_kernel_gives_the_sharp_refined_kato_constant(n):
     turns the gradient of |W| into e_1): the refined Kato constant (n-1)/(n+1) the chart's
     kato_improved_margin reads.  dim W = n(n+1)(n+2)(n-3)/12; the eigenvalues of K_1 K_1^T lie
     in [1/2, (n-1)/(n+1)], all 3/5 at n = 4, where every Weyl tensor attains the constant."""
-    N, Wb = pair_basis(n).size, _weyl_space_basis(n)
+    Wb, K = _second_bianchi_kernel(n)
     d = len(Wb)
     assert d == n * (n + 1) * (n + 2) * (n - 3) // 12
-    images = []  # the second-Bianchi (T, N) images of e_m (x) w_a, column m d + a
-    for m in range(n):
-        D = np.zeros((d, n, N, N))
-        D[:, m] = Wb.reshape(d, N, N)
-        images.append(second_bianchi_pairs(n, D).reshape(d, -1))
-    _, sv, vt = np.linalg.svd(np.concatenate(images).T)
-    K = vt[np.sum(sv > 1e-10 * sv[0]):].T  # orthonormal columns spanning the kernel
     assert K.shape[1] == SECOND_BIANCHI_KERNEL_DIMS[n]
     K1, sharp = K[:d], (n - 1) / (n + 1)
     assert abs(np.linalg.eigvalsh(K1.T @ K1).max() - sharp) <= 1e-12
@@ -1562,3 +1616,36 @@ def test_second_bianchi_kernel_gives_the_sharp_refined_kato_constant(n):
     assert 0.5 - 1e-12 <= block.min() and block.max() <= sharp + 1e-12
     if n == 4:
         assert np.abs(K1 @ K1.T - 0.6 * np.eye(d)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", sorted(SECOND_BIANCHI_KERNEL_DIMS))
+def test_refined_kato_inequality_holds_on_the_kernel_and_is_attained(n):
+    """The refined Kato audit on K (``_second_bianchi_kernel``): random T in K, its slices
+    T_m as pair matrices, against random Weyl tensors W and against the W that maximises the
+    left side for each T (the top eigenvector of sum_m T_m (x) T_m), satisfy
+    sum_m <W, T_m>^2 <= (n-1)/(n+1) |W|^2 |T|^2 to 1e-12 relative; T = K v_max (v_max the
+    top eigenvector of K_1^T K_1) with W = T_1 / |T_1| attains equality, to 1e-12.  Off K
+    the ratio reaches 1: T = e_1 (x) W gives it."""
+    Wb, K = _second_bianchi_kernel(n)
+    N, d, sharp = pair_basis(n).size, len(Wb), (n - 1) / (n + 1)
+
+    def ratio(T, W):  # sum_m <W, T_m>^2 / (|W|^2 |T|^2) of T (..., n, N, N), W (..., N, N)
+        pairs = frobenius(T, W[..., None, :, :])
+        return np.sum(pairs ** 2, axis=-1) / (frobenius(W, W) * frobenius(T, T).sum(axis=-1))
+
+    def slices(coords):  # (..., n d) coordinates -> (..., n, N, N) slices T_m
+        return (coords.reshape(coords.shape[:-1] + (n, d)) @ Wb).reshape(
+            coords.shape[:-1] + (n, N, N))
+
+    coords = rng.standard_normal((30, K.shape[1])) @ K.T
+    T, W = slices(coords), random_weyl_batch(rng, n, 30)
+    assert ratio(T[:, None], W[None]).max() <= sharp + 1e-12
+    t = coords.reshape(30, n, d)
+    best = np.linalg.eigh(np.swapaxes(t, -1, -2) @ t)[1][..., -1]  # (30, d) Weyl coordinates
+    assert ratio(T, (best @ Wb).reshape(30, N, N)).max() <= sharp + 1e-12
+    _, vecs = np.linalg.eigh(K[:d].T @ K[:d])
+    T = slices(K @ vecs[:, -1])
+    assert abs(ratio(T, T[0] / np.sqrt(frobenius(T[0], T[0]))) - sharp) <= 1e-12
+    off = np.zeros(n * d)
+    off[0] = 1.0  # e_1 (x) w_1, outside K
+    assert abs(ratio(slices(off), Wb[0].reshape(N, N)) - 1.0) <= 1e-12

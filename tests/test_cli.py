@@ -360,7 +360,7 @@ def test_identities_repeated_dimension_runs_once(tmp_path, monkeypatch):
         return run_dimension(job)
 
     monkeypatch.setattr(suite, "_run_dimension", counted)
-    assert run_cli(*args, "--n", "4", "--n", "4", "--workers", "2", "--out", str(twice)) == 0
+    assert run_cli(*args, "--n", "4", "--n", "4", "--out", str(twice)) == 0
     assert calls == [4]
     assert twice.read_bytes() == once.read_bytes()
 
@@ -900,12 +900,6 @@ def test_identities_negative_trials_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: trials must be >= 0\n"
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_identities_nonpositive_workers_is_usage_error(capsys, workers):
-    assert run_cli("identities", "--n", "4", "--trials", "2", "--workers", workers) == 2
-    assert capsys.readouterr().err == "error: workers must be >= 1\n"
-
-
 @pytest.mark.parametrize("argv, message", [
     (("identities", "--seed", "-1"), "seed must be >= 0"),
     (("bounds", "--seed", "-1"), "seed must be >= 0"),
@@ -1024,7 +1018,7 @@ def test_shared_parser_help_matches_a_fresh_parser(capsys, command):
 #: sha256 of each --help text at COLUMNS=80, for the root (None) and every subcommand
 HELP_SHA256 = {
     None: "70f72437db978813e54ef568a2c17b3da9f74e440250e56508d9d7980b8442e6",
-    "identities": "e2538469c8b83cbb868295495d6e5925aebcc80a5bd0fed2052592e37e8ac6d4",
+    "identities": "03dbe1963b7306b916d79681da45aa90105749a03f421f67de94f53f9bf8643f",
     "model": "78768f16fb79cbff70e183b74fa831a9e9e89832a31c8dc17f59889930aa1b54",
     "dim4": "26d81fa171ffb9f8f10ae33d3f97438be4707a9ad1b124e86acfbce5faa571cc",
     "bounds": "29d719096436d12e121f4fb4907be834dc2d281611b10726f2906ed57d80fe41",

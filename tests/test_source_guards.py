@@ -110,10 +110,11 @@ Every CLI option is read: the tolerance names each subcommand declares in
 ``cli.build_parser`` are exactly the ``tols["..."]`` keys its ``cmd_*`` reads, and
 ``--seed`` is declared exactly where the ``cmd_*`` reads ``args.seed``.
 
-Threads and processes start in two known places: the bounds' one spectrum helper
-thread (``bounds._SpectrumHelper``) and the identity suite's multiprocessing branch.  No
-other package code imports ``threading``, ``concurrent.futures`` or ``multiprocessing`` or
-calls a ``Thread``, ``Pool``, ``Process`` or ``...Executor`` constructor.
+One thread starts, in one known place: the bounds' spectrum helper
+(``bounds._SpectrumHelper``).  No process starts: no other package code imports
+``threading``, ``concurrent.futures``, ``multiprocessing`` or ``subprocess``, or calls a
+``Thread``, ``Pool``, ``Process`` or ``...Executor`` constructor, ``os.fork``/``forkpty``
+or ``os.posix_spawn``/``posix_spawnp``.
 
 The package holds only runtime code: every top-level function in ``src/weylbench``
 is exported by ``__init__.py``, referred to by other package code, traced by the
@@ -910,10 +911,11 @@ def test_every_cli_option_is_read():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-#: packages that start threads or processes, and the constructors that do (with any name
-#: ending in ``Executor``)
-CONCURRENCY_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
-CONCURRENCY_CALLS = {"Thread", "Pool", "Process"}
+#: packages that start threads or processes, and the constructors and ``os`` calls that do
+#: (with any name ending in ``Executor``)
+CONCURRENCY_MODULES = {"threading", "_thread", "concurrent", "multiprocessing", "subprocess"}
+CONCURRENCY_CALLS = {"Thread", "Pool", "Process", "fork", "forkpty", "posix_spawn",
+                     "posix_spawnp"}
 
 
 def concurrency_sites(path: Path) -> list[tuple[str, str, str]]:
@@ -940,21 +942,24 @@ def test_guard_sees_concurrency_sites(tmp_path):
                      "def run(jobs):\n    import multiprocessing as mp\n"
                      "    with mp.get_context('spawn').Pool(2) as p, ThreadPoolExecutor() as e:\n"
                      "        return Thread(target=g), mp.Process(target=g)\n"
-                     "from .threading import x\nimport threadingx\n")
+                     "from .threading import x\nimport threadingx\n"
+                     "import os, subprocess\nfrom subprocess import run as sh\n"
+                     "def spawn(argv):\n    if os.fork() == 0:\n"
+                     "        os.posix_spawn(argv[0], argv, {})\n    return os.getpid()\n"
+                     "import subprocessx\n")
     assert concurrency_sites(probe) == [
         ("probe.py:1", "<module>", "threading"), ("probe.py:2", "<module>", "concurrent.futures"),
         ("probe.py:5", "H.start", "Thread"), ("probe.py:7", "run", "multiprocessing"),
         ("probe.py:8", "run", "Pool"), ("probe.py:8", "run", "ThreadPoolExecutor"),
-        ("probe.py:9", "run", "Thread"), ("probe.py:9", "run", "Process")]
+        ("probe.py:9", "run", "Thread"), ("probe.py:9", "run", "Process"),
+        ("probe.py:12", "<module>", "subprocess"), ("probe.py:13", "<module>", "subprocess"),
+        ("probe.py:15", "spawn", "fork"), ("probe.py:16", "spawn", "posix_spawn")]
 
 
 def test_threads_and_processes_start_only_in_the_known_places():
     """The spectrum helper, ``bounds._SpectrumHelper`` (bounds.py imports ``threading`` for
-    it), starts the package's one thread; the identity suite's ``workers > 1`` branch starts
-    its only processes (ROADMAP item 5 is to decide that branch)."""
+    it), starts the package's one thread, and no package code starts a process."""
     found = [(hit[0].split(":")[0],) + hit[1:]
              for path in sorted(SRC.glob("*.py")) for hit in concurrency_sites(path)]
     assert found == [("bounds.py", "<module>", "threading"),
-                     ("bounds.py", "_SpectrumHelper.submit", "Thread"),
-                     ("suite.py", "run_identity_suite", "multiprocessing"),
-                     ("suite.py", "run_identity_suite", "Pool")]
+                     ("bounds.py", "_SpectrumHelper.submit", "Thread")]

@@ -1,6 +1,8 @@
 """The batched identity suite: samples, chunk independence, guards and provenance."""
 
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -242,11 +244,27 @@ def test_a_repeated_dimension_merges_to_the_single_report():
 
 
 def test_worker_count_keeps_the_provenance():
-    """The pool starts the largest n first; the report still lists the dimensions as given."""
+    """``workers`` does not move the report: it is checked and otherwise unused."""
     serial = run_identity_suite(dimensions=(4, 6, 5), trials=3, seed=1)
-    parallel = run_identity_suite(dimensions=(4, 6, 5), trials=3, seed=1, workers=2)
+    two = run_identity_suite(dimensions=(4, 6, 5), trials=3, seed=1, workers=2)
     for table in ("residuals", "stats", "worst"):  # key order included
-        assert list(getattr(parallel, table).items()) == list(getattr(serial, table).items())
+        assert list(getattr(two, table).items()) == list(getattr(serial, table).items())
+
+
+def test_suite_runs_from_a_script_on_stdin():
+    """A ``python -`` script that asks for two workers exits at once with the in-process
+    residuals: nothing re-imports its ``<stdin>`` main module in a child process."""
+    script = ("import json\nfrom weylbench.suite import run_identity_suite\n"
+              "rep = run_identity_suite(dimensions=(4, 5), trials=2, workers=2)\n"
+              "print(json.dumps(rep.residuals))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-"], input=script, capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    in_process = run_identity_suite(dimensions=(4, 5), trials=2)
+    assert proc.stdout == json.dumps(in_process.residuals) + "\n"
 
 
 def test_guard_raises_on_a_bianchi_violating_curvature(monkeypatch):

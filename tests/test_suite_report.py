@@ -41,7 +41,9 @@ def test_nan_first_fails():
 
 
 def test_run_dimension_takes_one_tuple():
-    residuals, stats, worst = _run_dimension((4, 1, 0, 1e-10))
+    rep = report()
+    _run_dimension((4, 1, 0, rep))
+    residuals, stats, worst = rep.residuals, rep.stats, rep.worst
     assert residuals and all(np.isfinite(v) for v in residuals.values())
     assert "sharp_cubic_n4" in residuals and stats == {}
     assert worst == {key: (4, 0) for key in residuals}
